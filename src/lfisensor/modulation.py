@@ -8,12 +8,15 @@ types here are immutable values and all functions are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
 from .errors import ParameterError
+
+#: Speed of light in vacuum, m/s (exact by the SI definition of the metre).
+SPEED_OF_LIGHT = 299792458.0
 
 #: Average emitted optical frequency of an 848 nm source, in Hz.
 EMITTED_FREQUENCY_848NM = SPEED_OF_LIGHT / 848e-9
@@ -169,9 +172,10 @@ def build_cycle(wp: WorkingPoint) -> tuple[RampDescriptor, ...]:
     )
 
 
-def ramp_slopes(wp: WorkingPoint) -> np.ndarray:
-    """Signed slopes of the four ramps as an array."""
-    return np.array([r.slope for r in build_cycle(wp)])
+@lru_cache(maxsize=64)
+def ramp_slopes(wp: WorkingPoint) -> tuple[float, ...]:
+    """Signed slopes of the four ramps by ramp index, cached per working point."""
+    return tuple(r.slope for r in build_cycle(wp))
 
 
 def frequency_offset(wp: WorkingPoint, t):

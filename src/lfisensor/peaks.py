@@ -41,11 +41,14 @@ def find_max_bin(spec: RampSpectrum):
 
     Ties break toward the lower frequency.
     """
-    if spec.magnitudes.size == 0:
+    magnitudes = spec.magnitudes
+    if magnitudes.size == 0:
         raise ParameterError("spectrum is empty")
-    if not np.any(spec.magnitudes):
+    center = int(magnitudes.argmax())
+    # Only a zero maximum can mean an all-zero spectrum.
+    if magnitudes[center] == 0 and not magnitudes.any():
         return None
-    return int(np.argmax(spec.magnitudes))
+    return center
 
 
 def validity_threshold(
@@ -58,8 +61,24 @@ def validity_threshold(
     (typically blind) ramp.
     """
     nonzero = spec.magnitudes[spec.magnitudes > 0]
-    floor = float(np.median(nonzero)) if nonzero.size else 0.0
-    return max(epsilon_abs, kappa * floor)
+    return max(epsilon_abs, kappa * _median(nonzero))
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a 1-D array without NaNs, bit for bit; 0 if empty.
+
+    A partial sort in place (``values`` is consumed) skips np.median's
+    generic overhead; an even count averages the middle pair as it does.
+    """
+    n = values.size
+    if not n:
+        return 0.0
+    k = n // 2
+    if n % 2:
+        values.partition(k)
+        return float(values[k])
+    values.partition((k - 1, k))
+    return float((values[k - 1] + values[k]) / 2)
 
 
 def _window_slice(spec: RampSpectrum, center_bin: int, window: int):

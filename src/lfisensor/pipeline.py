@@ -1,15 +1,20 @@
 """End-to-end streaming processor: slice, FFT, average, denoise, solve.
 
-One stateful worker per sensor stream; the sliding-average history is the
+One stateful worker per sensor stream; the sliding-average window is the
 only state.  Records are immutable once emitted.  Cycle sources come in
 two flavors: seeded synthetic cycles and replay of exported frame files.
+
+Everything that depends only on the configuration and the calibration
+(window, bin grid, scaled reference spectra, noise gates) is computed
+once when :class:`PipelineConfig` is built, and each cycle runs
+one FFT over its four frames.  Records are the same, bit for bit, as
+those of the per-ramp layer functions composed by hand.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
@@ -19,7 +24,7 @@ from .errors import FramingError, ParameterError
 from .modulation import (
     WORKING_POINT_KEYS,
     WorkingPoint,
-    build_cycle,
+    ramp_slopes,
     read_flat_config,
 )
 from .peaks import DEFAULT_KAPPA, DEFAULT_WINDOW, METHODS, WEIGHTED_AVERAGE, estimate_peak
@@ -37,10 +42,13 @@ from .spectral import (
     DEFAULT_BETA,
     DEFAULT_FFT_BINS,
     Calibration,
-    frame_spectrum,
+    RampSpectrum,
+    bin_frequencies,
+    check_fft_bins,
+    hamming,
+    magnitude_spectra,
+    remove_floor,
     slice_cycle,
-    sliding_average,
-    subtract_floor,
 )
 
 #: Validity gate in units of the calibrated per-bin sigma; rejects the
@@ -58,9 +66,13 @@ PIPELINE_KEYS = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
-    """Processing parameters for one sensor stream."""
+    """Processing parameters for one sensor stream.
+
+    Frozen: the per-configuration constants below are derived once, when
+    the config is built, and every cycle reads them.
+    """
 
     working_point: WorkingPoint
     calibration: Calibration
@@ -76,33 +88,88 @@ class PipelineConfig:
     noise_gate: float = DEFAULT_NOISE_GATE
     r_ref: float = DEFAULT_R_REF
     v_ref: float = DEFAULT_V_REF
+    #: Hamming window of one frame and the one-sided bin frequencies.
+    frame_window: np.ndarray = field(init=False, repr=False, compare=False)
+    bin_frequencies: np.ndarray = field(init=False, repr=False, compare=False)
+    #: ``alpha * reference_mean`` and ``beta * reference_sigma``, (4, bins).
+    scaled_mean: np.ndarray = field(init=False, repr=False, compare=False)
+    scaled_sigma: np.ndarray = field(init=False, repr=False, compare=False)
+    #: ``noise_gate * median(reference_sigma)`` per ramp, before the
+    #: ``sqrt(n_window)`` of the averaging.
+    noise_gates: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        wp = self.working_point
         if self.n_avg < 1:
             raise ParameterError(f"n_avg must be >= 1, got {self.n_avg}")
         if self.interp_method not in METHODS:
             raise ParameterError(
                 f"interp_method must be one of {METHODS}, got {self.interp_method!r}"
             )
-        self.calibration.check_compatible(self.working_point, self.fft_bins)
+        if self.interp_window < 3 or self.interp_window % 2 == 0:
+            raise ParameterError(
+                f"interp_window must be odd and >= 3, got {self.interp_window}"
+            )
+        for name in ("alpha", "beta"):
+            if not getattr(self, name) >= 0:
+                raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
+        check_fft_bins(self.fft_bins, wp.samples_per_ramp)
+        if not 0 <= self.sync_offset < wp.samples_per_cycle:
+            raise ParameterError(
+                f"sync_offset must be in [0, {wp.samples_per_cycle}), "
+                f"got {self.sync_offset}"
+            )
+        self.calibration.check_compatible(wp, self.fft_bins)
+
+        profiles = [self.calibration.profile_for(i) for i in range(4)]
+        derived = {
+            "frame_window": hamming(wp.samples_per_ramp),
+            "bin_frequencies": bin_frequencies(wp, self.fft_bins),
+            "scaled_mean": np.stack([self.alpha * p.reference_mean for p in profiles]),
+            "scaled_sigma": np.stack([self.beta * p.reference_sigma for p in profiles]),
+            "noise_gates": tuple(
+                self.noise_gate * float(np.median(p.reference_sigma)) for p in profiles
+            ),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass
 class PipelineState:
-    """Sliding-average history (per ramp) of one stream worker."""
+    """Sliding-average window of one stream worker: the last ``n_avg`` spectra per ramp.
 
-    histories: list
+    ``ring`` has shape ``(4, 2 * n_avg, bins)``.  Cycle ``t`` is written to
+    slots ``t % n_avg`` and ``t % n_avg + n_avg``, so the window, oldest
+    first, is always one contiguous slice of slots.  Averaging that slice
+    adds the spectra in the same order as ``np.mean`` over a list of them,
+    so the result is the same to the bit.
+    """
+
+    ring: np.ndarray
     cycles_seen: int = 0
 
     @classmethod
     def for_config(cls, cfg: PipelineConfig) -> "PipelineState":
-        return cls(histories=[deque(maxlen=cfg.n_avg) for _ in range(4)])
+        return cls(ring=np.zeros((4, 2 * cfg.n_avg, cfg.fft_bins // 2)))
+
+    @property
+    def n_window(self) -> int:
+        """Spectra per ramp in the current window."""
+        return min(self.cycles_seen, self.ring.shape[1] // 2)
 
     def copy(self) -> "PipelineState":
-        return PipelineState(
-            histories=[deque(h, maxlen=h.maxlen) for h in self.histories],
-            cycles_seen=self.cycles_seen,
-        )
+        return PipelineState(ring=self.ring.copy(), cycles_seen=self.cycles_seen)
+
+    def push(self, spectra: np.ndarray) -> np.ndarray:
+        """Add one cycle's ``(4, bins)`` spectra; return the window mean per ramp."""
+        n_avg = self.ring.shape[1] // 2
+        slot = self.cycles_seen % n_avg
+        self.ring[:, slot] = spectra
+        self.ring[:, slot + n_avg] = spectra
+        self.cycles_seen += 1
+        start = (self.cycles_seen - self.n_window) % n_avg
+        return self.ring[:, start : start + self.n_window].mean(axis=1)
 
 
 @dataclass
@@ -119,8 +186,11 @@ class CycleRecord:
 def _attach_sigmas(
     measurement: Measurement, peaks, cfg: PipelineConfig, n_window: int
 ) -> Measurement:
-    """Fill sigma_R/sigma_v from the noise model at the measured point."""
-    slopes = {r.index: r.slope for r in build_cycle(cfg.working_point)}
+    """Fill sigma_R/sigma_v from the noise model at the measured point.
+
+    The beat sigmas of the steepest selected ramp pair are propagated.
+    """
+    slopes = ramp_slopes(cfg.working_point)
     try:
         sigma_fb = {
             idx: predict_sigma_fb(
@@ -150,47 +220,35 @@ def process_cycle(samples, state: PipelineState, cfg: PipelineConfig) -> CycleRe
     """Run one cycle of ADC samples through the full chain.
 
     Slice, window/FFT, sliding average, spectral subtraction, peak
-    interpolation, sign disambiguation.  Mutates ``state`` by appending
-    this cycle's spectra; deterministic given (samples, state, config).
+    interpolation, sign disambiguation.  Mutates ``state`` by adding this
+    cycle's spectra; deterministic given (samples, state, config).
     """
     wp = cfg.working_point
     samples = np.asarray(samples)
     if cfg.sync_offset:
         samples = np.roll(samples, -cfg.sync_offset)
-    frames = slice_cycle(samples, wp)
-    peaks = []
-    for i, frame in enumerate(frames):
-        spec = frame_spectrum(frame, wp, cfg.fft_bins, ramp_index=i)
-        state.histories[i].append(spec)
-        averaged = sliding_average(state.histories[i])
-        profile = cfg.calibration.profile_for(i)
-        cleaned = subtract_floor(averaged, profile, cfg.alpha, cfg.beta)
-        n_window = len(state.histories[i])
-        epsilon = (
-            cfg.noise_gate
-            * float(np.median(profile.reference_sigma))
-            / math.sqrt(n_window)
+    spectra = magnitude_spectra(slice_cycle(samples, wp), cfg.frame_window, cfg.fft_bins)
+    cleaned = remove_floor(state.push(spectra), cfg.scaled_mean, cfg.scaled_sigma)
+    n_window = state.n_window
+    root_n = math.sqrt(n_window)
+    peaks = tuple(
+        estimate_peak(
+            RampSpectrum(i, cfg.bin_frequencies, cleaned[i], cfg.fft_bins),
+            window=cfg.interp_window,
+            method=cfg.interp_method,
+            kappa=cfg.kappa,
+            epsilon_abs=cfg.noise_gates[i] / root_n,
         )
-        peaks.append(
-            estimate_peak(
-                cleaned,
-                window=cfg.interp_window,
-                method=cfg.interp_method,
-                kappa=cfg.kappa,
-                epsilon_abs=epsilon,
-            )
-        )
-    state.cycles_seen += 1
+        for i in range(4)
+    )
     cycle_index = state.cycles_seen - 1
     measurement = disambiguate(peaks, wp, r_ref=cfg.r_ref, v_ref=cfg.v_ref)
     if cfg.noise_model is not None and measurement.status != STATUS_INVALID:
-        measurement = _attach_sigmas(
-            measurement, peaks, cfg, min(state.cycles_seen, cfg.n_avg)
-        )
+        measurement = _attach_sigmas(measurement, peaks, cfg, n_window)
     return CycleRecord(
         cycle_index=cycle_index,
         timestamp=cycle_index * wp.cycle_duration,
-        peaks=tuple(peaks),
+        peaks=peaks,
         measurement=measurement,
         warmup=state.cycles_seen < cfg.n_avg,
     )

@@ -15,7 +15,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import butter, sosfiltfilt
 
 from .errors import AliasingError, FramingError, ParameterError
 from .modulation import SPEED_OF_LIGHT, RampDescriptor, WorkingPoint
@@ -57,6 +56,9 @@ def signed_beat(wp: WorkingPoint, ramp: RampDescriptor, gt: GroundTruth) -> floa
 
 @lru_cache(maxsize=32)
 def _highpass_sos(cutoff: float, fs: float):
+    # scipy.signal takes about a second to import; only synthesis needs it.
+    from scipy.signal import butter
+
     return butter(2, cutoff, btype="highpass", fs=fs, output="sos")
 
 
@@ -71,6 +73,8 @@ def highpass(samples, wp: WorkingPoint) -> np.ndarray:
     x = np.asarray(samples, dtype=float)
     if wp.hp_cutoff == 0.0:
         return x.copy()
+    from scipy.signal import sosfiltfilt
+
     sos = _highpass_sos(wp.hp_cutoff, wp.sampling_rate)
     padlen = min(27, x.shape[-1] - 1)
     return sosfiltfilt(sos, x, padlen=padlen)

@@ -13,10 +13,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegeneratePairError, ParameterError
-from .modulation import SPEED_OF_LIGHT, WorkingPoint, build_cycle
+from .modulation import SPEED_OF_LIGHT, WorkingPoint, ramp_slopes
 
 STATUS_OK = "ok"
 STATUS_DEGRADED = "degraded"
@@ -26,9 +24,6 @@ STATUS_INVALID = "invalid"
 #: (short-range operating envelope: a few cm, up to ~0.1 m/s).
 DEFAULT_R_REF = 0.05
 DEFAULT_V_REF = 0.1
-
-_PAIRS = ((0, 1), (0, 2), (1, 2))
-
 
 @dataclass
 class Measurement:
@@ -100,30 +95,61 @@ def _invalid_measurement() -> Measurement:
     )
 
 
-def cluster_spread(distances, velocities, r_ref: float, v_ref: float) -> float:
-    """Normalized scatter of pairwise solutions (dimensionless)."""
-    return math.sqrt(
-        np.var(distances) / r_ref**2 + np.var(velocities) / v_ref**2
-    )
+#: The 8 sign assignments in itertools.product order.  The last four are
+#: the mirrors of the first four, in reverse order.
+_SIGNS = tuple(itertools.product((1, -1), repeat=3))
 
 
-def _solve_combo(signs, magnitudes, slopes, f_e, r_ref, v_ref):
-    beats = [sign * mag for sign, mag in zip(signs, magnitudes)]
-    distances = []
-    velocities = []
-    for i, j in _PAIRS:
-        distance, velocity = pair_solution(beats[i], slopes[i], beats[j], slopes[j], f_e)
-        distances.append(distance)
-        velocities.append(velocity)
-    mean_r = sum(distances) / 3.0
-    mean_v = sum(velocities) / 3.0
-    return mean_r, mean_v, cluster_spread(distances, velocities, r_ref, v_ref)
+def _var3(a: float, b: float, c: float) -> float:
+    """``np.var`` of three floats, bit for bit (``d * d``, not ``d**2``)."""
+    mean = (a + b + c) / 3.0
+    da, db, dc = a - mean, b - mean, c - mean
+    return (da * da + db * db + dc * dc) / 3.0
+
+
+def _sign_combos(magnitudes, slopes, f_e: float, r_ref: float, v_ref: float) -> list:
+    """Score all 8 sign assignments of three beat magnitudes.
+
+    Returns ``(signs, mean R, mean v, spread)`` rows in itertools.product
+    order.  Each pair is solved as in :func:`pair_solution` and the spread
+    is ``sqrt(var(R) / r_ref**2 + var(v) / v_ref**2)``.  Only the four
+    assignments with a leading + are solved: flipping every sign negates
+    each beat, hence each pairwise (R, v) and both means exactly, and leaves
+    the spread unchanged, so the other four are their mirrors, which
+    product() lists in reverse order.  A mirror mean is ``0.0 - mean``
+    rather than ``-mean``: a direct solve sums to +0.0, never -0.0, when
+    the pairwise values cancel.
+    """
+    m0, m1, m2 = magnitudes
+    s0, s1, s2 = slopes
+    c = SPEED_OF_LIGHT
+    d01, d02, d12 = s0 - s1, s0 - s2, s1 - s2
+    if not (d01 and d02 and d12):
+        raise DegeneratePairError(f"ramp slopes must differ, got {slopes}")
+    r01, r02, r12 = 2.0 * d01, 2.0 * d02, 2.0 * d12
+    v01, v02, v12 = f_e * d01, f_e * d02, f_e * d12
+    r_scale, v_scale = r_ref**2, v_ref**2
+    rows = []
+    for signs in _SIGNS[:4]:
+        f0, f1, f2 = m0, signs[1] * m1, signs[2] * m2
+        dist = (c * (f0 - f1) / r01, c * (f0 - f2) / r02, c * (f1 - f2) / r12)
+        vel = (
+            c * (f1 * s0 - f0 * s1) / v01,
+            c * (f2 * s0 - f0 * s2) / v02,
+            c * (f2 * s1 - f1 * s2) / v12,
+        )
+        spread = math.sqrt(_var3(*dist) / r_scale + _var3(*vel) / v_scale)
+        rows.append((signs, sum(dist) / 3.0, sum(vel) / 3.0, spread))
+    mirrors = [
+        (signs, 0.0 - mean_r, 0.0 - mean_v, spread)
+        for signs, (_, mean_r, mean_v, spread) in zip(_SIGNS[4:], reversed(rows))
+    ]
+    return rows + mirrors
 
 
 def disambiguate(
     peaks,
     wp: WorkingPoint,
-    sigma_fb=None,
     r_ref: float = DEFAULT_R_REF,
     v_ref: float = DEFAULT_V_REF,
 ) -> Measurement:
@@ -136,10 +162,8 @@ def disambiguate(
     construction) keep the one with mean R > 0; (6) report the mean of the
     three pairwise solutions.
 
-    ``sigma_fb``, when given, maps ramp index to that ramp's beat-frequency
-    sigma; the reported sigmas then come from the steepest selected pair.
-    Fewer than three valid peaks, or no positive-distance solution, yields
-    an invalid measurement.
+    Sigmas are left NaN.  Fewer than three valid peaks, or no
+    positive-distance solution, yields an invalid measurement.
     """
     peaks = sorted(peaks, key=lambda p: p.ramp_index)
     if len(peaks) != 4 or [p.ramp_index for p in peaks] != [0, 1, 2, 3]:
@@ -151,18 +175,13 @@ def disambiguate(
     ranked = sorted(valid, key=lambda p: (-p.intensity, p.ramp_index))[:3]
     kept = sorted(ranked, key=lambda p: p.ramp_index)
     indices = tuple(p.ramp_index for p in kept)
-    all_slopes = {r.index: r.slope for r in build_cycle(wp)}
-    slopes = [all_slopes[i] for i in indices]
-    magnitudes = [p.beat_frequency for p in kept]
+    slopes = ramp_slopes(wp)
+    kept_slopes = [slopes[i] for i in indices]
     f_e = wp.emitted_frequency
 
-    combos = []
-    for signs in itertools.product((1.0, -1.0), repeat=3):
-        mean_r, mean_v, spread = _solve_combo(
-            signs, magnitudes, slopes, f_e, r_ref, v_ref
-        )
-        combos.append((signs, mean_r, mean_v, spread))
-
+    combos = _sign_combos(
+        [p.beat_frequency for p in kept], kept_slopes, f_e, r_ref, v_ref
+    )
     best_spread = min(spread for _, _, _, spread in combos)
     positive = [c for c in combos if c[3] == best_spread and c[1] > 0.0]
     if not positive:
@@ -173,29 +192,19 @@ def disambiguate(
         def blind_margin(combo):
             _, mean_r, mean_v, _ = combo
             implied = [
-                (2.0 * mean_r * s + f_e * mean_v) / SPEED_OF_LIGHT for s in slopes
+                (2.0 * mean_r * s + f_e * mean_v) / SPEED_OF_LIGHT for s in kept_slopes
             ]
             return min(abs(f) for f in implied)
 
         positive.sort(key=blind_margin, reverse=True)
     signs, mean_r, mean_v, spread = positive[0]
 
-    sigma_r = sigma_v = math.nan
-    if sigma_fb is not None:
-        i, j = max(
-            itertools.combinations(range(3), 2),
-            key=lambda ij: abs(slopes[ij[0]] - slopes[ij[1]]),
-        )
-        sigma_r, sigma_v = propagate_noise(
-            sigma_fb[indices[i]], sigma_fb[indices[j]], slopes[i], slopes[j], f_e
-        )
-
     return Measurement(
         distance_R=mean_r,
         velocity_v=mean_v,
-        sigma_R=sigma_r,
-        sigma_v=sigma_v,
-        sign_combo=tuple(int(s) for s in signs),
+        sigma_R=math.nan,
+        sigma_v=math.nan,
+        sign_combo=signs,
         selected_ramps=indices,
         cluster_spread=spread,
         status=STATUS_OK if len(valid) == 4 else STATUS_DEGRADED,

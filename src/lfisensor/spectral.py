@@ -129,10 +129,11 @@ class Calibration:
         )
 
 
-def slice_cycle(samples, wp: WorkingPoint) -> list:
+def slice_cycle(samples, wp: WorkingPoint) -> np.ndarray:
     """Split one cycle of ADC samples into its four ramp frames.
 
-    Frames partition the input exactly: no overlap, no gap.
+    Returns a ``(4, samples_per_ramp)`` view whose rows partition the
+    input exactly: no overlap, no gap.
     """
     samples = np.asarray(samples)
     n = wp.samples_per_ramp
@@ -140,12 +141,34 @@ def slice_cycle(samples, wp: WorkingPoint) -> list:
         raise FramingError(
             f"expected one cycle of {4 * n} samples, got shape {samples.shape}"
         )
-    return [samples[i * n : (i + 1) * n] for i in range(4)]
+    return samples.reshape(4, n)
 
 
 @lru_cache(maxsize=16)
-def _hamming(length: int) -> np.ndarray:
+def hamming(length: int) -> np.ndarray:
+    """Hamming window of a frame length (cached and shared: do not modify)."""
     return np.hamming(length)
+
+
+def check_fft_bins(fft_bins: int, frame_length: int) -> None:
+    """Refuse an FFT size that is not a power of two or is shorter than a frame."""
+    if fft_bins < frame_length:
+        raise ParameterError(
+            f"fft_bins ({fft_bins}) must be >= frame length ({frame_length})"
+        )
+    if fft_bins & (fft_bins - 1):
+        raise ParameterError(f"fft_bins must be a power of two, got {fft_bins}")
+
+
+def magnitude_spectra(frames, window: np.ndarray, fft_bins: int) -> np.ndarray:
+    """Windowed, zero-padded one-sided FFT magnitudes along the last axis.
+
+    ``frames`` is one frame or a stack of them (a whole cycle is one
+    ``(4, samples_per_ramp)`` call); ``window`` is the Hamming window of
+    the frame length.  Each row equals its own single-frame transform bit
+    for bit.
+    """
+    return np.abs(np.fft.rfft(frames * window, n=fft_bins, axis=-1)[..., : fft_bins // 2])
 
 
 def frame_spectrum(
@@ -162,19 +185,11 @@ def frame_spectrum(
     frame = np.asarray(frame, dtype=float)
     if frame.ndim != 1:
         raise FramingError(f"frame must be 1-D, got shape {frame.shape}")
-    if fft_bins < frame.size:
-        raise ParameterError(
-            f"fft_bins ({fft_bins}) must be >= frame length ({frame.size})"
-        )
-    if fft_bins & (fft_bins - 1):
-        raise ParameterError(f"fft_bins must be a power of two, got {fft_bins}")
-    padded = np.zeros(fft_bins)
-    padded[: frame.size] = frame * _hamming(frame.size)
-    magnitudes = np.abs(np.fft.rfft(padded)[: fft_bins // 2])
+    check_fft_bins(fft_bins, frame.size)
     return RampSpectrum(
         ramp_index=ramp_index,
         bin_frequencies=bin_frequencies(wp, fft_bins),
-        magnitudes=magnitudes,
+        magnitudes=magnitude_spectra(frame, hamming(frame.size), fft_bins),
         n_bins=fft_bins,
     )
 
@@ -224,27 +239,26 @@ def calibrate(
     For each ramp index the reference is the per-bin mean and sample
     standard deviation over all supplied cycles.
     """
-    per_ramp: list[list[np.ndarray]] = [[], [], [], []]
-    for cycle in cycles:
-        for i, frame in enumerate(slice_cycle(cycle, wp)):
-            spec = frame_spectrum(frame, wp, fft_bins, ramp_index=i)
-            per_ramp[i].append(spec.magnitudes)
-    n_cycles = len(per_ramp[0])
+    check_fft_bins(fft_bins, wp.samples_per_ramp)
+    window = hamming(wp.samples_per_ramp)
+    spectra = [magnitude_spectra(slice_cycle(c, wp), window, fft_bins) for c in cycles]
+    n_cycles = len(spectra)
     if n_cycles < min_cycles:
         raise CalibrationError(
             f"calibration needs >= {min_cycles} no-target cycles, got {n_cycles}"
         )
-    profiles = []
-    for i in range(4):
-        stack = np.stack(per_ramp[i])
-        profiles.append(
-            CalibrationProfile(
-                ramp_index=i,
-                reference_mean=stack.mean(axis=0),
-                reference_sigma=stack.std(axis=0, ddof=1),
-                n_frames_used=n_cycles,
-            )
+    stack = np.stack(spectra)  # (cycle, ramp, bin)
+    means = stack.mean(axis=0)
+    sigmas = stack.std(axis=0, ddof=1)
+    profiles = [
+        CalibrationProfile(
+            ramp_index=i,
+            reference_mean=means[i],
+            reference_sigma=sigmas[i],
+            n_frames_used=n_cycles,
         )
+        for i in range(4)
+    ]
     return Calibration(
         profiles=tuple(profiles),
         n_bins=fft_bins,
@@ -270,9 +284,8 @@ def subtract_floor(
             f"calibration shape {profile.reference_mean.shape} != spectrum shape "
             f"{spec.magnitudes.shape}"
         )
-    cleaned = np.maximum(
-        spec.magnitudes - alpha * profile.reference_mean - beta * profile.reference_sigma,
-        0.0,
+    cleaned = remove_floor(
+        spec.magnitudes, alpha * profile.reference_mean, beta * profile.reference_sigma
     )
     return RampSpectrum(
         ramp_index=spec.ramp_index,
@@ -280,3 +293,14 @@ def subtract_floor(
         magnitudes=cleaned,
         n_bins=spec.n_bins,
     )
+
+
+def remove_floor(magnitudes, scaled_mean, scaled_sigma) -> np.ndarray:
+    """``max(X - scaled_mean - scaled_sigma, 0)`` per bin, in that order.
+
+    The scaled references are ``alpha * mean_ref`` and ``beta * sigma_ref``;
+    the pipeline computes them once per configuration.
+    """
+    cleaned = magnitudes - scaled_mean
+    cleaned -= scaled_sigma
+    return np.maximum(cleaned, 0.0, out=cleaned)

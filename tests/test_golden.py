@@ -1,0 +1,67 @@
+"""Golden corpus: a seeded synth -> calibrate -> process run must not change.
+
+The target sits at the edge of the shallow-up ramp's blind band, so the
+200-cycle record mixes ok and degraded cycles; a noise model fills the
+sigmas and ``n_avg`` 8 makes the averaging window wrap many times.  Each
+output file's sha256 is pinned: a change to any byte of the frames, the
+calibration or the records fails here.  A deliberate output change must
+update these digests and say why in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from lfisensor.cli import main
+from lfisensor.modulation import save_working_point
+
+from conftest import make_wp
+
+GOLDEN_SHA256 = {
+    "frames.f32": "8c4983053e32a3a63ec583702d0af7fb29b630fba3fab1f6cd9efd071d8d056b",
+    "frames.json": "861556605a50bd953bf2245044d0e2b6078d8575d602bc1f42eb367d0714c9eb",
+    "cal.json": "9dea54024b60d16b11cb8edf8f92feeb86e24b8ec32b29caae2e921085cb00a9",
+    "run.csv": "1d9bc22625692eeb3c99b8a792c04d6db20c8c3152aa8d08462f0a31bde9a041",
+    "run.jsonl": "d302a98a3c26c677653f15d0d369b00eec9b78a878849ed6625ca25354ebd954",
+}
+
+NOISE_MODEL = {
+    "a1": 0.35, "a2": -0.6, "a3": 0.22, "a4": 0.4, "a5": 0.55, "b": -3.2,
+    "fit_residual": 0.0,
+}
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden")
+    config = d / "sensor.cfg"
+    save_working_point(make_wp(), config)
+    with open(config, "a") as fh:
+        fh.write("n_avg = 8\n")
+    noise = d / "noise.json"
+    noise.write_text(json.dumps(NOISE_MODEL))
+    common = ["--config", str(config), "--noise-sigma", "0.3"]
+    assert main(["synth", *common, "--out", str(d / "frames"), "--cycles", "200",
+                 "--distance", "0.03", "--velocity", "-0.081", "--seed", "7"]) == 0
+    assert main(["calibrate", *common, "--out", str(d / "cal.json"), "--cycles", "64",
+                 "--seed", "5"]) == 0
+    for fmt in ("csv", "jsonl"):
+        assert main(["process", "--config", str(config), "--input", str(d / "frames"),
+                     "--calibration", str(d / "cal.json"), "--noise-model", str(noise),
+                     "--format", fmt, "--out", str(d / f"run.{fmt}")]) == 0
+    return d
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_golden_output_bytes(corpus, name):
+    digest = hashlib.sha256((corpus / name).read_bytes()).hexdigest()
+    assert digest == GOLDEN_SHA256[name]
+
+
+def test_golden_run_covers_ok_degraded_and_sigmas(corpus):
+    records = [json.loads(line) for line in (corpus / "run.jsonl").read_text().splitlines()]
+    statuses = {r["status"] for r in records}
+    assert len(records) == 200
+    assert {"warmup", "ok", "degraded"} <= statuses
+    assert all(r["sigma_R_m"] > 0 for r in records if r["status"] in ("ok", "degraded"))

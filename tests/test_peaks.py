@@ -175,6 +175,19 @@ def test_validity_absolute_gate():
     assert validity_threshold(spec, epsilon_abs=10.0) == 10.0
 
 
+def test_validity_threshold_floor_is_np_median_of_nonzero_bins():
+    rng = np.random.default_rng(5)
+    for n_nonzero in [*range(1, 12), 400, 401, 1024]:  # odd and even counts
+        mags = np.zeros(1024)
+        where = rng.choice(1024, n_nonzero, replace=False)
+        mags[where] = rng.random(n_nonzero) * 10.0 ** rng.uniform(-3, 3)
+        before = mags.copy()
+        expected = 3.0 * float(np.median(mags[mags > 0]))
+        assert validity_threshold(_spectrum(mags), kappa=3.0) == expected
+        np.testing.assert_array_equal(mags, before)  # the spectrum is not reordered
+    assert validity_threshold(_spectrum(np.zeros(1024)), epsilon_abs=0.5) == 0.5
+
+
 def test_lone_bin_is_indistinguishable_from_floor():
     # A single surviving bin cannot exceed kappa times its own median.
     mags = np.zeros(1024)

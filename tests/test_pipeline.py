@@ -11,6 +11,7 @@ from lfisensor import (
     PipelineConfig,
     PipelineState,
     build_cycle,
+    disambiguate,
     process_cycle,
     propagate_noise,
     replay_cycles,
@@ -20,11 +21,19 @@ from lfisensor import (
     synthetic_cycles,
     write_frames,
 )
-from lfisensor.peaks import estimate_peak
-from lfisensor.pipeline import config_from_file, read_config_file
-from lfisensor.spectral import frame_spectrum, slice_cycle, sliding_average, subtract_floor
+from lfisensor import pipeline
+from lfisensor.peaks import PeakEstimate, estimate_peak
+from lfisensor.pipeline import _attach_sigmas, config_from_file, read_config_file
+from lfisensor.spectral import (
+    Calibration,
+    CalibrationProfile,
+    frame_spectrum,
+    slice_cycle,
+    sliding_average,
+    subtract_floor,
+)
 
-from conftest import make_wp
+from conftest import make_wp, true_beats
 
 
 def _config(wp, cal, **overrides):
@@ -206,6 +215,52 @@ def test_noise_model_fills_sigmas(wp, quiet_cal):
     assert (m.sigma_R, m.sigma_v) == pytest.approx(expected, rel=1e-12)
 
 
+def test_sigma_attachment_uses_steepest_pair(wp, quiet_cal, monkeypatch):
+    beats = true_beats(wp, 0.05, 0.02)
+    sigma_by_beat = dict(zip(np.abs(beats).tolist(), (40.0, 60.0, 20.0, 30.0)))
+    monkeypatch.setattr(
+        pipeline, "predict_sigma_fb", lambda coeffs, **kw: sigma_by_beat[kw["beat_f_b"]]
+    )
+    intensities = [10.0, 9.0, 8.0, 7.0]  # keeps 0, 1, 2
+    peaks = tuple(
+        PeakEstimate(i, abs(beats[i]), intensities[i], "weighted_average", True)
+        for i in range(4)
+    )
+    nm = NoiseModelCoefficients(0.0, 0.0, 0.5, 0.0, 0.0, -1.0, 0.0)
+    cfg = _config(wp, quiet_cal, noise_model=nm)
+    m = _attach_sigmas(disambiguate(peaks, wp), peaks, cfg, n_window=1)
+    assert m.selected_ramps == (0, 1, 2)
+    # steepest selected pair is (0, 1): |S - (-S)| = 2S
+    slopes = [r.slope for r in build_cycle(wp)]
+    expected = propagate_noise(40.0, 60.0, slopes[0], slopes[1], wp.emitted_frequency)
+    assert (m.sigma_R, m.sigma_v) == expected
+
+
+@pytest.mark.parametrize("n_avg", [1, 2, 16])
+def test_window_average_equals_mean_of_last_spectra(wp, quiet_cal, n_avg):
+    cfg = _config(wp, quiet_cal, n_avg=n_avg)
+    rng = np.random.default_rng(n_avg)
+    pushed = [
+        rng.random((4, cfg.fft_bins // 2)) * 10.0 ** rng.uniform(-3, 3, size=(4, 1))
+        for _ in range(3 * n_avg + 3)
+    ]
+
+    def expected(t):  # mean of the last n_avg spectra up to cycle t, per ramp
+        window = pushed[max(0, t + 1 - n_avg) : t + 1]
+        return np.stack([np.mean([s[i] for s in window], axis=0) for i in range(4)])
+
+    state = PipelineState.for_config(cfg)
+    mid_wrap = n_avg + n_avg // 2
+    for t, spectra in enumerate(pushed):
+        if t == mid_wrap:
+            snapshot = state.copy()
+        assert np.array_equal(state.push(spectra), expected(t))
+    # The copy is independent of the state it was taken from.
+    for t in range(mid_wrap, len(pushed)):
+        assert np.array_equal(snapshot.push(pushed[t]), expected(t))
+    assert snapshot.cycles_seen == state.cycles_seen == len(pushed)
+
+
 def test_without_noise_model_sigmas_are_nan(wp, quiet_cal):
     cfg = _config(wp, quiet_cal)
     samples, _ = synthesize_cycle(wp, GroundTruth(0.04, 0.0), 1.0, 0.0, seed=8)
@@ -263,6 +318,42 @@ def test_config_invariants(wp, quiet_cal):
     other = make_wp(sampling_rate=4e6)
     with pytest.raises(CalibrationError):
         PipelineConfig(working_point=other, calibration=quiet_cal)
+
+
+def _flat_calibration(wp, fft_bins):
+    """All-zero calibration on any FFT grid, built directly so nothing checks it."""
+    zeros = np.zeros(fft_bins // 2)
+    profiles = tuple(CalibrationProfile(i, zeros, zeros, 16) for i in range(4))
+    return Calibration(profiles, fft_bins, wp.sampling_rate, wp.samples_per_ramp)
+
+
+@pytest.mark.parametrize(
+    "overrides, name",
+    [
+        ({"interp_window": 24}, "interp_window"),
+        ({"interp_window": 1}, "interp_window"),
+        ({"alpha": -0.5}, "alpha"),
+        ({"alpha": math.nan}, "alpha"),
+        ({"beta": -1e-3}, "beta"),
+        ({"sync_offset": -1}, "sync_offset"),
+        ({"sync_offset": 2000}, "sync_offset"),
+    ],
+)
+def test_config_rejects_bad_settings_at_construction(wp, quiet_cal, overrides, name):
+    with pytest.raises(ParameterError, match=name):
+        _config(wp, quiet_cal, **overrides)
+
+
+@pytest.mark.parametrize("fft_bins", [1000, 256])  # not a power of two; < 500 samples
+def test_config_rejects_bad_fft_bins_at_construction(wp, fft_bins):
+    with pytest.raises(ParameterError, match="fft_bins"):
+        _config(wp, _flat_calibration(wp, fft_bins), fft_bins=fft_bins)
+
+
+def test_config_accepts_boundary_settings(wp, quiet_cal):
+    _config(wp, quiet_cal, interp_window=3, alpha=0.0, beta=0.0,
+            sync_offset=wp.samples_per_cycle - 1)
+    _config(wp, _flat_calibration(wp, 512), fft_bins=512)
 
 
 def test_sync_offset_roll(wp, quiet_cal):

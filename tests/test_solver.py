@@ -18,7 +18,7 @@ from lfisensor import (
     simplified_solution,
 )
 from lfisensor.peaks import PeakEstimate
-from lfisensor.solver import STATUS_DEGRADED, STATUS_INVALID, STATUS_OK
+from lfisensor.solver import STATUS_DEGRADED, STATUS_INVALID, STATUS_OK, _var3
 
 from conftest import C, make_wp, true_beats
 
@@ -244,16 +244,112 @@ def test_disambiguate_validates_input_shape():
         disambiguate(peaks_from_beats(beats)[:3], WP)
 
 
-def test_sigma_attachment_uses_steepest_pair():
-    beats = true_beats(WP, 0.05, 0.02)
-    sigma_fb = {0: 40.0, 1: 60.0, 2: 20.0, 3: 30.0}
-    intensities = [10.0, 9.0, 8.0, 7.0]  # keeps 0, 1, 2
-    m = disambiguate(
-        peaks_from_beats(beats, intensities=intensities), WP, sigma_fb=sigma_fb
-    )
-    # steepest selected pair is (0, 1): |S - (-S)| = 2S
-    expected = propagate_noise(40.0, 60.0, SLOPES[0], SLOPES[1], FE)
-    assert (m.sigma_R, m.sigma_v) == expected
+def brute_force_disambiguate(peaks, r_ref=0.05, v_ref=0.1) -> Measurement:
+    """Reference solver: all 8 sign assignments, each solved pair by pair.
+
+    Uses :func:`pair_solution` and ``np.var``, and the same selection rules
+    as :func:`disambiguate`: three strongest valid ramps, least spread,
+    positive mean distance, then the widest blind margin.
+    """
+    invalid = Measurement(math.nan, math.nan, math.nan, math.nan, (), (), math.nan,
+                          STATUS_INVALID)
+    valid = [p for p in peaks if p.valid]
+    if len(valid) < 3:
+        return invalid
+    kept = sorted(sorted(valid, key=lambda p: (-p.intensity, p.ramp_index))[:3],
+                  key=lambda p: p.ramp_index)
+    idx = tuple(p.ramp_index for p in kept)
+    rows = []
+    for signs in itertools.product((1, -1), repeat=3):
+        beats = [sign * p.beat_frequency for sign, p in zip(signs, kept)]
+        sols = [pair_solution(beats[a], SLOPES[idx[a]], beats[b], SLOPES[idx[b]], FE)
+                for a, b in ((0, 1), (0, 2), (1, 2))]
+        rs, vs = [r for r, _ in sols], [v for _, v in sols]
+        spread = math.sqrt(np.var(rs) / r_ref**2 + np.var(vs) / v_ref**2)
+        rows.append((signs, sum(rs) / 3.0, sum(vs) / 3.0, spread))
+    best = min(row[3] for row in rows)
+    positive = [row for row in rows if row[3] == best and row[1] > 0.0]
+    if not positive:
+        return invalid
+
+    def blind_margin(row):
+        return min(abs((2.0 * row[1] * SLOPES[i] + FE * row[2]) / C) for i in idx)
+
+    signs, mean_r, mean_v, spread = sorted(positive, key=blind_margin, reverse=True)[0]
+    status = STATUS_OK if len(valid) == 4 else STATUS_DEGRADED
+    return Measurement(mean_r, mean_v, math.nan, math.nan, signs, idx, spread, status)
+
+
+def _peaks(magnitudes, intensities, invalid_ramp):
+    return [
+        PeakEstimate(i, magnitudes[i], intensities[i], "weighted_average", i != invalid_ramp)
+        for i in range(4)
+    ]
+
+
+@given(
+    r=st.floats(1e-3, 0.1),
+    v=st.floats(-0.1, 0.1),
+    noise=st.lists(st.floats(-1e-3, 1e-3), min_size=4, max_size=4),
+    intensities=st.lists(st.floats(0.5, 20.0), min_size=4, max_size=4),
+    invalid_ramp=st.sampled_from([None, 0, 1, 2, 3]),
+)
+@settings(max_examples=300, deadline=None)
+def test_disambiguate_equals_brute_force_on_noisy_targets(r, v, noise, intensities,
+                                                          invalid_ramp):
+    # Negative leading beats (v below -2RS/f_e, or ramp 0 dropped) make the
+    # chosen assignment a mirror one, with a leading minus sign.
+    magnitudes = [abs(f) * (1.0 + e) for f, e in zip(true_beats(WP, r, v), noise)]
+    peaks = _peaks(magnitudes, intensities, invalid_ramp)
+    assert disambiguate(peaks, WP) == brute_force_disambiguate(peaks)
+
+
+@given(
+    magnitudes=st.lists(st.floats(0.0, 1e6), min_size=4, max_size=4),
+    intensities=st.lists(st.floats(0.5, 20.0), min_size=4, max_size=4),
+    invalid_ramp=st.sampled_from([None, 0, 1, 2, 3]),
+)
+@settings(max_examples=300, deadline=None)
+def test_disambiguate_equals_brute_force_on_arbitrary_magnitudes(magnitudes, intensities,
+                                                                 invalid_ramp):
+    peaks = _peaks(magnitudes, intensities, invalid_ramp)
+    assert disambiguate(peaks, WP) == brute_force_disambiguate(peaks)
+
+
+@pytest.mark.parametrize("invalid_ramp", [None, 0])
+def test_disambiguate_mirror_choice_equals_brute_force(invalid_ramp):
+    # Ramps 0 and 1 have negative true beats (v < -2RS/f_e), so whichever
+    # leads the kept three, the answer is a mirror assignment.
+    beats = true_beats(WP, 0.01, -0.09)
+    assert beats[0] < 0 and beats[1] < 0
+    peaks = _peaks([abs(f) * (1 + 1e-4 * k) for k, f in enumerate(beats)],
+                   [10.0, 9.0, 8.0, 7.0], invalid_ramp)
+    m = disambiguate(peaks, WP)
+    assert m.sign_combo[0] == -1
+    assert m == brute_force_disambiguate(peaks)
+
+
+def test_mirror_choice_with_cancelling_velocities_keeps_positive_zero():
+    # Ramp 0 dropped and magnitudes a power of two times |slope|: every
+    # pairwise velocity of the (-, +, -) assignment, a mirror one, is exactly
+    # zero.  A direct solve sums them to +0.0, and so must disambiguate, or
+    # the exported record reads -0.0.
+    magnitudes = [abs(s) * 2.0**-20 for s in SLOPES]
+    peaks = _peaks(magnitudes, [10.0, 9.0, 8.0, 7.0], invalid_ramp=0)
+    m = disambiguate(peaks, WP)
+    expected = brute_force_disambiguate(peaks)
+    assert m.sign_combo == (-1, 1, -1)
+    assert m.velocity_v == 0.0
+    assert math.copysign(1.0, m.velocity_v) == math.copysign(1.0, expected.velocity_v) == 1.0
+    assert m == expected
+
+
+def test_spread_variance_is_np_var_bit_for_bit():
+    # np.var squares with d * d; a d**2 spelling differs in about 1 case in 1,500.
+    rng = np.random.default_rng(8)
+    triples = rng.normal(size=(20_000, 3)) * 10.0 ** rng.uniform(-4, 4, size=(20_000, 1))
+    for a, b, c in triples.tolist():
+        assert _var3(a, b, c) == np.var([a, b, c])
 
 
 def test_measurement_is_plain_value():
