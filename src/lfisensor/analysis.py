@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FitError, NoReliableDistanceError, ParameterError
-from .modulation import SPEED_OF_LIGHT, WorkingPoint, build_cycle
+from .modulation import SPEED_OF_LIGHT, WorkingPoint, build_cycle, decode_fields
 from .simulator import GroundTruth, signed_beat
 
 OBSERVATION_FIELDS = (
@@ -65,20 +65,12 @@ class NoiseModelCoefficients:
             raise ParameterError("fit_residual must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "a1": self.a1,
-            "a2": self.a2,
-            "a3": self.a3,
-            "a4": self.a4,
-            "a5": self.a5,
-            "b": self.b,
-            "fit_residual": self.fit_residual,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, values: dict) -> "NoiseModelCoefficients":
-        return cls(**{k: float(values[k]) for k in
-                      ("a1", "a2", "a3", "a4", "a5", "b", "fit_residual")})
+        """Inverse of :meth:`to_dict`; every key is required."""
+        return cls(**decode_fields(cls, values))
 
 
 @dataclass(frozen=True)

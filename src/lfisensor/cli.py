@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -66,10 +67,20 @@ def _fmt(x) -> str:
 
 
 def _write_atomic(path, text: str) -> None:
+    """Write through a uniquely named temporary file in the target directory."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        # mkstemp creates the file private; give it the mode a plain open would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _write_manifest(out, command: str, config_path, inputs: dict, outputs) -> None:
@@ -126,6 +137,23 @@ def _record_json(record) -> str:
     )
 
 
+def _synthetic_target(args):
+    """Target, amplitude and manifest provenance of a seeded synthetic source.
+
+    Commands without the target options (``calibrate``) synthesize
+    no-target cycles.
+    """
+    if args.cycles is None:
+        raise ParameterError("either --input or --cycles is required")
+    synthetic = {"cycles": args.cycles, "seed": args.seed, "noise_sigma": args.noise_sigma}
+    if not hasattr(args, "distance"):
+        return GroundTruth(0.0, 0.0), 0.0, {"synthetic": synthetic}
+    synthetic.update(
+        distance_m=args.distance, velocity_mps=args.velocity, amplitude=args.amplitude
+    )
+    return GroundTruth(args.distance, args.velocity), args.amplitude, {"synthetic": synthetic}
+
+
 def _source_from_args(args, wp):
     """Cycle source plus a provenance dict for the manifest."""
     if args.input:
@@ -133,33 +161,19 @@ def _source_from_args(args, wp):
             replay_cycles(args.input, expected_wp=wp),
             {"replay": str(args.input)},
         )
-    if args.cycles is None:
-        raise ParameterError("either --input or --cycles is required")
-    gt = GroundTruth(distance_R=args.distance, velocity_v=args.velocity)
-    source = synthetic_cycles(
-        wp, gt, args.amplitude, args.noise_sigma, args.seed, args.cycles
-    )
-    provenance = {
-        "synthetic": {
-            "cycles": args.cycles,
-            "seed": args.seed,
-            "distance_m": args.distance,
-            "velocity_mps": args.velocity,
-            "amplitude": args.amplitude,
-            "noise_sigma": args.noise_sigma,
-        }
-    }
+    gt, amplitude, provenance = _synthetic_target(args)
+    source = synthetic_cycles(wp, gt, amplitude, args.noise_sigma, args.seed, args.cycles)
     return source, provenance
 
 
 def cmd_synth(args) -> int:
     wp, _ = read_config_file(args.config)
-    gt = GroundTruth(distance_R=args.distance, velocity_v=args.velocity)
+    gt, amplitude, provenance = _synthetic_target(args)
     frames = []
     extra = []
     for cycle_index in range(args.cycles):
         _, cycle_frames = synthesize_cycle(
-            wp, gt, args.amplitude, args.noise_sigma, args.seed, cycle_index
+            wp, gt, amplitude, args.noise_sigma, args.seed, cycle_index
         )
         frames.extend(cycle_frames)
         extra.extend(
@@ -173,51 +187,15 @@ def cmd_synth(args) -> int:
         )
     write_frames(args.out, frames, wp, extra)
     outputs = [f"{args.out}.f32", f"{args.out}.json"]
-    _write_manifest(
-        args.out,
-        "synth",
-        args.config,
-        {
-            "synthetic": {
-                "cycles": args.cycles,
-                "seed": args.seed,
-                "distance_m": args.distance,
-                "velocity_mps": args.velocity,
-                "amplitude": args.amplitude,
-                "noise_sigma": args.noise_sigma,
-            }
-        },
-        outputs,
-    )
+    _write_manifest(args.out, "synth", args.config, provenance, outputs)
     print(f"wrote {args.cycles} cycles ({4 * args.cycles} frames) to {args.out}.f32")
     return 0
 
 
 def cmd_calibrate(args) -> int:
     wp, settings = read_config_file(args.config)
-    fft_bins = settings.get("fft_bins", 2048)
-    if args.input:
-        source = replay_cycles(args.input, expected_wp=wp)
-        provenance = {"replay": str(args.input)}
-    else:
-        if args.cycles is None:
-            raise ParameterError("either --input or --cycles is required")
-        source = synthetic_cycles(
-            wp,
-            GroundTruth(0.0, 0.0),
-            amplitude=0.0,
-            noise_sigma=args.noise_sigma,
-            seed=args.seed,
-            n_cycles=args.cycles,
-        )
-        provenance = {
-            "synthetic": {
-                "cycles": args.cycles,
-                "seed": args.seed,
-                "noise_sigma": args.noise_sigma,
-            }
-        }
-    cal = calibrate(source, wp, fft_bins)
+    source, provenance = _source_from_args(args, wp)
+    cal = calibrate(source, wp, settings["fft_bins"])
     cal.save(args.out)
     _write_manifest(args.out, "calibrate", args.config, provenance, [args.out])
     for profile in cal.profiles:
@@ -234,9 +212,11 @@ def cmd_process(args) -> int:
     cal = Calibration.load(args.calibration)
     noise_model = None
     if args.noise_model:
-        noise_model = NoiseModelCoefficients.from_dict(
-            json.loads(Path(args.noise_model).read_text())
-        )
+        try:
+            values = json.loads(Path(args.noise_model).read_text())
+        except json.JSONDecodeError as exc:
+            raise ParameterError(f"{args.noise_model} is not JSON: {exc}") from None
+        noise_model = NoiseModelCoefficients.from_dict(values)
     cfg = config_from_file(args.config, cal, noise_model)
     source, provenance = _source_from_args(args, cfg.working_point)
     provenance["calibration"] = str(args.calibration)

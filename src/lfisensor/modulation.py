@@ -7,7 +7,7 @@ types here are immutable values and all functions are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 
@@ -21,15 +21,15 @@ SPEED_OF_LIGHT = 299792458.0
 #: Average emitted optical frequency of an 848 nm source, in Hz.
 EMITTED_FREQUENCY_848NM = SPEED_OF_LIGHT / 848e-9
 
-#: Keys of the flat key-value working-point config format.
-WORKING_POINT_KEYS = (
-    "ramp_duration_s",
-    "steep_slope_hz_per_s",
-    "ratio_rt",
-    "emitted_frequency_hz",
-    "hp_cutoff_hz",
-    "sampling_rate_hz",
-)
+#: Key of each working-point field in the flat config format, in file order.
+WORKING_POINT_KEYS = {
+    "ramp_duration": "ramp_duration_s",
+    "steep_slope": "steep_slope_hz_per_s",
+    "ratio_rt": "ratio_rt",
+    "emitted_frequency": "emitted_frequency_hz",
+    "hp_cutoff": "hp_cutoff_hz",
+    "sampling_rate": "sampling_rate_hz",
+}
 
 
 @dataclass(frozen=True)
@@ -115,31 +115,12 @@ class WorkingPoint:
 
     def to_dict(self) -> dict:
         """Flat key-value form using the documented config keys."""
-        return {
-            "ramp_duration_s": self.ramp_duration,
-            "steep_slope_hz_per_s": self.steep_slope,
-            "ratio_rt": self.ratio_rt,
-            "emitted_frequency_hz": self.emitted_frequency,
-            "hp_cutoff_hz": self.hp_cutoff,
-            "sampling_rate_hz": self.sampling_rate,
-        }
+        return {key: getattr(self, name) for name, key in WORKING_POINT_KEYS.items()}
 
     @classmethod
     def from_dict(cls, values: dict) -> "WorkingPoint":
-        unknown = set(values) - set(WORKING_POINT_KEYS)
-        if unknown:
-            raise ParameterError(f"unknown working-point keys: {sorted(unknown)}")
-        missing = set(WORKING_POINT_KEYS) - set(values)
-        if missing:
-            raise ParameterError(f"missing working-point keys: {sorted(missing)}")
-        return cls(
-            ramp_duration=float(values["ramp_duration_s"]),
-            steep_slope=float(values["steep_slope_hz_per_s"]),
-            ratio_rt=float(values["ratio_rt"]),
-            sampling_rate=float(values["sampling_rate_hz"]),
-            emitted_frequency=float(values["emitted_frequency_hz"]),
-            hp_cutoff=float(values["hp_cutoff_hz"]),
-        )
+        """Inverse of :meth:`to_dict`; every key is required."""
+        return cls(**decode_fields(cls, values, WORKING_POINT_KEYS))
 
 
 @dataclass(frozen=True)
@@ -232,6 +213,46 @@ def read_flat_config(path) -> dict:
             raise ParameterError(f"{path}:{lineno}: duplicate key {key!r}")
         values[key] = value
     return values
+
+
+#: Casts of the field types a flat config or JSON file may set.  The
+#: package's modules postpone annotations, so a field's type is its name.
+_CASTS = {"int": int, "float": float, "str": str}
+
+
+def decode_fields(cls, values, keys: dict | None = None, defaults: bool = False) -> dict:
+    """Cast key-value ``values`` to keyword arguments of the dataclass ``cls``.
+
+    The keys are the names of the ``int``, ``float`` and ``str`` init
+    fields of ``cls``, or their entries in ``keys`` (field name to key).
+    Each value is cast to its field's type.  A key absent from ``values``
+    takes its field's default when ``defaults`` is true and the field has
+    one; otherwise it is missing.  A key that is unknown, missing or
+    cannot be cast raises :class:`ParameterError` naming it.
+    """
+    if not isinstance(values, dict):
+        raise ParameterError(
+            f"{cls.__name__}: expected key-value pairs, got {type(values).__name__}"
+        )
+    keys = keys or {}
+    known = {keys.get(f.name, f.name): f for f in fields(cls) if f.init and f.type in _CASTS}
+    unknown = set(values) - set(known)
+    if unknown:
+        raise ParameterError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    decoded, missing = {}, []
+    for key, f in known.items():
+        if key in values:
+            try:
+                decoded[f.name] = _CASTS[f.type](values[key])
+            except (TypeError, ValueError):
+                raise ParameterError(f"{key}: cannot read {values[key]!r} as {f.type}") from None
+        elif defaults and f.default is not MISSING:
+            decoded[f.name] = f.default
+        else:
+            missing.append(key)
+    if missing:
+        raise ParameterError(f"missing {cls.__name__} keys: {sorted(missing)}")
+    return decoded
 
 
 def write_flat_config(path, values: dict) -> None:

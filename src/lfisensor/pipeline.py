@@ -24,19 +24,13 @@ from .errors import FramingError, ParameterError
 from .modulation import (
     WORKING_POINT_KEYS,
     WorkingPoint,
+    decode_fields,
     ramp_slopes,
     read_flat_config,
 )
-from .peaks import DEFAULT_KAPPA, DEFAULT_WINDOW, METHODS, WEIGHTED_AVERAGE, estimate_peak
+from .peaks import DEFAULT_WINDOW, METHODS, WEIGHTED_AVERAGE, estimate_peak
 from .simulator import read_frames, synthesize_cycle
-from .solver import (
-    DEFAULT_R_REF,
-    DEFAULT_V_REF,
-    STATUS_INVALID,
-    Measurement,
-    disambiguate,
-    propagate_noise,
-)
+from .solver import STATUS_INVALID, Measurement, disambiguate, propagate_noise
 from .spectral import (
     DEFAULT_ALPHA,
     DEFAULT_BETA,
@@ -55,23 +49,14 @@ from .spectral import (
 #: residual maxima of pure-noise spectra after subtraction.
 DEFAULT_NOISE_GATE = 6.0
 
-PIPELINE_KEYS = (
-    "fft_bins",
-    "interp_window",
-    "interp_method",
-    "n_avg",
-    "alpha",
-    "beta",
-    "sync_offset_samples",
-)
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
     """Processing parameters for one sensor stream.
 
     Frozen: the per-configuration constants below are derived once, when
-    the config is built, and every cycle reads them.
+    the config is built, and every cycle reads them.  The ``int``,
+    ``float`` and ``str`` fields are the pipeline keys of the config file.
     """
 
     working_point: WorkingPoint
@@ -82,19 +67,15 @@ class PipelineConfig:
     n_avg: int = 1
     alpha: float = DEFAULT_ALPHA
     beta: float = DEFAULT_BETA
-    sync_offset: int = 0
+    sync_offset_samples: int = 0
     noise_model: NoiseModelCoefficients | None = None
-    kappa: float = DEFAULT_KAPPA
-    noise_gate: float = DEFAULT_NOISE_GATE
-    r_ref: float = DEFAULT_R_REF
-    v_ref: float = DEFAULT_V_REF
     #: Hamming window of one frame and the one-sided bin frequencies.
     frame_window: np.ndarray = field(init=False, repr=False, compare=False)
     bin_frequencies: np.ndarray = field(init=False, repr=False, compare=False)
     #: ``alpha * reference_mean`` and ``beta * reference_sigma``, (4, bins).
     scaled_mean: np.ndarray = field(init=False, repr=False, compare=False)
     scaled_sigma: np.ndarray = field(init=False, repr=False, compare=False)
-    #: ``noise_gate * median(reference_sigma)`` per ramp, before the
+    #: ``DEFAULT_NOISE_GATE * median(reference_sigma)`` per ramp, before the
     #: ``sqrt(n_window)`` of the averaging.
     noise_gates: tuple = field(init=False, repr=False, compare=False)
 
@@ -114,10 +95,10 @@ class PipelineConfig:
             if not getattr(self, name) >= 0:
                 raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
         check_fft_bins(self.fft_bins, wp.samples_per_ramp)
-        if not 0 <= self.sync_offset < wp.samples_per_cycle:
+        if not 0 <= self.sync_offset_samples < wp.samples_per_cycle:
             raise ParameterError(
-                f"sync_offset must be in [0, {wp.samples_per_cycle}), "
-                f"got {self.sync_offset}"
+                f"sync_offset_samples must be in [0, {wp.samples_per_cycle}), "
+                f"got {self.sync_offset_samples}"
             )
         self.calibration.check_compatible(wp, self.fft_bins)
 
@@ -128,7 +109,7 @@ class PipelineConfig:
             "scaled_mean": np.stack([self.alpha * p.reference_mean for p in profiles]),
             "scaled_sigma": np.stack([self.beta * p.reference_sigma for p in profiles]),
             "noise_gates": tuple(
-                self.noise_gate * float(np.median(p.reference_sigma)) for p in profiles
+                DEFAULT_NOISE_GATE * float(np.median(p.reference_sigma)) for p in profiles
             ),
         }
         for name, value in derived.items():
@@ -225,24 +206,23 @@ def process_cycle(samples, state: PipelineState, cfg: PipelineConfig) -> CycleRe
     """
     wp = cfg.working_point
     samples = np.asarray(samples)
-    if cfg.sync_offset:
-        samples = np.roll(samples, -cfg.sync_offset)
+    if cfg.sync_offset_samples:
+        samples = np.roll(samples, -cfg.sync_offset_samples)
     spectra = magnitude_spectra(slice_cycle(samples, wp), cfg.frame_window, cfg.fft_bins)
     cleaned = remove_floor(state.push(spectra), cfg.scaled_mean, cfg.scaled_sigma)
     n_window = state.n_window
     root_n = math.sqrt(n_window)
     peaks = tuple(
         estimate_peak(
-            RampSpectrum(i, cfg.bin_frequencies, cleaned[i], cfg.fft_bins),
+            RampSpectrum(i, cfg.bin_frequencies, cleaned[i]),
             window=cfg.interp_window,
             method=cfg.interp_method,
-            kappa=cfg.kappa,
             epsilon_abs=cfg.noise_gates[i] / root_n,
         )
         for i in range(4)
     )
     cycle_index = state.cycles_seen - 1
-    measurement = disambiguate(peaks, wp, r_ref=cfg.r_ref, v_ref=cfg.v_ref)
+    measurement = disambiguate(peaks, wp)
     if cfg.noise_model is not None and measurement.status != STATUS_INVALID:
         measurement = _attach_sigmas(measurement, peaks, cfg, n_window)
     return CycleRecord(
@@ -307,28 +287,16 @@ def replay_cycles(stem, expected_wp: WorkingPoint | None = None):
 def read_config_file(path):
     """Parse a flat config file into (working point, pipeline settings).
 
-    The file holds the working-point keys plus optional pipeline keys;
-    unknown keys are rejected to catch typos.
+    The file holds the working-point keys plus optional pipeline keys; a
+    pipeline setting the file omits takes its :class:`PipelineConfig`
+    default.  Unknown keys are rejected to catch typos.
     """
     values = read_flat_config(path)
-    unknown = set(values) - set(WORKING_POINT_KEYS) - set(PIPELINE_KEYS)
-    if unknown:
-        raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-    wp = WorkingPoint.from_dict(
-        {k: v for k, v in values.items() if k in WORKING_POINT_KEYS}
+    wp_keys = WORKING_POINT_KEYS.values()
+    settings = decode_fields(
+        PipelineConfig, {k: v for k, v in values.items() if k not in wp_keys}, defaults=True
     )
-    settings = {}
-    for key, cast in (
-        ("fft_bins", int),
-        ("interp_window", int),
-        ("n_avg", int),
-        ("sync_offset_samples", int),
-        ("alpha", float),
-        ("beta", float),
-        ("interp_method", str),
-    ):
-        if key in values:
-            settings[key] = cast(values[key])
+    wp = WorkingPoint.from_dict({k: v for k, v in values.items() if k in wp_keys})
     return wp, settings
 
 
@@ -339,15 +307,4 @@ def config_from_file(
 ) -> PipelineConfig:
     """Build a :class:`PipelineConfig` from a config file and a calibration."""
     wp, settings = read_config_file(path)
-    return PipelineConfig(
-        working_point=wp,
-        calibration=calibration,
-        fft_bins=settings.get("fft_bins", DEFAULT_FFT_BINS),
-        interp_window=settings.get("interp_window", DEFAULT_WINDOW),
-        interp_method=settings.get("interp_method", WEIGHTED_AVERAGE),
-        n_avg=settings.get("n_avg", 1),
-        alpha=settings.get("alpha", DEFAULT_ALPHA),
-        beta=settings.get("beta", DEFAULT_BETA),
-        sync_offset=settings.get("sync_offset_samples", 0),
-        noise_model=noise_model,
-    )
+    return PipelineConfig(wp, calibration, noise_model=noise_model, **settings)

@@ -80,20 +80,6 @@ def highpass(samples, wp: WorkingPoint) -> np.ndarray:
     return sosfiltfilt(sos, x, padlen=padlen)
 
 
-def highpass_response(frequency, wp: WorkingPoint):
-    """Effective amplitude response of the high-pass model at a frequency.
-
-    Analytic squared Butterworth magnitude, matching the forward-backward
-    application in :func:`highpass`; used as an independent oracle.
-    """
-    f = np.asarray(frequency, dtype=float)
-    if wp.hp_cutoff == 0.0:
-        return np.ones_like(f) if f.ndim else 1.0
-    ratio4 = (f / wp.hp_cutoff) ** 4
-    out = ratio4 / (1.0 + ratio4)
-    return out if out.ndim else float(out)
-
-
 def synthesize_frame(
     wp: WorkingPoint,
     ramp: RampDescriptor,

@@ -29,9 +29,8 @@ class RampSpectrum:
     """One-sided magnitude spectrum of one ramp frame."""
 
     ramp_index: int
-    bin_frequencies: np.ndarray  # Hz, length n_bins // 2
+    bin_frequencies: np.ndarray  # Hz, length fft_bins // 2
     magnitudes: np.ndarray  # >= 0, same length
-    n_bins: int
 
 
 @dataclass
@@ -190,7 +189,6 @@ def frame_spectrum(
         ramp_index=ramp_index,
         bin_frequencies=bin_frequencies(wp, fft_bins),
         magnitudes=magnitude_spectra(frame, hamming(frame.size), fft_bins),
-        n_bins=fft_bins,
     )
 
 
@@ -224,7 +222,6 @@ def sliding_average(history) -> RampSpectrum:
         ramp_index=first.ramp_index,
         bin_frequencies=first.bin_frequencies,
         magnitudes=mean,
-        n_bins=first.n_bins,
     )
 
 
@@ -291,7 +288,6 @@ def subtract_floor(
         ramp_index=spec.ramp_index,
         bin_frequencies=spec.bin_frequencies,
         magnitudes=cleaned,
-        n_bins=spec.n_bins,
     )
 
 

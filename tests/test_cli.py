@@ -287,6 +287,64 @@ def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
     assert "typo_key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, key",
+    [("n_avg = four", "n_avg"), ("ratio_rt = half", "ratio_rt")],
+    ids=["n_avg-four", "ratio_rt-half"],
+)
+def test_malformed_config_value_exits_nonzero(tmp_path, capsys, line, key):
+    config = tmp_path / "bad.cfg"
+    save_working_point(make_wp(), config)
+    lines = [ln for ln in config.read_text().splitlines() if not ln.startswith(key)]
+    config.write_text("\n".join([*lines, line]) + "\n")
+    rc = main(["mindist", "--config", str(config), "--out", str(tmp_path / "o.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
+@pytest.mark.parametrize(
+    "text, needle",
+    [
+        (json.dumps({k: v for k, v in TRUE_COEFFS.to_dict().items() if k != "a2"}), "a2"),
+        ("a1 = 0.3\n", "noise.json"),
+        ("[0.35, -0.6]", "key-value"),
+    ],
+    ids=["missing-a2", "not-json", "not-an-object"],
+)
+def test_malformed_noise_model_exits_nonzero(config_path, tmp_path, capsys, text, needle):
+    cal = _calibrate(config_path, tmp_path)
+    noise = tmp_path / "noise.json"
+    noise.write_text(text)
+    rc = main(["process", "--config", str(config_path), "--calibration", str(cal),
+               "--noise-model", str(noise), "--out", str(tmp_path / "run.csv"),
+               "--cycles", "2", "--distance", "0.04"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err
+
+
+def test_stale_temporary_directory_does_not_block_output(config_path, tmp_path, capsys):
+    # A leftover directory at the old fixed temporary name must not matter.
+    cal = _calibrate(config_path, tmp_path)
+    out = tmp_path / "run.csv"
+    (tmp_path / "run.csv.tmp").mkdir()
+    (tmp_path / "run.csv.manifest.json.tmp").mkdir()
+    rc = main(["process", "--config", str(config_path), "--calibration", str(cal),
+               "--out", str(out), "--cycles", "2", "--distance", "0.04"])
+    assert rc == 0
+    assert len(out.read_text().splitlines()) == 3
+    assert json.loads((tmp_path / "run.csv.manifest.json").read_text())["command"] == "process"
+    # No temporary file is left behind, and the output has a plain file's mode.
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")) == [
+        "run.csv.manifest.json.tmp", "run.csv.tmp",
+    ]
+    plain = tmp_path / "plain.txt"
+    plain.write_text("")
+    assert out.stat().st_mode == plain.stat().st_mode
+    capsys.readouterr()
+
+
 def test_missing_config_is_parser_error(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["mindist", "--out", str(tmp_path / "o.json")])

@@ -29,7 +29,6 @@ def _spectrum(magnitudes):
         ramp_index=0,
         bin_frequencies=bin_frequencies(WP, 2048),
         magnitudes=np.asarray(magnitudes, dtype=float),
-        n_bins=2048,
     )
 
 

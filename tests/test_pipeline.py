@@ -1,4 +1,6 @@
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,8 @@ from lfisensor import (
     write_frames,
 )
 from lfisensor import pipeline
-from lfisensor.peaks import PeakEstimate, estimate_peak
+from lfisensor.modulation import read_flat_config
+from lfisensor.peaks import DEFAULT_KAPPA, PeakEstimate, estimate_peak
 from lfisensor.pipeline import _attach_sigmas, config_from_file, read_config_file
 from lfisensor.spectral import (
     Calibration,
@@ -133,13 +136,13 @@ def test_composition_identity(wp, quiet_cal):
             averaged, quiet_cal.profile_for(i), cfg.alpha, cfg.beta
         )
         profile = quiet_cal.profile_for(i)
-        epsilon = cfg.noise_gate * float(np.median(profile.reference_sigma))
+        epsilon = pipeline.DEFAULT_NOISE_GATE * float(np.median(profile.reference_sigma))
         manual.append(
             estimate_peak(
                 cleaned,
                 window=cfg.interp_window,
                 method=cfg.interp_method,
-                kappa=cfg.kappa,
+                kappa=DEFAULT_KAPPA,
                 epsilon_abs=epsilon,
             )
         )
@@ -310,6 +313,17 @@ def test_config_unknown_key_rejected(tmp_path, wp):
         read_config_file(path)
 
 
+def test_readme_config_block_lists_every_key_with_defaults(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "sensor.cfg"
+    path.write_text(block)
+    wp, settings = read_config_file(path)
+    assert set(read_flat_config(path)) == set(wp.to_dict()) | set(settings)
+    defaults = {f.name: f.default for f in fields(PipelineConfig) if f.name in settings}
+    assert settings == defaults
+
+
 def test_config_invariants(wp, quiet_cal):
     with pytest.raises(ParameterError, match="n_avg"):
         _config(wp, quiet_cal, n_avg=0)
@@ -335,8 +349,8 @@ def _flat_calibration(wp, fft_bins):
         ({"alpha": -0.5}, "alpha"),
         ({"alpha": math.nan}, "alpha"),
         ({"beta": -1e-3}, "beta"),
-        ({"sync_offset": -1}, "sync_offset"),
-        ({"sync_offset": 2000}, "sync_offset"),
+        ({"sync_offset_samples": -1}, "sync_offset"),
+        ({"sync_offset_samples": 2000}, "sync_offset"),
     ],
 )
 def test_config_rejects_bad_settings_at_construction(wp, quiet_cal, overrides, name):
@@ -352,7 +366,7 @@ def test_config_rejects_bad_fft_bins_at_construction(wp, fft_bins):
 
 def test_config_accepts_boundary_settings(wp, quiet_cal):
     _config(wp, quiet_cal, interp_window=3, alpha=0.0, beta=0.0,
-            sync_offset=wp.samples_per_cycle - 1)
+            sync_offset_samples=wp.samples_per_cycle - 1)
     _config(wp, _flat_calibration(wp, 512), fft_bins=512)
 
 
@@ -360,7 +374,7 @@ def test_sync_offset_roll(wp, quiet_cal):
     gt = GroundTruth(0.04, 0.01)
     samples, _ = synthesize_cycle(wp, gt, 1.0, 0.0, seed=21)
     shifted = np.roll(samples, 40)
-    cfg = _config(wp, quiet_cal, sync_offset=40)
+    cfg = _config(wp, quiet_cal, sync_offset_samples=40)
     record = process_cycle(shifted, PipelineState.for_config(cfg), cfg)
     baseline_cfg = _config(wp, quiet_cal)
     baseline = process_cycle(

@@ -131,7 +131,7 @@ def test_blind_frame_attenuated_at_least_20db():
     ratio = np.std(blind.samples.astype(float)) / np.std(clear.samples.astype(float))
     assert 20 * np.log10(ratio) <= -20.0
     f = abs(blind.true_signed_beat)
-    expected = (f / wp.hp_cutoff) ** 4 / (1.0 + (f / wp.hp_cutoff) ** 4)
+    expected = _squared_butterworth_gain(f, wp.hp_cutoff)
     assert ratio == pytest.approx(expected, rel=0.4)
 
 
@@ -179,9 +179,29 @@ def test_highpass_attenuates_below_cutoff():
     y = highpass(x, wp)
     mid = slice(2000, 6000)
     gain = np.std(y[mid]) / np.std(x[mid])
-    expected = (f / wp.hp_cutoff) ** 4 / (1.0 + (f / wp.hp_cutoff) ** 4)
+    expected = _squared_butterworth_gain(f, wp.hp_cutoff)
     assert 20 * np.log10(gain) <= -20.0
     assert gain == pytest.approx(expected, rel=0.3)
+
+
+def _squared_butterworth_gain(f, cutoff):
+    """Oracle: amplitude response of an order-2 Butterworth high-pass run forward-backward."""
+    ratio4 = (f / cutoff) ** 4
+    return ratio4 / (1.0 + ratio4)
+
+
+@pytest.mark.parametrize("multiple", [0.5, 1.0, 2.0, 4.0])
+def test_highpass_gain_matches_squared_butterworth(multiple):
+    wp = make_wp()
+    f = multiple * wp.hp_cutoff
+    t = np.arange(40_000) / wp.sampling_rate
+    x = np.cos(2 * np.pi * f * t)
+    y = highpass(x, wp)
+    # The middle half holds a whole number of periods of every tone and
+    # none of the filter's edge transients.
+    mid = slice(10_000, 30_000)
+    gain = np.std(y[mid]) / np.std(x[mid])
+    assert gain == pytest.approx(_squared_butterworth_gain(f, wp.hp_cutoff), rel=1e-3)
 
 
 def test_highpass_removes_dc():

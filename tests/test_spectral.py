@@ -103,7 +103,6 @@ def _spectrum(wp, magnitudes, ramp_index=0):
         ramp_index=ramp_index,
         bin_frequencies=bin_frequencies(wp, 2048),
         magnitudes=np.asarray(magnitudes, dtype=float),
-        n_bins=2048,
     )
 
 
@@ -119,7 +118,7 @@ def test_sliding_average_identity_and_constant():
 def test_sliding_average_shape_mismatch():
     wp = make_wp()
     a = _spectrum(wp, np.ones(1024))
-    b = RampSpectrum(0, a.bin_frequencies[:512], np.ones(512), 1024)
+    b = RampSpectrum(0, a.bin_frequencies[:512], np.ones(512))
     with pytest.raises(FramingError, match="shape"):
         sliding_average([a, b])
     with pytest.raises(FramingError):
@@ -223,7 +222,7 @@ def test_subtract_floor_shape_mismatch_and_bad_factors():
 @settings(max_examples=50, deadline=None)
 def test_subtract_floor_bounded(mags, ref, alpha, beta):
     wp = make_wp()
-    spec = RampSpectrum(0, bin_frequencies(wp, 2048)[:64], mags, 2048)
+    spec = RampSpectrum(0, bin_frequencies(wp, 2048)[:64], mags)
     profile = CalibrationProfile(0, ref, ref * 0.1, 16)
     out = subtract_floor(spec, profile, alpha, beta)
     assert np.all(out.magnitudes >= 0.0)
