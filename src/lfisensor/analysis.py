@@ -224,15 +224,8 @@ def fit_noise_model(observations) -> NoiseModelCoefficients:
         raise FitError(f"design matrix is rank deficient; collinear: {names}")
     coeffs, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
     residual = float(np.sqrt(np.mean((design @ coeffs - target) ** 2)))
-    return NoiseModelCoefficients(
-        a1=float(coeffs[0]),
-        a2=float(coeffs[1]),
-        a3=float(coeffs[2]),
-        a4=float(coeffs[3]),
-        a5=float(coeffs[4]),
-        b=float(coeffs[5]),
-        fit_residual=residual,
-    )
+    # The coefficients come in field order: a1 .. a5, b.
+    return NoiseModelCoefficients(*coeffs.tolist(), fit_residual=residual)
 
 
 def predict_sigma_fb(

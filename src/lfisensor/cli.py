@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -116,22 +117,27 @@ def _record_row(record) -> str:
     return ",".join(fields)
 
 
+def _json_number(x):
+    """``x``, or ``None`` (JSON ``null``) for the NaN and infinities JSON lacks."""
+    return x if math.isfinite(x) else None
+
+
 def _record_json(record) -> str:
     m = record.measurement
     return json.dumps(
         {
             "cycle": record.cycle_index,
             "t_s": record.timestamp,
-            "R_m": m.distance_R,
-            "v_mps": m.velocity_v,
-            "sigma_R_m": m.sigma_R,
-            "sigma_v_mps": m.sigma_v,
+            "R_m": _json_number(m.distance_R),
+            "v_mps": _json_number(m.velocity_v),
+            "sigma_R_m": _json_number(m.sigma_R),
+            "sigma_v_mps": _json_number(m.sigma_v),
             "status": _record_status(record),
-            "spread": m.cluster_spread,
+            "spread": _json_number(m.cluster_spread),
             "sign_combo": list(m.sign_combo),
             "selected_ramps": list(m.selected_ramps),
-            "f_b_hz": [p.beat_frequency for p in record.peaks],
-            "intensity": [p.intensity for p in record.peaks],
+            "f_b_hz": [_json_number(p.beat_frequency) for p in record.peaks],
+            "intensity": [_json_number(p.intensity) for p in record.peaks],
         },
         sort_keys=True,
     )

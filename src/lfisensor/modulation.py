@@ -98,10 +98,6 @@ class WorkingPoint:
         return 1.0 / self.ramp_duration
 
     @property
-    def wavelength(self) -> float:
-        return SPEED_OF_LIGHT / self.emitted_frequency
-
-    @property
     def nyquist(self) -> float:
         return 0.5 * self.sampling_rate
 

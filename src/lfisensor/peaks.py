@@ -1,24 +1,25 @@
 """Beat-frequency extraction: max-bin pick plus sub-bin interpolation.
 
 Two interpolators are provided over a window of bins around the maximum:
-a least-squares Gaussian fit and an intensity-weighted average.  Spectral
-peaks of windowed tones span several bins and are close to Gaussian, so
-either recovers the beat frequency well below one bin width.
+a Gaussian fit, solved in closed form as a weighted least-squares parabola
+through the log-magnitudes (Guo's algorithm), and an intensity-weighted
+average.  Spectral peaks of windowed tones span several bins and are close
+to Gaussian, so either recovers the beat frequency well below one bin width.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from .errors import ParameterError
 from .spectral import RampSpectrum
 
 DEFAULT_WINDOW = 25
 DEFAULT_KAPPA = 3.0
+GAUSSIAN_PASSES = 3  # weighted log-parabola fits per Gaussian estimate
 
 GAUSSIAN = "gaussian"
 WEIGHTED_AVERAGE = "weighted_average"
@@ -94,14 +95,9 @@ def _window_slice(spec: RampSpectrum, center_bin: int, window: int):
     return lo, hi
 
 
-def _invalid(spec: RampSpectrum, method: str) -> PeakEstimate:
-    return PeakEstimate(
-        ramp_index=spec.ramp_index,
-        beat_frequency=0.0,
-        intensity=0.0,
-        method=method,
-        valid=False,
-    )
+def _estimate(spec, frequency, intensity, method, kappa, epsilon_abs) -> PeakEstimate:
+    valid = intensity > validity_threshold(spec, kappa, epsilon_abs)
+    return PeakEstimate(spec.ramp_index, frequency, intensity, method, valid)
 
 
 def weighted_average_interpolate(
@@ -121,20 +117,10 @@ def weighted_average_interpolate(
     weights = spec.magnitudes[lo:hi]
     total = float(weights.sum())
     if total == 0.0:
-        return _invalid(spec, WEIGHTED_AVERAGE)
+        return PeakEstimate(spec.ramp_index, 0.0, 0.0, WEIGHTED_AVERAGE, valid=False)
     frequency = float(np.dot(weights, spec.bin_frequencies[lo:hi]) / total)
     intensity = float(spec.magnitudes[center_bin])
-    return PeakEstimate(
-        ramp_index=spec.ramp_index,
-        beat_frequency=frequency,
-        intensity=intensity,
-        method=WEIGHTED_AVERAGE,
-        valid=intensity > validity_threshold(spec, kappa, epsilon_abs),
-    )
-
-
-def _gaussian(x, a, b, c):
-    return a * np.exp(-((x - b) ** 2) / (2.0 * c**2))
+    return _estimate(spec, frequency, intensity, WEIGHTED_AVERAGE, kappa, epsilon_abs)
 
 
 def gaussian_interpolate(
@@ -144,42 +130,50 @@ def gaussian_interpolate(
     kappa: float = DEFAULT_KAPPA,
     epsilon_abs: float = 0.0,
 ) -> PeakEstimate:
-    """Least-squares Gaussian fit over the window around the max bin.
+    """Closed-form Gaussian fit over the window around the max bin (Guo, 2011).
 
-    Fits ``a * exp(-(f - b)^2 / (2 c^2))``; the beat estimate is the
-    fitted center ``b`` and the intensity the fitted amplitude ``a``.
-    Falls back to :func:`weighted_average_interpolate` when the fit
-    diverges or the center leaves the window.
+    A Gaussian is a parabola ``a + b x + c x^2`` in log-magnitude, ``x`` in
+    bin offsets from ``center_bin``.  Each of :data:`GAUSSIAN_PASSES` passes
+    fits it by weighted least squares to the logs of the positive bins
+    (zero-floored bins have none), weighted by ``y^2``, then by the previous
+    fit's ``yhat^2``.  Beat estimate: the vertex ``-b / 2c``; intensity:
+    ``exp(a - b^2 / 4c)``.  Falls back to :func:`weighted_average_interpolate`
+    when fewer than three bins are positive, the fit is not concave or not
+    finite, or the vertex leaves the window.
     """
     lo, hi = _window_slice(spec, center_bin, window)
     values = spec.magnitudes[lo:hi]
-    if not np.any(values):
-        return _invalid(spec, GAUSSIAN)
-    bin_width = spec.bin_frequencies[1] - spec.bin_frequencies[0]
-    # Fit in bin offsets relative to the center bin for conditioning.
-    x = (spec.bin_frequencies[lo:hi] - spec.bin_frequencies[center_bin]) / bin_width
-    p0 = (float(values.max()), 0.0, 2.0)
-    try:
-        with warnings.catch_warnings():
-            # Covariance is unused; flat windows make it inestimable.
-            warnings.simplefilter("ignore", OptimizeWarning)
-            popt, _ = curve_fit(
-                _gaussian, x, values, p0=p0, xtol=1e-9, ftol=1e-9,
-                maxfev=50 * (len(p0) + 1),
-            )
-    except RuntimeError:
-        return weighted_average_interpolate(spec, center_bin, window, kappa, epsilon_abs)
-    a_hat, b_hat = float(popt[0]), float(popt[1])
-    if not (x[0] <= b_hat <= x[-1]) or not np.isfinite(a_hat) or a_hat <= 0:
-        return weighted_average_interpolate(spec, center_bin, window, kappa, epsilon_abs)
-    frequency = float(spec.bin_frequencies[center_bin] + b_hat * bin_width)
-    return PeakEstimate(
-        ramp_index=spec.ramp_index,
-        beat_frequency=frequency,
-        intensity=a_hat,
-        method=GAUSSIAN,
-        valid=a_hat > validity_threshold(spec, kappa, epsilon_abs),
-    )
+    positive = values > 0
+    if np.count_nonzero(positive) >= 3:
+        x = np.arange(lo - center_bin, hi - center_bin, dtype=float)[positive]
+        powers = np.vander(x, 5, increasing=True).T  # rows x^0 .. x^4
+        peak = float(values.max())
+        log_y = np.log(values[positive]) - math.log(peak)
+        fit = log_y
+        # Wild windows can overflow; a fit that is not finite fails the guard.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(GAUSSIAN_PASSES):
+                weights = np.exp(2.0 * (fit - fit.max()))  # y^2, then yhat^2; max 1
+                s0, s1, s2, s3, s4 = (powers @ weights).tolist()
+                t0, t1, t2 = (powers[:3] @ (weights * log_y)).tolist()
+                # Solve [[s0, s1, s2], [s1, s2, s3], [s2, s3, s4]] (a, b, c) = t
+                # by its symmetric adjugate m; a singular system gives NaNs.
+                m00, m01, m02 = s2 * s4 - s3 * s3, s2 * s3 - s1 * s4, s1 * s3 - s2 * s2
+                m11, m12, m22 = s0 * s4 - s2 * s2, s1 * s2 - s0 * s3, s0 * s2 - s1 * s1
+                det = s0 * m00 + s1 * m01 + s2 * m02
+                scale = 1.0 / det if det > 0 else math.nan
+                a = (m00 * t0 + m01 * t1 + m02 * t2) * scale
+                b = (m01 * t0 + m11 * t1 + m12 * t2) * scale
+                c = (m02 * t0 + m12 * t1 + m22 * t2) * scale
+                fit = a + x * (b + c * x)
+            offset = -b / (2.0 * c) if c < 0 else math.nan
+            intensity = peak * float(np.exp(a + 0.5 * b * offset))
+        finite = math.isfinite(a + b + c + intensity)
+        if finite and lo - center_bin <= offset <= hi - 1 - center_bin:
+            bin_width = spec.bin_frequencies[1] - spec.bin_frequencies[0]
+            frequency = float(spec.bin_frequencies[center_bin] + offset * bin_width)
+            return _estimate(spec, frequency, intensity, GAUSSIAN, kappa, epsilon_abs)
+    return weighted_average_interpolate(spec, center_bin, window, kappa, epsilon_abs)
 
 
 def estimate_peak(
@@ -194,7 +188,7 @@ def estimate_peak(
         raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
     center = find_max_bin(spec)
     if center is None:
-        return _invalid(spec, method)
+        return PeakEstimate(spec.ramp_index, 0.0, 0.0, method, valid=False)
     if method == GAUSSIAN:
         return gaussian_interpolate(spec, center, window, kappa, epsilon_abs)
     return weighted_average_interpolate(spec, center, window, kappa, epsilon_abs)

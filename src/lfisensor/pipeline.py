@@ -102,7 +102,7 @@ class PipelineConfig:
             )
         self.calibration.check_compatible(wp, self.fft_bins)
 
-        profiles = [self.calibration.profile_for(i) for i in range(4)]
+        profiles = self.calibration.profiles  # ramps 0-3 in order
         derived = {
             "frame_window": hamming(wp.samples_per_ramp),
             "bin_frequencies": bin_frequencies(wp, self.fft_bins),

@@ -193,7 +193,10 @@ def read_frames(stem):
     Returns (working point, list of frames, list of sidecar entries).
     """
     raw_path, sidecar_path = _frame_paths(stem)
-    sidecar = json.loads(sidecar_path.read_text())
+    try:
+        sidecar = json.loads(sidecar_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise FramingError(f"frame sidecar {sidecar_path} is not JSON: {exc}") from None
     if sidecar.get("format_version") != FRAME_FORMAT_VERSION:
         raise FramingError(
             f"unsupported frame format version {sidecar.get('format_version')!r}"

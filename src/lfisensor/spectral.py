@@ -55,15 +55,17 @@ class CalibrationProfile:
 
 @dataclass
 class Calibration:
-    """Four per-ramp profiles plus the sampling metadata they were taken at."""
+    """Four per-ramp profiles (ramp i at index i) plus their sampling metadata."""
 
     profiles: tuple
     n_bins: int
     sampling_rate: float
     samples_per_ramp: int
 
-    def profile_for(self, ramp_index: int) -> CalibrationProfile:
-        return self.profiles[ramp_index]
+    def __post_init__(self):
+        indices = [p.ramp_index for p in self.profiles]
+        if indices != [0, 1, 2, 3]:
+            raise CalibrationError(f"profiles must be ramps 0-3 in order, got {indices}")
 
     def check_compatible(self, wp: WorkingPoint, fft_bins: int) -> None:
         """Refuse a profile that does not match the active working point."""
@@ -105,27 +107,32 @@ class Calibration:
 
     @classmethod
     def load(cls, path) -> "Calibration":
-        payload = json.loads(Path(path).read_text())
-        if payload.get("format_version") != CALIBRATION_FORMAT_VERSION:
-            raise CalibrationError(
-                f"unsupported calibration format version "
-                f"{payload.get('format_version')!r}"
+        """Read a :meth:`save` file; any defect raises CalibrationError naming it."""
+        try:
+            payload = json.loads(Path(path).read_text())
+            if payload.get("format_version") != CALIBRATION_FORMAT_VERSION:
+                raise CalibrationError(
+                    f"unsupported format version {payload.get('format_version')!r}"
+                )
+            profiles = tuple(
+                CalibrationProfile(
+                    ramp_index=int(p["ramp_index"]),
+                    reference_mean=np.asarray(p["reference_mean"], dtype=float),
+                    reference_sigma=np.asarray(p["reference_sigma"], dtype=float),
+                    n_frames_used=int(p["n_frames_used"]),
+                )
+                for p in payload["profiles"]
             )
-        profiles = tuple(
-            CalibrationProfile(
-                ramp_index=int(p["ramp_index"]),
-                reference_mean=np.asarray(p["reference_mean"], dtype=float),
-                reference_sigma=np.asarray(p["reference_sigma"], dtype=float),
-                n_frames_used=int(p["n_frames_used"]),
+            return cls(
+                profiles=profiles,
+                n_bins=int(payload["n_bins"]),
+                sampling_rate=float(payload["sampling_rate_hz"]),
+                samples_per_ramp=int(payload["samples_per_ramp"]),
             )
-            for p in payload["profiles"]
-        )
-        return cls(
-            profiles=profiles,
-            n_bins=int(payload["n_bins"]),
-            sampling_rate=float(payload["sampling_rate_hz"]),
-            samples_per_ramp=int(payload["samples_per_ramp"]),
-        )
+        except KeyError as exc:
+            raise CalibrationError(f"calibration {path} has no key {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise CalibrationError(f"calibration {path} is malformed: {exc}") from None
 
 
 def slice_cycle(samples, wp: WorkingPoint) -> np.ndarray:

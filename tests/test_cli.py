@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lfisensor
 from lfisensor import NoiseModelCoefficients, blind_map
 from lfisensor.analysis import write_observations_csv
 from lfisensor.cli import main
@@ -384,3 +389,80 @@ def test_end_to_end_determinism(tmp_path, monkeypatch, capsys):
     second = run(tmp_path / "b")
     assert first == second
     capsys.readouterr()
+
+
+def _process_with_calibration(config_path, tmp_path, cal):
+    return main(["process", "--config", str(config_path), "--calibration", str(cal),
+                 "--out", str(tmp_path / "run.csv"), "--cycles", "2", "--distance", "0.04"])
+
+
+@pytest.mark.parametrize(
+    "edit, needle",
+    [
+        (lambda payload: "nope", "Expecting value"),
+        (lambda payload: {"format_version": 1}, "'profiles'"),
+        (lambda payload: {**payload, "n_bins": None}, "malformed"),
+    ],
+    ids=["not-json", "no-profiles", "null-n-bins"],
+)
+def test_malformed_calibration_exits_nonzero(config_path, tmp_path, capsys, edit, needle):
+    cal = _calibrate(config_path, tmp_path)
+    payload = edit(json.loads(cal.read_text()))
+    cal.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    assert _process_with_calibration(config_path, tmp_path, cal) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: calibration ") and str(cal) in err and needle in err
+
+
+@pytest.mark.parametrize(
+    "order", [[0, 1, 2], [0, 2, 1, 3], [0, 1, 2, 3, 3]], ids=["three", "swapped", "five"]
+)
+def test_calibration_profiles_must_be_ramps_0_to_3(config_path, tmp_path, capsys, order):
+    cal = _calibrate(config_path, tmp_path)
+    payload = json.loads(cal.read_text())
+    payload["profiles"] = [payload["profiles"][i] for i in order]
+    cal.write_text(json.dumps(payload))
+    assert _process_with_calibration(config_path, tmp_path, cal) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: calibration ") and "0-3 in order" in err
+
+
+def test_frame_sidecar_not_json_exits_nonzero(config_path, tmp_path, capsys):
+    cal = _calibrate(config_path, tmp_path)
+    stem = tmp_path / "frames"
+    assert main(["synth", "--config", str(config_path), "--out", str(stem),
+                 "--cycles", "2", "--distance", "0.04"]) == 0
+    (tmp_path / "frames.json").write_text("nope")
+    rc = main(["process", "--config", str(config_path), "--calibration", str(cal),
+               "--out", str(tmp_path / "run.csv"), "--input", str(stem)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "frames.json" in err
+
+
+def test_jsonl_writes_null_for_invalid_cycles(config_path, tmp_path, capsys):
+    # No target and no noise: every ramp is empty, so every cycle is invalid.
+    cal = _calibrate(config_path, tmp_path)
+    out = tmp_path / "run.jsonl"
+    assert main(["process", "--config", str(config_path), "--calibration", str(cal),
+                 "--out", str(out), "--format", "jsonl", "--cycles", "2",
+                 "--amplitude", "0"]) == 0
+
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    records = [json.loads(line, parse_constant=refuse) for line in out.read_text().splitlines()]
+    assert [r["status"] for r in records] == ["invalid", "invalid"]
+    for field in ("R_m", "v_mps", "sigma_R_m", "sigma_v_mps", "spread"):
+        assert records[0][field] is None
+    capsys.readouterr()
+
+
+def test_cli_import_loads_no_scipy():
+    # Only the simulator's high-pass needs scipy, and it imports it lazily.
+    src = str(Path(lfisensor.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, lfisensor.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -1,5 +1,10 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lfisensor import ParameterError, frame_spectrum
 from lfisensor.peaks import (
@@ -142,15 +147,67 @@ def test_gaussian_falls_back_on_edge_half_peak():
     assert est.beat_frequency == oracle.beat_frequency
 
 
-def test_gaussian_falls_back_when_fit_raises(monkeypatch):
-    def exploding_fit(*args, **kwargs):
-        raise RuntimeError("maxfev exceeded")
+def test_gaussian_falls_back_on_convex_window():
+    # Log-magnitudes rising away from the center bin: no concave parabola.
+    mags = np.zeros(1024)
+    mags[495:506] = 1.0 + 0.1 * np.arange(-5, 6) ** 2
+    spec = _spectrum(mags)
+    est = gaussian_interpolate(spec, 500, window=11)
+    assert est == weighted_average_interpolate(spec, 500, window=11)
 
-    monkeypatch.setattr("lfisensor.peaks.curve_fit", exploding_fit)
-    spec = _tone_spectrum(100.5 * BIN_WIDTH)
-    est = gaussian_interpolate(spec, int(np.argmax(spec.magnitudes)))
-    assert est.method == WEIGHTED_AVERAGE
-    assert est.beat_frequency > 0
+
+def test_gaussian_skips_zero_floored_bins():
+    # Zeroed bins inside the window have no logarithm; the remaining bins
+    # still lie on the exact log-parabola.
+    center = 400.3 * BIN_WIDTH
+    f = bin_frequencies(WP, 2048)
+    mags = 2.5 * np.exp(-((f - center) ** 2) / (2 * (2.0 * BIN_WIDTH) ** 2))
+    mags[[397, 402, 405]] = 0.0
+    est = gaussian_interpolate(_spectrum(mags), 400)
+    assert est.method == GAUSSIAN
+    assert abs(est.beat_frequency - center) < 1e-9 * BIN_WIDTH
+    assert est.intensity == pytest.approx(2.5, rel=1e-9)
+
+
+@given(
+    bin_offset=st.floats(20.0, 1000.0),
+    width=st.floats(1.5, 4.0),
+    amplitude=st.floats(1e-3, 1e6),
+)
+@settings(max_examples=200, deadline=None)
+def test_gaussian_fit_is_exact_on_sampled_gaussians(bin_offset, width, amplitude):
+    # A sampled Gaussian is an exact parabola in log-magnitude, so the fit
+    # recovers it to rounding, wherever the center falls between bins.
+    center = bin_offset * BIN_WIDTH
+    f = bin_frequencies(WP, 2048)
+    mags = amplitude * np.exp(-((f - center) ** 2) / (2 * (width * BIN_WIDTH) ** 2))
+    est = estimate_peak(_spectrum(mags), method=GAUSSIAN)
+    assert est.method == GAUSSIAN
+    assert abs(est.beat_frequency - center) < 1e-9 * BIN_WIDTH
+    assert est.intensity == pytest.approx(amplitude, rel=1e-9)
+
+
+@given(
+    exponents=st.lists(st.floats(-300.0, 300.0), min_size=3, max_size=25),
+    zeroed=st.lists(st.booleans(), min_size=25, max_size=25),
+    center=st.integers(0, 24),
+)
+@settings(max_examples=300, deadline=None)
+def test_gaussian_on_any_window_is_quiet_and_inside(exponents, zeroed, center):
+    # Magnitudes over 600 decades, some zeroed: singular or overflowing fits
+    # must fall back without a warning, and every estimate stays in the window.
+    values = 10.0 ** np.array(exponents)
+    values[np.array(zeroed[: values.size])] = 0.0
+    mags = np.zeros(1024)
+    mags[500 : 500 + values.size] = values
+    center_bin = 500 + center % values.size
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = gaussian_interpolate(_spectrum(mags), center_bin)
+    freqs = bin_frequencies(WP, 2048)
+    assert math.isfinite(est.intensity)
+    if est.valid or est.beat_frequency:
+        assert freqs[center_bin - 12] <= est.beat_frequency <= freqs[center_bin + 12]
 
 
 def test_validity_threshold_flags_weak_peaks():

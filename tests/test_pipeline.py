@@ -133,9 +133,9 @@ def test_composition_identity(wp, quiet_cal):
         spec = frame_spectrum(frame, wp, cfg.fft_bins, ramp_index=i)
         averaged = sliding_average([spec])
         cleaned = subtract_floor(
-            averaged, quiet_cal.profile_for(i), cfg.alpha, cfg.beta
+            averaged, quiet_cal.profiles[i], cfg.alpha, cfg.beta
         )
-        profile = quiet_cal.profile_for(i)
+        profile = quiet_cal.profiles[i]
         epsilon = pipeline.DEFAULT_NOISE_GATE * float(np.median(profile.reference_sigma))
         manual.append(
             estimate_peak(
