@@ -15,12 +15,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import FitError, NoReliableDistanceError, ParameterError
-from .modulation import SPEED_OF_LIGHT, WorkingPoint, build_cycle, decode_fields
+from .modulation import SPEED_OF_LIGHT, WorkingPoint, build_cycle, decode_fields, write_atomic
 from .simulator import GroundTruth, signed_beat
 
 OBSERVATION_FIELDS = (
@@ -271,15 +270,14 @@ def count_blind_ramps(wp: WorkingPoint, distance: float, velocity: float) -> int
 
 
 def write_blind_map_csv(bm: BlindMap, path) -> None:
-    """Long-format CSV: one (v, R, count) row per grid cell."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["v_mps", "distance_m", "blind_count"])
-        for i, r in enumerate(bm.r_axis):
-            for j, v in enumerate(bm.v_axis):
-                writer.writerow(
-                    [format(v, ".12g"), format(r, ".12g"), int(bm.blind_count[i, j])]
-                )
+    """Long-format CSV: one (v, R, count) row per grid cell, CRLF line ends."""
+    rows = ["v_mps,distance_m,blind_count"]
+    rows += [
+        f"{v:.12g},{r:.12g},{int(bm.blind_count[i, j])}"
+        for i, r in enumerate(bm.r_axis)
+        for j, v in enumerate(bm.v_axis)
+    ]
+    write_atomic(path, "\r\n".join(rows) + "\r\n")
 
 
 def write_blind_map_grid(bm: BlindMap, path) -> None:
@@ -289,7 +287,7 @@ def write_blind_map_grid(bm: BlindMap, path) -> None:
         "# r_axis_m: " + " ".join(format(r, ".12g") for r in bm.r_axis),
     ]
     lines += [" ".join(str(int(c)) for c in row) for row in bm.blind_count]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_observations_csv(observations, path) -> None:

@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +34,7 @@ from .errors import (
     NoReliableDistanceError,
     ParameterError,
 )
+from .modulation import write_atomic
 from .pipeline import (
     config_from_file,
     read_config_file,
@@ -43,7 +42,7 @@ from .pipeline import (
     run_stream,
     synthetic_cycles,
 )
-from .simulator import GroundTruth, synthesize_cycle, write_frames
+from .simulator import GroundTruth, write_frames
 from .spectral import Calibration, calibrate
 
 _ERRORS = (
@@ -67,23 +66,6 @@ def _fmt(x) -> str:
     return format(float(x), ".12g")
 
 
-def _write_atomic(path, text: str) -> None:
-    """Write through a uniquely named temporary file in the target directory."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        # mkstemp creates the file private; give it the mode a plain open would.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 def _write_manifest(out, command: str, config_path, inputs: dict, outputs) -> None:
     manifest = {
         "tool": "lfisensor",
@@ -93,7 +75,7 @@ def _write_manifest(out, command: str, config_path, inputs: dict, outputs) -> No
         "inputs": inputs,
         "outputs": [str(p) for p in outputs],
     }
-    _write_atomic(f"{out}.manifest.json", json.dumps(manifest, sort_keys=True, indent=1))
+    write_atomic(f"{out}.manifest.json", json.dumps(manifest, sort_keys=True, indent=1))
 
 
 def _record_status(record) -> str:
@@ -175,23 +157,8 @@ def _source_from_args(args, wp):
 def cmd_synth(args) -> int:
     wp, _ = read_config_file(args.config)
     gt, amplitude, provenance = _synthetic_target(args)
-    frames = []
-    extra = []
-    for cycle_index in range(args.cycles):
-        _, cycle_frames = synthesize_cycle(
-            wp, gt, amplitude, args.noise_sigma, args.seed, cycle_index
-        )
-        frames.extend(cycle_frames)
-        extra.extend(
-            {
-                "cycle_index": cycle_index,
-                "stream_seed": args.seed,
-                "distance_m": gt.distance_R,
-                "velocity_mps": gt.velocity_v,
-            }
-            for _ in cycle_frames
-        )
-    write_frames(args.out, frames, wp, extra)
+    cycles = synthetic_cycles(wp, gt, amplitude, args.noise_sigma, args.seed, args.cycles)
+    write_frames(args.out, list(cycles), wp)
     outputs = [f"{args.out}.f32", f"{args.out}.json"]
     _write_manifest(args.out, "synth", args.config, provenance, outputs)
     print(f"wrote {args.cycles} cycles ({4 * args.cycles} frames) to {args.out}.f32")
@@ -231,7 +198,7 @@ def cmd_process(args) -> int:
         text = "\n".join(_record_json(r) for r in records) + "\n"
     else:
         text = _CSV_HEADER + "\n" + "\n".join(_record_row(r) for r in records) + "\n"
-    _write_atomic(args.out, text)
+    write_atomic(args.out, text)
     _write_manifest(args.out, "process", args.config, provenance, [args.out])
     print(f"wrote {len(records)} records to {args.out}")
     return 0
@@ -267,7 +234,7 @@ def cmd_blindmap(args) -> int:
 def cmd_mindist(args) -> int:
     wp, _ = read_config_file(args.config)
     distance = min_reliable_distance(wp, args.v_max, search_max=args.search_max)
-    _write_atomic(
+    write_atomic(
         args.out,
         json.dumps(
             {"min_reliable_distance_m": distance, "v_max_mps": args.v_max},
@@ -288,7 +255,7 @@ def cmd_mindist(args) -> int:
 def cmd_fitnoise(args) -> int:
     observations = read_observations_csv(args.observations)
     coeffs = fit_noise_model(observations)
-    _write_atomic(args.out, json.dumps(coeffs.to_dict(), sort_keys=True))
+    write_atomic(args.out, json.dumps(coeffs.to_dict(), sort_keys=True))
     _write_manifest(
         args.out,
         "fitnoise",

@@ -7,6 +7,8 @@ types here are immutable values and all functions are pure.
 
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 from pathlib import Path
@@ -251,9 +253,23 @@ def decode_fields(cls, values, keys: dict | None = None, defaults: bool = False)
     return decoded
 
 
-def write_flat_config(path, values: dict) -> None:
-    lines = [f"{key} = {value}" for key, value in values.items()]
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_atomic(path, data) -> None:
+    """Replace ``path`` by ``data`` (str or bytes) through a renamed temporary file."""
+    path = Path(path)
+    if isinstance(data, str):
+        data = data.encode()
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        # mkstemp creates the file private; give it the mode a plain open would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_working_point(path) -> WorkingPoint:
@@ -262,4 +278,5 @@ def load_working_point(path) -> WorkingPoint:
 
 
 def save_working_point(wp: WorkingPoint, path) -> None:
-    write_flat_config(path, {k: repr(v) for k, v in wp.to_dict().items()})
+    lines = [f"{key} = {value!r}" for key, value in wp.to_dict().items()]
+    write_atomic(path, "\n".join(lines) + "\n")

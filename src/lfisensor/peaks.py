@@ -118,7 +118,9 @@ def weighted_average_interpolate(
     total = float(weights.sum())
     if total == 0.0:
         return PeakEstimate(spec.ramp_index, 0.0, 0.0, WEIGHTED_AVERAGE, valid=False)
-    frequency = float(np.dot(weights, spec.bin_frequencies[lo:hi]) / total)
+    freqs = spec.bin_frequencies[lo:hi]
+    # Rounding can carry the mean just past an end bin; it stays in the window.
+    frequency = float(min(max(np.dot(weights, freqs) / total, freqs[0]), freqs[-1]))
     intensity = float(spec.magnitudes[center_bin])
     return _estimate(spec, frequency, intensity, WEIGHTED_AVERAGE, kappa, epsilon_abs)
 

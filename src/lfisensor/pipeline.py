@@ -20,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .analysis import NoiseModelCoefficients, predict_sigma_fb
-from .errors import FramingError, ParameterError
+from .errors import ParameterError
 from .modulation import (
     WORKING_POINT_KEYS,
     WorkingPoint,
@@ -262,26 +262,17 @@ def synthetic_cycles(
             gt = ground_truth(cycle_index)
         else:
             gt = ground_truth
-        samples, _ = synthesize_cycle(
-            wp, gt, amplitude, noise_sigma, seed, cycle_index=cycle_index
-        )
-        yield samples
+        yield synthesize_cycle(wp, gt, amplitude, noise_sigma, seed, cycle_index=cycle_index)
 
 
 def replay_cycles(stem, expected_wp: WorkingPoint | None = None):
-    """Cycle source replaying an exported frame file (4 frames per cycle)."""
-    wp, frames, _ = read_frames(stem)
+    """Cycle source over an exported frame file's rows, read and checked now."""
+    wp, cycles = read_frames(stem)
     if expected_wp is not None and wp != expected_wp:
         raise ParameterError(
             "replay file working point differs from the configured working point"
         )
-    if len(frames) % 4:
-        raise FramingError(f"frame count {len(frames)} is not a whole cycle count")
-    for k in range(0, len(frames), 4):
-        group = frames[k : k + 4]
-        if [fr.ramp.index for fr in group] != [0, 1, 2, 3]:
-            raise FramingError(f"cycle starting at frame {k} is out of ramp order")
-        yield np.concatenate([fr.samples for fr in group])
+    return iter(cycles)
 
 
 def read_config_file(path):

@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AliasingError, FramingError, ParameterError
-from .modulation import SPEED_OF_LIGHT, RampDescriptor, WorkingPoint
+from .modulation import SPEED_OF_LIGHT, RampDescriptor, WorkingPoint, write_atomic
 
-FRAME_FORMAT_VERSION = 1
+FRAME_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -128,11 +128,10 @@ def synthesize_cycle(
     seed: int,
     cycle_index: int = 0,
 ):
-    """Synthesize the four frames of one cycle.
+    """Synthesize the samples of one cycle: its four frames, end to end.
 
     Per-frame seeds are derived from (seed, cycle_index, ramp index) so
     cycles and ramps can be generated independently and reproducibly.
-    Returns (concatenated samples, list of frames).
     """
     from .modulation import build_cycle
 
@@ -142,44 +141,28 @@ def synthesize_cycle(
         )
         for ramp in build_cycle(wp)
     ]
-    return np.concatenate([fr.samples for fr in frames]), frames
+    return np.concatenate([fr.samples for fr in frames])
 
 
-def write_frames(stem, frames, wp: WorkingPoint, extra=None) -> None:
-    """Export frames as raw little-endian float32 plus a JSON sidecar.
-
-    ``stem`` names the pair ``<stem>.f32`` / ``<stem>.json``.  ``extra``
-    is an optional per-frame list of JSON-serializable dicts (seed,
-    ground truth, ...) merged into the sidecar entries.
+def write_frames(stem, cycles, wp: WorkingPoint) -> None:
+    """Export ``(N, wp.samples_per_cycle)`` cycles as ``<stem>.f32``, raw
+    little-endian float32, and then a sidecar ``<stem>.json`` holding the
+    format version, the working point and N.
     """
+    cycles = np.asarray(cycles, dtype="<f4")
+    # An empty list is an export of zero cycles.
+    if len(cycles) and cycles.shape[1:] != (wp.samples_per_cycle,):
+        raise FramingError(
+            f"cycles must be rows of {wp.samples_per_cycle} samples, got shape {cycles.shape}"
+        )
     raw_path, sidecar_path = _frame_paths(stem)
-    if extra is not None and len(extra) != len(frames):
-        raise FramingError("extra metadata list must match the frame count")
-    raw = bytearray()
-    entries = []
-    for i, frame in enumerate(frames):
-        data = np.ascontiguousarray(frame.samples, dtype="<f4")
-        raw += data.tobytes()
-        entry = {
-            "ramp_index": frame.ramp.index,
-            "slope_hz_per_s": frame.ramp.slope,
-            "start_time_s": frame.ramp.start_time,
-            "duration_s": frame.ramp.duration,
-            "n_samples": int(data.size),
-            "signed_beat_hz": frame.true_signed_beat,
-            "blind": frame.blind,
-        }
-        if extra is not None:
-            entry.update(extra[i])
-        entries.append(entry)
     sidecar = {
         "format_version": FRAME_FORMAT_VERSION,
-        "dtype": "<f4",
         "working_point": wp.to_dict(),
-        "frames": entries,
+        "cycles": len(cycles),
     }
-    raw_path.write_bytes(bytes(raw))
-    sidecar_path.write_text(json.dumps(sidecar, sort_keys=True, indent=1))
+    write_atomic(raw_path, cycles.tobytes())
+    write_atomic(sidecar_path, json.dumps(sidecar, sort_keys=True, indent=1))
 
 
 def _frame_paths(stem):
@@ -188,42 +171,32 @@ def _frame_paths(stem):
 
 
 def read_frames(stem):
-    """Read frames written by :func:`write_frames`.
+    """Read a :func:`write_frames` export as (working point, read-only cycles).
 
-    Returns (working point, list of frames, list of sidecar entries).
+    Any defect of the sidecar or of the raw file's length raises
+    :class:`FramingError` naming the file.
     """
     raw_path, sidecar_path = _frame_paths(stem)
     try:
         sidecar = json.loads(sidecar_path.read_text())
+        if not isinstance(sidecar, dict):
+            raise ValueError("not a JSON object")
+        version = sidecar.get("format_version")
+        if version != FRAME_FORMAT_VERSION:
+            raise ValueError(f"unsupported frame format version {version!r}")
+        wp = WorkingPoint.from_dict(sidecar["working_point"])
+        n_cycles = sidecar["cycles"]
+        if type(n_cycles) is not int or n_cycles < 0:
+            raise ValueError(f"'cycles' must be a count, got {n_cycles!r}")
     except json.JSONDecodeError as exc:
         raise FramingError(f"frame sidecar {sidecar_path} is not JSON: {exc}") from None
-    if sidecar.get("format_version") != FRAME_FORMAT_VERSION:
+    except KeyError as exc:
+        raise FramingError(f"frame sidecar {sidecar_path} has no key {exc}") from None
+    except ValueError as exc:
+        raise FramingError(f"frame sidecar {sidecar_path}: {exc}") from None
+    data = raw_path.read_bytes()
+    if len(data) != 4 * n_cycles * wp.samples_per_cycle:
         raise FramingError(
-            f"unsupported frame format version {sidecar.get('format_version')!r}"
+            f"{raw_path} has {len(data)} bytes, not the {n_cycles} cycles its sidecar declares"
         )
-    wp = WorkingPoint.from_dict(sidecar["working_point"])
-    raw = np.frombuffer(raw_path.read_bytes(), dtype="<f4")
-    frames = []
-    offset = 0
-    for entry in sidecar["frames"]:
-        n = int(entry["n_samples"])
-        if offset + n > raw.size:
-            raise FramingError("raw frame file shorter than sidecar declares")
-        ramp = RampDescriptor(
-            index=int(entry["ramp_index"]),
-            slope=float(entry["slope_hz_per_s"]),
-            start_time=float(entry["start_time_s"]),
-            duration=float(entry["duration_s"]),
-        )
-        frames.append(
-            SyntheticFrame(
-                ramp=ramp,
-                samples=raw[offset : offset + n].copy(),
-                true_signed_beat=float(entry["signed_beat_hz"]),
-                blind=bool(entry["blind"]),
-            )
-        )
-        offset += n
-    if offset != raw.size:
-        raise FramingError("raw frame file longer than sidecar declares")
-    return wp, frames, sidecar["frames"]
+    return wp, np.frombuffer(data, dtype="<f4").reshape(n_cycles, wp.samples_per_cycle)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CalibrationError, FramingError, ParameterError
-from .modulation import WorkingPoint
+from .modulation import WorkingPoint, write_atomic
 
 DEFAULT_FFT_BINS = 2048
 DEFAULT_ALPHA = 1.0
@@ -103,7 +103,7 @@ class Calibration:
                 for p in self.profiles
             ],
         }
-        Path(path).write_text(json.dumps(payload, sort_keys=True))
+        write_atomic(path, json.dumps(payload, sort_keys=True))
 
     @classmethod
     def load(cls, path) -> "Calibration":

@@ -77,7 +77,7 @@ def roundtrip_batch(wp, quiet_cfg):
         beats = true_beats(wp, r, v)
         if int(np.sum(np.abs(beats) < wp.hp_cutoff)) > 1:
             continue
-        samples, _ = synthesize_cycle(
+        samples = synthesize_cycle(
             wp, GroundTruth(r, v), 1.0, 0.0, seed=case_index
         )
         record = process_cycle(samples, PipelineState.for_config(quiet_cfg), quiet_cfg)
@@ -150,7 +150,7 @@ def test_criterion_3_blind_ramp_redundancy(wp, quiet_cfg):
         blind = np.abs(beats) < wp.hp_cutoff
         if blind.sum() != 1 or not blind[k]:
             continue
-        samples, _ = synthesize_cycle(
+        samples = synthesize_cycle(
             wp, GroundTruth(r, v), 1.0, 0.0, seed=10_000 + attempt
         )
         record = process_cycle(samples, PipelineState.for_config(quiet_cfg), quiet_cfg)
@@ -176,7 +176,7 @@ def test_criterion_4_baseline_fails_where_solver_holds(wp, quiet_cfg):
         beats = true_beats(wp, r, v)
         if int(np.sum(np.abs(beats) < wp.hp_cutoff)) > 1:
             continue
-        samples, _ = synthesize_cycle(
+        samples = synthesize_cycle(
             wp, GroundTruth(r, v), 1.0, 0.0, seed=20_000 + attempt
         )
         record = process_cycle(samples, PipelineState.for_config(quiet_cfg), quiet_cfg)

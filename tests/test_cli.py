@@ -427,17 +427,62 @@ def test_calibration_profiles_must_be_ramps_0_to_3(config_path, tmp_path, capsys
     assert err.startswith("error: calibration ") and "0-3 in order" in err
 
 
-def test_frame_sidecar_not_json_exits_nonzero(config_path, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "edit, needle",
+    [
+        (lambda sidecar: "nope", "is not JSON"),
+        (lambda sidecar: {"format_version": 2}, "has no key 'working_point'"),
+        (lambda sidecar: [], "not a JSON object"),
+        (lambda sidecar: {**sidecar, "cycles": "many"}, "'cycles' must be a count"),
+        (lambda sidecar: {**sidecar, "format_version": 1}, "unsupported frame format version 1"),
+    ],
+    ids=["not-json", "no-working-point", "not-an-object", "many-cycles", "version-1"],
+)
+def test_frame_sidecar_not_json_exits_nonzero(config_path, tmp_path, capsys, edit, needle):
     cal = _calibrate(config_path, tmp_path)
     stem = tmp_path / "frames"
     assert main(["synth", "--config", str(config_path), "--out", str(stem),
                  "--cycles", "2", "--distance", "0.04"]) == 0
-    (tmp_path / "frames.json").write_text("nope")
+    sidecar = edit(json.loads((tmp_path / "frames.json").read_text()))
+    (tmp_path / "frames.json").write_text(
+        sidecar if isinstance(sidecar, str) else json.dumps(sidecar)
+    )
     rc = main(["process", "--config", str(config_path), "--calibration", str(cal),
                "--out", str(tmp_path / "run.csv"), "--input", str(stem)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "frames.json" in err
+    assert err.startswith("error: ") and "frames.json" in err and needle in err
+
+
+@pytest.mark.parametrize(
+    "command, suffixes, first, second",
+    [
+        ("calibrate", [""], ["--cycles", "20", "--noise-sigma", "0.1", "--seed", "1"],
+         ["--cycles", "20", "--noise-sigma", "0.1", "--seed", "2"]),
+        ("synth", [".f32", ".json"], ["--cycles", "2"], ["--cycles", "3"]),
+        ("blindmap", ["", ".grid.txt"], ["--resolution", "5"], ["--resolution", "7"]),
+    ],
+    ids=["calibration", "frames", "blind-map"],
+)
+def test_rewritten_output_replaces_the_old_file(
+    config_path, tmp_path, capsys, command, suffixes, first, second
+):
+    # A rewrite replaces each output whole: another link to the old file
+    # keeps the old bytes, so no reader can see a half-written file.
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config_path), "--out", str(out)]
+    assert main(argv + first) == 0
+    old = {}
+    for suffix in suffixes:
+        path = tmp_path / f"out{suffix}"
+        os.link(path, tmp_path / f"alias{suffix}")
+        old[suffix] = path.read_bytes()
+    assert main(argv + second) == 0
+    for suffix, data in old.items():
+        assert (tmp_path / f"alias{suffix}").read_bytes() == data
+        assert (tmp_path / f"out{suffix}").read_bytes() != data
+    assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == []
+    capsys.readouterr()
 
 
 def test_jsonl_writes_null_for_invalid_cycles(config_path, tmp_path, capsys):

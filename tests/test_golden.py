@@ -20,7 +20,7 @@ from conftest import make_wp
 
 GOLDEN_SHA256 = {
     "frames.f32": "8c4983053e32a3a63ec583702d0af7fb29b630fba3fab1f6cd9efd071d8d056b",
-    "frames.json": "861556605a50bd953bf2245044d0e2b6078d8575d602bc1f42eb367d0714c9eb",
+    "frames.json": "6142d193b6703d974402daaf54651b7ba466b944d1f0c1564ba5995b8b5a8508",
     "cal.json": "9dea54024b60d16b11cb8edf8f92feeb86e24b8ec32b29caae2e921085cb00a9",
     "run.csv": "1d9bc22625692eeb3c99b8a792c04d6db20c8c3152aa8d08462f0a31bde9a041",
     "run.jsonl": "d302a98a3c26c677653f15d0d369b00eec9b78a878849ed6625ca25354ebd954",

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lfisensor import ParameterError, frame_spectrum
@@ -192,6 +192,9 @@ def test_gaussian_fit_is_exact_on_sampled_gaussians(bin_offset, width, amplitude
     zeroed=st.lists(st.booleans(), min_size=25, max_size=25),
     center=st.integers(0, 24),
 )
+# Nearly all the weight on the window's last bin: the weighted-average
+# fallback's rounding once carried the estimate one ulp past that bin.
+@example(exponents=[0.0] * 12 + [21.405041158211645], zeroed=[False] * 25, center=0)
 @settings(max_examples=300, deadline=None)
 def test_gaussian_on_any_window_is_quiet_and_inside(exponents, zeroed, center):
     # Magnitudes over 600 decades, some zeroed: singular or overflowing fits

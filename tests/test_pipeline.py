@@ -47,7 +47,7 @@ def test_clean_cycle_recovers_ground_truth(wp, quiet_cal):
     gt = GroundTruth(0.04, 0.03)
     cfg = _config(wp, quiet_cal)
     state = PipelineState.for_config(cfg)
-    samples, _ = synthesize_cycle(wp, gt, 1.0, 0.0, seed=2)
+    samples = synthesize_cycle(wp, gt, 1.0, 0.0, seed=2)
     record = process_cycle(samples, state, cfg)
     m = record.measurement
     assert m.status == "ok"
@@ -69,7 +69,7 @@ def test_pure_noise_cycles_are_invalid(wp, noisy_cal):
 
 def test_identical_cycles_average_to_single_cycle_result(wp, quiet_cal):
     gt = GroundTruth(0.05, -0.02)
-    samples, _ = synthesize_cycle(wp, gt, 1.0, 0.0, seed=4)
+    samples = synthesize_cycle(wp, gt, 1.0, 0.0, seed=4)
     one = _config(wp, quiet_cal, n_avg=1)
     record_one = process_cycle(samples.copy(), PipelineState.for_config(one), one)
     two = _config(wp, quiet_cal, n_avg=2)
@@ -125,7 +125,7 @@ def test_determinism_bit_identical(wp, quiet_cal):
 def test_composition_identity(wp, quiet_cal):
     # End-to-end equals hand-composed stage calls.
     gt = GroundTruth(0.035, 0.05)
-    samples, _ = synthesize_cycle(wp, gt, 1.0, 0.0, seed=9)
+    samples = synthesize_cycle(wp, gt, 1.0, 0.0, seed=9)
     cfg = _config(wp, quiet_cal)
     record = process_cycle(samples, PipelineState.for_config(cfg), cfg)
     manual = []
@@ -164,12 +164,9 @@ def test_state_snapshot_reproduces_record(wp, quiet_cal):
 
 def test_replay_matches_synthetic_run(wp, quiet_cal, tmp_path):
     gt = GroundTruth(0.045, -0.06)
-    frames = []
-    for k in range(4):
-        _, cycle_frames = synthesize_cycle(wp, gt, 1.0, 0.2, seed=31, cycle_index=k)
-        frames.extend(cycle_frames)
+    cycles = [synthesize_cycle(wp, gt, 1.0, 0.2, seed=31, cycle_index=k) for k in range(4)]
     stem = tmp_path / "stream"
-    write_frames(stem, frames, wp)
+    write_frames(stem, cycles, wp)
     cfg = _config(wp, quiet_cal, n_avg=2)
     direct = list(
         run_stream(synthetic_cycles(wp, gt, 1.0, 0.2, seed=31, n_cycles=4), cfg)
@@ -182,19 +179,20 @@ def test_replay_matches_synthetic_run(wp, quiet_cal, tmp_path):
 
 
 def test_replay_rejects_other_working_point(wp, tmp_path):
-    _, frames = synthesize_cycle(wp, GroundTruth(0.03, 0.0), 1.0, 0.0, seed=1)
+    samples = synthesize_cycle(wp, GroundTruth(0.03, 0.0), 1.0, 0.0, seed=1)
     stem = tmp_path / "frames"
-    write_frames(stem, frames, wp)
+    write_frames(stem, [samples], wp)
     other = make_wp(steep_slope=2e15)
+    # Refused when the source is built, before any cycle is drawn.
     with pytest.raises(ParameterError, match="working point"):
-        list(replay_cycles(stem, expected_wp=other))
+        replay_cycles(stem, expected_wp=other)
 
 
 def test_noise_model_fills_sigmas(wp, quiet_cal):
     nm = NoiseModelCoefficients(a1=0.0, a2=0.0, a3=0.5, a4=0.0, a5=0.0, b=-1.0,
                                 fit_residual=0.0)
     cfg = _config(wp, quiet_cal, noise_model=nm)
-    samples, _ = synthesize_cycle(wp, GroundTruth(0.04, 0.02), 1.0, 0.0, seed=8)
+    samples = synthesize_cycle(wp, GroundTruth(0.04, 0.02), 1.0, 0.0, seed=8)
     record = process_cycle(samples, PipelineState.for_config(cfg), cfg)
     m = record.measurement
     assert m.status == "ok"
@@ -266,7 +264,7 @@ def test_window_average_equals_mean_of_last_spectra(wp, quiet_cal, n_avg):
 
 def test_without_noise_model_sigmas_are_nan(wp, quiet_cal):
     cfg = _config(wp, quiet_cal)
-    samples, _ = synthesize_cycle(wp, GroundTruth(0.04, 0.0), 1.0, 0.0, seed=8)
+    samples = synthesize_cycle(wp, GroundTruth(0.04, 0.0), 1.0, 0.0, seed=8)
     record = process_cycle(samples, PipelineState.for_config(cfg), cfg)
     assert math.isnan(record.measurement.sigma_R)
     assert math.isnan(record.measurement.sigma_v)
@@ -281,7 +279,7 @@ def test_one_blind_ramp_still_recovers(wp, quiet_cal):
     blind = [abs(signed_beat(wp, rd, gt)) < wp.hp_cutoff for rd in build_cycle(wp)]
     assert blind == [False, False, True, False]
     cfg = _config(wp, quiet_cal)
-    samples, _ = synthesize_cycle(wp, gt, 1.0, 0.0, seed=14)
+    samples = synthesize_cycle(wp, gt, 1.0, 0.0, seed=14)
     record = process_cycle(samples, PipelineState.for_config(cfg), cfg)
     m = record.measurement
     assert 2 not in m.selected_ramps
@@ -372,7 +370,7 @@ def test_config_accepts_boundary_settings(wp, quiet_cal):
 
 def test_sync_offset_roll(wp, quiet_cal):
     gt = GroundTruth(0.04, 0.01)
-    samples, _ = synthesize_cycle(wp, gt, 1.0, 0.0, seed=21)
+    samples = synthesize_cycle(wp, gt, 1.0, 0.0, seed=21)
     shifted = np.roll(samples, 40)
     cfg = _config(wp, quiet_cal, sync_offset_samples=40)
     record = process_cycle(shifted, PipelineState.for_config(cfg), cfg)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -219,27 +221,39 @@ def test_highpass_disabled_at_zero_cutoff():
 def test_frame_export_round_trip(tmp_path):
     wp = make_wp()
     gt = GroundTruth(0.03, 0.02)
-    _, frames = synthesize_cycle(wp, gt, 1.0, 0.1, seed=5)
+    cycles = [synthesize_cycle(wp, gt, 1.0, 0.1, seed=5, cycle_index=k) for k in range(3)]
     stem = tmp_path / "frames"
-    extra = [{"cycle_index": 0, "stream_seed": 5} for _ in frames]
-    write_frames(stem, frames, wp, extra)
-    wp_back, frames_back, entries = read_frames(stem)
+    write_frames(stem, cycles, wp)
+    wp_back, cycles_back = read_frames(stem)
     assert wp_back == wp
-    assert len(frames_back) == 4
-    for original, restored, entry in zip(frames, frames_back, entries):
-        assert original.samples.tobytes() == restored.samples.tobytes()
-        assert restored.ramp == original.ramp
-        assert restored.true_signed_beat == original.true_signed_beat
-        assert restored.blind == original.blind
-        assert entry["stream_seed"] == 5
+    assert cycles_back.shape == (3, wp.samples_per_cycle)
+    assert cycles_back.dtype == np.dtype("<f4")
+    for original, restored in zip(cycles, cycles_back):
+        assert original.tobytes() == restored.tobytes()
+    sidecar = json.loads((tmp_path / "frames.json").read_text())
+    assert sidecar == {"format_version": 2, "working_point": wp.to_dict(), "cycles": 3}
 
 
-def test_frame_file_length_mismatch_rejected(tmp_path):
+@pytest.mark.parametrize(
+    "shape", [(2, 1999), (2, 2001), (2000,)], ids=["short-rows", "long-rows", "one-row"]
+)
+def test_write_frames_refuses_other_row_lengths(tmp_path, shape):
+    with pytest.raises(FramingError, match="rows of 2000 samples"):
+        write_frames(tmp_path / "frames", np.zeros(shape), make_wp())
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "delta", [-8, 8, 4 * make_wp().samples_per_cycle],
+    ids=["8-bytes-short", "8-bytes-long", "one-cycle-long"],
+)
+def test_frame_file_length_mismatch_rejected(tmp_path, delta):
     wp = make_wp()
-    _, frames = synthesize_cycle(wp, GroundTruth(0.03, 0.0), 1.0, 0.0, seed=5)
+    samples = synthesize_cycle(wp, GroundTruth(0.03, 0.0), 1.0, 0.0, seed=5)
     stem = tmp_path / "frames"
-    write_frames(stem, frames, wp)
-    raw = (tmp_path / "frames.f32").read_bytes()
-    (tmp_path / "frames.f32").write_bytes(raw[:-8])
-    with pytest.raises(FramingError, match="shorter"):
+    write_frames(stem, [samples], wp)
+    raw_path = tmp_path / "frames.f32"
+    raw = raw_path.read_bytes()
+    raw_path.write_bytes(raw[:delta] if delta < 0 else raw + bytes(delta))
+    with pytest.raises(FramingError, match="frames.f32 has .* bytes, not the 1 cycles its sidecar declares"):
         read_frames(stem)
