@@ -53,12 +53,10 @@ from .pipeline import (
 )
 from .simulator import (
     GroundTruth,
-    SyntheticFrame,
     highpass,
     read_frames,
     signed_beat,
     synthesize_cycle,
-    synthesize_frame,
     write_frames,
 )
 from .solver import (

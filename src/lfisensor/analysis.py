@@ -13,6 +13,7 @@ distance plus an intercept.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import asdict, dataclass
 
@@ -291,13 +292,12 @@ def write_blind_map_grid(bm: BlindMap, path) -> None:
 
 
 def write_observations_csv(observations, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(OBSERVATION_FIELDS)
-        for obs in observations:
-            writer.writerow(
-                [format(getattr(obs, name), ".12g") for name in OBSERVATION_FIELDS]
-            )
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(OBSERVATION_FIELDS)
+    for obs in observations:
+        writer.writerow([format(getattr(obs, name), ".12g") for name in OBSERVATION_FIELDS])
+    write_atomic(path, text.getvalue())
 
 
 def read_observations_csv(path):
@@ -315,7 +315,14 @@ def read_observations_csv(path):
                 continue
             if len(row) != len(OBSERVATION_FIELDS):
                 raise ParameterError(f"observation row has {len(row)} fields: {row!r}")
-            observations.append(
-                NoiseObservation(**dict(zip(OBSERVATION_FIELDS, map(float, row))))
-            )
+            values = {}
+            for name, field in zip(OBSERVATION_FIELDS, row):
+                try:
+                    values[name] = float(field)
+                except ValueError:
+                    raise ParameterError(
+                        f"{path} line {reader.line_num}, column {name}: "
+                        f"{field!r} is not a number"
+                    ) from None
+            observations.append(NoiseObservation(**values))
     return observations

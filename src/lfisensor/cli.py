@@ -195,10 +195,10 @@ def cmd_process(args) -> int:
     provenance["calibration"] = str(args.calibration)
     records = list(run_stream(source, cfg))
     if args.format == "jsonl":
-        text = "\n".join(_record_json(r) for r in records) + "\n"
+        lines = map(_record_json, records)
     else:
-        text = _CSV_HEADER + "\n" + "\n".join(_record_row(r) for r in records) + "\n"
-    write_atomic(args.out, text)
+        lines = [_CSV_HEADER, *map(_record_row, records)]
+    write_atomic(args.out, "".join(line + "\n" for line in lines))
     _write_manifest(args.out, "process", args.config, provenance, [args.out])
     print(f"wrote {len(records)} records to {args.out}")
     return 0

@@ -2,7 +2,7 @@
 
 The forward model is the exact algebraic inverse of the two-ramp solver:
 ``f_signed = (2 R slope + f_e v) / c``, so that solving any ramp pair
-recovers (R, v) up to rounding.  Frames are a single cosine at the beat
+recovers (R, v) up to rounding.  Each ramp is a single cosine at the beat
 magnitude plus white Gaussian noise, passed through the hardware
 high-pass model that creates blind regions.
 """
@@ -10,6 +10,7 @@ high-pass model that creates blind regions.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AliasingError, FramingError, ParameterError
-from .modulation import SPEED_OF_LIGHT, RampDescriptor, WorkingPoint, write_atomic
+from .modulation import SPEED_OF_LIGHT, RampDescriptor, WorkingPoint, build_cycle, write_atomic
 
 FRAME_FORMAT_VERSION = 2
 
@@ -37,16 +38,6 @@ class GroundTruth:
             )
 
 
-@dataclass
-class SyntheticFrame:
-    """One ramp's synthesized ADC samples plus test-oracle bookkeeping."""
-
-    ramp: RampDescriptor
-    samples: np.ndarray  # float32, length round(duration * sampling_rate)
-    true_signed_beat: float
-    blind: bool
-
-
 def signed_beat(wp: WorkingPoint, ramp: RampDescriptor, gt: GroundTruth) -> float:
     """Signed beat frequency of one ramp for a given target state."""
     return (
@@ -54,12 +45,22 @@ def signed_beat(wp: WorkingPoint, ramp: RampDescriptor, gt: GroundTruth) -> floa
     ) / SPEED_OF_LIGHT
 
 
-@lru_cache(maxsize=32)
-def _highpass_sos(cutoff: float, fs: float):
-    # scipy.signal takes about a second to import; only synthesis needs it.
-    from scipy.signal import butter
+def _biquad_pass(x, b0: float, a1: float, a2: float) -> np.ndarray:
+    """Run the biquad along the last axis (direct form II transposed).
 
-    return butter(2, cutoff, btype="highpass", fs=fs, output="sos")
+    It starts in the steady state of a constant input equal to the first
+    sample; the DC gain is 0, so that state is ``[-b0, b2] x[0]``.
+    """
+    # Time first, so each step is one row; b = b0 [1, -2, 1] makes every
+    # feed-forward term a multiple of u = b0 x.
+    u = b0 * np.ascontiguousarray(np.moveaxis(x, -1, 0))
+    y = np.empty_like(u)
+    z0, z1 = -u[0], u[0]
+    for t in range(len(u)):
+        y[t] = yt = u[t] + z0
+        z0 = -2.0 * u[t] - a1 * yt + z1
+        z1 = u[t] - a2 * yt
+    return np.moveaxis(y, 0, -1)
 
 
 def highpass(samples, wp: WorkingPoint) -> np.ndarray:
@@ -73,51 +74,29 @@ def highpass(samples, wp: WorkingPoint) -> np.ndarray:
     x = np.asarray(samples, dtype=float)
     if wp.hp_cutoff == 0.0:
         return x.copy()
-    from scipy.signal import sosfiltfilt
+    # The biquad b = b0 [1, -2, 1], a = [1, a1, a2]: the bilinear transform
+    # of the analog Butterworth prototype, prewarped to the cutoff.
+    k = math.tan(math.pi * wp.hp_cutoff / wp.sampling_rate)
+    s = 1.0 + math.sqrt(2.0) * k + k * k
+    coeffs = 1.0 / s, 2.0 * (k * k - 1.0) / s, (1.0 - math.sqrt(2.0) * k + k * k) / s
+    # Odd extension at both ends damps the edge transients.
+    pad = min(27, x.shape[-1] - 1)
+    left = 2.0 * x[..., :1] - x[..., pad:0:-1]
+    right = 2.0 * x[..., -1:] - x[..., -2 : -pad - 2 : -1]
+    y = _biquad_pass(np.concatenate([left, x, right], axis=-1), *coeffs)
+    y = _biquad_pass(y[..., ::-1], *coeffs)[..., ::-1]
+    return y[..., pad : y.shape[-1] - pad]
 
-    sos = _highpass_sos(wp.hp_cutoff, wp.sampling_rate)
-    padlen = min(27, x.shape[-1] - 1)
-    return sosfiltfilt(sos, x, padlen=padlen)
 
+@lru_cache(maxsize=4)
+def _highpass_matrix(wp: WorkingPoint) -> np.ndarray:
+    """``M`` with ``x @ M == highpass(x, wp)`` for one ramp's samples ``x``.
 
-def synthesize_frame(
-    wp: WorkingPoint,
-    ramp: RampDescriptor,
-    gt: GroundTruth,
-    amplitude: float,
-    noise_sigma: float,
-    seed,
-) -> SyntheticFrame:
-    """Synthesize one ramp frame deterministically for a given seed.
-
-    Samples are ``amplitude * cos(2 pi |f_signed| t + phi)`` plus white
-    Gaussian noise, then high-pass filtered and stored as little-endian
-    float32 (the export dtype).  The phase is drawn once per frame from
-    the seeded generator.  Zero amplitude gives a no-target frame.
+    Row ``i`` is the filter's response to a unit impulse at sample ``i``.
     """
-    if amplitude < 0:
-        raise ParameterError(f"amplitude must be >= 0, got {amplitude}")
-    if noise_sigma < 0:
-        raise ParameterError(f"noise_sigma must be >= 0, got {noise_sigma}")
-    f = signed_beat(wp, ramp, gt)
-    if abs(f) >= wp.nyquist:
-        raise AliasingError(
-            f"beat frequency {f:.6g} Hz is at or above Nyquist ({wp.nyquist:.6g} Hz)"
-        )
-    n = int(round(ramp.duration * wp.sampling_rate))
-    rng = np.random.default_rng(seed)
-    phase = rng.uniform(0.0, 2.0 * np.pi)
-    t = np.arange(n) / wp.sampling_rate
-    samples = amplitude * np.cos(2.0 * np.pi * abs(f) * t + phase)
-    if noise_sigma > 0:
-        samples = samples + rng.normal(0.0, noise_sigma, n)
-    samples = highpass(samples, wp).astype("<f4")
-    return SyntheticFrame(
-        ramp=ramp,
-        samples=samples,
-        true_signed_beat=f,
-        blind=abs(f) < wp.hp_cutoff,
-    )
+    m = highpass(np.eye(wp.samples_per_ramp), wp)
+    m.flags.writeable = False
+    return m
 
 
 def synthesize_cycle(
@@ -127,21 +106,35 @@ def synthesize_cycle(
     noise_sigma: float,
     seed: int,
     cycle_index: int = 0,
-):
-    """Synthesize the samples of one cycle: its four frames, end to end.
+) -> np.ndarray:
+    """Synthesize the samples of one cycle: its four ramps, end to end.
 
-    Per-frame seeds are derived from (seed, cycle_index, ramp index) so
-    cycles and ramps can be generated independently and reproducibly.
+    Each ramp is ``amplitude * cos(2 pi |f_signed| t + phi)`` plus white
+    Gaussian noise, then high-pass filtered; the cycle is returned as
+    little-endian float32 (the export dtype).  Each ramp draws its phase
+    and noise from a generator seeded with (seed, cycle_index, ramp
+    index), so cycles and ramps can be generated independently and
+    reproducibly.  Zero amplitude gives a no-target cycle.
     """
-    from .modulation import build_cycle
-
-    frames = [
-        synthesize_frame(
-            wp, ramp, gt, amplitude, noise_sigma, (seed, cycle_index, ramp.index)
-        )
-        for ramp in build_cycle(wp)
-    ]
-    return np.concatenate([fr.samples for fr in frames])
+    if amplitude < 0:
+        raise ParameterError(f"amplitude must be >= 0, got {amplitude}")
+    if noise_sigma < 0:
+        raise ParameterError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    n = wp.samples_per_ramp
+    t = np.arange(n) / wp.sampling_rate
+    raw = np.empty((4, n))
+    for ramp in build_cycle(wp):
+        f = signed_beat(wp, ramp, gt)
+        if abs(f) >= wp.nyquist:
+            raise AliasingError(
+                f"beat frequency {f:.6g} Hz is at or above Nyquist ({wp.nyquist:.6g} Hz)"
+            )
+        rng = np.random.default_rng((seed, cycle_index, ramp.index))
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        raw[ramp.index] = amplitude * np.cos(2.0 * np.pi * abs(f) * t + phase)
+        if noise_sigma > 0:
+            raw[ramp.index] += rng.normal(0.0, noise_sigma, n)
+    return (raw @ _highpass_matrix(wp)).astype("<f4").ravel()
 
 
 def write_frames(stem, cycles, wp: WorkingPoint) -> None:

@@ -11,7 +11,7 @@ import pytest
 import lfisensor
 from lfisensor import NoiseModelCoefficients, blind_map
 from lfisensor.analysis import write_observations_csv
-from lfisensor.cli import main
+from lfisensor.cli import _CSV_HEADER, main
 from lfisensor.modulation import save_working_point
 
 from conftest import make_wp
@@ -202,6 +202,33 @@ def test_fitnoise_recovers_generator(tmp_path, capsys):
         assert getattr(fitted, name) == pytest.approx(
             getattr(TRUE_COEFFS, name), abs=1e-8
         )
+    capsys.readouterr()
+
+
+def test_fitnoise_non_numeric_field_exits_nonzero(tmp_path, capsys):
+    obs_path = tmp_path / "observations.csv"
+    write_observations_csv(_synthetic_observations(TRUE_COEFFS, np.random.default_rng(1), n=3),
+                           obs_path)
+    lines = obs_path.read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0] + ",x"
+    obs_path.write_text("\n".join(lines) + "\n")
+    rc = main(["fitnoise", "--observations", str(obs_path), "--out", str(tmp_path / "n.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(obs_path) in err and "line 3" in err and "observed_sigma_fb" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_process_with_no_records_writes_no_record_lines(config_path, tmp_path, capsys, fmt):
+    cal = _calibrate(config_path, tmp_path)
+    stem = tmp_path / "empty"
+    assert main(["synth", "--config", str(config_path), "--out", str(stem),
+                 "--cycles", "0", "--distance", "0.04"]) == 0
+    out = tmp_path / f"run.{fmt}"
+    assert main(["process", "--config", str(config_path), "--calibration", str(cal),
+                 "--input", str(stem), "--format", fmt, "--out", str(out)]) == 0
+    assert out.read_text() == (_CSV_HEADER + "\n" if fmt == "csv" else "")
     capsys.readouterr()
 
 
@@ -503,11 +530,19 @@ def test_jsonl_writes_null_for_invalid_cycles(config_path, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_import_loads_no_scipy():
-    # Only the simulator's high-pass needs scipy, and it imports it lazily.
+def test_cli_import_loads_no_scipy(config_path, tmp_path):
+    # Importing the CLI, synthesizing and calibrating all run on numpy alone.
     src = str(Path(lfisensor.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, lfisensor.cli; print([m for m in sys.modules if m.startswith('scipy')])"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    code = (
+        "import sys, lfisensor.cli\n"
+        "cfg, out = sys.argv[1:]\n"
+        "assert lfisensor.cli.main(['synth', '--config', cfg, '--out', out + '/frames',"
+        " '--cycles', '2', '--distance', '0.04', '--noise-sigma', '0.1']) == 0\n"
+        "assert lfisensor.cli.main(['calibrate', '--config', cfg, '--out', out + '/cal.json',"
+        " '--cycles', '16']) == 0\n"
+        "print([m for m in sys.modules if m.startswith('scipy')])"
+    )
+    result = subprocess.run([sys.executable, "-c", code, str(config_path), str(tmp_path)],
+                            env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip().splitlines()[-1] == "[]"

@@ -19,11 +19,11 @@ from lfisensor.modulation import save_working_point
 from conftest import make_wp
 
 GOLDEN_SHA256 = {
-    "frames.f32": "8c4983053e32a3a63ec583702d0af7fb29b630fba3fab1f6cd9efd071d8d056b",
+    "frames.f32": "21ea43130d6752a0d2bd5caa5e7396111a22b973d05bdd776a4a63c782bebe37",
     "frames.json": "6142d193b6703d974402daaf54651b7ba466b944d1f0c1564ba5995b8b5a8508",
-    "cal.json": "9dea54024b60d16b11cb8edf8f92feeb86e24b8ec32b29caae2e921085cb00a9",
-    "run.csv": "1d9bc22625692eeb3c99b8a792c04d6db20c8c3152aa8d08462f0a31bde9a041",
-    "run.jsonl": "d302a98a3c26c677653f15d0d369b00eec9b78a878849ed6625ca25354ebd954",
+    "cal.json": "9003e29e0a6ac318b51a507e20db0183584140f4378060d92ec900d1d540e989",
+    "run.csv": "3d86700972bf068a8ed8925395ce54e7414ace6e54c5cda82bbb0453e4ed30c4",
+    "run.jsonl": "d9c9dad14dc5f4eb27d6fec0e864dbbbbbb2fd03c8e4acaa130a7c7e0986ce28",
 }
 
 NOISE_MODEL = {

@@ -15,9 +15,9 @@ from lfisensor import (
     read_frames,
     signed_beat,
     synthesize_cycle,
-    synthesize_frame,
     write_frames,
 )
+from lfisensor.simulator import _highpass_matrix
 
 from conftest import C, make_wp, true_beats
 
@@ -97,28 +97,34 @@ def test_negative_distance_rejected():
         GroundTruth(-0.01, 0.0)
 
 
+def _ramp_samples(wp, ramp, gt, amplitude, noise_sigma, seed):
+    """One ramp's slice of a synthesized cycle."""
+    cycle = synthesize_cycle(wp, gt, amplitude, noise_sigma, seed)
+    return cycle.reshape(4, -1)[ramp.index]
+
+
 def test_clean_frame_spectrum_peaks_at_beat():
     # Oracle: direct FFT of the synthesized samples.
     wp = make_wp()
     gt = GroundTruth(0.05, 0.02)
     ramp = build_cycle(wp)[0]
-    frame = synthesize_frame(wp, ramp, gt, amplitude=1.0, noise_sigma=0.0, seed=3)
-    assert not frame.blind
-    n = frame.samples.size
-    spectrum = np.abs(np.fft.rfft(frame.samples.astype(float)))
+    samples = _ramp_samples(wp, ramp, gt, amplitude=1.0, noise_sigma=0.0, seed=3)
+    f = signed_beat(wp, ramp, gt)
+    assert abs(f) >= wp.hp_cutoff
+    n = samples.size
+    spectrum = np.abs(np.fft.rfft(samples.astype(float)))
     peak_bin = int(np.argmax(spectrum[1:])) + 1
     bin_width = wp.sampling_rate / n
-    assert abs(peak_bin * bin_width - abs(frame.true_signed_beat)) <= bin_width
+    assert abs(peak_bin * bin_width - abs(f)) <= bin_width
 
 
 def test_frame_length_and_blind_flag():
     wp = make_wp()
     ramp = build_cycle(wp)[2]  # shallow up
     gt = GroundTruth(0.002, 0.0)  # shallow beat well below 10 kHz
-    frame = synthesize_frame(wp, ramp, gt, 1.0, 0.0, seed=1)
-    assert frame.samples.size == round(ramp.duration * wp.sampling_rate)
-    assert abs(frame.true_signed_beat) < wp.hp_cutoff
-    assert frame.blind
+    cycle = synthesize_cycle(wp, gt, 1.0, 0.0, seed=1)
+    assert cycle.size == 4 * round(ramp.duration * wp.sampling_rate)
+    assert abs(signed_beat(wp, ramp, gt)) < wp.hp_cutoff
 
 
 def test_blind_frame_attenuated_at_least_20db():
@@ -127,12 +133,12 @@ def test_blind_frame_attenuated_at_least_20db():
     ramp = build_cycle(wp)[2]
     blind_gt = GroundTruth(0.0015, 0.0)  # shallow beat = cutoff / 2
     clear_gt = GroundTruth(0.03, 0.0)  # shallow beat = 100 kHz
-    blind = synthesize_frame(wp, ramp, blind_gt, 1.0, 0.0, seed=2)
-    clear = synthesize_frame(wp, ramp, clear_gt, 1.0, 0.0, seed=2)
-    assert blind.blind and not clear.blind
-    ratio = np.std(blind.samples.astype(float)) / np.std(clear.samples.astype(float))
+    blind = _ramp_samples(wp, ramp, blind_gt, 1.0, 0.0, seed=2)
+    clear = _ramp_samples(wp, ramp, clear_gt, 1.0, 0.0, seed=2)
+    f = abs(signed_beat(wp, ramp, blind_gt))
+    assert f < wp.hp_cutoff <= abs(signed_beat(wp, ramp, clear_gt))
+    ratio = np.std(blind.astype(float)) / np.std(clear.astype(float))
     assert 20 * np.log10(ratio) <= -20.0
-    f = abs(blind.true_signed_beat)
     expected = _squared_butterworth_gain(f, wp.hp_cutoff)
     assert ratio == pytest.approx(expected, rel=0.4)
 
@@ -141,18 +147,18 @@ def test_same_seed_bit_identical():
     wp = make_wp()
     ramp = build_cycle(wp)[0]
     gt = GroundTruth(0.03, 0.01)
-    a = synthesize_frame(wp, ramp, gt, 1.0, 0.2, seed=42)
-    b = synthesize_frame(wp, ramp, gt, 1.0, 0.2, seed=42)
-    assert a.samples.tobytes() == b.samples.tobytes()
-    c = synthesize_frame(wp, ramp, gt, 1.0, 0.2, seed=43)
-    assert a.samples.tobytes() != c.samples.tobytes()
+    a = _ramp_samples(wp, ramp, gt, 1.0, 0.2, seed=42)
+    b = _ramp_samples(wp, ramp, gt, 1.0, 0.2, seed=42)
+    assert a.tobytes() == b.tobytes()
+    c = _ramp_samples(wp, ramp, gt, 1.0, 0.2, seed=43)
+    assert a.tobytes() != c.tobytes()
 
 
 def test_aliasing_rejected():
     wp = make_wp()
     gt = GroundTruth(0.2, 0.0)  # steep beat ~1.3 MHz > 1 MHz Nyquist
     with pytest.raises(AliasingError, match="Nyquist"):
-        synthesize_frame(wp, build_cycle(wp)[0], gt, 1.0, 0.0, seed=0)
+        synthesize_cycle(wp, gt, 1.0, 0.0, seed=0)
 
 
 def test_highpass_zero_in_zero_out():
@@ -216,6 +222,37 @@ def test_highpass_disabled_at_zero_cutoff():
     wp = make_wp(hp_cutoff=0.0)
     x = np.random.default_rng(0).normal(size=500)
     np.testing.assert_array_equal(highpass(x, wp), x)
+
+
+@pytest.mark.parametrize(
+    "cutoff, shape",
+    [(10e3, (5,)), (10e3, (500,)), (10e3, (40_000,)), (10e3, (3, 500)), (100e3, (3, 500))],
+    ids=["5", "500", "40000", "3x500", "3x500-100kHz"],
+)
+def test_highpass_matches_scipy_sosfiltfilt(cutoff, shape):
+    # Oracle: scipy's zero-phase second-order-sections filter, a test-only dependency.
+    signal = pytest.importorskip("scipy.signal")
+    wp = make_wp(hp_cutoff=cutoff)
+    x = np.random.default_rng(shape[-1]).normal(size=shape)
+    sos = signal.butter(2, cutoff, "highpass", fs=wp.sampling_rate, output="sos")
+    expected = signal.sosfiltfilt(sos, x, padlen=min(27, shape[-1] - 1))
+    np.testing.assert_allclose(highpass(x, wp), expected, rtol=0,
+                               atol=1e-11 * np.max(np.abs(expected)))
+
+
+@given(
+    cutoff=st.one_of(st.just(0.0), st.floats(1e3, 5e5)),
+    n=st.integers(1, 600),
+)
+@settings(max_examples=25, deadline=None)
+def test_highpass_matrix_applies_highpass(cutoff, n):
+    wp = make_wp(hp_cutoff=cutoff, ramp_duration=n / 2e6)
+    assert wp.samples_per_ramp == n
+    x = np.random.default_rng(n).normal(size=(4, n))
+    expected = highpass(x, wp)
+    # Both round differently; near a low cutoff the recursion's state is large.
+    np.testing.assert_allclose(x @ _highpass_matrix(wp), expected, rtol=0,
+                               atol=1e-11 * np.max(np.abs(expected)))
 
 
 def test_frame_export_round_trip(tmp_path):
