@@ -69,7 +69,6 @@ from .solver import (
 )
 from .spectral import (
     Calibration,
-    CalibrationProfile,
     RampSpectrum,
     calibrate,
     frame_spectrum,

@@ -16,11 +16,19 @@ import csv
 import io
 import math
 from dataclasses import asdict, dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .errors import FitError, NoReliableDistanceError, ParameterError
-from .modulation import SPEED_OF_LIGHT, WorkingPoint, build_cycle, decode_fields, write_atomic
+from .modulation import (
+    SPEED_OF_LIGHT,
+    WorkingPoint,
+    build_cycle,
+    decode_fields,
+    ramp_slopes,
+    write_atomic,
+)
 from .simulator import GroundTruth, signed_beat
 
 OBSERVATION_FIELDS = (
@@ -122,53 +130,29 @@ def blind_map(wp: WorkingPoint, v_range, r_range, resolution) -> BlindMap:
     return BlindMap(v_axis=v_axis, r_axis=r_axis, blind_count=counts)
 
 
-def _two_ramps_blind(wp: WorkingPoint, distance: float, v_max: float) -> bool:
-    """True when some |v| <= v_max makes at least two ramps blind."""
-    half_width = SPEED_OF_LIGHT * wp.hp_cutoff / wp.emitted_frequency
-    centers = [
-        -2.0 * distance * ramp.slope / wp.emitted_frequency
-        for ramp in build_cycle(wp)
-    ]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            lo = max(centers[i] - half_width, centers[j] - half_width, -v_max)
-            hi = min(centers[i] + half_width, centers[j] + half_width, v_max)
-            if lo < hi:
-                return True
-    return False
-
-
-def min_reliable_distance(
-    wp: WorkingPoint,
-    v_max: float,
-    search_max: float = 0.1,
-    refine: float = 1e-4,
-) -> float:
+def min_reliable_distance(wp: WorkingPoint, v_max: float, search_max: float = 0.1) -> float:
     """Smallest distance with at most one blind ramp for all |v| <= v_max.
 
-    Each ramp is blind on one open velocity interval whose width is fixed
-    and whose center scales with distance, so the two-blind predicate is
-    monotone in distance and bisection refines the bound to ``refine``
-    meters (0.1 mm by default).
+    Ramp i is blind on the open velocity interval of half-width
+    ``c h / f_e`` around ``-2 R S_i / f_e``.  Ramps i and j share a blind
+    velocity in range exactly when ``R |S_i - S_j| < c h`` and
+    ``2 R max(|S_i|, |S_j|) < f_e v_max + c h``, so the bound is the
+    largest, over the six ramp pairs, of the smaller of the two distances
+    where these turn to equalities.
     """
     if v_max <= 0:
         raise ParameterError(f"v_max must be > 0, got {v_max}")
-    if wp.hp_cutoff == 0.0:
-        return 0.0
-    if not _two_ramps_blind(wp, 0.0, v_max):
-        return 0.0
-    if _two_ramps_blind(wp, search_max, v_max):
+    ch = SPEED_OF_LIGHT * wp.hp_cutoff
+    reach = wp.emitted_frequency * v_max + ch
+    distance = max(
+        min(ch / abs(si - sj), reach / (2.0 * max(abs(si), abs(sj))))
+        for si, sj in combinations(ramp_slopes(wp), 2)
+    )
+    if distance > search_max:
         raise NoReliableDistanceError(
             f"no reliable distance below the search bound {search_max} m"
         )
-    lo, hi = 0.0, search_max
-    while hi - lo > refine:
-        mid = 0.5 * (lo + hi)
-        if _two_ramps_blind(wp, mid, v_max):
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return distance
 
 
 def _design_matrix(observations):

@@ -171,12 +171,10 @@ def cmd_calibrate(args) -> int:
     cal = calibrate(source, wp, settings["fft_bins"])
     cal.save(args.out)
     _write_manifest(args.out, "calibrate", args.config, provenance, [args.out])
-    for profile in cal.profiles:
+    for i, (mean, sigma) in enumerate(zip(cal.reference_mean, cal.reference_sigma)):
         print(
-            f"ramp {profile.ramp_index}: median floor "
-            f"{np.median(profile.reference_mean):.6g}, median sigma "
-            f"{np.median(profile.reference_sigma):.6g} "
-            f"({profile.n_frames_used} frames)"
+            f"ramp {i}: median floor {np.median(mean):.6g}, median sigma "
+            f"{np.median(sigma):.6g} ({cal.n_cycles} frames)"
         )
     return 0
 

@@ -83,6 +83,10 @@ class WorkingPoint:
                 f"sampling_rate ({self.sampling_rate} Hz) must exceed twice the "
                 f"high-pass cutoff ({self.hp_cutoff} Hz)"
             )
+        if self.samples_per_ramp < 1:
+            raise ParameterError(
+                f"ramp_duration {self.ramp_duration} s holds no sample at {self.sampling_rate} Hz"
+            )
 
     @property
     def cycle_duration(self) -> float:

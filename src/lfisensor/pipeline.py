@@ -102,14 +102,14 @@ class PipelineConfig:
             )
         self.calibration.check_compatible(wp, self.fft_bins)
 
-        profiles = self.calibration.profiles  # ramps 0-3 in order
+        cal = self.calibration
         derived = {
             "frame_window": hamming(wp.samples_per_ramp),
             "bin_frequencies": bin_frequencies(wp, self.fft_bins),
-            "scaled_mean": np.stack([self.alpha * p.reference_mean for p in profiles]),
-            "scaled_sigma": np.stack([self.beta * p.reference_sigma for p in profiles]),
+            "scaled_mean": self.alpha * cal.reference_mean,
+            "scaled_sigma": self.beta * cal.reference_sigma,
             "noise_gates": tuple(
-                DEFAULT_NOISE_GATE * float(np.median(p.reference_sigma)) for p in profiles
+                (DEFAULT_NOISE_GATE * np.median(cal.reference_sigma, axis=1)).tolist()
             ),
         }
         for name, value in derived.items():

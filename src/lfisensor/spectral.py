@@ -20,7 +20,7 @@ from .modulation import WorkingPoint, write_atomic
 DEFAULT_FFT_BINS = 2048
 DEFAULT_ALPHA = 1.0
 DEFAULT_BETA = 0.0
-CALIBRATION_FORMAT_VERSION = 1
+CALIBRATION_FORMAT_VERSION = 2
 MIN_CALIBRATION_CYCLES = 16
 
 
@@ -34,41 +34,38 @@ class RampSpectrum:
 
 
 @dataclass
-class CalibrationProfile:
-    """Per-bin reference mean and sigma of the no-target spectrum of one ramp."""
+class Calibration:
+    """Per-bin mean and sigma of the no-target spectra, ramp i in row i.
 
-    ramp_index: int
+    ``reference_mean`` and ``reference_sigma`` have shape
+    ``(4, n_bins // 2)``; ``n_cycles`` no-target cycles went into them.
+    """
+
     reference_mean: np.ndarray
     reference_sigma: np.ndarray
-    n_frames_used: int
-
-    def __post_init__(self):
-        if self.n_frames_used < 1:
-            raise CalibrationError(
-                f"n_frames_used must be >= 1, got {self.n_frames_used}"
-            )
-        if self.reference_mean.shape != self.reference_sigma.shape:
-            raise FramingError("reference mean and sigma must have the same shape")
-        if np.any(self.reference_mean < 0) or np.any(self.reference_sigma < 0):
-            raise CalibrationError("reference spectra must be nonnegative")
-
-
-@dataclass
-class Calibration:
-    """Four per-ramp profiles (ramp i at index i) plus their sampling metadata."""
-
-    profiles: tuple
-    n_bins: int
+    n_cycles: int
     sampling_rate: float
     samples_per_ramp: int
 
     def __post_init__(self):
-        indices = [p.ramp_index for p in self.profiles]
-        if indices != [0, 1, 2, 3]:
-            raise CalibrationError(f"profiles must be ramps 0-3 in order, got {indices}")
+        if self.n_cycles < 1:
+            raise CalibrationError(f"cycles must be >= 1, got {self.n_cycles}")
+        for name in ("reference_mean", "reference_sigma"):
+            rows = getattr(self, name)
+            if rows.ndim != 2 or len(rows) != 4:
+                raise CalibrationError(f"{name} must be 4 rows, got shape {rows.shape}")
+            if not np.all(np.isfinite(rows) & (rows >= 0)):
+                raise CalibrationError(f"{name} must be finite and nonnegative")
+        if self.reference_mean.shape != self.reference_sigma.shape:
+            raise CalibrationError("reference mean and sigma must have the same shape")
+
+    @property
+    def n_bins(self) -> int:
+        """FFT size of the calibrated spectra: twice their one-sided length."""
+        return 2 * self.reference_mean.shape[1]
 
     def check_compatible(self, wp: WorkingPoint, fft_bins: int) -> None:
-        """Refuse a profile that does not match the active working point."""
+        """Refuse a calibration that does not match the active working point."""
         if self.n_bins != fft_bins:
             raise CalibrationError(
                 f"calibration FFT size {self.n_bins} != configured {fft_bins}"
@@ -83,25 +80,15 @@ class Calibration:
                 f"calibration frame length {self.samples_per_ramp} != working point "
                 f"{wp.samples_per_ramp}"
             )
-        for profile in self.profiles:
-            if profile.reference_mean.size != self.n_bins // 2:
-                raise CalibrationError("calibration array length != n_bins / 2")
 
     def save(self, path) -> None:
         payload = {
             "format_version": CALIBRATION_FORMAT_VERSION,
-            "n_bins": self.n_bins,
+            "cycles": self.n_cycles,
             "sampling_rate_hz": self.sampling_rate,
             "samples_per_ramp": self.samples_per_ramp,
-            "profiles": [
-                {
-                    "ramp_index": p.ramp_index,
-                    "n_frames_used": p.n_frames_used,
-                    "reference_mean": p.reference_mean.tolist(),
-                    "reference_sigma": p.reference_sigma.tolist(),
-                }
-                for p in self.profiles
-            ],
+            "reference_mean": self.reference_mean.tolist(),
+            "reference_sigma": self.reference_sigma.tolist(),
         }
         write_atomic(path, json.dumps(payload, sort_keys=True))
 
@@ -110,22 +97,15 @@ class Calibration:
         """Read a :meth:`save` file; any defect raises CalibrationError naming it."""
         try:
             payload = json.loads(Path(path).read_text())
-            if payload.get("format_version") != CALIBRATION_FORMAT_VERSION:
+            version = payload.get("format_version")
+            if version != CALIBRATION_FORMAT_VERSION:
                 raise CalibrationError(
-                    f"unsupported format version {payload.get('format_version')!r}"
+                    f"unsupported calibration format version {version!r}"
                 )
-            profiles = tuple(
-                CalibrationProfile(
-                    ramp_index=int(p["ramp_index"]),
-                    reference_mean=np.asarray(p["reference_mean"], dtype=float),
-                    reference_sigma=np.asarray(p["reference_sigma"], dtype=float),
-                    n_frames_used=int(p["n_frames_used"]),
-                )
-                for p in payload["profiles"]
-            )
             return cls(
-                profiles=profiles,
-                n_bins=int(payload["n_bins"]),
+                reference_mean=np.asarray(payload["reference_mean"], dtype=float),
+                reference_sigma=np.asarray(payload["reference_sigma"], dtype=float),
+                n_cycles=int(payload["cycles"]),
                 sampling_rate=float(payload["sampling_rate_hz"]),
                 samples_per_ramp=int(payload["samples_per_ramp"]),
             )
@@ -252,20 +232,10 @@ def calibrate(
             f"calibration needs >= {min_cycles} no-target cycles, got {n_cycles}"
         )
     stack = np.stack(spectra)  # (cycle, ramp, bin)
-    means = stack.mean(axis=0)
-    sigmas = stack.std(axis=0, ddof=1)
-    profiles = [
-        CalibrationProfile(
-            ramp_index=i,
-            reference_mean=means[i],
-            reference_sigma=sigmas[i],
-            n_frames_used=n_cycles,
-        )
-        for i in range(4)
-    ]
     return Calibration(
-        profiles=tuple(profiles),
-        n_bins=fft_bins,
+        reference_mean=stack.mean(axis=0),
+        reference_sigma=stack.std(axis=0, ddof=1),
+        n_cycles=n_cycles,
         sampling_rate=wp.sampling_rate,
         samples_per_ramp=wp.samples_per_ramp,
     )
@@ -273,24 +243,24 @@ def calibrate(
 
 def subtract_floor(
     spec: RampSpectrum,
-    profile: CalibrationProfile,
+    reference_mean: np.ndarray,
+    reference_sigma: np.ndarray,
     alpha: float = DEFAULT_ALPHA,
     beta: float = DEFAULT_BETA,
 ) -> RampSpectrum:
     """Adaptive spectral subtraction with flooring at zero.
 
-    Per bin: ``max(X - alpha * mean_ref - beta * sigma_ref, 0)``.
+    Per bin: ``max(X - alpha * mean_ref - beta * sigma_ref, 0)``, with the
+    reference rows of the spectrum's ramp.
     """
     if alpha < 0 or beta < 0:
         raise ParameterError(f"alpha and beta must be >= 0, got {alpha}, {beta}")
-    if profile.reference_mean.shape != spec.magnitudes.shape:
+    if reference_mean.shape != spec.magnitudes.shape:
         raise FramingError(
-            f"calibration shape {profile.reference_mean.shape} != spectrum shape "
+            f"calibration shape {reference_mean.shape} != spectrum shape "
             f"{spec.magnitudes.shape}"
         )
-    cleaned = remove_floor(
-        spec.magnitudes, alpha * profile.reference_mean, beta * profile.reference_sigma
-    )
+    cleaned = remove_floor(spec.magnitudes, alpha * reference_mean, beta * reference_sigma)
     return RampSpectrum(
         ramp_index=spec.ramp_index,
         bin_frequencies=spec.bin_frequencies,

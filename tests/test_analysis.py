@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lfisensor import (
     FitError,
@@ -131,6 +133,45 @@ def test_min_reliable_distance_unbounded_signal():
     # beyond the search bound.
     with pytest.raises(NoReliableDistanceError):
         min_reliable_distance(make_wp(ratio_rt=0.97), v_max=10.0, search_max=0.05)
+
+
+def _two_ramps_blind(wp, distance, v_max):
+    """Independent oracle: some |v| <= v_max lies in two ramps' blind intervals.
+
+    Ramp i is blind on the open interval |2 R S_i + f_e v| < c h of v.
+    """
+    s = wp.steep_slope
+    half = C * wp.hp_cutoff / wp.emitted_frequency
+    centers = [
+        -2.0 * distance * slope / wp.emitted_frequency
+        for slope in (s, -s, wp.ratio_rt * s, -wp.ratio_rt * s)
+    ]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            lo = max(centers[i] - half, centers[j] - half, -v_max)
+            hi = min(centers[i] + half, centers[j] + half, v_max)
+            if lo < hi:
+                return True
+    return False
+
+
+@given(
+    steep_slope=st.floats(1e13, 1e16),
+    ratio_rt=st.floats(0.01, 0.99),
+    hp_cutoff=st.one_of(st.just(0.0), st.floats(1.0, 1e5)),
+    v_max=st.floats(1e-4, 10.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_min_reliable_distance_separates_two_blind_from_reliable(
+    steep_slope, ratio_rt, hp_cutoff, v_max
+):
+    wp = make_wp(steep_slope=steep_slope, ratio_rt=ratio_rt, hp_cutoff=hp_cutoff)
+    bound = min_reliable_distance(wp, v_max, search_max=math.inf)
+    assert not _two_ramps_blind(wp, bound * (1 + 1e-9), v_max)
+    if hp_cutoff == 0.0:
+        assert bound == 0.0
+    else:
+        assert _two_ramps_blind(wp, bound * (1 - 1e-9), v_max)
 
 
 def _synthetic_observations(coeffs, rng, n=40, log_noise=0.0):

@@ -158,6 +158,18 @@ def test_mindist_reports_millimeters(config_path, tmp_path, capsys):
     assert "minimum reliable distance" in capsys.readouterr().out
 
 
+def test_synth_refuses_a_ramp_without_samples(tmp_path, capsys):
+    # 0.1 us at 2 MHz is a fifth of a sample: no ramp frame to synthesize.
+    config = tmp_path / "short.cfg"
+    values = {**make_wp().to_dict(), "ramp_duration_s": 1e-7}
+    config.write_text("".join(f"{k} = {v!r}\n" for k, v in values.items()))
+    rc = main(["synth", "--config", str(config), "--out", str(tmp_path / "frames"),
+               "--cycles", "2", "--distance", "0.04"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "holds no sample" in err
+
+
 def test_blindmap_matches_library(config_path, tmp_path, capsys):
     out = tmp_path / "map.csv"
     rc = main(
@@ -423,16 +435,8 @@ def _process_with_calibration(config_path, tmp_path, cal):
                  "--out", str(tmp_path / "run.csv"), "--cycles", "2", "--distance", "0.04"])
 
 
-@pytest.mark.parametrize(
-    "edit, needle",
-    [
-        (lambda payload: "nope", "Expecting value"),
-        (lambda payload: {"format_version": 1}, "'profiles'"),
-        (lambda payload: {**payload, "n_bins": None}, "malformed"),
-    ],
-    ids=["not-json", "no-profiles", "null-n-bins"],
-)
-def test_malformed_calibration_exits_nonzero(config_path, tmp_path, capsys, edit, needle):
+def _refuse_calibration(config_path, tmp_path, capsys, edit, needle):
+    """``process`` with an edited calibration file ends in one error line naming it."""
     cal = _calibrate(config_path, tmp_path)
     payload = edit(json.loads(cal.read_text()))
     cal.write_text(payload if isinstance(payload, str) else json.dumps(payload))
@@ -441,17 +445,49 @@ def test_malformed_calibration_exits_nonzero(config_path, tmp_path, capsys, edit
     assert err.startswith("error: calibration ") and str(cal) in err and needle in err
 
 
+def _set_bin(key, ramp, value):
+    """Calibration edit writing ``value`` into one bin of ramp ``ramp``'s ``key`` row."""
+    def edit(payload):
+        payload[key][ramp][100] = value
+        return payload
+
+    return edit
+
+
 @pytest.mark.parametrize(
-    "order", [[0, 1, 2], [0, 2, 1, 3], [0, 1, 2, 3, 3]], ids=["three", "swapped", "five"]
+    "edit, needle",
+    [
+        (lambda payload: "nope", "Expecting value"),
+        (lambda payload: {"format_version": 2}, "has no key 'reference_mean'"),
+        (lambda payload: {**payload, "cycles": None}, "malformed"),
+        (lambda payload: {**payload, "format_version": 1},
+         "unsupported calibration format version 1"),
+        (lambda payload: {**payload, "reference_mean": [
+            payload["reference_mean"][0][:-1], *payload["reference_mean"][1:]]}, "malformed"),
+        # One bad bin would otherwise degrade (NaN) or invalidate (Inf) every cycle.
+        (_set_bin("reference_sigma", 2, math.nan), "reference_sigma must be finite"),
+        (_set_bin("reference_sigma", 0, math.inf), "reference_sigma must be finite"),
+        (_set_bin("reference_mean", 3, -1e-3), "reference_mean must be finite and nonnegative"),
+    ],
+    ids=["not-json", "missing-key", "null-cycles", "version-1", "ragged", "nan", "inf",
+         "negative"],
 )
-def test_calibration_profiles_must_be_ramps_0_to_3(config_path, tmp_path, capsys, order):
-    cal = _calibrate(config_path, tmp_path)
-    payload = json.loads(cal.read_text())
-    payload["profiles"] = [payload["profiles"][i] for i in order]
-    cal.write_text(json.dumps(payload))
-    assert _process_with_calibration(config_path, tmp_path, cal) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: calibration ") and "0-3 in order" in err
+def test_malformed_calibration_exits_nonzero(config_path, tmp_path, capsys, edit, needle):
+    _refuse_calibration(config_path, tmp_path, capsys, edit, needle)
+
+
+@pytest.mark.parametrize(
+    "key, rows",
+    [("reference_mean", [0, 1, 2]), ("reference_sigma", [0, 1, 2, 3, 3])],
+    ids=["three", "five"],
+)
+def test_calibration_profiles_must_be_ramps_0_to_3(config_path, tmp_path, capsys, key, rows):
+    # Row i is ramp i, so a calibration holds exactly four rows of each array.
+    def edit(payload):
+        payload[key] = [payload[key][i] for i in rows]
+        return payload
+
+    _refuse_calibration(config_path, tmp_path, capsys, edit, f"{key} must be 4 rows")
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from conftest import make_wp
 GOLDEN_SHA256 = {
     "frames.f32": "21ea43130d6752a0d2bd5caa5e7396111a22b973d05bdd776a4a63c782bebe37",
     "frames.json": "6142d193b6703d974402daaf54651b7ba466b944d1f0c1564ba5995b8b5a8508",
-    "cal.json": "9003e29e0a6ac318b51a507e20db0183584140f4378060d92ec900d1d540e989",
+    "cal.json": "295e9847caa9b4943cecfd5ce173b16fea6fede9a07f40b23d70fcaef1692a46",
     "run.csv": "3d86700972bf068a8ed8925395ce54e7414ace6e54c5cda82bbb0453e4ed30c4",
     "run.jsonl": "d9c9dad14dc5f4eb27d6fec0e864dbbbbbb2fd03c8e4acaa130a7c7e0986ce28",
 }

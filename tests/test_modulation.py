@@ -65,11 +65,16 @@ def test_cycle_slopes_distinct_and_balanced(wp):
         (dict(emitted_frequency=0.0), "emitted_frequency"),
         (dict(sampling_rate=0.0), "sampling_rate"),
         (dict(sampling_rate=15e3, hp_cutoff=10e3), "sampling_rate"),
+        (dict(ramp_duration=1e-7), "ramp_duration"),  # a fifth of a sample
     ],
 )
 def test_invalid_working_point_names_invariant(overrides, name):
     with pytest.raises(ParameterError, match=name):
         make_wp(**overrides)
+
+
+def test_one_sample_per_ramp_is_admitted():
+    assert make_wp(ramp_duration=0.5e-6).samples_per_ramp == 1
 
 
 def test_waveform_closed_cycle():

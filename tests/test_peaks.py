@@ -17,7 +17,6 @@ from lfisensor.peaks import (
     weighted_average_interpolate,
 )
 from lfisensor.spectral import (
-    CalibrationProfile,
     RampSpectrum,
     bin_frequencies,
     subtract_floor,
@@ -279,13 +278,13 @@ def test_weighted_average_not_much_worse_than_gaussian():
         for _ in range(64)
     ]
     stack = np.stack(noise_specs)
-    profile = CalibrationProfile(0, stack.mean(axis=0), stack.std(axis=0, ddof=1), 64)
+    ref_mean, ref_sigma = stack.mean(axis=0), stack.std(axis=0, ddof=1)
     errors = {GAUSSIAN: [], WEIGHTED_AVERAGE: []}
     for _ in range(150):
         f = (120 + rng.uniform()) * BIN_WIDTH
         frame = np.cos(2 * np.pi * f * t + rng.uniform(0, 2 * np.pi))
         frame = frame + rng.normal(0.0, 0.3, frame.size)
-        spec = subtract_floor(frame_spectrum(frame, WP, 2048), profile)
+        spec = subtract_floor(frame_spectrum(frame, WP, 2048), ref_mean, ref_sigma)
         for method in errors:
             est = estimate_peak(spec, method=method)
             errors[method].append(est.beat_frequency - f)

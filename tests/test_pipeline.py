@@ -29,7 +29,6 @@ from lfisensor.peaks import DEFAULT_KAPPA, PeakEstimate, estimate_peak
 from lfisensor.pipeline import _attach_sigmas, config_from_file, read_config_file
 from lfisensor.spectral import (
     Calibration,
-    CalibrationProfile,
     frame_spectrum,
     slice_cycle,
     sliding_average,
@@ -132,11 +131,9 @@ def test_composition_identity(wp, quiet_cal):
     for i, frame in enumerate(slice_cycle(samples, wp)):
         spec = frame_spectrum(frame, wp, cfg.fft_bins, ramp_index=i)
         averaged = sliding_average([spec])
-        cleaned = subtract_floor(
-            averaged, quiet_cal.profiles[i], cfg.alpha, cfg.beta
-        )
-        profile = quiet_cal.profiles[i]
-        epsilon = pipeline.DEFAULT_NOISE_GATE * float(np.median(profile.reference_sigma))
+        mean, sigma = quiet_cal.reference_mean[i], quiet_cal.reference_sigma[i]
+        cleaned = subtract_floor(averaged, mean, sigma, cfg.alpha, cfg.beta)
+        epsilon = pipeline.DEFAULT_NOISE_GATE * float(np.median(sigma))
         manual.append(
             estimate_peak(
                 cleaned,
@@ -334,9 +331,8 @@ def test_config_invariants(wp, quiet_cal):
 
 def _flat_calibration(wp, fft_bins):
     """All-zero calibration on any FFT grid, built directly so nothing checks it."""
-    zeros = np.zeros(fft_bins // 2)
-    profiles = tuple(CalibrationProfile(i, zeros, zeros, 16) for i in range(4))
-    return Calibration(profiles, fft_bins, wp.sampling_rate, wp.samples_per_ramp)
+    zeros = np.zeros((4, fft_bins // 2))
+    return Calibration(zeros, zeros, 16, wp.sampling_rate, wp.samples_per_ramp)
 
 
 @pytest.mark.parametrize(

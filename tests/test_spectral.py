@@ -16,7 +16,7 @@ from lfisensor import (
     subtract_floor,
     synthetic_cycles,
 )
-from lfisensor.spectral import Calibration, CalibrationProfile, RampSpectrum, bin_frequencies
+from lfisensor.spectral import Calibration, RampSpectrum, bin_frequencies
 
 from conftest import make_wp
 
@@ -149,12 +149,12 @@ def test_calibrate_constant_floor():
         np.cos(2 * np.pi * 50e3 * np.arange(wp.samples_per_ramp) / wp.sampling_rate), 4
     )
     cal = calibrate([cycle.copy() for _ in range(20)], wp)
-    assert len(cal.profiles) == 4
-    for profile in cal.profiles:
-        assert profile.n_frames_used == 20
-        k = int(np.argmax(profile.reference_mean))
-        assert profile.reference_mean[k] > 0
-        np.testing.assert_allclose(profile.reference_sigma, 0.0, atol=1e-9)
+    assert cal.reference_mean.shape == cal.reference_sigma.shape == (4, 1024)
+    assert cal.n_cycles == 20
+    for mean, sigma in zip(cal.reference_mean, cal.reference_sigma):
+        k = int(np.argmax(mean))
+        assert mean[k] > 0
+        np.testing.assert_allclose(sigma, 0.0, atol=1e-9)
 
 
 def test_calibrate_white_noise_sigma_matches_monte_carlo():
@@ -172,7 +172,7 @@ def test_calibrate_white_noise_sigma_matches_monte_carlo():
         padded[: wp.samples_per_ramp] = rng.normal(0, 1.0, wp.samples_per_ramp) * window
         mags.append(np.abs(np.fft.rfft(padded)[:1024]))
     oracle_sigma = np.median(np.std(np.stack(mags), axis=0, ddof=1))
-    measured = np.median(cal.profiles[0].reference_sigma[50:])
+    measured = np.median(cal.reference_sigma[0, 50:])
     assert measured == pytest.approx(oracle_sigma, rel=0.2)
 
 
@@ -188,29 +188,22 @@ def test_calibrate_too_few_cycles():
 def test_subtract_floor_cases():
     wp = make_wp()
     x = _spectrum(wp, np.full(1024, 5.0))
-    profile = CalibrationProfile(
-        ramp_index=0,
-        reference_mean=np.full(1024, 2.0),
-        reference_sigma=np.full(1024, 4.0),
-        n_frames_used=16,
-    )
-    exact = subtract_floor(_spectrum(wp, profile.reference_mean), profile, 1.0, 0.0)
+    mean, sigma = np.full(1024, 2.0), np.full(1024, 4.0)
+    exact = subtract_floor(_spectrum(wp, mean), mean, sigma, 1.0, 0.0)
     np.testing.assert_array_equal(exact.magnitudes, 0.0)
-    identity = subtract_floor(x, profile, 0.0, 0.0)
+    identity = subtract_floor(x, mean, sigma, 0.0, 0.0)
     np.testing.assert_array_equal(identity.magnitudes, x.magnitudes)
-    floored = subtract_floor(x, profile, 1.0, 1.0)  # 5 - 2 - 4 -> 0
+    floored = subtract_floor(x, mean, sigma, 1.0, 1.0)  # 5 - 2 - 4 -> 0
     np.testing.assert_array_equal(floored.magnitudes, 0.0)
 
 
 def test_subtract_floor_shape_mismatch_and_bad_factors():
     wp = make_wp()
     x = _spectrum(wp, np.ones(1024))
-    short = CalibrationProfile(0, np.zeros(512), np.zeros(512), 16)
     with pytest.raises(FramingError, match="shape"):
-        subtract_floor(x, short)
-    ok = CalibrationProfile(0, np.zeros(1024), np.zeros(1024), 16)
+        subtract_floor(x, np.zeros(512), np.zeros(512))
     with pytest.raises(ParameterError):
-        subtract_floor(x, ok, alpha=-1.0)
+        subtract_floor(x, np.zeros(1024), np.zeros(1024), alpha=-1.0)
 
 
 @given(
@@ -223,8 +216,7 @@ def test_subtract_floor_shape_mismatch_and_bad_factors():
 def test_subtract_floor_bounded(mags, ref, alpha, beta):
     wp = make_wp()
     spec = RampSpectrum(0, bin_frequencies(wp, 2048)[:64], mags)
-    profile = CalibrationProfile(0, ref, ref * 0.1, 16)
-    out = subtract_floor(spec, profile, alpha, beta)
+    out = subtract_floor(spec, ref, ref * 0.1, alpha, beta)
     assert np.all(out.magnitudes >= 0.0)
     assert np.all(out.magnitudes <= mags)
 
@@ -232,12 +224,10 @@ def test_subtract_floor_bounded(mags, ref, alpha, beta):
 def test_average_and_subtract_commute_without_flooring():
     wp = make_wp()
     rng = np.random.default_rng(3)
-    profile = CalibrationProfile(
-        0, np.full(1024, 0.5), np.zeros(1024), 16
-    )
+    mean, sigma = np.full(1024, 0.5), np.zeros(1024)
     history = [_spectrum(wp, rng.uniform(10.0, 20.0, 1024)) for _ in range(5)]
-    avg_then_sub = subtract_floor(sliding_average(history), profile)
-    sub_then_avg = sliding_average([subtract_floor(s, profile) for s in history])
+    avg_then_sub = subtract_floor(sliding_average(history), mean, sigma)
+    sub_then_avg = sliding_average([subtract_floor(s, mean, sigma) for s in history])
     np.testing.assert_allclose(
         avg_then_sub.magnitudes, sub_then_avg.magnitudes, rtol=1e-12
     )
@@ -245,17 +235,18 @@ def test_average_and_subtract_commute_without_flooring():
 
 def test_calibration_save_load_round_trip(tmp_path):
     wp = make_wp()
-    cycles = [np.zeros(wp.samples_per_cycle) for _ in range(16)]
+    rng = np.random.default_rng(4)
+    cycles = [rng.normal(0.0, 1.0, wp.samples_per_cycle) for _ in range(16)]
     cal = calibrate(cycles, wp)
     path = tmp_path / "cal.json"
     cal.save(path)
     back = Calibration.load(path)
-    assert back.n_bins == cal.n_bins
+    assert back.n_bins == cal.n_bins == 2048
     assert back.sampling_rate == cal.sampling_rate
-    for a, b in zip(cal.profiles, back.profiles):
-        np.testing.assert_array_equal(a.reference_mean, b.reference_mean)
-        np.testing.assert_array_equal(a.reference_sigma, b.reference_sigma)
-        assert a.n_frames_used == b.n_frames_used
+    assert back.samples_per_ramp == cal.samples_per_ramp
+    assert back.n_cycles == cal.n_cycles == 16
+    np.testing.assert_array_equal(back.reference_mean, cal.reference_mean)
+    np.testing.assert_array_equal(back.reference_sigma, cal.reference_sigma)
 
 
 def test_calibration_compatibility_checks(tmp_path):
