@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,27 +43,25 @@ def find_max_bin(spec: RampSpectrum):
 
     Ties break toward the lower frequency.
     """
-    magnitudes = spec.magnitudes
-    if magnitudes.size == 0:
+    return _max_bins(spec.magnitudes[None])[0]
+
+
+def _max_bins(rows) -> list:
+    """:func:`find_max_bin` of each row of a ``(rows, bins)`` stack."""
+    if rows.shape[1] == 0:
         raise ParameterError("spectrum is empty")
-    center = int(magnitudes.argmax())
-    # Only a zero maximum can mean an all-zero spectrum.
-    if magnitudes[center] == 0 and not magnitudes.any():
-        return None
-    return center
+    # Only a zero maximum can mean an all-zero row.
+    return [None if rows[r, c] == 0 and not rows[r].any() else c
+            for r, c in enumerate(rows.argmax(axis=1).tolist())]
 
 
-def validity_threshold(
-    spec: RampSpectrum, kappa: float = DEFAULT_KAPPA, epsilon_abs: float = 0.0
-) -> float:
+def validity_threshold(magnitudes, kappa=DEFAULT_KAPPA, epsilon_abs=0.0) -> float:
     """Intensity a peak must exceed to count as a real detection.
 
-    ``max(epsilon_abs, kappa * median of the nonzero bins)`` of the
-    floored spectrum; a low peak intensity indicates an unreliable
-    (typically blind) ramp.
+    ``max(epsilon_abs, kappa * median of the nonzero bins)`` of one floored
+    spectrum row; a low intensity marks an unreliable (typically blind) ramp.
     """
-    nonzero = spec.magnitudes[spec.magnitudes > 0]
-    return max(epsilon_abs, kappa * _median(nonzero))
+    return max(epsilon_abs, kappa * _median(magnitudes[magnitudes > 0]))
 
 
 def _median(values: np.ndarray) -> float:
@@ -82,115 +81,142 @@ def _median(values: np.ndarray) -> float:
     return float((values[k - 1] + values[k]) / 2)
 
 
-def _window_slice(spec: RampSpectrum, center_bin: int, window: int):
-    if window < 3 or window % 2 == 0:
-        raise ParameterError(f"window must be odd and >= 3, got {window}")
-    if not 0 <= center_bin < spec.magnitudes.size:
-        raise ParameterError(
-            f"center_bin {center_bin} outside spectrum of {spec.magnitudes.size} bins"
-        )
-    half = window // 2
-    lo = max(0, center_bin - half)
-    hi = min(spec.magnitudes.size, center_bin + half + 1)
-    return lo, hi
+@lru_cache(maxsize=16)
+def _window_tables(n_rows: int, n_bins: int, window: int):
+    """Each row's window in a zero-padded ``(n_rows, n_bins + window - 1)`` stack,
+    as flat indices; the bin offsets ``x`` in a window and their ``(window, 5)``
+    powers ``x^0 .. x^4`` (cached and shared: do not modify)."""
+    x = np.arange(-(window // 2), window // 2 + 1, dtype=float)
+    gather = np.arange(n_rows)[:, None] * (n_bins + window - 1) + np.arange(window)
+    return gather, x, np.vander(x, 5, increasing=True)
 
 
-def _estimate(spec, frequency, intensity, method, kappa, epsilon_abs) -> PeakEstimate:
-    valid = intensity > validity_threshold(spec, kappa, epsilon_abs)
-    return PeakEstimate(spec.ramp_index, frequency, intensity, method, valid)
+def _gaussian_fits(rows: np.ndarray, centers, window: int) -> list:
+    """Guo's closed-form Gaussian fit around each row's center bin, all rows at once.
 
-
-def weighted_average_interpolate(
-    spec: RampSpectrum,
-    center_bin: int,
-    window: int = DEFAULT_WINDOW,
-    kappa: float = DEFAULT_KAPPA,
-    epsilon_abs: float = 0.0,
-) -> PeakEstimate:
-    """Weighted-average interpolation over the window around the max bin.
-
-    The beat estimate is the self-normalized weighted mean
-    ``sum(X(k) F(k)) / sum(X(k))``; the intensity is the center-bin
-    magnitude.  Zero-floored bins stay in the window with zero weight.
+    A Gaussian is a parabola ``a + b x + c x^2`` in log-magnitude.  Each of
+    :data:`GAUSSIAN_PASSES` passes fits it by weighted least squares to the
+    logs of the positive bins (zero-floored bins have none), weighted by
+    ``y^2``, then by the previous fit's ``yhat^2``.  Per row: the vertex
+    offset ``-b / 2c`` and intensity ``exp(a - b^2 / 4c)``, or None when
+    fewer than three bins are positive or the fit is not concave or finite.
     """
-    lo, hi = _window_slice(spec, center_bin, window)
-    weights = spec.magnitudes[lo:hi]
-    total = float(weights.sum())
-    if total == 0.0:
-        return PeakEstimate(spec.ramp_index, 0.0, 0.0, WEIGHTED_AVERAGE, valid=False)
-    freqs = spec.bin_frequencies[lo:hi]
-    # Rounding can carry the mean just past an end bin; it stays in the window.
-    frequency = float(min(max(np.dot(weights, freqs) / total, freqs[0]), freqs[-1]))
-    intensity = float(spec.magnitudes[center_bin])
-    return _estimate(spec, frequency, intensity, WEIGHTED_AVERAGE, kappa, epsilon_abs)
-
-
-def gaussian_interpolate(
-    spec: RampSpectrum,
-    center_bin: int,
-    window: int = DEFAULT_WINDOW,
-    kappa: float = DEFAULT_KAPPA,
-    epsilon_abs: float = 0.0,
-) -> PeakEstimate:
-    """Closed-form Gaussian fit over the window around the max bin (Guo, 2011).
-
-    A Gaussian is a parabola ``a + b x + c x^2`` in log-magnitude, ``x`` in
-    bin offsets from ``center_bin``.  Each of :data:`GAUSSIAN_PASSES` passes
-    fits it by weighted least squares to the logs of the positive bins
-    (zero-floored bins have none), weighted by ``y^2``, then by the previous
-    fit's ``yhat^2``.  Beat estimate: the vertex ``-b / 2c``; intensity:
-    ``exp(a - b^2 / 4c)``.  Falls back to :func:`weighted_average_interpolate`
-    when fewer than three bins are positive, the fit is not concave or not
-    finite, or the vertex leaves the window.
-    """
-    lo, hi = _window_slice(spec, center_bin, window)
-    values = spec.magnitudes[lo:hi]
-    positive = values > 0
-    if np.count_nonzero(positive) >= 3:
-        x = np.arange(lo - center_bin, hi - center_bin, dtype=float)[positive]
-        powers = np.vander(x, 5, increasing=True).T  # rows x^0 .. x^4
-        peak = float(values.max())
-        log_y = np.log(values[positive]) - math.log(peak)
-        fit = log_y
-        # Wild windows can overflow; a fit that is not finite fails the guard.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(GAUSSIAN_PASSES):
-                weights = np.exp(2.0 * (fit - fit.max()))  # y^2, then yhat^2; max 1
-                s0, s1, s2, s3, s4 = (powers @ weights).tolist()
-                t0, t1, t2 = (powers[:3] @ (weights * log_y)).tolist()
+    n_rows, n_bins = rows.shape
+    gather, x, powers = _window_tables(n_rows, n_bins, window)
+    # Window r starts at column centers[r] of a zero-padded copy; the pads
+    # are not positive, so they drop out exactly as clipped bins do.
+    padded = np.zeros((n_rows, n_bins + window - 1))
+    padded[:, window // 2 : window // 2 + n_bins] = rows
+    block = padded.take(gather + np.asarray(centers)[:, None])
+    positive = block > 0
+    peak = block.max(axis=1)
+    # Wild windows can overflow; a fit that is not finite fails the guard.
+    with np.errstate(all="ignore"):
+        log_y = np.log(np.where(positive, block, 1.0)) - np.log(peak)[:, None]
+        fit = np.where(positive, log_y, -np.inf)
+        for done in range(1, GAUSSIAN_PASSES + 1):
+            weights = np.exp(2.0 * (fit - fit.max(axis=1, keepdims=True)))  # y^2, then yhat^2
+            sums = (np.concatenate([weights, weights * log_y]) @ powers).tolist()
+            abc = []
+            for (s0, s1, s2, s3, s4), (t0, t1, t2, _, _) in zip(sums, sums[n_rows:]):
                 # Solve [[s0, s1, s2], [s1, s2, s3], [s2, s3, s4]] (a, b, c) = t
                 # by its symmetric adjugate m; a singular system gives NaNs.
                 m00, m01, m02 = s2 * s4 - s3 * s3, s2 * s3 - s1 * s4, s1 * s3 - s2 * s2
                 m11, m12, m22 = s0 * s4 - s2 * s2, s1 * s2 - s0 * s3, s0 * s2 - s1 * s1
                 det = s0 * m00 + s1 * m01 + s2 * m02
                 scale = 1.0 / det if det > 0 else math.nan
-                a = (m00 * t0 + m01 * t1 + m02 * t2) * scale
-                b = (m01 * t0 + m11 * t1 + m12 * t2) * scale
-                c = (m02 * t0 + m12 * t1 + m22 * t2) * scale
-                fit = a + x * (b + c * x)
-            offset = -b / (2.0 * c) if c < 0 else math.nan
-            intensity = peak * float(np.exp(a + 0.5 * b * offset))
+                abc.append(((m00 * t0 + m01 * t1 + m02 * t2) * scale,
+                            (m01 * t0 + m11 * t1 + m12 * t2) * scale,
+                            (m02 * t0 + m12 * t1 + m22 * t2) * scale))
+            if done < GAUSSIAN_PASSES:
+                # Elementwise, not a matmul, so that no row's fit depends on another's.
+                a, b, c = np.array(abc).T[:, :, None]
+                fit = np.where(positive, a + x * (b + c * x), -np.inf)
+    fits = []
+    for (a, b, c), top, n in zip(abc, peak.tolist(), positive.sum(axis=1).tolist()):
+        offset = -b / (2.0 * c) if c < 0 else math.nan
+        try:
+            intensity = top * math.exp(a + 0.5 * b * offset)
+        except OverflowError:  # where np.exp would give inf
+            intensity = math.inf
         finite = math.isfinite(a + b + c + intensity)
-        if finite and lo - center_bin <= offset <= hi - 1 - center_bin:
-            bin_width = spec.bin_frequencies[1] - spec.bin_frequencies[0]
-            frequency = float(spec.bin_frequencies[center_bin] + offset * bin_width)
-            return _estimate(spec, frequency, intensity, GAUSSIAN, kappa, epsilon_abs)
-    return weighted_average_interpolate(spec, center_bin, window, kappa, epsilon_abs)
+        fits.append((offset, intensity) if n >= 3 and finite else None)
+    return fits
+
+
+def _interpolate(rows, bin_freqs, centers, window, method, kappa, epsilons, ramps) -> list:
+    """Each row's peak interpolated around its center bin: the batched core."""
+    n_bins, half = rows.shape[1], window // 2
+    if window < 3 or window % 2 == 0:
+        raise ParameterError(f"window must be odd and >= 3, got {window}")
+    for center in centers:
+        if not 0 <= center < n_bins:
+            raise ParameterError(f"center_bin {center} outside spectrum of {n_bins} bins")
+    fits = _gaussian_fits(rows, centers, window) if method == GAUSSIAN else [None] * len(rows)
+    estimates = []
+    for r, (center, fit) in enumerate(zip(centers, fits)):
+        row = rows[r]  # indexing makes a row view faster than iterating does
+        lo, hi = max(0, center - half), min(n_bins, center + half + 1)
+        if fit is not None and lo - center <= fit[0] <= hi - 1 - center:
+            frequency = float(bin_freqs[center] + fit[0] * (bin_freqs[1] - bin_freqs[0]))
+            used, intensity = GAUSSIAN, fit[1]
+        else:
+            weights = row[lo:hi]
+            total = float(weights.sum())
+            if total == 0.0:
+                estimates.append(PeakEstimate(ramps[r], 0.0, 0.0, WEIGHTED_AVERAGE, valid=False))
+                continue
+            freqs = bin_freqs[lo:hi]
+            # Rounding can carry the mean just past an end bin; it stays in the window.
+            frequency = float(min(max(np.dot(weights, freqs) / total, freqs[0]), freqs[-1]))
+            used, intensity = WEIGHTED_AVERAGE, float(row[center])
+        valid = intensity > validity_threshold(row, kappa, epsilons[r])
+        estimates.append(PeakEstimate(ramps[r], frequency, intensity, used, valid))
+    return estimates
+
+
+def estimate_peaks(
+    rows, bin_freqs, epsilons, window=DEFAULT_WINDOW, method=WEIGHTED_AVERAGE, kappa=DEFAULT_KAPPA,
+    ramps=None,
+) -> tuple:
+    """Max-bin selection and interpolation, batched over a ``(rows, bins)`` stack.
+
+    Row ``r`` is ramp ``ramps[r]`` (default ``r``), gated by ``epsilons[r]``,
+    and gets the estimate it would get alone.  The weighted average is
+    ``sum(X(k) F(k)) / sum(X(k))`` over the window, with the center bin as
+    intensity; the Gaussian fit (:func:`_gaussian_fits`) falls back to it when
+    it fails or its vertex leaves the window.  An all-zero row has no peak.
+    """
+    if method not in METHODS:
+        raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
+    ramps = range(len(rows)) if ramps is None else ramps
+    centers = _max_bins(rows)
+    found = [0 if center is None else center for center in centers]
+    estimates = _interpolate(rows, bin_freqs, found, window, method, kappa, epsilons, ramps)
+    return tuple(est if center is not None else PeakEstimate(ramp, 0.0, 0.0, method, valid=False)
+                 for est, center, ramp in zip(estimates, centers, ramps))
+
+
+def weighted_average_interpolate(
+    spec: RampSpectrum, center_bin, window=DEFAULT_WINDOW, kappa=DEFAULT_KAPPA, epsilon_abs=0.0
+) -> PeakEstimate:
+    """Weighted average of one spectrum around ``center_bin`` (see :func:`estimate_peaks`)."""
+    return _interpolate(spec.magnitudes[None], spec.bin_frequencies, [center_bin], window,
+                        WEIGHTED_AVERAGE, kappa, [epsilon_abs], [spec.ramp_index])[0]
+
+
+def gaussian_interpolate(
+    spec: RampSpectrum, center_bin, window=DEFAULT_WINDOW, kappa=DEFAULT_KAPPA, epsilon_abs=0.0
+) -> PeakEstimate:
+    """Gaussian fit of one spectrum around ``center_bin`` (see :func:`estimate_peaks`)."""
+    return _interpolate(spec.magnitudes[None], spec.bin_frequencies, [center_bin], window,
+                        GAUSSIAN, kappa, [epsilon_abs], [spec.ramp_index])[0]
 
 
 def estimate_peak(
-    spec: RampSpectrum,
-    window: int = DEFAULT_WINDOW,
-    method: str = WEIGHTED_AVERAGE,
-    kappa: float = DEFAULT_KAPPA,
-    epsilon_abs: float = 0.0,
+    spec: RampSpectrum, window=DEFAULT_WINDOW, method=WEIGHTED_AVERAGE, kappa=DEFAULT_KAPPA,
+    epsilon_abs=0.0,
 ) -> PeakEstimate:
-    """Max-bin selection followed by the configured interpolation."""
-    if method not in METHODS:
-        raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
-    center = find_max_bin(spec)
-    if center is None:
-        return PeakEstimate(spec.ramp_index, 0.0, 0.0, method, valid=False)
-    if method == GAUSSIAN:
-        return gaussian_interpolate(spec, center, window, kappa, epsilon_abs)
-    return weighted_average_interpolate(spec, center, window, kappa, epsilon_abs)
+    """:func:`estimate_peaks` of one spectrum."""
+    return estimate_peaks(spec.magnitudes[None], spec.bin_frequencies, [epsilon_abs],
+                          window, method, kappa, [spec.ramp_index])[0]

@@ -28,7 +28,7 @@ from .modulation import (
     ramp_slopes,
     read_flat_config,
 )
-from .peaks import DEFAULT_WINDOW, METHODS, WEIGHTED_AVERAGE, estimate_peak
+from .peaks import DEFAULT_WINDOW, METHODS, WEIGHTED_AVERAGE, estimate_peaks
 from .simulator import read_frames, synthesize_cycle
 from .solver import STATUS_INVALID, Measurement, disambiguate, propagate_noise
 from .spectral import (
@@ -36,7 +36,6 @@ from .spectral import (
     DEFAULT_BETA,
     DEFAULT_FFT_BINS,
     Calibration,
-    RampSpectrum,
     bin_frequencies,
     check_fft_bins,
     hamming,
@@ -211,16 +210,9 @@ def process_cycle(samples, state: PipelineState, cfg: PipelineConfig) -> CycleRe
     spectra = magnitude_spectra(slice_cycle(samples, wp), cfg.frame_window, cfg.fft_bins)
     cleaned = remove_floor(state.push(spectra), cfg.scaled_mean, cfg.scaled_sigma)
     n_window = state.n_window
-    root_n = math.sqrt(n_window)
-    peaks = tuple(
-        estimate_peak(
-            RampSpectrum(i, cfg.bin_frequencies, cleaned[i]),
-            window=cfg.interp_window,
-            method=cfg.interp_method,
-            epsilon_abs=cfg.noise_gates[i] / root_n,
-        )
-        for i in range(4)
-    )
+    epsilons = [gate / math.sqrt(n_window) for gate in cfg.noise_gates]
+    peaks = estimate_peaks(cleaned, cfg.bin_frequencies, epsilons, cfg.interp_window,
+                           cfg.interp_method)
     cycle_index = state.cycles_seen - 1
     measurement = disambiguate(peaks, wp)
     if cfg.noise_model is not None and measurement.status != STATUS_INVALID:

@@ -166,8 +166,8 @@ def _frame_paths(stem):
 def read_frames(stem):
     """Read a :func:`write_frames` export as (working point, read-only cycles).
 
-    Any defect of the sidecar or of the raw file's length raises
-    :class:`FramingError` naming the file.
+    Any defect of the sidecar, of the raw file's length or a NaN or infinite
+    sample raises :class:`FramingError` naming the file.
     """
     raw_path, sidecar_path = _frame_paths(stem)
     try:
@@ -192,4 +192,9 @@ def read_frames(stem):
         raise FramingError(
             f"{raw_path} has {len(data)} bytes, not the {n_cycles} cycles its sidecar declares"
         )
-    return wp, np.frombuffer(data, dtype="<f4").reshape(n_cycles, wp.samples_per_cycle)
+    cycles = np.frombuffer(data, dtype="<f4").reshape(n_cycles, wp.samples_per_cycle)
+    finite = np.isfinite(cycles)
+    if not finite.all():
+        cycle, ramp = divmod(int(finite.argmin()) // wp.samples_per_ramp, 4)
+        raise FramingError(f"{raw_path} has a non-finite sample in cycle {cycle}, ramp {ramp}")
+    return wp, cycles

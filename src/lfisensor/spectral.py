@@ -8,7 +8,7 @@ against a calibrated no-target reference with flooring at zero.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 
@@ -58,6 +58,11 @@ class Calibration:
                 raise CalibrationError(f"{name} must be finite and nonnegative")
         if self.reference_mean.shape != self.reference_sigma.shape:
             raise CalibrationError("reference mean and sigma must have the same shape")
+
+    def __eq__(self, other):
+        """Value equality: the same arrays, element for element, and the same scalars."""
+        return type(other) is Calibration and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
     @property
     def n_bins(self) -> int:

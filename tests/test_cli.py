@@ -517,6 +517,30 @@ def test_frame_sidecar_not_json_exits_nonzero(config_path, tmp_path, capsys, edi
     assert err.startswith("error: ") and "frames.json" in err and needle in err
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["process", "calibrate"])
+def test_non_finite_replay_sample_exits_nonzero(config_path, tmp_path, capsys, command, value):
+    # A NaN would silently degrade its cycle (n_avg of them when averaging);
+    # an infinity would make the FFT warn.  The file is refused when read.
+    wp = make_wp()
+    stem = tmp_path / "frames"
+    assert main(["synth", "--config", str(config_path), "--out", str(stem),
+                 "--cycles", "16", "--distance", "0.04"]) == 0
+    raw = tmp_path / "frames.f32"
+    samples = np.fromfile(raw, dtype="<f4")
+    samples[5 * wp.samples_per_cycle + 2 * wp.samples_per_ramp + 17] = value
+    samples.tofile(raw)
+    argv = [command, "--config", str(config_path), "--out", str(tmp_path / "out"),
+            "--input", str(stem)]
+    if command == "process":
+        argv += ["--calibration", str(_calibrate(config_path, tmp_path))]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(raw) in err and "cycle 5, ramp 2" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "command, suffixes, first, second",
     [

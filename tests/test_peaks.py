@@ -10,7 +10,9 @@ from lfisensor import ParameterError, frame_spectrum
 from lfisensor.peaks import (
     GAUSSIAN,
     WEIGHTED_AVERAGE,
+    PeakEstimate,
     estimate_peak,
+    estimate_peaks,
     find_max_bin,
     gaussian_interpolate,
     validity_threshold,
@@ -212,6 +214,63 @@ def test_gaussian_on_any_window_is_quiet_and_inside(exponents, zeroed, center):
         assert freqs[center_bin - 12] <= est.beat_frequency <= freqs[center_bin + 12]
 
 
+def _row(kind, center, width, exponents, zeroed, seed):
+    """One spectrum row: a floored noisy peak, a wild window, all zeros, or a NaN."""
+    rng = np.random.default_rng(seed)
+    k = np.arange(1024)
+    mags = np.exp(-((k - center) ** 2) / (2 * width**2)) + rng.uniform(0.0, 0.05, 1024)
+    mags = np.maximum(mags - 0.03, 0.0)  # zero-floored bins, around the peak too
+    if kind == "wild":  # magnitudes over 600 decades around the center
+        values = 10.0 ** np.array(exponents)
+        lo = max(0, min(center, 1024 - values.size))
+        mags[lo : lo + values.size] = values
+    elif kind == "zero":
+        mags[:] = 0.0
+    elif kind == "nan":
+        mags[(center + 3) % 1024] = math.nan
+    mags[np.array(zeroed, dtype=int)] = 0.0
+    return mags
+
+
+_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from(["peak", "wild", "zero", "nan"]),
+        st.integers(0, 1023),
+        st.floats(0.6, 6.0),
+        st.lists(st.floats(-300.0, 300.0), min_size=3, max_size=25),
+        st.lists(st.integers(0, 1023), max_size=6),
+        st.integers(0, 2**32 - 1),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(rows=_ROWS, method=st.sampled_from([GAUSSIAN, WEIGHTED_AVERAGE]),
+       epsilon=st.floats(0.0, 2.0))
+# Windows clipped at both spectrum edges, next to an all-zero row and a NaN row.
+@example(rows=[("peak", 0, 2.0, [0.0] * 3, [], 1), ("zero", 500, 2.0, [0.0] * 3, [], 2),
+               ("peak", 1023, 2.5, [0.0] * 3, [1021], 3), ("nan", 400, 2.0, [0.0] * 3, [], 4)],
+         method=GAUSSIAN, epsilon=0.0)
+@settings(max_examples=200, deadline=None)
+def test_batched_estimate_of_a_row_ignores_its_neighbours(rows, method, epsilon):
+    freqs = bin_frequencies(WP, 2048)
+    stack = np.stack([_row(*row) for row in rows])
+    epsilons = [epsilon * (i + 1) / len(rows) for i in range(len(rows))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batched = estimate_peaks(stack, freqs, epsilons, method=method)
+        alone = [
+            estimate_peak(RampSpectrum(i, freqs, stack[i]), method=method, epsilon_abs=eps)
+            for i, eps in enumerate(epsilons)
+        ]
+    # repr spells every float exactly and lets a NaN equal itself.
+    assert [repr(est) for est in batched] == [repr(est) for est in alone]
+    for est, row in zip(batched, rows):
+        if row[0] == "zero":
+            assert est == PeakEstimate(est.ramp_index, 0.0, 0.0, method, valid=False)
+
+
 def test_validity_threshold_flags_weak_peaks():
     mags = np.ones(1024)
     mags[300] = 2.0  # only 2x the median floor, below kappa = 3
@@ -230,7 +289,7 @@ def test_validity_absolute_gate():
     assert weighted_average_interpolate(spec, 300).valid
     gated = weighted_average_interpolate(spec, 300, epsilon_abs=10.0)
     assert not gated.valid
-    assert validity_threshold(spec, epsilon_abs=10.0) == 10.0
+    assert validity_threshold(spec.magnitudes, epsilon_abs=10.0) == 10.0
 
 
 def test_validity_threshold_floor_is_np_median_of_nonzero_bins():
@@ -241,9 +300,9 @@ def test_validity_threshold_floor_is_np_median_of_nonzero_bins():
         mags[where] = rng.random(n_nonzero) * 10.0 ** rng.uniform(-3, 3)
         before = mags.copy()
         expected = 3.0 * float(np.median(mags[mags > 0]))
-        assert validity_threshold(_spectrum(mags), kappa=3.0) == expected
+        assert validity_threshold(mags, kappa=3.0) == expected
         np.testing.assert_array_equal(mags, before)  # the spectrum is not reordered
-    assert validity_threshold(_spectrum(np.zeros(1024)), epsilon_abs=0.5) == 0.5
+    assert validity_threshold(np.zeros(1024), epsilon_abs=0.5) == 0.5
 
 
 def test_lone_bin_is_indistinguishable_from_floor():

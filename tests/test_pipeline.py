@@ -121,11 +121,13 @@ def test_determinism_bit_identical(wp, quiet_cal):
         assert ra.peaks == rb.peaks
 
 
-def test_composition_identity(wp, quiet_cal):
-    # End-to-end equals hand-composed stage calls.
+@pytest.mark.parametrize("method", ["weighted_average", "gaussian"])
+def test_composition_identity(wp, quiet_cal, method):
+    # End-to-end equals hand-composed stage calls: the batched peak stage
+    # gives each ramp what the one-spectrum estimate_peak gives it.
     gt = GroundTruth(0.035, 0.05)
     samples = synthesize_cycle(wp, gt, 1.0, 0.0, seed=9)
-    cfg = _config(wp, quiet_cal)
+    cfg = _config(wp, quiet_cal, interp_method=method)
     record = process_cycle(samples, PipelineState.for_config(cfg), cfg)
     manual = []
     for i, frame in enumerate(slice_cycle(samples, wp)):
@@ -144,6 +146,7 @@ def test_composition_identity(wp, quiet_cal):
             )
         )
     assert tuple(manual) == record.peaks
+    assert {p.method for p in record.peaks} == {method}
 
 
 def test_state_snapshot_reproduces_record(wp, quiet_cal):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from lfisensor import (
     FramingError,
     GroundTruth,
     ParameterError,
+    PipelineConfig,
     calibrate,
     frame_spectrum,
     slice_cycle,
@@ -258,3 +261,19 @@ def test_calibration_compatibility_checks(tmp_path):
     other = make_wp(sampling_rate=1e6)
     with pytest.raises(CalibrationError):
         cal.check_compatible(other, 2048)
+
+
+def test_calibration_equality_compares_values():
+    wp = make_wp()
+    zeros = [np.zeros(wp.samples_per_cycle) for _ in range(16)]
+    a, b = calibrate(zeros, wp), calibrate(zeros, wp)
+    assert a == b and not a != b
+    assert PipelineConfig(wp, a) == PipelineConfig(wp, b)
+    for name in ("reference_mean", "reference_sigma"):
+        other = calibrate(zeros, wp)
+        getattr(other, name)[2, 100] = 1e-3  # one bin of one ramp
+        assert a != other and not a == other
+        assert PipelineConfig(wp, a) != PipelineConfig(wp, other)
+    assert a != replace(a, n_cycles=17)
+    assert a != replace(a, samples_per_ramp=400)
+    assert a != "calibration"
