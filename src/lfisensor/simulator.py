@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AliasingError, FramingError, ParameterError
-from .modulation import SPEED_OF_LIGHT, RampDescriptor, WorkingPoint, build_cycle, write_atomic
+from .modulation import SPEED_OF_LIGHT, RampDescriptor, WorkingPoint, ramp_slopes, write_atomic
 
 FRAME_FORMAT_VERSION = 2
 
@@ -31,6 +31,10 @@ class GroundTruth:
     velocity_v: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.distance_R) and math.isfinite(self.velocity_v)):
+            raise ParameterError(
+                f"distance_R and velocity_v must be finite, got {self.distance_R, self.velocity_v}"
+            )
         if self.distance_R < 0:
             raise ParameterError(
                 f"distance_R must be >= 0 (negative R is the mirrored invalid "
@@ -40,9 +44,11 @@ class GroundTruth:
 
 def signed_beat(wp: WorkingPoint, ramp: RampDescriptor, gt: GroundTruth) -> float:
     """Signed beat frequency of one ramp for a given target state."""
-    return (
-        2.0 * gt.distance_R * ramp.slope + wp.emitted_frequency * gt.velocity_v
-    ) / SPEED_OF_LIGHT
+    return _beat(wp, ramp.slope, gt)
+
+
+def _beat(wp: WorkingPoint, slope: float, gt: GroundTruth) -> float:
+    return (2.0 * gt.distance_R * slope + wp.emitted_frequency * gt.velocity_v) / SPEED_OF_LIGHT
 
 
 def _biquad_pass(x, b0: float, a1: float, a2: float) -> np.ndarray:
@@ -90,11 +96,12 @@ def highpass(samples, wp: WorkingPoint) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def _highpass_matrix(wp: WorkingPoint) -> np.ndarray:
-    """``M`` with ``x @ M == highpass(x, wp)`` for one ramp's samples ``x``.
+    """Time-major ``M``: ``M @ x == highpass(x.T, wp).T`` for ramps in columns.
 
-    Row ``i`` is the filter's response to a unit impulse at sample ``i``.
+    Column ``i`` is the filter's response to a unit impulse at sample ``i``;
+    ``(n, n) @ (n, 4)`` runs several times faster than ``(4, n) @ (n, n)``.
     """
-    m = highpass(np.eye(wp.samples_per_ramp), wp)
+    m = np.ascontiguousarray(highpass(np.eye(wp.samples_per_ramp), wp).T)
     m.flags.writeable = False
     return m
 
@@ -116,31 +123,34 @@ def synthesize_cycle(
     index), so cycles and ramps can be generated independently and
     reproducibly.  Zero amplitude gives a no-target cycle.
     """
-    if amplitude < 0:
-        raise ParameterError(f"amplitude must be >= 0, got {amplitude}")
-    if noise_sigma < 0:
-        raise ParameterError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if not 0 <= amplitude < math.inf:
+        raise ParameterError(f"amplitude must be finite and >= 0, got {amplitude}")
+    if not 0 <= noise_sigma < math.inf:
+        raise ParameterError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     n = wp.samples_per_ramp
     t = np.arange(n) / wp.sampling_rate
-    raw = np.empty((4, n))
-    for ramp in build_cycle(wp):
-        f = signed_beat(wp, ramp, gt)
+    raw = np.empty((n, 4))
+    for index, slope in enumerate(ramp_slopes(wp)):
+        f = _beat(wp, slope, gt)
         if abs(f) >= wp.nyquist:
             raise AliasingError(
                 f"beat frequency {f:.6g} Hz is at or above Nyquist ({wp.nyquist:.6g} Hz)"
             )
-        rng = np.random.default_rng((seed, cycle_index, ramp.index))
+        rng = np.random.default_rng((seed, cycle_index, index))
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        raw[ramp.index] = amplitude * np.cos(2.0 * np.pi * abs(f) * t + phase)
+        raw[:, index] = amplitude * np.cos(2.0 * np.pi * abs(f) * t + phase)
         if noise_sigma > 0:
-            raw[ramp.index] += rng.normal(0.0, noise_sigma, n)
-    return (raw @ _highpass_matrix(wp)).astype("<f4").ravel()
+            raw[:, index] += rng.normal(0.0, noise_sigma, n)
+    # One fixed-shape product per cycle: a product over several cycles would
+    # round each cycle differently depending on its neighbours.
+    return (_highpass_matrix(wp) @ raw).T.astype("<f4").ravel()
 
 
 def write_frames(stem, cycles, wp: WorkingPoint) -> None:
     """Export ``(N, wp.samples_per_cycle)`` cycles as ``<stem>.f32``, raw
     little-endian float32, and then a sidecar ``<stem>.json`` holding the
-    format version, the working point and N.
+    format version, the working point and N.  Cycles with a NaN or infinite
+    sample raise :class:`FramingError`, as :func:`read_frames` would.
     """
     cycles = np.asarray(cycles, dtype="<f4")
     # An empty list is an export of zero cycles.
@@ -149,6 +159,7 @@ def write_frames(stem, cycles, wp: WorkingPoint) -> None:
             f"cycles must be rows of {wp.samples_per_cycle} samples, got shape {cycles.shape}"
         )
     raw_path, sidecar_path = _frame_paths(stem)
+    _refuse_non_finite(raw_path, cycles, wp)
     sidecar = {
         "format_version": FRAME_FORMAT_VERSION,
         "working_point": wp.to_dict(),
@@ -193,8 +204,12 @@ def read_frames(stem):
             f"{raw_path} has {len(data)} bytes, not the {n_cycles} cycles its sidecar declares"
         )
     cycles = np.frombuffer(data, dtype="<f4").reshape(n_cycles, wp.samples_per_cycle)
+    _refuse_non_finite(raw_path, cycles, wp)
+    return wp, cycles
+
+
+def _refuse_non_finite(raw_path, cycles, wp: WorkingPoint) -> None:
     finite = np.isfinite(cycles)
     if not finite.all():
         cycle, ramp = divmod(int(finite.argmin()) // wp.samples_per_ramp, 4)
         raise FramingError(f"{raw_path} has a non-finite sample in cycle {cycle}, ramp {ramp}")
-    return wp, cycles

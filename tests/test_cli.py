@@ -542,6 +542,30 @@ def test_non_finite_replay_sample_exits_nonzero(config_path, tmp_path, capsys, c
 
 
 @pytest.mark.parametrize(
+    "command, option, value, needle",
+    [
+        ("synth", "--amplitude", "nan", "amplitude must be finite"),
+        ("synth", "--distance", "nan", "distance_R and velocity_v must be finite"),
+        ("synth", "--noise-sigma", "nan", "noise_sigma must be finite"),
+        ("synth", "--noise-sigma", "inf", "noise_sigma must be finite"),
+        ("calibrate", "--noise-sigma", "nan", "noise_sigma must be finite"),
+    ],
+    ids=["synth-amplitude-nan", "synth-distance-nan", "synth-noise-nan", "synth-noise-inf",
+         "calibrate-noise-nan"],
+)
+def test_non_finite_synthesis_input_exits_nonzero(
+    config_path, tmp_path, capsys, command, option, value, needle
+):
+    # A non-finite level or target is refused before any file is written.
+    argv = [command, "--config", str(config_path), "--out", str(tmp_path / "out"),
+            "--cycles", "16", option, value]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err
+    assert [p.name for p in tmp_path.iterdir()] == [config_path.name]
+
+
+@pytest.mark.parametrize(
     "command, suffixes, first, second",
     [
         ("calibrate", [""], ["--cycles", "20", "--noise-sigma", "0.1", "--seed", "1"],

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from lfisensor import (
     read_frames,
     signed_beat,
     synthesize_cycle,
+    synthetic_cycles,
     write_frames,
 )
+from lfisensor import simulator
 from lfisensor.simulator import _highpass_matrix
 
 from conftest import C, make_wp, true_beats
@@ -95,6 +98,50 @@ def test_mirrored_beats_solve_to_mirrored_target():
 def test_negative_distance_rejected():
     with pytest.raises(ParameterError, match="distance_R"):
         GroundTruth(-0.01, 0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_target_rejected(value):
+    for r, v in [(value, 0.0), (0.03, value)]:
+        with pytest.raises(ParameterError, match="distance_R and velocity_v must be finite"):
+            GroundTruth(r, v)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("name", ["amplitude", "noise_sigma"])
+def test_synthesis_refuses_a_non_finite_or_negative_level(name, value):
+    levels = {"amplitude": 1.0, "noise_sigma": 0.1, name: value}
+    with pytest.raises(ParameterError, match=f"{name} must be finite and >= 0"):
+        synthesize_cycle(make_wp(), GroundTruth(0.03, 0.0), seed=1, **levels)
+
+
+def test_cycle_bytes_do_not_depend_on_the_other_cycles(monkeypatch):
+    # Cycle k of any stream is synthesize_cycle(k) byte for byte, whichever
+    # cycles are made with it and in whatever order.  BLAS rounds a product
+    # over several cycles differently in float64, but the float32 output
+    # rarely shows it, so the shape of every product is checked as well.
+    wp = make_wp()
+    operands = []
+
+    class Operator(np.ndarray):
+        def __matmul__(self, other):
+            operands.append(other.shape)
+            return np.asarray(self) @ other
+
+    matrix = simulator._highpass_matrix
+    monkeypatch.setattr(simulator, "_highpass_matrix", lambda wp: matrix(wp).view(Operator))
+
+    def truth(k):
+        return GroundTruth(0.02 + 0.003 * k, 0.05 * (-1) ** k)
+
+    stream = np.stack(list(synthetic_cycles(wp, truth, 1.0, 0.2, seed=19, n_cycles=16)))
+    short = np.stack(list(synthetic_cycles(wp, truth, 1.0, 0.2, seed=19, n_cycles=5)))
+    assert short.tobytes() == stream[:5].tobytes()
+    for order in (range(16), reversed(range(16)), [11, 3, 7]):
+        for k in order:
+            cycle = synthesize_cycle(wp, truth(k), 1.0, 0.2, seed=19, cycle_index=k)
+            assert cycle.tobytes() == stream[k].tobytes()
+    assert operands == [(wp.samples_per_ramp, 4)] * (16 + 5 + 16 + 16 + 3)
 
 
 def _ramp_samples(wp, ramp, gt, amplitude, noise_sigma, seed):
@@ -251,7 +298,7 @@ def test_highpass_matrix_applies_highpass(cutoff, n):
     x = np.random.default_rng(n).normal(size=(4, n))
     expected = highpass(x, wp)
     # Both round differently; near a low cutoff the recursion's state is large.
-    np.testing.assert_allclose(x @ _highpass_matrix(wp), expected, rtol=0,
+    np.testing.assert_allclose(_highpass_matrix(wp) @ x.T, expected.T, rtol=0,
                                atol=1e-11 * np.max(np.abs(expected)))
 
 
@@ -277,6 +324,17 @@ def test_frame_export_round_trip(tmp_path):
 def test_write_frames_refuses_other_row_lengths(tmp_path, shape):
     with pytest.raises(FramingError, match="rows of 2000 samples"):
         write_frames(tmp_path / "frames", np.zeros(shape), make_wp())
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_write_frames_refuses_non_finite_samples(tmp_path, value):
+    # A file its own reader refuses is no valid export.
+    wp = make_wp()
+    cycles = np.zeros((4, wp.samples_per_cycle))
+    cycles[2, 3 * wp.samples_per_ramp + 7] = value
+    with pytest.raises(FramingError, match="frames.f32 has a non-finite sample in cycle 2, ramp 3"):
+        write_frames(tmp_path / "frames", cycles, wp)
     assert list(tmp_path.iterdir()) == []
 
 
