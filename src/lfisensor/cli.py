@@ -158,7 +158,9 @@ def cmd_synth(args) -> int:
     wp, _ = read_config_file(args.config)
     gt, amplitude, provenance = _synthetic_target(args)
     cycles = synthetic_cycles(wp, gt, amplitude, args.noise_sigma, args.seed, args.cycles)
-    write_frames(args.out, list(cycles), wp)
+    # Filled row by row, so the export is held once.
+    row = np.dtype(("<f4", (wp.samples_per_cycle,)))
+    write_frames(args.out, np.fromiter(cycles, dtype=row, count=args.cycles), wp)
     outputs = [f"{args.out}.f32", f"{args.out}.json"]
     _write_manifest(args.out, "synth", args.config, provenance, outputs)
     print(f"wrote {args.cycles} cycles ({4 * args.cycles} frames) to {args.out}.f32")

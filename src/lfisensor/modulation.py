@@ -258,7 +258,8 @@ def decode_fields(cls, values, keys: dict | None = None, defaults: bool = False)
 
 
 def write_atomic(path, data) -> None:
-    """Replace ``path`` by ``data`` (str or bytes) through a renamed temporary file."""
+    """Replace ``path`` by ``data`` (str, or bytes-like such as a contiguous
+    array) through a renamed temporary file."""
     path = Path(path)
     if isinstance(data, str):
         data = data.encode()

@@ -56,29 +56,32 @@ def _max_bins(rows) -> list:
 
 
 def validity_threshold(magnitudes, kappa=DEFAULT_KAPPA, epsilon_abs=0.0) -> float:
-    """Intensity a peak must exceed to count as a real detection.
+    """:func:`validity_thresholds` of one spectrum row."""
+    return validity_thresholds(magnitudes[None], [epsilon_abs], kappa)[0]
 
-    ``max(epsilon_abs, kappa * median of the nonzero bins)`` of one floored
-    spectrum row; a low intensity marks an unreliable (typically blind) ramp.
+
+def validity_thresholds(rows, epsilons, kappa=DEFAULT_KAPPA) -> list:
+    """Intensity a peak must exceed to count as a real detection, per row.
+
+    ``max(epsilons[r], kappa * median of the positive bins)`` of each row of
+    a floored ``(rows, bins)`` stack (0 for the median of no bins); a low
+    intensity marks an unreliable (typically blind) ramp.  One sort of a copy
+    puts each row's nonpositive bins first and its NaNs last, so the positive
+    bins are one span and the median is ``np.median``'s, bit for bit.
     """
-    return max(epsilon_abs, kappa * _median(magnitudes[magnitudes > 0]))
-
-
-def _median(values: np.ndarray) -> float:
-    """``np.median`` of a 1-D array without NaNs, bit for bit; 0 if empty.
-
-    A partial sort in place (``values`` is consumed) skips np.median's
-    generic overhead; an even count averages the middle pair as it does.
-    """
-    n = values.size
-    if not n:
-        return 0.0
-    k = n // 2
-    if n % 2:
-        values.partition(k)
-        return float(values[k])
-    values.partition((k - 1, k))
-    return float((values[k - 1] + values[k]) / 2)
+    thresholds = []
+    for row, epsilon in zip(np.sort(rows, axis=1), epsilons):
+        lo = int(row.searchsorted(0.0, side="right"))
+        hi = int(row.searchsorted(math.inf, side="right"))
+        k = (lo + hi) // 2
+        if lo == hi:
+            median = 0.0
+        elif (hi - lo) % 2:
+            median = float(row[k])
+        else:  # np.median's mean of the middle pair; Python floats overflow quietly
+            median = (float(row[k - 1]) + float(row[k])) / 2
+        thresholds.append(max(epsilon, kappa * median))
+    return thresholds
 
 
 @lru_cache(maxsize=16)
@@ -115,7 +118,11 @@ def _gaussian_fits(rows: np.ndarray, centers, window: int) -> list:
         log_y = np.log(np.where(positive, block, 1.0)) - np.log(peak)[:, None]
         fit = np.where(positive, log_y, -np.inf)
         for done in range(1, GAUSSIAN_PASSES + 1):
-            weights = np.exp(2.0 * (fit - fit.max(axis=1, keepdims=True)))  # y^2, then yhat^2
+            # y^2, then yhat^2, each scaled by its row's largest; the first
+            # pass's largest fit is log(peak) - log(peak) = 0, so it is not taken.
+            if done > 1:
+                fit -= fit.max(axis=1, keepdims=True)
+            weights = np.exp(2.0 * fit)
             sums = (np.concatenate([weights, weights * log_y]) @ powers).tolist()
             abc = []
             for (s0, s1, s2, s3, s4), (t0, t1, t2, _, _) in zip(sums, sums[n_rows:]):
@@ -153,6 +160,7 @@ def _interpolate(rows, bin_freqs, centers, window, method, kappa, epsilons, ramp
         if not 0 <= center < n_bins:
             raise ParameterError(f"center_bin {center} outside spectrum of {n_bins} bins")
     fits = _gaussian_fits(rows, centers, window) if method == GAUSSIAN else [None] * len(rows)
+    thresholds = validity_thresholds(rows, epsilons, kappa)
     estimates = []
     for r, (center, fit) in enumerate(zip(centers, fits)):
         row = rows[r]  # indexing makes a row view faster than iterating does
@@ -170,7 +178,7 @@ def _interpolate(rows, bin_freqs, centers, window, method, kappa, epsilons, ramp
             # Rounding can carry the mean just past an end bin; it stays in the window.
             frequency = float(min(max(np.dot(weights, freqs) / total, freqs[0]), freqs[-1]))
             used, intensity = WEIGHTED_AVERAGE, float(row[center])
-        valid = intensity > validity_threshold(row, kappa, epsilons[r])
+        valid = intensity > thresholds[r]
         estimates.append(PeakEstimate(ramps[r], frequency, intensity, used, valid))
     return estimates
 

@@ -142,12 +142,18 @@ class PipelineState:
         return PipelineState(ring=self.ring.copy(), cycles_seen=self.cycles_seen)
 
     def push(self, spectra: np.ndarray) -> np.ndarray:
-        """Add one cycle's ``(4, bins)`` spectra; return the window mean per ramp."""
+        """Add one cycle's ``(4, bins)`` spectra; return the window mean per ramp.
+
+        A window of one spectrum is returned as a copy of it: its mean would
+        divide each bin by 1.0, which changes nothing.
+        """
         n_avg = self.ring.shape[1] // 2
         slot = self.cycles_seen % n_avg
         self.ring[:, slot] = spectra
         self.ring[:, slot + n_avg] = spectra
         self.cycles_seen += 1
+        if self.n_window == 1:
+            return self.ring[:, slot].copy()
         start = (self.cycles_seen - self.n_window) % n_avg
         return self.ring[:, start : start + self.n_window].mean(axis=1)
 
@@ -168,12 +174,17 @@ def _attach_sigmas(
 ) -> Measurement:
     """Fill sigma_R/sigma_v from the noise model at the measured point.
 
-    The beat sigmas of the steepest selected ramp pair are propagated.
+    Only the steepest selected ramp pair's beat sigmas are predicted and
+    propagated; the third selected ramp plays no part.
     """
     slopes = ramp_slopes(cfg.working_point)
+    i, j = max(
+        combinations(measurement.selected_ramps, 2),
+        key=lambda ij: abs(slopes[ij[0]] - slopes[ij[1]]),
+    )
     try:
-        sigma_fb = {
-            idx: predict_sigma_fb(
+        sigma_i, sigma_j = (
+            predict_sigma_fb(
                 cfg.noise_model,
                 f_ramp_rate=cfg.working_point.ramp_rate,
                 slope_S=abs(slopes[idx]),
@@ -182,16 +193,12 @@ def _attach_sigmas(
                 distance_R=measurement.distance_R,
                 n_avg=n_window,
             )
-            for idx in measurement.selected_ramps
-        }
+            for idx in (i, j)
+        )
     except ParameterError:
         return measurement
-    i, j = max(
-        combinations(measurement.selected_ramps, 2),
-        key=lambda ij: abs(slopes[ij[0]] - slopes[ij[1]]),
-    )
     sigma_r, sigma_v = propagate_noise(
-        sigma_fb[i], sigma_fb[j], slopes[i], slopes[j], cfg.working_point.emitted_frequency
+        sigma_i, sigma_j, slopes[i], slopes[j], cfg.working_point.emitted_frequency
     )
     return replace(measurement, sigma_R=sigma_r, sigma_v=sigma_v)
 

@@ -152,7 +152,7 @@ def write_frames(stem, cycles, wp: WorkingPoint) -> None:
     format version, the working point and N.  Cycles with a NaN or infinite
     sample raise :class:`FramingError`, as :func:`read_frames` would.
     """
-    cycles = np.asarray(cycles, dtype="<f4")
+    cycles = np.ascontiguousarray(cycles, dtype="<f4")
     # An empty list is an export of zero cycles.
     if len(cycles) and cycles.shape[1:] != (wp.samples_per_cycle,):
         raise FramingError(
@@ -165,7 +165,7 @@ def write_frames(stem, cycles, wp: WorkingPoint) -> None:
         "working_point": wp.to_dict(),
         "cycles": len(cycles),
     }
-    write_atomic(raw_path, cycles.tobytes())
+    write_atomic(raw_path, cycles)
     write_atomic(sidecar_path, json.dumps(sidecar, sort_keys=True, indent=1))
 
 

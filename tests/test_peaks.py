@@ -16,6 +16,7 @@ from lfisensor.peaks import (
     find_max_bin,
     gaussian_interpolate,
     validity_threshold,
+    validity_thresholds,
     weighted_average_interpolate,
 )
 from lfisensor.spectral import (
@@ -303,6 +304,46 @@ def test_validity_threshold_floor_is_np_median_of_nonzero_bins():
         assert validity_threshold(mags, kappa=3.0) == expected
         np.testing.assert_array_equal(mags, before)  # the spectrum is not reordered
     assert validity_threshold(np.zeros(1024), epsilon_abs=0.5) == 0.5
+
+
+_BIN = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, math.nan]),
+    st.floats(-300.0, 300.0).map(lambda e: 10.0**e),  # 600 decades
+    st.floats(-300.0, 300.0).map(lambda e: -(10.0**e)),
+)
+
+
+@st.composite
+def _stacks(draw):
+    """1-6 rows of one length; some all zero, the rest any mix of bins."""
+    n_bins = draw(st.integers(1, 40))
+    row = st.one_of(
+        st.just([0.0] * n_bins), st.lists(_BIN, min_size=n_bins, max_size=n_bins)
+    )
+    return np.array(draw(st.lists(row, min_size=1, max_size=6)))
+
+
+@given(stack=_stacks(), kappa=st.floats(0.5, 10.0), epsilon=st.floats(0.0, 2.0))
+@example(  # odd, even, zero and one positive counts, with both zeros, inf and NaN
+    stack=np.array([[3.0, -0.0, 1.0, 2.0, math.nan, 4.0],
+                    [1e308, 1.5e308, -5.0, 0.0, math.inf, 1e-300],
+                    [0.0] * 6,
+                    [-0.0, 7.0, -1e-300, math.nan, 0.0, 0.0],
+                    [5.0, 1.0, 2.0, -1.0, 0.0, math.inf]]),
+    kappa=3.0, epsilon=0.0)
+@settings(max_examples=300, deadline=None)
+def test_stack_thresholds_are_np_median_of_each_rows_positive_bins(stack, kappa, epsilon):
+    epsilons = [epsilon * (r + 1) for r in range(len(stack))]
+    before = stack.tobytes()
+    thresholds = validity_thresholds(stack, epsilons, kappa)
+    assert stack.tobytes() == before
+    expected = []
+    for row, eps in zip(stack, epsilons):
+        positive = row[row > 0]
+        with np.errstate(over="ignore"):  # two middle bins near 1e308 sum to inf
+            median = float(np.median(positive)) if positive.size else None
+        expected.append(eps if median is None else max(eps, kappa * median))
+    assert thresholds == expected
 
 
 def test_lone_bin_is_indistinguishable_from_floor():

@@ -237,6 +237,28 @@ def test_sigma_attachment_uses_steepest_pair(wp, quiet_cal, monkeypatch):
     assert (m.sigma_R, m.sigma_v) == expected
 
 
+def test_sigma_attachment_ignores_the_third_selected_ramp(wp, quiet_cal):
+    # Ramp 2 is selected but outside the steepest pair (0, 1); its beat at
+    # 0 Hz is outside the noise model's log domain and must not matter.
+    beats = [abs(f) for f in true_beats(wp, 0.05, 0.02)]
+    beats[2] = 0.0
+    peaks = tuple(
+        PeakEstimate(i, beats[i], intensity, "weighted_average", True)
+        for i, intensity in enumerate([10.0, 9.0, 8.0, 7.0])
+    )
+    nm = NoiseModelCoefficients(0.0, 0.0, 0.5, 0.0, 0.0, -1.0, 0.0)
+    cfg = _config(wp, quiet_cal, noise_model=nm)
+    measurement = disambiguate(peaks, wp)
+    assert measurement.selected_ramps == (0, 1, 2)
+    m = _attach_sigmas(measurement, peaks, cfg, n_window=1)
+    slopes = [r.slope for r in build_cycle(wp)]
+    expected = propagate_noise(
+        10 ** (0.5 * math.log10(beats[0]) - 1.0), 10 ** (0.5 * math.log10(beats[1]) - 1.0),
+        slopes[0], slopes[1], wp.emitted_frequency,
+    )
+    assert (m.sigma_R, m.sigma_v) == pytest.approx(expected, rel=1e-12)
+
+
 @pytest.mark.parametrize("n_avg", [1, 2, 16])
 def test_window_average_equals_mean_of_last_spectra(wp, quiet_cal, n_avg):
     cfg = _config(wp, quiet_cal, n_avg=n_avg)
@@ -255,7 +277,10 @@ def test_window_average_equals_mean_of_last_spectra(wp, quiet_cal, n_avg):
     for t, spectra in enumerate(pushed):
         if t == mid_wrap:
             snapshot = state.copy()
-        assert np.array_equal(state.push(spectra), expected(t))
+        average = state.push(spectra)
+        assert np.array_equal(average, expected(t))
+        # The caller owns the average, a one-spectrum window's too.
+        assert not np.shares_memory(average, state.ring)
     # The copy is independent of the state it was taken from.
     for t in range(mid_wrap, len(pushed)):
         assert np.array_equal(snapshot.push(pushed[t]), expected(t))
