@@ -22,6 +22,7 @@ from .errors import (
     DegeneratePairError,
     FitError,
     FramingError,
+    LfiError,
     NoReliableDistanceError,
     ParameterError,
 )

@@ -25,16 +25,8 @@ from .analysis import (
     write_blind_map_csv,
     write_blind_map_grid,
 )
-from .errors import (
-    AliasingError,
-    CalibrationError,
-    DegeneratePairError,
-    FitError,
-    FramingError,
-    NoReliableDistanceError,
-    ParameterError,
-)
-from .modulation import write_atomic
+from .errors import LfiError, ParameterError
+from .modulation import open_atomic, write_atomic
 from .pipeline import (
     config_from_file,
     read_config_file,
@@ -44,17 +36,6 @@ from .pipeline import (
 )
 from .simulator import GroundTruth, write_frames
 from .spectral import Calibration, calibrate
-
-_ERRORS = (
-    AliasingError,
-    CalibrationError,
-    DegeneratePairError,
-    FitError,
-    FramingError,
-    NoReliableDistanceError,
-    ParameterError,
-    OSError,
-)
 
 _CSV_HEADER = (
     "cycle,t_s,R_m,v_mps,sigma_R_m,sigma_v_mps,status,spread,"
@@ -133,6 +114,8 @@ def _synthetic_target(args):
     """
     if args.cycles is None:
         raise ParameterError("either --input or --cycles is required")
+    if args.cycles < 0:
+        raise ParameterError(f"--cycles must be >= 0, got {args.cycles}")
     synthetic = {"cycles": args.cycles, "seed": args.seed, "noise_sigma": args.noise_sigma}
     if not hasattr(args, "distance"):
         return GroundTruth(0.0, 0.0), 0.0, {"synthetic": synthetic}
@@ -158,9 +141,7 @@ def cmd_synth(args) -> int:
     wp, _ = read_config_file(args.config)
     gt, amplitude, provenance = _synthetic_target(args)
     cycles = synthetic_cycles(wp, gt, amplitude, args.noise_sigma, args.seed, args.cycles)
-    # Filled row by row, so the export is held once.
-    row = np.dtype(("<f4", (wp.samples_per_cycle,)))
-    write_frames(args.out, np.fromiter(cycles, dtype=row, count=args.cycles), wp)
+    write_frames(args.out, cycles, wp)
     outputs = [f"{args.out}.f32", f"{args.out}.json"]
     _write_manifest(args.out, "synth", args.config, provenance, outputs)
     print(f"wrote {args.cycles} cycles ({4 * args.cycles} frames) to {args.out}.f32")
@@ -193,14 +174,16 @@ def cmd_process(args) -> int:
     cfg = config_from_file(args.config, cal, noise_model)
     source, provenance = _source_from_args(args, cfg.working_point)
     provenance["calibration"] = str(args.calibration)
-    records = list(run_stream(source, cfg))
-    if args.format == "jsonl":
-        lines = map(_record_json, records)
-    else:
-        lines = [_CSV_HEADER, *map(_record_row, records)]
-    write_atomic(args.out, "".join(line + "\n" for line in lines))
+    format_record = _record_json if args.format == "jsonl" else _record_row
+    n_records = 0
+    with open_atomic(args.out) as fh:
+        if args.format == "csv":
+            fh.write(f"{_CSV_HEADER}\n".encode())
+        for record in run_stream(source, cfg):
+            fh.write(f"{format_record(record)}\n".encode())
+            n_records += 1
     _write_manifest(args.out, "process", args.config, provenance, [args.out])
-    print(f"wrote {len(records)} records to {args.out}")
+    print(f"wrote {n_records} records to {args.out}")
     return 0
 
 
@@ -336,7 +319,7 @@ def main(argv=None) -> int:
         parser.error(f"{args.command} requires --config")
     try:
         return args.func(args)
-    except _ERRORS as exc:
+    except (LfiError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,7 +1,11 @@
 """Exception types shared across the sensor-processing package."""
 
 
-class ParameterError(ValueError):
+class LfiError(ValueError):
+    """A bad input or setting: the base of every error the package raises."""
+
+
+class ParameterError(LfiError):
     """A parameter or working-point invariant was violated."""
 
 
@@ -9,21 +13,21 @@ class AliasingError(ParameterError):
     """A requested beat frequency is at or above the Nyquist limit."""
 
 
-class FramingError(ValueError):
+class FramingError(LfiError):
     """Sample buffers or spectra do not have the expected shape."""
 
 
-class CalibrationError(ValueError):
+class CalibrationError(LfiError):
     """Calibration data is missing, too short, or incompatible."""
 
 
-class DegeneratePairError(ValueError):
+class DegeneratePairError(LfiError):
     """Two ramps with equal slopes cannot be solved as a pair."""
 
 
-class FitError(ValueError):
+class FitError(LfiError):
     """The noise-model design matrix is rank deficient or unusable."""
 
 
-class NoReliableDistanceError(ValueError):
+class NoReliableDistanceError(LfiError):
     """No distance inside the search range satisfies the blind-region bound."""

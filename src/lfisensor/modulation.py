@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 from pathlib import Path
@@ -257,16 +258,19 @@ def decode_fields(cls, values, keys: dict | None = None, defaults: bool = False)
     return decoded
 
 
-def write_atomic(path, data) -> None:
-    """Replace ``path`` by ``data`` (str, or bytes-like such as a contiguous
-    array) through a renamed temporary file."""
+@contextmanager
+def open_atomic(path):
+    """Binary file whose contents replace ``path`` when the ``with`` block ends.
+
+    The bytes go to a temporary file beside ``path``, renamed into place on
+    success; on any exception the temporary file is removed and ``path``
+    is left as it was.
+    """
     path = Path(path)
-    if isinstance(data, str):
-        data = data.encode()
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            yield fh
         # mkstemp creates the file private; give it the mode a plain open would.
         umask = os.umask(0)
         os.umask(umask)
@@ -275,6 +279,13 @@ def write_atomic(path, data) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def write_atomic(path, data) -> None:
+    """Replace ``path`` by ``data`` (str, or bytes-like such as a contiguous
+    array) through :func:`open_atomic`."""
+    with open_atomic(path) as fh:
+        fh.write(data.encode() if isinstance(data, str) else data)
 
 
 def load_working_point(path) -> WorkingPoint:

@@ -265,13 +265,18 @@ def synthetic_cycles(
 
 
 def replay_cycles(stem, expected_wp: WorkingPoint | None = None):
-    """Cycle source over an exported frame file's rows, read and checked now."""
+    """Cycle source over an exported frame file's rows.
+
+    The sidecar, the raw file's length and the working point are checked
+    now; the samples are read and checked one block at a time as the
+    source is drawn (see :func:`read_frames`).
+    """
     wp, cycles = read_frames(stem)
     if expected_wp is not None and wp != expected_wp:
         raise ParameterError(
             "replay file working point differs from the configured working point"
         )
-    return iter(cycles)
+    return cycles
 
 
 def read_config_file(path):

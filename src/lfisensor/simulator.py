@@ -13,14 +13,25 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from .errors import AliasingError, FramingError, ParameterError
-from .modulation import SPEED_OF_LIGHT, RampDescriptor, WorkingPoint, ramp_slopes, write_atomic
+from .modulation import (
+    SPEED_OF_LIGHT,
+    RampDescriptor,
+    WorkingPoint,
+    open_atomic,
+    ramp_slopes,
+    write_atomic,
+)
 
 FRAME_FORMAT_VERSION = 2
+
+#: Cycles per block of frame-file I/O: 512 kB at 4 x 500 float32 samples.
+FRAME_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -147,25 +158,35 @@ def synthesize_cycle(
 
 
 def write_frames(stem, cycles, wp: WorkingPoint) -> None:
-    """Export ``(N, wp.samples_per_cycle)`` cycles as ``<stem>.f32``, raw
-    little-endian float32, and then a sidecar ``<stem>.json`` holding the
-    format version, the working point and N.  Cycles with a NaN or infinite
-    sample raise :class:`FramingError`, as :func:`read_frames` would.
+    """Export cycles, an iterable of ``wp.samples_per_cycle``-sample rows,
+    as ``<stem>.f32``, raw little-endian float32, and then a sidecar
+    ``<stem>.json`` holding the format version, the working point and the
+    cycle count.
+
+    Rows are drawn, checked and written :data:`FRAME_BLOCK` at a time, so a
+    generator is exported in constant memory.  A row of another length or
+    with a NaN or infinite sample raises :class:`FramingError`, as
+    :func:`read_frames` would, and leaves neither file written.
     """
-    cycles = np.ascontiguousarray(cycles, dtype="<f4")
-    # An empty list is an export of zero cycles.
-    if len(cycles) and cycles.shape[1:] != (wp.samples_per_cycle,):
-        raise FramingError(
-            f"cycles must be rows of {wp.samples_per_cycle} samples, got shape {cycles.shape}"
-        )
     raw_path, sidecar_path = _frame_paths(stem)
-    _refuse_non_finite(raw_path, cycles, wp)
+    rows = iter(cycles)
+    n_cycles = 0
+    with open_atomic(raw_path) as fh:
+        while block := list(islice(rows, FRAME_BLOCK)):
+            block = np.array(block, dtype="<f4")
+            if block.shape[1:] != (wp.samples_per_cycle,):
+                raise FramingError(
+                    f"cycles must be rows of {wp.samples_per_cycle} samples, "
+                    f"got rows of shape {block.shape[1:]}"
+                )
+            _refuse_non_finite(raw_path, block, wp, n_cycles)
+            fh.write(block)
+            n_cycles += len(block)
     sidecar = {
         "format_version": FRAME_FORMAT_VERSION,
         "working_point": wp.to_dict(),
-        "cycles": len(cycles),
+        "cycles": n_cycles,
     }
-    write_atomic(raw_path, cycles)
     write_atomic(sidecar_path, json.dumps(sidecar, sort_keys=True, indent=1))
 
 
@@ -175,10 +196,14 @@ def _frame_paths(stem):
 
 
 def read_frames(stem):
-    """Read a :func:`write_frames` export as (working point, read-only cycles).
+    """Open a :func:`write_frames` export as (working point, cycle iterator).
 
-    Any defect of the sidecar, of the raw file's length or a NaN or infinite
-    sample raises :class:`FramingError` naming the file.
+    The sidecar and the raw file's length are checked now; any defect
+    raises :class:`FramingError` naming the file.  The iterator then reads
+    the raw file :data:`FRAME_BLOCK` cycles at a time and yields each cycle
+    as a read-only float32 row.  Each block is checked when it is read: a
+    NaN or infinite sample raises :class:`FramingError` naming its cycle
+    and ramp, before any cycle of that block is yielded.
     """
     raw_path, sidecar_path = _frame_paths(stem)
     try:
@@ -198,18 +223,32 @@ def read_frames(stem):
         raise FramingError(f"frame sidecar {sidecar_path} has no key {exc}") from None
     except ValueError as exc:
         raise FramingError(f"frame sidecar {sidecar_path}: {exc}") from None
-    data = raw_path.read_bytes()
-    if len(data) != 4 * n_cycles * wp.samples_per_cycle:
+    size = raw_path.stat().st_size
+    if size != 4 * n_cycles * wp.samples_per_cycle:
         raise FramingError(
-            f"{raw_path} has {len(data)} bytes, not the {n_cycles} cycles its sidecar declares"
+            f"{raw_path} has {size} bytes, not the {n_cycles} cycles its sidecar declares"
         )
-    cycles = np.frombuffer(data, dtype="<f4").reshape(n_cycles, wp.samples_per_cycle)
-    _refuse_non_finite(raw_path, cycles, wp)
-    return wp, cycles
+    return wp, _read_blocks(raw_path, n_cycles, wp)
 
 
-def _refuse_non_finite(raw_path, cycles, wp: WorkingPoint) -> None:
+def _read_blocks(raw_path, n_cycles: int, wp: WorkingPoint):
+    n = wp.samples_per_cycle
+    with open(raw_path, "rb") as fh:
+        for first in range(0, n_cycles, FRAME_BLOCK):
+            count = min(FRAME_BLOCK, n_cycles - first)
+            block = np.fromfile(fh, dtype="<f4", count=count * n)
+            if len(block) != count * n:
+                raise FramingError(f"{raw_path} ended before the cycles its sidecar declares")
+            block = block.reshape(count, n)
+            _refuse_non_finite(raw_path, block, wp, first)
+            block.flags.writeable = False
+            yield from block
+
+
+def _refuse_non_finite(raw_path, cycles, wp: WorkingPoint, first_cycle: int) -> None:
     finite = np.isfinite(cycles)
     if not finite.all():
         cycle, ramp = divmod(int(finite.argmin()) // wp.samples_per_ramp, 4)
-        raise FramingError(f"{raw_path} has a non-finite sample in cycle {cycle}, ramp {ramp}")
+        raise FramingError(
+            f"{raw_path} has a non-finite sample in cycle {first_cycle + cycle}, ramp {ramp}"
+        )

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from lfisensor import NoiseModelCoefficients, blind_map
 from lfisensor.analysis import write_observations_csv
 from lfisensor.cli import _CSV_HEADER, main
 from lfisensor.modulation import save_working_point
+from lfisensor.simulator import FRAME_BLOCK
 
 from conftest import make_wp
 from test_analysis import TRUE_COEFFS, _synthetic_observations
@@ -389,6 +391,16 @@ def test_stale_temporary_directory_does_not_block_output(config_path, tmp_path, 
     capsys.readouterr()
 
 
+def test_every_package_error_is_an_lfi_error():
+    # The CLI catches LfiError: each error class must derive from it and
+    # stay a ValueError for library callers.
+    classes = [c for c in vars(lfisensor.errors).values()
+               if isinstance(c, type) and issubclass(c, Exception)]
+    assert len(classes) == 8
+    for cls in classes:
+        assert issubclass(cls, lfisensor.LfiError) and issubclass(cls, ValueError)
+
+
 def test_missing_config_is_parser_error(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["mindist", "--out", str(tmp_path / "o.json")])
@@ -539,6 +551,96 @@ def test_non_finite_replay_sample_exits_nonzero(config_path, tmp_path, capsys, c
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(raw) in err and "cycle 5, ramp 2" in err
     assert not (tmp_path / "out").exists()
+    assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == []
+
+
+@pytest.mark.parametrize("command", ["process", "calibrate"])
+def test_non_finite_sample_in_a_later_block_exits_nonzero(config_path, tmp_path, capsys, command):
+    # The replay is read one block at a time: the bad sample is found when
+    # its block is reached, after records of earlier blocks were made, and
+    # still no output file, temporary or final, is left behind.
+    wp = make_wp()
+    bad = FRAME_BLOCK + 3
+    stem = tmp_path / "frames"
+    assert main(["synth", "--config", str(config_path), "--out", str(stem),
+                 "--cycles", str(2 * FRAME_BLOCK + 5), "--distance", "0.04"]) == 0
+    raw = tmp_path / "frames.f32"
+    samples = np.fromfile(raw, dtype="<f4")
+    samples[bad * wp.samples_per_cycle + 3 * wp.samples_per_ramp + 4] = math.nan
+    samples.tofile(raw)
+    argv = [command, "--config", str(config_path), "--out", str(tmp_path / "out"),
+            "--input", str(stem)]
+    if command == "process":
+        argv += ["--calibration", str(_calibrate(config_path, tmp_path))]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(raw) in err and f"cycle {bad}, ramp 3" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["synth", "calibrate", "process"])
+def test_negative_cycles_exits_nonzero(config_path, tmp_path, capsys, command):
+    # A negative count is an out-of-range setting, refused before any file
+    # (output or manifest) is written.
+    argv = [command, "--config", str(config_path), "--out", str(tmp_path / "out"),
+            "--cycles", "-2"]
+    if command == "process":
+        argv += ["--calibration", str(_calibrate(config_path, tmp_path))]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--cycles must be >= 0, got -2" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_process_zero_cycles_writes_header_and_manifest(config_path, tmp_path, capsys, fmt):
+    # An empty run is a valid file of its format: a header-only CSV, an
+    # empty JSONL file, and its manifest.
+    cal = _calibrate(config_path, tmp_path)
+    out = tmp_path / f"run.{fmt}"
+    capsys.readouterr()
+    assert main(["process", "--config", str(config_path), "--calibration", str(cal),
+                 "--cycles", "0", "--distance", "0.04", "--format", fmt,
+                 "--out", str(out)]) == 0
+    assert out.read_text() == (_CSV_HEADER + "\n" if fmt == "csv" else "")
+    manifest = json.loads((tmp_path / f"run.{fmt}.manifest.json").read_text())
+    assert manifest["inputs"]["synthetic"]["cycles"] == 0
+    assert manifest["outputs"] == [str(out)]
+    assert capsys.readouterr().out == f"wrote 0 records to {out}\n"
+
+
+def test_process_memory_does_not_grow_with_cycles(config_path, tmp_path, capsys):
+    # Replay is read, and records written, one block at a time: 4x the
+    # cycles may not raise the peak of traced allocations (numpy reports
+    # its buffers to tracemalloc) by more than 1 MB.
+    cal = _calibrate(config_path, tmp_path)
+
+    def process(cycles, traced):
+        stem = tmp_path / f"frames{cycles}"
+        if not stem.with_suffix(".f32").exists():
+            assert main(["synth", "--config", str(config_path), "--out", str(stem),
+                         "--cycles", str(cycles), "--distance", "0.04",
+                         "--noise-sigma", "0.1"]) == 0
+        argv = ["process", "--config", str(config_path), "--calibration", str(cal),
+                "--input", str(stem), "--out", str(tmp_path / f"run{cycles}.csv")]
+        if not traced:
+            assert main(argv) == 0
+            return None
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    process(200, traced=False)  # warm the caches
+    small, large = process(200, traced=True), process(800, traced=True)
+    capsys.readouterr()
+    assert large <= small + 1_000_000, (small, large)
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfisensor import ParameterError, WorkingPoint, build_cycle, modulation_waveform
-from lfisensor.modulation import frequency_offset, load_working_point, save_working_point
+from lfisensor.modulation import (
+    frequency_offset,
+    load_working_point,
+    open_atomic,
+    save_working_point,
+    write_atomic,
+)
 
 from conftest import make_wp
 
@@ -143,3 +149,21 @@ def test_duplicate_config_key_rejected(tmp_path):
     path.write_text("ratio_rt = 0.5\nratio_rt = 0.25\n")
     with pytest.raises(ParameterError, match="duplicate"):
         load_working_point(path)
+
+
+def test_open_atomic_keeps_the_old_file_when_the_block_fails(tmp_path):
+    # Bytes written before the failure land in a temporary file, which is
+    # removed; the old file stays as it was.
+    path = tmp_path / "out.txt"
+    write_atomic(path, "old\n")
+    with pytest.raises(RuntimeError, match="stop"):
+        with open_atomic(path) as fh:
+            fh.write(b"partial")
+            raise RuntimeError("stop")
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    with open_atomic(path) as fh:
+        fh.write(b"new ")
+        fh.write(b"bytes")
+    assert path.read_bytes() == b"new bytes"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]

@@ -27,6 +27,7 @@ from lfisensor import pipeline
 from lfisensor.modulation import read_flat_config
 from lfisensor.peaks import DEFAULT_KAPPA, PeakEstimate, estimate_peak
 from lfisensor.pipeline import _attach_sigmas, config_from_file, read_config_file
+from lfisensor.simulator import FRAME_BLOCK
 from lfisensor.spectral import (
     Calibration,
     frame_spectrum,
@@ -174,6 +175,23 @@ def test_replay_matches_synthetic_run(wp, quiet_cal, tmp_path):
     replayed = list(run_stream(replay_cycles(stem, expected_wp=wp), cfg))
     assert len(direct) == len(replayed) == 4
     for a, b in zip(direct, replayed):
+        assert a.measurement == b.measurement
+        assert a.peaks == b.peaks
+
+
+def test_replay_across_blocks_matches_synthetic_run(wp, quiet_cal, tmp_path):
+    # A replay is read one block at a time; its cycles and records do not
+    # depend on where the blocks end.
+    gt = GroundTruth(0.045, -0.06)
+    n = 2 * FRAME_BLOCK + 5
+    stem = tmp_path / "stream"
+    write_frames(stem, synthetic_cycles(wp, gt, 1.0, 0.2, seed=31, n_cycles=n), wp)
+    cfg = _config(wp, quiet_cal, n_avg=2)
+    direct = list(run_stream(synthetic_cycles(wp, gt, 1.0, 0.2, seed=31, n_cycles=n), cfg))
+    replayed = list(run_stream(replay_cycles(stem, expected_wp=wp), cfg))
+    assert len(direct) == len(replayed) == n
+    for a, b in zip(direct, replayed):
+        assert a.cycle_index == b.cycle_index
         assert a.measurement == b.measurement
         assert a.peaks == b.peaks
 

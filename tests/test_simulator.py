@@ -20,7 +20,7 @@ from lfisensor import (
     write_frames,
 )
 from lfisensor import simulator
-from lfisensor.simulator import _highpass_matrix
+from lfisensor.simulator import FRAME_BLOCK, _highpass_matrix
 
 from conftest import C, make_wp, true_beats
 
@@ -308,11 +308,14 @@ def test_frame_export_round_trip(tmp_path):
     cycles = [synthesize_cycle(wp, gt, 1.0, 0.1, seed=5, cycle_index=k) for k in range(3)]
     stem = tmp_path / "frames"
     write_frames(stem, cycles, wp)
-    wp_back, cycles_back = read_frames(stem)
+    wp_back, rows = read_frames(stem)
     assert wp_back == wp
-    assert cycles_back.shape == (3, wp.samples_per_cycle)
-    assert cycles_back.dtype == np.dtype("<f4")
-    for original, restored in zip(cycles, cycles_back):
+    rows = list(rows)
+    assert len(rows) == 3
+    for original, restored in zip(cycles, rows):
+        assert restored.shape == (wp.samples_per_cycle,)
+        assert restored.dtype == np.dtype("<f4")
+        assert not restored.flags.writeable
         assert original.tobytes() == restored.tobytes()
     sidecar = json.loads((tmp_path / "frames.json").read_text())
     assert sidecar == {"format_version": 2, "working_point": wp.to_dict(), "cycles": 3}
@@ -336,6 +339,58 @@ def test_write_frames_refuses_non_finite_samples(tmp_path, value):
     with pytest.raises(FramingError, match="frames.f32 has a non-finite sample in cycle 2, ramp 3"):
         write_frames(tmp_path / "frames", cycles, wp)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_write_frames_refuses_non_finite_sample_in_a_later_block(tmp_path):
+    # Blocks are checked as they are drawn; the error names the cycle of the
+    # whole export, and the blocks already written leave no file behind.
+    wp = make_wp()
+    bad = FRAME_BLOCK + 3
+
+    def rows():
+        for k in range(2 * FRAME_BLOCK):
+            row = np.zeros(wp.samples_per_cycle)
+            if k == bad:
+                row[wp.samples_per_ramp + 1] = math.inf
+            yield row
+
+    with pytest.raises(FramingError, match=f"non-finite sample in cycle {bad}, ramp 1"):
+        write_frames(tmp_path / "frames", rows(), wp)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_read_frames_refuses_a_raw_file_cut_after_it_was_opened(tmp_path):
+    # The length is checked when the export is opened and the samples read
+    # later; a file cut in between ends in the package's error, not numpy's.
+    wp = make_wp()
+    stem = tmp_path / "frames"
+    write_frames(stem, np.zeros((FRAME_BLOCK + 1, wp.samples_per_cycle)), wp)
+    _, rows = read_frames(stem)
+    raw = tmp_path / "frames.f32"
+    raw.write_bytes(raw.read_bytes()[: 4 * wp.samples_per_cycle * FRAME_BLOCK])
+    assert len([next(rows) for _ in range(FRAME_BLOCK)]) == FRAME_BLOCK
+    with pytest.raises(FramingError, match="frames.f32 ended before the cycles its sidecar"):
+        next(rows)
+
+
+def test_read_frames_checks_each_block_when_it_is_reached(tmp_path):
+    # Length and sidecar are checked when the file is opened; a bad sample
+    # only when its block is read, after the cycles of earlier blocks.
+    wp = make_wp()
+    stem = tmp_path / "frames"
+    cycles = np.zeros((2 * FRAME_BLOCK + 5, wp.samples_per_cycle), dtype="<f4")
+    write_frames(stem, cycles, wp)
+    raw = tmp_path / "frames.f32"
+    samples = np.fromfile(raw, dtype="<f4")
+    bad = FRAME_BLOCK + 3
+    samples[bad * wp.samples_per_cycle + 2 * wp.samples_per_ramp] = math.nan
+    samples.tofile(raw)
+    _, rows = read_frames(stem)
+    drawn = 0
+    with pytest.raises(FramingError, match=f"non-finite sample in cycle {bad}, ramp 2"):
+        for _ in rows:
+            drawn += 1
+    assert drawn == FRAME_BLOCK
 
 
 @pytest.mark.parametrize(
