@@ -47,6 +47,7 @@ from .pipeline import (
     CycleRecord,
     PipelineConfig,
     PipelineState,
+    process_block,
     process_cycle,
     replay_cycles,
     run_stream,

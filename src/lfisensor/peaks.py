@@ -60,17 +60,21 @@ def validity_threshold(magnitudes, kappa=DEFAULT_KAPPA, epsilon_abs=0.0) -> floa
     return validity_thresholds(magnitudes[None], [epsilon_abs], kappa)[0]
 
 
-def validity_thresholds(rows, epsilons, kappa=DEFAULT_KAPPA) -> list:
+def validity_thresholds(rows, epsilons, kappa=DEFAULT_KAPPA, scratch=None) -> list:
     """Intensity a peak must exceed to count as a real detection, per row.
 
     ``max(epsilons[r], kappa * median of the positive bins)`` of each row of
     a floored ``(rows, bins)`` stack (0 for the median of no bins); a low
     intensity marks an unreliable (typically blind) ramp.  One sort of a copy
-    puts each row's nonpositive bins first and its NaNs last, so the positive
-    bins are one span and the median is ``np.median``'s, bit for bit.
+    (into ``scratch``, an array of the stack's shape, when given) puts each
+    row's nonpositive bins first and its NaNs last, so the positive bins are
+    one span and the median is ``np.median``'s, bit for bit.
     """
+    scratch = np.empty_like(rows) if scratch is None else scratch
+    np.copyto(scratch, rows)
+    scratch.sort(axis=1)
     thresholds = []
-    for row, epsilon in zip(np.sort(rows, axis=1), epsilons):
+    for row, epsilon in zip(scratch, epsilons):
         lo = int(row.searchsorted(0.0, side="right"))
         hi = int(row.searchsorted(math.inf, side="right"))
         k = (lo + hi) // 2
@@ -85,13 +89,11 @@ def validity_thresholds(rows, epsilons, kappa=DEFAULT_KAPPA) -> list:
 
 
 @lru_cache(maxsize=16)
-def _window_tables(n_rows: int, n_bins: int, window: int):
-    """Each row's window in a zero-padded ``(n_rows, n_bins + window - 1)`` stack,
-    as flat indices; the bin offsets ``x`` in a window and their ``(window, 5)``
-    powers ``x^0 .. x^4`` (cached and shared: do not modify)."""
-    x = np.arange(-(window // 2), window // 2 + 1, dtype=float)
-    gather = np.arange(n_rows)[:, None] * (n_bins + window - 1) + np.arange(window)
-    return gather, x, np.vander(x, 5, increasing=True)
+def _window_tables(window: int):
+    """The bin offsets ``x`` in a window, as ints and floats, and their
+    ``(window, 5)`` powers ``x^0 .. x^4`` (cached and shared: do not modify)."""
+    x = np.arange(-(window // 2), window // 2 + 1)
+    return x, x.astype(float), np.vander(x.astype(float), 5, increasing=True)
 
 
 def _gaussian_fits(rows: np.ndarray, centers, window: int) -> list:
@@ -105,12 +107,12 @@ def _gaussian_fits(rows: np.ndarray, centers, window: int) -> list:
     fewer than three bins are positive or the fit is not concave or finite.
     """
     n_rows, n_bins = rows.shape
-    gather, x, powers = _window_tables(n_rows, n_bins, window)
-    # Window r starts at column centers[r] of a zero-padded copy; the pads
-    # are not positive, so they drop out exactly as clipped bins do.
-    padded = np.zeros((n_rows, n_bins + window - 1))
-    padded[:, window // 2 : window // 2 + n_bins] = rows
-    block = padded.take(gather + np.asarray(centers)[:, None])
+    offsets, x, powers = _window_tables(window)
+    columns = offsets + np.asarray(centers)[:, None]
+    block = rows.take(columns + np.arange(0, rows.size, n_bins)[:, None], mode="clip")
+    if min(centers) < window // 2 or max(centers) >= n_bins - window // 2:
+        # Bins outside their row read as 0, so they drop out as clipped bins do.
+        block[(columns < 0) | (columns >= n_bins)] = 0.0
     positive = block > 0
     peak = block.max(axis=1)
     # Wild windows can overflow; a fit that is not finite fails the guard.
@@ -151,7 +153,8 @@ def _gaussian_fits(rows: np.ndarray, centers, window: int) -> list:
     return fits
 
 
-def _interpolate(rows, bin_freqs, centers, window, method, kappa, epsilons, ramps) -> list:
+def _interpolate(rows, bin_freqs, centers, window, method, kappa, epsilons, ramps,
+                 scratch=None) -> list:
     """Each row's peak interpolated around its center bin: the batched core."""
     n_bins, half = rows.shape[1], window // 2
     if window < 3 or window % 2 == 0:
@@ -160,7 +163,7 @@ def _interpolate(rows, bin_freqs, centers, window, method, kappa, epsilons, ramp
         if not 0 <= center < n_bins:
             raise ParameterError(f"center_bin {center} outside spectrum of {n_bins} bins")
     fits = _gaussian_fits(rows, centers, window) if method == GAUSSIAN else [None] * len(rows)
-    thresholds = validity_thresholds(rows, epsilons, kappa)
+    thresholds = validity_thresholds(rows, epsilons, kappa, scratch)
     estimates = []
     for r, (center, fit) in enumerate(zip(centers, fits)):
         row = rows[r]  # indexing makes a row view faster than iterating does
@@ -185,7 +188,7 @@ def _interpolate(rows, bin_freqs, centers, window, method, kappa, epsilons, ramp
 
 def estimate_peaks(
     rows, bin_freqs, epsilons, window=DEFAULT_WINDOW, method=WEIGHTED_AVERAGE, kappa=DEFAULT_KAPPA,
-    ramps=None,
+    ramps=None, scratch=None,
 ) -> tuple:
     """Max-bin selection and interpolation, batched over a ``(rows, bins)`` stack.
 
@@ -194,13 +197,15 @@ def estimate_peaks(
     ``sum(X(k) F(k)) / sum(X(k))`` over the window, with the center bin as
     intensity; the Gaussian fit (:func:`_gaussian_fits`) falls back to it when
     it fails or its vertex leaves the window.  An all-zero row has no peak.
+    The threshold sort overwrites ``scratch``, if given, not a new copy.
     """
     if method not in METHODS:
         raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
     ramps = range(len(rows)) if ramps is None else ramps
     centers = _max_bins(rows)
     found = [0 if center is None else center for center in centers]
-    estimates = _interpolate(rows, bin_freqs, found, window, method, kappa, epsilons, ramps)
+    estimates = _interpolate(rows, bin_freqs, found, window, method, kappa, epsilons, ramps,
+                             scratch)
     return tuple(est if center is not None else PeakEstimate(ramp, 0.0, 0.0, method, valid=False)
                  for est, center, ramp in zip(estimates, centers, ramps))
 

@@ -6,21 +6,21 @@ two flavors: seeded synthetic cycles and replay of exported frame files.
 
 Everything that depends only on the configuration and the calibration
 (window, bin grid, scaled reference spectra, noise gates) is computed
-once when :class:`PipelineConfig` is built, and each cycle runs
-one FFT over its four frames.  Records are the same, bit for bit, as
-those of the per-ramp layer functions composed by hand.
+once when :class:`PipelineConfig` is built, and a block of cycles runs one
+FFT, floor subtraction and peak stage over all its frames.  Records are the
+same, bit for bit, as those of the per-ramp layer functions composed by hand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
 from .analysis import NoiseModelCoefficients, predict_sigma_fb
-from .errors import ParameterError
+from .errors import FramingError, ParameterError
 from .modulation import (
     WORKING_POINT_KEYS,
     WorkingPoint,
@@ -29,7 +29,7 @@ from .modulation import (
     read_flat_config,
 )
 from .peaks import DEFAULT_WINDOW, METHODS, WEIGHTED_AVERAGE, estimate_peaks
-from .simulator import read_frames, synthesize_cycle
+from .simulator import read_frames, refuse_non_finite, synthesize_cycle
 from .solver import STATUS_INVALID, Measurement, disambiguate, propagate_noise
 from .spectral import (
     DEFAULT_ALPHA,
@@ -39,14 +39,15 @@ from .spectral import (
     bin_frequencies,
     check_fft_bins,
     hamming,
-    magnitude_spectra,
     remove_floor,
-    slice_cycle,
 )
 
 #: Validity gate in units of the calibrated per-bin sigma; rejects the
 #: residual maxima of pure-noise spectra after subtraction.
 DEFAULT_NOISE_GATE = 6.0
+
+#: Cycles per :func:`process_block` call in :func:`run_stream` (README: "Block hot path").
+STREAM_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -123,11 +124,13 @@ class PipelineState:
     slots ``t % n_avg`` and ``t % n_avg + n_avg``, so the window, oldest
     first, is always one contiguous slice of slots.  Averaging that slice
     adds the spectra in the same order as ``np.mean`` over a list of them,
-    so the result is the same to the bit.
+    so the result is the same to the bit.  ``work`` holds the arrays of
+    :func:`process_block`, kept for the next block (a copy gets its own).
     """
 
     ring: np.ndarray
     cycles_seen: int = 0
+    work: tuple = field(default=(), repr=False, compare=False)
 
     @classmethod
     def for_config(cls, cfg: PipelineConfig) -> "PipelineState":
@@ -141,21 +144,24 @@ class PipelineState:
     def copy(self) -> "PipelineState":
         return PipelineState(ring=self.ring.copy(), cycles_seen=self.cycles_seen)
 
-    def push(self, spectra: np.ndarray) -> np.ndarray:
-        """Add one cycle's ``(4, bins)`` spectra; return the window mean per ramp.
+    def push(self, spectra: np.ndarray, out=None) -> np.ndarray:
+        """Add one cycle's ``(4, bins)`` spectra; return the window mean per ramp, in ``out``.
 
-        A window of one spectrum is returned as a copy of it: its mean would
-        divide each bin by 1.0, which changes nothing.
+        The sum and the division are ``np.mean``'s.  A window of one spectrum
+        is returned as a copy of it: dividing by 1.0 changes nothing.
         """
         n_avg = self.ring.shape[1] // 2
         slot = self.cycles_seen % n_avg
         self.ring[:, slot] = spectra
         self.ring[:, slot + n_avg] = spectra
         self.cycles_seen += 1
+        out = np.empty_like(self.ring[:, slot]) if out is None else out
         if self.n_window == 1:
-            return self.ring[:, slot].copy()
+            np.copyto(out, self.ring[:, slot])
+            return out
         start = (self.cycles_seen - self.n_window) % n_avg
-        return self.ring[:, start : start + self.n_window].mean(axis=1)
+        np.add.reduce(self.ring[:, start : start + self.n_window], axis=1, out=out)
+        return np.divide(out, self.n_window, out=out)
 
 
 @dataclass
@@ -203,42 +209,68 @@ def _attach_sigmas(
     return replace(measurement, sigma_R=sigma_r, sigma_v=sigma_v)
 
 
-def process_cycle(samples, state: PipelineState, cfg: PipelineConfig) -> CycleRecord:
-    """Run one cycle of ADC samples through the full chain.
+def process_block(block, state: PipelineState, cfg: PipelineConfig) -> list:
+    """Run cycles, the rows of ``block``, through the full chain; one record each.
 
-    Slice, window/FFT, sliding average, spectral subtraction, peak
-    interpolation, sign disambiguation.  Mutates ``state`` by adding this
-    cycle's spectra; deterministic given (samples, state, config).
+    The FFT, the floor subtraction and the peak stage each cover all frames at
+    once; the average and the solver go cycle by cycle, so a record is the one
+    its cycle gets alone, bit for bit.  A NaN or infinite sample raises
+    :class:`FramingError` before ``state`` changes.
     """
     wp = cfg.working_point
-    samples = np.asarray(samples)
+    try:
+        block = np.asarray(block)
+    except ValueError:
+        raise FramingError("the cycles of a block differ in length") from None
+    if block.ndim != 2 or block.shape[1] != wp.samples_per_cycle:
+        raise FramingError(f"expected cycles of {wp.samples_per_cycle} samples, got {block.shape}")
+    if not len(block):
+        return []
     if cfg.sync_offset_samples:
-        samples = np.roll(samples, -cfg.sync_offset_samples)
-    spectra = magnitude_spectra(slice_cycle(samples, wp), cfg.frame_window, cfg.fft_bins)
-    cleaned = remove_floor(state.push(spectra), cfg.scaled_mean, cfg.scaled_sigma)
-    n_window = state.n_window
-    epsilons = [gate / math.sqrt(n_window) for gate in cfg.noise_gates]
+        block = np.roll(block, -cfg.sync_offset_samples, axis=1)
+    refuse_non_finite("input", block, wp, state.cycles_seen)
+    n_cycles, rows, bins = len(block), 4 * len(block), cfg.fft_bins // 2
+    if not state.work or len(state.work[0]) < rows:  # grown, never shrunk; the pads stay 0
+        state.work = (np.zeros((rows, cfg.fft_bins)), np.empty((rows, bins + 1), complex),
+                      np.empty((rows, bins)), np.empty((rows, bins)))
+    padded, transform, spectra, cleaned = (array[:rows] for array in state.work)
+    np.multiply(block.reshape(rows, -1), cfg.frame_window, out=padded[:, : wp.samples_per_ramp])
+    np.fft.rfft(padded, axis=-1, out=transform)
+    np.abs(transform[:, :bins], out=spectra)
+    n_windows = []
+    for c in range(0, rows, 4):
+        state.push(spectra[c : c + 4], out=cleaned[c : c + 4])
+        n_windows.append(state.n_window)
+    by_cycle = cleaned.reshape(n_cycles, 4, bins)
+    remove_floor(by_cycle, cfg.scaled_mean, cfg.scaled_sigma, out=by_cycle)
+    epsilons = [gate / math.sqrt(n) for n in n_windows for gate in cfg.noise_gates]
+    # The magnitudes are in the ring now, so the threshold sort may overwrite them.
     peaks = estimate_peaks(cleaned, cfg.bin_frequencies, epsilons, cfg.interp_window,
-                           cfg.interp_method)
-    cycle_index = state.cycles_seen - 1
-    measurement = disambiguate(peaks, wp)
-    if cfg.noise_model is not None and measurement.status != STATUS_INVALID:
-        measurement = _attach_sigmas(measurement, peaks, cfg, n_window)
-    return CycleRecord(
-        cycle_index=cycle_index,
-        timestamp=cycle_index * wp.cycle_duration,
-        peaks=peaks,
-        measurement=measurement,
-        warmup=state.cycles_seen < cfg.n_avg,
-    )
+                           cfg.interp_method, ramps=(0, 1, 2, 3) * n_cycles, scratch=spectra)
+    records = []
+    for c, n_window in enumerate(n_windows):
+        index, cycle_peaks = state.cycles_seen - n_cycles + c, peaks[4 * c : 4 * c + 4]
+        measurement = disambiguate(cycle_peaks, wp)
+        if cfg.noise_model is not None and measurement.status != STATUS_INVALID:
+            measurement = _attach_sigmas(measurement, cycle_peaks, cfg, n_window)
+        records.append(CycleRecord(index, index * wp.cycle_duration, cycle_peaks, measurement,
+                                   warmup=index + 1 < cfg.n_avg))
+    return records
+
+
+def process_cycle(samples, state: PipelineState, cfg: PipelineConfig) -> CycleRecord:
+    """:func:`process_block` of one cycle, for callers that cannot wait for a block."""
+    return process_block(np.asarray(samples)[None], state, cfg)[0]
 
 
 def run_stream(source, cfg: PipelineConfig, state: PipelineState | None = None):
-    """Fold :func:`process_cycle` over a cycle iterator, yielding records."""
+    """Fold :func:`process_block` over a cycle iterator, :data:`STREAM_BLOCK`
+    cycles at a time, yielding records as each block completes."""
     if state is None:
         state = PipelineState.for_config(cfg)
-    for samples in source:
-        yield process_cycle(samples, state, cfg)
+    source = iter(source)
+    while block := list(islice(source, STREAM_BLOCK)):
+        yield from process_block(block, state, cfg)
 
 
 def synthetic_cycles(

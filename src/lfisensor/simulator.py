@@ -179,7 +179,7 @@ def write_frames(stem, cycles, wp: WorkingPoint) -> None:
                     f"cycles must be rows of {wp.samples_per_cycle} samples, "
                     f"got rows of shape {block.shape[1:]}"
                 )
-            _refuse_non_finite(raw_path, block, wp, n_cycles)
+            refuse_non_finite(raw_path, block, wp, n_cycles)
             fh.write(block)
             n_cycles += len(block)
     sidecar = {
@@ -240,15 +240,16 @@ def _read_blocks(raw_path, n_cycles: int, wp: WorkingPoint):
             if len(block) != count * n:
                 raise FramingError(f"{raw_path} ended before the cycles its sidecar declares")
             block = block.reshape(count, n)
-            _refuse_non_finite(raw_path, block, wp, first)
+            refuse_non_finite(raw_path, block, wp, first)
             block.flags.writeable = False
             yield from block
 
 
-def _refuse_non_finite(raw_path, cycles, wp: WorkingPoint, first_cycle: int) -> None:
+def refuse_non_finite(source, cycles, wp: WorkingPoint, first_cycle: int) -> None:
+    """Name ``source`` and the cycle and ramp of a block's first NaN or infinite sample."""
     finite = np.isfinite(cycles)
     if not finite.all():
         cycle, ramp = divmod(int(finite.argmin()) // wp.samples_per_ramp, 4)
         raise FramingError(
-            f"{raw_path} has a non-finite sample in cycle {first_cycle + cycle}, ramp {ramp}"
+            f"{source} has a non-finite sample in cycle {first_cycle + cycle}, ramp {ramp}"
         )

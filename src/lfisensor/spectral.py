@@ -273,12 +273,12 @@ def subtract_floor(
     )
 
 
-def remove_floor(magnitudes, scaled_mean, scaled_sigma) -> np.ndarray:
+def remove_floor(magnitudes, scaled_mean, scaled_sigma, out=None) -> np.ndarray:
     """``max(X - scaled_mean - scaled_sigma, 0)`` per bin, in that order.
 
     The scaled references are ``alpha * mean_ref`` and ``beta * sigma_ref``;
-    the pipeline computes them once per configuration.
+    the pipeline computes them once per configuration; ``out`` may be ``magnitudes``.
     """
-    cleaned = magnitudes - scaled_mean
+    cleaned = np.subtract(magnitudes, scaled_mean, out=out)
     cleaned -= scaled_sigma
     return np.maximum(cleaned, 0.0, out=cleaned)

@@ -19,6 +19,7 @@ from lfisensor.peaks import (
     validity_thresholds,
     weighted_average_interpolate,
 )
+from lfisensor.pipeline import STREAM_BLOCK
 from lfisensor.spectral import (
     RampSpectrum,
     bin_frequencies,
@@ -270,6 +271,36 @@ def test_batched_estimate_of_a_row_ignores_its_neighbours(rows, method, epsilon)
     for est, row in zip(batched, rows):
         if row[0] == "zero":
             assert est == PeakEstimate(est.ramp_index, 0.0, 0.0, method, valid=False)
+
+
+
+@given(cycles=st.integers(1, 2 * STREAM_BLOCK), seed=st.integers(0, 2**32 - 1),
+       method=st.sampled_from([GAUSSIAN, WEIGHTED_AVERAGE]))
+@settings(max_examples=60, deadline=None)
+def test_estimates_do_not_depend_on_the_height_of_the_stack(cycles, seed, method):
+    # A block of cycles is one (4 * cycles, bins) stack: each cycle's four rows
+    # must get the estimates they get as a (4, bins) stack of their own.  The
+    # Gaussian moment sums are one BLAS product over all rows, so this pins,
+    # on the host that runs it, that the product does not round a row
+    # differently with the number of rows around it.
+    rng = np.random.default_rng(seed)
+    kinds = rng.choice(["peak", "peak", "peak", "wild", "zero"], size=4 * cycles)
+    stack = np.stack([
+        _row(kind, int(rng.integers(0, 1024)), float(rng.uniform(0.6, 6.0)),
+             list(rng.uniform(-300.0, 300.0, 25)), list(rng.integers(0, 1024, 3)),
+             int(rng.integers(0, 2**32)))
+        for kind in kinds
+    ])
+    freqs = bin_frequencies(WP, 2048)
+    epsilons = list(rng.uniform(0.0, 0.5, 4 * cycles))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tall = estimate_peaks(stack, freqs, epsilons, method=method, ramps=(0, 1, 2, 3) * cycles,
+                              scratch=np.empty_like(stack))
+        alone = [est for c in range(0, 4 * cycles, 4)
+                 for est in estimate_peaks(stack[c : c + 4], freqs, epsilons[c : c + 4],
+                                           method=method)]
+    assert [repr(est) for est in tall] == [repr(est) for est in alone]
 
 
 def test_validity_threshold_flags_weak_peaks():

@@ -1,12 +1,17 @@
+import itertools
 import math
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lfisensor import (
     CalibrationError,
+    FramingError,
     GroundTruth,
     NoiseModelCoefficients,
     ParameterError,
@@ -14,6 +19,7 @@ from lfisensor import (
     PipelineState,
     build_cycle,
     disambiguate,
+    process_block,
     process_cycle,
     propagate_noise,
     replay_cycles,
@@ -26,7 +32,7 @@ from lfisensor import (
 from lfisensor import pipeline
 from lfisensor.modulation import read_flat_config
 from lfisensor.peaks import DEFAULT_KAPPA, PeakEstimate, estimate_peak
-from lfisensor.pipeline import _attach_sigmas, config_from_file, read_config_file
+from lfisensor.pipeline import STREAM_BLOCK, _attach_sigmas, config_from_file, read_config_file
 from lfisensor.simulator import FRAME_BLOCK
 from lfisensor.spectral import (
     Calibration,
@@ -421,3 +427,150 @@ def test_sync_offset_roll(wp, quiet_cal):
         samples, PipelineState.for_config(baseline_cfg), baseline_cfg
     )
     assert record.measurement == baseline.measurement
+
+
+# ------------------------------------------------------------ block processing
+
+_NOISE_MODEL = NoiseModelCoefficients(0.0, 0.0, 0.5, 0.0, 0.0, -1.0, 0.0)
+_TARGETS = [(0.045, -0.06), (0.02, 0.01), (0.08, 0.09), (0.03, 0.0)]
+
+
+def _stream(wp, n_cycles=3 * STREAM_BLOCK + 5):
+    """Noisy (n_cycles, samples) cycles whose target changes every 7 cycles."""
+    def gt(k):
+        return GroundTruth(*_TARGETS[(k // 7) % len(_TARGETS)])
+
+    return np.stack(list(synthetic_cycles(wp, gt, 1.0, 0.3, seed=43, n_cycles=n_cycles)))
+
+
+_PER_CYCLE = {}
+
+
+@pytest.mark.parametrize(
+    "method,n_avg,noise,offset",
+    list(itertools.product(["weighted_average", "gaussian"], [1, 4, 16], [False, True], [0, 40])),
+)
+@given(data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_blocks_of_any_size_give_the_per_cycle_records(wp, noisy_cal, method, n_avg, noise,
+                                                       offset, data):
+    # One FFT, floor subtraction and peak stage per block; the records must be
+    # those of one process_cycle call per cycle, every float to the bit (repr).
+    # With an offset, the per-cycle reference rolls each cycle on its own.
+    cycles = _stream(wp)
+    cfg = _config(wp, noisy_cal, interp_method=method, n_avg=n_avg,
+                  noise_model=_NOISE_MODEL if noise else None, sync_offset_samples=offset)
+    key = (method, n_avg, noise, offset)
+    if key not in _PER_CYCLE:
+        state = PipelineState.for_config(cfg)
+        _PER_CYCLE[key] = [repr(process_cycle(c, state, cfg)) for c in cycles]
+    state, records, start = PipelineState.for_config(cfg), [], 0
+    while start < len(cycles):
+        size = data.draw(st.integers(1, 2 * STREAM_BLOCK), label="block size")
+        records += process_block(cycles[start : start + size], state, cfg)
+        start += size
+    assert [repr(r) for r in records] == _PER_CYCLE[key]
+    assert state.cycles_seen == len(cycles)
+
+
+def test_replay_through_run_stream_equals_per_cycle_processing(wp, noisy_cal, tmp_path):
+    # Replay blocks (FRAME_BLOCK) and processing blocks (STREAM_BLOCK) end at
+    # other cycles than each other and than the run.
+    n = 2 * FRAME_BLOCK + 5
+    stem = tmp_path / "stream"
+    write_frames(stem, _stream(wp, n), wp)
+    cfg = _config(wp, noisy_cal, n_avg=4, noise_model=_NOISE_MODEL)
+    state = PipelineState.for_config(cfg)
+    expected = [repr(process_cycle(c, state, cfg)) for c in _stream(wp, n)]
+    replayed = [repr(r) for r in run_stream(replay_cycles(stem, expected_wp=wp), cfg)]
+    assert replayed == expected
+
+
+def test_state_copy_in_mid_stream_owns_its_arrays(wp, noisy_cal):
+    cfg = _config(wp, noisy_cal, n_avg=4, interp_method="gaussian")
+    cycles = _stream(wp)
+    state = PipelineState.for_config(cfg)
+    process_block(cycles[: STREAM_BLOCK + 3], state, cfg)
+    snapshot = state.copy()
+    assert not np.shares_memory(snapshot.ring, state.ring)
+    rest = cycles[STREAM_BLOCK + 3 :]
+    first, again = process_block(rest, state, cfg), process_block(rest, snapshot, cfg)
+    assert [repr(r) for r in first] == [repr(r) for r in again]
+    assert snapshot.cycles_seen == state.cycles_seen == len(cycles)
+    assert np.array_equal(snapshot.ring, state.ring)
+    assert len(snapshot.work) == len(state.work) == 4
+    for mine, theirs in zip(snapshot.work, state.work):
+        assert not np.shares_memory(mine, theirs)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_sample_is_refused_and_leaves_the_state(wp, noisy_cal, bad):
+    # Neither a silently degraded window (NaN) nor an FFT warning (inf): the
+    # cycle is refused before the state changes, and the caller can go on.
+    cfg = _config(wp, noisy_cal, n_avg=4)
+    cycles = _stream(wp, 7)
+    state, reference = PipelineState.for_config(cfg), PipelineState.for_config(cfg)
+    for samples in cycles[:2]:
+        process_cycle(samples, state, cfg)
+        process_cycle(samples, reference, cfg)
+    poisoned = cycles[2].copy()
+    poisoned[3 * wp.samples_per_ramp + 7] = bad
+    with pytest.raises(FramingError, match="input has a non-finite sample in cycle 2, ramp 3"):
+        process_cycle(poisoned, state, cfg)
+    assert state.cycles_seen == 2
+    assert np.array_equal(state.ring, reference.ring)
+    for samples in cycles[3:]:
+        assert repr(process_cycle(samples, state, cfg)) == repr(
+            process_cycle(samples, reference, cfg))
+
+
+@pytest.mark.parametrize("bad_value", [math.nan, math.inf])
+def test_run_stream_yields_the_blocks_before_a_non_finite_one(wp, noisy_cal, bad_value):
+    cfg = _config(wp, noisy_cal, n_avg=4)
+    cycles = list(_stream(wp, 2 * STREAM_BLOCK + 3))
+    bad = STREAM_BLOCK + 5
+    cycles[bad] = cycles[bad].copy()
+    cycles[bad][wp.samples_per_ramp + 1] = bad_value
+    reference = PipelineState.for_config(cfg)
+    expected = [repr(process_cycle(c, reference, cfg)) for c in cycles[:STREAM_BLOCK]]
+    state, records = PipelineState.for_config(cfg), []
+    with pytest.raises(FramingError, match=f"non-finite sample in cycle {bad}, ramp 1"):
+        for record in run_stream(cycles, cfg, state):
+            records.append(repr(record))
+    assert records == expected
+    assert state.cycles_seen == STREAM_BLOCK
+    assert np.array_equal(state.ring, reference.ring)
+
+
+def test_block_of_cycles_of_other_lengths_is_refused(wp, quiet_cal):
+    cfg = _config(wp, quiet_cal)
+    state = PipelineState.for_config(cfg)
+    good = synthesize_cycle(wp, GroundTruth(0.04, 0.0), 1.0, 0.0, seed=8)
+    with pytest.raises(FramingError, match="differ in length"):
+        process_block([good, good[:-1]], state, cfg)
+    with pytest.raises(FramingError, match=f"expected cycles of {wp.samples_per_cycle} samples"):
+        list(run_stream([good[:-1]], cfg, state))
+    assert process_block(np.empty((0, wp.samples_per_cycle)), state, cfg) == []
+    assert state.cycles_seen == 0
+
+
+@pytest.mark.parametrize("size", [STREAM_BLOCK, 2 * STREAM_BLOCK])
+@pytest.mark.parametrize("method", ["weighted_average", "gaussian"])
+def test_blocks_allocate_no_large_temporaries(wp, noisy_cal, method, size):
+    # The block's FFT input and output, spectra, cleaned stack and sort copy
+    # (3 MB at STREAM_BLOCK cycles) live in the state; allocated per block,
+    # they cost a page fault per page.  numpy reports its buffers to tracemalloc.
+    # At twice the block, the 1 MB sort copy alone would exceed the bound.
+    cfg = _config(wp, noisy_cal, n_avg=16, interp_method=method, noise_model=_NOISE_MODEL)
+    cycles = _stream(wp, 5 * size)
+    blocks = [list(cycles[k : k + size]) for k in range(0, len(cycles), size)]
+    state = PipelineState.for_config(cfg)
+    process_block(blocks[0], state, cfg)  # warm-up: the state's arrays and the caches
+    tracemalloc.start()
+    try:
+        for block in blocks[1:]:
+            process_block(block, state, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000, peak
