@@ -29,20 +29,11 @@ from .errors import (
 from .modulation import (
     EMITTED_FREQUENCY_848NM,
     SPEED_OF_LIGHT,
-    RampDescriptor,
     WorkingPoint,
-    build_cycle,
-    load_working_point,
-    modulation_waveform,
+    ramp_slopes,
     save_working_point,
 )
-from .peaks import (
-    PeakEstimate,
-    estimate_peak,
-    find_max_bin,
-    gaussian_interpolate,
-    weighted_average_interpolate,
-)
+from .peaks import PeakEstimate, estimate_peaks
 from .pipeline import (
     CycleRecord,
     PipelineConfig,
@@ -69,12 +60,4 @@ from .solver import (
     propagate_noise,
     simplified_solution,
 )
-from .spectral import (
-    Calibration,
-    RampSpectrum,
-    calibrate,
-    frame_spectrum,
-    slice_cycle,
-    sliding_average,
-    subtract_floor,
-)
+from .spectral import Calibration, calibrate, magnitude_spectra, slice_cycle

@@ -13,7 +13,6 @@ distance plus an intercept.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import asdict, dataclass
 from itertools import combinations
@@ -21,15 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import FitError, NoReliableDistanceError, ParameterError
-from .modulation import (
-    SPEED_OF_LIGHT,
-    WorkingPoint,
-    build_cycle,
-    decode_fields,
-    ramp_slopes,
-    write_atomic,
-)
-from .simulator import GroundTruth, signed_beat
+from .modulation import SPEED_OF_LIGHT, WorkingPoint, decode_fields, ramp_slopes, write_atomic
 
 OBSERVATION_FIELDS = (
     "f_ramp_rate",
@@ -121,9 +112,9 @@ def blind_map(wp: WorkingPoint, v_range, r_range, resolution) -> BlindMap:
     v_axis = np.linspace(v_lo, v_hi, n_v)
     r_axis = np.linspace(r_lo, r_hi, n_r)
     counts = np.zeros((n_r, n_v), dtype=int)
-    for ramp in build_cycle(wp):
+    for slope in ramp_slopes(wp):
         beats = (
-            2.0 * r_axis[:, None] * ramp.slope
+            2.0 * r_axis[:, None] * slope
             + wp.emitted_frequency * v_axis[None, :]
         ) / SPEED_OF_LIGHT
         counts += np.abs(beats) < wp.hp_cutoff
@@ -221,7 +212,11 @@ def predict_sigma_fb(
     distance_R: float,
     n_avg: float = 1.0,
 ) -> float:
-    """Beat-frequency noise predicted by the model at an operating point."""
+    """Beat-frequency noise predicted by the model at an operating point.
+
+    A prediction that is not finite and > 0 (a model far outside its fitted
+    domain overflows or underflows) raises :class:`ParameterError`.
+    """
     regressors = {
         "f_ramp_rate": f_ramp_rate,
         "slope_S": slope_S,
@@ -243,15 +238,13 @@ def predict_sigma_fb(
         + coeffs.a5 * math.log10(distance_R)
         + coeffs.b
     )
-    return 10.0**exponent / math.sqrt(n_avg)
-
-
-def count_blind_ramps(wp: WorkingPoint, distance: float, velocity: float) -> int:
-    """Direct per-ramp blind count at one (R, v) point."""
-    gt = GroundTruth(distance_R=distance, velocity_v=velocity)
-    return sum(
-        abs(signed_beat(wp, ramp, gt)) < wp.hp_cutoff for ramp in build_cycle(wp)
-    )
+    try:
+        sigma = 10.0**exponent / math.sqrt(n_avg)
+    except OverflowError:
+        sigma = math.inf
+    if not 0.0 < sigma < math.inf:
+        raise ParameterError(f"noise model predicts sigma_fb = {sigma} at this point")
+    return sigma
 
 
 def write_blind_map_csv(bm: BlindMap, path) -> None:
@@ -273,15 +266,6 @@ def write_blind_map_grid(bm: BlindMap, path) -> None:
     ]
     lines += [" ".join(str(int(c)) for c in row) for row in bm.blind_count]
     write_atomic(path, "\n".join(lines) + "\n")
-
-
-def write_observations_csv(observations, path) -> None:
-    text = io.StringIO()
-    writer = csv.writer(text)
-    writer.writerow(OBSERVATION_FIELDS)
-    for obs in observations:
-        writer.writerow([format(getattr(obs, name), ".12g") for name in OBSERVATION_FIELDS])
-    write_atomic(path, text.getvalue())
 
 
 def read_observations_csv(path):

@@ -1,4 +1,4 @@
-"""Four-ramp modulation pattern: working-point parameters, per-ramp slopes and timing.
+"""Four-ramp modulation pattern: working-point parameters and per-ramp slopes.
 
 A modulation cycle is two triangles of different steepness, giving four
 linear ramps with pairwise distinct slopes (+S, -S, +rt*S, -rt*S).  All
@@ -11,10 +11,7 @@ import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
-from functools import lru_cache
 from pathlib import Path
-
-import numpy as np
 
 from .errors import ParameterError
 
@@ -126,76 +123,14 @@ class WorkingPoint:
         return cls(**decode_fields(cls, values, WORKING_POINT_KEYS))
 
 
-@dataclass(frozen=True)
-class RampDescriptor:
-    """One ramp of the cycle: position, signed slope and timing."""
-
-    index: int
-    slope: float
-    start_time: float
-    duration: float
-
-
-def build_cycle(wp: WorkingPoint) -> tuple[RampDescriptor, ...]:
-    """Return the four ramps of one cycle in fixed order.
-
-    Order is steep-up, steep-down, shallow-up, shallow-down with slopes
-    (+S, -S, +rt*S, -rt*S); start times are contiguous and each ramp
-    lasts ``wp.ramp_duration``.
-    """
-    s = wp.steep_slope
-    slopes = (s, -s, wp.ratio_rt * s, -wp.ratio_rt * s)
-    return tuple(
-        RampDescriptor(
-            index=i,
-            slope=slope,
-            start_time=i * wp.ramp_duration,
-            duration=wp.ramp_duration,
-        )
-        for i, slope in enumerate(slopes)
-    )
-
-
-@lru_cache(maxsize=64)
 def ramp_slopes(wp: WorkingPoint) -> tuple[float, ...]:
-    """Signed slopes of the four ramps by ramp index, cached per working point."""
-    return tuple(r.slope for r in build_cycle(wp))
+    """Signed slopes of the four ramps by ramp index.
 
-
-def frequency_offset(wp: WorkingPoint, t):
-    """Instantaneous optical frequency offset (Hz) of the modulation at time t.
-
-    Piecewise linear, continuous, periodic in the cycle duration, and zero
-    at every cycle boundary (both triangles share the baseline).  Accepts
-    scalars or arrays.
+    Order is steep-up, steep-down, shallow-up, shallow-down:
+    (+S, -S, +rt*S, -rt*S); each ramp lasts ``wp.ramp_duration``.
     """
-    t = np.asarray(t, dtype=float)
-    period = wp.cycle_duration
-    tau = np.mod(t, period)
-    seg = np.clip(np.floor(tau / wp.ramp_duration).astype(int), 0, 3)
-    local = tau - seg * wp.ramp_duration
     s = wp.steep_slope
-    r = wp.ratio_rt * s
-    remain = wp.ramp_duration - local
-    out = np.select(
-        [seg == 0, seg == 1, seg == 2, seg == 3],
-        [s * local, s * remain, r * local, r * remain],
-    )
-    return out if out.ndim else float(out)
-
-
-def modulation_waveform(wp: WorkingPoint, n_samples: int) -> np.ndarray:
-    """Sample the cycle's frequency offset at n_samples uniform points.
-
-    Requires at least 4 samples per ramp (16 total) so every linear
-    segment is represented.
-    """
-    if n_samples < 16:
-        raise ParameterError(
-            f"n_samples must be >= 16 (4 per ramp), got {n_samples}"
-        )
-    t = np.arange(n_samples) * (wp.cycle_duration / n_samples)
-    return frequency_offset(wp, t)
+    return (s, -s, wp.ratio_rt * s, -wp.ratio_rt * s)
 
 
 def read_flat_config(path) -> dict:
@@ -286,11 +221,6 @@ def write_atomic(path, data) -> None:
     array) through :func:`open_atomic`."""
     with open_atomic(path) as fh:
         fh.write(data.encode() if isinstance(data, str) else data)
-
-
-def load_working_point(path) -> WorkingPoint:
-    """Load a working point from a flat key-value file (strict key set)."""
-    return WorkingPoint.from_dict(read_flat_config(path))
 
 
 def save_working_point(wp: WorkingPoint, path) -> None:

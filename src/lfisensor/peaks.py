@@ -16,7 +16,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError
-from .spectral import RampSpectrum
 
 DEFAULT_WINDOW = 25
 DEFAULT_KAPPA = 3.0
@@ -38,26 +37,16 @@ class PeakEstimate:
     valid: bool
 
 
-def find_max_bin(spec: RampSpectrum):
-    """Index of the globally strongest bin, or None for an all-zero spectrum.
+def _max_bins(rows) -> list:
+    """Index of each row's strongest bin, or None for an all-zero row.
 
     Ties break toward the lower frequency.
     """
-    return _max_bins(spec.magnitudes[None])[0]
-
-
-def _max_bins(rows) -> list:
-    """:func:`find_max_bin` of each row of a ``(rows, bins)`` stack."""
     if rows.shape[1] == 0:
         raise ParameterError("spectrum is empty")
     # Only a zero maximum can mean an all-zero row.
     return [None if rows[r, c] == 0 and not rows[r].any() else c
             for r, c in enumerate(rows.argmax(axis=1).tolist())]
-
-
-def validity_threshold(magnitudes, kappa=DEFAULT_KAPPA, epsilon_abs=0.0) -> float:
-    """:func:`validity_thresholds` of one spectrum row."""
-    return validity_thresholds(magnitudes[None], [epsilon_abs], kappa)[0]
 
 
 def validity_thresholds(rows, epsilons, kappa=DEFAULT_KAPPA, scratch=None) -> list:
@@ -209,27 +198,3 @@ def estimate_peaks(
     return tuple(est if center is not None else PeakEstimate(ramp, 0.0, 0.0, method, valid=False)
                  for est, center, ramp in zip(estimates, centers, ramps))
 
-
-def weighted_average_interpolate(
-    spec: RampSpectrum, center_bin, window=DEFAULT_WINDOW, kappa=DEFAULT_KAPPA, epsilon_abs=0.0
-) -> PeakEstimate:
-    """Weighted average of one spectrum around ``center_bin`` (see :func:`estimate_peaks`)."""
-    return _interpolate(spec.magnitudes[None], spec.bin_frequencies, [center_bin], window,
-                        WEIGHTED_AVERAGE, kappa, [epsilon_abs], [spec.ramp_index])[0]
-
-
-def gaussian_interpolate(
-    spec: RampSpectrum, center_bin, window=DEFAULT_WINDOW, kappa=DEFAULT_KAPPA, epsilon_abs=0.0
-) -> PeakEstimate:
-    """Gaussian fit of one spectrum around ``center_bin`` (see :func:`estimate_peaks`)."""
-    return _interpolate(spec.magnitudes[None], spec.bin_frequencies, [center_bin], window,
-                        GAUSSIAN, kappa, [epsilon_abs], [spec.ramp_index])[0]
-
-
-def estimate_peak(
-    spec: RampSpectrum, window=DEFAULT_WINDOW, method=WEIGHTED_AVERAGE, kappa=DEFAULT_KAPPA,
-    epsilon_abs=0.0,
-) -> PeakEstimate:
-    """:func:`estimate_peaks` of one spectrum."""
-    return estimate_peaks(spec.magnitudes[None], spec.bin_frequencies, [epsilon_abs],
-                          window, method, kappa, [spec.ramp_index])[0]

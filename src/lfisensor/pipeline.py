@@ -7,8 +7,9 @@ two flavors: seeded synthetic cycles and replay of exported frame files.
 Everything that depends only on the configuration and the calibration
 (window, bin grid, scaled reference spectra, noise gates) is computed
 once when :class:`PipelineConfig` is built, and a block of cycles runs one
-FFT, floor subtraction and peak stage over all its frames.  Records are the
-same, bit for bit, as those of the per-ramp layer functions composed by hand.
+FFT, floor subtraction and peak stage over the ``(4 * cycles, bins)`` stack
+of its frames.  Each record is the one its cycle gets in a block of its
+own, bit for bit.
 """
 
 from __future__ import annotations

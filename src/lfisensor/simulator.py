@@ -19,14 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AliasingError, FramingError, ParameterError
-from .modulation import (
-    SPEED_OF_LIGHT,
-    RampDescriptor,
-    WorkingPoint,
-    open_atomic,
-    ramp_slopes,
-    write_atomic,
-)
+from .modulation import SPEED_OF_LIGHT, WorkingPoint, open_atomic, ramp_slopes, write_atomic
 
 FRAME_FORMAT_VERSION = 2
 
@@ -53,12 +46,8 @@ class GroundTruth:
             )
 
 
-def signed_beat(wp: WorkingPoint, ramp: RampDescriptor, gt: GroundTruth) -> float:
-    """Signed beat frequency of one ramp for a given target state."""
-    return _beat(wp, ramp.slope, gt)
-
-
-def _beat(wp: WorkingPoint, slope: float, gt: GroundTruth) -> float:
+def signed_beat(wp: WorkingPoint, slope: float, gt: GroundTruth) -> float:
+    """Signed beat frequency of a ramp of signed ``slope`` for a given target state."""
     return (2.0 * gt.distance_R * slope + wp.emitted_frequency * gt.velocity_v) / SPEED_OF_LIGHT
 
 
@@ -142,7 +131,7 @@ def synthesize_cycle(
     t = np.arange(n) / wp.sampling_rate
     raw = np.empty((n, 4))
     for index, slope in enumerate(ramp_slopes(wp)):
-        f = _beat(wp, slope, gt)
+        f = signed_beat(wp, slope, gt)
         if abs(f) >= wp.nyquist:
             raise AliasingError(
                 f"beat frequency {f:.6g} Hz is at or above Nyquist ({wp.nyquist:.6g} Hz)"
@@ -173,7 +162,13 @@ def write_frames(stem, cycles, wp: WorkingPoint) -> None:
     n_cycles = 0
     with open_atomic(raw_path) as fh:
         while block := list(islice(rows, FRAME_BLOCK)):
-            block = np.array(block, dtype="<f4")
+            try:
+                block = np.array(block, dtype="<f4")
+            except ValueError:
+                raise FramingError(
+                    f"cycles must be rows of {wp.samples_per_cycle} samples, "
+                    "got rows that differ in length"
+                ) from None
             if block.shape[1:] != (wp.samples_per_cycle,):
                 raise FramingError(
                     f"cycles must be rows of {wp.samples_per_cycle} samples, "

@@ -1,8 +1,9 @@
-"""Ramp slicing and denoised magnitude spectra.
+"""Ramp slicing, magnitude spectra, the no-target calibration and floor removal.
 
-Processing order per ramp: Hamming window, zero-pad, FFT magnitude,
-sliding average over recent cycles, then adaptive spectral subtraction
-against a calibrated no-target reference with flooring at zero.
+Each stage takes a stack of ramps, one row per ramp: Hamming window,
+zero-pad and FFT magnitude, then (after the pipeline's sliding average over
+recent cycles) adaptive spectral subtraction against the calibrated
+no-target reference, floored at zero.
 """
 
 from __future__ import annotations
@@ -22,15 +23,6 @@ DEFAULT_ALPHA = 1.0
 DEFAULT_BETA = 0.0
 CALIBRATION_FORMAT_VERSION = 2
 MIN_CALIBRATION_CYCLES = 16
-
-
-@dataclass
-class RampSpectrum:
-    """One-sided magnitude spectrum of one ramp frame."""
-
-    ramp_index: int
-    bin_frequencies: np.ndarray  # Hz, length fft_bins // 2
-    magnitudes: np.ndarray  # >= 0, same length
 
 
 @dataclass
@@ -107,13 +99,20 @@ class Calibration:
                 raise CalibrationError(
                     f"unsupported calibration format version {version!r}"
                 )
-            return cls(
-                reference_mean=np.asarray(payload["reference_mean"], dtype=float),
-                reference_sigma=np.asarray(payload["reference_sigma"], dtype=float),
-                n_cycles=int(payload["cycles"]),
-                sampling_rate=float(payload["sampling_rate_hz"]),
-                samples_per_ramp=int(payload["samples_per_ramp"]),
-            )
+            mean = np.asarray(payload["reference_mean"], dtype=float)
+            sigma = np.asarray(payload["reference_sigma"], dtype=float)
+            n_cycles = payload["cycles"]
+            rate = payload["sampling_rate_hz"]
+            n = payload["samples_per_ramp"]
+            # bool is an int to Python; a count or rate is neither a bool nor truncated.
+            if type(n_cycles) is not int or type(n) is not int:
+                raise TypeError(
+                    f"cycles and samples_per_ramp must be integers, got {(n_cycles, n)}"
+                )
+            if type(rate) not in (int, float):
+                raise TypeError(f"sampling_rate_hz must be a number, got {rate!r}")
+            return cls(reference_mean=mean, reference_sigma=sigma, n_cycles=n_cycles,
+                       sampling_rate=float(rate), samples_per_ramp=n)
         except KeyError as exc:
             raise CalibrationError(f"calibration {path} has no key {exc}") from None
         except (AttributeError, TypeError, ValueError) as exc:
@@ -162,28 +161,6 @@ def magnitude_spectra(frames, window: np.ndarray, fft_bins: int) -> np.ndarray:
     return np.abs(np.fft.rfft(frames * window, n=fft_bins, axis=-1)[..., : fft_bins // 2])
 
 
-def frame_spectrum(
-    frame,
-    wp: WorkingPoint,
-    fft_bins: int = DEFAULT_FFT_BINS,
-    ramp_index: int = 0,
-) -> RampSpectrum:
-    """Hamming-window, zero-pad and FFT one ramp frame.
-
-    Returns the unnormalized one-sided magnitude spectrum on a fixed
-    ``fft_bins`` grid (bin spacing ``sampling_rate / fft_bins``).
-    """
-    frame = np.asarray(frame, dtype=float)
-    if frame.ndim != 1:
-        raise FramingError(f"frame must be 1-D, got shape {frame.shape}")
-    check_fft_bins(fft_bins, frame.size)
-    return RampSpectrum(
-        ramp_index=ramp_index,
-        bin_frequencies=bin_frequencies(wp, fft_bins),
-        magnitudes=magnitude_spectra(frame, hamming(frame.size), fft_bins),
-    )
-
-
 @lru_cache(maxsize=16)
 def _bin_frequencies(sampling_rate: float, fft_bins: int) -> np.ndarray:
     return np.arange(fft_bins // 2) * (sampling_rate / fft_bins)
@@ -192,29 +169,6 @@ def _bin_frequencies(sampling_rate: float, fft_bins: int) -> np.ndarray:
 def bin_frequencies(wp: WorkingPoint, fft_bins: int = DEFAULT_FFT_BINS) -> np.ndarray:
     """Center frequencies of the one-sided bins."""
     return _bin_frequencies(wp.sampling_rate, fft_bins)
-
-
-def sliding_average(history) -> RampSpectrum:
-    """Per-bin arithmetic mean over the spectra of a sliding cycle window.
-
-    ``history`` holds the most recent spectra (at most the configured
-    window length) of one ramp index, oldest first.
-    """
-    history = list(history)
-    if not history:
-        raise FramingError("sliding average needs at least one spectrum")
-    first = history[0]
-    for spec in history[1:]:
-        if spec.magnitudes.shape != first.magnitudes.shape:
-            raise FramingError("all spectra in the averaging window must share a shape")
-        if spec.ramp_index != first.ramp_index:
-            raise FramingError("averaging window mixes different ramp indices")
-    mean = np.mean([spec.magnitudes for spec in history], axis=0)
-    return RampSpectrum(
-        ramp_index=first.ramp_index,
-        bin_frequencies=first.bin_frequencies,
-        magnitudes=mean,
-    )
 
 
 def calibrate(
@@ -243,33 +197,6 @@ def calibrate(
         n_cycles=n_cycles,
         sampling_rate=wp.sampling_rate,
         samples_per_ramp=wp.samples_per_ramp,
-    )
-
-
-def subtract_floor(
-    spec: RampSpectrum,
-    reference_mean: np.ndarray,
-    reference_sigma: np.ndarray,
-    alpha: float = DEFAULT_ALPHA,
-    beta: float = DEFAULT_BETA,
-) -> RampSpectrum:
-    """Adaptive spectral subtraction with flooring at zero.
-
-    Per bin: ``max(X - alpha * mean_ref - beta * sigma_ref, 0)``, with the
-    reference rows of the spectrum's ramp.
-    """
-    if alpha < 0 or beta < 0:
-        raise ParameterError(f"alpha and beta must be >= 0, got {alpha}, {beta}")
-    if reference_mean.shape != spec.magnitudes.shape:
-        raise FramingError(
-            f"calibration shape {reference_mean.shape} != spectrum shape "
-            f"{spec.magnitudes.shape}"
-        )
-    cleaned = remove_floor(spec.magnitudes, alpha * reference_mean, beta * reference_sigma)
-    return RampSpectrum(
-        ramp_index=spec.ramp_index,
-        bin_frequencies=spec.bin_frequencies,
-        magnitudes=cleaned,
     )
 
 

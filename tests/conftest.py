@@ -45,8 +45,12 @@ def noisy_cal(wp):
     return calibrate(cycles, wp)
 
 
+def true_slopes(wp) -> np.ndarray:
+    """Independent oracle: the signed slopes (+S, -S, +rt*S, -rt*S) of ramps 0-3."""
+    s = wp.steep_slope
+    return np.array([s, -s, wp.ratio_rt * s, -wp.ratio_rt * s])
+
+
 def true_beats(wp, distance, velocity) -> np.ndarray:
     """Independent forward model: signed beats of the four ramps."""
-    s = wp.steep_slope
-    slopes = np.array([s, -s, wp.ratio_rt * s, -wp.ratio_rt * s])
-    return (2.0 * distance * slopes + wp.emitted_frequency * velocity) / C
+    return (2.0 * distance * true_slopes(wp) + wp.emitted_frequency * velocity) / C

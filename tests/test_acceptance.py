@@ -18,9 +18,10 @@ from lfisensor import (
     PipelineConfig,
     PipelineState,
     baseline_measurement,
-    build_cycle,
     calibrate,
+    estimate_peaks,
     fit_noise_model,
+    magnitude_spectra,
     min_reliable_distance,
     pair_solution,
     process_cycle,
@@ -32,10 +33,10 @@ from lfisensor import (
 from lfisensor.analysis import blind_map
 from lfisensor.cli import main as cli_main
 from lfisensor.modulation import save_working_point
-from lfisensor.peaks import GAUSSIAN, WEIGHTED_AVERAGE, estimate_peak
-from lfisensor.spectral import frame_spectrum
+from lfisensor.peaks import GAUSSIAN, WEIGHTED_AVERAGE
+from lfisensor.spectral import bin_frequencies, hamming
 
-from conftest import C, make_wp, true_beats
+from conftest import C, make_wp, true_beats, true_slopes
 from test_analysis import TRUE_COEFFS, _synthetic_observations
 
 R_TOL = 0.005
@@ -101,7 +102,7 @@ def test_criterion_1_round_trip_exactness(roundtrip_batch):
 
 def test_criterion_2_sign_disambiguation(roundtrip_batch, wp):
     cases, _ = roundtrip_batch
-    slopes = {ramp.index: ramp.slope for ramp in build_cycle(wp)}
+    slopes = true_slopes(wp).tolist()
     f_e = wp.emitted_frequency
     correct = 0
     total = 0
@@ -235,8 +236,7 @@ def test_criterion_6_noise_propagation_monte_carlo():
         make_wp(steep_slope=2e15, ratio_rt=0.25),
         make_wp(steep_slope=5e14, ratio_rt=0.8),
     ):
-        ramps = build_cycle(wp_mc)
-        s1, s2 = ramps[0].slope, ramps[3].slope
+        s1, s2 = true_slopes(wp_mc)[[0, 3]].tolist()
         sigma1, sigma2 = 40.0, 90.0
         f1_mean, f2_mean = 220e3, -80e3
         rs = np.empty(trials)
@@ -314,12 +314,13 @@ def test_criterion_9_interpolator_sweep(wp):
     bin_width = wp.sampling_rate / 2048
     t = np.arange(wp.samples_per_ramp) / wp.sampling_rate
     base_bin = 150
+    window, freqs = hamming(wp.samples_per_ramp), bin_frequencies(wp, 2048)
     worst = {GAUSSIAN: 0.0, WEIGHTED_AVERAGE: 0.0}
     for offset in np.linspace(0.0, 1.0, 32, endpoint=False):
         f = (base_bin + offset) * bin_width
-        spec = frame_spectrum(np.cos(2 * np.pi * f * t + 0.7), wp, 2048)
+        mags = magnitude_spectra(np.cos(2 * np.pi * f * t + 0.7)[None], window, 2048)
         for method in worst:
-            est = estimate_peak(spec, method=method)
+            est = estimate_peaks(mags, freqs, [0.0], method=method)[0]
             worst[method] = max(worst[method], abs(est.beat_frequency - f))
     for method, err in worst.items():
         assert err < 0.2 * bin_width, (method, err / bin_width)

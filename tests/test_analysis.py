@@ -1,4 +1,6 @@
+import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,18 +14,13 @@ from lfisensor import (
     NoReliableDistanceError,
     ParameterError,
     blind_map,
-    build_cycle,
     fit_noise_model,
     min_reliable_distance,
     predict_sigma_fb,
 )
-from lfisensor.analysis import (
-    count_blind_ramps,
-    read_observations_csv,
-    write_observations_csv,
-)
+from lfisensor.analysis import OBSERVATION_FIELDS, read_observations_csv
 
-from conftest import C, make_wp
+from conftest import C, make_wp, true_slopes
 
 WP = make_wp()  # S = 1e15, rt = 0.5, hp 10 kHz
 
@@ -53,8 +50,7 @@ def test_blind_map_clear_far_out():
 def test_blind_map_single_ramp_line():
     # Along 2 R S_i + f_e v = 0 ramp i is blind.
     r = 0.03
-    ramp = build_cycle(WP)[2]
-    v = -2.0 * r * ramp.slope / WP.emitted_frequency
+    v = -2.0 * r * true_slopes(WP)[2] / WP.emitted_frequency
     bm = blind_map(WP, (v, v + 1e-6), (r, r + 1e-6), (2, 2))
     assert bm.blind_count[0, 0] >= 1
 
@@ -68,11 +64,6 @@ def test_blind_map_matches_brute_force_cell_for_cell():
     assert np.all(np.diff(bm.v_axis) > 0) and np.all(np.diff(bm.r_axis) > 0)
 
 
-def test_count_blind_ramps_helper_agrees():
-    for r, v in [(0.0, 0.0), (0.03, 0.0), (0.01, -0.05)]:
-        assert count_blind_ramps(WP, r, v) == brute_blind_count(WP, r, v)
-
-
 def test_min_reliable_distance_zero_cutoff():
     wp = make_wp(hp_cutoff=0.0)
     assert min_reliable_distance(wp, v_max=0.1) == 0.0
@@ -81,7 +72,7 @@ def test_min_reliable_distance_zero_cutoff():
 def test_min_reliable_distance_closed_form():
     # Blind velocity intervals share a fixed width; two ramps can both be
     # blind only below R = c h / min|S_i - S_j|.
-    slopes = [r.slope for r in build_cycle(WP)]
+    slopes = true_slopes(WP)
     min_delta = min(
         abs(slopes[i] - slopes[j]) for i in range(4) for j in range(i + 1, 4)
     )
@@ -332,6 +323,24 @@ def test_fit_predict_round_trip():
 def test_predict_rejects_nonpositive():
     with pytest.raises(ParameterError, match="beat_f_b"):
         predict_sigma_fb(TRUE_COEFFS, 1e3, 1e14, 0.0, 0.1, 0.05)
+
+
+@pytest.mark.parametrize("a1", [200.0, -200.0], ids=["overflow", "underflow"])
+def test_predict_refuses_a_sigma_that_is_not_finite_and_positive(a1):
+    # At the reference ramp rate (4 kHz) the exponent is about +-720:
+    # 10**720 overflows a float and 10**-720 rounds to 0.
+    coeffs = replace(TRUE_COEFFS, a1=a1)
+    with pytest.raises(ParameterError, match="noise model predicts sigma_fb"):
+        predict_sigma_fb(coeffs, WP.ramp_rate, 1e15, 200e3, 0.02, 0.05)
+
+
+def write_observations_csv(observations, path):
+    """Observation CSV as a spreadsheet or a lab script would write it."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(OBSERVATION_FIELDS)
+        for obs in observations:
+            writer.writerow([format(getattr(obs, name), ".12g") for name in OBSERVATION_FIELDS])
 
 
 def test_observation_csv_round_trip(tmp_path):

@@ -11,13 +11,12 @@ import pytest
 
 import lfisensor
 from lfisensor import NoiseModelCoefficients, blind_map
-from lfisensor.analysis import write_observations_csv
 from lfisensor.cli import _CSV_HEADER, main
 from lfisensor.modulation import save_working_point
 from lfisensor.simulator import FRAME_BLOCK
 
 from conftest import make_wp
-from test_analysis import TRUE_COEFFS, _synthetic_observations
+from test_analysis import TRUE_COEFFS, _synthetic_observations, write_observations_csv
 
 
 @pytest.fixture()
@@ -300,6 +299,27 @@ def test_process_with_noise_model_fills_sigmas(config_path, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("a1", [200.0, -200.0], ids=["overflow", "underflow"])
+def test_process_with_a_noise_model_out_of_its_range_leaves_sigmas_nan(
+    config_path, tmp_path, capsys, a1
+):
+    # 10**(a1 log10(4 kHz) + ...) overflows or rounds to 0: no traceback and
+    # no zero sigma, but records whose sigmas are not a number.
+    cal = _calibrate(config_path, tmp_path)
+    nm_path = tmp_path / "noise.json"
+    nm_path.write_text(json.dumps(NoiseModelCoefficients(a1, 0, 0.5, 0, 0, -1.0, 0.0).to_dict()))
+    out = tmp_path / "run.csv"
+    rc = main(["process", "--config", str(config_path), "--calibration", str(cal),
+               "--noise-model", str(nm_path), "--out", str(out),
+               "--cycles", "2", "--distance", "0.04", "--velocity", "0.01"])
+    assert rc == 0
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    assert len(rows) == 2
+    for row in rows:
+        assert row[6] == "ok" and row[4:6] == ["nan", "nan"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_process_calibration_mismatch_exits_nonzero(tmp_path, capsys):
     # Calibration taken at a different working point must be refused.
     coarse = tmp_path / "coarse.cfg"
@@ -480,9 +500,16 @@ def _set_bin(key, ramp, value):
         (_set_bin("reference_sigma", 2, math.nan), "reference_sigma must be finite"),
         (_set_bin("reference_sigma", 0, math.inf), "reference_sigma must be finite"),
         (_set_bin("reference_mean", 3, -1e-3), "reference_mean must be finite and nonnegative"),
+        # Counts would otherwise be truncated or read from a bool without a word.
+        (lambda payload: {**payload, "cycles": 16.9}, "must be integers, got (16.9, 500)"),
+        (lambda payload: {**payload, "cycles": True}, "must be integers, got (True, 500)"),
+        (lambda payload: {**payload, "samples_per_ramp": 500.9},
+         "must be integers, got (20, 500.9)"),
+        (lambda payload: {**payload, "sampling_rate_hz": "2e6"},
+         "sampling_rate_hz must be a number, got '2e6'"),
     ],
     ids=["not-json", "missing-key", "null-cycles", "version-1", "ragged", "nan", "inf",
-         "negative"],
+         "negative", "fractional-cycles", "bool-cycles", "fractional-samples", "string-rate"],
 )
 def test_malformed_calibration_exits_nonzero(config_path, tmp_path, capsys, edit, needle):
     _refuse_calibration(config_path, tmp_path, capsys, edit, needle)

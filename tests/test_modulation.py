@@ -1,16 +1,10 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfisensor import ParameterError, WorkingPoint, build_cycle, modulation_waveform
-from lfisensor.modulation import (
-    frequency_offset,
-    load_working_point,
-    open_atomic,
-    save_working_point,
-    write_atomic,
-)
+from lfisensor import ParameterError, WorkingPoint, ramp_slopes
+from lfisensor.modulation import open_atomic, save_working_point, write_atomic
+from lfisensor.pipeline import read_config_file
 
 from conftest import make_wp
 
@@ -23,14 +17,10 @@ working_points = st.builds(
 )
 
 
-def test_build_cycle_pattern():
+def test_ramp_slopes_pattern():
     wp = WorkingPoint(ramp_duration=1.0, steep_slope=1.0, ratio_rt=0.25,
                       sampling_rate=16.0)
-    ramps = build_cycle(wp)
-    assert [r.slope for r in ramps] == [1.0, -1.0, 0.25, -0.25]
-    assert [r.start_time for r in ramps] == [0.0, 1.0, 2.0, 3.0]
-    assert all(r.duration == 1.0 for r in ramps)
-    assert [r.index for r in ramps] == [0, 1, 2, 3]
+    assert ramp_slopes(wp) == (1.0, -1.0, 0.25, -0.25)
 
 
 def test_paper_ratio_values_admitted():
@@ -44,18 +34,14 @@ def test_measurement_rate_1khz_for_1ms_cycle():
     assert wp.measurement_rate == pytest.approx(1000.0)
 
 
-def test_build_cycle_deterministic():
-    assert build_cycle(make_wp()) == build_cycle(make_wp())
-
-
 @given(working_points)
 @settings(max_examples=50, deadline=None)
 def test_cycle_slopes_distinct_and_balanced(wp):
-    ramps = build_cycle(wp)
-    slopes = [r.slope for r in ramps]
+    slopes = ramp_slopes(wp)
     assert len(set(slopes)) == 4
-    # Closed cycle: signed slope * duration sums to zero exactly.
-    assert sum(r.slope * r.duration for r in ramps) == 0.0
+    # Closed cycle: every ramp lasts ramp_duration, and the signed slopes
+    # times that duration sum to zero exactly.
+    assert sum(slope * wp.ramp_duration for slope in slopes) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -83,49 +69,11 @@ def test_one_sample_per_ramp_is_admitted():
     assert make_wp(ramp_duration=0.5e-6).samples_per_ramp == 1
 
 
-def test_waveform_closed_cycle():
-    wp = make_wp()
-    assert frequency_offset(wp, 0.0) == 0.0
-    assert frequency_offset(wp, wp.cycle_duration) == pytest.approx(0.0, abs=1e-3)
-
-
-def test_waveform_triangle_peaks():
-    wp = make_wp(ratio_rt=0.5)
-    steep_peak = wp.steep_slope * wp.ramp_duration
-    assert frequency_offset(wp, wp.ramp_duration) == pytest.approx(steep_peak)
-    shallow_peak = frequency_offset(wp, 3 * wp.ramp_duration)
-    assert shallow_peak == pytest.approx(0.5 * steep_peak)
-
-
-def test_waveform_continuous_at_ramp_boundaries():
-    wp = make_wp()
-    eps = 1e-12
-    for k in range(1, 4):
-        t = k * wp.ramp_duration
-        left = frequency_offset(wp, t - eps)
-        right = frequency_offset(wp, t + eps)
-        assert left == pytest.approx(right, abs=wp.steep_slope * 1e-11)
-
-
-def test_modulation_waveform_samples_the_offset():
-    wp = make_wp()
-    n = 64
-    waveform = modulation_waveform(wp, n)
-    t = np.arange(n) * wp.cycle_duration / n
-    np.testing.assert_allclose(waveform, frequency_offset(wp, t))
-    assert waveform.shape == (n,)
-
-
-def test_modulation_waveform_too_few_samples():
-    with pytest.raises(ParameterError, match="n_samples"):
-        modulation_waveform(make_wp(), 15)
-
-
 def test_working_point_config_round_trip(tmp_path):
     wp = make_wp(hp_cutoff=12.5e3)
     path = tmp_path / "wp.cfg"
     save_working_point(wp, path)
-    assert load_working_point(path) == wp
+    assert read_config_file(path)[0] == wp
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -134,21 +82,21 @@ def test_unknown_config_key_rejected(tmp_path):
     save_working_point(wp, path)
     path.write_text(path.read_text() + "rampp_duration_s = 1.0\n")
     with pytest.raises(ParameterError, match="unknown"):
-        load_working_point(path)
+        read_config_file(path)
 
 
 def test_missing_config_key_rejected(tmp_path):
     path = tmp_path / "wp.cfg"
     path.write_text("ramp_duration_s = 1e-3\n")
     with pytest.raises(ParameterError, match="missing"):
-        load_working_point(path)
+        read_config_file(path)
 
 
 def test_duplicate_config_key_rejected(tmp_path):
     path = tmp_path / "wp.cfg"
     path.write_text("ratio_rt = 0.5\nratio_rt = 0.25\n")
     with pytest.raises(ParameterError, match="duplicate"):
-        load_working_point(path)
+        read_config_file(path)
 
 
 def test_open_atomic_keeps_the_old_file_when_the_block_fails(tmp_path):

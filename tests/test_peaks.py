@@ -6,66 +6,71 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lfisensor import ParameterError, frame_spectrum
+from lfisensor import ParameterError, magnitude_spectra
+from lfisensor import peaks
 from lfisensor.peaks import (
+    DEFAULT_KAPPA,
+    DEFAULT_WINDOW,
     GAUSSIAN,
     WEIGHTED_AVERAGE,
     PeakEstimate,
-    estimate_peak,
     estimate_peaks,
-    find_max_bin,
-    gaussian_interpolate,
-    validity_threshold,
     validity_thresholds,
-    weighted_average_interpolate,
 )
 from lfisensor.pipeline import STREAM_BLOCK
-from lfisensor.spectral import (
-    RampSpectrum,
-    bin_frequencies,
-    subtract_floor,
-)
+from lfisensor.spectral import bin_frequencies, hamming
 
 from conftest import make_wp
 
 WP = make_wp()
 BIN_WIDTH = WP.sampling_rate / 2048
+FREQS = bin_frequencies(WP, 2048)
 
 
-def _spectrum(magnitudes):
-    return RampSpectrum(
-        ramp_index=0,
-        bin_frequencies=bin_frequencies(WP, 2048),
-        magnitudes=np.asarray(magnitudes, dtype=float),
-    )
+def _estimate(mags, method=WEIGHTED_AVERAGE, window=DEFAULT_WINDOW, epsilon=0.0):
+    """Peak of one spectrum: a stack of one row."""
+    return estimate_peaks(np.asarray(mags, dtype=float)[None], FREQS, [epsilon], window,
+                          method)[0]
+
+
+def _interpolate(mags, center, method, window=DEFAULT_WINDOW, epsilon=0.0):
+    """Interpolation of one spectrum around a given center bin."""
+    return peaks._interpolate(np.asarray(mags, dtype=float)[None], FREQS, [center], window,
+                              method, DEFAULT_KAPPA, [epsilon], [0])[0]
+
+
+def _threshold(mags, kappa=DEFAULT_KAPPA, epsilon=0.0):
+    return validity_thresholds(mags[None], [epsilon], kappa)[0]
 
 
 def _tone_spectrum(frequency, phase=0.0):
     t = np.arange(WP.samples_per_ramp) / WP.sampling_rate
-    return frame_spectrum(np.cos(2 * np.pi * frequency * t + phase), WP, 2048)
+    frame = np.cos(2 * np.pi * frequency * t + phase)
+    return magnitude_spectra(frame[None], hamming(frame.size), 2048)[0]
 
 
 def test_find_max_bin_basic():
     mags = np.zeros(1024)
     mags[37] = 1.0
-    assert find_max_bin(_spectrum(mags)) == 37
+    assert _estimate(mags, window=3).beat_frequency == FREQS[37]
 
 
 def test_find_max_bin_tie_breaks_low():
     mags = np.zeros(1024)
     mags[[40, 90]] = 2.5
-    assert find_max_bin(_spectrum(mags)) == 40
+    assert _estimate(mags, window=3).beat_frequency == FREQS[40]
 
 
 def test_find_max_bin_all_zero_is_no_peak():
-    assert find_max_bin(_spectrum(np.zeros(1024))) is None
+    for method in (GAUSSIAN, WEIGHTED_AVERAGE):
+        assert _estimate(np.zeros(1024), method) == PeakEstimate(0, 0.0, 0.0, method, False)
 
 
 def test_gaussian_recovers_exact_sampled_gaussian():
     center = 300.37 * BIN_WIDTH  # between bins
     f = bin_frequencies(WP, 2048)
     mags = 4.2 * np.exp(-((f - center) ** 2) / (2 * (2.6 * BIN_WIDTH) ** 2))
-    est = gaussian_interpolate(_spectrum(mags), 300)
+    est = _interpolate(mags, 300, GAUSSIAN)
     assert est.method == GAUSSIAN
     assert abs(est.beat_frequency - center) < 0.01 * BIN_WIDTH
     assert est.intensity == pytest.approx(4.2, rel=1e-6)
@@ -75,15 +80,15 @@ def test_symmetric_three_bin_peak_centers():
     mags = np.zeros(1024)
     mags[499:502] = (1.0, 3.0, 1.0)
     f_center = bin_frequencies(WP, 2048)[500]
-    for interpolate in (gaussian_interpolate, weighted_average_interpolate):
-        est = interpolate(_spectrum(mags), 500, window=3)
+    for method in (GAUSSIAN, WEIGHTED_AVERAGE):
+        est = _interpolate(mags, 500, method, window=3)
         assert est.beat_frequency == pytest.approx(f_center, rel=1e-12)
 
 
 def test_gaussian_on_synthesized_tone():
     f = 100.43 * BIN_WIDTH
-    spec = _tone_spectrum(f, phase=1.1)
-    est = gaussian_interpolate(spec, int(np.argmax(spec.magnitudes)))
+    mags = _tone_spectrum(f, phase=1.1)
+    est = _interpolate(mags, int(np.argmax(mags)), GAUSSIAN)
     assert est.method == GAUSSIAN
     assert abs(est.beat_frequency - f) < 0.1 * BIN_WIDTH
 
@@ -91,13 +96,13 @@ def test_gaussian_on_synthesized_tone():
 def test_weighted_average_single_bin():
     mags = np.zeros(1024)
     mags[123] = 7.0
-    est = weighted_average_interpolate(_spectrum(mags), 123)
+    est = _interpolate(mags, 123, WEIGHTED_AVERAGE)
     assert est.beat_frequency == pytest.approx(bin_frequencies(WP, 2048)[123])
     assert est.intensity == 7.0
 
 
 def test_weighted_average_zero_window_is_no_peak():
-    est = weighted_average_interpolate(_spectrum(np.zeros(1024)), 500)
+    est = _interpolate(np.zeros(1024), 500, WEIGHTED_AVERAGE)
     assert not est.valid
     assert est.beat_frequency == 0.0
 
@@ -108,8 +113,7 @@ def test_tone_sweep_error_below_fifth_of_bin():
     for method in (GAUSSIAN, WEIGHTED_AVERAGE):
         for offset in np.linspace(0.0, 1.0, 9)[:-1]:
             f = (k0 + offset) * BIN_WIDTH
-            spec = _tone_spectrum(f, phase=0.4)
-            est = estimate_peak(spec, method=method)
+            est = _estimate(_tone_spectrum(f, phase=0.4), method)
             assert abs(est.beat_frequency - f) < 0.2 * BIN_WIDTH, (method, offset)
 
 
@@ -118,7 +122,7 @@ def test_scalloping_error_periodic_in_bin_offset():
     errs = {}
     for base in (140, 141):
         errs[base] = [
-            estimate_peak(_tone_spectrum((base + o) * BIN_WIDTH)).beat_frequency
+            _estimate(_tone_spectrum((base + o) * BIN_WIDTH)).beat_frequency
             - (base + o) * BIN_WIDTH
             for o in offsets
         ]
@@ -132,11 +136,10 @@ def test_estimates_stay_inside_window():
         lo = rng.integers(50, 900)
         mags[lo : lo + 11] = rng.uniform(0.1, 1.0, 11)
         center = int(np.argmax(mags))
-        freqs = bin_frequencies(WP, 2048)
-        for interpolate in (gaussian_interpolate, weighted_average_interpolate):
-            est = interpolate(_spectrum(mags), center, window=11)
-            span_lo = freqs[max(0, center - 5)]
-            span_hi = freqs[min(1023, center + 5)]
+        for method in (GAUSSIAN, WEIGHTED_AVERAGE):
+            est = _interpolate(mags, center, method, window=11)
+            span_lo = FREQS[max(0, center - 5)]
+            span_hi = FREQS[min(1023, center + 5)]
             assert span_lo <= est.beat_frequency <= span_hi
 
 
@@ -144,9 +147,9 @@ def test_gaussian_falls_back_on_edge_half_peak():
     # Max at bin 0 with a one-sided tail: fitted center leaves the window.
     mags = np.zeros(1024)
     mags[:13] = np.exp(-np.arange(13) / 2.0)
-    est = gaussian_interpolate(_spectrum(mags), 0)
+    est = _interpolate(mags, 0, GAUSSIAN)
     assert est.method == WEIGHTED_AVERAGE
-    oracle = weighted_average_interpolate(_spectrum(mags), 0)
+    oracle = _interpolate(mags, 0, WEIGHTED_AVERAGE)
     assert est.beat_frequency == oracle.beat_frequency
 
 
@@ -154,9 +157,8 @@ def test_gaussian_falls_back_on_convex_window():
     # Log-magnitudes rising away from the center bin: no concave parabola.
     mags = np.zeros(1024)
     mags[495:506] = 1.0 + 0.1 * np.arange(-5, 6) ** 2
-    spec = _spectrum(mags)
-    est = gaussian_interpolate(spec, 500, window=11)
-    assert est == weighted_average_interpolate(spec, 500, window=11)
+    est = _interpolate(mags, 500, GAUSSIAN, window=11)
+    assert est == _interpolate(mags, 500, WEIGHTED_AVERAGE, window=11)
 
 
 def test_gaussian_skips_zero_floored_bins():
@@ -166,7 +168,7 @@ def test_gaussian_skips_zero_floored_bins():
     f = bin_frequencies(WP, 2048)
     mags = 2.5 * np.exp(-((f - center) ** 2) / (2 * (2.0 * BIN_WIDTH) ** 2))
     mags[[397, 402, 405]] = 0.0
-    est = gaussian_interpolate(_spectrum(mags), 400)
+    est = _interpolate(mags, 400, GAUSSIAN)
     assert est.method == GAUSSIAN
     assert abs(est.beat_frequency - center) < 1e-9 * BIN_WIDTH
     assert est.intensity == pytest.approx(2.5, rel=1e-9)
@@ -184,7 +186,7 @@ def test_gaussian_fit_is_exact_on_sampled_gaussians(bin_offset, width, amplitude
     center = bin_offset * BIN_WIDTH
     f = bin_frequencies(WP, 2048)
     mags = amplitude * np.exp(-((f - center) ** 2) / (2 * (width * BIN_WIDTH) ** 2))
-    est = estimate_peak(_spectrum(mags), method=GAUSSIAN)
+    est = _estimate(mags, GAUSSIAN)
     assert est.method == GAUSSIAN
     assert abs(est.beat_frequency - center) < 1e-9 * BIN_WIDTH
     assert est.intensity == pytest.approx(amplitude, rel=1e-9)
@@ -209,11 +211,10 @@ def test_gaussian_on_any_window_is_quiet_and_inside(exponents, zeroed, center):
     center_bin = 500 + center % values.size
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        est = gaussian_interpolate(_spectrum(mags), center_bin)
-    freqs = bin_frequencies(WP, 2048)
+        est = _interpolate(mags, center_bin, GAUSSIAN)
     assert math.isfinite(est.intensity)
     if est.valid or est.beat_frequency:
-        assert freqs[center_bin - 12] <= est.beat_frequency <= freqs[center_bin + 12]
+        assert FREQS[center_bin - 12] <= est.beat_frequency <= FREQS[center_bin + 12]
 
 
 def _row(kind, center, width, exponents, zeroed, seed):
@@ -256,14 +257,13 @@ _ROWS = st.lists(
          method=GAUSSIAN, epsilon=0.0)
 @settings(max_examples=200, deadline=None)
 def test_batched_estimate_of_a_row_ignores_its_neighbours(rows, method, epsilon):
-    freqs = bin_frequencies(WP, 2048)
     stack = np.stack([_row(*row) for row in rows])
     epsilons = [epsilon * (i + 1) / len(rows) for i in range(len(rows))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        batched = estimate_peaks(stack, freqs, epsilons, method=method)
+        batched = estimate_peaks(stack, FREQS, epsilons, method=method)
         alone = [
-            estimate_peak(RampSpectrum(i, freqs, stack[i]), method=method, epsilon_abs=eps)
+            estimate_peaks(stack[i : i + 1], FREQS, [eps], method=method, ramps=[i])[0]
             for i, eps in enumerate(epsilons)
         ]
     # repr spells every float exactly and lets a NaN equal itself.
@@ -291,14 +291,13 @@ def test_estimates_do_not_depend_on_the_height_of_the_stack(cycles, seed, method
              int(rng.integers(0, 2**32)))
         for kind in kinds
     ])
-    freqs = bin_frequencies(WP, 2048)
     epsilons = list(rng.uniform(0.0, 0.5, 4 * cycles))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        tall = estimate_peaks(stack, freqs, epsilons, method=method, ramps=(0, 1, 2, 3) * cycles,
+        tall = estimate_peaks(stack, FREQS, epsilons, method=method, ramps=(0, 1, 2, 3) * cycles,
                               scratch=np.empty_like(stack))
         alone = [est for c in range(0, 4 * cycles, 4)
-                 for est in estimate_peaks(stack[c : c + 4], freqs, epsilons[c : c + 4],
+                 for est in estimate_peaks(stack[c : c + 4], FREQS, epsilons[c : c + 4],
                                            method=method)]
     assert [repr(est) for est in tall] == [repr(est) for est in alone]
 
@@ -306,22 +305,18 @@ def test_estimates_do_not_depend_on_the_height_of_the_stack(cycles, seed, method
 def test_validity_threshold_flags_weak_peaks():
     mags = np.ones(1024)
     mags[300] = 2.0  # only 2x the median floor, below kappa = 3
-    est = weighted_average_interpolate(_spectrum(mags), 300)
-    assert not est.valid
+    assert not _estimate(mags).valid
     mags[300] = 50.0
-    est = weighted_average_interpolate(_spectrum(mags), 300)
-    assert est.valid
+    assert _estimate(mags).valid
 
 
 def test_validity_absolute_gate():
     mags = np.zeros(1024)
     mags[295:306] = 0.1  # residual floor around the peak
     mags[300] = 5.0
-    spec = _spectrum(mags)
-    assert weighted_average_interpolate(spec, 300).valid
-    gated = weighted_average_interpolate(spec, 300, epsilon_abs=10.0)
-    assert not gated.valid
-    assert validity_threshold(spec.magnitudes, epsilon_abs=10.0) == 10.0
+    assert _estimate(mags).valid
+    assert not _estimate(mags, epsilon=10.0).valid
+    assert _threshold(mags, epsilon=10.0) == 10.0
 
 
 def test_validity_threshold_floor_is_np_median_of_nonzero_bins():
@@ -332,9 +327,9 @@ def test_validity_threshold_floor_is_np_median_of_nonzero_bins():
         mags[where] = rng.random(n_nonzero) * 10.0 ** rng.uniform(-3, 3)
         before = mags.copy()
         expected = 3.0 * float(np.median(mags[mags > 0]))
-        assert validity_threshold(mags, kappa=3.0) == expected
+        assert _threshold(mags, kappa=3.0) == expected
         np.testing.assert_array_equal(mags, before)  # the spectrum is not reordered
-    assert validity_threshold(np.zeros(1024), epsilon_abs=0.5) == 0.5
+    assert _threshold(np.zeros(1024), epsilon=0.5) == 0.5
 
 
 _BIN = st.one_of(
@@ -381,15 +376,15 @@ def test_lone_bin_is_indistinguishable_from_floor():
     # A single surviving bin cannot exceed kappa times its own median.
     mags = np.zeros(1024)
     mags[123] = 7.0
-    assert not weighted_average_interpolate(_spectrum(mags), 123).valid
+    assert not _estimate(mags).valid
 
 
 def test_window_preconditions():
-    spec = _tone_spectrum(100 * BIN_WIDTH)
+    mags = _tone_spectrum(100 * BIN_WIDTH)
     with pytest.raises(ParameterError, match="odd"):
-        weighted_average_interpolate(spec, 100, window=4)
+        _estimate(mags, window=4)
     with pytest.raises(ParameterError, match="method"):
-        estimate_peak(spec, method="parabolic")
+        _estimate(mags, method="parabolic")
 
 
 @pytest.mark.xfail(
@@ -404,20 +399,19 @@ def test_weighted_average_not_much_worse_than_gaussian():
     # var_wa <= 1.5 * var_gauss.
     rng = np.random.default_rng(17)
     t = np.arange(WP.samples_per_ramp) / WP.sampling_rate
-    noise_specs = [
-        frame_spectrum(rng.normal(0.0, 0.3, WP.samples_per_ramp), WP, 2048).magnitudes
-        for _ in range(64)
-    ]
-    stack = np.stack(noise_specs)
-    ref_mean, ref_sigma = stack.mean(axis=0), stack.std(axis=0, ddof=1)
+    window = hamming(WP.samples_per_ramp)
+    noise = rng.normal(0.0, 0.3, (64, WP.samples_per_ramp))
+    stack = np.stack([magnitude_spectra(frame, window, 2048) for frame in noise])
+    ref_mean = stack.mean(axis=0)
     errors = {GAUSSIAN: [], WEIGHTED_AVERAGE: []}
     for _ in range(150):
         f = (120 + rng.uniform()) * BIN_WIDTH
         frame = np.cos(2 * np.pi * f * t + rng.uniform(0, 2 * np.pi))
         frame = frame + rng.normal(0.0, 0.3, frame.size)
-        spec = subtract_floor(frame_spectrum(frame, WP, 2048), ref_mean, ref_sigma)
+        # max(X - alpha mean_ref - beta sigma_ref, 0) at the defaults alpha 1, beta 0.
+        mags = np.maximum(magnitude_spectra(frame, window, 2048) - ref_mean, 0.0)
         for method in errors:
-            est = estimate_peak(spec, method=method)
+            est = _estimate(mags, method)
             errors[method].append(est.beat_frequency - f)
     var_wa = np.var(errors[WEIGHTED_AVERAGE])
     var_g = np.var(errors[GAUSSIAN])

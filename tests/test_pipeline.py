@@ -17,8 +17,8 @@ from lfisensor import (
     ParameterError,
     PipelineConfig,
     PipelineState,
-    build_cycle,
     disambiguate,
+    estimate_peaks,
     process_block,
     process_cycle,
     propagate_noise,
@@ -31,18 +31,12 @@ from lfisensor import (
 )
 from lfisensor import pipeline
 from lfisensor.modulation import read_flat_config
-from lfisensor.peaks import DEFAULT_KAPPA, PeakEstimate, estimate_peak
+from lfisensor.peaks import DEFAULT_KAPPA, PeakEstimate
 from lfisensor.pipeline import STREAM_BLOCK, _attach_sigmas, config_from_file, read_config_file
 from lfisensor.simulator import FRAME_BLOCK
-from lfisensor.spectral import (
-    Calibration,
-    frame_spectrum,
-    slice_cycle,
-    sliding_average,
-    subtract_floor,
-)
+from lfisensor.spectral import Calibration, bin_frequencies
 
-from conftest import make_wp, true_beats
+from conftest import make_wp, true_beats, true_slopes
 
 
 def _config(wp, cal, **overrides):
@@ -129,30 +123,24 @@ def test_determinism_bit_identical(wp, quiet_cal):
 
 
 @pytest.mark.parametrize("method", ["weighted_average", "gaussian"])
-def test_composition_identity(wp, quiet_cal, method):
-    # End-to-end equals hand-composed stage calls: the batched peak stage
-    # gives each ramp what the one-spectrum estimate_peak gives it.
+def test_composition_identity(wp, noisy_cal, method):
+    # End-to-end equals the stages written out with numpy: Hamming window,
+    # zero-padded rfft magnitude, the mean over a one-cycle window, the
+    # floor formula, then the peak stage on the cleaned (4, bins) stack.
     gt = GroundTruth(0.035, 0.05)
-    samples = synthesize_cycle(wp, gt, 1.0, 0.0, seed=9)
-    cfg = _config(wp, quiet_cal, interp_method=method)
+    samples = synthesize_cycle(wp, gt, 1.0, 0.3, seed=9)
+    cfg = _config(wp, noisy_cal, interp_method=method, beta=1.0)
     record = process_cycle(samples, PipelineState.for_config(cfg), cfg)
-    manual = []
-    for i, frame in enumerate(slice_cycle(samples, wp)):
-        spec = frame_spectrum(frame, wp, cfg.fft_bins, ramp_index=i)
-        averaged = sliding_average([spec])
-        mean, sigma = quiet_cal.reference_mean[i], quiet_cal.reference_sigma[i]
-        cleaned = subtract_floor(averaged, mean, sigma, cfg.alpha, cfg.beta)
-        epsilon = pipeline.DEFAULT_NOISE_GATE * float(np.median(sigma))
-        manual.append(
-            estimate_peak(
-                cleaned,
-                window=cfg.interp_window,
-                method=cfg.interp_method,
-                kappa=DEFAULT_KAPPA,
-                epsilon_abs=epsilon,
-            )
-        )
-    assert tuple(manual) == record.peaks
+    frames = samples.reshape(4, wp.samples_per_ramp)
+    bins = cfg.fft_bins // 2
+    spectra = np.abs(np.fft.rfft(frames * np.hamming(wp.samples_per_ramp), cfg.fft_bins))
+    averaged = np.mean([spectra[:, :bins]], axis=0)
+    mean, sigma = noisy_cal.reference_mean, noisy_cal.reference_sigma
+    cleaned = np.maximum(averaged - cfg.alpha * mean - cfg.beta * sigma, 0.0)
+    epsilons = pipeline.DEFAULT_NOISE_GATE * np.median(sigma, axis=1)
+    manual = estimate_peaks(cleaned, bin_frequencies(wp, cfg.fft_bins), epsilons.tolist(),
+                            cfg.interp_window, cfg.interp_method, DEFAULT_KAPPA)
+    assert [repr(p) for p in manual] == [repr(p) for p in record.peaks]
     assert {p.method for p in record.peaks} == {method}
 
 
@@ -223,7 +211,7 @@ def test_noise_model_fills_sigmas(wp, quiet_cal):
     assert math.isfinite(m.sigma_R) and m.sigma_R > 0
     assert math.isfinite(m.sigma_v) and m.sigma_v > 0
     # Oracle: steepest selected pair fed through the propagation law.
-    slopes = {r.index: r.slope for r in build_cycle(wp)}
+    slopes = true_slopes(wp).tolist()
     sel = m.selected_ramps
     import itertools
 
@@ -256,7 +244,7 @@ def test_sigma_attachment_uses_steepest_pair(wp, quiet_cal, monkeypatch):
     m = _attach_sigmas(disambiguate(peaks, wp), peaks, cfg, n_window=1)
     assert m.selected_ramps == (0, 1, 2)
     # steepest selected pair is (0, 1): |S - (-S)| = 2S
-    slopes = [r.slope for r in build_cycle(wp)]
+    slopes = true_slopes(wp).tolist()
     expected = propagate_noise(40.0, 60.0, slopes[0], slopes[1], wp.emitted_frequency)
     assert (m.sigma_R, m.sigma_v) == expected
 
@@ -275,7 +263,7 @@ def test_sigma_attachment_ignores_the_third_selected_ramp(wp, quiet_cal):
     measurement = disambiguate(peaks, wp)
     assert measurement.selected_ramps == (0, 1, 2)
     m = _attach_sigmas(measurement, peaks, cfg, n_window=1)
-    slopes = [r.slope for r in build_cycle(wp)]
+    slopes = true_slopes(wp).tolist()
     expected = propagate_noise(
         10 ** (0.5 * math.log10(beats[0]) - 1.0), 10 ** (0.5 * math.log10(beats[1]) - 1.0),
         slopes[0], slopes[1], wp.emitted_frequency,
@@ -321,11 +309,11 @@ def test_without_noise_model_sigmas_are_nan(wp, quiet_cal):
 
 def test_one_blind_ramp_still_recovers(wp, quiet_cal):
     # Put the shallow-up beat inside the blind band.
-    ramp = build_cycle(wp)[2]
+    slopes = true_slopes(wp).tolist()
     r = 0.03
-    v = -2.0 * r * ramp.slope / wp.emitted_frequency  # shallow-up beat = 0
+    v = -2.0 * r * slopes[2] / wp.emitted_frequency  # shallow-up beat = 0
     gt = GroundTruth(r, v)
-    blind = [abs(signed_beat(wp, rd, gt)) < wp.hp_cutoff for rd in build_cycle(wp)]
+    blind = [abs(signed_beat(wp, slope, gt)) < wp.hp_cutoff for slope in slopes]
     assert blind == [False, False, True, False]
     cfg = _config(wp, quiet_cal)
     samples = synthesize_cycle(wp, gt, 1.0, 0.0, seed=14)

@@ -11,7 +11,6 @@ from lfisensor import (
     FramingError,
     GroundTruth,
     ParameterError,
-    build_cycle,
     highpass,
     read_frames,
     signed_beat,
@@ -22,23 +21,23 @@ from lfisensor import (
 from lfisensor import simulator
 from lfisensor.simulator import FRAME_BLOCK, _highpass_matrix
 
-from conftest import C, make_wp, true_beats
+from conftest import C, make_wp, true_beats, true_slopes
 
 
 def test_zero_target_zero_beats(wp=None):
     wp = make_wp()
     gt = GroundTruth(0.0, 0.0)
-    assert all(signed_beat(wp, r, gt) == 0.0 for r in build_cycle(wp))
+    assert all(signed_beat(wp, slope, gt) == 0.0 for slope in true_slopes(wp))
 
 
 def test_distance_beat_round_trips_through_pair_equation():
     # Oracle: plug the two steep-ramp beats into the pair distance equation.
     wp = make_wp(steep_slope=1.67e14, hp_cutoff=0.0)
     gt = GroundTruth(0.03, 0.0)
-    up, down = build_cycle(wp)[:2]
+    up, down = true_slopes(wp)[:2].tolist()
     f1 = signed_beat(wp, up, gt)
     f2 = signed_beat(wp, down, gt)
-    recovered = C * (f1 - f2) / (2.0 * (up.slope - down.slope))
+    recovered = C * (f1 - f2) / (2.0 * (up - down))
     assert recovered == pytest.approx(0.03, rel=1e-12)
     assert f1 == pytest.approx(2.0 * 0.03 * 1.67e14 / C, rel=1e-12)
 
@@ -46,14 +45,11 @@ def test_distance_beat_round_trips_through_pair_equation():
 def test_velocity_beat_round_trips_through_pair_equation():
     wp = make_wp(hp_cutoff=0.0)
     gt = GroundTruth(0.0, 0.1)
-    beats = [signed_beat(wp, r, gt) for r in build_cycle(wp)]
+    beats = [signed_beat(wp, slope, gt) for slope in true_slopes(wp)]
     assert len(set(beats)) == 1  # pure Doppler hits every ramp identically
-    up, down = build_cycle(wp)[:2]
+    up, down = true_slopes(wp)[:2].tolist()
     f1, f2 = beats[0], beats[1]
-    recovered = (
-        C * (f2 * up.slope - f1 * down.slope)
-        / (wp.emitted_frequency * (up.slope - down.slope))
-    )
+    recovered = C * (f2 * up - f1 * down) / (wp.emitted_frequency * (up - down))
     assert recovered == pytest.approx(0.1, rel=1e-12)
 
 
@@ -66,10 +62,10 @@ def test_velocity_beat_round_trips_through_pair_equation():
 @settings(max_examples=50, deadline=None)
 def test_signed_beat_affine_in_r_and_v(r0, v0, dr, dv):
     wp = make_wp()
-    ramp = build_cycle(wp)[0]
+    slope = true_slopes(wp)[0]
 
     def f(r, v):
-        return signed_beat(wp, ramp, GroundTruth(r, v))
+        return signed_beat(wp, slope, GroundTruth(r, v))
 
     # Second differences of an affine map vanish.
     assert f(r0 + 2 * dr, v0) - 2 * f(r0 + dr, v0) + f(r0, v0) == pytest.approx(
@@ -84,13 +80,10 @@ def test_mirrored_beats_solve_to_mirrored_target():
     wp = make_wp()
     r, v = 0.04, 0.06
     beats = true_beats(wp, r, v)
-    up, down = build_cycle(wp)[:2]
+    up, down = true_slopes(wp)[:2].tolist()
     f1, f2 = -beats[0], -beats[1]
-    mirrored_r = C * (f1 - f2) / (2.0 * (up.slope - down.slope))
-    mirrored_v = (
-        C * (f2 * up.slope - f1 * down.slope)
-        / (wp.emitted_frequency * (up.slope - down.slope))
-    )
+    mirrored_r = C * (f1 - f2) / (2.0 * (up - down))
+    mirrored_v = C * (f2 * up - f1 * down) / (wp.emitted_frequency * (up - down))
     assert mirrored_r == pytest.approx(-r, rel=1e-12)
     assert mirrored_v == pytest.approx(-v, rel=1e-12)
 
@@ -145,18 +138,17 @@ def test_cycle_bytes_do_not_depend_on_the_other_cycles(monkeypatch):
 
 
 def _ramp_samples(wp, ramp, gt, amplitude, noise_sigma, seed):
-    """One ramp's slice of a synthesized cycle."""
+    """Ramp ``ramp``'s slice of a synthesized cycle."""
     cycle = synthesize_cycle(wp, gt, amplitude, noise_sigma, seed)
-    return cycle.reshape(4, -1)[ramp.index]
+    return cycle.reshape(4, -1)[ramp]
 
 
 def test_clean_frame_spectrum_peaks_at_beat():
     # Oracle: direct FFT of the synthesized samples.
     wp = make_wp()
     gt = GroundTruth(0.05, 0.02)
-    ramp = build_cycle(wp)[0]
-    samples = _ramp_samples(wp, ramp, gt, amplitude=1.0, noise_sigma=0.0, seed=3)
-    f = signed_beat(wp, ramp, gt)
+    samples = _ramp_samples(wp, 0, gt, amplitude=1.0, noise_sigma=0.0, seed=3)
+    f = signed_beat(wp, true_slopes(wp)[0], gt)
     assert abs(f) >= wp.hp_cutoff
     n = samples.size
     spectrum = np.abs(np.fft.rfft(samples.astype(float)))
@@ -167,23 +159,23 @@ def test_clean_frame_spectrum_peaks_at_beat():
 
 def test_frame_length_and_blind_flag():
     wp = make_wp()
-    ramp = build_cycle(wp)[2]  # shallow up
+    shallow_up = true_slopes(wp)[2]
     gt = GroundTruth(0.002, 0.0)  # shallow beat well below 10 kHz
     cycle = synthesize_cycle(wp, gt, 1.0, 0.0, seed=1)
-    assert cycle.size == 4 * round(ramp.duration * wp.sampling_rate)
-    assert abs(signed_beat(wp, ramp, gt)) < wp.hp_cutoff
+    assert cycle.size == 4 * round(wp.ramp_duration * wp.sampling_rate)
+    assert abs(signed_beat(wp, shallow_up, gt)) < wp.hp_cutoff
 
 
 def test_blind_frame_attenuated_at_least_20db():
     # Oracle: squared Butterworth magnitude at the beat frequency.
     wp = make_wp()
-    ramp = build_cycle(wp)[2]
+    shallow_up = true_slopes(wp)[2]
     blind_gt = GroundTruth(0.0015, 0.0)  # shallow beat = cutoff / 2
     clear_gt = GroundTruth(0.03, 0.0)  # shallow beat = 100 kHz
-    blind = _ramp_samples(wp, ramp, blind_gt, 1.0, 0.0, seed=2)
-    clear = _ramp_samples(wp, ramp, clear_gt, 1.0, 0.0, seed=2)
-    f = abs(signed_beat(wp, ramp, blind_gt))
-    assert f < wp.hp_cutoff <= abs(signed_beat(wp, ramp, clear_gt))
+    blind = _ramp_samples(wp, 2, blind_gt, 1.0, 0.0, seed=2)
+    clear = _ramp_samples(wp, 2, clear_gt, 1.0, 0.0, seed=2)
+    f = abs(signed_beat(wp, shallow_up, blind_gt))
+    assert f < wp.hp_cutoff <= abs(signed_beat(wp, shallow_up, clear_gt))
     ratio = np.std(blind.astype(float)) / np.std(clear.astype(float))
     assert 20 * np.log10(ratio) <= -20.0
     expected = _squared_butterworth_gain(f, wp.hp_cutoff)
@@ -192,12 +184,11 @@ def test_blind_frame_attenuated_at_least_20db():
 
 def test_same_seed_bit_identical():
     wp = make_wp()
-    ramp = build_cycle(wp)[0]
     gt = GroundTruth(0.03, 0.01)
-    a = _ramp_samples(wp, ramp, gt, 1.0, 0.2, seed=42)
-    b = _ramp_samples(wp, ramp, gt, 1.0, 0.2, seed=42)
+    a = _ramp_samples(wp, 0, gt, 1.0, 0.2, seed=42)
+    b = _ramp_samples(wp, 0, gt, 1.0, 0.2, seed=42)
     assert a.tobytes() == b.tobytes()
-    c = _ramp_samples(wp, ramp, gt, 1.0, 0.2, seed=43)
+    c = _ramp_samples(wp, 0, gt, 1.0, 0.2, seed=43)
     assert a.tobytes() != c.tobytes()
 
 
@@ -322,11 +313,13 @@ def test_frame_export_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "shape", [(2, 1999), (2, 2001), (2000,)], ids=["short-rows", "long-rows", "one-row"]
+    "rows",
+    [np.zeros((2, 1999)), np.zeros((2, 2001)), np.zeros(2000), [np.zeros(2000), np.zeros(1999)]],
+    ids=["short-rows", "long-rows", "one-row", "ragged-rows"],
 )
-def test_write_frames_refuses_other_row_lengths(tmp_path, shape):
+def test_write_frames_refuses_other_row_lengths(tmp_path, rows):
     with pytest.raises(FramingError, match="rows of 2000 samples"):
-        write_frames(tmp_path / "frames", np.zeros(shape), make_wp())
+        write_frames(tmp_path / "frames", rows, make_wp())
     assert list(tmp_path.iterdir()) == []
 
 

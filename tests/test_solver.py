@@ -11,7 +11,6 @@ from lfisensor import (
     Measurement,
     ParameterError,
     baseline_measurement,
-    build_cycle,
     disambiguate,
     pair_solution,
     propagate_noise,
@@ -20,11 +19,11 @@ from lfisensor import (
 from lfisensor.peaks import PeakEstimate
 from lfisensor.solver import STATUS_DEGRADED, STATUS_INVALID, STATUS_OK, _var3
 
-from conftest import C, make_wp, true_beats
+from conftest import C, make_wp, true_beats, true_slopes
 
 WP = make_wp()
 FE = WP.emitted_frequency
-SLOPES = [r.slope for r in build_cycle(WP)]
+SLOPES = true_slopes(WP).tolist()
 
 
 def peaks_from_beats(beats, valid=(True, True, True, True), intensities=None):

@@ -12,14 +12,13 @@ from lfisensor import (
     GroundTruth,
     ParameterError,
     PipelineConfig,
+    PipelineState,
     calibrate,
-    frame_spectrum,
+    magnitude_spectra,
     slice_cycle,
-    sliding_average,
-    subtract_floor,
     synthetic_cycles,
 )
-from lfisensor.spectral import Calibration, RampSpectrum, bin_frequencies
+from lfisensor.spectral import Calibration, bin_frequencies, hamming, remove_floor
 
 from conftest import make_wp
 
@@ -27,6 +26,11 @@ from conftest import make_wp
 def _tone_frame(wp, frequency, phase=0.0, amplitude=1.0):
     t = np.arange(wp.samples_per_ramp) / wp.sampling_rate
     return amplitude * np.cos(2 * np.pi * frequency * t + phase)
+
+
+def _spectrum(frame, fft_bins=2048):
+    """Magnitude spectrum of one frame: a stack of one row."""
+    return magnitude_spectra(frame[None], hamming(len(frame)), fft_bins)[0]
 
 
 def _direct_windowed_dft(frame, fft_bins, bins, fs):
@@ -57,90 +61,74 @@ def test_spectrum_of_exact_bin_tone():
     wp = make_wp()
     k = 200
     f = k * wp.sampling_rate / 2048
-    spec = frame_spectrum(_tone_frame(wp, f), wp, 2048)
-    assert int(np.argmax(spec.magnitudes)) == k
-    assert spec.magnitudes.size == 1024
-    assert spec.bin_frequencies[1] - spec.bin_frequencies[0] == pytest.approx(
-        wp.sampling_rate / 2048
-    )
+    mags = _spectrum(_tone_frame(wp, f))
+    assert int(np.argmax(mags)) == k
+    assert mags.size == 1024
+    freqs = bin_frequencies(wp, 2048)
+    assert freqs.size == 1024
+    assert freqs[1] - freqs[0] == pytest.approx(wp.sampling_rate / 2048)
 
 
 def test_spectrum_of_zero_frame():
     wp = make_wp()
-    spec = frame_spectrum(np.zeros(wp.samples_per_ramp), wp)
-    np.testing.assert_array_equal(spec.magnitudes, 0.0)
+    np.testing.assert_array_equal(_spectrum(np.zeros(wp.samples_per_ramp)), 0.0)
 
 
 def test_spectrum_matches_direct_dft_between_bins():
     wp = make_wp()
     f = 150.4 * wp.sampling_rate / 2048  # off bin center
     frame = _tone_frame(wp, f, phase=0.3)
-    spec = frame_spectrum(frame, wp, 2048)
+    mags = _spectrum(frame)
     check_bins = np.arange(140, 162)
     oracle = _direct_windowed_dft(frame, 2048, check_bins, wp.sampling_rate)
-    np.testing.assert_allclose(spec.magnitudes[check_bins], oracle, rtol=1e-9)
-    assert int(np.argmax(spec.magnitudes)) == 150  # max at nearest bin
-    assert spec.magnitudes[151] > spec.magnitudes[149] * 0.2  # energy splits
+    np.testing.assert_allclose(mags[check_bins], oracle, rtol=1e-9)
+    assert int(np.argmax(mags)) == 150  # max at nearest bin
+    assert mags[151] > mags[149] * 0.2  # energy splits
 
 
 def test_spectrum_linearity_in_amplitude():
     wp = make_wp()
     f = 123.0 * wp.sampling_rate / 2048
-    one = frame_spectrum(_tone_frame(wp, f, amplitude=1.0), wp)
-    two = frame_spectrum(_tone_frame(wp, f, amplitude=2.0), wp)
-    k = int(np.argmax(one.magnitudes))
-    assert two.magnitudes[k] == pytest.approx(2.0 * one.magnitudes[k], rel=1e-9)
+    one = _spectrum(_tone_frame(wp, f, amplitude=1.0))
+    two = _spectrum(_tone_frame(wp, f, amplitude=2.0))
+    k = int(np.argmax(one))
+    assert two[k] == pytest.approx(2.0 * one[k], rel=1e-9)
 
 
 def test_fft_bins_preconditions():
     wp = make_wp()
-    frame = np.zeros(wp.samples_per_ramp)
+    cycles = [np.zeros(wp.samples_per_cycle)] * 16
     with pytest.raises(ParameterError, match="fft_bins"):
-        frame_spectrum(frame, wp, fft_bins=256)  # < frame length
+        calibrate(cycles, wp, fft_bins=256)  # < frame length
     with pytest.raises(ParameterError, match="power of two"):
-        frame_spectrum(frame, wp, fft_bins=1000)
+        calibrate(cycles, wp, fft_bins=1000)
 
 
-def _spectrum(wp, magnitudes, ramp_index=0):
-    return RampSpectrum(
-        ramp_index=ramp_index,
-        bin_frequencies=bin_frequencies(wp, 2048),
-        magnitudes=np.asarray(magnitudes, dtype=float),
-    )
+def _window(n_avg, bins):
+    """An empty sliding-average window of ``n_avg`` spectra per ramp."""
+    return PipelineState(ring=np.zeros((4, 2 * n_avg, bins)))
 
 
 def test_sliding_average_identity_and_constant():
-    wp = make_wp()
-    spec = _spectrum(wp, np.random.default_rng(0).uniform(size=1024))
-    out = sliding_average([spec])
-    np.testing.assert_array_equal(out.magnitudes, spec.magnitudes)
-    out3 = sliding_average([spec, spec, spec])
-    np.testing.assert_allclose(out3.magnitudes, spec.magnitudes, rtol=1e-15)
-
-
-def test_sliding_average_shape_mismatch():
-    wp = make_wp()
-    a = _spectrum(wp, np.ones(1024))
-    b = RampSpectrum(0, a.bin_frequencies[:512], np.ones(512))
-    with pytest.raises(FramingError, match="shape"):
-        sliding_average([a, b])
-    with pytest.raises(FramingError):
-        sliding_average([])
+    spectra = np.random.default_rng(0).uniform(size=(4, 1024))
+    state = _window(3, 1024)
+    np.testing.assert_array_equal(state.push(spectra), spectra)
+    state.push(spectra)
+    np.testing.assert_allclose(state.push(spectra), spectra, rtol=1e-15)
 
 
 def test_sliding_average_noise_reduction_monte_carlo():
     # Oracle: Monte-Carlo sample sigma of averaged iid bins vs raw bins.
-    wp = make_wp()
     rng = np.random.default_rng(7)
     n_avg, trials = 16, 1000
     raw = np.abs(rng.normal(1.0, 0.1, size=(trials, n_avg, 8)))
-    averaged = np.stack(
-        [
-            sliding_average([_spectrum(wp, np.tile(w[i], 128)) for i in range(n_avg)])
-            .magnitudes[:8]
-            for w in raw
-        ]
-    )
+    averaged = []
+    for window in raw:
+        state = _window(n_avg, 8)
+        for bins in window:
+            mean = state.push(np.tile(bins, (4, 1)))  # the same bins on every ramp
+        averaged.append(mean[0])
+    averaged = np.stack(averaged)
     ratio = averaged.std(axis=0).mean() / raw[:, 0, :].std(axis=0).mean()
     assert ratio == pytest.approx(0.25, rel=0.15)
 
@@ -188,52 +176,55 @@ def test_calibrate_too_few_cycles():
         calibrate([], wp)
 
 
+def _subtract(x, mean, sigma, alpha=1.0, beta=0.0):
+    """Floor subtraction as the pipeline scales it, on a (4, bins) stack."""
+    return remove_floor(x, alpha * mean, beta * sigma)
+
+
 def test_subtract_floor_cases():
-    wp = make_wp()
-    x = _spectrum(wp, np.full(1024, 5.0))
-    mean, sigma = np.full(1024, 2.0), np.full(1024, 4.0)
-    exact = subtract_floor(_spectrum(wp, mean), mean, sigma, 1.0, 0.0)
-    np.testing.assert_array_equal(exact.magnitudes, 0.0)
-    identity = subtract_floor(x, mean, sigma, 0.0, 0.0)
-    np.testing.assert_array_equal(identity.magnitudes, x.magnitudes)
-    floored = subtract_floor(x, mean, sigma, 1.0, 1.0)  # 5 - 2 - 4 -> 0
-    np.testing.assert_array_equal(floored.magnitudes, 0.0)
+    x = np.full((4, 1024), 5.0)
+    mean, sigma = np.full((4, 1024), 2.0), np.full((4, 1024), 4.0)
+    np.testing.assert_array_equal(_subtract(mean, mean, sigma, 1.0, 0.0), 0.0)
+    np.testing.assert_array_equal(_subtract(x, mean, sigma, 0.0, 0.0), x)
+    np.testing.assert_array_equal(_subtract(x, mean, sigma, 1.0, 1.0), 0.0)  # 5 - 2 - 4 -> 0
+    out = x.copy()
+    assert remove_floor(out, mean, 0.0 * sigma, out=out) is out
+    np.testing.assert_array_equal(out, 3.0)
 
 
 def test_subtract_floor_shape_mismatch_and_bad_factors():
+    # The pipeline refuses both when its config is built, before any cycle.
     wp = make_wp()
-    x = _spectrum(wp, np.ones(1024))
-    with pytest.raises(FramingError, match="shape"):
-        subtract_floor(x, np.zeros(512), np.zeros(512))
-    with pytest.raises(ParameterError):
-        subtract_floor(x, np.zeros(1024), np.zeros(1024), alpha=-1.0)
+    cal = calibrate([np.zeros(wp.samples_per_cycle)] * 16, wp)
+    with pytest.raises(CalibrationError, match="FFT size"):
+        PipelineConfig(wp, cal, fft_bins=4096)
+    for name in ("alpha", "beta"):
+        with pytest.raises(ParameterError, match=name):
+            PipelineConfig(wp, cal, **{name: -1.0})
 
 
 @given(
-    mags=arrays(np.float64, 64, elements=st.floats(0, 1e3)),
-    ref=arrays(np.float64, 64, elements=st.floats(0, 1e3)),
+    mags=arrays(np.float64, (4, 64), elements=st.floats(0, 1e3)),
+    ref=arrays(np.float64, (4, 64), elements=st.floats(0, 1e3)),
     alpha=st.floats(0, 3),
     beta=st.floats(0, 3),
 )
 @settings(max_examples=50, deadline=None)
 def test_subtract_floor_bounded(mags, ref, alpha, beta):
-    wp = make_wp()
-    spec = RampSpectrum(0, bin_frequencies(wp, 2048)[:64], mags)
-    out = subtract_floor(spec, ref, ref * 0.1, alpha, beta)
-    assert np.all(out.magnitudes >= 0.0)
-    assert np.all(out.magnitudes <= mags)
+    out = _subtract(mags, ref, ref * 0.1, alpha, beta)
+    assert np.all(out >= 0.0)
+    assert np.all(out <= mags)
 
 
 def test_average_and_subtract_commute_without_flooring():
-    wp = make_wp()
     rng = np.random.default_rng(3)
-    mean, sigma = np.full(1024, 0.5), np.zeros(1024)
-    history = [_spectrum(wp, rng.uniform(10.0, 20.0, 1024)) for _ in range(5)]
-    avg_then_sub = subtract_floor(sliding_average(history), mean, sigma)
-    sub_then_avg = sliding_average([subtract_floor(s, mean, sigma) for s in history])
-    np.testing.assert_allclose(
-        avg_then_sub.magnitudes, sub_then_avg.magnitudes, rtol=1e-12
-    )
+    mean, sigma = np.full((4, 1024), 0.5), np.zeros((4, 1024))
+    history = [rng.uniform(10.0, 20.0, (4, 1024)) for _ in range(5)]
+    raw, cleaned = _window(5, 1024), _window(5, 1024)
+    for spectra in history:
+        avg_then_sub = _subtract(raw.push(spectra), mean, sigma)
+        sub_then_avg = cleaned.push(_subtract(spectra, mean, sigma))
+    np.testing.assert_allclose(avg_then_sub, sub_then_avg, rtol=1e-12)
 
 
 def test_calibration_save_load_round_trip(tmp_path):
