@@ -43,10 +43,6 @@ _CSV_HEADER = (
 )
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".12g")
-
-
 def _write_manifest(out, command: str, config_path, inputs: dict, outputs) -> None:
     manifest = {
         "tool": "lfisensor",
@@ -63,21 +59,18 @@ def _record_status(record) -> str:
     return "warmup" if record.warmup else record.measurement.status
 
 
+#: A CSV row: the cycle index, then each number as ``format(x, ".12g")``.
+_CSV_ROW = "%d," + "%.12g," * 5 + "%s" + ",%.12g" * 9
+
+
 def _record_row(record) -> str:
-    m = record.measurement
-    fields = [
-        str(record.cycle_index),
-        _fmt(record.timestamp),
-        _fmt(m.distance_R),
-        _fmt(m.velocity_v),
-        _fmt(m.sigma_R),
-        _fmt(m.sigma_v),
-        _record_status(record),
-        _fmt(m.cluster_spread),
-    ]
-    fields += [_fmt(p.beat_frequency) for p in record.peaks]
-    fields += [_fmt(p.intensity) for p in record.peaks]
-    return ",".join(fields)
+    m, (p0, p1, p2, p3) = record.measurement, record.peaks
+    return _CSV_ROW % (
+        record.cycle_index, record.timestamp, m.distance_R, m.velocity_v, m.sigma_R, m.sigma_v,
+        _record_status(record), m.cluster_spread,
+        p0.beat_frequency, p1.beat_frequency, p2.beat_frequency, p3.beat_frequency,
+        p0.intensity, p1.intensity, p2.intensity, p3.intensity,
+    )
 
 
 def _json_number(x):
@@ -168,7 +161,7 @@ def cmd_process(args) -> int:
     if args.noise_model:
         try:
             values = json.loads(Path(args.noise_model).read_text())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8 text
             raise ParameterError(f"{args.noise_model} is not JSON: {exc}") from None
         noise_model = NoiseModelCoefficients.from_dict(values)
     cfg = config_from_file(args.config, cal, noise_model)

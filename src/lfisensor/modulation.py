@@ -7,6 +7,7 @@ types here are immutable values and all functions are pure.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from contextlib import contextmanager
@@ -62,6 +63,9 @@ class WorkingPoint:
     hp_cutoff: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ParameterError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if not self.ramp_duration > 0:
             raise ParameterError(f"ramp_duration must be > 0, got {self.ramp_duration}")
         if not self.steep_slope > 0:
@@ -80,6 +84,11 @@ class WorkingPoint:
             raise ParameterError(
                 f"sampling_rate ({self.sampling_rate} Hz) must exceed twice the "
                 f"high-pass cutoff ({self.hp_cutoff} Hz)"
+            )
+        if not math.isfinite(self.ramp_duration * self.sampling_rate):
+            raise ParameterError(
+                f"ramp_duration {self.ramp_duration} s at {self.sampling_rate} Hz holds "
+                "more samples than a float can count"
             )
         if self.samples_per_ramp < 1:
             raise ParameterError(
@@ -118,9 +127,10 @@ class WorkingPoint:
         return {key: getattr(self, name) for name, key in WORKING_POINT_KEYS.items()}
 
     @classmethod
-    def from_dict(cls, values: dict) -> "WorkingPoint":
-        """Inverse of :meth:`to_dict`; every key is required."""
-        return cls(**decode_fields(cls, values, WORKING_POINT_KEYS))
+    def from_dict(cls, values: dict, text: bool = False) -> "WorkingPoint":
+        """Inverse of :meth:`to_dict`; every key is required.  The values are
+        JSON numbers, or strings of a flat config file when ``text`` is true."""
+        return cls(**decode_fields(cls, values, WORKING_POINT_KEYS, text=text))
 
 
 def ramp_slopes(wp: WorkingPoint) -> tuple[float, ...]:
@@ -156,17 +166,23 @@ def read_flat_config(path) -> dict:
 #: Casts of the field types a flat config or JSON file may set.  The
 #: package's modules postpone annotations, so a field's type is its name.
 _CASTS = {"int": int, "float": float, "str": str}
+#: The JSON types each field type takes, matched exactly: a bool is an int
+#: to Python, and a string is not a number.
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
-def decode_fields(cls, values, keys: dict | None = None, defaults: bool = False) -> dict:
+def decode_fields(cls, values, keys: dict | None = None, defaults: bool = False,
+                  text: bool = False) -> dict:
     """Cast key-value ``values`` to keyword arguments of the dataclass ``cls``.
 
     The keys are the names of the ``int``, ``float`` and ``str`` init
     fields of ``cls``, or their entries in ``keys`` (field name to key).
-    Each value is cast to its field's type.  A key absent from ``values``
+    The values are JSON values of their field's type (an ``int`` may stand
+    for a ``float``), or, when ``text`` is true, the strings of a flat
+    config file, parsed as their field's type.  A key absent from ``values``
     takes its field's default when ``defaults`` is true and the field has
-    one; otherwise it is missing.  A key that is unknown, missing or
-    cannot be cast raises :class:`ParameterError` naming it.
+    one; otherwise it is missing.  A key that is unknown, missing or of
+    the wrong type raises :class:`ParameterError` naming it.
     """
     if not isinstance(values, dict):
         raise ParameterError(
@@ -180,10 +196,13 @@ def decode_fields(cls, values, keys: dict | None = None, defaults: bool = False)
     decoded, missing = {}, []
     for key, f in known.items():
         if key in values:
+            value = values[key]
+            if not text and type(value) not in _JSON_TYPES[f.type]:
+                raise ParameterError(f"{key}: cannot read {value!r} as {f.type}")
             try:
-                decoded[f.name] = _CASTS[f.type](values[key])
-            except (TypeError, ValueError):
-                raise ParameterError(f"{key}: cannot read {values[key]!r} as {f.type}") from None
+                decoded[f.name] = _CASTS[f.type](value)
+            except (ValueError, OverflowError):  # not a number; an int too large for a float
+                raise ParameterError(f"{key}: cannot read {value!r} as {f.type}") from None
         elif defaults and f.default is not MISSING:
             decoded[f.name] = f.default
         else:

@@ -37,18 +37,6 @@ class PeakEstimate:
     valid: bool
 
 
-def _max_bins(rows) -> list:
-    """Index of each row's strongest bin, or None for an all-zero row.
-
-    Ties break toward the lower frequency.
-    """
-    if rows.shape[1] == 0:
-        raise ParameterError("spectrum is empty")
-    # Only a zero maximum can mean an all-zero row.
-    return [None if rows[r, c] == 0 and not rows[r].any() else c
-            for r, c in enumerate(rows.argmax(axis=1).tolist())]
-
-
 def validity_thresholds(rows, epsilons, kappa=DEFAULT_KAPPA, scratch=None) -> list:
     """Intensity a peak must exceed to count as a real detection, per row.
 
@@ -85,23 +73,20 @@ def _window_tables(window: int):
     return x, x.astype(float), np.vander(x.astype(float), 5, increasing=True)
 
 
-def _gaussian_fits(rows: np.ndarray, centers, window: int) -> list:
-    """Guo's closed-form Gaussian fit around each row's center bin, all rows at once.
+def _gaussian_fits(block: np.ndarray) -> tuple:
+    """Guo's closed-form Gaussian fit to each row of a ``(rows, window)`` block.
 
-    A Gaussian is a parabola ``a + b x + c x^2`` in log-magnitude.  Each of
-    :data:`GAUSSIAN_PASSES` passes fits it by weighted least squares to the
-    logs of the positive bins (zero-floored bins have none), weighted by
-    ``y^2``, then by the previous fit's ``yhat^2``.  Per row: the vertex
-    offset ``-b / 2c`` and intensity ``exp(a - b^2 / 4c)``, or None when
-    fewer than three bins are positive or the fit is not concave or finite.
+    A Gaussian is a parabola ``a + b x + c x^2`` in log-magnitude, ``x`` the
+    bin offset from the window's middle.  Each of :data:`GAUSSIAN_PASSES`
+    passes fits it by weighted least squares to the logs of the positive
+    bins (zero-floored bins have none), weighted by ``y^2``, then by the
+    previous fit's ``yhat^2``.  Returns each row's vertex offset ``-b / 2c``
+    and intensity ``exp(a - b^2 / 4c)``, as two lists; the offset is NaN
+    when fewer than three bins are positive or the fit is not concave or
+    finite.
     """
-    n_rows, n_bins = rows.shape
-    offsets, x, powers = _window_tables(window)
-    columns = offsets + np.asarray(centers)[:, None]
-    block = rows.take(columns + np.arange(0, rows.size, n_bins)[:, None], mode="clip")
-    if min(centers) < window // 2 or max(centers) >= n_bins - window // 2:
-        # Bins outside their row read as 0, so they drop out as clipped bins do.
-        block[(columns < 0) | (columns >= n_bins)] = 0.0
+    n_rows = len(block)
+    _, x, powers = _window_tables(block.shape[1])
     positive = block > 0
     peak = block.max(axis=1)
     # Wild windows can overflow; a fit that is not finite fails the guard.
@@ -130,7 +115,7 @@ def _gaussian_fits(rows: np.ndarray, centers, window: int) -> list:
                 # Elementwise, not a matmul, so that no row's fit depends on another's.
                 a, b, c = np.array(abc).T[:, :, None]
                 fit = np.where(positive, a + x * (b + c * x), -np.inf)
-    fits = []
+    vertices, intensities = [], []
     for (a, b, c), top, n in zip(abc, peak.tolist(), positive.sum(axis=1).tolist()):
         offset = -b / (2.0 * c) if c < 0 else math.nan
         try:
@@ -138,41 +123,85 @@ def _gaussian_fits(rows: np.ndarray, centers, window: int) -> list:
         except OverflowError:  # where np.exp would give inf
             intensity = math.inf
         finite = math.isfinite(a + b + c + intensity)
-        fits.append((offset, intensity) if n >= 3 and finite else None)
-    return fits
+        vertices.append(offset if n >= 3 and finite else math.nan)
+        intensities.append(intensity)
+    return vertices, intensities
 
 
 def _interpolate(rows, bin_freqs, centers, window, method, kappa, epsilons, ramps,
                  scratch=None) -> list:
-    """Each row's peak interpolated around its center bin: the batched core."""
+    """Each row's peak interpolated around its center bin: the batched core.
+
+    Every step covers all rows at once, except the weighted average of a
+    row whose window reaches bin 0 or the last bin (a peak near DC or
+    Nyquist, which is rare).  That row sums its own slice: a zero-padded
+    window would regroup the sum and the dot product and so move the record
+    by rounding, and at bin 0 ``np.maximum`` would clamp a ``-0.0`` mean
+    differently from ``max``.
+    """
     n_bins, half = rows.shape[1], window // 2
     if window < 3 or window % 2 == 0:
         raise ParameterError(f"window must be odd and >= 3, got {window}")
-    for center in centers:
-        if not 0 <= center < n_bins:
-            raise ParameterError(f"center_bin {center} outside spectrum of {n_bins} bins")
-    fits = _gaussian_fits(rows, centers, window) if method == GAUSSIAN else [None] * len(rows)
+    centers = np.asarray(centers)
+    center_list = centers.tolist()
+    if not center_list:
+        return []
+    lowest, highest = min(center_list), max(center_list)
+    if lowest < 0 or highest >= n_bins:
+        bad = lowest if lowest < 0 else highest
+        raise ParameterError(f"center_bin {bad} outside spectrum of {n_bins} bins")
     thresholds = validity_thresholds(rows, epsilons, kappa, scratch)
-    estimates = []
-    for r, (center, fit) in enumerate(zip(centers, fits)):
-        row = rows[r]  # indexing makes a row view faster than iterating does
-        lo, hi = max(0, center - half), min(n_bins, center + half + 1)
-        if fit is not None and lo - center <= fit[0] <= hi - 1 - center:
-            frequency = float(bin_freqs[center] + fit[0] * (bin_freqs[1] - bin_freqs[0]))
-            used, intensity = GAUSSIAN, fit[1]
+    edges = lowest <= half or highest >= n_bins - 1 - half
+    columns = _window_tables(window)[0] + centers[:, None]
+    # Each row's window and its bin frequencies; an edge row's are redone below.
+    weights = rows.take(columns + np.arange(0, rows.size, n_bins)[:, None], mode="clip")
+    freqs = bin_freqs.take(columns, mode="clip")
+    if method == GAUSSIAN:
+        if edges:  # bins outside their row read as 0, so they drop out as floored bins do
+            weights[(columns < 0) | (columns >= n_bins)] = 0.0
+        vertices, fit_intensities = _gaussian_fits(weights)
+        vertices = np.array(vertices)
+        # A vertex must stay in the window's bins; a failed fit's NaN does not.
+        if edges:
+            accepted = ((vertices >= np.maximum(centers - half, 0) - centers)
+                        & (vertices <= np.minimum(centers + half, n_bins - 1) - centers))
         else:
-            weights = row[lo:hi]
-            total = float(weights.sum())
-            if total == 0.0:
-                estimates.append(PeakEstimate(ramps[r], 0.0, 0.0, WEIGHTED_AVERAGE, valid=False))
-                continue
-            freqs = bin_freqs[lo:hi]
-            # Rounding can carry the mean just past an end bin; it stays in the window.
-            frequency = float(min(max(np.dot(weights, freqs) / total, freqs[0]), freqs[-1]))
-            used, intensity = WEIGHTED_AVERAGE, float(row[center])
-        valid = intensity > thresholds[r]
-        estimates.append(PeakEstimate(ramps[r], frequency, intensity, used, valid))
-    return estimates
+            accepted = np.abs(vertices) <= half
+        step = bin_freqs[1] - bin_freqs[0] if n_bins > 1 else math.nan  # one bin fits nothing
+        fitted = freqs[:, half] + vertices * step
+        if accepted.all():
+            return [PeakEstimate(ramp, f, i, GAUSSIAN, bool(i > t)) for ramp, f, i, t
+                    in zip(ramps, fitted.tolist(), fit_intensities, thresholds)]
+    # The weighted average, for every row the Gaussian fit does not cover.
+    totals = weights.sum(axis=1)
+    found = totals != 0.0  # a window with no weight has no peak
+    # One BLAS ddot per row, as np.dot of the two windows makes.
+    dots = np.matmul(weights[:, None, :], freqs[:, :, None])[:, 0, 0]
+    means = np.divide(dots, totals, out=dots, where=found)
+    # Rounding can carry the mean just past an end bin; it stays in the window.
+    means = np.minimum(np.maximum(means, freqs[:, 0]), freqs[:, -1])
+    for r, center in enumerate(center_list if edges else ()):
+        if half < center < n_bins - 1 - half:
+            continue
+        lo, hi = max(0, center - half), min(n_bins, center + half + 1)
+        window_r, freqs_r = rows[r, lo:hi], bin_freqs[lo:hi]
+        total = float(window_r.sum())
+        found[r] = total != 0.0
+        if found[r]:
+            means[r] = min(max(np.dot(window_r, freqs_r) / total, freqs_r[0]), freqs_r[-1])
+    intensities, used = weights[:, half], [WEIGHTED_AVERAGE] * len(rows)
+    if method == GAUSSIAN:
+        means = np.where(accepted, fitted, means)
+        intensities = np.where(accepted, fit_intensities, intensities)
+        found |= accepted
+        used = [GAUSSIAN if a else WEIGHTED_AVERAGE for a in accepted.tolist()]
+    valid = intensities > np.asarray(thresholds)
+    # An all-zero row has no peak under either method.
+    return [PeakEstimate(ramp, f, i, m, v) if peak
+            else PeakEstimate(ramp, 0.0, 0.0, method if not rows[r].any() else WEIGHTED_AVERAGE,
+                              valid=False)
+            for r, (ramp, f, i, m, v, peak) in enumerate(zip(
+                ramps, means.tolist(), intensities.tolist(), used, valid.tolist(), found.tolist()))]
 
 
 def estimate_peaks(
@@ -190,11 +219,9 @@ def estimate_peaks(
     """
     if method not in METHODS:
         raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
+    if rows.shape[1] == 0:
+        raise ParameterError("spectrum is empty")
     ramps = range(len(rows)) if ramps is None else ramps
-    centers = _max_bins(rows)
-    found = [0 if center is None else center for center in centers]
-    estimates = _interpolate(rows, bin_freqs, found, window, method, kappa, epsilons, ramps,
-                             scratch)
-    return tuple(est if center is not None else PeakEstimate(ramp, 0.0, 0.0, method, valid=False)
-                 for est, center, ramp in zip(estimates, centers, ramps))
-
+    # The strongest bin of each row; ties break toward the lower frequency.
+    return tuple(_interpolate(rows, bin_freqs, rows.argmax(axis=1), window, method, kappa,
+                              epsilons, ramps, scratch))

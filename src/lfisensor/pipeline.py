@@ -15,7 +15,7 @@ own, bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations, islice
 
 import numpy as np
@@ -207,7 +207,9 @@ def _attach_sigmas(
     sigma_r, sigma_v = propagate_noise(
         sigma_i, sigma_j, slopes[i], slopes[j], cfg.working_point.emitted_frequency
     )
-    return replace(measurement, sigma_R=sigma_r, sigma_v=sigma_v)
+    m = measurement
+    return Measurement(m.distance_R, m.velocity_v, sigma_r, sigma_v, m.sign_combo,
+                       m.selected_ramps, m.cluster_spread, m.status)
 
 
 def process_block(block, state: PipelineState, cfg: PipelineConfig) -> list:
@@ -322,9 +324,10 @@ def read_config_file(path):
     values = read_flat_config(path)
     wp_keys = WORKING_POINT_KEYS.values()
     settings = decode_fields(
-        PipelineConfig, {k: v for k, v in values.items() if k not in wp_keys}, defaults=True
+        PipelineConfig, {k: v for k, v in values.items() if k not in wp_keys}, defaults=True,
+        text=True,
     )
-    wp = WorkingPoint.from_dict({k: v for k, v in values.items() if k in wp_keys})
+    wp = WorkingPoint.from_dict({k: v for k, v in values.items() if k in wp_keys}, text=True)
     return wp, settings
 
 

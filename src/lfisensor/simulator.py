@@ -205,8 +205,11 @@ def read_frames(stem):
         sidecar = json.loads(sidecar_path.read_text())
         if not isinstance(sidecar, dict):
             raise ValueError("not a JSON object")
+        unknown = set(sidecar) - {"format_version", "working_point", "cycles"}
+        if unknown:
+            raise ValueError(f"unknown keys {sorted(unknown)}")
         version = sidecar.get("format_version")
-        if version != FRAME_FORMAT_VERSION:
+        if type(version) is not int or version != FRAME_FORMAT_VERSION:
             raise ValueError(f"unsupported frame format version {version!r}")
         wp = WorkingPoint.from_dict(sidecar["working_point"])
         n_cycles = sidecar["cycles"]

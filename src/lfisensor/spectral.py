@@ -95,7 +95,7 @@ class Calibration:
         try:
             payload = json.loads(Path(path).read_text())
             version = payload.get("format_version")
-            if version != CALIBRATION_FORMAT_VERSION:
+            if type(version) is not int or version != CALIBRATION_FORMAT_VERSION:
                 raise CalibrationError(
                     f"unsupported calibration format version {version!r}"
                 )

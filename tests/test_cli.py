@@ -1,13 +1,17 @@
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import lfisensor
 from lfisensor import NoiseModelCoefficients, blind_map
@@ -375,8 +379,11 @@ def test_malformed_config_value_exits_nonzero(tmp_path, capsys, line, key):
         (json.dumps({k: v for k, v in TRUE_COEFFS.to_dict().items() if k != "a2"}), "a2"),
         ("a1 = 0.3\n", "noise.json"),
         ("[0.35, -0.6]", "key-value"),
+        (json.dumps({**TRUE_COEFFS.to_dict(), "a1": True}), "a1: cannot read True"),
+        (json.dumps({**TRUE_COEFFS.to_dict(), "a2": "-0.6"}), "a2: cannot read '-0.6'"),
+        (json.dumps({**TRUE_COEFFS.to_dict(), "b": 10**400}), "b: cannot read"),
     ],
-    ids=["missing-a2", "not-json", "not-an-object"],
+    ids=["missing-a2", "not-json", "not-an-object", "bool-a1", "string-a2", "huge-b"],
 )
 def test_malformed_noise_model_exits_nonzero(config_path, tmp_path, capsys, text, needle):
     cal = _calibrate(config_path, tmp_path)
@@ -529,6 +536,10 @@ def test_calibration_profiles_must_be_ramps_0_to_3(config_path, tmp_path, capsys
     _refuse_calibration(config_path, tmp_path, capsys, edit, f"{key} must be 4 rows")
 
 
+def _set_wp(sidecar, key, value):
+    return {**sidecar, "working_point": {**sidecar["working_point"], key: value}}
+
+
 @pytest.mark.parametrize(
     "edit, needle",
     [
@@ -537,8 +548,14 @@ def test_calibration_profiles_must_be_ramps_0_to_3(config_path, tmp_path, capsys
         (lambda sidecar: [], "not a JSON object"),
         (lambda sidecar: {**sidecar, "cycles": "many"}, "'cycles' must be a count"),
         (lambda sidecar: {**sidecar, "format_version": 1}, "unsupported frame format version 1"),
+        (lambda sidecar: {**sidecar, "format_version": True}, "version True"),
+        (lambda sidecar: _set_wp(sidecar, "sampling_rate_hz", "2e6"), "sampling_rate_hz"),
+        (lambda sidecar: _set_wp(sidecar, "hp_cutoff_hz", False), "hp_cutoff_hz"),
+        (lambda sidecar: _set_wp(sidecar, "ramp_duration_s", math.inf), "must be finite"),
+        (lambda sidecar: {**sidecar, "comment": "replayed"}, "unknown keys ['comment']"),
     ],
-    ids=["not-json", "no-working-point", "not-an-object", "many-cycles", "version-1"],
+    ids=["not-json", "no-working-point", "not-an-object", "many-cycles", "version-1",
+         "bool-version", "string-rate", "bool-cutoff", "infinite-ramp", "extra-key"],
 )
 def test_frame_sidecar_not_json_exits_nonzero(config_path, tmp_path, capsys, edit, needle):
     cal = _calibrate(config_path, tmp_path)
@@ -759,3 +776,115 @@ def test_cli_import_loads_no_scipy(config_path, tmp_path):
     result = subprocess.run([sys.executable, "-c", code, str(config_path), str(tmp_path)],
                             env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_text_config_still_parses_numbers_from_strings(tmp_path, capsys):
+    # A flat config holds strings; "2e6" is 2 MHz there, unlike in a JSON file.
+    config = tmp_path / "sensor.cfg"
+    save_working_point(make_wp(), config)
+    lines = [ln for ln in config.read_text().splitlines() if not ln.startswith("sampling_rate_hz")]
+    config.write_text("\n".join([*lines, "sampling_rate_hz = 2e6", "n_avg = 4"]) + "\n")
+    cal = _calibrate(config, tmp_path)
+    out = tmp_path / "run.csv"
+    assert main(["process", "--config", str(config), "--calibration", str(cal), "--out", str(out),
+                 "--cycles", "5", "--distance", "0.04"]) == 0
+    assert len(out.read_text().splitlines()) == 6
+    capsys.readouterr()
+
+
+#: Any JSON value: scalars of every type (NaN and infinities included, which
+#: Python's json module writes and reads) and small lists and objects of them.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+def _fuzz_object(valid: dict):
+    """``valid`` with each key kept, dropped or given any JSON value, plus extra keys."""
+    def edit(actions, extra):
+        edited = {}
+        for key, (action, value) in zip(valid, actions):
+            if action == "keep":
+                edited[key] = valid[key]
+            elif action == "replace":
+                edited[key] = value
+        return {**edited, **extra}
+
+    action = st.tuples(st.sampled_from(["keep", "keep", "drop", "replace"]), _JSON)
+    return st.builds(edit, st.lists(action, min_size=len(valid), max_size=len(valid)),
+                     st.dictionaries(st.text(max_size=8), _JSON, max_size=2))
+
+
+@pytest.fixture(scope="module")
+def replay_files(tmp_path_factory):
+    """A config, a calibration and a valid two-cycle export, with the export's
+    sidecar as a dict and its raw bytes."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    config = tmp / "sensor.cfg"
+    save_working_point(make_wp(), config)
+    cal = _calibrate(config, tmp)
+    assert main(["synth", "--config", str(config), "--out", str(tmp / "frames"),
+                 "--cycles", "2", "--distance", "0.04"]) == 0
+    sidecar = json.loads((tmp / "frames.json").read_text())
+    return tmp, config, cal, sidecar, (tmp / "frames.f32").read_bytes()
+
+
+def _exits_with_an_error(argv):
+    """``main(argv)`` returns 1 and prints one ``error: `` line, not a traceback."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        assert main(argv) == 1
+    assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
+    return err.getvalue()
+
+
+def _with_working_point(sidecar, wp):
+    return {**sidecar, "working_point": wp}
+
+
+@given(data=st.data(), raw_offset=st.integers(-4, 4))
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_frame_sidecars_and_lengths_end_in_a_package_error(replay_files, data, raw_offset):
+    tmp, config, cal, valid, raw = replay_files
+    sidecar = data.draw(_JSON | _fuzz_object(valid) | st.builds(
+        _with_working_point, _fuzz_object(valid), _fuzz_object(valid["working_point"])))
+    assume(sidecar != valid or raw_offset != 0)
+    (tmp / "fuzzed.json").write_text(json.dumps(sidecar))
+    (tmp / "fuzzed.f32").write_bytes(raw[: len(raw) + raw_offset] + b"\0" * raw_offset)
+    err = _exits_with_an_error([
+        "process", "--config", str(config), "--calibration", str(cal),
+        "--out", str(tmp / "run.csv"), "--input", str(tmp / "fuzzed")])
+    # FramingError names a file; a working point unlike the config's is a ParameterError.
+    assert "fuzzed" in err or "working point differs" in err
+
+
+@given(model=_fuzz_object(TRUE_COEFFS.to_dict()) | _JSON | st.binary(max_size=16))
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_noise_model_files_end_in_a_package_error(replay_files, model):
+    tmp, config, cal, _, _ = replay_files
+    path = tmp / "noise.json"
+    if isinstance(model, bytes):
+        path.write_bytes(model)
+    else:
+        path.write_text(json.dumps(model))
+    argv = ["process", "--config", str(config), "--calibration", str(cal), "--noise-model",
+            str(path), "--out", str(tmp / "run.csv"), "--cycles", "2", "--distance", "0.04"]
+    if _is_noise_model(model):
+        expected = NoiseModelCoefficients(**{k: float(v) for k, v in model.items()})
+        assert NoiseModelCoefficients.from_dict(model) == expected
+        with redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+    else:
+        _exits_with_an_error(argv)
+
+
+def _is_noise_model(model) -> bool:
+    """Every noise-model key and no other, each a finite number (not a bool),
+    and a fit residual >= 0."""
+    return (isinstance(model, dict) and set(model) == set(TRUE_COEFFS.to_dict())
+            and all(type(v) in (int, float) and abs(v) <= sys.float_info.max
+                    for v in model.values())
+            and model["fit_residual"] >= 0)

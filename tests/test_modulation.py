@@ -99,6 +99,36 @@ def test_duplicate_config_key_rejected(tmp_path):
         read_config_file(path)
 
 
+@pytest.mark.parametrize(
+    "value", [True, "2e6", None, [2e6]], ids=["bool", "string", "null", "list"]
+)
+def test_json_working_point_refuses_a_value_that_is_not_a_number(value):
+    values = {**make_wp().to_dict(), "sampling_rate_hz": value}
+    with pytest.raises(ParameterError, match="sampling_rate_hz"):
+        WorkingPoint.from_dict(values)
+    # An int is a number; a flat config's strings are parsed.
+    assert WorkingPoint.from_dict({**values, "sampling_rate_hz": 2000000}) == make_wp()
+    text = {key: repr(v) for key, v in make_wp().to_dict().items()}
+    assert WorkingPoint.from_dict({**text, "sampling_rate_hz": "2e6"}, text=True) == make_wp()
+
+
+@pytest.mark.parametrize(
+    "line, needle",
+    [("ramp_duration_s = inf", "ramp_duration must be finite"),
+     ("emitted_frequency_hz = nan", "emitted_frequency must be finite"),
+     ("ramp_duration_s = 1e300", "more samples than a float can count")],
+    ids=["inf-ramp", "nan-frequency", "huge-ramp"],
+)
+def test_config_refuses_a_working_point_that_is_not_finite(tmp_path, line, needle):
+    path = tmp_path / "wp.cfg"
+    save_working_point(make_wp(sampling_rate=1e300), path)
+    key = line.split()[0]
+    lines = [ln for ln in path.read_text().splitlines() if not ln.startswith(key)]
+    path.write_text("\n".join([*lines, line]) + "\n")
+    with pytest.raises(ParameterError, match=needle):
+        read_config_file(path)
+
+
 def test_open_atomic_keeps_the_old_file_when_the_block_fails(tmp_path):
     # Bytes written before the failure land in a temporary file, which is
     # removed; the old file stays as it was.

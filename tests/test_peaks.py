@@ -302,6 +302,112 @@ def test_estimates_do_not_depend_on_the_height_of_the_stack(cycles, seed, method
     assert [repr(est) for est in tall] == [repr(est) for est in alone]
 
 
+def _per_row_peaks(rows, freqs, centers, window, method, epsilons):
+    """Oracle: each row's peak from its own slice, one row at a time.
+
+    The weighted average is the slice's ``.sum()`` and 1-D ``np.dot``, its
+    mean clamped into the window with ``min(max(...))``, and the center bin
+    as intensity.  The Gaussian fit of a row is fitted alone, on its window
+    zero-padded past the spectrum's ends, and kept when its vertex lies in
+    the bins the window has.  An all-zero row has no peak under either
+    method; a zero window in a nonzero row has none under the weighted
+    average.
+    """
+    half, n_bins = window // 2, rows.shape[1]
+    estimates = []
+    for r, (row, center, epsilon) in enumerate(zip(rows, centers, epsilons)):
+        lo, hi = max(0, center - half), min(n_bins, center + half + 1)
+        threshold = validity_thresholds(row[None], [epsilon])[0]
+        if method == GAUSSIAN:
+            padded = np.zeros(window)
+            padded[lo - center + half : hi - center + half] = row[lo:hi]
+            (vertex,), (intensity,) = peaks._gaussian_fits(padded[None])
+            if lo - center <= vertex <= hi - 1 - center:
+                frequency = float(freqs[center] + vertex * (freqs[1] - freqs[0]))
+                estimates.append(PeakEstimate(r, frequency, intensity, GAUSSIAN,
+                                              intensity > threshold))
+                continue
+        weights, span = row[lo:hi], freqs[lo:hi]
+        total = float(weights.sum())
+        if total == 0.0:
+            label = method if not row.any() else WEIGHTED_AVERAGE
+            estimates.append(PeakEstimate(r, 0.0, 0.0, label, valid=False))
+            continue
+        frequency = float(min(max(np.dot(weights, span) / total, span[0]), span[-1]))
+        intensity = float(row[center])
+        estimates.append(PeakEstimate(r, frequency, intensity, WEIGHTED_AVERAGE,
+                                      intensity > threshold))
+    return estimates
+
+
+def _peak_case(window, n_bins, rows, seed):
+    """A floored ``(len(rows), n_bins)`` stack and one center per row.
+
+    Row ``(kind, at)`` is floored noise with: a peak whose maximum is bin
+    ``at`` (``"tie"``: and a second bin as high, so the argmax breaks the
+    tie low), nothing (``"noise"``), no bin at all (``"zero-row"``), or a
+    peak with its window around ``at`` zeroed (``"zero-window"``).  ``at``
+    is the row's center for ``_interpolate``.
+    """
+    rng = np.random.default_rng(seed)
+    k = np.arange(n_bins)
+    stack = np.maximum(rng.normal(0.0, 1.0, (len(rows), n_bins)) - 0.5, 0.0)
+    centers = []
+    for r, (kind, at) in enumerate(rows):
+        at %= n_bins
+        centers.append(at)
+        if kind == "zero-row":
+            stack[r] = 0.0
+        elif kind != "noise":
+            width, shift = rng.uniform(0.5, 4.0), rng.uniform(-0.5, 0.5)
+            height = 10.0 ** rng.uniform(-2, 4)
+            stack[r] += height * np.exp(-((k - at - shift) ** 2) / (2 * width**2))
+            stack[r, at] = 1.5 * stack[r].max()
+            if kind == "tie":
+                stack[r, rng.integers(n_bins)] = stack[r, at]
+            elif kind == "zero-window":
+                stack[r, max(0, at - window // 2) : at + window // 2 + 1] = 0.0
+    return stack, centers, window
+
+
+@st.composite
+def _peak_cases(draw):
+    """Stacks of 1-64 rows, windows of 3-25 bins, centers at and next to the
+    spectrum's ends as often as anywhere else."""
+    window = draw(st.sampled_from(range(3, 26, 2)))
+    n_bins, half = draw(st.integers(1, 160)), window // 2
+    ends = [0, half - 1, half, half + 1, n_bins - 2 - half, n_bins - 1 - half, n_bins - half,
+            n_bins - 1]
+    row = st.tuples(st.sampled_from(["peak", "tie", "noise", "zero-row", "zero-window"]),
+                    st.sampled_from(ends) | st.integers(0, n_bins - 1))
+    return _peak_case(window, n_bins, draw(st.lists(row, min_size=1, max_size=64)),
+                      draw(st.integers(0, 2**32 - 1)))
+
+
+@given(case=_peak_cases(), method=st.sampled_from([GAUSSIAN, WEIGHTED_AVERAGE]),
+       epsilon=st.floats(0.0, 2.0))
+# Peaks on both end bins of a 25-bin window: their weighted averages sum
+# windows cut to 13 bins, which a zero-padded 25-bin sum would round apart.
+@example(case=_peak_case(25, 64, [("peak", 0), ("peak", 63), ("peak", 1), ("peak", 62)] * 4, 7),
+         method=WEIGHTED_AVERAGE, epsilon=0.0)
+@settings(max_examples=200, deadline=None)
+def test_peak_stage_matches_a_per_row_loop(case, method, epsilon):
+    rows, centers, window = case
+    freqs = np.arange(rows.shape[1]) * BIN_WIDTH
+    epsilons = [epsilon * (r % 3) for r in range(len(rows))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        at_centers = peaks._interpolate(rows, freqs, centers, window, method, DEFAULT_KAPPA,
+                                        epsilons, range(len(rows)))
+        at_maxima = estimate_peaks(rows, freqs, epsilons, window, method)
+    # repr spells every float exactly and tells a bool from a numpy bool.
+    assert repr(at_centers) == repr(_per_row_peaks(rows, freqs, centers, window, method,
+                                                   epsilons))
+    maxima = [int(np.argmax(row)) for row in rows]
+    assert repr(list(at_maxima)) == repr(_per_row_peaks(rows, freqs, maxima, window, method,
+                                                        epsilons))
+
+
 def test_validity_threshold_flags_weak_peaks():
     mags = np.ones(1024)
     mags[300] = 2.0  # only 2x the median floor, below kappa = 3
