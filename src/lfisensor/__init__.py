@@ -60,4 +60,4 @@ from .solver import (
     propagate_noise,
     simplified_solution,
 )
-from .spectral import Calibration, calibrate, magnitude_spectra, slice_cycle
+from .spectral import Calibration, calibrate, magnitude_spectra

@@ -21,7 +21,7 @@ from itertools import combinations, islice
 import numpy as np
 
 from .analysis import NoiseModelCoefficients, predict_sigma_fb
-from .errors import FramingError, ParameterError
+from .errors import ParameterError
 from .modulation import (
     WORKING_POINT_KEYS,
     WorkingPoint,
@@ -30,25 +30,23 @@ from .modulation import (
     read_flat_config,
 )
 from .peaks import DEFAULT_WINDOW, METHODS, WEIGHTED_AVERAGE, estimate_peaks
-from .simulator import read_frames, refuse_non_finite, synthesize_cycle
+from .simulator import read_frames, synthesize_cycle
 from .solver import STATUS_INVALID, Measurement, disambiguate, propagate_noise
 from .spectral import (
     DEFAULT_ALPHA,
     DEFAULT_BETA,
     DEFAULT_FFT_BINS,
+    STREAM_BLOCK,
     Calibration,
     bin_frequencies,
     check_fft_bins,
-    hamming,
+    magnitude_spectra,
     remove_floor,
 )
 
 #: Validity gate in units of the calibrated per-bin sigma; rejects the
 #: residual maxima of pure-noise spectra after subtraction.
 DEFAULT_NOISE_GATE = 6.0
-
-#: Cycles per :func:`process_block` call in :func:`run_stream` (README: "Block hot path").
-STREAM_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -105,7 +103,7 @@ class PipelineConfig:
 
         cal = self.calibration
         derived = {
-            "frame_window": hamming(wp.samples_per_ramp),
+            "frame_window": np.hamming(wp.samples_per_ramp),
             "bin_frequencies": bin_frequencies(wp, self.fft_bins),
             "scaled_mean": self.alpha * cal.reference_mean,
             "scaled_sigma": self.beta * cal.reference_sigma,
@@ -126,12 +124,12 @@ class PipelineState:
     first, is always one contiguous slice of slots.  Averaging that slice
     adds the spectra in the same order as ``np.mean`` over a list of them,
     so the result is the same to the bit.  ``work`` holds the arrays of
-    :func:`process_block`, kept for the next block (a copy gets its own).
+    ``magnitude_spectra``, kept for the next block (a copy gets its own).
     """
 
     ring: np.ndarray
     cycles_seen: int = 0
-    work: tuple = field(default=(), repr=False, compare=False)
+    work: list = field(default_factory=list, repr=False, compare=False)
 
     @classmethod
     def for_config(cls, cfg: PipelineConfig) -> "PipelineState":
@@ -221,26 +219,10 @@ def process_block(block, state: PipelineState, cfg: PipelineConfig) -> list:
     :class:`FramingError` before ``state`` changes.
     """
     wp = cfg.working_point
-    try:
-        block = np.asarray(block)
-    except ValueError:
-        raise FramingError("the cycles of a block differ in length") from None
-    if block.ndim != 2 or block.shape[1] != wp.samples_per_cycle:
-        raise FramingError(f"expected cycles of {wp.samples_per_cycle} samples, got {block.shape}")
-    if not len(block):
-        return []
-    if cfg.sync_offset_samples:
-        block = np.roll(block, -cfg.sync_offset_samples, axis=1)
-    refuse_non_finite("input", block, wp, state.cycles_seen)
-    n_cycles, rows, bins = len(block), 4 * len(block), cfg.fft_bins // 2
-    if not state.work or len(state.work[0]) < rows:  # grown, never shrunk; the pads stay 0
-        state.work = (np.zeros((rows, cfg.fft_bins)), np.empty((rows, bins + 1), complex),
-                      np.empty((rows, bins)), np.empty((rows, bins)))
-    padded, transform, spectra, cleaned = (array[:rows] for array in state.work)
-    np.multiply(block.reshape(rows, -1), cfg.frame_window, out=padded[:, : wp.samples_per_ramp])
-    np.fft.rfft(padded, axis=-1, out=transform)
-    np.abs(transform[:, :bins], out=spectra)
-    n_windows = []
+    spectra = magnitude_spectra(block, wp, cfg.frame_window, cfg.fft_bins, state.work,
+                                state.cycles_seen, cfg.sync_offset_samples)
+    rows, bins = spectra.shape
+    n_cycles, n_windows, cleaned = rows // 4, [], state.work[3][:rows]
     for c in range(0, rows, 4):
         state.push(spectra[c : c + 4], out=cleaned[c : c + 4])
         n_windows.append(state.n_window)

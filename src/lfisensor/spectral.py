@@ -1,28 +1,33 @@
-"""Ramp slicing, magnitude spectra, the no-target calibration and floor removal.
+"""Magnitude spectra, the no-target calibration and floor removal.
 
 Each stage takes a stack of ramps, one row per ramp: Hamming window,
-zero-pad and FFT magnitude, then (after the pipeline's sliding average over
-recent cycles) adaptive spectral subtraction against the calibrated
-no-target reference, floored at zero.
+zero-pad and FFT magnitude (processing and calibration alike), then, after
+the pipeline's sliding average over recent cycles, adaptive spectral
+subtraction against the calibrated no-target reference, floored at zero.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CalibrationError, FramingError, ParameterError
 from .modulation import WorkingPoint, write_atomic
+from .simulator import refuse_non_finite
 
 DEFAULT_FFT_BINS = 2048
 DEFAULT_ALPHA = 1.0
 DEFAULT_BETA = 0.0
 CALIBRATION_FORMAT_VERSION = 2
 MIN_CALIBRATION_CYCLES = 16
+
+#: Cycles per block of :func:`magnitude_spectra` in :func:`calibrate` and
+#: ``pipeline.run_stream`` (README: "Block hot path").
+STREAM_BLOCK = 16
 
 
 @dataclass
@@ -94,13 +99,23 @@ class Calibration:
         """Read a :meth:`save` file; any defect raises CalibrationError naming it."""
         try:
             payload = json.loads(Path(path).read_text())
+            if not isinstance(payload, dict):
+                raise TypeError("not a JSON object")
+            unknown = set(payload) - {"format_version", "cycles", "sampling_rate_hz",
+                                      "samples_per_ramp", "reference_mean", "reference_sigma"}
+            if unknown:
+                raise TypeError(f"unknown keys {sorted(unknown)}")
             version = payload.get("format_version")
             if type(version) is not int or version != CALIBRATION_FORMAT_VERSION:
                 raise CalibrationError(
                     f"unsupported calibration format version {version!r}"
                 )
-            mean = np.asarray(payload["reference_mean"], dtype=float)
-            sigma = np.asarray(payload["reference_sigma"], dtype=float)
+            rows = payload["reference_mean"], payload["reference_sigma"]
+            # numpy would read false and "0" as 0.0: a bin holds a JSON number, nothing else.
+            other = {t for row in (*rows[0], *rows[1]) for t in set(map(type, row))} - {int, float}
+            if other:
+                raise TypeError(f"a reference bin must be a number, not {other.pop().__name__}")
+            mean, sigma = (np.asarray(array, dtype=float) for array in rows)
             n_cycles = payload["cycles"]
             rate = payload["sampling_rate_hz"]
             n = payload["samples_per_ramp"]
@@ -115,29 +130,8 @@ class Calibration:
                        sampling_rate=float(rate), samples_per_ramp=n)
         except KeyError as exc:
             raise CalibrationError(f"calibration {path} has no key {exc}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (OverflowError, TypeError, ValueError) as exc:
             raise CalibrationError(f"calibration {path} is malformed: {exc}") from None
-
-
-def slice_cycle(samples, wp: WorkingPoint) -> np.ndarray:
-    """Split one cycle of ADC samples into its four ramp frames.
-
-    Returns a ``(4, samples_per_ramp)`` view whose rows partition the
-    input exactly: no overlap, no gap.
-    """
-    samples = np.asarray(samples)
-    n = wp.samples_per_ramp
-    if samples.ndim != 1 or samples.size != 4 * n:
-        raise FramingError(
-            f"expected one cycle of {4 * n} samples, got shape {samples.shape}"
-        )
-    return samples.reshape(4, n)
-
-
-@lru_cache(maxsize=16)
-def hamming(length: int) -> np.ndarray:
-    """Hamming window of a frame length (cached and shared: do not modify)."""
-    return np.hamming(length)
 
 
 def check_fft_bins(fft_bins: int, frame_length: int) -> None:
@@ -150,25 +144,40 @@ def check_fft_bins(fft_bins: int, frame_length: int) -> None:
         raise ParameterError(f"fft_bins must be a power of two, got {fft_bins}")
 
 
-def magnitude_spectra(frames, window: np.ndarray, fft_bins: int) -> np.ndarray:
-    """Windowed, zero-padded one-sided FFT magnitudes along the last axis.
+def magnitude_spectra(block, wp: WorkingPoint, window, fft_bins: int, work: list,
+                      first_cycle: int = 0, offset: int = 0) -> np.ndarray:
+    """Hamming-windowed (``window``), zero-padded FFT magnitudes of a block of cycles.
 
-    ``frames`` is one frame or a stack of them (a whole cycle is one
-    ``(4, samples_per_ramp)`` call); ``window`` is the Hamming window of
-    the frame length.  Each row equals its own single-frame transform bit
-    for bit.
+    Each cycle is rotated left by ``offset`` samples; ramp ``r`` of cycle ``c`` is row
+    ``4 c + r`` of the ``(4 * cycles, fft_bins // 2)`` result, bit for bit its own frame's
+    transform.  Ragged rows, rows that are not one cycle and a NaN or infinite sample
+    (cycles counted from ``first_cycle``) raise :class:`FramingError` before ``work``, the
+    caller's list (empty at first) of the padded frames, transform, magnitudes and a spare
+    for the caller, changes; it grows to the largest block, and the result is a view of it.
     """
-    return np.abs(np.fft.rfft(frames * window, n=fft_bins, axis=-1)[..., : fft_bins // 2])
-
-
-@lru_cache(maxsize=16)
-def _bin_frequencies(sampling_rate: float, fft_bins: int) -> np.ndarray:
-    return np.arange(fft_bins // 2) * (sampling_rate / fft_bins)
+    try:
+        block = np.asarray(block)
+    except ValueError:
+        raise FramingError("the cycles of a block differ in length") from None
+    n = len(window)  # samples per ramp
+    if block.ndim != 2 or block.shape[1] != 4 * n:
+        raise FramingError(f"expected cycles of {4 * n} samples, got {block.shape}")
+    if offset:
+        block = np.roll(block, -offset, axis=1)
+    refuse_non_finite("input", block, wp, first_cycle)
+    rows, bins = 4 * len(block), fft_bins // 2
+    if not work or len(work[0]) < rows:  # the pads stay 0
+        work[:] = (np.zeros((rows, fft_bins)), np.empty((rows, bins + 1), complex),
+                   np.empty((rows, bins)), np.empty((rows, bins)))
+    padded, transform, spectra = (array[:rows] for array in work[:3])
+    np.multiply(block.reshape(rows, n), window, out=padded[:, :n])
+    np.fft.rfft(padded, axis=-1, out=transform)
+    return np.abs(transform[:, :bins], out=spectra)
 
 
 def bin_frequencies(wp: WorkingPoint, fft_bins: int = DEFAULT_FFT_BINS) -> np.ndarray:
     """Center frequencies of the one-sided bins."""
-    return _bin_frequencies(wp.sampling_rate, fft_bins)
+    return np.arange(fft_bins // 2) * (wp.sampling_rate / fft_bins)
 
 
 def calibrate(
@@ -177,23 +186,31 @@ def calibrate(
     fft_bins: int = DEFAULT_FFT_BINS,
     min_cycles: int = MIN_CALIBRATION_CYCLES,
 ) -> Calibration:
-    """Build per-ramp reference spectra from no-target cycles.
+    """Build per-ramp reference spectra from no-target cycles, any iterable of them.
 
-    For each ramp index the reference is the per-bin mean and sample
-    standard deviation over all supplied cycles.
+    One pass, :data:`STREAM_BLOCK` cycles at a time through :func:`magnitude_spectra`,
+    in constant memory: per bin, the mean is a running sum over the count (``np.mean``
+    of the stack, bit for bit) and the sample sigma is Welford's one-pass update.
     """
     check_fft_bins(fft_bins, wp.samples_per_ramp)
-    window = hamming(wp.samples_per_ramp)
-    spectra = [magnitude_spectra(slice_cycle(c, wp), window, fft_bins) for c in cycles]
-    n_cycles = len(spectra)
+    source, window, work, n_cycles = iter(cycles), np.hamming(wp.samples_per_ramp), [], 0
+    total, mean, m2 = np.zeros((3, 4, fft_bins // 2))
+    while block := list(islice(source, STREAM_BLOCK)):
+        spectra = magnitude_spectra(block, wp, window, fft_bins, work, first_cycle=n_cycles)
+        for s in spectra.reshape(len(block), 4, -1):
+            n_cycles += 1
+            total += s
+            delta = s - mean
+            mean += delta / n_cycles
+            m2 += delta * (s - mean)
+    min_cycles = max(min_cycles, 2)  # a sample sigma takes two
     if n_cycles < min_cycles:
         raise CalibrationError(
             f"calibration needs >= {min_cycles} no-target cycles, got {n_cycles}"
         )
-    stack = np.stack(spectra)  # (cycle, ramp, bin)
     return Calibration(
-        reference_mean=stack.mean(axis=0),
-        reference_sigma=stack.std(axis=0, ddof=1),
+        reference_mean=total / n_cycles,
+        reference_sigma=np.sqrt(m2 / (n_cycles - 1)),
         n_cycles=n_cycles,
         sampling_rate=wp.sampling_rate,
         samples_per_ramp=wp.samples_per_ramp,

@@ -34,7 +34,7 @@ from lfisensor.analysis import blind_map
 from lfisensor.cli import main as cli_main
 from lfisensor.modulation import save_working_point
 from lfisensor.peaks import GAUSSIAN, WEIGHTED_AVERAGE
-from lfisensor.spectral import bin_frequencies, hamming
+from lfisensor.spectral import bin_frequencies
 
 from conftest import C, make_wp, true_beats, true_slopes
 from test_analysis import TRUE_COEFFS, _synthetic_observations
@@ -314,11 +314,12 @@ def test_criterion_9_interpolator_sweep(wp):
     bin_width = wp.sampling_rate / 2048
     t = np.arange(wp.samples_per_ramp) / wp.sampling_rate
     base_bin = 150
-    window, freqs = hamming(wp.samples_per_ramp), bin_frequencies(wp, 2048)
+    window, freqs, work = np.hamming(wp.samples_per_ramp), bin_frequencies(wp, 2048), []
     worst = {GAUSSIAN: 0.0, WEIGHTED_AVERAGE: 0.0}
     for offset in np.linspace(0.0, 1.0, 32, endpoint=False):
         f = (base_bin + offset) * bin_width
-        mags = magnitude_spectra(np.cos(2 * np.pi * f * t + 0.7)[None], window, 2048)
+        tone = np.cos(2 * np.pi * f * t + 0.7)
+        mags = magnitude_spectra([np.tile(tone, 4)], wp, window, 2048, work)[:1]
         for method in worst:
             est = estimate_peaks(mags, freqs, [0.0], method=method)[0]
             worst[method] = max(worst[method], abs(est.beat_frequency - f))

@@ -514,9 +514,16 @@ def _set_bin(key, ramp, value):
          "must be integers, got (20, 500.9)"),
         (lambda payload: {**payload, "sampling_rate_hz": "2e6"},
          "sampling_rate_hz must be a number, got '2e6'"),
+        # numpy reads "0" and false as 0.0, and a bin beyond a float overflows: a bin
+        # holds a JSON number a float can take; a key the format lacks is refused too.
+        (lambda payload: {**payload, "comment": "bench"}, "unknown keys ['comment']"),
+        (_set_bin("reference_mean", 1, "0"), "a reference bin must be a number, not str"),
+        (_set_bin("reference_sigma", 2, False), "a reference bin must be a number, not bool"),
+        (_set_bin("reference_mean", 0, 10**400), "int too large to convert to float"),
     ],
     ids=["not-json", "missing-key", "null-cycles", "version-1", "ragged", "nan", "inf",
-         "negative", "fractional-cycles", "bool-cycles", "fractional-samples", "string-rate"],
+         "negative", "fractional-cycles", "bool-cycles", "fractional-samples", "string-rate",
+         "extra-key", "string-bin", "bool-bin", "huge-bin"],
 )
 def test_malformed_calibration_exits_nonzero(config_path, tmp_path, capsys, edit, needle):
     _refuse_calibration(config_path, tmp_path, capsys, edit, needle)
@@ -683,6 +690,26 @@ def test_process_memory_does_not_grow_with_cycles(config_path, tmp_path, capsys)
 
     process(200, traced=False)  # warm the caches
     small, large = process(200, traced=True), process(800, traced=True)
+    capsys.readouterr()
+    assert large <= small + 1_000_000, (small, large)
+
+
+def test_calibrate_memory_does_not_grow_with_cycles(config_path, tmp_path, capsys):
+    # Cycles go through the spectral front end a block at a time and into a
+    # running sum and Welford's sigma: 4x the cycles may not raise the peak
+    # of traced allocations by more than 1 MB (a list of spectra adds 32 kB a cycle).
+    def calibrate(cycles):
+        argv = ["calibrate", "--config", str(config_path), "--out", str(tmp_path / "cal.json"),
+                "--cycles", str(cycles), "--noise-sigma", "0.1"]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    calibrate(200)  # warm the caches
+    small, large = calibrate(200), calibrate(800)
     capsys.readouterr()
     assert large <= small + 1_000_000, (small, large)
 
@@ -888,3 +915,35 @@ def _is_noise_model(model) -> bool:
             and all(type(v) in (int, float) and abs(v) <= sys.float_info.max
                     for v in model.values())
             and model["fit_residual"] >= 0)
+
+
+def _is_calibration(payload, valid) -> bool:
+    """Every calibration key and no other, the version an int 2, a count >= 1,
+    and the rest equal to ``valid`` (a rate may be an int)."""
+    def same(key):
+        kinds = (int, float) if key == "sampling_rate_hz" else (type(valid[key]),)
+        return type(payload[key]) in kinds and payload[key] == valid[key]
+
+    return (isinstance(payload, dict) and set(payload) == set(valid)
+            and type(payload["cycles"]) is int and payload["cycles"] >= 1
+            and all(same(key) for key in valid if key != "cycles"))
+
+
+@given(payload=st.data())
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_calibration_files_end_in_a_package_error(replay_files, payload):
+    tmp, config, cal, _, _ = replay_files
+    valid = json.loads(cal.read_text())
+    payload = payload.draw(_JSON | _fuzz_object(valid) | st.binary(max_size=16))
+    path = tmp / "fuzzed-cal.json"
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    else:
+        path.write_text(json.dumps(payload))
+    argv = ["process", "--config", str(config), "--calibration", str(path),
+            "--out", str(tmp / "run.csv"), "--cycles", "2", "--distance", "0.04"]
+    if _is_calibration(payload, valid):
+        with redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+    else:
+        assert "fuzzed-cal.json" in _exits_with_an_error(argv)

@@ -15,10 +15,9 @@ from lfisensor import (
     PipelineState,
     calibrate,
     magnitude_spectra,
-    slice_cycle,
     synthetic_cycles,
 )
-from lfisensor.spectral import Calibration, bin_frequencies, hamming, remove_floor
+from lfisensor.spectral import STREAM_BLOCK, Calibration, bin_frequencies, remove_floor
 
 from conftest import make_wp
 
@@ -28,9 +27,9 @@ def _tone_frame(wp, frequency, phase=0.0, amplitude=1.0):
     return amplitude * np.cos(2 * np.pi * frequency * t + phase)
 
 
-def _spectrum(frame, fft_bins=2048):
-    """Magnitude spectrum of one frame: a stack of one row."""
-    return magnitude_spectra(frame[None], hamming(len(frame)), fft_bins)[0]
+def _spectrum(wp, frame, fft_bins=2048):
+    """Magnitude spectrum of one frame: the first row of a cycle of four copies."""
+    return magnitude_spectra([np.tile(frame, 4)], wp, np.hamming(len(frame)), fft_bins, [])[0]
 
 
 def _direct_windowed_dft(frame, fft_bins, bins, fs):
@@ -43,25 +42,33 @@ def _direct_windowed_dft(frame, fft_bins, bins, fs):
     return np.array(out)
 
 
-def test_slice_cycle_partitions_equally():
+def test_spectra_rows_are_the_ramps_of_each_cycle_in_order():
+    # Row 4c + r is ramp r of cycle c, each the transform of its own frame alone.
     wp = make_wp()
-    samples = np.arange(wp.samples_per_cycle, dtype=float)
-    frames = slice_cycle(samples, wp)
-    assert [len(f) for f in frames] == [wp.samples_per_ramp] * 4
-    np.testing.assert_array_equal(np.concatenate(frames), samples)
+    cycles = np.random.default_rng(5).normal(size=(3, wp.samples_per_cycle))
+    frames = cycles.reshape(12, wp.samples_per_ramp)
+    window, work = np.hamming(wp.samples_per_ramp), []
+    oracle = np.abs(np.fft.rfft(frames * window, 2048)[:, :1024])
+    np.testing.assert_array_equal(magnitude_spectra(cycles, wp, window, 2048, work), oracle)
+    # A smaller block reuses the grown work arrays; their pads are still zero.
+    np.testing.assert_array_equal(
+        magnitude_spectra(cycles[1:2], wp, window, 2048, work), oracle[4:8])
+    assert len(work[0]) == 12
 
 
-def test_slice_cycle_wrong_length():
+def test_calibrate_refuses_a_cycle_of_the_wrong_length():
     wp = make_wp()
-    with pytest.raises(FramingError, match="cycle"):
-        slice_cycle(np.zeros(wp.samples_per_cycle - 1), wp)
+    with pytest.raises(FramingError, match=f"expected cycles of {wp.samples_per_cycle} samples"):
+        calibrate([np.zeros(wp.samples_per_cycle - 1)] * 16, wp)
+    with pytest.raises(FramingError, match="differ in length"):
+        calibrate([np.zeros(wp.samples_per_cycle)] * 3 + [np.zeros(7)] * 13, wp)
 
 
 def test_spectrum_of_exact_bin_tone():
     wp = make_wp()
     k = 200
     f = k * wp.sampling_rate / 2048
-    mags = _spectrum(_tone_frame(wp, f))
+    mags = _spectrum(wp, _tone_frame(wp, f))
     assert int(np.argmax(mags)) == k
     assert mags.size == 1024
     freqs = bin_frequencies(wp, 2048)
@@ -71,14 +78,14 @@ def test_spectrum_of_exact_bin_tone():
 
 def test_spectrum_of_zero_frame():
     wp = make_wp()
-    np.testing.assert_array_equal(_spectrum(np.zeros(wp.samples_per_ramp)), 0.0)
+    np.testing.assert_array_equal(_spectrum(wp, np.zeros(wp.samples_per_ramp)), 0.0)
 
 
 def test_spectrum_matches_direct_dft_between_bins():
     wp = make_wp()
     f = 150.4 * wp.sampling_rate / 2048  # off bin center
     frame = _tone_frame(wp, f, phase=0.3)
-    mags = _spectrum(frame)
+    mags = _spectrum(wp, frame)
     check_bins = np.arange(140, 162)
     oracle = _direct_windowed_dft(frame, 2048, check_bins, wp.sampling_rate)
     np.testing.assert_allclose(mags[check_bins], oracle, rtol=1e-9)
@@ -89,8 +96,8 @@ def test_spectrum_matches_direct_dft_between_bins():
 def test_spectrum_linearity_in_amplitude():
     wp = make_wp()
     f = 123.0 * wp.sampling_rate / 2048
-    one = _spectrum(_tone_frame(wp, f, amplitude=1.0))
-    two = _spectrum(_tone_frame(wp, f, amplitude=2.0))
+    one = _spectrum(wp, _tone_frame(wp, f, amplitude=1.0))
+    two = _spectrum(wp, _tone_frame(wp, f, amplitude=2.0))
     k = int(np.argmax(one))
     assert two[k] == pytest.approx(2.0 * one[k], rel=1e-9)
 
@@ -174,6 +181,42 @@ def test_calibrate_too_few_cycles():
         calibrate(cycles, wp)
     with pytest.raises(CalibrationError):
         calibrate([], wp)
+    with pytest.raises(CalibrationError, match=">= 2 no-target cycles, got 1"):
+        calibrate(cycles[:1], wp, min_cycles=1)  # no sample sigma of one cycle
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_calibrate_refuses_a_non_finite_sample_naming_its_cycle_and_ramp(bad):
+    # Through the pipeline's checks: no FFT warning (inf) and no unnamed
+    # "reference_mean must be finite" (NaN), in a later block too.
+    wp = make_wp()
+    cycles = [np.zeros(wp.samples_per_cycle) for _ in range(2 * STREAM_BLOCK)]
+    bad_cycle = STREAM_BLOCK + 3
+    cycles[bad_cycle][2 * wp.samples_per_ramp + 9] = bad
+    with pytest.raises(FramingError, match=f"non-finite sample in cycle {bad_cycle}, ramp 2"):
+        calibrate(cycles, wp)
+
+
+def test_calibrate_takes_a_one_shot_generator_like_a_list():
+    # A source is drawn once, in blocks; perfbench's generator relies on it.
+    wp = make_wp()
+
+    def source():
+        return synthetic_cycles(wp, GroundTruth(0.0, 0.0), 0.0, 0.3, seed=3, n_cycles=37)
+
+    assert calibrate(source(), wp) == calibrate(list(source()), wp)
+
+
+def test_calibrate_mean_is_the_stack_mean_and_sigma_the_sample_sigma():
+    # The mean is a running sum over the count, np.mean's to the bit; Welford's
+    # sigma agrees with the two-pass ddof=1 sigma to rounding.
+    wp = make_wp()
+    cycles = np.random.default_rng(8).normal(size=(2 * STREAM_BLOCK + 7, wp.samples_per_cycle))
+    window = np.hamming(wp.samples_per_ramp)
+    stack = magnitude_spectra(cycles, wp, window, 2048, []).reshape(len(cycles), 4, 1024)
+    cal = calibrate(cycles, wp)
+    np.testing.assert_array_equal(cal.reference_mean, stack.mean(axis=0))
+    np.testing.assert_allclose(cal.reference_sigma, stack.std(axis=0, ddof=1), rtol=1e-13)
 
 
 def _subtract(x, mean, sigma, alpha=1.0, beta=0.0):
