@@ -107,6 +107,8 @@ def blind_map(wp: WorkingPoint, v_range, r_range, resolution) -> BlindMap:
         raise ParameterError(f"resolution must be positive, got {resolution}")
     v_lo, v_hi = v_range
     r_lo, r_hi = r_range
+    if not all(map(math.isfinite, (v_lo, v_hi, r_lo, r_hi))):
+        raise ParameterError(f"grid ranges must be finite, got {v_range} and {r_range}")
     if not (v_hi > v_lo and r_hi > r_lo):
         raise ParameterError("grid ranges must be nonempty")
     v_axis = np.linspace(v_lo, v_hi, n_v)
@@ -131,8 +133,10 @@ def min_reliable_distance(wp: WorkingPoint, v_max: float, search_max: float = 0.
     largest, over the six ramp pairs, of the smaller of the two distances
     where these turn to equalities.
     """
-    if v_max <= 0:
-        raise ParameterError(f"v_max must be > 0, got {v_max}")
+    if not 0 < v_max < math.inf:
+        raise ParameterError(f"v_max must be finite and > 0, got {v_max}")
+    if not math.isfinite(search_max):
+        raise ParameterError(f"search_max must be finite, got {search_max}")
     ch = SPEED_OF_LIGHT * wp.hp_cutoff
     reach = wp.emitted_frequency * v_max + ch
     distance = max(

@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from pathlib import Path
+from dataclasses import fields
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .analysis import (
     write_blind_map_grid,
 )
 from .errors import LfiError, ParameterError
-from .modulation import open_atomic, write_atomic
+from .modulation import open_atomic, read_json_object, write_atomic
 from .pipeline import (
     config_from_file,
     read_config_file,
@@ -99,41 +99,45 @@ def _record_json(record) -> str:
     )
 
 
-def _synthetic_target(args):
-    """Target, amplitude and manifest provenance of a seeded synthetic source.
-
-    Commands without the target options (``calibrate``) synthesize
-    no-target cycles.
-    """
-    if args.cycles is None:
-        raise ParameterError("either --input or --cycles is required")
-    if args.cycles < 0:
-        raise ParameterError(f"--cycles must be >= 0, got {args.cycles}")
-    synthetic = {"cycles": args.cycles, "seed": args.seed, "noise_sigma": args.noise_sigma}
-    if not hasattr(args, "distance"):
-        return GroundTruth(0.0, 0.0), 0.0, {"synthetic": synthetic}
-    synthetic.update(
-        distance_m=args.distance, velocity_mps=args.velocity, amplitude=args.amplitude
-    )
-    return GroundTruth(args.distance, args.velocity), args.amplitude, {"synthetic": synthetic}
+#: The synthesis options, each with its value when not given.  A replay
+#: (``--input``) would ignore them, so it refuses them.
+_SYNTHESIS_DEFAULTS = {"cycles": None, "seed": 0, "noise_sigma": 0.0, "distance": 0.0,
+                       "velocity": 0.0, "amplitude": 1.0}
 
 
 def _source_from_args(args, wp):
-    """Cycle source plus a provenance dict for the manifest."""
-    if args.input:
-        return (
-            replay_cycles(args.input, expected_wp=wp),
-            {"replay": str(args.input)},
-        )
-    gt, amplitude, provenance = _synthetic_target(args)
-    source = synthetic_cycles(wp, gt, amplitude, args.noise_sigma, args.seed, args.cycles)
-    return source, provenance
+    """Cycle source plus a provenance dict for the manifest.
+
+    ``--input`` replays a frame file.  Otherwise the source is seeded
+    synthesis; commands without the target options (``calibrate``)
+    synthesize no-target cycles.
+    """
+    given = {k: v for k, v in vars(args).items() if k in _SYNTHESIS_DEFAULTS and v is not None}
+    if getattr(args, "input", None):
+        if given:
+            flags = ", ".join("--" + k.replace("_", "-") for k in given)
+            raise ParameterError(f"--input replays a frame file, so it takes no {flags}")
+        return replay_cycles(args.input, expected_wp=wp), {"replay": str(args.input)}
+    s = {**_SYNTHESIS_DEFAULTS, **given}
+    if s["cycles"] is None:
+        raise ParameterError("either --input or --cycles is required" if "input" in args
+                             else "--cycles is required")
+    if s["cycles"] < 0:
+        raise ParameterError(f"--cycles must be >= 0, got {s['cycles']}")
+    synthetic = {"cycles": s["cycles"], "seed": s["seed"], "noise_sigma": s["noise_sigma"]}
+    if "distance" in args:
+        synthetic.update(distance_m=s["distance"], velocity_mps=s["velocity"],
+                         amplitude=s["amplitude"])
+    else:
+        s["amplitude"] = 0.0
+    source = synthetic_cycles(wp, GroundTruth(s["distance"], s["velocity"]), s["amplitude"],
+                              s["noise_sigma"], s["seed"], s["cycles"])
+    return source, {"synthetic": synthetic}
 
 
 def cmd_synth(args) -> int:
     wp, _ = read_config_file(args.config)
-    gt, amplitude, provenance = _synthetic_target(args)
-    cycles = synthetic_cycles(wp, gt, amplitude, args.noise_sigma, args.seed, args.cycles)
+    cycles, provenance = _source_from_args(args, wp)
     write_frames(args.out, cycles, wp)
     outputs = [f"{args.out}.f32", f"{args.out}.json"]
     _write_manifest(args.out, "synth", args.config, provenance, outputs)
@@ -150,20 +154,17 @@ def cmd_calibrate(args) -> int:
     for i, (mean, sigma) in enumerate(zip(cal.reference_mean, cal.reference_sigma)):
         print(
             f"ramp {i}: median floor {np.median(mean):.6g}, median sigma "
-            f"{np.median(sigma):.6g} ({cal.n_cycles} frames)"
+            f"{np.median(sigma):.6g} ({cal.n_cycles} cycles)"
         )
     return 0
 
 
 def cmd_process(args) -> int:
     cal = Calibration.load(args.calibration)
-    noise_model = None
-    if args.noise_model:
-        try:
-            values = json.loads(Path(args.noise_model).read_text())
-        except ValueError as exc:  # not JSON, or not UTF-8 text
-            raise ParameterError(f"{args.noise_model} is not JSON: {exc}") from None
-        noise_model = NoiseModelCoefficients.from_dict(values)
+    noise_model = read_json_object(
+        args.noise_model, [f.name for f in fields(NoiseModelCoefficients)],
+        NoiseModelCoefficients.from_dict, ParameterError, "noise model",
+    ) if args.noise_model else None
     cfg = config_from_file(args.config, cal, noise_model)
     source, provenance = _source_from_args(args, cfg.working_point)
     provenance["calibration"] = str(args.calibration)
@@ -235,7 +236,7 @@ def cmd_fitnoise(args) -> int:
     _write_manifest(
         args.out,
         "fitnoise",
-        args.config,
+        None,
         {"observations": str(args.observations), "count": len(observations)},
         [args.out],
     )
@@ -247,21 +248,24 @@ def cmd_fitnoise(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key-value config file")
-    common.add_argument("--seed", type=int, default=0, help="stream seed")
-    common.add_argument("--out", required=True, help="output path (or stem)")
-    common.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True, help="output path (or stem)")
 
-    source = argparse.ArgumentParser(add_help=False)
-    source.add_argument("--input", help="replay an exported frame file stem")
-    source.add_argument("--cycles", type=int, help="synthesize this many cycles")
-    source.add_argument("--noise-sigma", type=float, default=0.0)
+    config = argparse.ArgumentParser(add_help=False, parents=[out])
+    config.add_argument("--config", required=True, help="flat key-value config file")
+
+    synthesis = argparse.ArgumentParser(add_help=False)
+    synthesis.add_argument("--cycles", type=int, help="synthesize this many cycles")
+    synthesis.add_argument("--seed", type=int, help="stream seed (default 0)")
+    synthesis.add_argument("--noise-sigma", type=float, help="noise sigma (default 0)")
+
+    replay = argparse.ArgumentParser(add_help=False, parents=[synthesis])
+    replay.add_argument("--input", help="replay an exported frame file stem")
 
     target = argparse.ArgumentParser(add_help=False)
-    target.add_argument("--distance", type=float, default=0.0, help="target R in m")
-    target.add_argument("--velocity", type=float, default=0.0, help="target v in m/s")
-    target.add_argument("--amplitude", type=float, default=1.0)
+    target.add_argument("--distance", type=float, help="target R in m (default 0)")
+    target.add_argument("--velocity", type=float, help="target v in m/s (default 0)")
+    target.add_argument("--amplitude", type=float, help="target amplitude (default 1)")
 
     parser = argparse.ArgumentParser(
         prog="lfisensor",
@@ -270,21 +274,22 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", parents=[common, source, target],
+    p = sub.add_parser("synth", parents=[config, synthesis, target],
                        help="export synthetic frames")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("calibrate", parents=[common, source],
+    p = sub.add_parser("calibrate", parents=[config, replay],
                        help="build a no-target calibration profile")
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("process", parents=[common, source, target],
+    p = sub.add_parser("process", parents=[config, replay, target],
                        help="run the measurement pipeline")
+    p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--calibration", required=True, help="calibration profile file")
     p.add_argument("--noise-model", help="noise-model coefficient file")
     p.set_defaults(func=cmd_process)
 
-    p = sub.add_parser("blindmap", parents=[common], help="map blind ramp counts")
+    p = sub.add_parser("blindmap", parents=[config], help="map blind ramp counts")
     p.add_argument("--v-min", type=float, default=-0.1)
     p.add_argument("--v-max", type=float, default=0.1)
     p.add_argument("--r-min", type=float, default=0.0)
@@ -292,24 +297,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=101)
     p.set_defaults(func=cmd_blindmap)
 
-    p = sub.add_parser("mindist", parents=[common],
-                       help="minimum reliable distance")
+    p = sub.add_parser("mindist", parents=[config], help="minimum reliable distance")
     p.add_argument("--v-max", type=float, default=0.1)
     p.add_argument("--search-max", type=float, default=0.1)
     p.set_defaults(func=cmd_mindist)
 
-    p = sub.add_parser("fitnoise", parents=[common], help="fit the noise model")
+    p = sub.add_parser("fitnoise", parents=[out], help="fit the noise model")
     p.add_argument("--observations", required=True, help="observation CSV file")
     p.set_defaults(func=cmd_fitnoise)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    needs_config = args.command != "fitnoise"
-    if needs_config and not args.config:
-        parser.error(f"{args.command} requires --config")
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (LfiError, OSError) as exc:

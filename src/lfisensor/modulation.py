@@ -7,6 +7,7 @@ types here are immutable values and all functions are pure.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import tempfile
@@ -99,11 +100,6 @@ class WorkingPoint:
     def cycle_duration(self) -> float:
         """Duration of one full four-ramp cycle in seconds."""
         return 4.0 * self.ramp_duration
-
-    @property
-    def measurement_rate(self) -> float:
-        """Measurement output rate: one (R, v) sample per cycle."""
-        return 1.0 / self.cycle_duration
 
     @property
     def ramp_rate(self) -> float:
@@ -210,6 +206,33 @@ def decode_fields(cls, values, keys: dict | None = None, defaults: bool = False,
     if missing:
         raise ParameterError(f"missing {cls.__name__} keys: {sorted(missing)}")
     return decoded
+
+
+def read_json_object(path, keys, decode, error, what: str, version: int | None = None):
+    """``decode`` of the JSON object in file ``path``, which holds exactly ``keys`` and,
+    with a ``version``, a ``format_version`` int equal to it.  Any other content, and a
+    ``ValueError`` (the package's errors among them), ``TypeError`` or ``OverflowError``
+    of ``decode``, raises ``error`` naming ``what`` and ``path``."""
+    try:
+        values = json.loads(Path(path).read_text())
+    except ValueError as exc:  # not JSON, or not UTF-8 text
+        raise error(f"{what} {path} is not JSON: {exc}") from None
+    try:
+        if not isinstance(values, dict):
+            raise ValueError(f"not a JSON object but {type(values).__name__}")
+        keys = [*keys] if version is None else ["format_version", *keys]
+        unknown = set(values) - set(keys)
+        if unknown:
+            raise ValueError(f"unknown keys {sorted(unknown)}")
+        missing = [key for key in keys if key not in values]
+        if missing:
+            raise ValueError(f"has no key {', '.join(map(repr, missing))}")
+        if version is not None and not (type(values["format_version"]) is int
+                                        and values["format_version"] == version):
+            raise ValueError(f"unsupported format version {values['format_version']!r}")
+        return decode(values)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise error(f"{what} {path} is malformed: {exc}") from None
 
 
 @contextmanager

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AliasingError, FramingError, ParameterError
-from .modulation import SPEED_OF_LIGHT, WorkingPoint, open_atomic, ramp_slopes, write_atomic
+from .modulation import (SPEED_OF_LIGHT, WorkingPoint, open_atomic, ramp_slopes,
+                         read_json_object, write_atomic)
 
 FRAME_FORMAT_VERSION = 2
 
@@ -152,9 +153,9 @@ def write_frames(stem, cycles, wp: WorkingPoint) -> None:
     ``<stem>.json`` holding the format version, the working point and the
     cycle count.
 
-    Rows are drawn, checked and written :data:`FRAME_BLOCK` at a time, so a
-    generator is exported in constant memory.  A row of another length or
-    with a NaN or infinite sample raises :class:`FramingError`, as
+    Rows are drawn, checked (:func:`check_block`, before the float32 cast) and
+    written :data:`FRAME_BLOCK` at a time, so a generator is exported in
+    constant memory.  A bad block raises :class:`FramingError`, as
     :func:`read_frames` would, and leaves neither file written.
     """
     raw_path, sidecar_path = _frame_paths(stem)
@@ -162,20 +163,7 @@ def write_frames(stem, cycles, wp: WorkingPoint) -> None:
     n_cycles = 0
     with open_atomic(raw_path) as fh:
         while block := list(islice(rows, FRAME_BLOCK)):
-            try:
-                block = np.array(block, dtype="<f4")
-            except ValueError:
-                raise FramingError(
-                    f"cycles must be rows of {wp.samples_per_cycle} samples, "
-                    "got rows that differ in length"
-                ) from None
-            if block.shape[1:] != (wp.samples_per_cycle,):
-                raise FramingError(
-                    f"cycles must be rows of {wp.samples_per_cycle} samples, "
-                    f"got rows of shape {block.shape[1:]}"
-                )
-            refuse_non_finite(raw_path, block, wp, n_cycles)
-            fh.write(block)
+            fh.write(check_block(block, wp, raw_path, n_cycles, dtype="<f4"))
             n_cycles += len(block)
     sidecar = {
         "format_version": FRAME_FORMAT_VERSION,
@@ -201,32 +189,21 @@ def read_frames(stem):
     and ramp, before any cycle of that block is yielded.
     """
     raw_path, sidecar_path = _frame_paths(stem)
-    try:
-        sidecar = json.loads(sidecar_path.read_text())
-        if not isinstance(sidecar, dict):
-            raise ValueError("not a JSON object")
-        unknown = set(sidecar) - {"format_version", "working_point", "cycles"}
-        if unknown:
-            raise ValueError(f"unknown keys {sorted(unknown)}")
-        version = sidecar.get("format_version")
-        if type(version) is not int or version != FRAME_FORMAT_VERSION:
-            raise ValueError(f"unsupported frame format version {version!r}")
-        wp = WorkingPoint.from_dict(sidecar["working_point"])
-        n_cycles = sidecar["cycles"]
-        if type(n_cycles) is not int or n_cycles < 0:
-            raise ValueError(f"'cycles' must be a count, got {n_cycles!r}")
-    except json.JSONDecodeError as exc:
-        raise FramingError(f"frame sidecar {sidecar_path} is not JSON: {exc}") from None
-    except KeyError as exc:
-        raise FramingError(f"frame sidecar {sidecar_path} has no key {exc}") from None
-    except ValueError as exc:
-        raise FramingError(f"frame sidecar {sidecar_path}: {exc}") from None
+    wp, n_cycles = read_json_object(sidecar_path, ("working_point", "cycles"), _decode_sidecar,
+                                    FramingError, "frame sidecar", FRAME_FORMAT_VERSION)
     size = raw_path.stat().st_size
     if size != 4 * n_cycles * wp.samples_per_cycle:
         raise FramingError(
             f"{raw_path} has {size} bytes, not the {n_cycles} cycles its sidecar declares"
         )
     return wp, _read_blocks(raw_path, n_cycles, wp)
+
+
+def _decode_sidecar(sidecar):
+    n_cycles = sidecar["cycles"]
+    if type(n_cycles) is not int or n_cycles < 0:
+        raise ValueError(f"'cycles' must be a count, got {n_cycles!r}")
+    return WorkingPoint.from_dict(sidecar["working_point"]), n_cycles
 
 
 def _read_blocks(raw_path, n_cycles: int, wp: WorkingPoint):
@@ -237,17 +214,35 @@ def _read_blocks(raw_path, n_cycles: int, wp: WorkingPoint):
             block = np.fromfile(fh, dtype="<f4", count=count * n)
             if len(block) != count * n:
                 raise FramingError(f"{raw_path} ended before the cycles its sidecar declares")
-            block = block.reshape(count, n)
-            refuse_non_finite(raw_path, block, wp, first)
+            block = check_block(block.reshape(count, n), wp, raw_path, first)
             block.flags.writeable = False
             yield from block
 
 
-def refuse_non_finite(source, cycles, wp: WorkingPoint, first_cycle: int) -> None:
-    """Name ``source`` and the cycle and ramp of a block's first NaN or infinite sample."""
-    finite = np.isfinite(cycles)
+def check_block(block, wp: WorkingPoint, source, first_cycle: int, dtype=None) -> np.ndarray:
+    """``block``, cycles in rows, as an array (cast to ``dtype`` if given) once checked.
+
+    Rows that differ in length or are not one cycle, samples that are not real
+    numbers (ints and bools are) and, after the cast, a NaN or infinite sample
+    raise :class:`FramingError` naming ``source``; for a sample, also its cycle
+    (counted from ``first_cycle``) and ramp.
+    """
+    n = wp.samples_per_cycle
+    try:
+        block = np.asarray(block)
+    except ValueError:
+        block = None
+    if block is None or block.dtype.kind not in "biuf" or block.shape[1:] != (n,):
+        got = ("cycles that differ in length" if block is None
+               else f"a block of {block.dtype} in shape {block.shape}")
+        raise FramingError(f"{source} has {got}; expected cycles of {n} samples, "
+                           "each a real number")
+    if dtype is not None:
+        block = block.astype(dtype, copy=False)
+    finite = np.isfinite(block)
     if not finite.all():
         cycle, ramp = divmod(int(finite.argmin()) // wp.samples_per_ramp, 4)
         raise FramingError(
             f"{source} has a non-finite sample in cycle {first_cycle + cycle}, ramp {ramp}"
         )
+    return block

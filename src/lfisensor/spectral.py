@@ -11,19 +11,21 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from itertools import islice
-from pathlib import Path
 
 import numpy as np
 
-from .errors import CalibrationError, FramingError, ParameterError
-from .modulation import WorkingPoint, write_atomic
-from .simulator import refuse_non_finite
+from .errors import CalibrationError, ParameterError
+from .modulation import WorkingPoint, decode_fields, read_json_object, write_atomic
+from .simulator import check_block
 
 DEFAULT_FFT_BINS = 2048
 DEFAULT_ALPHA = 1.0
 DEFAULT_BETA = 0.0
 CALIBRATION_FORMAT_VERSION = 2
 MIN_CALIBRATION_CYCLES = 16
+#: The calibration file's key of each scalar field of :class:`Calibration`.
+_CALIBRATION_SCALARS = {"n_cycles": "cycles", "sampling_rate": "sampling_rate_hz",
+                        "samples_per_ramp": "samples_per_ramp"}
 
 #: Cycles per block of :func:`magnitude_spectra` in :func:`calibrate` and
 #: ``pipeline.run_stream`` (README: "Block hot path").
@@ -86,9 +88,7 @@ class Calibration:
     def save(self, path) -> None:
         payload = {
             "format_version": CALIBRATION_FORMAT_VERSION,
-            "cycles": self.n_cycles,
-            "sampling_rate_hz": self.sampling_rate,
-            "samples_per_ramp": self.samples_per_ramp,
+            **{key: getattr(self, name) for name, key in _CALIBRATION_SCALARS.items()},
             "reference_mean": self.reference_mean.tolist(),
             "reference_sigma": self.reference_sigma.tolist(),
         }
@@ -97,41 +97,20 @@ class Calibration:
     @classmethod
     def load(cls, path) -> "Calibration":
         """Read a :meth:`save` file; any defect raises CalibrationError naming it."""
-        try:
-            payload = json.loads(Path(path).read_text())
-            if not isinstance(payload, dict):
-                raise TypeError("not a JSON object")
-            unknown = set(payload) - {"format_version", "cycles", "sampling_rate_hz",
-                                      "samples_per_ramp", "reference_mean", "reference_sigma"}
-            if unknown:
-                raise TypeError(f"unknown keys {sorted(unknown)}")
-            version = payload.get("format_version")
-            if type(version) is not int or version != CALIBRATION_FORMAT_VERSION:
-                raise CalibrationError(
-                    f"unsupported calibration format version {version!r}"
-                )
-            rows = payload["reference_mean"], payload["reference_sigma"]
-            # numpy would read false and "0" as 0.0: a bin holds a JSON number, nothing else.
-            other = {t for row in (*rows[0], *rows[1]) for t in set(map(type, row))} - {int, float}
-            if other:
-                raise TypeError(f"a reference bin must be a number, not {other.pop().__name__}")
-            mean, sigma = (np.asarray(array, dtype=float) for array in rows)
-            n_cycles = payload["cycles"]
-            rate = payload["sampling_rate_hz"]
-            n = payload["samples_per_ramp"]
-            # bool is an int to Python; a count or rate is neither a bool nor truncated.
-            if type(n_cycles) is not int or type(n) is not int:
-                raise TypeError(
-                    f"cycles and samples_per_ramp must be integers, got {(n_cycles, n)}"
-                )
-            if type(rate) not in (int, float):
-                raise TypeError(f"sampling_rate_hz must be a number, got {rate!r}")
-            return cls(reference_mean=mean, reference_sigma=sigma, n_cycles=n_cycles,
-                       sampling_rate=float(rate), samples_per_ramp=n)
-        except KeyError as exc:
-            raise CalibrationError(f"calibration {path} has no key {exc}") from None
-        except (OverflowError, TypeError, ValueError) as exc:
-            raise CalibrationError(f"calibration {path} is malformed: {exc}") from None
+        return read_json_object(path, ("reference_mean", "reference_sigma",
+                                       *_CALIBRATION_SCALARS.values()), cls._decode,
+                                CalibrationError, "calibration", CALIBRATION_FORMAT_VERSION)
+
+    @classmethod
+    def _decode(cls, payload: dict) -> "Calibration":
+        rows = payload["reference_mean"], payload["reference_sigma"]
+        # numpy would read false and "0" as 0.0: a bin holds a JSON number, nothing else.
+        other = {t for row in (*rows[0], *rows[1]) for t in set(map(type, row))} - {int, float}
+        if other:
+            raise TypeError(f"a reference bin must be a number, not {other.pop().__name__}")
+        scalars = {key: payload[key] for key in _CALIBRATION_SCALARS.values()}
+        return cls(*(np.asarray(array, dtype=float) for array in rows),
+                   **decode_fields(cls, scalars, _CALIBRATION_SCALARS))
 
 
 def check_fft_bins(fft_bins: int, frame_length: int) -> None:
@@ -150,21 +129,15 @@ def magnitude_spectra(block, wp: WorkingPoint, window, fft_bins: int, work: list
 
     Each cycle is rotated left by ``offset`` samples; ramp ``r`` of cycle ``c`` is row
     ``4 c + r`` of the ``(4 * cycles, fft_bins // 2)`` result, bit for bit its own frame's
-    transform.  Ragged rows, rows that are not one cycle and a NaN or infinite sample
-    (cycles counted from ``first_cycle``) raise :class:`FramingError` before ``work``, the
-    caller's list (empty at first) of the padded frames, transform, magnitudes and a spare
-    for the caller, changes; it grows to the largest block, and the result is a view of it.
+    transform.  A block that fails :func:`~.simulator.check_block` (cycles counted from
+    ``first_cycle``) raises :class:`FramingError` before ``work``, the caller's list (empty
+    at first) of the padded frames, transform, magnitudes and a spare for the caller,
+    changes; it grows to the largest block, and the result is a view of it.
     """
-    try:
-        block = np.asarray(block)
-    except ValueError:
-        raise FramingError("the cycles of a block differ in length") from None
+    block = check_block(block, wp, "input", first_cycle)
     n = len(window)  # samples per ramp
-    if block.ndim != 2 or block.shape[1] != 4 * n:
-        raise FramingError(f"expected cycles of {4 * n} samples, got {block.shape}")
     if offset:
         block = np.roll(block, -offset, axis=1)
-    refuse_non_finite("input", block, wp, first_cycle)
     rows, bins = 4 * len(block), fft_bins // 2
     if not work or len(work[0]) < rows:  # the pads stay 0
         work[:] = (np.zeros((rows, fft_bins)), np.empty((rows, bins + 1), complex),

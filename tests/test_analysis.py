@@ -1,5 +1,6 @@
 import csv
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -157,7 +158,7 @@ def test_min_reliable_distance_separates_two_blind_from_reliable(
     steep_slope, ratio_rt, hp_cutoff, v_max
 ):
     wp = make_wp(steep_slope=steep_slope, ratio_rt=ratio_rt, hp_cutoff=hp_cutoff)
-    bound = min_reliable_distance(wp, v_max, search_max=math.inf)
+    bound = min_reliable_distance(wp, v_max, search_max=sys.float_info.max)
     assert not _two_ramps_blind(wp, bound * (1 + 1e-9), v_max)
     if hp_cutoff == 0.0:
         assert bound == 0.0

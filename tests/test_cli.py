@@ -14,8 +14,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lfisensor
-from lfisensor import NoiseModelCoefficients, blind_map
-from lfisensor.cli import _CSV_HEADER, main
+from lfisensor import (CalibrationError, FramingError, NoiseModelCoefficients, ParameterError,
+                       blind_map)
+from lfisensor.cli import _CSV_HEADER, _build_parser, main
 from lfisensor.modulation import save_working_point
 from lfisensor.simulator import FRAME_BLOCK
 
@@ -378,23 +379,22 @@ def test_malformed_config_value_exits_nonzero(tmp_path, capsys, line, key):
     [
         (json.dumps({k: v for k, v in TRUE_COEFFS.to_dict().items() if k != "a2"}), "a2"),
         ("a1 = 0.3\n", "noise.json"),
-        ("[0.35, -0.6]", "key-value"),
+        ("[0.35, -0.6]", "not a JSON object"),
         (json.dumps({**TRUE_COEFFS.to_dict(), "a1": True}), "a1: cannot read True"),
         (json.dumps({**TRUE_COEFFS.to_dict(), "a2": "-0.6"}), "a2: cannot read '-0.6'"),
         (json.dumps({**TRUE_COEFFS.to_dict(), "b": 10**400}), "b: cannot read"),
+        (json.dumps({**TRUE_COEFFS.to_dict(), "comment": "fit"}), "unknown keys ['comment']"),
     ],
-    ids=["missing-a2", "not-json", "not-an-object", "bool-a1", "string-a2", "huge-b"],
+    ids=["missing-a2", "not-json", "not-an-object", "bool-a1", "string-a2", "huge-b", "extra-key"],
 )
 def test_malformed_noise_model_exits_nonzero(config_path, tmp_path, capsys, text, needle):
     cal = _calibrate(config_path, tmp_path)
     noise = tmp_path / "noise.json"
     noise.write_text(text)
-    rc = main(["process", "--config", str(config_path), "--calibration", str(cal),
-               "--noise-model", str(noise), "--out", str(tmp_path / "run.csv"),
-               "--cycles", "2", "--distance", "0.04"])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and needle in err
+    err = _refused(["process", "--config", str(config_path), "--calibration", str(cal),
+                    "--noise-model", str(noise), "--out", str(tmp_path / "run.csv"),
+                    "--cycles", "2", "--distance", "0.04"], ParameterError, capsys)
+    assert err.startswith(f"error: noise model {noise} ") and needle in err
 
 
 def test_stale_temporary_directory_does_not_block_output(config_path, tmp_path, capsys):
@@ -434,6 +434,108 @@ def test_missing_config_is_parser_error(tmp_path):
     assert excinfo.value.code == 2
 
 
+_PARSER_REFUSES = "usage: lfisensor "  # argparse prints its usage, then "error: …", and exits 2
+_REPLAY_REFUSES = "error: --input replays a frame file, so it takes no "
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        # --format is read by process only.
+        (["synth", "--config", "CFG", "--cycles", "2", "--format", "jsonl"], _PARSER_REFUSES),
+        (["calibrate", "--config", "CFG", "--cycles", "16", "--format", "csv"], _PARSER_REFUSES),
+        (["blindmap", "--config", "CFG", "--format", "jsonl"], _PARSER_REFUSES),
+        (["mindist", "--config", "CFG", "--format", "jsonl"], _PARSER_REFUSES),
+        (["fitnoise", "--observations", "OBS", "--format", "csv"], _PARSER_REFUSES),
+        # --seed is read by the synthetic sources only.
+        (["blindmap", "--config", "CFG", "--seed", "1"], _PARSER_REFUSES),
+        (["mindist", "--config", "CFG", "--seed", "5"], _PARSER_REFUSES),
+        (["fitnoise", "--observations", "OBS", "--seed", "1"], _PARSER_REFUSES),
+        # synth never replays; fitnoise reads no config.
+        (["synth", "--config", "CFG", "--cycles", "2", "--input", "FRAMES"], _PARSER_REFUSES),
+        (["fitnoise", "--observations", "OBS", "--config", "CFG"], _PARSER_REFUSES),
+        # The five commands that read --config require it.
+        (["synth", "--cycles", "2"], _PARSER_REFUSES),
+        (["calibrate", "--cycles", "16"], _PARSER_REFUSES),
+        (["process", "--calibration", "CAL", "--input", "FRAMES"], _PARSER_REFUSES),
+        (["blindmap"], _PARSER_REFUSES),
+        (["mindist"], _PARSER_REFUSES),
+        # A replay ignores every synthesis option, so it refuses them.
+        *[(["process", "--config", "CFG", "--calibration", "CAL", "--input", "FRAMES",
+            option, value], _REPLAY_REFUSES + option)
+          for option, value in [("--cycles", "5"), ("--seed", "3"), ("--noise-sigma", "9"),
+                                ("--distance", "0.1"), ("--velocity", "0.01"),
+                                ("--amplitude", "2")]],
+        *[(["calibrate", "--config", "CFG", "--input", "FRAMES", option, value],
+           _REPLAY_REFUSES + option)
+          for option, value in [("--cycles", "3"), ("--seed", "0"), ("--noise-sigma", "0.3")]],
+    ],
+    ids=["synth-format", "calibrate-format", "blindmap-format", "mindist-format",
+         "fitnoise-format", "blindmap-seed", "mindist-seed", "fitnoise-seed", "synth-input",
+         "fitnoise-config", "synth-no-config", "calibrate-no-config", "process-no-config",
+         "blindmap-no-config", "mindist-no-config", "process-input-cycles", "process-input-seed",
+         "process-input-noise-sigma", "process-input-distance", "process-input-velocity",
+         "process-input-amplitude", "calibrate-input-cycles", "calibrate-input-seed",
+         "calibrate-input-noise-sigma"],
+)
+def test_an_option_the_command_would_ignore_is_refused(replay_files, tmp_path, capsys, argv,
+                                                        needle):
+    # Each of these used to exit 0 with the option dropped; now argparse refuses
+    # it (exit 2) or the command does (exit 1), and no file is written.
+    tmp, config, cal, _, _ = replay_files
+    observations = tmp / "observations.csv"
+    write_observations_csv(_synthetic_observations(TRUE_COEFFS, np.random.default_rng(3)),
+                           observations)
+    paths = {"CFG": config, "CAL": cal, "FRAMES": tmp / "frames", "OBS": observations}
+    argv = [str(paths.get(arg, arg)) for arg in argv] + ["--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    if needle == _PARSER_REFUSES:
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+    else:
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(needle) and "error: " in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, option, value, needle",
+    [
+        ("mindist", "--v-max", "nan", "v_max must be finite and > 0, got nan"),
+        ("mindist", "--v-max", "inf", "v_max must be finite and > 0, got inf"),
+        ("mindist", "--search-max", "nan", "search_max must be finite, got nan"),
+        ("mindist", "--search-max", "inf", "search_max must be finite, got inf"),
+        ("blindmap", "--r-max", "inf", "grid ranges must be finite"),
+        ("blindmap", "--r-min", "nan", "grid ranges must be finite"),
+        ("blindmap", "--v-min", "-inf", "grid ranges must be finite"),
+        ("blindmap", "--v-max", "nan", "grid ranges must be finite"),
+    ],
+    ids=["v-max-nan", "v-max-inf", "search-max-nan", "search-max-inf", "r-max-inf", "r-min-nan",
+         "v-min-minus-inf", "v-max-nan-map"],
+)
+def test_non_finite_analysis_setting_exits_nonzero(config_path, tmp_path, capsys, command,
+                                                   option, value, needle):
+    # A NaN bound used to be ignored, and an infinite one to write NaN,
+    # Infinity or inf into the output or its manifest.
+    argv = [command, "--config", str(config_path), "--out", str(tmp_path / "out"),
+            f"{option}={value}"]  # "=" keeps "-inf" from reading as an option
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err
+    assert [p.name for p in tmp_path.iterdir()] == [config_path.name]
+
+
+def test_calibrate_reports_its_count_in_cycles(config_path, tmp_path, capsys):
+    # Calibration.n_cycles counts cycles; each holds four frames, one per ramp.
+    capsys.readouterr()
+    _calibrate(config_path, tmp_path, cycles=20)
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["ramp 0", "ramp 1", "ramp 2", "ramp 3"]
+    assert all(line.endswith(" (20 cycles)") for line in lines)
+
+
 def test_end_to_end_determinism(tmp_path, monkeypatch, capsys):
     # Two identical seeded runs in sibling directories: byte-identical
     # outputs, manifests included (relative paths keep them comparable).
@@ -469,9 +571,17 @@ def test_end_to_end_determinism(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-def _process_with_calibration(config_path, tmp_path, cal):
-    return main(["process", "--config", str(config_path), "--calibration", str(cal),
-                 "--out", str(tmp_path / "run.csv"), "--cycles", "2", "--distance", "0.04"])
+def _refused(argv, error, capsys):
+    """``main(argv)`` exits 1 with one ``error: `` line, which is returned, and the
+    command itself raises ``error``, leaving ``--out`` unwritten."""
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    args = _build_parser().parse_args(argv)
+    with pytest.raises(error):
+        args.func(args)
+    assert not Path(args.out).exists()
+    return err
 
 
 def _refuse_calibration(config_path, tmp_path, capsys, edit, needle):
@@ -479,9 +589,10 @@ def _refuse_calibration(config_path, tmp_path, capsys, edit, needle):
     cal = _calibrate(config_path, tmp_path)
     payload = edit(json.loads(cal.read_text()))
     cal.write_text(payload if isinstance(payload, str) else json.dumps(payload))
-    assert _process_with_calibration(config_path, tmp_path, cal) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: calibration ") and str(cal) in err and needle in err
+    err = _refused(["process", "--config", str(config_path), "--calibration", str(cal),
+                    "--out", str(tmp_path / "run.csv"), "--cycles", "2", "--distance", "0.04"],
+                   CalibrationError, capsys)
+    assert err.startswith(f"error: calibration {cal} ") and needle in err
 
 
 def _set_bin(key, ramp, value):
@@ -497,10 +608,10 @@ def _set_bin(key, ramp, value):
     "edit, needle",
     [
         (lambda payload: "nope", "Expecting value"),
+        (lambda payload: [payload], "not a JSON object"),
         (lambda payload: {"format_version": 2}, "has no key 'reference_mean'"),
         (lambda payload: {**payload, "cycles": None}, "malformed"),
-        (lambda payload: {**payload, "format_version": 1},
-         "unsupported calibration format version 1"),
+        (lambda payload: {**payload, "format_version": 1}, "unsupported format version 1"),
         (lambda payload: {**payload, "reference_mean": [
             payload["reference_mean"][0][:-1], *payload["reference_mean"][1:]]}, "malformed"),
         # One bad bin would otherwise degrade (NaN) or invalidate (Inf) every cycle.
@@ -508,12 +619,12 @@ def _set_bin(key, ramp, value):
         (_set_bin("reference_sigma", 0, math.inf), "reference_sigma must be finite"),
         (_set_bin("reference_mean", 3, -1e-3), "reference_mean must be finite and nonnegative"),
         # Counts would otherwise be truncated or read from a bool without a word.
-        (lambda payload: {**payload, "cycles": 16.9}, "must be integers, got (16.9, 500)"),
-        (lambda payload: {**payload, "cycles": True}, "must be integers, got (True, 500)"),
+        (lambda payload: {**payload, "cycles": 16.9}, "cycles: cannot read 16.9 as int"),
+        (lambda payload: {**payload, "cycles": True}, "cycles: cannot read True as int"),
         (lambda payload: {**payload, "samples_per_ramp": 500.9},
-         "must be integers, got (20, 500.9)"),
+         "samples_per_ramp: cannot read 500.9 as int"),
         (lambda payload: {**payload, "sampling_rate_hz": "2e6"},
-         "sampling_rate_hz must be a number, got '2e6'"),
+         "sampling_rate_hz: cannot read '2e6' as float"),
         # numpy reads "0" and false as 0.0, and a bin beyond a float overflows: a bin
         # holds a JSON number a float can take; a key the format lacks is refused too.
         (lambda payload: {**payload, "comment": "bench"}, "unknown keys ['comment']"),
@@ -521,8 +632,8 @@ def _set_bin(key, ramp, value):
         (_set_bin("reference_sigma", 2, False), "a reference bin must be a number, not bool"),
         (_set_bin("reference_mean", 0, 10**400), "int too large to convert to float"),
     ],
-    ids=["not-json", "missing-key", "null-cycles", "version-1", "ragged", "nan", "inf",
-         "negative", "fractional-cycles", "bool-cycles", "fractional-samples", "string-rate",
+    ids=["not-json", "not-an-object", "missing-key", "null-cycles", "version-1", "ragged", "nan",
+         "inf", "negative", "fractional-cycles", "bool-cycles", "fractional-samples", "string-rate",
          "extra-key", "string-bin", "bool-bin", "huge-bin"],
 )
 def test_malformed_calibration_exits_nonzero(config_path, tmp_path, capsys, edit, needle):
@@ -554,7 +665,7 @@ def _set_wp(sidecar, key, value):
         (lambda sidecar: {"format_version": 2}, "has no key 'working_point'"),
         (lambda sidecar: [], "not a JSON object"),
         (lambda sidecar: {**sidecar, "cycles": "many"}, "'cycles' must be a count"),
-        (lambda sidecar: {**sidecar, "format_version": 1}, "unsupported frame format version 1"),
+        (lambda sidecar: {**sidecar, "format_version": 1}, "unsupported format version 1"),
         (lambda sidecar: {**sidecar, "format_version": True}, "version True"),
         (lambda sidecar: _set_wp(sidecar, "sampling_rate_hz", "2e6"), "sampling_rate_hz"),
         (lambda sidecar: _set_wp(sidecar, "hp_cutoff_hz", False), "hp_cutoff_hz"),
@@ -573,11 +684,10 @@ def test_frame_sidecar_not_json_exits_nonzero(config_path, tmp_path, capsys, edi
     (tmp_path / "frames.json").write_text(
         sidecar if isinstance(sidecar, str) else json.dumps(sidecar)
     )
-    rc = main(["process", "--config", str(config_path), "--calibration", str(cal),
-               "--out", str(tmp_path / "run.csv"), "--input", str(stem)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "frames.json" in err and needle in err
+    err = _refused(["process", "--config", str(config_path), "--calibration", str(cal),
+                    "--out", str(tmp_path / "run.csv"), "--input", str(stem)],
+                   FramingError, capsys)
+    assert err.startswith(f"error: frame sidecar {tmp_path / 'frames.json'} ") and needle in err
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])

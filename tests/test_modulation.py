@@ -31,7 +31,6 @@ def test_paper_ratio_values_admitted():
 def test_measurement_rate_1khz_for_1ms_cycle():
     wp = make_wp()  # 4 x 0.25 ms ramps
     assert wp.cycle_duration == pytest.approx(1e-3)
-    assert wp.measurement_rate == pytest.approx(1000.0)
 
 
 @given(working_points)

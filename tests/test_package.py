@@ -1,12 +1,12 @@
-"""Package-wide structure: every top-level name has a caller in the package."""
+"""Package-wide structure: every top-level name and class member has a caller in the package."""
 
 import ast
 from pathlib import Path
 
 import lfisensor
 
-#: Top-level names that no module of the package refers to, each with the
-#: reason it stays.
+#: Top-level names and class members (``Class.member``) that no module of the
+#: package refers to, each with the reason it stays.
 UNREFERENCED = {
     "process_cycle": "the per-cycle API for live callers; the benchmark drives it",
     "baseline_measurement": "the paper's triangle baseline, compared in the acceptance tests",
@@ -33,11 +33,20 @@ def _referenced(node) -> set:
     }
 
 
+def _members(node) -> list:
+    """Methods and properties a class statement defines, special methods aside."""
+    if not isinstance(node, ast.ClassDef):
+        return []
+    return [m for m in node.body if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")]
+
+
 def test_every_top_level_name_is_referenced_by_the_package():
     # A name that only tests call is a second code path kept in step by
     # hand: delete it, or list it above with its reason.  Re-exports in
     # __init__ and mentions in docstrings do not count as references; a
-    # definition does not count as a reference to itself.
+    # definition does not count as a reference to itself.  A class member
+    # counts as referenced by any other statement or any other member of
+    # its class that names it, whatever the object it is taken from.
     root = Path(lfisensor.__file__).parent
     statements = [
         node
@@ -52,4 +61,10 @@ def test_every_top_level_name_is_referenced_by_the_package():
         for name in _defined(node)
         if not any(name in refs for j, refs in enumerate(references) if j != i)
     }
+    for i, node in enumerate(statements):
+        for member in _members(node):
+            others = [refs for j, refs in enumerate(references) if j != i]
+            others += [_referenced(m) for m in node.body if m is not member]
+            if not any(member.name in refs for refs in others):
+                unreferenced.add(f"{node.name}.{member.name}")
     assert unreferenced == set(UNREFERENCED)

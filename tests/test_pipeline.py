@@ -17,6 +17,7 @@ from lfisensor import (
     ParameterError,
     PipelineConfig,
     PipelineState,
+    calibrate,
     disambiguate,
     estimate_peaks,
     process_block,
@@ -540,6 +541,50 @@ def test_block_of_cycles_of_other_lengths_is_refused(wp, quiet_cal):
         list(run_stream([good[:-1]], cfg, state))
     assert process_block(np.empty((0, wp.samples_per_cycle)), state, cfg) == []
     assert state.cycles_seen == 0
+
+
+def _through(entry, cycles, wp, cal, tmp_path):
+    """Run ``cycles`` through one entry point of the block check; its result."""
+    if entry == "process_block":
+        cfg = _config(wp, cal)
+        return [repr(r) for r in process_block(cycles, PipelineState.for_config(cfg), cfg)]
+    if entry == "calibrate":
+        return calibrate(cycles, wp)
+    tmp_path.mkdir(exist_ok=True)
+    write_frames(tmp_path / "frames", cycles, wp)
+    return (tmp_path / "frames.f32").read_bytes()
+
+
+_ENTRIES = ["process_block", "calibrate", "write_frames"]
+
+
+@pytest.mark.parametrize("entry", _ENTRIES)
+@pytest.mark.parametrize(
+    "row",
+    [
+        lambda n: np.full(n, 0.5 + 0.5j),
+        lambda n: ["0.5"] * n,
+        lambda n: [None] * n,
+        lambda n: np.full(n, 0.5, dtype=object),
+    ],
+    ids=["complex", "string", "none", "object"],
+)
+def test_samples_that_are_not_real_numbers_are_refused(wp, quiet_cal, tmp_path, entry, row):
+    # numpy would drop imaginary parts with a warning, parse strings and fail
+    # on None deep inside the FFT; the one block check refuses them all.
+    cycles = [row(wp.samples_per_cycle)] * 16
+    with pytest.raises(FramingError, match=f"expected cycles of {wp.samples_per_cycle} "
+                                           "samples, each a real number"):
+        _through(entry, cycles, wp, quiet_cal, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("entry", _ENTRIES)
+@pytest.mark.parametrize("dtype", [int, bool])
+def test_int_and_bool_samples_are_cast(wp, quiet_cal, tmp_path, entry, dtype):
+    cycles = np.random.default_rng(4).integers(-3, 4, (16, wp.samples_per_cycle)).astype(dtype)
+    cast = _through(entry, cycles, wp, quiet_cal, tmp_path / "cast")
+    assert cast == _through(entry, cycles.astype(float), wp, quiet_cal, tmp_path / "float")
 
 
 @pytest.mark.parametrize("size", [STREAM_BLOCK, 2 * STREAM_BLOCK])

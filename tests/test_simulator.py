@@ -318,7 +318,7 @@ def test_frame_export_round_trip(tmp_path):
     ids=["short-rows", "long-rows", "one-row", "ragged-rows"],
 )
 def test_write_frames_refuses_other_row_lengths(tmp_path, rows):
-    with pytest.raises(FramingError, match="rows of 2000 samples"):
+    with pytest.raises(FramingError, match="expected cycles of 2000 samples"):
         write_frames(tmp_path / "frames", rows, make_wp())
     assert list(tmp_path.iterdir()) == []
 
