@@ -23,7 +23,6 @@ from .errors import (
     FitError,
     FramingError,
     LfiError,
-    NoReliableDistanceError,
     ParameterError,
 )
 from .modulation import (

@@ -13,13 +13,14 @@ distance plus an intercept.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import asdict, dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .errors import FitError, NoReliableDistanceError, ParameterError
+from .errors import FitError, ParameterError
 from .modulation import SPEED_OF_LIGHT, WorkingPoint, decode_fields, ramp_slopes, write_atomic
 
 OBSERVATION_FIELDS = (
@@ -87,22 +88,24 @@ class NoiseObservation:
     def __post_init__(self):
         for name in OBSERVATION_FIELDS:
             value = getattr(self, name)
-            if not value > 0:
+            if not 0 < value < math.inf:
                 raise ParameterError(
-                    f"{name} must be strictly positive (log domain), got {value}"
+                    f"{name} must be finite and strictly positive (log domain), got {value}"
                 )
+        # The fit's target is the log of this product, so it must not round to 0 or inf.
+        normalized = math.sqrt(self.n_avg) * self.observed_sigma_fb
+        if not 0 < normalized < math.inf:
+            raise ParameterError(
+                f"sqrt(n_avg) * observed_sigma_fb must be finite and > 0, got {normalized}"
+            )
 
 
 def blind_map(wp: WorkingPoint, v_range, r_range, resolution) -> BlindMap:
     """Count blind ramps per cell of a (velocity, distance) grid.
 
-    ``resolution`` is the number of grid points per axis, either one
-    count for both axes or a (n_v, n_r) pair.
+    ``resolution`` is the (n_v, n_r) pair of grid points per axis.
     """
-    if isinstance(resolution, int):
-        n_v = n_r = resolution
-    else:
-        n_v, n_r = resolution
+    n_v, n_r = resolution
     if n_v < 1 or n_r < 1:
         raise ParameterError(f"resolution must be positive, got {resolution}")
     v_lo, v_hi = v_range
@@ -123,7 +126,7 @@ def blind_map(wp: WorkingPoint, v_range, r_range, resolution) -> BlindMap:
     return BlindMap(v_axis=v_axis, r_axis=r_axis, blind_count=counts)
 
 
-def min_reliable_distance(wp: WorkingPoint, v_max: float, search_max: float = 0.1) -> float:
+def min_reliable_distance(wp: WorkingPoint, v_max: float) -> float:
     """Smallest distance with at most one blind ramp for all |v| <= v_max.
 
     Ramp i is blind on the open velocity interval of half-width
@@ -135,19 +138,12 @@ def min_reliable_distance(wp: WorkingPoint, v_max: float, search_max: float = 0.
     """
     if not 0 < v_max < math.inf:
         raise ParameterError(f"v_max must be finite and > 0, got {v_max}")
-    if not math.isfinite(search_max):
-        raise ParameterError(f"search_max must be finite, got {search_max}")
     ch = SPEED_OF_LIGHT * wp.hp_cutoff
     reach = wp.emitted_frequency * v_max + ch
-    distance = max(
+    return max(
         min(ch / abs(si - sj), reach / (2.0 * max(abs(si), abs(sj))))
         for si, sj in combinations(ramp_slopes(wp), 2)
     )
-    if distance > search_max:
-        raise NoReliableDistanceError(
-            f"no reliable distance below the search bound {search_max} m"
-        )
-    return distance
 
 
 def _design_matrix(observations):
@@ -274,27 +270,31 @@ def write_blind_map_grid(bm: BlindMap, path) -> None:
 
 def read_observations_csv(path):
     """Load noise observations from CSV with a header matching the field names."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != list(OBSERVATION_FIELDS):
-            raise ParameterError(
-                f"observation CSV must start with header {','.join(OBSERVATION_FIELDS)}"
-            )
-        observations = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(OBSERVATION_FIELDS):
-                raise ParameterError(f"observation row has {len(row)} fields: {row!r}")
-            values = {}
-            for name, field in zip(OBSERVATION_FIELDS, row):
-                try:
-                    values[name] = float(field)
-                except ValueError:
-                    raise ParameterError(
-                        f"{path} line {reader.line_num}, column {name}: "
-                        f"{field!r} is not a number"
-                    ) from None
-            observations.append(NoiseObservation(**values))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"observation CSV {path} is not UTF-8 text: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != list(OBSERVATION_FIELDS):
+        raise ParameterError(
+            f"observation CSV must start with header {','.join(OBSERVATION_FIELDS)}"
+        )
+    observations = []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(OBSERVATION_FIELDS):
+            raise ParameterError(f"observation row has {len(row)} fields: {row!r}")
+        values = {}
+        for name, field in zip(OBSERVATION_FIELDS, row):
+            try:
+                values[name] = float(field)
+            except ValueError:
+                raise ParameterError(
+                    f"{path} line {reader.line_num}, column {name}: "
+                    f"{field!r} is not a number"
+                ) from None
+        observations.append(NoiseObservation(**values))
     return observations

@@ -25,7 +25,7 @@ from .analysis import (
     write_blind_map_csv,
     write_blind_map_grid,
 )
-from .errors import LfiError, ParameterError
+from .errors import CalibrationError, LfiError, ParameterError
 from .modulation import open_atomic, read_json_object, write_atomic
 from .pipeline import (
     config_from_file,
@@ -165,7 +165,10 @@ def cmd_process(args) -> int:
         args.noise_model, [f.name for f in fields(NoiseModelCoefficients)],
         NoiseModelCoefficients.from_dict, ParameterError, "noise model",
     ) if args.noise_model else None
-    cfg = config_from_file(args.config, cal, noise_model)
+    try:
+        cfg = config_from_file(args.config, cal, noise_model)
+    except CalibrationError as exc:  # a valid file made for another working point
+        raise CalibrationError(f"calibration {args.calibration} does not fit: {exc}") from None
     source, provenance = _source_from_args(args, cfg.working_point)
     provenance["calibration"] = str(args.calibration)
     format_record = _record_json if args.format == "jsonl" else _record_row
@@ -210,7 +213,7 @@ def cmd_blindmap(args) -> int:
 
 def cmd_mindist(args) -> int:
     wp, _ = read_config_file(args.config)
-    distance = min_reliable_distance(wp, args.v_max, search_max=args.search_max)
+    distance = min_reliable_distance(wp, args.v_max)
     write_atomic(
         args.out,
         json.dumps(
@@ -222,7 +225,7 @@ def cmd_mindist(args) -> int:
         args.out,
         "mindist",
         args.config,
-        {"v_max_mps": args.v_max, "search_max_m": args.search_max},
+        {"v_max_mps": args.v_max},
         [args.out],
     )
     print(f"minimum reliable distance: {1e3 * distance:.3f} mm (|v| <= {args.v_max} m/s)")
@@ -299,7 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mindist", parents=[config], help="minimum reliable distance")
     p.add_argument("--v-max", type=float, default=0.1)
-    p.add_argument("--search-max", type=float, default=0.1)
     p.set_defaults(func=cmd_mindist)
 
     p = sub.add_parser("fitnoise", parents=[out], help="fit the noise model")

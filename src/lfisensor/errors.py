@@ -27,7 +27,3 @@ class DegeneratePairError(LfiError):
 
 class FitError(LfiError):
     """The noise-model design matrix is rank deficient or unusable."""
-
-
-class NoReliableDistanceError(LfiError):
-    """No distance inside the search range satisfies the blind-region bound."""

@@ -142,11 +142,15 @@ def ramp_slopes(wp: WorkingPoint) -> tuple[float, ...]:
 def read_flat_config(path) -> dict:
     """Parse a flat ``key = value`` text file into a string dict.
 
-    Blank lines and ``#`` comments are ignored.  Duplicate keys are
-    rejected.
+    Blank lines and ``#`` comments are ignored.  Duplicate keys and a file
+    that is not UTF-8 text are rejected.
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"config file {path} is not UTF-8 text: {exc}") from None
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

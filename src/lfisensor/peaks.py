@@ -37,10 +37,10 @@ class PeakEstimate:
     valid: bool
 
 
-def validity_thresholds(rows, epsilons, kappa=DEFAULT_KAPPA, scratch=None) -> list:
+def validity_thresholds(rows, epsilons, scratch=None) -> list:
     """Intensity a peak must exceed to count as a real detection, per row.
 
-    ``max(epsilons[r], kappa * median of the positive bins)`` of each row of
+    ``max(epsilons[r], DEFAULT_KAPPA * median of the positive bins)`` of each row of
     a floored ``(rows, bins)`` stack (0 for the median of no bins); a low
     intensity marks an unreliable (typically blind) ramp.  One sort of a copy
     (into ``scratch``, an array of the stack's shape, when given) puts each
@@ -61,7 +61,7 @@ def validity_thresholds(rows, epsilons, kappa=DEFAULT_KAPPA, scratch=None) -> li
             median = float(row[k])
         else:  # np.median's mean of the middle pair; Python floats overflow quietly
             median = (float(row[k - 1]) + float(row[k])) / 2
-        thresholds.append(max(epsilon, kappa * median))
+        thresholds.append(max(epsilon, DEFAULT_KAPPA * median))
     return thresholds
 
 
@@ -128,7 +128,7 @@ def _gaussian_fits(block: np.ndarray) -> tuple:
     return vertices, intensities
 
 
-def _interpolate(rows, bin_freqs, centers, window, method, kappa, epsilons, ramps,
+def _interpolate(rows, bin_freqs, centers, window, method, epsilons, ramps,
                  scratch=None) -> list:
     """Each row's peak interpolated around its center bin: the batched core.
 
@@ -147,10 +147,7 @@ def _interpolate(rows, bin_freqs, centers, window, method, kappa, epsilons, ramp
     if not center_list:
         return []
     lowest, highest = min(center_list), max(center_list)
-    if lowest < 0 or highest >= n_bins:
-        bad = lowest if lowest < 0 else highest
-        raise ParameterError(f"center_bin {bad} outside spectrum of {n_bins} bins")
-    thresholds = validity_thresholds(rows, epsilons, kappa, scratch)
+    thresholds = validity_thresholds(rows, epsilons, scratch)
     edges = lowest <= half or highest >= n_bins - 1 - half
     columns = _window_tables(window)[0] + centers[:, None]
     # Each row's window and its bin frequencies; an edge row's are redone below.
@@ -205,8 +202,8 @@ def _interpolate(rows, bin_freqs, centers, window, method, kappa, epsilons, ramp
 
 
 def estimate_peaks(
-    rows, bin_freqs, epsilons, window=DEFAULT_WINDOW, method=WEIGHTED_AVERAGE, kappa=DEFAULT_KAPPA,
-    ramps=None, scratch=None,
+    rows, bin_freqs, epsilons, window=DEFAULT_WINDOW, method=WEIGHTED_AVERAGE, ramps=None,
+    scratch=None,
 ) -> tuple:
     """Max-bin selection and interpolation, batched over a ``(rows, bins)`` stack.
 
@@ -223,5 +220,5 @@ def estimate_peaks(
         raise ParameterError("spectrum is empty")
     ramps = range(len(rows)) if ramps is None else ramps
     # The strongest bin of each row; ties break toward the lower frequency.
-    return tuple(_interpolate(rows, bin_freqs, rows.argmax(axis=1), window, method, kappa,
-                              epsilons, ramps, scratch))
+    return tuple(_interpolate(rows, bin_freqs, rows.argmax(axis=1), window, method, epsilons,
+                              ramps, scratch))

@@ -281,15 +281,15 @@ def synthetic_cycles(
         yield synthesize_cycle(wp, gt, amplitude, noise_sigma, seed, cycle_index=cycle_index)
 
 
-def replay_cycles(stem, expected_wp: WorkingPoint | None = None):
+def replay_cycles(stem, expected_wp: WorkingPoint):
     """Cycle source over an exported frame file's rows.
 
-    The sidecar, the raw file's length and the working point are checked
-    now; the samples are read and checked one block at a time as the
-    source is drawn (see :func:`read_frames`).
+    The sidecar, the raw file's length and the working point (it must be
+    ``expected_wp``) are checked now; the samples are read and checked one
+    block at a time as the source is drawn (see :func:`read_frames`).
     """
     wp, cycles = read_frames(stem)
-    if expected_wp is not None and wp != expected_wp:
+    if wp != expected_wp:
         raise ParameterError(
             "replay file working point differs from the configured working point"
         )

@@ -24,8 +24,9 @@ from .modulation import (SPEED_OF_LIGHT, WorkingPoint, open_atomic, ramp_slopes,
 
 FRAME_FORMAT_VERSION = 2
 
-#: Cycles per block of frame-file I/O: 512 kB at 4 x 500 float32 samples.
-FRAME_BLOCK = 64
+#: Cycles per block: of frame-file I/O here, of the spectral front end in
+#: ``spectral.calibrate`` and ``pipeline.run_stream`` (README: "Block hot path").
+STREAM_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,7 @@ def write_frames(stem, cycles, wp: WorkingPoint) -> None:
     cycle count.
 
     Rows are drawn, checked (:func:`check_block`, before the float32 cast) and
-    written :data:`FRAME_BLOCK` at a time, so a generator is exported in
+    written :data:`STREAM_BLOCK` at a time, so a generator is exported in
     constant memory.  A bad block raises :class:`FramingError`, as
     :func:`read_frames` would, and leaves neither file written.
     """
@@ -162,7 +163,7 @@ def write_frames(stem, cycles, wp: WorkingPoint) -> None:
     rows = iter(cycles)
     n_cycles = 0
     with open_atomic(raw_path) as fh:
-        while block := list(islice(rows, FRAME_BLOCK)):
+        while block := list(islice(rows, STREAM_BLOCK)):
             fh.write(check_block(block, wp, raw_path, n_cycles, dtype="<f4"))
             n_cycles += len(block)
     sidecar = {
@@ -183,7 +184,7 @@ def read_frames(stem):
 
     The sidecar and the raw file's length are checked now; any defect
     raises :class:`FramingError` naming the file.  The iterator then reads
-    the raw file :data:`FRAME_BLOCK` cycles at a time and yields each cycle
+    the raw file :data:`STREAM_BLOCK` cycles at a time and yields each cycle
     as a read-only float32 row.  Each block is checked when it is read: a
     NaN or infinite sample raises :class:`FramingError` naming its cycle
     and ramp, before any cycle of that block is yielded.
@@ -209,8 +210,8 @@ def _decode_sidecar(sidecar):
 def _read_blocks(raw_path, n_cycles: int, wp: WorkingPoint):
     n = wp.samples_per_cycle
     with open(raw_path, "rb") as fh:
-        for first in range(0, n_cycles, FRAME_BLOCK):
-            count = min(FRAME_BLOCK, n_cycles - first)
+        for first in range(0, n_cycles, STREAM_BLOCK):
+            count = min(STREAM_BLOCK, n_cycles - first)
             block = np.fromfile(fh, dtype="<f4", count=count * n)
             if len(block) != count * n:
                 raise FramingError(f"{raw_path} ended before the cycles its sidecar declares")

@@ -107,18 +107,18 @@ def _var3(a: float, b: float, c: float) -> float:
     return (da * da + db * db + dc * dc) / 3.0
 
 
-def _sign_combos(magnitudes, slopes, f_e: float, r_ref: float, v_ref: float) -> list:
+def _sign_combos(magnitudes, slopes, f_e: float) -> list:
     """Score all 8 sign assignments of three beat magnitudes.
 
     Returns ``(signs, mean R, mean v, spread)`` rows in itertools.product
     order.  Each pair is solved as in :func:`pair_solution` and the spread
-    is ``sqrt(var(R) / r_ref**2 + var(v) / v_ref**2)``.  Only the four
-    assignments with a leading + are solved: flipping every sign negates
-    each beat, hence each pairwise (R, v) and both means exactly, and leaves
-    the spread unchanged, so the other four are their mirrors, which
-    product() lists in reverse order.  A mirror mean is ``0.0 - mean``
-    rather than ``-mean``: a direct solve sums to +0.0, never -0.0, when
-    the pairwise values cancel.
+    is ``sqrt(var(R) / DEFAULT_R_REF**2 + var(v) / DEFAULT_V_REF**2)``.
+    Only the four assignments with a leading + are solved: flipping every
+    sign negates each beat, hence each pairwise (R, v) and both means
+    exactly, and leaves the spread unchanged, so the other four are their
+    mirrors, which product() lists in reverse order.  A mirror mean is
+    ``0.0 - mean`` rather than ``-mean``: a direct solve sums to +0.0, never
+    -0.0, when the pairwise values cancel.
     """
     m0, m1, m2 = magnitudes
     s0, s1, s2 = slopes
@@ -128,7 +128,7 @@ def _sign_combos(magnitudes, slopes, f_e: float, r_ref: float, v_ref: float) -> 
         raise DegeneratePairError(f"ramp slopes must differ, got {slopes}")
     r01, r02, r12 = 2.0 * d01, 2.0 * d02, 2.0 * d12
     v01, v02, v12 = f_e * d01, f_e * d02, f_e * d12
-    r_scale, v_scale = r_ref**2, v_ref**2
+    r_scale, v_scale = DEFAULT_R_REF**2, DEFAULT_V_REF**2
     rows = []
     for signs in _SIGNS[:4]:
         f0, f1, f2 = m0, signs[1] * m1, signs[2] * m2
@@ -147,12 +147,7 @@ def _sign_combos(magnitudes, slopes, f_e: float, r_ref: float, v_ref: float) -> 
     return rows + mirrors
 
 
-def disambiguate(
-    peaks,
-    wp: WorkingPoint,
-    r_ref: float = DEFAULT_R_REF,
-    v_ref: float = DEFAULT_V_REF,
-) -> Measurement:
+def disambiguate(peaks, wp: WorkingPoint) -> Measurement:
     """Turn four per-ramp peak estimates into one signed (R, v) measurement.
 
     Steps: (1) keep the three highest-intensity valid peaks; (2) enumerate
@@ -179,9 +174,7 @@ def disambiguate(
     kept_slopes = [slopes[i] for i in indices]
     f_e = wp.emitted_frequency
 
-    combos = _sign_combos(
-        [p.beat_frequency for p in kept], kept_slopes, f_e, r_ref, v_ref
-    )
+    combos = _sign_combos([p.beat_frequency for p in kept], kept_slopes, f_e)
     best_spread = min(spread for _, _, _, spread in combos)
     positive = [c for c in combos if c[3] == best_spread and c[1] > 0.0]
     if not positive:

@@ -16,20 +16,17 @@ import numpy as np
 
 from .errors import CalibrationError, ParameterError
 from .modulation import WorkingPoint, decode_fields, read_json_object, write_atomic
-from .simulator import check_block
+from .simulator import STREAM_BLOCK, check_block
 
 DEFAULT_FFT_BINS = 2048
 DEFAULT_ALPHA = 1.0
 DEFAULT_BETA = 0.0
 CALIBRATION_FORMAT_VERSION = 2
+#: No-target cycles a calibration needs (its sample sigma takes at least two).
 MIN_CALIBRATION_CYCLES = 16
 #: The calibration file's key of each scalar field of :class:`Calibration`.
 _CALIBRATION_SCALARS = {"n_cycles": "cycles", "sampling_rate": "sampling_rate_hz",
                         "samples_per_ramp": "samples_per_ramp"}
-
-#: Cycles per block of :func:`magnitude_spectra` in :func:`calibrate` and
-#: ``pipeline.run_stream`` (README: "Block hot path").
-STREAM_BLOCK = 16
 
 
 @dataclass
@@ -153,12 +150,7 @@ def bin_frequencies(wp: WorkingPoint, fft_bins: int = DEFAULT_FFT_BINS) -> np.nd
     return np.arange(fft_bins // 2) * (wp.sampling_rate / fft_bins)
 
 
-def calibrate(
-    cycles,
-    wp: WorkingPoint,
-    fft_bins: int = DEFAULT_FFT_BINS,
-    min_cycles: int = MIN_CALIBRATION_CYCLES,
-) -> Calibration:
+def calibrate(cycles, wp: WorkingPoint, fft_bins: int = DEFAULT_FFT_BINS) -> Calibration:
     """Build per-ramp reference spectra from no-target cycles, any iterable of them.
 
     One pass, :data:`STREAM_BLOCK` cycles at a time through :func:`magnitude_spectra`,
@@ -176,10 +168,9 @@ def calibrate(
             delta = s - mean
             mean += delta / n_cycles
             m2 += delta * (s - mean)
-    min_cycles = max(min_cycles, 2)  # a sample sigma takes two
-    if n_cycles < min_cycles:
+    if n_cycles < MIN_CALIBRATION_CYCLES:
         raise CalibrationError(
-            f"calibration needs >= {min_cycles} no-target cycles, got {n_cycles}"
+            f"calibration needs >= {MIN_CALIBRATION_CYCLES} no-target cycles, got {n_cycles}"
         )
     return Calibration(
         reference_mean=total / n_cycles,

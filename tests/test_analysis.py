@@ -1,6 +1,5 @@
 import csv
 import math
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +11,6 @@ from lfisensor import (
     FitError,
     NoiseModelCoefficients,
     NoiseObservation,
-    NoReliableDistanceError,
     ParameterError,
     blind_map,
     fit_noise_model,
@@ -109,9 +107,7 @@ def test_min_reliable_distance_antimonotone_in_slope():
 def test_min_reliable_distance_degenerate_ratio_grows():
     # rt -> 1 makes two slope magnitudes nearly coincide.
     base = min_reliable_distance(make_wp(ratio_rt=0.5), v_max=0.1)
-    degenerate = min_reliable_distance(
-        make_wp(ratio_rt=0.97), v_max=0.1, search_max=1.0
-    )
+    degenerate = min_reliable_distance(make_wp(ratio_rt=0.97), v_max=0.1)
     assert degenerate > 2 * base
     # Oracle: the blind map still shows two-blind cells between the bounds.
     bm = blind_map(
@@ -121,10 +117,13 @@ def test_min_reliable_distance_degenerate_ratio_grows():
 
 
 def test_min_reliable_distance_unbounded_signal():
-    # A wide velocity range keeps the near-equal slope pair overlapping
-    # beyond the search bound.
-    with pytest.raises(NoReliableDistanceError):
-        min_reliable_distance(make_wp(ratio_rt=0.97), v_max=10.0, search_max=0.05)
+    # A wide velocity range keeps the near-equal slope pair overlapping far
+    # out; the closed form reports that bound, however far out it lies.
+    wp = make_wp(ratio_rt=0.97)
+    bound = min_reliable_distance(wp, v_max=10.0)
+    assert bound > 0.05
+    assert _two_ramps_blind(wp, bound * (1 - 1e-9), 10.0)
+    assert not _two_ramps_blind(wp, bound * (1 + 1e-9), 10.0)
 
 
 def _two_ramps_blind(wp, distance, v_max):
@@ -158,7 +157,7 @@ def test_min_reliable_distance_separates_two_blind_from_reliable(
     steep_slope, ratio_rt, hp_cutoff, v_max
 ):
     wp = make_wp(steep_slope=steep_slope, ratio_rt=ratio_rt, hp_cutoff=hp_cutoff)
-    bound = min_reliable_distance(wp, v_max, search_max=sys.float_info.max)
+    bound = min_reliable_distance(wp, v_max)
     assert not _two_ramps_blind(wp, bound * (1 + 1e-9), v_max)
     if hp_cutoff == 0.0:
         assert bound == 0.0

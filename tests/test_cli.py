@@ -10,18 +10,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lfisensor
 from lfisensor import (CalibrationError, FramingError, NoiseModelCoefficients, ParameterError,
-                       blind_map)
+                       blind_map, min_reliable_distance)
 from lfisensor.cli import _CSV_HEADER, _build_parser, main
 from lfisensor.modulation import save_working_point
-from lfisensor.simulator import FRAME_BLOCK
+from lfisensor.simulator import STREAM_BLOCK
 
 from conftest import make_wp
-from test_analysis import TRUE_COEFFS, _synthetic_observations, write_observations_csv
+from test_analysis import (OBSERVATION_FIELDS, TRUE_COEFFS, _synthetic_observations,
+                           write_observations_csv)
 
 
 @pytest.fixture()
@@ -164,6 +165,21 @@ def test_mindist_reports_millimeters(config_path, tmp_path, capsys):
     assert "minimum reliable distance" in capsys.readouterr().out
 
 
+def test_mindist_reports_a_bound_beyond_a_tenth_of_a_meter(tmp_path, capsys):
+    # Near-equal slope magnitudes and a wide velocity range put the bound far
+    # out; it is reported, not refused.
+    wp = make_wp(ratio_rt=0.98)
+    config = tmp_path / "close.cfg"
+    save_working_point(wp, config)
+    out = tmp_path / "mindist.json"
+    assert main(["mindist", "--config", str(config), "--out", str(out), "--v-max", "10"]) == 0
+    value = json.loads(out.read_text())["min_reliable_distance_m"]
+    assert value == min_reliable_distance(wp, 10.0) and value > 0.1
+    manifest = json.loads((tmp_path / "mindist.json.manifest.json").read_text())
+    assert manifest["inputs"] == {"v_max_mps": 10.0}
+    capsys.readouterr()
+
+
 def test_synth_refuses_a_ramp_without_samples(tmp_path, capsys):
     # 0.1 us at 2 MHz is a fifth of a sample: no ramp frame to synthesize.
     config = tmp_path / "short.cfg"
@@ -235,6 +251,40 @@ def test_fitnoise_non_numeric_field_exits_nonzero(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert str(obs_path) in err and "line 3" in err and "observed_sigma_fb" in err
+
+
+@pytest.mark.parametrize("text", ["inf", "1e400"])
+def test_fitnoise_infinite_field_exits_nonzero(tmp_path, capsys, text):
+    # inf (and 1e400, which reads as inf) is refused when the row is read:
+    # in the fit's design matrix it ends in numpy's LinAlgError.
+    obs_path = tmp_path / "observations.csv"
+    write_observations_csv(_synthetic_observations(TRUE_COEFFS, np.random.default_rng(1), n=20),
+                           obs_path)
+    lines = obs_path.read_text().splitlines()
+    fields = lines[5].split(",")
+    fields[OBSERVATION_FIELDS.index("beat_f_b")] = text
+    lines[5] = ",".join(fields)
+    obs_path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "n.json"
+    assert main(["fitnoise", "--observations", str(obs_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "beat_f_b must be finite and strictly positive" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, option, needle", [
+    ("mindist", "--config", "config file"),
+    ("fitnoise", "--observations", "observation CSV"),
+])
+def test_file_that_is_not_utf8_text_exits_nonzero(tmp_path, capsys, command, option, needle):
+    # A frame export given where a text file belongs: float32 bytes are not UTF-8.
+    frames = tmp_path / "frames.f32"
+    frames.write_bytes(np.array([0.5, -1.0, 3.0e-5], dtype="<f4").tobytes())
+    out = tmp_path / "out.json"
+    assert main([command, option, str(frames), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {needle} {frames} is not UTF-8 text: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -346,7 +396,7 @@ def test_process_calibration_mismatch_exits_nonzero(tmp_path, capsys):
         ]
     )
     assert rc == 1
-    assert "calibration" in capsys.readouterr().err
+    assert f"error: calibration {cal} does not fit: " in capsys.readouterr().err
 
 
 def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
@@ -423,7 +473,7 @@ def test_every_package_error_is_an_lfi_error():
     # stay a ValueError for library callers.
     classes = [c for c in vars(lfisensor.errors).values()
                if isinstance(c, type) and issubclass(c, Exception)]
-    assert len(classes) == 8
+    assert len(classes) == 7
     for cls in classes:
         assert issubclass(cls, lfisensor.LfiError) and issubclass(cls, ValueError)
 
@@ -505,14 +555,12 @@ def test_an_option_the_command_would_ignore_is_refused(replay_files, tmp_path, c
     [
         ("mindist", "--v-max", "nan", "v_max must be finite and > 0, got nan"),
         ("mindist", "--v-max", "inf", "v_max must be finite and > 0, got inf"),
-        ("mindist", "--search-max", "nan", "search_max must be finite, got nan"),
-        ("mindist", "--search-max", "inf", "search_max must be finite, got inf"),
         ("blindmap", "--r-max", "inf", "grid ranges must be finite"),
         ("blindmap", "--r-min", "nan", "grid ranges must be finite"),
         ("blindmap", "--v-min", "-inf", "grid ranges must be finite"),
         ("blindmap", "--v-max", "nan", "grid ranges must be finite"),
     ],
-    ids=["v-max-nan", "v-max-inf", "search-max-nan", "search-max-inf", "r-max-inf", "r-min-nan",
+    ids=["v-max-nan", "v-max-inf", "r-max-inf", "r-min-nan",
          "v-min-minus-inf", "v-max-nan-map"],
 )
 def test_non_finite_analysis_setting_exits_nonzero(config_path, tmp_path, capsys, command,
@@ -721,10 +769,10 @@ def test_non_finite_sample_in_a_later_block_exits_nonzero(config_path, tmp_path,
     # its block is reached, after records of earlier blocks were made, and
     # still no output file, temporary or final, is left behind.
     wp = make_wp()
-    bad = FRAME_BLOCK + 3
+    bad = STREAM_BLOCK + 3
     stem = tmp_path / "frames"
     assert main(["synth", "--config", str(config_path), "--out", str(stem),
-                 "--cycles", str(2 * FRAME_BLOCK + 5), "--distance", "0.04"]) == 0
+                 "--cycles", str(2 * STREAM_BLOCK + 5), "--distance", "0.04"]) == 0
     raw = tmp_path / "frames.f32"
     samples = np.fromfile(raw, dtype="<f4")
     samples[bad * wp.samples_per_cycle + 3 * wp.samples_per_ramp + 4] = math.nan
@@ -1057,3 +1105,97 @@ def test_fuzzed_calibration_files_end_in_a_package_error(replay_files, payload):
             assert main(argv) == 0
     else:
         assert "fuzzed-cal.json" in _exits_with_an_error(argv)
+
+
+#: Text for one observation cell: inf, nan and numbers past a float's range,
+#: zero and negatives, any float, and text that is not a number.
+_NUMBER = st.sampled_from(["inf", "-inf", "nan", "1e400", "-1e400", "1e-400", "1e-320", "0",
+                           "-0", "-1"])
+_CELL = st.one_of(_NUMBER, _NUMBER, st.floats().map(repr), st.text(max_size=6))
+
+_HEADER = ",".join(OBSERVATION_FIELDS)
+#: Header lines: the one that reads, spaced, reordered, short, long and empty.
+_HEADERS = st.just(_HEADER) | st.sampled_from([
+    " , ".join(OBSERVATION_FIELDS),
+    ",".join(reversed(OBSERVATION_FIELDS)),
+    ",".join(OBSERVATION_FIELDS[:-1]),
+    ",".join([*OBSERVATION_FIELDS, "extra"]),
+    _HEADER.upper(),
+    "",
+])
+
+
+def _observation_csv(n, seed, header=_HEADER, column=None, cells=(), counts=()):
+    """An observation CSV and whether it is an untouched valid file: ``n`` rows
+    of a noise-free fit, under ``header``; then ``column`` (None, or a mode and
+    the source and target regressor columns) made equal to, ten times or
+    constant, the given ``(row, column, text)`` cells replaced, and the given
+    ``(row, field count)`` rows cut or padded."""
+    observations = _synthetic_observations(TRUE_COEFFS, np.random.default_rng(seed), n=n)
+    rows = [[format(getattr(obs, name), ".12g") for name in OBSERVATION_FIELDS]
+            for obs in observations]
+    if column:
+        # An equal or tenfold copy is collinear (the latter with the intercept).
+        mode, source, target = column
+        for row in rows:
+            row[target] = {"equal": row[source], "constant": rows[0][target],
+                           "tenfold": format(10 * float(row[source]), ".12g")}[mode]
+    for r, c, text in cells:
+        rows[r][c] = text
+    for r, count in counts:
+        rows[r] = (rows[r] + ["1"] * count)[:count]
+    pristine = (header == _HEADER and n >= 12 and not column and not cells
+                and all(count == len(OBSERVATION_FIELDS) for _, count in counts))
+    return "\n".join([header, *(",".join(row) for row in rows)]) + "\n", pristine
+
+
+@st.composite
+def _observation_csvs(draw):
+    """A valid file of 12 to 16 rows with 0 to 3 defects, each a drawn header,
+    column, cell or field count; a cell is the likeliest."""
+    n = draw(st.integers(12, 16), label="rows")
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    kinds = draw(st.lists(st.sampled_from(["cell", "cell", "cell", "header", "column", "count"]),
+                          max_size=3), label="defects")
+    rows, fields = st.integers(0, n - 1), st.integers(0, len(OBSERVATION_FIELDS) - 1)
+    headers = [draw(_HEADERS, label="header") for kind in kinds if kind == "header"]
+    columns = [(draw(st.sampled_from(["equal", "tenfold", "constant"]), label="column"),
+                *draw(st.lists(st.integers(0, 4), min_size=2, max_size=2, unique=True)))
+               for kind in kinds if kind == "column"]
+    cells = [draw(st.tuples(rows, fields, _CELL), label="cell")
+             for kind in kinds if kind == "cell"]
+    counts = [draw(st.tuples(rows, st.integers(0, 9)), label="field count")
+              for kind in kinds if kind == "count"]
+    return _observation_csv(n, seed, headers[-1] if headers else _HEADER,
+                            columns[-1] if columns else None, cells, counts)
+
+
+@pytest.fixture(scope="module")
+def observation_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("observations")
+
+
+@given(case=_observation_csvs())
+# Three that must not reach the fit: an inf regressor, one read from 1e400,
+# and a sqrt(n_avg) * sigma that underflows to 0, whose log10 is a domain error.
+@example(case=_observation_csv(14, 3, cells=[(5, 2, "inf")]))
+@example(case=_observation_csv(14, 3, cells=[(0, 4, "1e400")]))
+@example(case=_observation_csv(14, 3, cells=[(7, 5, "1e-320"), (7, 6, "1e-320")]))
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_observation_csvs_end_in_a_package_error(observation_dir, case):
+    # Every CSV either fits or ends in one error line, never in a traceback.
+    text, pristine = case
+    path = observation_dir / "fuzzed-observations.csv"
+    path.write_text(text)
+    argv = ["fitnoise", "--observations", str(path),
+            "--out", str(observation_dir / "fuzzed-noise.json")]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)
+    if rc == 0:
+        assert out.getvalue().startswith("noise model: ") and err.getvalue() == ""
+    else:
+        assert rc == 1 and err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    if pristine:
+        assert rc == 0

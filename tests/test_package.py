@@ -1,6 +1,8 @@
-"""Package-wide structure: every top-level name and class member has a caller in the package."""
+"""Package-wide structure: every top-level name and class member has a caller in
+the package, and every parameter default is overridden by one."""
 
 import ast
+import math
 from pathlib import Path
 
 import lfisensor
@@ -13,6 +15,13 @@ UNREFERENCED = {
     "pair_solution": "the paper's two-ramp equation: the reference the solver's inlined "
     "pair solves are tested against",
     "save_working_point": "writes the flat config file that read_config_file reads",
+}
+
+#: Parameters with a default (``function.parameter``) that no call in the
+#: package passes, each with the reason the default stays.
+UNPASSED = {
+    "main.argv": "None parses sys.argv, as the console script needs; tests pass their own",
+    "run_stream.state": "None starts a stream; a library caller may resume one, the CLI never",
 }
 
 
@@ -40,6 +49,11 @@ def _members(node) -> list:
     return [m for m in node.body if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")]
 
 
+def _modules() -> list:
+    root = Path(lfisensor.__file__).parent
+    return [(path.name, ast.parse(path.read_text())) for path in sorted(root.glob("*.py"))]
+
+
 def test_every_top_level_name_is_referenced_by_the_package():
     # A name that only tests call is a second code path kept in step by
     # hand: delete it, or list it above with its reason.  Re-exports in
@@ -47,12 +61,8 @@ def test_every_top_level_name_is_referenced_by_the_package():
     # definition does not count as a reference to itself.  A class member
     # counts as referenced by any other statement or any other member of
     # its class that names it, whatever the object it is taken from.
-    root = Path(lfisensor.__file__).parent
     statements = [
-        node
-        for path in sorted(root.glob("*.py"))
-        if path.name != "__init__.py"
-        for node in ast.parse(path.read_text()).body
+        node for name, tree in _modules() if name != "__init__.py" for node in tree.body
     ]
     references = [_referenced(node) for node in statements]
     unreferenced = {
@@ -68,3 +78,56 @@ def test_every_top_level_name_is_referenced_by_the_package():
             if not any(member.name in refs for refs in others):
                 unreferenced.add(f"{node.name}.{member.name}")
     assert unreferenced == set(UNREFERENCED)
+
+
+def _defaults(tree):
+    """``(function, parameter, position)`` of each parameter with a default of
+    every function in ``tree``, at any depth.  The position is the index of
+    the call argument that fills it (a method's ``self`` or ``cls`` is not
+    one), or None for a keyword-only parameter."""
+    for parent in ast.walk(tree):
+        for fn in ast.iter_child_nodes(parent):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            bound = isinstance(parent, ast.ClassDef) and not static
+            a = fn.args
+            positional = [*a.posonlyargs, *a.args]
+            first = len(positional) - len(a.defaults)
+            for i, arg in enumerate(positional[first:], start=first):
+                yield fn.name, arg.arg, i - bound
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    yield fn.name, arg.arg, None
+
+
+def _calls(tree):
+    """``(name, positional count, keyword names)`` of every call in ``tree``; a
+    ``*args`` counts as any number of positional arguments and a ``**kwargs``
+    as the keyword None, which stands for every keyword."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            yield name, math.inf if starred else len(node.args), {k.arg for k in node.keywords}
+
+
+def test_every_parameter_default_is_overridden_by_some_call_in_the_package():
+    # A default that no caller overrides is a setting nobody sets: a
+    # constant passed as a parameter, with branches for values that never
+    # come.  Make it a constant, or list it above with its reason.  Calls
+    # are matched by the function's name alone, whatever they are called on.
+    trees = [tree for _, tree in _modules()]
+    calls = [call for tree in trees for call in _calls(tree)]
+    unpassed = {
+        f"{function}.{parameter}"
+        for tree in trees
+        for function, parameter, position in _defaults(tree)
+        if not any(
+            name == function
+            and (parameter in keywords or None in keywords
+                 or (position is not None and n_positional > position))
+            for name, n_positional, keywords in calls
+        )
+    }
+    assert unpassed == set(UNPASSED)

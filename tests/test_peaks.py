@@ -36,11 +36,11 @@ def _estimate(mags, method=WEIGHTED_AVERAGE, window=DEFAULT_WINDOW, epsilon=0.0)
 def _interpolate(mags, center, method, window=DEFAULT_WINDOW, epsilon=0.0):
     """Interpolation of one spectrum around a given center bin."""
     return peaks._interpolate(np.asarray(mags, dtype=float)[None], FREQS, [center], window,
-                              method, DEFAULT_KAPPA, [epsilon], [0])[0]
+                              method, [epsilon], [0])[0]
 
 
-def _threshold(mags, kappa=DEFAULT_KAPPA, epsilon=0.0):
-    return validity_thresholds(mags[None], [epsilon], kappa)[0]
+def _threshold(mags, epsilon=0.0):
+    return validity_thresholds(mags[None], [epsilon])[0]
 
 
 def _tone_spectrum(frequency, phase=0.0):
@@ -397,8 +397,8 @@ def test_peak_stage_matches_a_per_row_loop(case, method, epsilon):
     epsilons = [epsilon * (r % 3) for r in range(len(rows))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        at_centers = peaks._interpolate(rows, freqs, centers, window, method, DEFAULT_KAPPA,
-                                        epsilons, range(len(rows)))
+        at_centers = peaks._interpolate(rows, freqs, centers, window, method, epsilons,
+                                        range(len(rows)))
         at_maxima = estimate_peaks(rows, freqs, epsilons, window, method)
     # repr spells every float exactly and tells a bool from a numpy bool.
     assert repr(at_centers) == repr(_per_row_peaks(rows, freqs, centers, window, method,
@@ -433,7 +433,7 @@ def test_validity_threshold_floor_is_np_median_of_nonzero_bins():
         mags[where] = rng.random(n_nonzero) * 10.0 ** rng.uniform(-3, 3)
         before = mags.copy()
         expected = 3.0 * float(np.median(mags[mags > 0]))
-        assert _threshold(mags, kappa=3.0) == expected
+        assert _threshold(mags) == expected
         np.testing.assert_array_equal(mags, before)  # the spectrum is not reordered
     assert _threshold(np.zeros(1024), epsilon=0.5) == 0.5
 
@@ -455,26 +455,26 @@ def _stacks(draw):
     return np.array(draw(st.lists(row, min_size=1, max_size=6)))
 
 
-@given(stack=_stacks(), kappa=st.floats(0.5, 10.0), epsilon=st.floats(0.0, 2.0))
+@given(stack=_stacks(), epsilon=st.floats(0.0, 2.0))
 @example(  # odd, even, zero and one positive counts, with both zeros, inf and NaN
     stack=np.array([[3.0, -0.0, 1.0, 2.0, math.nan, 4.0],
                     [1e308, 1.5e308, -5.0, 0.0, math.inf, 1e-300],
                     [0.0] * 6,
                     [-0.0, 7.0, -1e-300, math.nan, 0.0, 0.0],
                     [5.0, 1.0, 2.0, -1.0, 0.0, math.inf]]),
-    kappa=3.0, epsilon=0.0)
+    epsilon=0.0)
 @settings(max_examples=300, deadline=None)
-def test_stack_thresholds_are_np_median_of_each_rows_positive_bins(stack, kappa, epsilon):
+def test_stack_thresholds_are_np_median_of_each_rows_positive_bins(stack, epsilon):
     epsilons = [epsilon * (r + 1) for r in range(len(stack))]
     before = stack.tobytes()
-    thresholds = validity_thresholds(stack, epsilons, kappa)
+    thresholds = validity_thresholds(stack, epsilons)
     assert stack.tobytes() == before
     expected = []
     for row, eps in zip(stack, epsilons):
         positive = row[row > 0]
         with np.errstate(over="ignore"):  # two middle bins near 1e308 sum to inf
             median = float(np.median(positive)) if positive.size else None
-        expected.append(eps if median is None else max(eps, kappa * median))
+        expected.append(eps if median is None else max(eps, DEFAULT_KAPPA * median))
     assert thresholds == expected
 
 

@@ -32,9 +32,8 @@ from lfisensor import (
 )
 from lfisensor import pipeline
 from lfisensor.modulation import read_flat_config
-from lfisensor.peaks import DEFAULT_KAPPA, PeakEstimate
+from lfisensor.peaks import PeakEstimate
 from lfisensor.pipeline import STREAM_BLOCK, _attach_sigmas, config_from_file, read_config_file
-from lfisensor.simulator import FRAME_BLOCK
 from lfisensor.spectral import Calibration, bin_frequencies
 
 from conftest import make_wp, true_beats, true_slopes
@@ -140,7 +139,7 @@ def test_composition_identity(wp, noisy_cal, method):
     cleaned = np.maximum(averaged - cfg.alpha * mean - cfg.beta * sigma, 0.0)
     epsilons = pipeline.DEFAULT_NOISE_GATE * np.median(sigma, axis=1)
     manual = estimate_peaks(cleaned, bin_frequencies(wp, cfg.fft_bins), epsilons.tolist(),
-                            cfg.interp_window, cfg.interp_method, DEFAULT_KAPPA)
+                            cfg.interp_window, cfg.interp_method)
     assert [repr(p) for p in manual] == [repr(p) for p in record.peaks]
     assert {p.method for p in record.peaks} == {method}
 
@@ -178,7 +177,7 @@ def test_replay_across_blocks_matches_synthetic_run(wp, quiet_cal, tmp_path):
     # A replay is read one block at a time; its cycles and records do not
     # depend on where the blocks end.
     gt = GroundTruth(0.045, -0.06)
-    n = 2 * FRAME_BLOCK + 5
+    n = 2 * STREAM_BLOCK + 5
     stem = tmp_path / "stream"
     write_frames(stem, synthetic_cycles(wp, gt, 1.0, 0.2, seed=31, n_cycles=n), wp)
     cfg = _config(wp, quiet_cal, n_avg=2)
@@ -463,9 +462,9 @@ def test_blocks_of_any_size_give_the_per_cycle_records(wp, noisy_cal, method, n_
 
 
 def test_replay_through_run_stream_equals_per_cycle_processing(wp, noisy_cal, tmp_path):
-    # Replay blocks (FRAME_BLOCK) and processing blocks (STREAM_BLOCK) end at
-    # other cycles than each other and than the run.
-    n = 2 * FRAME_BLOCK + 5
+    # Replay blocks and processing blocks (both STREAM_BLOCK) end at other
+    # cycles than the run.
+    n = 2 * STREAM_BLOCK + 5
     stem = tmp_path / "stream"
     write_frames(stem, _stream(wp, n), wp)
     cfg = _config(wp, noisy_cal, n_avg=4, noise_model=_NOISE_MODEL)

@@ -19,7 +19,7 @@ from lfisensor import (
     write_frames,
 )
 from lfisensor import simulator
-from lfisensor.simulator import FRAME_BLOCK, _highpass_matrix
+from lfisensor.simulator import STREAM_BLOCK, _highpass_matrix
 
 from conftest import C, make_wp, true_beats, true_slopes
 
@@ -338,10 +338,10 @@ def test_write_frames_refuses_non_finite_sample_in_a_later_block(tmp_path):
     # Blocks are checked as they are drawn; the error names the cycle of the
     # whole export, and the blocks already written leave no file behind.
     wp = make_wp()
-    bad = FRAME_BLOCK + 3
+    bad = STREAM_BLOCK + 3
 
     def rows():
-        for k in range(2 * FRAME_BLOCK):
+        for k in range(2 * STREAM_BLOCK):
             row = np.zeros(wp.samples_per_cycle)
             if k == bad:
                 row[wp.samples_per_ramp + 1] = math.inf
@@ -357,11 +357,11 @@ def test_read_frames_refuses_a_raw_file_cut_after_it_was_opened(tmp_path):
     # later; a file cut in between ends in the package's error, not numpy's.
     wp = make_wp()
     stem = tmp_path / "frames"
-    write_frames(stem, np.zeros((FRAME_BLOCK + 1, wp.samples_per_cycle)), wp)
+    write_frames(stem, np.zeros((STREAM_BLOCK + 1, wp.samples_per_cycle)), wp)
     _, rows = read_frames(stem)
     raw = tmp_path / "frames.f32"
-    raw.write_bytes(raw.read_bytes()[: 4 * wp.samples_per_cycle * FRAME_BLOCK])
-    assert len([next(rows) for _ in range(FRAME_BLOCK)]) == FRAME_BLOCK
+    raw.write_bytes(raw.read_bytes()[: 4 * wp.samples_per_cycle * STREAM_BLOCK])
+    assert len([next(rows) for _ in range(STREAM_BLOCK)]) == STREAM_BLOCK
     with pytest.raises(FramingError, match="frames.f32 ended before the cycles its sidecar"):
         next(rows)
 
@@ -371,11 +371,11 @@ def test_read_frames_checks_each_block_when_it_is_reached(tmp_path):
     # only when its block is read, after the cycles of earlier blocks.
     wp = make_wp()
     stem = tmp_path / "frames"
-    cycles = np.zeros((2 * FRAME_BLOCK + 5, wp.samples_per_cycle), dtype="<f4")
+    cycles = np.zeros((2 * STREAM_BLOCK + 5, wp.samples_per_cycle), dtype="<f4")
     write_frames(stem, cycles, wp)
     raw = tmp_path / "frames.f32"
     samples = np.fromfile(raw, dtype="<f4")
-    bad = FRAME_BLOCK + 3
+    bad = STREAM_BLOCK + 3
     samples[bad * wp.samples_per_cycle + 2 * wp.samples_per_ramp] = math.nan
     samples.tofile(raw)
     _, rows = read_frames(stem)
@@ -383,7 +383,7 @@ def test_read_frames_checks_each_block_when_it_is_reached(tmp_path):
     with pytest.raises(FramingError, match=f"non-finite sample in cycle {bad}, ramp 2"):
         for _ in rows:
             drawn += 1
-    assert drawn == FRAME_BLOCK
+    assert drawn == STREAM_BLOCK
 
 
 @pytest.mark.parametrize(

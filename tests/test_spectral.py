@@ -181,8 +181,8 @@ def test_calibrate_too_few_cycles():
         calibrate(cycles, wp)
     with pytest.raises(CalibrationError):
         calibrate([], wp)
-    with pytest.raises(CalibrationError, match=">= 2 no-target cycles, got 1"):
-        calibrate(cycles[:1], wp, min_cycles=1)  # no sample sigma of one cycle
+    with pytest.raises(CalibrationError, match=">= 16 no-target cycles, got 1"):
+        calibrate(cycles[:1], wp)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
