@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import FitError, ParameterError
 from .modulation import SPEED_OF_LIGHT, WorkingPoint, decode_fields, ramp_slopes, write_atomic
+from .simulator import signed_beat
 
 OBSERVATION_FIELDS = (
     "f_ramp_rate",
@@ -118,11 +119,7 @@ def blind_map(wp: WorkingPoint, v_range, r_range, resolution) -> BlindMap:
     r_axis = np.linspace(r_lo, r_hi, n_r)
     counts = np.zeros((n_r, n_v), dtype=int)
     for slope in ramp_slopes(wp):
-        beats = (
-            2.0 * r_axis[:, None] * slope
-            + wp.emitted_frequency * v_axis[None, :]
-        ) / SPEED_OF_LIGHT
-        counts += np.abs(beats) < wp.hp_cutoff
+        counts += np.abs(signed_beat(wp, slope, r_axis[:, None], v_axis[None, :])) < wp.hp_cutoff
     return BlindMap(v_axis=v_axis, r_axis=r_axis, blind_count=counts)
 
 
@@ -210,7 +207,7 @@ def predict_sigma_fb(
     beat_f_b: float,
     velocity_v: float,
     distance_R: float,
-    n_avg: float = 1.0,
+    n_avg: float,
 ) -> float:
     """Beat-frequency noise predicted by the model at an operating point.
 

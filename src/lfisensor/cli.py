@@ -148,7 +148,7 @@ def cmd_synth(args) -> int:
 def cmd_calibrate(args) -> int:
     wp, settings = read_config_file(args.config)
     source, provenance = _source_from_args(args, wp)
-    cal = calibrate(source, wp, settings["fft_bins"])
+    cal = calibrate(source, wp, settings["fft_bins"], settings["sync_offset_samples"])
     cal.save(args.out)
     _write_manifest(args.out, "calibrate", args.config, provenance, [args.out])
     for i, (mean, sigma) in enumerate(zip(cal.reference_mean, cal.reference_sigma)):

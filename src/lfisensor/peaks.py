@@ -37,17 +37,16 @@ class PeakEstimate:
     valid: bool
 
 
-def validity_thresholds(rows, epsilons, scratch=None) -> list:
+def validity_thresholds(rows, epsilons, scratch) -> list:
     """Intensity a peak must exceed to count as a real detection, per row.
 
     ``max(epsilons[r], DEFAULT_KAPPA * median of the positive bins)`` of each row of
     a floored ``(rows, bins)`` stack (0 for the median of no bins); a low
     intensity marks an unreliable (typically blind) ramp.  One sort of a copy
-    (into ``scratch``, an array of the stack's shape, when given) puts each
-    row's nonpositive bins first and its NaNs last, so the positive bins are
-    one span and the median is ``np.median``'s, bit for bit.
+    (into ``scratch``, an array of the stack's shape) puts each row's
+    nonpositive bins first and its NaNs last, so the positive bins are one
+    span and the median is ``np.median``'s, bit for bit.
     """
-    scratch = np.empty_like(rows) if scratch is None else scratch
     np.copyto(scratch, rows)
     scratch.sort(axis=1)
     thresholds = []
@@ -128,8 +127,7 @@ def _gaussian_fits(block: np.ndarray) -> tuple:
     return vertices, intensities
 
 
-def _interpolate(rows, bin_freqs, centers, window, method, epsilons, ramps,
-                 scratch=None) -> list:
+def _interpolate(rows, bin_freqs, centers, window, method, epsilons, scratch) -> list:
     """Each row's peak interpolated around its center bin: the batched core.
 
     Every step covers all rows at once, except the weighted average of a
@@ -140,9 +138,6 @@ def _interpolate(rows, bin_freqs, centers, window, method, epsilons, ramps,
     differently from ``max``.
     """
     n_bins, half = rows.shape[1], window // 2
-    if window < 3 or window % 2 == 0:
-        raise ParameterError(f"window must be odd and >= 3, got {window}")
-    centers = np.asarray(centers)
     center_list = centers.tolist()
     if not center_list:
         return []
@@ -164,11 +159,10 @@ def _interpolate(rows, bin_freqs, centers, window, method, epsilons, ramps,
                         & (vertices <= np.minimum(centers + half, n_bins - 1) - centers))
         else:
             accepted = np.abs(vertices) <= half
-        step = bin_freqs[1] - bin_freqs[0] if n_bins > 1 else math.nan  # one bin fits nothing
-        fitted = freqs[:, half] + vertices * step
+        fitted = freqs[:, half] + vertices * (bin_freqs[1] - bin_freqs[0])
         if accepted.all():
-            return [PeakEstimate(ramp, f, i, GAUSSIAN, bool(i > t)) for ramp, f, i, t
-                    in zip(ramps, fitted.tolist(), fit_intensities, thresholds)]
+            return [PeakEstimate(r % 4, f, i, GAUSSIAN, bool(i > t)) for r, (f, i, t)
+                    in enumerate(zip(fitted.tolist(), fit_intensities, thresholds))]
     # The weighted average, for every row the Gaussian fit does not cover.
     totals = weights.sum(axis=1)
     found = totals != 0.0  # a window with no weight has no peak
@@ -194,31 +188,29 @@ def _interpolate(rows, bin_freqs, centers, window, method, epsilons, ramps,
         used = [GAUSSIAN if a else WEIGHTED_AVERAGE for a in accepted.tolist()]
     valid = intensities > np.asarray(thresholds)
     # An all-zero row has no peak under either method.
-    return [PeakEstimate(ramp, f, i, m, v) if peak
-            else PeakEstimate(ramp, 0.0, 0.0, method if not rows[r].any() else WEIGHTED_AVERAGE,
+    return [PeakEstimate(r % 4, f, i, m, v) if peak
+            else PeakEstimate(r % 4, 0.0, 0.0, method if not rows[r].any() else WEIGHTED_AVERAGE,
                               valid=False)
-            for r, (ramp, f, i, m, v, peak) in enumerate(zip(
-                ramps, means.tolist(), intensities.tolist(), used, valid.tolist(), found.tolist()))]
+            for r, (f, i, m, v, peak) in enumerate(zip(
+                means.tolist(), intensities.tolist(), used, valid.tolist(), found.tolist()))]
 
 
-def estimate_peaks(
-    rows, bin_freqs, epsilons, window=DEFAULT_WINDOW, method=WEIGHTED_AVERAGE, ramps=None,
-    scratch=None,
-) -> tuple:
+def estimate_peaks(rows, bin_freqs, epsilons, window, method, scratch) -> tuple:
     """Max-bin selection and interpolation, batched over a ``(rows, bins)`` stack.
 
-    Row ``r`` is ramp ``ramps[r]`` (default ``r``), gated by ``epsilons[r]``,
-    and gets the estimate it would get alone.  The weighted average is
-    ``sum(X(k) F(k)) / sum(X(k))`` over the window, with the center bin as
-    intensity; the Gaussian fit (:func:`_gaussian_fits`) falls back to it when
-    it fails or its vertex leaves the window.  An all-zero row has no peak.
-    The threshold sort overwrites ``scratch``, if given, not a new copy.
+    Row ``r`` is ramp ``r % 4``, as :func:`~.spectral.magnitude_spectra` lays
+    the stack out, gated by ``epsilons[r]``, and gets the estimate it would
+    get alone.  The weighted average is ``sum(X(k) F(k)) / sum(X(k))`` over
+    the window, with the center bin as intensity; the Gaussian fit
+    (:func:`_gaussian_fits`) falls back to it when it fails or its vertex
+    leaves the window.  An all-zero row has no peak.  The threshold sort
+    overwrites ``scratch``, an array of the stack's shape.
     """
     if method not in METHODS:
         raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
-    if rows.shape[1] == 0:
-        raise ParameterError("spectrum is empty")
-    ramps = range(len(rows)) if ramps is None else ramps
+    if window < 3 or window % 2 == 0 or window > rows.shape[1]:
+        raise ParameterError(
+            f"window must be odd, >= 3 and <= the {rows.shape[1]} bins of a row, got {window}")
     # The strongest bin of each row; ties break toward the lower frequency.
     return tuple(_interpolate(rows, bin_freqs, rows.argmax(axis=1), window, method, epsilons,
-                              ramps, scratch))
+                              scratch))

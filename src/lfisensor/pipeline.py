@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import combinations
 
 import numpy as np
 
@@ -30,16 +30,16 @@ from .modulation import (
     read_flat_config,
 )
 from .peaks import DEFAULT_WINDOW, METHODS, WEIGHTED_AVERAGE, estimate_peaks
-from .simulator import read_frames, synthesize_cycle
+from .simulator import cycle_blocks, read_frames, synthesize_cycle
 from .solver import STATUS_INVALID, Measurement, disambiguate, propagate_noise
 from .spectral import (
     DEFAULT_ALPHA,
     DEFAULT_BETA,
     DEFAULT_FFT_BINS,
-    STREAM_BLOCK,
     Calibration,
     bin_frequencies,
     check_fft_bins,
+    check_sync_offset,
     magnitude_spectra,
     remove_floor,
 )
@@ -86,19 +86,17 @@ class PipelineConfig:
             raise ParameterError(
                 f"interp_method must be one of {METHODS}, got {self.interp_method!r}"
             )
-        if self.interp_window < 3 or self.interp_window % 2 == 0:
+        check_fft_bins(self.fft_bins, wp.samples_per_ramp)
+        bins = self.fft_bins // 2
+        if self.interp_window < 3 or self.interp_window % 2 == 0 or self.interp_window > bins:
             raise ParameterError(
-                f"interp_window must be odd and >= 3, got {self.interp_window}"
+                f"interp_window must be odd, >= 3 and <= fft_bins // 2 ({bins}), "
+                f"got {self.interp_window}"
             )
         for name in ("alpha", "beta"):
-            if not getattr(self, name) >= 0:
-                raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
-        check_fft_bins(self.fft_bins, wp.samples_per_ramp)
-        if not 0 <= self.sync_offset_samples < wp.samples_per_cycle:
-            raise ParameterError(
-                f"sync_offset_samples must be in [0, {wp.samples_per_cycle}), "
-                f"got {self.sync_offset_samples}"
-            )
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ParameterError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        check_sync_offset(self.sync_offset_samples, wp.samples_per_cycle)
         self.calibration.check_compatible(wp, self.fft_bins)
 
         cal = self.calibration
@@ -124,7 +122,7 @@ class PipelineState:
     first, is always one contiguous slice of slots.  Averaging that slice
     adds the spectra in the same order as ``np.mean`` over a list of them,
     so the result is the same to the bit.  ``work`` holds the arrays of
-    ``magnitude_spectra``, kept for the next block (a copy gets its own).
+    ``magnitude_spectra``, kept for the next block.
     """
 
     ring: np.ndarray
@@ -140,10 +138,7 @@ class PipelineState:
         """Spectra per ramp in the current window."""
         return min(self.cycles_seen, self.ring.shape[1] // 2)
 
-    def copy(self) -> "PipelineState":
-        return PipelineState(ring=self.ring.copy(), cycles_seen=self.cycles_seen)
-
-    def push(self, spectra: np.ndarray, out=None) -> np.ndarray:
+    def push(self, spectra: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Add one cycle's ``(4, bins)`` spectra; return the window mean per ramp, in ``out``.
 
         The sum and the division are ``np.mean``'s.  A window of one spectrum
@@ -154,7 +149,6 @@ class PipelineState:
         self.ring[:, slot] = spectra
         self.ring[:, slot + n_avg] = spectra
         self.cycles_seen += 1
-        out = np.empty_like(self.ring[:, slot]) if out is None else out
         if self.n_window == 1:
             np.copyto(out, self.ring[:, slot])
             return out
@@ -224,14 +218,14 @@ def process_block(block, state: PipelineState, cfg: PipelineConfig) -> list:
     rows, bins = spectra.shape
     n_cycles, n_windows, cleaned = rows // 4, [], state.work[3][:rows]
     for c in range(0, rows, 4):
-        state.push(spectra[c : c + 4], out=cleaned[c : c + 4])
+        state.push(spectra[c : c + 4], cleaned[c : c + 4])
         n_windows.append(state.n_window)
     by_cycle = cleaned.reshape(n_cycles, 4, bins)
-    remove_floor(by_cycle, cfg.scaled_mean, cfg.scaled_sigma, out=by_cycle)
+    remove_floor(by_cycle, cfg.scaled_mean, cfg.scaled_sigma, by_cycle)
     epsilons = [gate / math.sqrt(n) for n in n_windows for gate in cfg.noise_gates]
     # The magnitudes are in the ring now, so the threshold sort may overwrite them.
     peaks = estimate_peaks(cleaned, cfg.bin_frequencies, epsilons, cfg.interp_window,
-                           cfg.interp_method, ramps=(0, 1, 2, 3) * n_cycles, scratch=spectra)
+                           cfg.interp_method, spectra)
     records = []
     for c, n_window in enumerate(n_windows):
         index, cycle_peaks = state.cycles_seen - n_cycles + c, peaks[4 * c : 4 * c + 4]
@@ -249,12 +243,11 @@ def process_cycle(samples, state: PipelineState, cfg: PipelineConfig) -> CycleRe
 
 
 def run_stream(source, cfg: PipelineConfig, state: PipelineState | None = None):
-    """Fold :func:`process_block` over a cycle iterator, :data:`STREAM_BLOCK`
-    cycles at a time, yielding records as each block completes."""
+    """Fold :func:`process_block` over a cycle iterator, one block of
+    :func:`~.simulator.cycle_blocks` at a time, yielding its records."""
     if state is None:
         state = PipelineState.for_config(cfg)
-    source = iter(source)
-    while block := list(islice(source, STREAM_BLOCK)):
+    for block in cycle_blocks(source):
         yield from process_block(block, state, cfg)
 
 
@@ -316,7 +309,7 @@ def read_config_file(path):
 def config_from_file(
     path,
     calibration: Calibration,
-    noise_model: NoiseModelCoefficients | None = None,
+    noise_model: NoiseModelCoefficients | None,
 ) -> PipelineConfig:
     """Build a :class:`PipelineConfig` from a config file and a calibration."""
     wp, settings = read_config_file(path)

@@ -24,7 +24,7 @@ from .modulation import (SPEED_OF_LIGHT, WorkingPoint, open_atomic, ramp_slopes,
 
 FRAME_FORMAT_VERSION = 2
 
-#: Cycles per block: of frame-file I/O here, of the spectral front end in
+#: Cycles per block of :func:`cycle_blocks`, the one grouping of frame-file I/O,
 #: ``spectral.calibrate`` and ``pipeline.run_stream`` (README: "Block hot path").
 STREAM_BLOCK = 16
 
@@ -48,9 +48,18 @@ class GroundTruth:
             )
 
 
-def signed_beat(wp: WorkingPoint, slope: float, gt: GroundTruth) -> float:
-    """Signed beat frequency of a ramp of signed ``slope`` for a given target state."""
-    return (2.0 * gt.distance_R * slope + wp.emitted_frequency * gt.velocity_v) / SPEED_OF_LIGHT
+def signed_beat(wp: WorkingPoint, slope, distance, velocity):
+    """Signed beat frequency of a ramp of signed ``slope`` for a target at
+    ``distance`` moving at ``velocity``; arrays broadcast."""
+    return (2.0 * distance * slope + wp.emitted_frequency * velocity) / SPEED_OF_LIGHT
+
+
+def cycle_blocks(cycles):
+    """Lists of up to :data:`STREAM_BLOCK` consecutive cycles, drawn from any
+    iterable of them as each block is needed."""
+    source = iter(cycles)
+    while block := list(islice(source, STREAM_BLOCK)):
+        yield block
 
 
 def _biquad_pass(x, b0: float, a1: float, a2: float) -> np.ndarray:
@@ -114,7 +123,7 @@ def synthesize_cycle(
     amplitude: float,
     noise_sigma: float,
     seed: int,
-    cycle_index: int = 0,
+    cycle_index: int,
 ) -> np.ndarray:
     """Synthesize the samples of one cycle: its four ramps, end to end.
 
@@ -133,7 +142,7 @@ def synthesize_cycle(
     t = np.arange(n) / wp.sampling_rate
     raw = np.empty((n, 4))
     for index, slope in enumerate(ramp_slopes(wp)):
-        f = signed_beat(wp, slope, gt)
+        f = signed_beat(wp, slope, gt.distance_R, gt.velocity_v)
         if abs(f) >= wp.nyquist:
             raise AliasingError(
                 f"beat frequency {f:.6g} Hz is at or above Nyquist ({wp.nyquist:.6g} Hz)"
@@ -155,15 +164,14 @@ def write_frames(stem, cycles, wp: WorkingPoint) -> None:
     cycle count.
 
     Rows are drawn, checked (:func:`check_block`, before the float32 cast) and
-    written :data:`STREAM_BLOCK` at a time, so a generator is exported in
-    constant memory.  A bad block raises :class:`FramingError`, as
+    written a block (:func:`cycle_blocks`) at a time, so a generator is exported
+    in constant memory.  A bad block raises :class:`FramingError`, as
     :func:`read_frames` would, and leaves neither file written.
     """
     raw_path, sidecar_path = _frame_paths(stem)
-    rows = iter(cycles)
     n_cycles = 0
     with open_atomic(raw_path) as fh:
-        while block := list(islice(rows, STREAM_BLOCK)):
+        for block in cycle_blocks(cycles):
             fh.write(check_block(block, wp, raw_path, n_cycles, dtype="<f4"))
             n_cycles += len(block)
     sidecar = {

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .errors import DegeneratePairError, ParameterError
 from .modulation import SPEED_OF_LIGHT, WorkingPoint, ramp_slopes
+from .simulator import signed_beat
 
 STATUS_OK = "ok"
 STATUS_DEGRADED = "degraded"
@@ -184,10 +185,7 @@ def disambiguate(peaks, wp: WorkingPoint) -> Measurement:
         # implied beats sit farthest from the blind region.
         def blind_margin(combo):
             _, mean_r, mean_v, _ = combo
-            implied = [
-                (2.0 * mean_r * s + f_e * mean_v) / SPEED_OF_LIGHT for s in kept_slopes
-            ]
-            return min(abs(f) for f in implied)
+            return min(abs(signed_beat(wp, s, mean_r, mean_v)) for s in kept_slopes)
 
         positive.sort(key=blind_margin, reverse=True)
     signs, mean_r, mean_v, spread = positive[0]

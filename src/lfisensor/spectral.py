@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from itertools import islice
 
 import numpy as np
 
 from .errors import CalibrationError, ParameterError
 from .modulation import WorkingPoint, decode_fields, read_json_object, write_atomic
-from .simulator import STREAM_BLOCK, check_block
+from .simulator import check_block, cycle_blocks
 
 DEFAULT_FFT_BINS = 2048
 DEFAULT_ALPHA = 1.0
@@ -120,8 +119,14 @@ def check_fft_bins(fft_bins: int, frame_length: int) -> None:
         raise ParameterError(f"fft_bins must be a power of two, got {fft_bins}")
 
 
+def check_sync_offset(offset: int, cycle_length: int) -> None:
+    """Refuse a sync offset that is not a sample of one cycle."""
+    if not 0 <= offset < cycle_length:
+        raise ParameterError(f"sync_offset_samples must be in [0, {cycle_length}), got {offset}")
+
+
 def magnitude_spectra(block, wp: WorkingPoint, window, fft_bins: int, work: list,
-                      first_cycle: int = 0, offset: int = 0) -> np.ndarray:
+                      first_cycle: int, offset: int) -> np.ndarray:
     """Hamming-windowed (``window``), zero-padded FFT magnitudes of a block of cycles.
 
     Each cycle is rotated left by ``offset`` samples; ramp ``r`` of cycle ``c`` is row
@@ -145,23 +150,26 @@ def magnitude_spectra(block, wp: WorkingPoint, window, fft_bins: int, work: list
     return np.abs(transform[:, :bins], out=spectra)
 
 
-def bin_frequencies(wp: WorkingPoint, fft_bins: int = DEFAULT_FFT_BINS) -> np.ndarray:
+def bin_frequencies(wp: WorkingPoint, fft_bins: int) -> np.ndarray:
     """Center frequencies of the one-sided bins."""
     return np.arange(fft_bins // 2) * (wp.sampling_rate / fft_bins)
 
 
-def calibrate(cycles, wp: WorkingPoint, fft_bins: int = DEFAULT_FFT_BINS) -> Calibration:
+def calibrate(cycles, wp: WorkingPoint, fft_bins: int = DEFAULT_FFT_BINS,
+              offset: int = 0) -> Calibration:
     """Build per-ramp reference spectra from no-target cycles, any iterable of them.
 
-    One pass, :data:`STREAM_BLOCK` cycles at a time through :func:`magnitude_spectra`,
+    One pass, a block (:func:`~.simulator.cycle_blocks`) at a time through the
+    pipeline's :func:`magnitude_spectra`, each cycle rotated left by ``offset`` samples,
     in constant memory: per bin, the mean is a running sum over the count (``np.mean``
     of the stack, bit for bit) and the sample sigma is Welford's one-pass update.
     """
     check_fft_bins(fft_bins, wp.samples_per_ramp)
-    source, window, work, n_cycles = iter(cycles), np.hamming(wp.samples_per_ramp), [], 0
+    check_sync_offset(offset, wp.samples_per_cycle)
+    window, work, n_cycles = np.hamming(wp.samples_per_ramp), [], 0
     total, mean, m2 = np.zeros((3, 4, fft_bins // 2))
-    while block := list(islice(source, STREAM_BLOCK)):
-        spectra = magnitude_spectra(block, wp, window, fft_bins, work, first_cycle=n_cycles)
+    for block in cycle_blocks(cycles):
+        spectra = magnitude_spectra(block, wp, window, fft_bins, work, n_cycles, offset)
         for s in spectra.reshape(len(block), 4, -1):
             n_cycles += 1
             total += s
@@ -181,8 +189,8 @@ def calibrate(cycles, wp: WorkingPoint, fft_bins: int = DEFAULT_FFT_BINS) -> Cal
     )
 
 
-def remove_floor(magnitudes, scaled_mean, scaled_sigma, out=None) -> np.ndarray:
-    """``max(X - scaled_mean - scaled_sigma, 0)`` per bin, in that order.
+def remove_floor(magnitudes, scaled_mean, scaled_sigma, out) -> np.ndarray:
+    """``max(X - scaled_mean - scaled_sigma, 0)`` per bin, in that order, into ``out``.
 
     The scaled references are ``alpha * mean_ref`` and ``beta * sigma_ref``;
     the pipeline computes them once per configuration; ``out`` may be ``magnitudes``.

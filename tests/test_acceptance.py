@@ -33,7 +33,7 @@ from lfisensor import (
 from lfisensor.analysis import blind_map
 from lfisensor.cli import main as cli_main
 from lfisensor.modulation import save_working_point
-from lfisensor.peaks import GAUSSIAN, WEIGHTED_AVERAGE
+from lfisensor.peaks import DEFAULT_WINDOW, GAUSSIAN, WEIGHTED_AVERAGE
 from lfisensor.spectral import bin_frequencies
 
 from conftest import C, make_wp, true_beats, true_slopes
@@ -79,7 +79,7 @@ def roundtrip_batch(wp, quiet_cfg):
         if int(np.sum(np.abs(beats) < wp.hp_cutoff)) > 1:
             continue
         samples = synthesize_cycle(
-            wp, GroundTruth(r, v), 1.0, 0.0, seed=case_index
+            wp, GroundTruth(r, v), 1.0, 0.0, seed=case_index, cycle_index=0
         )
         record = process_cycle(samples, PipelineState.for_config(quiet_cfg), quiet_cfg)
         cases.append((r, v, beats, record))
@@ -152,7 +152,7 @@ def test_criterion_3_blind_ramp_redundancy(wp, quiet_cfg):
         if blind.sum() != 1 or not blind[k]:
             continue
         samples = synthesize_cycle(
-            wp, GroundTruth(r, v), 1.0, 0.0, seed=10_000 + attempt
+            wp, GroundTruth(r, v), 1.0, 0.0, seed=10_000 + attempt, cycle_index=0
         )
         record = process_cycle(samples, PipelineState.for_config(quiet_cfg), quiet_cfg)
         m = record.measurement
@@ -178,7 +178,7 @@ def test_criterion_4_baseline_fails_where_solver_holds(wp, quiet_cfg):
         if int(np.sum(np.abs(beats) < wp.hp_cutoff)) > 1:
             continue
         samples = synthesize_cycle(
-            wp, GroundTruth(r, v), 1.0, 0.0, seed=20_000 + attempt
+            wp, GroundTruth(r, v), 1.0, 0.0, seed=20_000 + attempt, cycle_index=0
         )
         record = process_cycle(samples, PipelineState.for_config(quiet_cfg), quiet_cfg)
         m = record.measurement
@@ -319,9 +319,9 @@ def test_criterion_9_interpolator_sweep(wp):
     for offset in np.linspace(0.0, 1.0, 32, endpoint=False):
         f = (base_bin + offset) * bin_width
         tone = np.cos(2 * np.pi * f * t + 0.7)
-        mags = magnitude_spectra([np.tile(tone, 4)], wp, window, 2048, work)[:1]
+        mags = magnitude_spectra([np.tile(tone, 4)], wp, window, 2048, work, 0, 0)[:1]
         for method in worst:
-            est = estimate_peaks(mags, freqs, [0.0], method=method)[0]
+            est = estimate_peaks(mags, freqs, [0.0], DEFAULT_WINDOW, method, mags.copy())[0]
             worst[method] = max(worst[method], abs(est.beat_frequency - f))
     for method, err in worst.items():
         assert err < 0.2 * bin_width, (method, err / bin_width)

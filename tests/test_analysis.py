@@ -322,7 +322,7 @@ def test_fit_predict_round_trip():
 
 def test_predict_rejects_nonpositive():
     with pytest.raises(ParameterError, match="beat_f_b"):
-        predict_sigma_fb(TRUE_COEFFS, 1e3, 1e14, 0.0, 0.1, 0.05)
+        predict_sigma_fb(TRUE_COEFFS, 1e3, 1e14, 0.0, 0.1, 0.05, 1)
 
 
 @pytest.mark.parametrize("a1", [200.0, -200.0], ids=["overflow", "underflow"])
@@ -331,7 +331,7 @@ def test_predict_refuses_a_sigma_that_is_not_finite_and_positive(a1):
     # 10**720 overflows a float and 10**-720 rounds to 0.
     coeffs = replace(TRUE_COEFFS, a1=a1)
     with pytest.raises(ParameterError, match="noise model predicts sigma_fb"):
-        predict_sigma_fb(coeffs, WP.ramp_rate, 1e15, 200e3, 0.02, 0.05)
+        predict_sigma_fb(coeffs, WP.ramp_rate, 1e15, 200e3, 0.02, 0.05, 1)
 
 
 def write_observations_csv(observations, path):

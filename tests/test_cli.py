@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import lfisensor
 from lfisensor import (CalibrationError, FramingError, NoiseModelCoefficients, ParameterError,
-                       blind_map, min_reliable_distance)
+                       blind_map, min_reliable_distance, write_frames)
 from lfisensor.cli import _CSV_HEADER, _build_parser, main
 from lfisensor.modulation import save_working_point
 from lfisensor.simulator import STREAM_BLOCK
@@ -573,6 +573,42 @@ def test_non_finite_analysis_setting_exits_nonzero(config_path, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: ") and needle in err
     assert [p.name for p in tmp_path.iterdir()] == [config_path.name]
+
+
+@pytest.mark.parametrize(
+    "line, needle",
+    [("alpha = inf", "alpha must be finite and >= 0, got inf"),
+     ("interp_window = 2049", "interp_window must be odd, >= 3 and <= fft_bins // 2 (1024)")],
+    ids=["alpha-inf", "interp_window-2049"],
+)
+def test_out_of_range_pipeline_setting_exits_nonzero(config_path, tmp_path, capsys, line,
+                                                     needle):
+    # An infinite alpha used to make every record invalid with no error, and a
+    # window wider than the spectrum to give records at the wrong distance.
+    cal = _calibrate(config_path, tmp_path)
+    config_path.write_text(config_path.read_text() + line + "\n")
+    capsys.readouterr()
+    assert main(["process", "--config", str(config_path), "--calibration", str(cal),
+                 "--cycles", "4", "--distance", "0.05", "--out", str(tmp_path / "run.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err
+    assert not (tmp_path / "run.csv").exists()
+
+
+def test_calibrate_honours_the_sync_offset(tmp_path, capsys):
+    # calibrate rotates each cycle as process does: at offset 40 its file is
+    # that of the rotated cycles at offset 0, byte for byte.
+    wp = make_wp()
+    cycles = np.random.default_rng(6).normal(0.0, 0.3, (20, wp.samples_per_cycle))
+    for offset, rows in ((40, cycles), (0, np.roll(cycles, -40, axis=1))):
+        config = tmp_path / f"offset{offset}.cfg"
+        save_working_point(wp, config)
+        config.write_text(config.read_text() + f"sync_offset_samples = {offset}\n")
+        write_frames(tmp_path / f"frames{offset}", rows.astype("<f4"), wp)
+        assert main(["calibrate", "--config", str(config), "--input",
+                     str(tmp_path / f"frames{offset}"),
+                     "--out", str(tmp_path / f"cal{offset}.json")]) == 0
+    assert (tmp_path / "cal40.json").read_bytes() == (tmp_path / "cal0.json").read_bytes()
 
 
 def test_calibrate_reports_its_count_in_cycles(config_path, tmp_path, capsys):

@@ -1,11 +1,14 @@
 """Package-wide structure: every top-level name and class member has a caller in
-the package, and every parameter default is overridden by one."""
+the package, and every parameter default is overridden by one call and taken by
+another."""
 
 import ast
 import math
 from pathlib import Path
 
 import lfisensor
+
+ROOT = Path(__file__).resolve().parent.parent
 
 #: Top-level names and class members (``Class.member``) that no module of the
 #: package refers to, each with the reason it stays.
@@ -22,6 +25,13 @@ UNREFERENCED = {
 UNPASSED = {
     "main.argv": "None parses sys.argv, as the console script needs; tests pass their own",
     "run_stream.state": "None starts a stream; a library caller may resume one, the CLI never",
+}
+
+#: Parameters with a default that every call in the package passes, each with
+#: the file outside the tests whose call takes the default.
+DEFAULTED_ELSEWHERE = {
+    "calibrate.fft_bins": "perfbench/gen.py",
+    "calibrate.offset": "perfbench/gen.py",
 }
 
 
@@ -112,6 +122,13 @@ def _calls(tree):
             yield name, math.inf if starred else len(node.args), {k.arg for k in node.keywords}
 
 
+def _passes(call, function, parameter, position) -> bool:
+    name, n_positional, keywords = call
+    return name == function and (
+        parameter in keywords or None in keywords
+        or (position is not None and n_positional > position))
+
+
 def test_every_parameter_default_is_overridden_by_some_call_in_the_package():
     # A default that no caller overrides is a setting nobody sets: a
     # constant passed as a parameter, with branches for values that never
@@ -123,11 +140,29 @@ def test_every_parameter_default_is_overridden_by_some_call_in_the_package():
         f"{function}.{parameter}"
         for tree in trees
         for function, parameter, position in _defaults(tree)
-        if not any(
-            name == function
-            and (parameter in keywords or None in keywords
-                 or (position is not None and n_positional > position))
-            for name, n_positional, keywords in calls
-        )
+        if not any(_passes(call, function, parameter, position) for call in calls)
     }
     assert unpassed == set(UNPASSED)
+
+
+def _takes_default(calls, function, parameter, position) -> bool:
+    return any(call[0] == function and not _passes(call, function, parameter, position)
+               for call in calls)
+
+
+def test_every_parameter_default_is_taken_by_some_call_outside_the_tests():
+    # A default that every call in the package overrides is a second call form
+    # that only tests take.  Drop the default, or list above the file outside
+    # the tests (the benchmark, say) whose call takes it.
+    trees = [tree for _, tree in _modules()]
+    calls = [call for tree in trees for call in _calls(tree)]
+    always_passed = {
+        f"{function}.{parameter}": (function, parameter, position)
+        for tree in trees
+        for function, parameter, position in _defaults(tree)
+        if not _takes_default(calls, function, parameter, position)
+    }
+    assert set(always_passed) == set(DEFAULTED_ELSEWHERE)
+    for name, path in DEFAULTED_ELSEWHERE.items():
+        outside = list(_calls(ast.parse((ROOT / path).read_text())))
+        assert _takes_default(outside, *always_passed[name]), f"{path} passes {name}"

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from lfisensor.peaks import (
     estimate_peaks,
     validity_thresholds,
 )
-from lfisensor.pipeline import STREAM_BLOCK
+from lfisensor.simulator import STREAM_BLOCK
 from lfisensor.spectral import bin_frequencies
 
 from conftest import make_wp
@@ -27,26 +28,35 @@ BIN_WIDTH = WP.sampling_rate / 2048
 FREQS = bin_frequencies(WP, 2048)
 
 
+def _estimates(stack, freqs, epsilons, window=DEFAULT_WINDOW, method=WEIGHTED_AVERAGE):
+    """``estimate_peaks`` of a stack, its threshold sort in a scratch array of its own."""
+    return estimate_peaks(stack, freqs, epsilons, window, method, np.empty_like(stack))
+
+
 def _estimate(mags, method=WEIGHTED_AVERAGE, window=DEFAULT_WINDOW, epsilon=0.0):
     """Peak of one spectrum: a stack of one row."""
-    return estimate_peaks(np.asarray(mags, dtype=float)[None], FREQS, [epsilon], window,
-                          method)[0]
+    return _estimates(np.asarray(mags, dtype=float)[None], FREQS, [epsilon], window, method)[0]
 
 
 def _interpolate(mags, center, method, window=DEFAULT_WINDOW, epsilon=0.0):
     """Interpolation of one spectrum around a given center bin."""
-    return peaks._interpolate(np.asarray(mags, dtype=float)[None], FREQS, [center], window,
-                              method, [epsilon], [0])[0]
+    stack = np.asarray(mags, dtype=float)[None]
+    return peaks._interpolate(stack, FREQS, np.array([center]), window, method, [epsilon],
+                              np.empty_like(stack))[0]
+
+
+def _thresholds(stack, epsilons):
+    return validity_thresholds(stack, epsilons, np.empty_like(stack))
 
 
 def _threshold(mags, epsilon=0.0):
-    return validity_thresholds(mags[None], [epsilon])[0]
+    return _thresholds(mags[None], [epsilon])[0]
 
 
 def _tone_spectrum(frequency, phase=0.0):
     t = np.arange(WP.samples_per_ramp) / WP.sampling_rate
     frame = np.cos(2 * np.pi * frequency * t + phase)
-    return magnitude_spectra([np.tile(frame, 4)], WP, np.hamming(frame.size), 2048, [])[0]
+    return magnitude_spectra([np.tile(frame, 4)], WP, np.hamming(frame.size), 2048, [], 0, 0)[0]
 
 
 def test_find_max_bin_basic():
@@ -261,9 +271,11 @@ def test_batched_estimate_of_a_row_ignores_its_neighbours(rows, method, epsilon)
     epsilons = [epsilon * (i + 1) / len(rows) for i in range(len(rows))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        batched = estimate_peaks(stack, FREQS, epsilons, method=method)
+        batched = _estimates(stack, FREQS, epsilons, method=method)
+        # Row i of a stack is ramp i % 4; alone, it is row 0.
         alone = [
-            estimate_peaks(stack[i : i + 1], FREQS, [eps], method=method, ramps=[i])[0]
+            replace(_estimates(stack[i : i + 1], FREQS, [eps], method=method)[0],
+                    ramp_index=i % 4)
             for i, eps in enumerate(epsilons)
         ]
     # repr spells every float exactly and lets a NaN equal itself.
@@ -294,11 +306,10 @@ def test_estimates_do_not_depend_on_the_height_of_the_stack(cycles, seed, method
     epsilons = list(rng.uniform(0.0, 0.5, 4 * cycles))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        tall = estimate_peaks(stack, FREQS, epsilons, method=method, ramps=(0, 1, 2, 3) * cycles,
-                              scratch=np.empty_like(stack))
+        tall = _estimates(stack, FREQS, epsilons, method=method)
         alone = [est for c in range(0, 4 * cycles, 4)
-                 for est in estimate_peaks(stack[c : c + 4], FREQS, epsilons[c : c + 4],
-                                           method=method)]
+                 for est in _estimates(stack[c : c + 4], FREQS, epsilons[c : c + 4],
+                                       method=method)]
     assert [repr(est) for est in tall] == [repr(est) for est in alone]
 
 
@@ -317,25 +328,25 @@ def _per_row_peaks(rows, freqs, centers, window, method, epsilons):
     estimates = []
     for r, (row, center, epsilon) in enumerate(zip(rows, centers, epsilons)):
         lo, hi = max(0, center - half), min(n_bins, center + half + 1)
-        threshold = validity_thresholds(row[None], [epsilon])[0]
+        threshold = _thresholds(row[None], [epsilon])[0]
         if method == GAUSSIAN:
             padded = np.zeros(window)
             padded[lo - center + half : hi - center + half] = row[lo:hi]
             (vertex,), (intensity,) = peaks._gaussian_fits(padded[None])
             if lo - center <= vertex <= hi - 1 - center:
                 frequency = float(freqs[center] + vertex * (freqs[1] - freqs[0]))
-                estimates.append(PeakEstimate(r, frequency, intensity, GAUSSIAN,
+                estimates.append(PeakEstimate(r % 4, frequency, intensity, GAUSSIAN,
                                               intensity > threshold))
                 continue
         weights, span = row[lo:hi], freqs[lo:hi]
         total = float(weights.sum())
         if total == 0.0:
             label = method if not row.any() else WEIGHTED_AVERAGE
-            estimates.append(PeakEstimate(r, 0.0, 0.0, label, valid=False))
+            estimates.append(PeakEstimate(r % 4, 0.0, 0.0, label, valid=False))
             continue
         frequency = float(min(max(np.dot(weights, span) / total, span[0]), span[-1]))
         intensity = float(row[center])
-        estimates.append(PeakEstimate(r, frequency, intensity, WEIGHTED_AVERAGE,
+        estimates.append(PeakEstimate(r % 4, frequency, intensity, WEIGHTED_AVERAGE,
                                       intensity > threshold))
     return estimates
 
@@ -367,15 +378,15 @@ def _peak_case(window, n_bins, rows, seed):
                 stack[r, rng.integers(n_bins)] = stack[r, at]
             elif kind == "zero-window":
                 stack[r, max(0, at - window // 2) : at + window // 2 + 1] = 0.0
-    return stack, centers, window
+    return stack, np.array(centers), window
 
 
 @st.composite
 def _peak_cases(draw):
-    """Stacks of 1-64 rows, windows of 3-25 bins, centers at and next to the
-    spectrum's ends as often as anywhere else."""
+    """Stacks of 1-64 rows, windows of 3-25 bins (no wider than a row), centers
+    at and next to the spectrum's ends as often as anywhere else."""
     window = draw(st.sampled_from(range(3, 26, 2)))
-    n_bins, half = draw(st.integers(1, 160)), window // 2
+    n_bins, half = draw(st.integers(window, 160)), window // 2
     ends = [0, half - 1, half, half + 1, n_bins - 2 - half, n_bins - 1 - half, n_bins - half,
             n_bins - 1]
     row = st.tuples(st.sampled_from(["peak", "tie", "noise", "zero-row", "zero-window"]),
@@ -398,8 +409,8 @@ def test_peak_stage_matches_a_per_row_loop(case, method, epsilon):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         at_centers = peaks._interpolate(rows, freqs, centers, window, method, epsilons,
-                                        range(len(rows)))
-        at_maxima = estimate_peaks(rows, freqs, epsilons, window, method)
+                                        np.empty_like(rows))
+        at_maxima = _estimates(rows, freqs, epsilons, window, method)
     # repr spells every float exactly and tells a bool from a numpy bool.
     assert repr(at_centers) == repr(_per_row_peaks(rows, freqs, centers, window, method,
                                                    epsilons))
@@ -467,7 +478,7 @@ def _stacks(draw):
 def test_stack_thresholds_are_np_median_of_each_rows_positive_bins(stack, epsilon):
     epsilons = [epsilon * (r + 1) for r in range(len(stack))]
     before = stack.tobytes()
-    thresholds = validity_thresholds(stack, epsilons)
+    thresholds = _thresholds(stack, epsilons)
     assert stack.tobytes() == before
     expected = []
     for row, eps in zip(stack, epsilons):
@@ -489,6 +500,8 @@ def test_window_preconditions():
     mags = _tone_spectrum(100 * BIN_WIDTH)
     with pytest.raises(ParameterError, match="odd"):
         _estimate(mags, window=4)
+    with pytest.raises(ParameterError, match="the 1024 bins of a row"):
+        _estimate(mags, window=1025)
     with pytest.raises(ParameterError, match="method"):
         _estimate(mags, method="parabolic")
 
@@ -507,14 +520,14 @@ def test_weighted_average_not_much_worse_than_gaussian():
     t = np.arange(WP.samples_per_ramp) / WP.sampling_rate
     window, work = np.hamming(WP.samples_per_ramp), []
     noise = rng.normal(0.0, 0.3, (64, WP.samples_per_ramp))
-    ref_mean = magnitude_spectra(noise.reshape(16, -1), WP, window, 2048, work).mean(axis=0)
+    ref_mean = magnitude_spectra(noise.reshape(16, -1), WP, window, 2048, work, 0, 0).mean(axis=0)
     errors = {GAUSSIAN: [], WEIGHTED_AVERAGE: []}
     for _ in range(150):
         f = (120 + rng.uniform()) * BIN_WIDTH
         frame = np.cos(2 * np.pi * f * t + rng.uniform(0, 2 * np.pi))
         frame = frame + rng.normal(0.0, 0.3, frame.size)
         # max(X - alpha mean_ref - beta sigma_ref, 0) at the defaults alpha 1, beta 0.
-        spectrum = magnitude_spectra([np.tile(frame, 4)], WP, window, 2048, work)[0]
+        spectrum = magnitude_spectra([np.tile(frame, 4)], WP, window, 2048, work, 0, 0)[0]
         mags = np.maximum(spectrum - ref_mean, 0.0)
         for method in errors:
             est = _estimate(mags, method)

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import tracemalloc
@@ -33,7 +34,8 @@ from lfisensor import (
 from lfisensor import pipeline
 from lfisensor.modulation import read_flat_config
 from lfisensor.peaks import PeakEstimate
-from lfisensor.pipeline import STREAM_BLOCK, _attach_sigmas, config_from_file, read_config_file
+from lfisensor.pipeline import _attach_sigmas, config_from_file, read_config_file
+from lfisensor.simulator import STREAM_BLOCK
 from lfisensor.spectral import Calibration, bin_frequencies
 
 from conftest import make_wp, true_beats, true_slopes
@@ -47,7 +49,7 @@ def test_clean_cycle_recovers_ground_truth(wp, quiet_cal):
     gt = GroundTruth(0.04, 0.03)
     cfg = _config(wp, quiet_cal)
     state = PipelineState.for_config(cfg)
-    samples = synthesize_cycle(wp, gt, 1.0, 0.0, seed=2)
+    samples = synthesize_cycle(wp, gt, 1.0, 0.0, seed=2, cycle_index=0)
     record = process_cycle(samples, state, cfg)
     m = record.measurement
     assert m.status == "ok"
@@ -69,7 +71,7 @@ def test_pure_noise_cycles_are_invalid(wp, noisy_cal):
 
 def test_identical_cycles_average_to_single_cycle_result(wp, quiet_cal):
     gt = GroundTruth(0.05, -0.02)
-    samples = synthesize_cycle(wp, gt, 1.0, 0.0, seed=4)
+    samples = synthesize_cycle(wp, gt, 1.0, 0.0, seed=4, cycle_index=0)
     one = _config(wp, quiet_cal, n_avg=1)
     record_one = process_cycle(samples.copy(), PipelineState.for_config(one), one)
     two = _config(wp, quiet_cal, n_avg=2)
@@ -128,7 +130,7 @@ def test_composition_identity(wp, noisy_cal, method):
     # zero-padded rfft magnitude, the mean over a one-cycle window, the
     # floor formula, then the peak stage on the cleaned (4, bins) stack.
     gt = GroundTruth(0.035, 0.05)
-    samples = synthesize_cycle(wp, gt, 1.0, 0.3, seed=9)
+    samples = synthesize_cycle(wp, gt, 1.0, 0.3, seed=9, cycle_index=0)
     cfg = _config(wp, noisy_cal, interp_method=method, beta=1.0)
     record = process_cycle(samples, PipelineState.for_config(cfg), cfg)
     frames = samples.reshape(4, wp.samples_per_ramp)
@@ -139,7 +141,7 @@ def test_composition_identity(wp, noisy_cal, method):
     cleaned = np.maximum(averaged - cfg.alpha * mean - cfg.beta * sigma, 0.0)
     epsilons = pipeline.DEFAULT_NOISE_GATE * np.median(sigma, axis=1)
     manual = estimate_peaks(cleaned, bin_frequencies(wp, cfg.fft_bins), epsilons.tolist(),
-                            cfg.interp_window, cfg.interp_method)
+                            cfg.interp_window, cfg.interp_method, cleaned.copy())
     assert [repr(p) for p in manual] == [repr(p) for p in record.peaks]
     assert {p.method for p in record.peaks} == {method}
 
@@ -150,7 +152,7 @@ def test_state_snapshot_reproduces_record(wp, quiet_cal):
     cycles = list(synthetic_cycles(wp, GroundTruth(0.05, 0.01), 1.0, 0.05, 3, 4))
     for samples in cycles[:-1]:
         process_cycle(samples, state, cfg)
-    snapshot = state.copy()
+    snapshot = copy.deepcopy(state)
     first = process_cycle(cycles[-1], state, cfg)
     again = process_cycle(cycles[-1], snapshot, cfg)
     assert first.measurement == again.measurement
@@ -191,7 +193,7 @@ def test_replay_across_blocks_matches_synthetic_run(wp, quiet_cal, tmp_path):
 
 
 def test_replay_rejects_other_working_point(wp, tmp_path):
-    samples = synthesize_cycle(wp, GroundTruth(0.03, 0.0), 1.0, 0.0, seed=1)
+    samples = synthesize_cycle(wp, GroundTruth(0.03, 0.0), 1.0, 0.0, seed=1, cycle_index=0)
     stem = tmp_path / "frames"
     write_frames(stem, [samples], wp)
     other = make_wp(steep_slope=2e15)
@@ -204,7 +206,7 @@ def test_noise_model_fills_sigmas(wp, quiet_cal):
     nm = NoiseModelCoefficients(a1=0.0, a2=0.0, a3=0.5, a4=0.0, a5=0.0, b=-1.0,
                                 fit_residual=0.0)
     cfg = _config(wp, quiet_cal, noise_model=nm)
-    samples = synthesize_cycle(wp, GroundTruth(0.04, 0.02), 1.0, 0.0, seed=8)
+    samples = synthesize_cycle(wp, GroundTruth(0.04, 0.02), 1.0, 0.0, seed=8, cycle_index=0)
     record = process_cycle(samples, PipelineState.for_config(cfg), cfg)
     m = record.measurement
     assert m.status == "ok"
@@ -288,20 +290,20 @@ def test_window_average_equals_mean_of_last_spectra(wp, quiet_cal, n_avg):
     mid_wrap = n_avg + n_avg // 2
     for t, spectra in enumerate(pushed):
         if t == mid_wrap:
-            snapshot = state.copy()
-        average = state.push(spectra)
+            snapshot = copy.deepcopy(state)
+        average = state.push(spectra, np.empty_like(spectra))
         assert np.array_equal(average, expected(t))
         # The caller owns the average, a one-spectrum window's too.
         assert not np.shares_memory(average, state.ring)
     # The copy is independent of the state it was taken from.
     for t in range(mid_wrap, len(pushed)):
-        assert np.array_equal(snapshot.push(pushed[t]), expected(t))
+        assert np.array_equal(snapshot.push(pushed[t], np.empty_like(pushed[t])), expected(t))
     assert snapshot.cycles_seen == state.cycles_seen == len(pushed)
 
 
 def test_without_noise_model_sigmas_are_nan(wp, quiet_cal):
     cfg = _config(wp, quiet_cal)
-    samples = synthesize_cycle(wp, GroundTruth(0.04, 0.0), 1.0, 0.0, seed=8)
+    samples = synthesize_cycle(wp, GroundTruth(0.04, 0.0), 1.0, 0.0, seed=8, cycle_index=0)
     record = process_cycle(samples, PipelineState.for_config(cfg), cfg)
     assert math.isnan(record.measurement.sigma_R)
     assert math.isnan(record.measurement.sigma_v)
@@ -313,10 +315,10 @@ def test_one_blind_ramp_still_recovers(wp, quiet_cal):
     r = 0.03
     v = -2.0 * r * slopes[2] / wp.emitted_frequency  # shallow-up beat = 0
     gt = GroundTruth(r, v)
-    blind = [abs(signed_beat(wp, slope, gt)) < wp.hp_cutoff for slope in slopes]
+    blind = [abs(signed_beat(wp, slope, r, v)) < wp.hp_cutoff for slope in slopes]
     assert blind == [False, False, True, False]
     cfg = _config(wp, quiet_cal)
-    samples = synthesize_cycle(wp, gt, 1.0, 0.0, seed=14)
+    samples = synthesize_cycle(wp, gt, 1.0, 0.0, seed=14, cycle_index=0)
     record = process_cycle(samples, PipelineState.for_config(cfg), cfg)
     m = record.measurement
     assert 2 not in m.selected_ramps
@@ -332,7 +334,7 @@ def test_config_file_round_trip(wp, quiet_cal, tmp_path):
     parsed_wp, settings = read_config_file(path)
     assert parsed_wp == wp
     assert settings["n_avg"] == 4 and settings["beta"] == 0.5
-    cfg = config_from_file(path, quiet_cal)
+    cfg = config_from_file(path, quiet_cal, None)
     assert cfg.n_avg == 4
     assert cfg.interp_method == "gaussian"
     assert cfg.fft_bins == 2048  # cited default
@@ -385,6 +387,10 @@ def _flat_calibration(wp, fft_bins):
         ({"beta": -1e-3}, "beta"),
         ({"sync_offset_samples": -1}, "sync_offset"),
         ({"sync_offset_samples": 2000}, "sync_offset"),
+        ({"interp_window": 1025}, "interp_window"),  # wider than the 1024 one-sided bins
+        ({"interp_window": 2049}, "interp_window"),
+        ({"alpha": math.inf}, "alpha"),
+        ({"beta": math.inf}, "beta"),
     ],
 )
 def test_config_rejects_bad_settings_at_construction(wp, quiet_cal, overrides, name):
@@ -401,12 +407,13 @@ def test_config_rejects_bad_fft_bins_at_construction(wp, fft_bins):
 def test_config_accepts_boundary_settings(wp, quiet_cal):
     _config(wp, quiet_cal, interp_window=3, alpha=0.0, beta=0.0,
             sync_offset_samples=wp.samples_per_cycle - 1)
+    _config(wp, quiet_cal, interp_window=1023)
     _config(wp, _flat_calibration(wp, 512), fft_bins=512)
 
 
 def test_sync_offset_roll(wp, quiet_cal):
     gt = GroundTruth(0.04, 0.01)
-    samples = synthesize_cycle(wp, gt, 1.0, 0.0, seed=21)
+    samples = synthesize_cycle(wp, gt, 1.0, 0.0, seed=21, cycle_index=0)
     shifted = np.roll(samples, 40)
     cfg = _config(wp, quiet_cal, sync_offset_samples=40)
     record = process_cycle(shifted, PipelineState.for_config(cfg), cfg)
@@ -479,7 +486,7 @@ def test_state_copy_in_mid_stream_owns_its_arrays(wp, noisy_cal):
     cycles = _stream(wp)
     state = PipelineState.for_config(cfg)
     process_block(cycles[: STREAM_BLOCK + 3], state, cfg)
-    snapshot = state.copy()
+    snapshot = copy.deepcopy(state)
     assert not np.shares_memory(snapshot.ring, state.ring)
     rest = cycles[STREAM_BLOCK + 3 :]
     first, again = process_block(rest, state, cfg), process_block(rest, snapshot, cfg)
@@ -533,7 +540,7 @@ def test_run_stream_yields_the_blocks_before_a_non_finite_one(wp, noisy_cal, bad
 def test_block_of_cycles_of_other_lengths_is_refused(wp, quiet_cal):
     cfg = _config(wp, quiet_cal)
     state = PipelineState.for_config(cfg)
-    good = synthesize_cycle(wp, GroundTruth(0.04, 0.0), 1.0, 0.0, seed=8)
+    good = synthesize_cycle(wp, GroundTruth(0.04, 0.0), 1.0, 0.0, seed=8, cycle_index=0)
     with pytest.raises(FramingError, match="differ in length"):
         process_block([good, good[:-1]], state, cfg)
     with pytest.raises(FramingError, match=f"expected cycles of {wp.samples_per_cycle} samples"):

@@ -26,17 +26,15 @@ from conftest import C, make_wp, true_beats, true_slopes
 
 def test_zero_target_zero_beats(wp=None):
     wp = make_wp()
-    gt = GroundTruth(0.0, 0.0)
-    assert all(signed_beat(wp, slope, gt) == 0.0 for slope in true_slopes(wp))
+    assert all(signed_beat(wp, slope, 0.0, 0.0) == 0.0 for slope in true_slopes(wp))
 
 
 def test_distance_beat_round_trips_through_pair_equation():
     # Oracle: plug the two steep-ramp beats into the pair distance equation.
     wp = make_wp(steep_slope=1.67e14, hp_cutoff=0.0)
-    gt = GroundTruth(0.03, 0.0)
     up, down = true_slopes(wp)[:2].tolist()
-    f1 = signed_beat(wp, up, gt)
-    f2 = signed_beat(wp, down, gt)
+    f1 = signed_beat(wp, up, 0.03, 0.0)
+    f2 = signed_beat(wp, down, 0.03, 0.0)
     recovered = C * (f1 - f2) / (2.0 * (up - down))
     assert recovered == pytest.approx(0.03, rel=1e-12)
     assert f1 == pytest.approx(2.0 * 0.03 * 1.67e14 / C, rel=1e-12)
@@ -44,8 +42,7 @@ def test_distance_beat_round_trips_through_pair_equation():
 
 def test_velocity_beat_round_trips_through_pair_equation():
     wp = make_wp(hp_cutoff=0.0)
-    gt = GroundTruth(0.0, 0.1)
-    beats = [signed_beat(wp, slope, gt) for slope in true_slopes(wp)]
+    beats = [signed_beat(wp, slope, 0.0, 0.1) for slope in true_slopes(wp)]
     assert len(set(beats)) == 1  # pure Doppler hits every ramp identically
     up, down = true_slopes(wp)[:2].tolist()
     f1, f2 = beats[0], beats[1]
@@ -65,7 +62,7 @@ def test_signed_beat_affine_in_r_and_v(r0, v0, dr, dv):
     slope = true_slopes(wp)[0]
 
     def f(r, v):
-        return signed_beat(wp, slope, GroundTruth(r, v))
+        return signed_beat(wp, slope, r, v)
 
     # Second differences of an affine map vanish.
     assert f(r0 + 2 * dr, v0) - 2 * f(r0 + dr, v0) + f(r0, v0) == pytest.approx(
@@ -105,7 +102,7 @@ def test_non_finite_target_rejected(value):
 def test_synthesis_refuses_a_non_finite_or_negative_level(name, value):
     levels = {"amplitude": 1.0, "noise_sigma": 0.1, name: value}
     with pytest.raises(ParameterError, match=f"{name} must be finite and >= 0"):
-        synthesize_cycle(make_wp(), GroundTruth(0.03, 0.0), seed=1, **levels)
+        synthesize_cycle(make_wp(), GroundTruth(0.03, 0.0), seed=1, cycle_index=0, **levels)
 
 
 def test_cycle_bytes_do_not_depend_on_the_other_cycles(monkeypatch):
@@ -139,7 +136,7 @@ def test_cycle_bytes_do_not_depend_on_the_other_cycles(monkeypatch):
 
 def _ramp_samples(wp, ramp, gt, amplitude, noise_sigma, seed):
     """Ramp ``ramp``'s slice of a synthesized cycle."""
-    cycle = synthesize_cycle(wp, gt, amplitude, noise_sigma, seed)
+    cycle = synthesize_cycle(wp, gt, amplitude, noise_sigma, seed, 0)
     return cycle.reshape(4, -1)[ramp]
 
 
@@ -148,7 +145,7 @@ def test_clean_frame_spectrum_peaks_at_beat():
     wp = make_wp()
     gt = GroundTruth(0.05, 0.02)
     samples = _ramp_samples(wp, 0, gt, amplitude=1.0, noise_sigma=0.0, seed=3)
-    f = signed_beat(wp, true_slopes(wp)[0], gt)
+    f = signed_beat(wp, true_slopes(wp)[0], gt.distance_R, gt.velocity_v)
     assert abs(f) >= wp.hp_cutoff
     n = samples.size
     spectrum = np.abs(np.fft.rfft(samples.astype(float)))
@@ -161,21 +158,20 @@ def test_frame_length_and_blind_flag():
     wp = make_wp()
     shallow_up = true_slopes(wp)[2]
     gt = GroundTruth(0.002, 0.0)  # shallow beat well below 10 kHz
-    cycle = synthesize_cycle(wp, gt, 1.0, 0.0, seed=1)
+    cycle = synthesize_cycle(wp, gt, 1.0, 0.0, seed=1, cycle_index=0)
     assert cycle.size == 4 * round(wp.ramp_duration * wp.sampling_rate)
-    assert abs(signed_beat(wp, shallow_up, gt)) < wp.hp_cutoff
+    assert abs(signed_beat(wp, shallow_up, gt.distance_R, gt.velocity_v)) < wp.hp_cutoff
 
 
 def test_blind_frame_attenuated_at_least_20db():
     # Oracle: squared Butterworth magnitude at the beat frequency.
     wp = make_wp()
     shallow_up = true_slopes(wp)[2]
-    blind_gt = GroundTruth(0.0015, 0.0)  # shallow beat = cutoff / 2
-    clear_gt = GroundTruth(0.03, 0.0)  # shallow beat = 100 kHz
-    blind = _ramp_samples(wp, 2, blind_gt, 1.0, 0.0, seed=2)
-    clear = _ramp_samples(wp, 2, clear_gt, 1.0, 0.0, seed=2)
-    f = abs(signed_beat(wp, shallow_up, blind_gt))
-    assert f < wp.hp_cutoff <= abs(signed_beat(wp, shallow_up, clear_gt))
+    blind_r, clear_r = 0.0015, 0.03  # shallow beats: cutoff / 2 and 100 kHz
+    blind = _ramp_samples(wp, 2, GroundTruth(blind_r, 0.0), 1.0, 0.0, seed=2)
+    clear = _ramp_samples(wp, 2, GroundTruth(clear_r, 0.0), 1.0, 0.0, seed=2)
+    f = abs(signed_beat(wp, shallow_up, blind_r, 0.0))
+    assert f < wp.hp_cutoff <= abs(signed_beat(wp, shallow_up, clear_r, 0.0))
     ratio = np.std(blind.astype(float)) / np.std(clear.astype(float))
     assert 20 * np.log10(ratio) <= -20.0
     expected = _squared_butterworth_gain(f, wp.hp_cutoff)
@@ -196,7 +192,7 @@ def test_aliasing_rejected():
     wp = make_wp()
     gt = GroundTruth(0.2, 0.0)  # steep beat ~1.3 MHz > 1 MHz Nyquist
     with pytest.raises(AliasingError, match="Nyquist"):
-        synthesize_cycle(wp, gt, 1.0, 0.0, seed=0)
+        synthesize_cycle(wp, gt, 1.0, 0.0, seed=0, cycle_index=0)
 
 
 def test_highpass_zero_in_zero_out():
@@ -392,7 +388,7 @@ def test_read_frames_checks_each_block_when_it_is_reached(tmp_path):
 )
 def test_frame_file_length_mismatch_rejected(tmp_path, delta):
     wp = make_wp()
-    samples = synthesize_cycle(wp, GroundTruth(0.03, 0.0), 1.0, 0.0, seed=5)
+    samples = synthesize_cycle(wp, GroundTruth(0.03, 0.0), 1.0, 0.0, seed=5, cycle_index=0)
     stem = tmp_path / "frames"
     write_frames(stem, [samples], wp)
     raw_path = tmp_path / "frames.f32"

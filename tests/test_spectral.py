@@ -17,7 +17,8 @@ from lfisensor import (
     magnitude_spectra,
     synthetic_cycles,
 )
-from lfisensor.spectral import STREAM_BLOCK, Calibration, bin_frequencies, remove_floor
+from lfisensor.simulator import STREAM_BLOCK
+from lfisensor.spectral import Calibration, bin_frequencies, remove_floor
 
 from conftest import make_wp
 
@@ -29,7 +30,8 @@ def _tone_frame(wp, frequency, phase=0.0, amplitude=1.0):
 
 def _spectrum(wp, frame, fft_bins=2048):
     """Magnitude spectrum of one frame: the first row of a cycle of four copies."""
-    return magnitude_spectra([np.tile(frame, 4)], wp, np.hamming(len(frame)), fft_bins, [])[0]
+    return magnitude_spectra([np.tile(frame, 4)], wp, np.hamming(len(frame)), fft_bins, [], 0,
+                             0)[0]
 
 
 def _direct_windowed_dft(frame, fft_bins, bins, fs):
@@ -49,10 +51,10 @@ def test_spectra_rows_are_the_ramps_of_each_cycle_in_order():
     frames = cycles.reshape(12, wp.samples_per_ramp)
     window, work = np.hamming(wp.samples_per_ramp), []
     oracle = np.abs(np.fft.rfft(frames * window, 2048)[:, :1024])
-    np.testing.assert_array_equal(magnitude_spectra(cycles, wp, window, 2048, work), oracle)
+    np.testing.assert_array_equal(magnitude_spectra(cycles, wp, window, 2048, work, 0, 0), oracle)
     # A smaller block reuses the grown work arrays; their pads are still zero.
     np.testing.assert_array_equal(
-        magnitude_spectra(cycles[1:2], wp, window, 2048, work), oracle[4:8])
+        magnitude_spectra(cycles[1:2], wp, window, 2048, work, 1, 0), oracle[4:8])
     assert len(work[0]) == 12
 
 
@@ -111,17 +113,38 @@ def test_fft_bins_preconditions():
         calibrate(cycles, wp, fft_bins=1000)
 
 
+@pytest.mark.parametrize("offset", [1, 40, 1999])
+def test_calibrate_rotates_each_cycle_by_the_sync_offset(offset):
+    # The reference comes from the front end the pipeline runs: each cycle
+    # rotated left by the offset, as process_block rotates it.
+    wp = make_wp()
+    cycles = np.random.default_rng(offset).normal(size=(STREAM_BLOCK + 5, wp.samples_per_cycle))
+    assert calibrate(cycles, wp, 2048, offset) == calibrate(np.roll(cycles, -offset, axis=1), wp)
+
+
+@pytest.mark.parametrize("offset", [-1, 2000])
+def test_calibrate_refuses_a_sync_offset_outside_the_cycle(offset):
+    wp = make_wp()
+    with pytest.raises(ParameterError, match=r"sync_offset_samples must be in \[0, 2000\)"):
+        calibrate([np.zeros(wp.samples_per_cycle)] * 16, wp, 2048, offset)
+
+
 def _window(n_avg, bins):
     """An empty sliding-average window of ``n_avg`` spectra per ramp."""
     return PipelineState(ring=np.zeros((4, 2 * n_avg, bins)))
 
 
+def _push(state, spectra):
+    """The window mean after ``spectra``, in an array of its own."""
+    return state.push(spectra, np.empty_like(spectra))
+
+
 def test_sliding_average_identity_and_constant():
     spectra = np.random.default_rng(0).uniform(size=(4, 1024))
     state = _window(3, 1024)
-    np.testing.assert_array_equal(state.push(spectra), spectra)
-    state.push(spectra)
-    np.testing.assert_allclose(state.push(spectra), spectra, rtol=1e-15)
+    np.testing.assert_array_equal(_push(state, spectra), spectra)
+    _push(state, spectra)
+    np.testing.assert_allclose(_push(state, spectra), spectra, rtol=1e-15)
 
 
 def test_sliding_average_noise_reduction_monte_carlo():
@@ -133,7 +156,7 @@ def test_sliding_average_noise_reduction_monte_carlo():
     for window in raw:
         state = _window(n_avg, 8)
         for bins in window:
-            mean = state.push(np.tile(bins, (4, 1)))  # the same bins on every ramp
+            mean = _push(state, np.tile(bins, (4, 1)))  # the same bins on every ramp
         averaged.append(mean[0])
     averaged = np.stack(averaged)
     ratio = averaged.std(axis=0).mean() / raw[:, 0, :].std(axis=0).mean()
@@ -213,7 +236,7 @@ def test_calibrate_mean_is_the_stack_mean_and_sigma_the_sample_sigma():
     wp = make_wp()
     cycles = np.random.default_rng(8).normal(size=(2 * STREAM_BLOCK + 7, wp.samples_per_cycle))
     window = np.hamming(wp.samples_per_ramp)
-    stack = magnitude_spectra(cycles, wp, window, 2048, []).reshape(len(cycles), 4, 1024)
+    stack = magnitude_spectra(cycles, wp, window, 2048, [], 0, 0).reshape(len(cycles), 4, 1024)
     cal = calibrate(cycles, wp)
     np.testing.assert_array_equal(cal.reference_mean, stack.mean(axis=0))
     np.testing.assert_allclose(cal.reference_sigma, stack.std(axis=0, ddof=1), rtol=1e-13)
@@ -221,7 +244,7 @@ def test_calibrate_mean_is_the_stack_mean_and_sigma_the_sample_sigma():
 
 def _subtract(x, mean, sigma, alpha=1.0, beta=0.0):
     """Floor subtraction as the pipeline scales it, on a (4, bins) stack."""
-    return remove_floor(x, alpha * mean, beta * sigma)
+    return remove_floor(x, alpha * mean, beta * sigma, np.empty_like(x))
 
 
 def test_subtract_floor_cases():
@@ -231,7 +254,7 @@ def test_subtract_floor_cases():
     np.testing.assert_array_equal(_subtract(x, mean, sigma, 0.0, 0.0), x)
     np.testing.assert_array_equal(_subtract(x, mean, sigma, 1.0, 1.0), 0.0)  # 5 - 2 - 4 -> 0
     out = x.copy()
-    assert remove_floor(out, mean, 0.0 * sigma, out=out) is out
+    assert remove_floor(out, mean, 0.0 * sigma, out) is out
     np.testing.assert_array_equal(out, 3.0)
 
 
@@ -265,8 +288,8 @@ def test_average_and_subtract_commute_without_flooring():
     history = [rng.uniform(10.0, 20.0, (4, 1024)) for _ in range(5)]
     raw, cleaned = _window(5, 1024), _window(5, 1024)
     for spectra in history:
-        avg_then_sub = _subtract(raw.push(spectra), mean, sigma)
-        sub_then_avg = cleaned.push(_subtract(spectra, mean, sigma))
+        avg_then_sub = _subtract(_push(raw, spectra), mean, sigma)
+        sub_then_avg = _push(cleaned, _subtract(spectra, mean, sigma))
     np.testing.assert_allclose(avg_then_sub, sub_then_avg, rtol=1e-12)
 
 
