@@ -10,6 +10,7 @@ to Gaussian, so either recovers the beat frequency well below one bin width.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,6 +21,7 @@ from .errors import ParameterError
 DEFAULT_WINDOW = 25
 DEFAULT_KAPPA = 3.0
 GAUSSIAN_PASSES = 3  # weighted log-parabola fits per Gaussian estimate
+_LARGEST = sys.float_info.max
 
 GAUSSIAN = "gaussian"
 WEIGHTED_AVERAGE = "weighted_average"
@@ -37,31 +39,58 @@ class PeakEstimate:
     valid: bool
 
 
-def validity_thresholds(rows, epsilons, scratch) -> list:
-    """Intensity a peak must exceed to count as a real detection, per row.
+def _least_reaching(intensity: float) -> float:
+    """The least float ``b`` with ``DEFAULT_KAPPA * b >= intensity``, for a positive intensity.
 
-    ``max(epsilons[r], DEFAULT_KAPPA * median of the positive bins)`` of each row of
-    a floored ``(rows, bins)`` stack (0 for the median of no bins); a low
-    intensity marks an unreliable (typically blind) ramp.  One sort of a copy
-    (into ``scratch``, an array of the stack's shape) puts each row's
-    nonpositive bins first and its NaNs last, so the positive bins are one
-    span and the median is ``np.median``'s, bit for bit.
+    A rounded product grows with its factor, so ``DEFAULT_KAPPA * v >= intensity``
+    holds exactly when ``v >= b``.  ``intensity / DEFAULT_KAPPA`` (the largest float's,
+    for an infinite intensity) is a float or two from ``b``.
     """
-    np.copyto(scratch, rows)
-    scratch.sort(axis=1)
-    thresholds = []
-    for row, epsilon in zip(scratch, epsilons):
-        lo = int(row.searchsorted(0.0, side="right"))
-        hi = int(row.searchsorted(math.inf, side="right"))
-        k = (lo + hi) // 2
-        if lo == hi:
-            median = 0.0
-        elif (hi - lo) % 2:
-            median = float(row[k])
+    b = (intensity if intensity <= _LARGEST else _LARGEST) / DEFAULT_KAPPA
+    while DEFAULT_KAPPA * b < intensity:
+        b = math.nextafter(b, math.inf)
+    while DEFAULT_KAPPA * (lower := math.nextafter(b, -math.inf)) >= intensity:
+        b = lower
+    return b
+
+
+def _row_counts(mask) -> list:
+    """The true entries of each row of a 2-D bool array, summed as bytes into the
+    narrowest type that holds a row's length (a wider sum costs more)."""
+    return np.add.reduce(mask.view(np.uint8), axis=1,
+                         dtype=np.min_scalar_type(mask.shape[1])).tolist()
+
+
+def validity(rows, intensities, epsilons) -> list:
+    """Whether each row's peak counts as a real detection, as a list of bools.
+
+    Row ``r`` of a floored ``(rows, bins)`` stack is valid when ``intensities[r]``
+    exceeds ``max(epsilons[r], DEFAULT_KAPPA * median)``, the median being
+    ``np.median`` of the row's positive bins (NaNs are not positive), or 0 for
+    none; a low intensity marks an unreliable (typically blind) ramp.  The
+    median is not computed: with ``b`` from :func:`_least_reaching`, it
+    clears the intensity when more than half the positive bins lie below
+    ``b``, which two counts over the stack tell.  Only a row whose even
+    count puts one of its middle pair on each side of ``b`` sorts its
+    positive bins for the pair's mean.  (``DEFAULT_KAPPA >= 2`` keeps
+    ``b``, and a pair below it, clear of overflow, so that pair's mean stays
+    below ``b`` too.)
+    """
+    # bool(): a numpy epsilon would make a numpy bool.
+    gated = [bool(i > e) and i > 0.0 for i, e in zip(intensities, epsilons)]
+    bounds = [_least_reaching(i) if g else math.inf for i, g in zip(intensities, gated)]
+    positive = _row_counts(rows > 0.0)
+    reaching = _row_counts(rows >= np.array(bounds)[:, None])
+    flags = []
+    for r, (gate, n, n_above) in enumerate(zip(gated, positive, reaching)):
+        if not (gate and n):
+            flags.append(gate)
+        elif n - n_above != n // 2 or n % 2:
+            flags.append(n - n_above > n // 2)
         else:  # np.median's mean of the middle pair; Python floats overflow quietly
-            median = (float(row[k - 1]) + float(row[k])) / 2
-        thresholds.append(max(epsilon, DEFAULT_KAPPA * median))
-    return thresholds
+            low, high = np.sort(rows[r][rows[r] > 0.0])[n // 2 - 1 : n // 2 + 1].tolist()
+            flags.append(intensities[r] > DEFAULT_KAPPA * ((low + high) / 2))
+    return flags
 
 
 @lru_cache(maxsize=16)
@@ -127,7 +156,7 @@ def _gaussian_fits(block: np.ndarray) -> tuple:
     return vertices, intensities
 
 
-def _interpolate(rows, bin_freqs, centers, window, method, epsilons, scratch) -> list:
+def _interpolate(rows, bin_freqs, centers, window, method, epsilons) -> list:
     """Each row's peak interpolated around its center bin: the batched core.
 
     Every step covers all rows at once, except the weighted average of a
@@ -142,7 +171,6 @@ def _interpolate(rows, bin_freqs, centers, window, method, epsilons, scratch) ->
     if not center_list:
         return []
     lowest, highest = min(center_list), max(center_list)
-    thresholds = validity_thresholds(rows, epsilons, scratch)
     edges = lowest <= half or highest >= n_bins - 1 - half
     columns = _window_tables(window)[0] + centers[:, None]
     # Each row's window and its bin frequencies; an edge row's are redone below.
@@ -161,8 +189,8 @@ def _interpolate(rows, bin_freqs, centers, window, method, epsilons, scratch) ->
             accepted = np.abs(vertices) <= half
         fitted = freqs[:, half] + vertices * (bin_freqs[1] - bin_freqs[0])
         if accepted.all():
-            return [PeakEstimate(r % 4, f, i, GAUSSIAN, bool(i > t)) for r, (f, i, t)
-                    in enumerate(zip(fitted.tolist(), fit_intensities, thresholds))]
+            return [PeakEstimate(r % 4, f, i, GAUSSIAN, v) for r, (f, i, v) in enumerate(zip(
+                fitted.tolist(), fit_intensities, validity(rows, fit_intensities, epsilons)))]
     # The weighted average, for every row the Gaussian fit does not cover.
     totals = weights.sum(axis=1)
     found = totals != 0.0  # a window with no weight has no peak
@@ -186,16 +214,17 @@ def _interpolate(rows, bin_freqs, centers, window, method, epsilons, scratch) ->
         intensities = np.where(accepted, fit_intensities, intensities)
         found |= accepted
         used = [GAUSSIAN if a else WEIGHTED_AVERAGE for a in accepted.tolist()]
-    valid = intensities > np.asarray(thresholds)
+    intensities = intensities.tolist()
     # An all-zero row has no peak under either method.
     return [PeakEstimate(r % 4, f, i, m, v) if peak
             else PeakEstimate(r % 4, 0.0, 0.0, method if not rows[r].any() else WEIGHTED_AVERAGE,
                               valid=False)
             for r, (f, i, m, v, peak) in enumerate(zip(
-                means.tolist(), intensities.tolist(), used, valid.tolist(), found.tolist()))]
+                means.tolist(), intensities, used, validity(rows, intensities, epsilons),
+                found.tolist()))]
 
 
-def estimate_peaks(rows, bin_freqs, epsilons, window, method, scratch) -> tuple:
+def estimate_peaks(rows, bin_freqs, epsilons, window, method) -> tuple:
     """Max-bin selection and interpolation, batched over a ``(rows, bins)`` stack.
 
     Row ``r`` is ramp ``r % 4``, as :func:`~.spectral.magnitude_spectra` lays
@@ -203,8 +232,8 @@ def estimate_peaks(rows, bin_freqs, epsilons, window, method, scratch) -> tuple:
     get alone.  The weighted average is ``sum(X(k) F(k)) / sum(X(k))`` over
     the window, with the center bin as intensity; the Gaussian fit
     (:func:`_gaussian_fits`) falls back to it when it fails or its vertex
-    leaves the window.  An all-zero row has no peak.  The threshold sort
-    overwrites ``scratch``, an array of the stack's shape.
+    leaves the window.  An all-zero row has no peak.  :func:`validity` gates
+    each estimate.
     """
     if method not in METHODS:
         raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
@@ -212,5 +241,4 @@ def estimate_peaks(rows, bin_freqs, epsilons, window, method, scratch) -> tuple:
         raise ParameterError(
             f"window must be odd, >= 3 and <= the {rows.shape[1]} bins of a row, got {window}")
     # The strongest bin of each row; ties break toward the lower frequency.
-    return tuple(_interpolate(rows, bin_freqs, rows.argmax(axis=1), window, method, epsilons,
-                              scratch))
+    return tuple(_interpolate(rows, bin_freqs, rows.argmax(axis=1), window, method, epsilons))

@@ -36,6 +36,7 @@ from .spectral import (
     DEFAULT_ALPHA,
     DEFAULT_BETA,
     DEFAULT_FFT_BINS,
+    MAX_WORK_BYTES,
     Calibration,
     bin_frequencies,
     check_fft_bins,
@@ -88,6 +89,11 @@ class PipelineConfig:
             )
         check_fft_bins(self.fft_bins, wp.samples_per_ramp)
         bins = self.fft_bins // 2
+        ring = 4 * 2 * self.n_avg * bins * 8  # PipelineState.ring, float64
+        if ring > MAX_WORK_BYTES:
+            raise ParameterError(
+                f"n_avg ({self.n_avg}) needs {ring} bytes of sliding-average ring at "
+                f"fft_bins {self.fft_bins}, more than MAX_WORK_BYTES ({MAX_WORK_BYTES})")
         if self.interp_window < 3 or self.interp_window % 2 == 0 or self.interp_window > bins:
             raise ParameterError(
                 f"interp_window must be odd, >= 3 and <= fft_bins // 2 ({bins}), "
@@ -97,7 +103,7 @@ class PipelineConfig:
             if not 0 <= getattr(self, name) < math.inf:
                 raise ParameterError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         check_sync_offset(self.sync_offset_samples, wp.samples_per_cycle)
-        self.calibration.check_compatible(wp, self.fft_bins)
+        self.calibration.check_compatible(wp, self.fft_bins, self.sync_offset_samples)
 
         cal = self.calibration
         derived = {
@@ -223,9 +229,8 @@ def process_block(block, state: PipelineState, cfg: PipelineConfig) -> list:
     by_cycle = cleaned.reshape(n_cycles, 4, bins)
     remove_floor(by_cycle, cfg.scaled_mean, cfg.scaled_sigma, by_cycle)
     epsilons = [gate / math.sqrt(n) for n in n_windows for gate in cfg.noise_gates]
-    # The magnitudes are in the ring now, so the threshold sort may overwrite them.
     peaks = estimate_peaks(cleaned, cfg.bin_frequencies, epsilons, cfg.interp_window,
-                           cfg.interp_method, spectra)
+                           cfg.interp_method)
     records = []
     for c, n_window in enumerate(n_windows):
         index, cycle_peaks = state.cycles_seen - n_cycles + c, peaks[4 * c : 4 * c + 4]

@@ -15,17 +15,22 @@ import numpy as np
 
 from .errors import CalibrationError, ParameterError
 from .modulation import WorkingPoint, decode_fields, read_json_object, write_atomic
-from .simulator import check_block, cycle_blocks
+from .simulator import STREAM_BLOCK, check_block, cycle_blocks
 
 DEFAULT_FFT_BINS = 2048
 DEFAULT_ALPHA = 1.0
 DEFAULT_BETA = 0.0
-CALIBRATION_FORMAT_VERSION = 2
+CALIBRATION_FORMAT_VERSION = 3
+#: The most bytes a setting may ask for in one work array set: the FFT arrays of a
+#: block of ``STREAM_BLOCK`` cycles (:func:`magnitude_spectra`), or the pipeline's
+#: sliding-average ring.  Larger settings are refused before anything is allocated.
+MAX_WORK_BYTES = 1 << 30
 #: No-target cycles a calibration needs (its sample sigma takes at least two).
 MIN_CALIBRATION_CYCLES = 16
 #: The calibration file's key of each scalar field of :class:`Calibration`.
 _CALIBRATION_SCALARS = {"n_cycles": "cycles", "sampling_rate": "sampling_rate_hz",
-                        "samples_per_ramp": "samples_per_ramp"}
+                        "samples_per_ramp": "samples_per_ramp",
+                        "sync_offset_samples": "sync_offset_samples"}
 
 
 @dataclass
@@ -33,7 +38,8 @@ class Calibration:
     """Per-bin mean and sigma of the no-target spectra, ramp i in row i.
 
     ``reference_mean`` and ``reference_sigma`` have shape
-    ``(4, n_bins // 2)``; ``n_cycles`` no-target cycles went into them.
+    ``(4, n_bins // 2)``; ``n_cycles`` no-target cycles went into them, each
+    rotated left by ``sync_offset_samples`` samples.
     """
 
     reference_mean: np.ndarray
@@ -41,10 +47,12 @@ class Calibration:
     n_cycles: int
     sampling_rate: float
     samples_per_ramp: int
+    sync_offset_samples: int
 
     def __post_init__(self):
         if self.n_cycles < 1:
             raise CalibrationError(f"cycles must be >= 1, got {self.n_cycles}")
+        check_sync_offset(self.sync_offset_samples, 4 * self.samples_per_ramp)
         for name in ("reference_mean", "reference_sigma"):
             rows = getattr(self, name)
             if rows.ndim != 2 or len(rows) != 4:
@@ -64,8 +72,8 @@ class Calibration:
         """FFT size of the calibrated spectra: twice their one-sided length."""
         return 2 * self.reference_mean.shape[1]
 
-    def check_compatible(self, wp: WorkingPoint, fft_bins: int) -> None:
-        """Refuse a calibration that does not match the active working point."""
+    def check_compatible(self, wp: WorkingPoint, fft_bins: int, sync_offset: int) -> None:
+        """Refuse a calibration that does not match the active working point and front end."""
         if self.n_bins != fft_bins:
             raise CalibrationError(
                 f"calibration FFT size {self.n_bins} != configured {fft_bins}"
@@ -79,6 +87,11 @@ class Calibration:
             raise CalibrationError(
                 f"calibration frame length {self.samples_per_ramp} != working point "
                 f"{wp.samples_per_ramp}"
+            )
+        if self.sync_offset_samples != sync_offset:
+            raise CalibrationError(
+                f"calibration sync offset {self.sync_offset_samples} samples != configured "
+                f"{sync_offset}"
             )
 
     def save(self, path) -> None:
@@ -110,13 +123,20 @@ class Calibration:
 
 
 def check_fft_bins(fft_bins: int, frame_length: int) -> None:
-    """Refuse an FFT size that is not a power of two or is shorter than a frame."""
+    """Refuse an FFT size that is not a power of two, is shorter than a frame, or
+    needs more than :data:`MAX_WORK_BYTES` of FFT work arrays for a block."""
     if fft_bins < frame_length:
         raise ParameterError(
             f"fft_bins ({fft_bins}) must be >= frame length ({frame_length})"
         )
     if fft_bins & (fft_bins - 1):
         raise ParameterError(f"fft_bins must be a power of two, got {fft_bins}")
+    # Per frame: the padded float frame, its complex rfft, the magnitudes and a spare.
+    work = 4 * STREAM_BLOCK * (8 * fft_bins + 16 * (fft_bins // 2 + 1) + 2 * 8 * (fft_bins // 2))
+    if work > MAX_WORK_BYTES:
+        raise ParameterError(
+            f"fft_bins ({fft_bins}) needs {work} bytes of FFT work arrays, more than "
+            f"MAX_WORK_BYTES ({MAX_WORK_BYTES})")
 
 
 def check_sync_offset(offset: int, cycle_length: int) -> None:
@@ -186,6 +206,7 @@ def calibrate(cycles, wp: WorkingPoint, fft_bins: int = DEFAULT_FFT_BINS,
         n_cycles=n_cycles,
         sampling_rate=wp.sampling_rate,
         samples_per_ramp=wp.samples_per_ramp,
+        sync_offset_samples=offset,
     )
 
 

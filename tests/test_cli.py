@@ -14,8 +14,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lfisensor
-from lfisensor import (CalibrationError, FramingError, NoiseModelCoefficients, ParameterError,
-                       blind_map, min_reliable_distance, write_frames)
+from lfisensor import (Calibration, CalibrationError, FramingError, NoiseModelCoefficients,
+                       ParameterError, blind_map, min_reliable_distance, write_frames)
 from lfisensor.cli import _CSV_HEADER, _build_parser, main
 from lfisensor.modulation import save_working_point
 from lfisensor.simulator import STREAM_BLOCK
@@ -576,39 +576,72 @@ def test_non_finite_analysis_setting_exits_nonzero(config_path, tmp_path, capsys
 
 
 @pytest.mark.parametrize(
-    "line, needle",
-    [("alpha = inf", "alpha must be finite and >= 0, got inf"),
-     ("interp_window = 2049", "interp_window must be odd, >= 3 and <= fft_bins // 2 (1024)")],
-    ids=["alpha-inf", "interp_window-2049"],
+    "command, line, needle",
+    [("process", "alpha = inf", "alpha must be finite and >= 0, got inf"),
+     ("process", "interp_window = 2049",
+      "interp_window must be odd, >= 3 and <= fft_bins // 2 (1024)"),
+     ("process", "n_avg = 1000000000000000",
+      "n_avg (1000000000000000) needs 65536000000000000000 bytes of sliding-average ring"),
+     ("calibrate", "fft_bins = 4611686018427387904",
+      "fft_bins (4611686018427387904) needs 7083549724304467821568 bytes of FFT work")],
+    ids=["alpha-inf", "interp_window-2049", "n_avg-1e15", "calibrate-fft_bins-2**62"],
 )
-def test_out_of_range_pipeline_setting_exits_nonzero(config_path, tmp_path, capsys, line,
-                                                     needle):
-    # An infinite alpha used to make every record invalid with no error, and a
-    # window wider than the spectrum to give records at the wrong distance.
+def test_out_of_range_pipeline_setting_exits_nonzero(config_path, tmp_path, capsys, command,
+                                                     line, needle):
+    # An infinite alpha used to make every record invalid with no error, a
+    # window wider than the spectrum to give records at the wrong distance, and
+    # a ring or FFT too large for memory to end in numpy's "array is too big".
     cal = _calibrate(config_path, tmp_path)
     config_path.write_text(config_path.read_text() + line + "\n")
     capsys.readouterr()
-    assert main(["process", "--config", str(config_path), "--calibration", str(cal),
-                 "--cycles", "4", "--distance", "0.05", "--out", str(tmp_path / "run.csv")]) == 1
+    out = tmp_path / "out"
+    argv = {"process": ["--calibration", str(cal), "--distance", "0.05"], "calibrate": []}
+    assert main([command, "--config", str(config_path), "--cycles", "16", "--out", str(out),
+                 *argv[command]]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and needle in err
-    assert not (tmp_path / "run.csv").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cal.json", "cal.json.manifest.json",
+                                                          config_path.name]
+
+
+def _offset_config(tmp_path, wp, offset):
+    config = tmp_path / f"offset{offset}.cfg"
+    save_working_point(wp, config)
+    config.write_text(config.read_text() + f"sync_offset_samples = {offset}\n")
+    return config
 
 
 def test_calibrate_honours_the_sync_offset(tmp_path, capsys):
-    # calibrate rotates each cycle as process does: at offset 40 its file is
-    # that of the rotated cycles at offset 0, byte for byte.
+    # calibrate rotates each cycle as process does: at offset 40 its reference
+    # is that of the rotated cycles at offset 0, bit for bit, and each file
+    # records the offset it was made with.
     wp = make_wp()
     cycles = np.random.default_rng(6).normal(0.0, 0.3, (20, wp.samples_per_cycle))
     for offset, rows in ((40, cycles), (0, np.roll(cycles, -40, axis=1))):
-        config = tmp_path / f"offset{offset}.cfg"
-        save_working_point(wp, config)
-        config.write_text(config.read_text() + f"sync_offset_samples = {offset}\n")
         write_frames(tmp_path / f"frames{offset}", rows.astype("<f4"), wp)
-        assert main(["calibrate", "--config", str(config), "--input",
-                     str(tmp_path / f"frames{offset}"),
+        assert main(["calibrate", "--config", str(_offset_config(tmp_path, wp, offset)),
+                     "--input", str(tmp_path / f"frames{offset}"),
                      "--out", str(tmp_path / f"cal{offset}.json")]) == 0
-    assert (tmp_path / "cal40.json").read_bytes() == (tmp_path / "cal0.json").read_bytes()
+    at_40, at_0 = (Calibration.load(tmp_path / f"cal{offset}.json") for offset in (40, 0))
+    for name in ("reference_mean", "reference_sigma"):
+        assert np.array_equal(getattr(at_40, name), getattr(at_0, name))
+    assert (at_40.sync_offset_samples, at_0.sync_offset_samples) == (40, 0)
+
+
+def test_process_refuses_a_calibration_made_at_another_sync_offset(tmp_path, capsys):
+    # References of cycles rotated by 0 and 40 samples differ by up to 52 % in
+    # a bin, so process refuses one made at another offset instead of using it.
+    wp = make_wp()
+    cal = tmp_path / "cal.json"
+    assert main(["calibrate", "--config", str(_offset_config(tmp_path, wp, 0)),
+                 "--cycles", "16", "--out", str(cal)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "run.csv"
+    assert main(["process", "--config", str(_offset_config(tmp_path, wp, 40)),
+                 "--calibration", str(cal), "--cycles", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: calibration {cal} does not fit: calibration "
+                                       "sync offset 0 samples != configured 40\n")
+    assert not out.exists()
 
 
 def test_calibrate_reports_its_count_in_cycles(config_path, tmp_path, capsys):
@@ -715,10 +748,13 @@ def _set_bin(key, ramp, value):
         (_set_bin("reference_mean", 1, "0"), "a reference bin must be a number, not str"),
         (_set_bin("reference_sigma", 2, False), "a reference bin must be a number, not bool"),
         (_set_bin("reference_mean", 0, 10**400), "int too large to convert to float"),
+        (lambda payload: {**payload, "sync_offset_samples": 2000},
+         "sync_offset_samples must be in [0, 2000), got 2000"),
     ],
     ids=["not-json", "not-an-object", "missing-key", "null-cycles", "version-1", "ragged", "nan",
          "inf", "negative", "fractional-cycles", "bool-cycles", "fractional-samples", "string-rate",
-         "extra-key", "string-bin", "bool-bin", "huge-bin"],
+         "extra-key", "string-bin", "bool-bin", "huge-bin",
+         "offset-past-the-cycle"],
 )
 def test_malformed_calibration_exits_nonzero(config_path, tmp_path, capsys, edit, needle):
     _refuse_calibration(config_path, tmp_path, capsys, edit, needle)
@@ -1112,7 +1148,7 @@ def _is_noise_model(model) -> bool:
 
 
 def _is_calibration(payload, valid) -> bool:
-    """Every calibration key and no other, the version an int 2, a count >= 1,
+    """Every calibration key and no other, the version an int 3, a count >= 1,
     and the rest equal to ``valid`` (a rate may be an int)."""
     def same(key):
         kinds = (int, float) if key == "sampling_rate_hz" else (type(valid[key]),)

@@ -21,7 +21,7 @@ from conftest import make_wp
 GOLDEN_SHA256 = {
     "frames.f32": "21ea43130d6752a0d2bd5caa5e7396111a22b973d05bdd776a4a63c782bebe37",
     "frames.json": "6142d193b6703d974402daaf54651b7ba466b944d1f0c1564ba5995b8b5a8508",
-    "cal.json": "1502d2ac7364417723330901138eea6e082628b32c0305c8a1a0046f769bdb78",
+    "cal.json": "8ffbde8969db3fb04a0b3c59b76ab63caeee43e19d2619c0f2729aab2223bdad",
     "run.csv": "3d86700972bf068a8ed8925395ce54e7414ace6e54c5cda82bbb0453e4ed30c4",
     "run.jsonl": "d9c9dad14dc5f4eb27d6fec0e864dbbbbbb2fd03c8e4acaa130a7c7e0986ce28",
 }

@@ -16,7 +16,7 @@ from lfisensor.peaks import (
     WEIGHTED_AVERAGE,
     PeakEstimate,
     estimate_peaks,
-    validity_thresholds,
+    validity,
 )
 from lfisensor.simulator import STREAM_BLOCK
 from lfisensor.spectral import bin_frequencies
@@ -29,8 +29,7 @@ FREQS = bin_frequencies(WP, 2048)
 
 
 def _estimates(stack, freqs, epsilons, window=DEFAULT_WINDOW, method=WEIGHTED_AVERAGE):
-    """``estimate_peaks`` of a stack, its threshold sort in a scratch array of its own."""
-    return estimate_peaks(stack, freqs, epsilons, window, method, np.empty_like(stack))
+    return estimate_peaks(stack, freqs, epsilons, window, method)
 
 
 def _estimate(mags, method=WEIGHTED_AVERAGE, window=DEFAULT_WINDOW, epsilon=0.0):
@@ -41,16 +40,16 @@ def _estimate(mags, method=WEIGHTED_AVERAGE, window=DEFAULT_WINDOW, epsilon=0.0)
 def _interpolate(mags, center, method, window=DEFAULT_WINDOW, epsilon=0.0):
     """Interpolation of one spectrum around a given center bin."""
     stack = np.asarray(mags, dtype=float)[None]
-    return peaks._interpolate(stack, FREQS, np.array([center]), window, method, [epsilon],
-                              np.empty_like(stack))[0]
+    return peaks._interpolate(stack, FREQS, np.array([center]), window, method, [epsilon])[0]
 
 
-def _thresholds(stack, epsilons):
-    return validity_thresholds(stack, epsilons, np.empty_like(stack))
-
-
-def _threshold(mags, epsilon=0.0):
-    return _thresholds(mags[None], [epsilon])[0]
+def _median_gate(row, intensity, epsilon) -> bool:
+    """Oracle of :func:`validity` for one row: ``intensity > max(epsilon, DEFAULT_KAPPA *
+    np.median(positive bins))``, with a median of 0 for no positive bin."""
+    positive = row[row > 0]
+    with np.errstate(over="ignore"):  # two middle bins near 1e308 sum to inf
+        median = float(np.median(positive)) if positive.size else 0.0
+    return bool(intensity > max(epsilon, DEFAULT_KAPPA * median))
 
 
 def _tone_spectrum(frequency, phase=0.0):
@@ -328,7 +327,6 @@ def _per_row_peaks(rows, freqs, centers, window, method, epsilons):
     estimates = []
     for r, (row, center, epsilon) in enumerate(zip(rows, centers, epsilons)):
         lo, hi = max(0, center - half), min(n_bins, center + half + 1)
-        threshold = _thresholds(row[None], [epsilon])[0]
         if method == GAUSSIAN:
             padded = np.zeros(window)
             padded[lo - center + half : hi - center + half] = row[lo:hi]
@@ -336,7 +334,7 @@ def _per_row_peaks(rows, freqs, centers, window, method, epsilons):
             if lo - center <= vertex <= hi - 1 - center:
                 frequency = float(freqs[center] + vertex * (freqs[1] - freqs[0]))
                 estimates.append(PeakEstimate(r % 4, frequency, intensity, GAUSSIAN,
-                                              intensity > threshold))
+                                              _median_gate(row, intensity, epsilon)))
                 continue
         weights, span = row[lo:hi], freqs[lo:hi]
         total = float(weights.sum())
@@ -347,7 +345,7 @@ def _per_row_peaks(rows, freqs, centers, window, method, epsilons):
         frequency = float(min(max(np.dot(weights, span) / total, span[0]), span[-1]))
         intensity = float(row[center])
         estimates.append(PeakEstimate(r % 4, frequency, intensity, WEIGHTED_AVERAGE,
-                                      intensity > threshold))
+                                      _median_gate(row, intensity, epsilon)))
     return estimates
 
 
@@ -408,8 +406,7 @@ def test_peak_stage_matches_a_per_row_loop(case, method, epsilon):
     epsilons = [epsilon * (r % 3) for r in range(len(rows))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        at_centers = peaks._interpolate(rows, freqs, centers, window, method, epsilons,
-                                        np.empty_like(rows))
+        at_centers = peaks._interpolate(rows, freqs, centers, window, method, epsilons)
         at_maxima = _estimates(rows, freqs, epsilons, window, method)
     # repr spells every float exactly and tells a bool from a numpy bool.
     assert repr(at_centers) == repr(_per_row_peaks(rows, freqs, centers, window, method,
@@ -433,20 +430,9 @@ def test_validity_absolute_gate():
     mags[300] = 5.0
     assert _estimate(mags).valid
     assert not _estimate(mags, epsilon=10.0).valid
-    assert _threshold(mags, epsilon=10.0) == 10.0
-
-
-def test_validity_threshold_floor_is_np_median_of_nonzero_bins():
-    rng = np.random.default_rng(5)
-    for n_nonzero in [*range(1, 12), 400, 401, 1024]:  # odd and even counts
-        mags = np.zeros(1024)
-        where = rng.choice(1024, n_nonzero, replace=False)
-        mags[where] = rng.random(n_nonzero) * 10.0 ** rng.uniform(-3, 3)
-        before = mags.copy()
-        expected = 3.0 * float(np.median(mags[mags > 0]))
-        assert _threshold(mags) == expected
-        np.testing.assert_array_equal(mags, before)  # the spectrum is not reordered
-    assert _threshold(np.zeros(1024), epsilon=0.5) == 0.5
+    # The gate is strict: an intensity equal to epsilon is not valid.
+    assert _estimate(mags, epsilon=math.nextafter(5.0, 0.0)).valid
+    assert not _estimate(mags, epsilon=5.0).valid
 
 
 _BIN = st.one_of(
@@ -466,7 +452,33 @@ def _stacks(draw):
     return np.array(draw(st.lists(row, min_size=1, max_size=6)))
 
 
+def _boundary_intensities(row) -> list:
+    """Intensities at ``DEFAULT_KAPPA`` times the median of a row's positive bins and
+    times each of its middle bins, one float either side of each, and infinity."""
+    positive = np.sort(row[row > 0])
+    middle = positive[(positive.size - 1) // 2 : positive.size // 2 + 1].tolist()
+    with np.errstate(over="ignore"):
+        median = float(np.median(positive)) if positive.size else 0.0
+    intensities = [math.inf]
+    for at in (DEFAULT_KAPPA * median, *(DEFAULT_KAPPA * bin_ for bin_ in middle)):
+        intensities += [math.nextafter(at, -math.inf), at, math.nextafter(at, math.inf)]
+    return intensities
+
+
+def _wide_stack(n_bins, counts, seed):
+    """Rows of ``n_bins`` bins with ``counts`` positive bins each, the rest zeros,
+    negatives and NaNs."""
+    rng = np.random.default_rng(seed)
+    stack = rng.choice([0.0, -1.0, math.nan], (len(counts), n_bins))
+    for row, count in zip(stack, counts):
+        row[rng.choice(n_bins, count, replace=False)] = 10.0 ** rng.uniform(-3, 3, count)
+    return stack
+
+
 @given(stack=_stacks(), epsilon=st.floats(0.0, 2.0))
+# Spectrum rows, and counts past what one and two bytes hold.
+@example(stack=_wide_stack(1024, [400, 401, 1024], 5), epsilon=0.0)
+@example(stack=_wide_stack(2**16, [2**16], 6), epsilon=0.0)
 @example(  # odd, even, zero and one positive counts, with both zeros, inf and NaN
     stack=np.array([[3.0, -0.0, 1.0, 2.0, math.nan, 4.0],
                     [1e308, 1.5e308, -5.0, 0.0, math.inf, 1e-300],
@@ -475,18 +487,28 @@ def _stacks(draw):
                     [5.0, 1.0, 2.0, -1.0, 0.0, math.inf]]),
     epsilon=0.0)
 @settings(max_examples=300, deadline=None)
-def test_stack_thresholds_are_np_median_of_each_rows_positive_bins(stack, epsilon):
-    epsilons = [epsilon * (r + 1) for r in range(len(stack))]
-    before = stack.tobytes()
-    thresholds = _thresholds(stack, epsilons)
-    assert stack.tobytes() == before
-    expected = []
-    for row, eps in zip(stack, epsilons):
-        positive = row[row > 0]
-        with np.errstate(over="ignore"):  # two middle bins near 1e308 sum to inf
-            median = float(np.median(positive)) if positive.size else None
-        expected.append(eps if median is None else max(eps, DEFAULT_KAPPA * median))
-    assert thresholds == expected
+def test_validity_is_the_median_gate_of_each_rows_positive_bins(stack, epsilon):
+    # Each row against intensities on and next to its gate, in one stack.
+    cases = [(r, i) for r, row in enumerate(stack) for i in _boundary_intensities(row)]
+    rows = stack[[r for r, _ in cases]]
+    epsilons = [epsilon * (r + 1) for r, _ in cases]
+    before = rows.tobytes()
+    flags = validity(rows, [i for _, i in cases], epsilons)
+    assert rows.tobytes() == before
+    assert flags == [_median_gate(stack[r], i, eps) for (r, i), eps in zip(cases, epsilons)]
+    assert all(type(flag) is bool for flag in flags)
+
+
+def test_an_even_count_straddling_the_bound_takes_the_middle_pairs_mean(monkeypatch):
+    # Positive bins 1, 2, 4 and 8: the median is 3, so the bound is 9.  Near 9,
+    # two positive bins lie below intensity / kappa and two above, so the counts
+    # cannot tell, and the row sorts its positive bins for their middle pair.
+    row = [8.0, 0.0, 2.0, math.nan, 4.0, -1.0, 1.0]
+    sorted_sizes, sort = [], np.sort
+    monkeypatch.setattr(np, "sort", lambda a: sorted_sizes.append(a.size) or sort(a))
+    intensities = [math.nextafter(9.0, 0.0), 9.0, math.nextafter(9.0, math.inf), 100.0]
+    assert validity(np.array([row] * 4), intensities, [0.0] * 4) == [False, False, True, True]
+    assert sorted_sizes == [4, 4, 4]
 
 
 def test_lone_bin_is_indistinguishable_from_floor():

@@ -2,7 +2,7 @@ import copy
 import itertools
 import math
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +43,11 @@ from conftest import make_wp, true_beats, true_slopes
 
 def _config(wp, cal, **overrides):
     return PipelineConfig(working_point=wp, calibration=cal, **overrides)
+
+
+def _at_offset(cal, offset):
+    """``cal``'s reference spectra, labelled as made at sync offset ``offset``."""
+    return replace(cal, sync_offset_samples=offset)
 
 
 def test_clean_cycle_recovers_ground_truth(wp, quiet_cal):
@@ -141,7 +146,7 @@ def test_composition_identity(wp, noisy_cal, method):
     cleaned = np.maximum(averaged - cfg.alpha * mean - cfg.beta * sigma, 0.0)
     epsilons = pipeline.DEFAULT_NOISE_GATE * np.median(sigma, axis=1)
     manual = estimate_peaks(cleaned, bin_frequencies(wp, cfg.fft_bins), epsilons.tolist(),
-                            cfg.interp_window, cfg.interp_method, cleaned.copy())
+                            cfg.interp_window, cfg.interp_method)
     assert [repr(p) for p in manual] == [repr(p) for p in record.peaks]
     assert {p.method for p in record.peaks} == {method}
 
@@ -374,7 +379,7 @@ def test_config_invariants(wp, quiet_cal):
 def _flat_calibration(wp, fft_bins):
     """All-zero calibration on any FFT grid, built directly so nothing checks it."""
     zeros = np.zeros((4, fft_bins // 2))
-    return Calibration(zeros, zeros, 16, wp.sampling_rate, wp.samples_per_ramp)
+    return Calibration(zeros, zeros, 16, wp.sampling_rate, wp.samples_per_ramp, 0)
 
 
 @pytest.mark.parametrize(
@@ -391,6 +396,7 @@ def _flat_calibration(wp, fft_bins):
         ({"interp_window": 2049}, "interp_window"),
         ({"alpha": math.inf}, "alpha"),
         ({"beta": math.inf}, "beta"),
+        ({"n_avg": 16385}, "n_avg"),  # a ring of 1 GiB and 64 kB, past MAX_WORK_BYTES
     ],
 )
 def test_config_rejects_bad_settings_at_construction(wp, quiet_cal, overrides, name):
@@ -398,24 +404,28 @@ def test_config_rejects_bad_settings_at_construction(wp, quiet_cal, overrides, n
         _config(wp, quiet_cal, **overrides)
 
 
-@pytest.mark.parametrize("fft_bins", [1000, 256])  # not a power of two; < 500 samples
+# Not a power of two; < 500 samples; FFT work arrays of 1.5 GiB for a block.
+@pytest.mark.parametrize("fft_bins", [1000, 256, 2**20])
 def test_config_rejects_bad_fft_bins_at_construction(wp, fft_bins):
     with pytest.raises(ParameterError, match="fft_bins"):
         _config(wp, _flat_calibration(wp, fft_bins), fft_bins=fft_bins)
 
 
 def test_config_accepts_boundary_settings(wp, quiet_cal):
-    _config(wp, quiet_cal, interp_window=3, alpha=0.0, beta=0.0,
-            sync_offset_samples=wp.samples_per_cycle - 1)
+    last = wp.samples_per_cycle - 1
+    _config(wp, _at_offset(quiet_cal, last), interp_window=3, alpha=0.0, beta=0.0,
+            sync_offset_samples=last)
     _config(wp, quiet_cal, interp_window=1023)
     _config(wp, _flat_calibration(wp, 512), fft_bins=512)
+    _config(wp, quiet_cal, n_avg=16384)  # a ring of MAX_WORK_BYTES
+    _config(wp, _flat_calibration(wp, 2**19), fft_bins=2**19)  # work arrays of 768 MiB
 
 
 def test_sync_offset_roll(wp, quiet_cal):
     gt = GroundTruth(0.04, 0.01)
     samples = synthesize_cycle(wp, gt, 1.0, 0.0, seed=21, cycle_index=0)
     shifted = np.roll(samples, 40)
-    cfg = _config(wp, quiet_cal, sync_offset_samples=40)
+    cfg = _config(wp, _at_offset(quiet_cal, 40), sync_offset_samples=40)
     record = process_cycle(shifted, PipelineState.for_config(cfg), cfg)
     baseline_cfg = _config(wp, quiet_cal)
     baseline = process_cycle(
@@ -453,7 +463,7 @@ def test_blocks_of_any_size_give_the_per_cycle_records(wp, noisy_cal, method, n_
     # those of one process_cycle call per cycle, every float to the bit (repr).
     # With an offset, the per-cycle reference rolls each cycle on its own.
     cycles = _stream(wp)
-    cfg = _config(wp, noisy_cal, interp_method=method, n_avg=n_avg,
+    cfg = _config(wp, _at_offset(noisy_cal, offset), interp_method=method, n_avg=n_avg,
                   noise_model=_NOISE_MODEL if noise else None, sync_offset_samples=offset)
     key = (method, n_avg, noise, offset)
     if key not in _PER_CYCLE:
@@ -596,10 +606,10 @@ def test_int_and_bool_samples_are_cast(wp, quiet_cal, tmp_path, entry, dtype):
 @pytest.mark.parametrize("size", [STREAM_BLOCK, 2 * STREAM_BLOCK])
 @pytest.mark.parametrize("method", ["weighted_average", "gaussian"])
 def test_blocks_allocate_no_large_temporaries(wp, noisy_cal, method, size):
-    # The block's FFT input and output, spectra, cleaned stack and sort copy
-    # (3 MB at STREAM_BLOCK cycles) live in the state; allocated per block,
-    # they cost a page fault per page.  numpy reports its buffers to tracemalloc.
-    # At twice the block, the 1 MB sort copy alone would exceed the bound.
+    # The block's FFT input and output, spectra and cleaned stack (3 MB at
+    # STREAM_BLOCK cycles) live in the state; allocated per block, they cost a
+    # page fault per page.  numpy reports its buffers to tracemalloc.  At twice
+    # the block, a 1 MB copy of the cleaned stack alone would exceed the bound.
     cfg = _config(wp, noisy_cal, n_avg=16, interp_method=method, noise_model=_NOISE_MODEL)
     cycles = _stream(wp, 5 * size)
     blocks = [list(cycles[k : k + size]) for k in range(0, len(cycles), size)]

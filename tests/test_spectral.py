@@ -119,7 +119,10 @@ def test_calibrate_rotates_each_cycle_by_the_sync_offset(offset):
     # rotated left by the offset, as process_block rotates it.
     wp = make_wp()
     cycles = np.random.default_rng(offset).normal(size=(STREAM_BLOCK + 5, wp.samples_per_cycle))
-    assert calibrate(cycles, wp, 2048, offset) == calibrate(np.roll(cycles, -offset, axis=1), wp)
+    rotated = calibrate(cycles, wp, 2048, offset)
+    assert rotated.sync_offset_samples == offset
+    aligned = calibrate(np.roll(cycles, -offset, axis=1), wp)
+    assert replace(rotated, sync_offset_samples=0) == aligned
 
 
 @pytest.mark.parametrize("offset", [-1, 2000])
@@ -312,12 +315,14 @@ def test_calibration_save_load_round_trip(tmp_path):
 def test_calibration_compatibility_checks(tmp_path):
     wp = make_wp()
     cal = calibrate([np.zeros(wp.samples_per_cycle) for _ in range(16)], wp)
-    cal.check_compatible(wp, 2048)
+    cal.check_compatible(wp, 2048, 0)
     with pytest.raises(CalibrationError, match="FFT size"):
-        cal.check_compatible(wp, 4096)
+        cal.check_compatible(wp, 4096, 0)
     other = make_wp(sampling_rate=1e6)
     with pytest.raises(CalibrationError):
-        cal.check_compatible(other, 2048)
+        cal.check_compatible(other, 2048, 0)
+    with pytest.raises(CalibrationError, match="sync offset 0 samples != configured 40"):
+        cal.check_compatible(wp, 2048, 40)
 
 
 def test_calibration_equality_compares_values():
