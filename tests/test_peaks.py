@@ -435,6 +435,22 @@ def test_validity_absolute_gate():
     assert not _estimate(mags, epsilon=5.0).valid
 
 
+def test_validity_threshold_floor_is_np_median_of_nonzero_bins():
+    # The flag turns on one float past kappa times np.median of the nonzero bins.
+    rng = np.random.default_rng(5)
+    for n_nonzero in [*range(1, 12), 400, 401, 1024]:  # odd and even counts
+        mags = np.zeros(1024)
+        where = rng.choice(1024, n_nonzero, replace=False)
+        mags[where] = rng.random(n_nonzero) * 10.0 ** rng.uniform(-3, 3)
+        before = mags.copy()
+        at = 3.0 * float(np.median(mags[mags > 0]))
+        intensities = [math.nextafter(at, 0.0), at, math.nextafter(at, math.inf)]
+        assert validity(np.array([mags] * 3), intensities, [0.0] * 3) == [False, False, True]
+        np.testing.assert_array_equal(mags, before)  # the spectrum is not reordered
+    # No nonzero bin: epsilon alone is the floor.
+    assert validity(np.zeros((2, 1024)), [0.5, math.nextafter(0.5, 1.0)], [0.5] * 2) == [
+        False, True]
+
 _BIN = st.one_of(
     st.sampled_from([0.0, -0.0, math.inf, math.nan]),
     st.floats(-300.0, 300.0).map(lambda e: 10.0**e),  # 600 decades
@@ -476,8 +492,7 @@ def _wide_stack(n_bins, counts, seed):
 
 
 @given(stack=_stacks(), epsilon=st.floats(0.0, 2.0))
-# Spectrum rows, and counts past what one and two bytes hold.
-@example(stack=_wide_stack(1024, [400, 401, 1024], 5), epsilon=0.0)
+# A count past what two bytes hold.
 @example(stack=_wide_stack(2**16, [2**16], 6), epsilon=0.0)
 @example(  # odd, even, zero and one positive counts, with both zeros, inf and NaN
     stack=np.array([[3.0, -0.0, 1.0, 2.0, math.nan, 4.0],
@@ -487,7 +502,7 @@ def _wide_stack(n_bins, counts, seed):
                     [5.0, 1.0, 2.0, -1.0, 0.0, math.inf]]),
     epsilon=0.0)
 @settings(max_examples=300, deadline=None)
-def test_validity_is_the_median_gate_of_each_rows_positive_bins(stack, epsilon):
+def test_stack_thresholds_are_np_median_of_each_rows_positive_bins(stack, epsilon):
     # Each row against intensities on and next to its gate, in one stack.
     cases = [(r, i) for r, row in enumerate(stack) for i in _boundary_intensities(row)]
     rows = stack[[r for r, _ in cases]]
