@@ -39,7 +39,6 @@ from .pipeline import (
     PipelineState,
     process_block,
     process_cycle,
-    replay_cycles,
     run_stream,
     synthetic_cycles,
 )
@@ -57,6 +56,5 @@ from .solver import (
     disambiguate,
     pair_solution,
     propagate_noise,
-    simplified_solution,
 )
 from .spectral import Calibration, calibrate, magnitude_spectra

@@ -282,16 +282,11 @@ def read_observations_csv(path):
     for row in reader:
         if not row:
             continue
-        if len(row) != len(OBSERVATION_FIELDS):
-            raise ParameterError(f"observation row has {len(row)} fields: {row!r}")
-        values = {}
-        for name, field in zip(OBSERVATION_FIELDS, row):
-            try:
-                values[name] = float(field)
-            except ValueError:
-                raise ParameterError(
-                    f"{path} line {reader.line_num}, column {name}: "
-                    f"{field!r} is not a number"
-                ) from None
-        observations.append(NoiseObservation(**values))
+        try:
+            if len(row) != len(OBSERVATION_FIELDS):
+                raise ParameterError(f"observation row has {len(row)} fields: {row!r}")
+            values = decode_fields(NoiseObservation, dict(zip(OBSERVATION_FIELDS, row)), text=True)
+            observations.append(NoiseObservation(**values))
+        except ParameterError as exc:
+            raise ParameterError(f"{path} line {reader.line_num}: {exc}") from None
     return observations

@@ -27,14 +27,8 @@ from .analysis import (
 )
 from .errors import CalibrationError, LfiError, ParameterError
 from .modulation import open_atomic, read_json_object, write_atomic
-from .pipeline import (
-    config_from_file,
-    read_config_file,
-    replay_cycles,
-    run_stream,
-    synthetic_cycles,
-)
-from .simulator import GroundTruth, write_frames
+from .pipeline import PipelineConfig, read_config_file, run_stream, synthetic_cycles
+from .simulator import GroundTruth, read_frames, write_frames
 from .spectral import Calibration, calibrate
 
 _CSV_HEADER = (
@@ -117,7 +111,7 @@ def _source_from_args(args, wp):
         if given:
             flags = ", ".join("--" + k.replace("_", "-") for k in given)
             raise ParameterError(f"--input replays a frame file, so it takes no {flags}")
-        return replay_cycles(args.input, expected_wp=wp), {"replay": str(args.input)}
+        return read_frames(args.input, wp), {"replay": str(args.input)}
     s = {**_SYNTHESIS_DEFAULTS, **given}
     if s["cycles"] is None:
         raise ParameterError("either --input or --cycles is required" if "input" in args
@@ -165,11 +159,12 @@ def cmd_process(args) -> int:
         args.noise_model, [f.name for f in fields(NoiseModelCoefficients)],
         NoiseModelCoefficients.from_dict, ParameterError, "noise model",
     ) if args.noise_model else None
+    wp, settings = read_config_file(args.config)
     try:
-        cfg = config_from_file(args.config, cal, noise_model)
+        cfg = PipelineConfig(wp, cal, noise_model=noise_model, **settings)
     except CalibrationError as exc:  # a valid file made for another working point
         raise CalibrationError(f"calibration {args.calibration} does not fit: {exc}") from None
-    source, provenance = _source_from_args(args, cfg.working_point)
+    source, provenance = _source_from_args(args, wp)
     provenance["calibration"] = str(args.calibration)
     format_record = _record_json if args.format == "jsonl" else _record_row
     n_records = 0
@@ -217,7 +212,7 @@ def cmd_mindist(args) -> int:
     write_atomic(
         args.out,
         json.dumps(
-            {"min_reliable_distance_m": distance, "v_max_mps": args.v_max},
+            {"min_reliable_distance_m": _json_number(distance), "v_max_mps": args.v_max},
             sort_keys=True,
         ),
     )

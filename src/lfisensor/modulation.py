@@ -95,6 +95,8 @@ class WorkingPoint:
             raise ParameterError(
                 f"ramp_duration {self.ramp_duration} s holds no sample at {self.sampling_rate} Hz"
             )
+        if len(set(ramp_slopes(self))) != 4:  # +rt*S rounds to +S, or to 0 and -0
+            raise ParameterError(f"the four ramp slopes must differ, got {ramp_slopes(self)}")
 
     @property
     def cycle_duration(self) -> float:

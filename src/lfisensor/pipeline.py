@@ -1,14 +1,16 @@
 """End-to-end streaming processor: slice, FFT, average, denoise, solve.
 
 One stateful worker per sensor stream; the sliding-average window is the
-only state.  Records are immutable once emitted.  Cycle sources come in
-two flavors: seeded synthetic cycles and replay of exported frame files.
+only state.  Records are immutable once emitted.  A cycle source is any
+iterable of cycles: seeded synthetic cycles (:func:`synthetic_cycles`) or
+the replay of an exported frame file (:func:`~.simulator.read_frames`).
 
 Everything that depends only on the configuration and the calibration
 (window, bin grid, scaled reference spectra, noise gates) is computed
-once when :class:`PipelineConfig` is built, and a block of cycles runs one
-FFT, floor subtraction and peak stage over the ``(4 * cycles, bins)`` stack
-of its frames.  Each record is the one its cycle gets in a block of its
+once when :class:`PipelineConfig` is built.  A block of cycles runs one
+FFT, floor subtraction and peak stage over one ``(4 * cycles, bins)``
+stack of its frames, which the sliding average and the floor subtraction
+change in place.  Each record is the one its cycle gets in a block of its
 own, bit for bit.
 """
 
@@ -30,7 +32,7 @@ from .modulation import (
     read_flat_config,
 )
 from .peaks import DEFAULT_WINDOW, METHODS, WEIGHTED_AVERAGE, estimate_peaks
-from .simulator import cycle_blocks, read_frames, synthesize_cycle
+from .simulator import cycle_blocks, synthesize_cycle
 from .solver import STATUS_INVALID, Measurement, disambiguate, propagate_noise
 from .spectral import (
     DEFAULT_ALPHA,
@@ -144,23 +146,21 @@ class PipelineState:
         """Spectra per ramp in the current window."""
         return min(self.cycles_seen, self.ring.shape[1] // 2)
 
-    def push(self, spectra: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Add one cycle's ``(4, bins)`` spectra; return the window mean per ramp, in ``out``.
+    def push(self, spectra: np.ndarray) -> None:
+        """Add one cycle's ``(4, bins)`` spectra, then overwrite them with the window mean.
 
         The sum and the division are ``np.mean``'s.  A window of one spectrum
-        is returned as a copy of it: dividing by 1.0 changes nothing.
+        leaves ``spectra`` as they are: dividing by 1.0 changes nothing.
         """
         n_avg = self.ring.shape[1] // 2
         slot = self.cycles_seen % n_avg
         self.ring[:, slot] = spectra
         self.ring[:, slot + n_avg] = spectra
         self.cycles_seen += 1
-        if self.n_window == 1:
-            np.copyto(out, self.ring[:, slot])
-            return out
-        start = (self.cycles_seen - self.n_window) % n_avg
-        np.add.reduce(self.ring[:, start : start + self.n_window], axis=1, out=out)
-        return np.divide(out, self.n_window, out=out)
+        if self.n_window > 1:
+            start = (self.cycles_seen - self.n_window) % n_avg
+            np.add.reduce(self.ring[:, start : start + self.n_window], axis=1, out=spectra)
+            spectra /= self.n_window
 
 
 @dataclass
@@ -214,22 +214,22 @@ def process_block(block, state: PipelineState, cfg: PipelineConfig) -> list:
     """Run cycles, the rows of ``block``, through the full chain; one record each.
 
     The FFT, the floor subtraction and the peak stage each cover all frames at
-    once; the average and the solver go cycle by cycle, so a record is the one
-    its cycle gets alone, bit for bit.  A NaN or infinite sample raises
-    :class:`FramingError` before ``state`` changes.
+    once, one magnitude stack that the average and the floor change in place;
+    the average and the solver go cycle by cycle, so a record is the one its
+    cycle gets alone, bit for bit.  A NaN or infinite sample, or one beyond the
+    float32 range, raises :class:`FramingError` before ``state`` changes.
     """
     wp = cfg.working_point
-    spectra = magnitude_spectra(block, wp, cfg.frame_window, cfg.fft_bins, state.work,
-                                state.cycles_seen, cfg.sync_offset_samples)
-    rows, bins = spectra.shape
-    n_cycles, n_windows, cleaned = rows // 4, [], state.work[3][:rows]
+    stack = magnitude_spectra(block, wp, cfg.frame_window, cfg.fft_bins, state.work,
+                              state.cycles_seen, cfg.sync_offset_samples)
+    rows, bins = stack.shape
+    n_cycles, n_windows = rows // 4, []
     for c in range(0, rows, 4):
-        state.push(spectra[c : c + 4], cleaned[c : c + 4])
+        state.push(stack[c : c + 4])
         n_windows.append(state.n_window)
-    by_cycle = cleaned.reshape(n_cycles, 4, bins)
-    remove_floor(by_cycle, cfg.scaled_mean, cfg.scaled_sigma, by_cycle)
+    remove_floor(stack.reshape(n_cycles, 4, bins), cfg.scaled_mean, cfg.scaled_sigma)
     epsilons = [gate / math.sqrt(n) for n in n_windows for gate in cfg.noise_gates]
-    peaks = estimate_peaks(cleaned, cfg.bin_frequencies, epsilons, cfg.interp_window,
+    peaks = estimate_peaks(stack, cfg.bin_frequencies, epsilons, cfg.interp_window,
                            cfg.interp_method)
     records = []
     for c, n_window in enumerate(n_windows):
@@ -279,21 +279,6 @@ def synthetic_cycles(
         yield synthesize_cycle(wp, gt, amplitude, noise_sigma, seed, cycle_index=cycle_index)
 
 
-def replay_cycles(stem, expected_wp: WorkingPoint):
-    """Cycle source over an exported frame file's rows.
-
-    The sidecar, the raw file's length and the working point (it must be
-    ``expected_wp``) are checked now; the samples are read and checked one
-    block at a time as the source is drawn (see :func:`read_frames`).
-    """
-    wp, cycles = read_frames(stem)
-    if wp != expected_wp:
-        raise ParameterError(
-            "replay file working point differs from the configured working point"
-        )
-    return cycles
-
-
 def read_config_file(path):
     """Parse a flat config file into (working point, pipeline settings).
 
@@ -310,12 +295,3 @@ def read_config_file(path):
     wp = WorkingPoint.from_dict({k: v for k, v in values.items() if k in wp_keys}, text=True)
     return wp, settings
 
-
-def config_from_file(
-    path,
-    calibration: Calibration,
-    noise_model: NoiseModelCoefficients | None,
-) -> PipelineConfig:
-    """Build a :class:`PipelineConfig` from a config file and a calibration."""
-    wp, settings = read_config_file(path)
-    return PipelineConfig(wp, calibration, noise_model=noise_model, **settings)

@@ -28,6 +28,9 @@ FRAME_FORMAT_VERSION = 2
 #: ``spectral.calibrate`` and ``pipeline.run_stream`` (README: "Block hot path").
 STREAM_BLOCK = 16
 
+#: Largest magnitude of a float32 sample, the export dtype.
+_FLOAT32_MAX = np.finfo(np.float32).max
+
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -163,7 +166,7 @@ def write_frames(stem, cycles, wp: WorkingPoint) -> None:
     ``<stem>.json`` holding the format version, the working point and the
     cycle count.
 
-    Rows are drawn, checked (:func:`check_block`, before the float32 cast) and
+    Rows are drawn, checked (:func:`check_block`), cast to float32 and
     written a block (:func:`cycle_blocks`) at a time, so a generator is exported
     in constant memory.  A bad block raises :class:`FramingError`, as
     :func:`read_frames` would, and leaves neither file written.
@@ -187,25 +190,29 @@ def _frame_paths(stem):
     return stem.with_name(stem.name + ".f32"), stem.with_name(stem.name + ".json")
 
 
-def read_frames(stem):
-    """Open a :func:`write_frames` export as (working point, cycle iterator).
+def read_frames(stem, wp: WorkingPoint):
+    """Open a :func:`write_frames` export of working point ``wp`` as a cycle iterator.
 
     The sidecar and the raw file's length are checked now; any defect
-    raises :class:`FramingError` naming the file.  The iterator then reads
+    raises :class:`FramingError` naming the file, and a sidecar of another
+    working point raises :class:`ParameterError`.  The iterator then reads
     the raw file :data:`STREAM_BLOCK` cycles at a time and yields each cycle
     as a read-only float32 row.  Each block is checked when it is read: a
     NaN or infinite sample raises :class:`FramingError` naming its cycle
     and ramp, before any cycle of that block is yielded.
     """
     raw_path, sidecar_path = _frame_paths(stem)
-    wp, n_cycles = read_json_object(sidecar_path, ("working_point", "cycles"), _decode_sidecar,
-                                    FramingError, "frame sidecar", FRAME_FORMAT_VERSION)
+    file_wp, n_cycles = read_json_object(sidecar_path, ("working_point", "cycles"),
+                                         _decode_sidecar, FramingError, "frame sidecar",
+                                         FRAME_FORMAT_VERSION)
     size = raw_path.stat().st_size
-    if size != 4 * n_cycles * wp.samples_per_cycle:
+    if size != 4 * n_cycles * file_wp.samples_per_cycle:
         raise FramingError(
             f"{raw_path} has {size} bytes, not the {n_cycles} cycles its sidecar declares"
         )
-    return wp, _read_blocks(raw_path, n_cycles, wp)
+    if file_wp != wp:
+        raise ParameterError("replay file working point differs from the configured working point")
+    return _read_blocks(raw_path, n_cycles, wp)
 
 
 def _decode_sidecar(sidecar):
@@ -232,9 +239,9 @@ def check_block(block, wp: WorkingPoint, source, first_cycle: int, dtype=None) -
     """``block``, cycles in rows, as an array (cast to ``dtype`` if given) once checked.
 
     Rows that differ in length or are not one cycle, samples that are not real
-    numbers (ints and bools are) and, after the cast, a NaN or infinite sample
-    raise :class:`FramingError` naming ``source``; for a sample, also its cycle
-    (counted from ``first_cycle``) and ramp.
+    numbers (ints and bools are) and a NaN, infinite or finite sample beyond the
+    float32 range, the export dtype, raise :class:`FramingError` naming
+    ``source``; for a sample, also its cycle (counted from ``first_cycle``) and ramp.
     """
     n = wp.samples_per_cycle
     try:
@@ -246,12 +253,11 @@ def check_block(block, wp: WorkingPoint, source, first_cycle: int, dtype=None) -
                else f"a block of {block.dtype} in shape {block.shape}")
         raise FramingError(f"{source} has {got}; expected cycles of {n} samples, "
                            "each a real number")
-    if dtype is not None:
-        block = block.astype(dtype, copy=False)
-    finite = np.isfinite(block)
-    if not finite.all():
-        cycle, ramp = divmod(int(finite.argmin()) // wp.samples_per_ramp, 4)
-        raise FramingError(
-            f"{source} has a non-finite sample in cycle {first_cycle + cycle}, ramp {ramp}"
-        )
-    return block
+    inside = np.abs(block) <= _FLOAT32_MAX  # False for NaN and infinities too
+    if not inside.all():
+        first = int(inside.argmin())
+        cycle, ramp = divmod(first // wp.samples_per_ramp, 4)
+        what = ("a non-finite sample" if not np.isfinite(block.flat[first])
+                else "a sample beyond the float32 range")
+        raise FramingError(f"{source} has {what} in cycle {first_cycle + cycle}, ramp {ramp}")
+    return block if dtype is None else block.astype(dtype, copy=False)

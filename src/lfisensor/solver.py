@@ -65,19 +65,15 @@ def propagate_noise(sigma_f1: float, sigma_f2: float, s1: float, s2: float, f_e:
     return sigma_r, sigma_v
 
 
-def simplified_solution(f_up: float, f_down: float):
-    """Symmetric-triangle baseline: split a beat pair into (f_R, f_v).
-
-    ``f_R = (f_up + f_down) / 2`` and ``f_v = (f_up - f_down) / 2``.
-    Valid only while the distance term dominates the Doppler term; its
-    short-range failure is what the sign-enumerating solver fixes.
-    """
-    return 0.5 * (f_up + f_down), 0.5 * (f_up - f_down)
-
-
 def baseline_measurement(f_up: float, f_down: float, wp: WorkingPoint):
-    """Convert the baseline's (f_R, f_v) of the steep triangle to (R, v)."""
-    f_r, f_v = simplified_solution(f_up, f_down)
+    """Symmetric-triangle baseline: (R, v) from the steep triangle's beat pair.
+
+    The pair splits into ``f_R = (f_up + f_down) / 2`` and
+    ``f_v = (f_up - f_down) / 2``.  Valid only while the distance term
+    dominates the Doppler term; its short-range failure is what the
+    sign-enumerating solver fixes.
+    """
+    f_r, f_v = 0.5 * (f_up + f_down), 0.5 * (f_up - f_down)
     distance = SPEED_OF_LIGHT * f_r / (2.0 * wp.steep_slope)
     velocity = SPEED_OF_LIGHT * f_v / wp.emitted_frequency
     return distance, velocity
@@ -125,8 +121,6 @@ def _sign_combos(magnitudes, slopes, f_e: float) -> list:
     s0, s1, s2 = slopes
     c = SPEED_OF_LIGHT
     d01, d02, d12 = s0 - s1, s0 - s2, s1 - s2
-    if not (d01 and d02 and d12):
-        raise DegeneratePairError(f"ramp slopes must differ, got {slopes}")
     r01, r02, r12 = 2.0 * d01, 2.0 * d02, 2.0 * d12
     v01, v02, v12 = f_e * d01, f_e * d02, f_e * d12
     r_scale, v_scale = DEFAULT_R_REF**2, DEFAULT_V_REF**2

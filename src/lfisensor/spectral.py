@@ -131,8 +131,8 @@ def check_fft_bins(fft_bins: int, frame_length: int) -> None:
         )
     if fft_bins & (fft_bins - 1):
         raise ParameterError(f"fft_bins must be a power of two, got {fft_bins}")
-    # Per frame: the padded float frame, its complex rfft, the magnitudes and a spare.
-    work = 4 * STREAM_BLOCK * (8 * fft_bins + 16 * (fft_bins // 2 + 1) + 2 * 8 * (fft_bins // 2))
+    # Per frame: the padded float frame, its complex rfft and the magnitudes.
+    work = 4 * STREAM_BLOCK * (8 * fft_bins + 16 * (fft_bins // 2 + 1) + 8 * (fft_bins // 2))
     if work > MAX_WORK_BYTES:
         raise ParameterError(
             f"fft_bins ({fft_bins}) needs {work} bytes of FFT work arrays, more than "
@@ -153,8 +153,8 @@ def magnitude_spectra(block, wp: WorkingPoint, window, fft_bins: int, work: list
     ``4 c + r`` of the ``(4 * cycles, fft_bins // 2)`` result, bit for bit its own frame's
     transform.  A block that fails :func:`~.simulator.check_block` (cycles counted from
     ``first_cycle``) raises :class:`FramingError` before ``work``, the caller's list (empty
-    at first) of the padded frames, transform, magnitudes and a spare for the caller,
-    changes; it grows to the largest block, and the result is a view of it.
+    at first) of the padded frames, transform and magnitudes, changes; it grows to the
+    largest block, and the result is a view of it, the caller's to change.
     """
     block = check_block(block, wp, "input", first_cycle)
     n = len(window)  # samples per ramp
@@ -163,8 +163,8 @@ def magnitude_spectra(block, wp: WorkingPoint, window, fft_bins: int, work: list
     rows, bins = 4 * len(block), fft_bins // 2
     if not work or len(work[0]) < rows:  # the pads stay 0
         work[:] = (np.zeros((rows, fft_bins)), np.empty((rows, bins + 1), complex),
-                   np.empty((rows, bins)), np.empty((rows, bins)))
-    padded, transform, spectra = (array[:rows] for array in work[:3])
+                   np.empty((rows, bins)))
+    padded, transform, spectra = (array[:rows] for array in work)
     np.multiply(block.reshape(rows, n), window, out=padded[:, :n])
     np.fft.rfft(padded, axis=-1, out=transform)
     return np.abs(transform[:, :bins], out=spectra)
@@ -210,12 +210,12 @@ def calibrate(cycles, wp: WorkingPoint, fft_bins: int = DEFAULT_FFT_BINS,
     )
 
 
-def remove_floor(magnitudes, scaled_mean, scaled_sigma, out) -> np.ndarray:
-    """``max(X - scaled_mean - scaled_sigma, 0)`` per bin, in that order, into ``out``.
+def remove_floor(stack, scaled_mean, scaled_sigma) -> None:
+    """Replace ``stack`` by ``max(stack - scaled_mean - scaled_sigma, 0)`` per bin, in that order.
 
     The scaled references are ``alpha * mean_ref`` and ``beta * sigma_ref``;
-    the pipeline computes them once per configuration; ``out`` may be ``magnitudes``.
+    the pipeline computes them once per configuration.
     """
-    cleaned = np.subtract(magnitudes, scaled_mean, out=out)
-    cleaned -= scaled_sigma
-    return np.maximum(cleaned, 0.0, out=cleaned)
+    stack -= scaled_mean
+    stack -= scaled_sigma
+    np.maximum(stack, 0.0, out=stack)

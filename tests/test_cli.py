@@ -180,6 +180,38 @@ def test_mindist_reports_a_bound_beyond_a_tenth_of_a_meter(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_mindist_writes_null_for_an_unbounded_distance(tmp_path, capsys):
+    # Slopes this shallow put the bound past a float: strict JSON has no
+    # Infinity, so the file holds null, as a JSONL record would.
+    config = tmp_path / "flat.cfg"
+    save_working_point(make_wp(steep_slope=1e-300), config)
+    out = tmp_path / "mindist.json"
+    assert main(["mindist", "--config", str(config), "--out", str(out)]) == 0
+
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    assert json.loads(out.read_text(), parse_constant=refuse) == {
+        "min_reliable_distance_m": None, "v_max_mps": 0.1}
+    assert "minimum reliable distance: inf mm" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["mindist", "process"])
+def test_coinciding_ramp_slopes_exit_nonzero(config_path, tmp_path, capsys, command):
+    # 0.9 * 5e-324 rounds to 5e-324: the slopes are (S, -S, S, -S).  The config
+    # is refused when it is read, not with a ZeroDivisionError (mindist) or a
+    # DegeneratePairError at the first valid cycle (process).
+    config = tmp_path / "coinciding.cfg"
+    config.write_text("".join(f"{k} = {v!r}\n" for k, v in {
+        **make_wp().to_dict(), "steep_slope_hz_per_s": 5e-324, "ratio_rt": 0.9}.items()))
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+    if command == "process":
+        argv += ["--calibration", str(_calibrate(config_path, tmp_path)), "--cycles", "2",
+                 "--distance", "0.04"]
+    err = _refused(argv, ParameterError, capsys)
+    assert "the four ramp slopes must differ, got (5e-324, -5e-324, 5e-324, -5e-324)" in err
+
+
 def test_synth_refuses_a_ramp_without_samples(tmp_path, capsys):
     # 0.1 us at 2 MHz is a fifth of a sample: no ramp frame to synthesize.
     config = tmp_path / "short.cfg"
@@ -583,7 +615,7 @@ def test_non_finite_analysis_setting_exits_nonzero(config_path, tmp_path, capsys
      ("process", "n_avg = 1000000000000000",
       "n_avg (1000000000000000) needs 65536000000000000000 bytes of sliding-average ring"),
      ("calibrate", "fft_bins = 4611686018427387904",
-      "fft_bins (4611686018427387904) needs 7083549724304467821568 bytes of FFT work")],
+      "fft_bins (4611686018427387904) needs 5902958103587056518144 bytes of FFT work")],
     ids=["alpha-inf", "interp_window-2049", "n_avg-1e15", "calibrate-fft_bins-2**62"],
 )
 def test_out_of_range_pipeline_setting_exits_nonzero(config_path, tmp_path, capsys, command,

@@ -64,6 +64,20 @@ def test_invalid_working_point_names_invariant(overrides, name):
         make_wp(**overrides)
 
 
+@pytest.mark.parametrize("steep_slope, ratio_rt", [(5e-324, 0.9), (5e-324, 0.4), (1e-323, 0.75)],
+                         ids=["shallow-rounds-to-steep", "shallow-rounds-to-zero", "ties-to-even"])
+def test_coinciding_ramp_slopes_are_refused(steep_slope, ratio_rt):
+    # Among subnormals rt * S can round to S, or to 0 (and -rt * S to -0, equal
+    # to it): two ramps with one slope cannot be solved as a pair.
+    with pytest.raises(ParameterError, match="the four ramp slopes must differ, got"):
+        make_wp(steep_slope=steep_slope, ratio_rt=ratio_rt)
+
+
+def test_distinct_subnormal_ramp_slopes_are_admitted():
+    assert ramp_slopes(make_wp(steep_slope=1e-323, ratio_rt=0.6)) == (1e-323, -1e-323, 5e-324,
+                                                                     -5e-324)
+
+
 def test_one_sample_per_ramp_is_admitted():
     assert make_wp(ramp_duration=0.5e-6).samples_per_ramp == 1
 

@@ -1,9 +1,11 @@
 """Package-wide structure: every top-level name and class member has a caller in
-the package, and every parameter default is overridden by one call and taken by
-another."""
+the package, every parameter default is overridden by one call and taken by
+another, and no two parameters of a function get the same expression from every
+call."""
 
 import ast
 import math
+from itertools import combinations
 from pathlib import Path
 
 import lfisensor
@@ -90,25 +92,29 @@ def test_every_top_level_name_is_referenced_by_the_package():
     assert unreferenced == set(UNREFERENCED)
 
 
+def _functions(tree):
+    """``(function, bound)`` of every function in ``tree``, at any depth; ``bound``
+    is 1 for a method, whose ``self`` or ``cls`` no call argument fills, else 0."""
+    for parent in ast.walk(tree):
+        for fn in ast.iter_child_nodes(parent):
+            if isinstance(fn, ast.FunctionDef):
+                static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+                yield fn, int(isinstance(parent, ast.ClassDef) and not static)
+
+
 def _defaults(tree):
     """``(function, parameter, position)`` of each parameter with a default of
     every function in ``tree``, at any depth.  The position is the index of
-    the call argument that fills it (a method's ``self`` or ``cls`` is not
-    one), or None for a keyword-only parameter."""
-    for parent in ast.walk(tree):
-        for fn in ast.iter_child_nodes(parent):
-            if not isinstance(fn, ast.FunctionDef):
-                continue
-            static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
-            bound = isinstance(parent, ast.ClassDef) and not static
-            a = fn.args
-            positional = [*a.posonlyargs, *a.args]
-            first = len(positional) - len(a.defaults)
-            for i, arg in enumerate(positional[first:], start=first):
-                yield fn.name, arg.arg, i - bound
-            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
-                if default is not None:
-                    yield fn.name, arg.arg, None
+    the call argument that fills it, or None for a keyword-only parameter."""
+    for fn, bound in _functions(tree):
+        a = fn.args
+        positional = [*a.posonlyargs, *a.args]
+        first = len(positional) - len(a.defaults)
+        for i, arg in enumerate(positional[first:], start=first):
+            yield fn.name, arg.arg, i - bound
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                yield fn.name, arg.arg, None
 
 
 def _calls(tree):
@@ -166,3 +172,36 @@ def test_every_parameter_default_is_taken_by_some_call_outside_the_tests():
     for name, path in DEFAULTED_ELSEWHERE.items():
         outside = list(_calls(ast.parse((ROOT / path).read_text())))
         assert _takes_default(outside, *always_passed[name]), f"{path} passes {name}"
+
+
+def _shared_arguments(call, parameters) -> set:
+    """Pairs of ``parameters`` (a function's positional ones, in call-argument
+    order) to which ``call`` passes the same expression; none when a ``*args``
+    or ``**kwargs`` hides which parameter gets what."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args) or any(
+            k.arg is None for k in call.keywords):
+        return set()
+    passed = [*zip(parameters, call.args), *((k.arg, k.value) for k in call.keywords)]
+    return {frozenset((p, q)) for (p, x), (q, y) in combinations(passed, 2)
+            if ast.dump(x) == ast.dump(y)}
+
+
+def test_no_two_parameters_get_the_same_expression_from_every_call_in_the_package():
+    # A parameter that every caller fills with what it passes to another is a
+    # second name for it, and the function's branches for the two differing
+    # never run: an output array that is always the input, say.  Drop one, or
+    # let the function do what its callers do.  Calls are matched by the
+    # function's name alone; a function that no call in the package names
+    # passes.
+    trees = [tree for _, tree in _modules()]
+    calls = [(getattr(node.func, "id", None) or getattr(node.func, "attr", None), node)
+             for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    shared = set()
+    for tree in trees:
+        for fn, bound in _functions(tree):
+            parameters = [arg.arg for arg in [*fn.args.posonlyargs, *fn.args.args][bound:]]
+            pairs = [_shared_arguments(call, parameters) for name, call in calls if name == fn.name]
+            if pairs:
+                shared |= {f"{fn.name}({', '.join(sorted(pair))})"
+                           for pair in set.intersection(*pairs)}
+    assert shared == set()

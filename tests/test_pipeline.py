@@ -24,7 +24,7 @@ from lfisensor import (
     process_block,
     process_cycle,
     propagate_noise,
-    replay_cycles,
+    read_frames,
     run_stream,
     signed_beat,
     synthesize_cycle,
@@ -34,11 +34,12 @@ from lfisensor import (
 from lfisensor import pipeline
 from lfisensor.modulation import read_flat_config
 from lfisensor.peaks import PeakEstimate
-from lfisensor.pipeline import _attach_sigmas, config_from_file, read_config_file
+from lfisensor.pipeline import _attach_sigmas, read_config_file
 from lfisensor.simulator import STREAM_BLOCK
 from lfisensor.spectral import Calibration, bin_frequencies
 
 from conftest import make_wp, true_beats, true_slopes
+from test_spectral import _push
 
 
 def _config(wp, cal, **overrides):
@@ -173,7 +174,7 @@ def test_replay_matches_synthetic_run(wp, quiet_cal, tmp_path):
     direct = list(
         run_stream(synthetic_cycles(wp, gt, 1.0, 0.2, seed=31, n_cycles=4), cfg)
     )
-    replayed = list(run_stream(replay_cycles(stem, expected_wp=wp), cfg))
+    replayed = list(run_stream(read_frames(stem, wp), cfg))
     assert len(direct) == len(replayed) == 4
     for a, b in zip(direct, replayed):
         assert a.measurement == b.measurement
@@ -189,7 +190,7 @@ def test_replay_across_blocks_matches_synthetic_run(wp, quiet_cal, tmp_path):
     write_frames(stem, synthetic_cycles(wp, gt, 1.0, 0.2, seed=31, n_cycles=n), wp)
     cfg = _config(wp, quiet_cal, n_avg=2)
     direct = list(run_stream(synthetic_cycles(wp, gt, 1.0, 0.2, seed=31, n_cycles=n), cfg))
-    replayed = list(run_stream(replay_cycles(stem, expected_wp=wp), cfg))
+    replayed = list(run_stream(read_frames(stem, wp), cfg))
     assert len(direct) == len(replayed) == n
     for a, b in zip(direct, replayed):
         assert a.cycle_index == b.cycle_index
@@ -204,7 +205,7 @@ def test_replay_rejects_other_working_point(wp, tmp_path):
     other = make_wp(steep_slope=2e15)
     # Refused when the source is built, before any cycle is drawn.
     with pytest.raises(ParameterError, match="working point"):
-        replay_cycles(stem, expected_wp=other)
+        read_frames(stem, other)
 
 
 def test_noise_model_fills_sigmas(wp, quiet_cal):
@@ -296,13 +297,13 @@ def test_window_average_equals_mean_of_last_spectra(wp, quiet_cal, n_avg):
     for t, spectra in enumerate(pushed):
         if t == mid_wrap:
             snapshot = copy.deepcopy(state)
-        average = state.push(spectra, np.empty_like(spectra))
+        average = _push(state, spectra)
         assert np.array_equal(average, expected(t))
         # The caller owns the average, a one-spectrum window's too.
         assert not np.shares_memory(average, state.ring)
     # The copy is independent of the state it was taken from.
     for t in range(mid_wrap, len(pushed)):
-        assert np.array_equal(snapshot.push(pushed[t], np.empty_like(pushed[t])), expected(t))
+        assert np.array_equal(_push(snapshot, pushed[t]), expected(t))
     assert snapshot.cycles_seen == state.cycles_seen == len(pushed)
 
 
@@ -339,7 +340,7 @@ def test_config_file_round_trip(wp, quiet_cal, tmp_path):
     parsed_wp, settings = read_config_file(path)
     assert parsed_wp == wp
     assert settings["n_avg"] == 4 and settings["beta"] == 0.5
-    cfg = config_from_file(path, quiet_cal, None)
+    cfg = PipelineConfig(parsed_wp, quiet_cal, **settings)
     assert cfg.n_avg == 4
     assert cfg.interp_method == "gaussian"
     assert cfg.fft_bins == 2048  # cited default
@@ -487,7 +488,7 @@ def test_replay_through_run_stream_equals_per_cycle_processing(wp, noisy_cal, tm
     cfg = _config(wp, noisy_cal, n_avg=4, noise_model=_NOISE_MODEL)
     state = PipelineState.for_config(cfg)
     expected = [repr(process_cycle(c, state, cfg)) for c in _stream(wp, n)]
-    replayed = [repr(r) for r in run_stream(replay_cycles(stem, expected_wp=wp), cfg)]
+    replayed = [repr(r) for r in run_stream(read_frames(stem, wp), cfg)]
     assert replayed == expected
 
 
@@ -503,7 +504,7 @@ def test_state_copy_in_mid_stream_owns_its_arrays(wp, noisy_cal):
     assert [repr(r) for r in first] == [repr(r) for r in again]
     assert snapshot.cycles_seen == state.cycles_seen == len(cycles)
     assert np.array_equal(snapshot.ring, state.ring)
-    assert len(snapshot.work) == len(state.work) == 4
+    assert len(snapshot.work) == len(state.work) == 3
     for mine, theirs in zip(snapshot.work, state.work):
         assert not np.shares_memory(mine, theirs)
 
@@ -527,6 +528,28 @@ def test_non_finite_sample_is_refused_and_leaves_the_state(wp, noisy_cal, bad):
     for samples in cycles[3:]:
         assert repr(process_cycle(samples, state, cfg)) == repr(
             process_cycle(samples, reference, cfg))
+
+
+@pytest.mark.parametrize("scale, sample", [(1e300, None), (1.0, -1e39)], ids=["1e300", "-1e39"])
+def test_sample_beyond_float32_is_refused_and_leaves_the_state(wp, noisy_cal, scale, sample):
+    # A cycle scaled by 1e300 used to overflow in the FFT and still give an ok
+    # record at the wrong distance.  float32 is the export dtype, so a sample
+    # past its range is refused like a non-finite one, before the state changes.
+    cfg = _config(wp, noisy_cal, n_avg=4)
+    cycles = _stream(wp, 4)
+    state = PipelineState.for_config(cfg)
+    process_block(cycles[:2], state, cfg)
+    ring = state.ring.copy()
+    block = cycles[2:].astype(float)  # the stream is float32
+    block[0] *= scale
+    if sample is not None:
+        block[0, 3 * wp.samples_per_ramp + 7] = sample
+    with pytest.raises(FramingError,
+                       match="input has a sample beyond the float32 range in cycle 2, ramp "
+                       + ("0" if sample is None else "3")):
+        process_block(block, state, cfg)
+    assert state.cycles_seen == 2
+    assert np.array_equal(state.ring, ring)
 
 
 @pytest.mark.parametrize("bad_value", [math.nan, math.inf])

@@ -295,9 +295,7 @@ def test_frame_export_round_trip(tmp_path):
     cycles = [synthesize_cycle(wp, gt, 1.0, 0.1, seed=5, cycle_index=k) for k in range(3)]
     stem = tmp_path / "frames"
     write_frames(stem, cycles, wp)
-    wp_back, rows = read_frames(stem)
-    assert wp_back == wp
-    rows = list(rows)
+    rows = list(read_frames(stem, wp))
     assert len(rows) == 3
     for original, restored in zip(cycles, rows):
         assert restored.shape == (wp.samples_per_cycle,)
@@ -330,6 +328,18 @@ def test_write_frames_refuses_non_finite_samples(tmp_path, value):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("value", [1e300, -1e39])
+def test_write_frames_refuses_samples_beyond_float32(tmp_path, value):
+    # The float32 cast would make them infinite: no file its reader refuses.
+    wp = make_wp()
+    cycles = np.zeros((4, wp.samples_per_cycle))
+    cycles[2, 3 * wp.samples_per_ramp + 7] = value
+    with pytest.raises(FramingError,
+                       match="frames.f32 has a sample beyond the float32 range in cycle 2, ramp 3"):
+        write_frames(tmp_path / "frames", cycles, wp)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_write_frames_refuses_non_finite_sample_in_a_later_block(tmp_path):
     # Blocks are checked as they are drawn; the error names the cycle of the
     # whole export, and the blocks already written leave no file behind.
@@ -354,7 +364,7 @@ def test_read_frames_refuses_a_raw_file_cut_after_it_was_opened(tmp_path):
     wp = make_wp()
     stem = tmp_path / "frames"
     write_frames(stem, np.zeros((STREAM_BLOCK + 1, wp.samples_per_cycle)), wp)
-    _, rows = read_frames(stem)
+    rows = read_frames(stem, wp)
     raw = tmp_path / "frames.f32"
     raw.write_bytes(raw.read_bytes()[: 4 * wp.samples_per_cycle * STREAM_BLOCK])
     assert len([next(rows) for _ in range(STREAM_BLOCK)]) == STREAM_BLOCK
@@ -374,7 +384,7 @@ def test_read_frames_checks_each_block_when_it_is_reached(tmp_path):
     bad = STREAM_BLOCK + 3
     samples[bad * wp.samples_per_cycle + 2 * wp.samples_per_ramp] = math.nan
     samples.tofile(raw)
-    _, rows = read_frames(stem)
+    rows = read_frames(stem, wp)
     drawn = 0
     with pytest.raises(FramingError, match=f"non-finite sample in cycle {bad}, ramp 2"):
         for _ in rows:
@@ -395,4 +405,4 @@ def test_frame_file_length_mismatch_rejected(tmp_path, delta):
     raw = raw_path.read_bytes()
     raw_path.write_bytes(raw[:delta] if delta < 0 else raw + bytes(delta))
     with pytest.raises(FramingError, match="frames.f32 has .* bytes, not the 1 cycles its sidecar declares"):
-        read_frames(stem)
+        read_frames(stem, wp)

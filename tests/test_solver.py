@@ -14,7 +14,6 @@ from lfisensor import (
     disambiguate,
     pair_solution,
     propagate_noise,
-    simplified_solution,
 )
 from lfisensor.peaks import PeakEstimate
 from lfisensor.solver import STATUS_DEGRADED, STATUS_INVALID, STATUS_OK, _var3
@@ -116,10 +115,12 @@ def test_propagate_noise_matches_monte_carlo():
     assert np.std(vs) == pytest.approx(sigma_v, rel=0.05)
 
 
-def test_simplified_solution_symmetry():
-    f_r, f_v = simplified_solution(1e5, 1e5)
-    assert f_v == 0.0
-    assert f_r == 1e5
+def test_baseline_measurement_symmetry():
+    # Equal beats split into f_R = 1e5 Hz and f_v = 0: no velocity, and the
+    # distance of a 1e5 Hz beat on the steep slope.
+    r, v = baseline_measurement(1e5, 1e5, WP)
+    assert v == 0.0
+    assert r == C * 1e5 / (2.0 * WP.steep_slope)
 
 
 def test_baseline_agrees_when_distance_dominates():

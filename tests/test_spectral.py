@@ -138,8 +138,10 @@ def _window(n_avg, bins):
 
 
 def _push(state, spectra):
-    """The window mean after ``spectra``, in an array of its own."""
-    return state.push(spectra, np.empty_like(spectra))
+    """The window mean after ``spectra``, pushed in a copy that it overwrites."""
+    average = spectra.copy()
+    state.push(average)
+    return average
 
 
 def test_sliding_average_identity_and_constant():
@@ -223,6 +225,17 @@ def test_calibrate_refuses_a_non_finite_sample_naming_its_cycle_and_ramp(bad):
         calibrate(cycles, wp)
 
 
+@pytest.mark.parametrize("bad", [1e300, -1e39])
+def test_calibrate_refuses_a_sample_beyond_float32_naming_its_cycle_and_ramp(bad):
+    wp = make_wp()
+    cycles = [np.zeros(wp.samples_per_cycle) for _ in range(2 * STREAM_BLOCK)]
+    bad_cycle = STREAM_BLOCK + 3
+    cycles[bad_cycle][2 * wp.samples_per_ramp + 9] = bad
+    with pytest.raises(FramingError,
+                       match=f"beyond the float32 range in cycle {bad_cycle}, ramp 2"):
+        calibrate(cycles, wp)
+
+
 def test_calibrate_takes_a_one_shot_generator_like_a_list():
     # A source is drawn once, in blocks; perfbench's generator relies on it.
     wp = make_wp()
@@ -246,8 +259,10 @@ def test_calibrate_mean_is_the_stack_mean_and_sigma_the_sample_sigma():
 
 
 def _subtract(x, mean, sigma, alpha=1.0, beta=0.0):
-    """Floor subtraction as the pipeline scales it, on a (4, bins) stack."""
-    return remove_floor(x, alpha * mean, beta * sigma, np.empty_like(x))
+    """Floor subtraction as the pipeline scales it, on a copy of a (4, bins) stack."""
+    cleaned = x.copy()
+    remove_floor(cleaned, alpha * mean, beta * sigma)
+    return cleaned
 
 
 def test_subtract_floor_cases():
@@ -256,9 +271,9 @@ def test_subtract_floor_cases():
     np.testing.assert_array_equal(_subtract(mean, mean, sigma, 1.0, 0.0), 0.0)
     np.testing.assert_array_equal(_subtract(x, mean, sigma, 0.0, 0.0), x)
     np.testing.assert_array_equal(_subtract(x, mean, sigma, 1.0, 1.0), 0.0)  # 5 - 2 - 4 -> 0
-    out = x.copy()
-    assert remove_floor(out, mean, 0.0 * sigma, out) is out
-    np.testing.assert_array_equal(out, 3.0)
+    stack = x.copy()
+    remove_floor(stack, mean, 0.0 * sigma)  # in place
+    np.testing.assert_array_equal(stack, 3.0)
 
 
 def test_subtract_floor_shape_mismatch_and_bad_factors():
