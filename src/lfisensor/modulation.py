@@ -7,6 +7,7 @@ types here are immutable values and all functions are pure.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -95,8 +96,15 @@ class WorkingPoint:
             raise ParameterError(
                 f"ramp_duration {self.ramp_duration} s holds no sample at {self.sampling_rate} Hz"
             )
-        if len(set(ramp_slopes(self))) != 4:  # +rt*S rounds to +S, or to 0 and -0
-            raise ParameterError(f"the four ramp slopes must differ, got {ramp_slopes(self)}")
+        slopes = ramp_slopes(self)
+        if len(set(slopes)) != 4:  # +rt*S rounds to +S, or to 0 and -0
+            raise ParameterError(f"the four ramp slopes must differ, got {slopes}")
+        for i, j in itertools.combinations(range(4), 2):  # the solver divides by each
+            if self.emitted_frequency * (slopes[i] - slopes[j]) == 0.0:
+                raise ParameterError(
+                    f"ramps {i} and {j} cannot be solved as a pair: emitted_frequency "
+                    f"{self.emitted_frequency} times their slope difference "
+                    f"{slopes[i] - slopes[j]} underflows to 0")
 
     @property
     def cycle_duration(self) -> float:

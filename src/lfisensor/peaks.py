@@ -159,55 +159,41 @@ def _gaussian_fits(block: np.ndarray) -> tuple:
 def _interpolate(rows, bin_freqs, centers, window, method, epsilons) -> list:
     """Each row's peak interpolated around its center bin: the batched core.
 
-    Every step covers all rows at once, except the weighted average of a
-    row whose window reaches bin 0 or the last bin (a peak near DC or
-    Nyquist, which is rare).  That row sums its own slice: a zero-padded
-    window would regroup the sum and the dot product and so move the record
-    by rounding, and at bin 0 ``np.maximum`` would clamp a ``-0.0`` mean
-    differently from ``max``.
+    Every step covers all rows at once.  A row's window is gathered with its
+    bins outside the row (a peak near DC or Nyquist) set to 0, so they drop
+    out as floored bins do, and both methods see the same zero-padded
+    window.  The weighted average sums each window with ``np.add.reduce``
+    in one fixed order for every row and calls no BLAS routine, so its
+    bits depend neither on the other rows nor on the BLAS kernel.
     """
     n_bins, half = rows.shape[1], window // 2
     center_list = centers.tolist()
     if not center_list:
         return []
-    lowest, highest = min(center_list), max(center_list)
-    edges = lowest <= half or highest >= n_bins - 1 - half
     columns = _window_tables(window)[0] + centers[:, None]
-    # Each row's window and its bin frequencies; an edge row's are redone below.
+    # Each row's window and its bin frequencies (the end bins' past the ends).
     weights = rows.take(columns + np.arange(0, rows.size, n_bins)[:, None], mode="clip")
     freqs = bin_freqs.take(columns, mode="clip")
+    if min(center_list) < half or max(center_list) > n_bins - 1 - half:
+        weights[(columns < 0) | (columns >= n_bins)] = 0.0
     if method == GAUSSIAN:
-        if edges:  # bins outside their row read as 0, so they drop out as floored bins do
-            weights[(columns < 0) | (columns >= n_bins)] = 0.0
         vertices, fit_intensities = _gaussian_fits(weights)
         vertices = np.array(vertices)
-        # A vertex must stay in the window's bins; a failed fit's NaN does not.
-        if edges:
-            accepted = ((vertices >= np.maximum(centers - half, 0) - centers)
-                        & (vertices <= np.minimum(centers + half, n_bins - 1) - centers))
-        else:
-            accepted = np.abs(vertices) <= half
+        # A vertex must stay in the window's bins, max(center - half, 0) to
+        # min(center + half, n_bins - 1); a failed fit's NaN does not.
+        accepted = ((vertices >= -np.minimum(centers, half))
+                    & (vertices <= np.minimum(n_bins - 1 - centers, half)))
         fitted = freqs[:, half] + vertices * (bin_freqs[1] - bin_freqs[0])
         if accepted.all():
             return [PeakEstimate(r % 4, f, i, GAUSSIAN, v) for r, (f, i, v) in enumerate(zip(
                 fitted.tolist(), fit_intensities, validity(rows, fit_intensities, epsilons)))]
     # The weighted average, for every row the Gaussian fit does not cover.
-    totals = weights.sum(axis=1)
+    totals = np.add.reduce(weights, axis=1)
     found = totals != 0.0  # a window with no weight has no peak
-    # One BLAS ddot per row, as np.dot of the two windows makes.
-    dots = np.matmul(weights[:, None, :], freqs[:, :, None])[:, 0, 0]
-    means = np.divide(dots, totals, out=dots, where=found)
+    means = np.add.reduce(weights * freqs, axis=1)
+    np.divide(means, totals, out=means, where=found)
     # Rounding can carry the mean just past an end bin; it stays in the window.
     means = np.minimum(np.maximum(means, freqs[:, 0]), freqs[:, -1])
-    for r, center in enumerate(center_list if edges else ()):
-        if half < center < n_bins - 1 - half:
-            continue
-        lo, hi = max(0, center - half), min(n_bins, center + half + 1)
-        window_r, freqs_r = rows[r, lo:hi], bin_freqs[lo:hi]
-        total = float(window_r.sum())
-        found[r] = total != 0.0
-        if found[r]:
-            means[r] = min(max(np.dot(window_r, freqs_r) / total, freqs_r[0]), freqs_r[-1])
     intensities, used = weights[:, half], [WEIGHTED_AVERAGE] * len(rows)
     if method == GAUSSIAN:
         means = np.where(accepted, fitted, means)
@@ -230,7 +216,8 @@ def estimate_peaks(rows, bin_freqs, epsilons, window, method) -> tuple:
     Row ``r`` is ramp ``r % 4``, as :func:`~.spectral.magnitude_spectra` lays
     the stack out, gated by ``epsilons[r]``, and gets the estimate it would
     get alone.  The weighted average is ``sum(X(k) F(k)) / sum(X(k))`` over
-    the window, with the center bin as intensity; the Gaussian fit
+    the window, its bins past the spectrum's ends taken as 0, with the
+    center bin as intensity; the Gaussian fit
     (:func:`_gaussian_fits`) falls back to it when it fails or its vertex
     leaves the window.  An all-zero row has no peak.  :func:`validity` gates
     each estimate.

@@ -212,6 +212,21 @@ def test_coinciding_ramp_slopes_exit_nonzero(config_path, tmp_path, capsys, comm
     assert "the four ramp slopes must differ, got (5e-324, -5e-324, 5e-324, -5e-324)" in err
 
 
+def test_a_slope_difference_that_underflows_exits_nonzero(config_path, tmp_path, capsys):
+    # Distinct slopes whose differences times 1e-10 Hz are all 0: refused when
+    # the config is read, not with a ZeroDivisionError at the first cycle.
+    config = tmp_path / "underflow.cfg"
+    config.write_text("".join(f"{k} = {v!r}\n" for k, v in {
+        **make_wp().to_dict(), "steep_slope_hz_per_s": 1e-323, "ratio_rt": 0.6,
+        "emitted_frequency_hz": 1e-10, "hp_cutoff_hz": 0.0}.items()))
+    argv = ["process", "--config", str(config), "--out", str(tmp_path / "out"),
+            "--calibration", str(_calibrate(config_path, tmp_path)), "--cycles", "3",
+            "--distance", "0.04", "--noise-sigma", "0.1"]
+    err = _refused(argv, ParameterError, capsys)
+    assert "ramps 0 and 1 cannot be solved as a pair" in err
+    assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == []
+
+
 def test_synth_refuses_a_ramp_without_samples(tmp_path, capsys):
     # 0.1 us at 2 MHz is a fifth of a sample: no ramp frame to synthesize.
     config = tmp_path / "short.cfg"

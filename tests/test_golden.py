@@ -6,13 +6,26 @@ sigmas and ``n_avg`` 8 makes the averaging window wrap many times.  Each
 output file's sha256 is pinned: a change to any byte of the frames, the
 calibration or the records fails here.  A deliberate output change must
 update these digests and say why in CHANGES.md.
+
+The same bytes must come out under any OpenBLAS kernel and without numpy's
+AVX-512 dispatch: the weighted average is a fixed-order numpy sum, so the
+processing of this corpus calls no BLAS routine.  What still depends on the
+machine: the Gaussian fit's moment product (BLAS; not in this corpus),
+``np.abs`` of the spectrum below AVX2 dispatch, and the synthesis product
+(BLAS), whose differences the float32 frame export hides.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import lfisensor
 from lfisensor.cli import main
 from lfisensor.modulation import save_working_point
 
@@ -22,8 +35,8 @@ GOLDEN_SHA256 = {
     "frames.f32": "21ea43130d6752a0d2bd5caa5e7396111a22b973d05bdd776a4a63c782bebe37",
     "frames.json": "6142d193b6703d974402daaf54651b7ba466b944d1f0c1564ba5995b8b5a8508",
     "cal.json": "8ffbde8969db3fb04a0b3c59b76ab63caeee43e19d2619c0f2729aab2223bdad",
-    "run.csv": "3d86700972bf068a8ed8925395ce54e7414ace6e54c5cda82bbb0453e4ed30c4",
-    "run.jsonl": "d9c9dad14dc5f4eb27d6fec0e864dbbbbbb2fd03c8e4acaa130a7c7e0986ce28",
+    "run.csv": "20541f28d835b228dedf4497ba27e7d08256cb88ba5bb2c651318d4c3a96f7d3",
+    "run.jsonl": "0c06a67616edbd167c788cdc315da1a0169fbf733819d85851acd97bc463212d",
 }
 
 NOISE_MODEL = {
@@ -32,9 +45,8 @@ NOISE_MODEL = {
 }
 
 
-@pytest.fixture(scope="module")
-def corpus(tmp_path_factory):
-    d = tmp_path_factory.mktemp("golden")
+def build_corpus(d):
+    """Write the five golden files into the directory ``d``."""
     config = d / "sensor.cfg"
     save_working_point(make_wp(), config)
     with open(config, "a") as fh:
@@ -50,6 +62,12 @@ def corpus(tmp_path_factory):
         assert main(["process", "--config", str(config), "--input", str(d / "frames"),
                      "--calibration", str(d / "cal.json"), "--noise-model", str(noise),
                      "--format", fmt, "--out", str(d / f"run.{fmt}")]) == 0
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden")
+    build_corpus(d)
     return d
 
 
@@ -65,3 +83,36 @@ def test_golden_run_covers_ok_degraded_and_sigmas(corpus):
     assert len(records) == 200
     assert {"warmup", "ok", "degraded"} <= statuses
     assert all(r["sigma_R_m"] > 0 for r in records if r["status"] in ("ok", "degraded"))
+
+
+_NUMPY = np.show_config(mode="dicts")
+_BLAS_CONFIG = _NUMPY.get("Build Dependencies", {}).get("blas", {}).get("openblas configuration", "")
+_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+_CORES = pytest.mark.skipif("DYNAMIC_ARCH" not in _BLAS_CONFIG, reason=(
+    "numpy's BLAS is not an OpenBLAS DYNAMIC_ARCH build, so OPENBLAS_CORETYPE selects no kernel"))
+_DISPATCH = pytest.mark.skipif(
+    not set(_AVX512.split()) <= set(_NUMPY.get("SIMD Extensions", {}).get("found", ())),
+    reason="numpy finds no AVX-512 on this CPU, so NPY_DISABLE_CPU_FEATURES disables nothing")
+
+
+@pytest.mark.parametrize("variable, value", [
+    pytest.param("OPENBLAS_CORETYPE", "Haswell", marks=_CORES),
+    pytest.param("OPENBLAS_CORETYPE", "Prescott", marks=_CORES),
+    pytest.param("NPY_DISABLE_CPU_FEATURES", _AVX512, marks=_DISPATCH),
+])
+def test_golden_output_bytes_do_not_depend_on_the_kernel(tmp_path, variable, value):
+    """The corpus, rebuilt in a fresh interpreter under another OpenBLAS kernel or
+    without numpy's AVX-512 dispatch, has the pinned digests.
+
+    Dispatch is lowered no further than AVX2 (``X86_V3``): below it, ``np.abs``
+    of the complex spectrum rounds differently and moves ``cal.json``, which a
+    dispatch-independent magnitude has still to settle.
+    """
+    paths = [str(Path(lfisensor.__file__).parents[1]), str(Path(__file__).parent),
+             os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, variable: value, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    subprocess.run([sys.executable, "-c", "import sys, pathlib, test_golden; "
+                    "test_golden.build_corpus(pathlib.Path(sys.argv[1]))", str(tmp_path)],
+                   env=env, check=True)
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in GOLDEN_SHA256} == GOLDEN_SHA256

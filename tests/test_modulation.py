@@ -73,6 +73,15 @@ def test_coinciding_ramp_slopes_are_refused(steep_slope, ratio_rt):
         make_wp(steep_slope=steep_slope, ratio_rt=ratio_rt)
 
 
+def test_a_slope_difference_that_underflows_times_the_emitted_frequency_is_refused():
+    # The four slopes differ, but 1e-10 Hz times any difference of them is 0:
+    # the solver's velocity of every ramp pair would divide by zero.
+    with pytest.raises(ParameterError, match="ramps 0 and 1 cannot be solved as a pair: "
+                       "emitted_frequency 1e-10 times their slope difference 2e-323 "
+                       "underflows to 0"):
+        make_wp(steep_slope=1e-323, ratio_rt=0.6, emitted_frequency=1e-10, hp_cutoff=0.0)
+
+
 def test_distinct_subnormal_ramp_slopes_are_admitted():
     assert ramp_slopes(make_wp(steep_slope=1e-323, ratio_rt=0.6)) == (1e-323, -1e-323, 5e-324,
                                                                      -5e-324)
