@@ -116,7 +116,11 @@ def _gaussian_fits(block: np.ndarray) -> tuple:
     n_rows = len(block)
     _, x, powers = _window_tables(block.shape[1])
     positive = block > 0
+    floored = ~positive
     peak = block.max(axis=1)
+    # Each pass's weights stacked over its weighted logs: one moment-product operand.
+    moments = np.empty((2 * n_rows, block.shape[1]))
+    weights, weighted_logs = moments[:n_rows], moments[n_rows:]
     # Wild windows can overflow; a fit that is not finite fails the guard.
     with np.errstate(all="ignore"):
         log_y = np.log(np.where(positive, block, 1.0)) - np.log(peak)[:, None]
@@ -126,8 +130,9 @@ def _gaussian_fits(block: np.ndarray) -> tuple:
             # pass's largest fit is log(peak) - log(peak) = 0, so it is not taken.
             if done > 1:
                 fit -= fit.max(axis=1, keepdims=True)
-            weights = np.exp(2.0 * fit)
-            sums = (np.concatenate([weights, weights * log_y]) @ powers).tolist()
+            np.exp(np.multiply(2.0, fit, out=weights), out=weights)
+            np.multiply(weights, log_y, out=weighted_logs)
+            sums = (moments @ powers).tolist()
             abc = []
             for (s0, s1, s2, s3, s4), (t0, t1, t2, _, _) in zip(sums, sums[n_rows:]):
                 # Solve [[s0, s1, s2], [s1, s2, s3], [s2, s3, s4]] (a, b, c) = t
@@ -140,9 +145,14 @@ def _gaussian_fits(block: np.ndarray) -> tuple:
                             (m01 * t0 + m11 * t1 + m12 * t2) * scale,
                             (m02 * t0 + m12 * t1 + m22 * t2) * scale))
             if done < GAUSSIAN_PASSES:
-                # Elementwise, not a matmul, so that no row's fit depends on another's.
+                # a + x (b + c x), elementwise, not a matmul, so that no row's
+                # fit depends on another's; floored bins get -inf.
                 a, b, c = np.array(abc).T[:, :, None]
-                fit = np.where(positive, a + x * (b + c * x), -np.inf)
+                np.multiply(c, x, out=fit)
+                fit += b
+                fit *= x
+                fit += a
+                np.copyto(fit, -np.inf, where=floored)
     vertices, intensities = [], []
     for (a, b, c), top, n in zip(abc, peak.tolist(), positive.sum(axis=1).tolist()):
         offset = -b / (2.0 * c) if c < 0 else math.nan
@@ -171,23 +181,26 @@ def _interpolate(rows, bin_freqs, centers, window, method, epsilons) -> list:
     if not center_list:
         return []
     columns = _window_tables(window)[0] + centers[:, None]
-    # Each row's window and its bin frequencies (the end bins' past the ends).
+    # Each row's window (the end bins' past the ends).
     weights = rows.take(columns + np.arange(0, rows.size, n_bins)[:, None], mode="clip")
-    freqs = bin_freqs.take(columns, mode="clip")
     if min(center_list) < half or max(center_list) > n_bins - 1 - half:
         weights[(columns < 0) | (columns >= n_bins)] = 0.0
     if method == GAUSSIAN:
         vertices, fit_intensities = _gaussian_fits(weights)
-        vertices = np.array(vertices)
-        # A vertex must stay in the window's bins, max(center - half, 0) to
-        # min(center + half, n_bins - 1); a failed fit's NaN does not.
-        accepted = ((vertices >= -np.minimum(centers, half))
-                    & (vertices <= np.minimum(n_bins - 1 - centers, half)))
-        fitted = freqs[:, half] + vertices * (bin_freqs[1] - bin_freqs[0])
-        if accepted.all():
+        # Per row, in Python floats: a vertex must stay in the window's bins,
+        # max(center - half, 0) to min(center + half, n_bins - 1), and a failed
+        # fit's NaN does not.
+        step = float(bin_freqs[1] - bin_freqs[0])
+        accepted, fitted = [], []
+        for center, middle, v in zip(center_list, bin_freqs.take(centers).tolist(), vertices):
+            accepted.append(-min(center, half) <= v <= min(n_bins - 1 - center, half))
+            fitted.append(middle + v * step)
+        if all(accepted):
             return [PeakEstimate(r % 4, f, i, GAUSSIAN, v) for r, (f, i, v) in enumerate(zip(
-                fitted.tolist(), fit_intensities, validity(rows, fit_intensities, epsilons)))]
-    # The weighted average, for every row the Gaussian fit does not cover.
+                fitted, fit_intensities, validity(rows, fit_intensities, epsilons)))]
+    # The weighted average, for every row the Gaussian fit does not cover, over
+    # each window's bin frequencies (the end bins' past the ends).
+    freqs = bin_freqs.take(columns, mode="clip")
     totals = np.add.reduce(weights, axis=1)
     found = totals != 0.0  # a window with no weight has no peak
     means = np.add.reduce(weights * freqs, axis=1)
@@ -199,7 +212,7 @@ def _interpolate(rows, bin_freqs, centers, window, method, epsilons) -> list:
         means = np.where(accepted, fitted, means)
         intensities = np.where(accepted, fit_intensities, intensities)
         found |= accepted
-        used = [GAUSSIAN if a else WEIGHTED_AVERAGE for a in accepted.tolist()]
+        used = [GAUSSIAN if a else WEIGHTED_AVERAGE for a in accepted]
     intensities = intensities.tolist()
     # An all-zero row has no peak under either method.
     return [PeakEstimate(r % 4, f, i, m, v) if peak

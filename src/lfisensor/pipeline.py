@@ -52,6 +52,30 @@ from .spectral import (
 DEFAULT_NOISE_GATE = 6.0
 
 
+def check_settings(wp: WorkingPoint, fft_bins: int, interp_window: int, interp_method: str,
+                   n_avg: int, alpha: float, beta: float, sync_offset_samples: int) -> None:
+    """Refuse pipeline settings (the :class:`PipelineConfig` keys of a config file)
+    that no calibration could make valid at the working point ``wp``."""
+    if n_avg < 1:
+        raise ParameterError(f"n_avg must be >= 1, got {n_avg}")
+    if interp_method not in METHODS:
+        raise ParameterError(f"interp_method must be one of {METHODS}, got {interp_method!r}")
+    check_fft_bins(fft_bins, wp.samples_per_ramp)
+    bins = fft_bins // 2
+    ring = 4 * 2 * n_avg * bins * 8  # PipelineState.ring, float64
+    if ring > MAX_WORK_BYTES:
+        raise ParameterError(
+            f"n_avg ({n_avg}) needs {ring} bytes of sliding-average ring at "
+            f"fft_bins {fft_bins}, more than MAX_WORK_BYTES ({MAX_WORK_BYTES})")
+    if interp_window < 3 or interp_window % 2 == 0 or interp_window > bins:
+        raise ParameterError(
+            f"interp_window must be odd, >= 3 and <= fft_bins // 2 ({bins}), got {interp_window}")
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not 0 <= value < math.inf:
+            raise ParameterError(f"{name} must be finite and >= 0, got {value}")
+    check_sync_offset(sync_offset_samples, wp.samples_per_cycle)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Processing parameters for one sensor stream.
@@ -74,45 +98,27 @@ class PipelineConfig:
     #: Hamming window of one frame and the one-sided bin frequencies.
     frame_window: np.ndarray = field(init=False, repr=False, compare=False)
     bin_frequencies: np.ndarray = field(init=False, repr=False, compare=False)
-    #: ``alpha * reference_mean`` and ``beta * reference_sigma``, (4, bins).
+    #: ``alpha * reference_mean`` and ``beta * reference_sigma``, (4, bins);
+    #: the latter is None at ``beta`` 0.
     scaled_mean: np.ndarray = field(init=False, repr=False, compare=False)
-    scaled_sigma: np.ndarray = field(init=False, repr=False, compare=False)
+    scaled_sigma: np.ndarray | None = field(init=False, repr=False, compare=False)
     #: ``DEFAULT_NOISE_GATE * median(reference_sigma)`` per ramp, before the
     #: ``sqrt(n_window)`` of the averaging.
     noise_gates: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        wp = self.working_point
-        if self.n_avg < 1:
-            raise ParameterError(f"n_avg must be >= 1, got {self.n_avg}")
-        if self.interp_method not in METHODS:
-            raise ParameterError(
-                f"interp_method must be one of {METHODS}, got {self.interp_method!r}"
-            )
-        check_fft_bins(self.fft_bins, wp.samples_per_ramp)
-        bins = self.fft_bins // 2
-        ring = 4 * 2 * self.n_avg * bins * 8  # PipelineState.ring, float64
-        if ring > MAX_WORK_BYTES:
-            raise ParameterError(
-                f"n_avg ({self.n_avg}) needs {ring} bytes of sliding-average ring at "
-                f"fft_bins {self.fft_bins}, more than MAX_WORK_BYTES ({MAX_WORK_BYTES})")
-        if self.interp_window < 3 or self.interp_window % 2 == 0 or self.interp_window > bins:
-            raise ParameterError(
-                f"interp_window must be odd, >= 3 and <= fft_bins // 2 ({bins}), "
-                f"got {self.interp_window}"
-            )
-        for name in ("alpha", "beta"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ParameterError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        check_sync_offset(self.sync_offset_samples, wp.samples_per_cycle)
-        self.calibration.check_compatible(wp, self.fft_bins, self.sync_offset_samples)
+        wp, cal = self.working_point, self.calibration
+        check_settings(wp, self.fft_bins, self.interp_window, self.interp_method, self.n_avg,
+                       self.alpha, self.beta, self.sync_offset_samples)
+        cal.check_compatible(wp, self.fft_bins, self.sync_offset_samples)
 
-        cal = self.calibration
         derived = {
             "frame_window": np.hamming(wp.samples_per_ramp),
             "bin_frequencies": bin_frequencies(wp, self.fft_bins),
             "scaled_mean": self.alpha * cal.reference_mean,
-            "scaled_sigma": self.beta * cal.reference_sigma,
+            # x - (+-0.0) is x but at x = -0.0, which magnitudes less a nonnegative
+            # mean never give, so beta 0 skips the sigma with no bit changed.
+            "scaled_sigma": self.beta * cal.reference_sigma if self.beta else None,
             "noise_gates": tuple(
                 (DEFAULT_NOISE_GATE * np.median(cal.reference_sigma, axis=1)).tolist()
             ),
@@ -150,13 +156,16 @@ class PipelineState:
         """Add one cycle's ``(4, bins)`` spectra, then overwrite them with the window mean.
 
         The sum and the division are ``np.mean``'s.  A window of one spectrum
-        leaves ``spectra`` as they are: dividing by 1.0 changes nothing.
+        leaves ``spectra`` as they are: dividing by 1.0 changes nothing.  At
+        ``n_avg`` 1 every window is one spectrum, so the ring is never written.
         """
         n_avg = self.ring.shape[1] // 2
         slot = self.cycles_seen % n_avg
+        self.cycles_seen += 1
+        if n_avg == 1:
+            return
         self.ring[:, slot] = spectra
         self.ring[:, slot + n_avg] = spectra
-        self.cycles_seen += 1
         if self.n_window > 1:
             start = (self.cycles_seen - self.n_window) % n_avg
             np.add.reduce(self.ring[:, start : start + self.n_window], axis=1, out=spectra)
@@ -284,7 +293,8 @@ def read_config_file(path):
 
     The file holds the working-point keys plus optional pipeline keys; a
     pipeline setting the file omits takes its :class:`PipelineConfig`
-    default.  Unknown keys are rejected to catch typos.
+    default.  Unknown keys are rejected to catch typos, and settings that
+    :func:`check_settings` refuses are refused here, for every command.
     """
     values = read_flat_config(path)
     wp_keys = WORKING_POINT_KEYS.values()
@@ -293,5 +303,6 @@ def read_config_file(path):
         text=True,
     )
     wp = WorkingPoint.from_dict({k: v for k, v in values.items() if k in wp_keys}, text=True)
+    check_settings(wp, **settings)
     return wp, settings
 

@@ -214,8 +214,10 @@ def remove_floor(stack, scaled_mean, scaled_sigma) -> None:
     """Replace ``stack`` by ``max(stack - scaled_mean - scaled_sigma, 0)`` per bin, in that order.
 
     The scaled references are ``alpha * mean_ref`` and ``beta * sigma_ref``;
-    the pipeline computes them once per configuration.
+    the pipeline computes them once per configuration.  A ``scaled_sigma`` of
+    None stands for zeros and subtracts nothing.
     """
     stack -= scaled_mean
-    stack -= scaled_sigma
+    if scaled_sigma is not None:
+        stack -= scaled_sigma
     np.maximum(stack, 0.0, out=stack)

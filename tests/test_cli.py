@@ -651,6 +651,23 @@ def test_out_of_range_pipeline_setting_exits_nonzero(config_path, tmp_path, caps
                                                           config_path.name]
 
 
+@pytest.mark.parametrize("command", ["synth", "calibrate", "process", "blindmap", "mindist"])
+def test_every_command_refuses_the_pipeline_settings_process_refuses(config_path, tmp_path,
+                                                                      capsys, command):
+    # synth, calibrate, blindmap and mindist used to run on settings that
+    # process refuses; the config reader now refuses them for every command.
+    extra = {"synth": ["--cycles", "2"], "calibrate": ["--cycles", "16"],
+             "process": ["--calibration", str(_calibrate(config_path, tmp_path)), "--cycles", "2"],
+             "blindmap": ["--resolution", "3"], "mindist": []}[command]
+    config_path.write_text(config_path.read_text() + "n_avg = 0\ninterp_method = bogus\n")
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    err = _refused([command, "--config", str(config_path), "--out", str(tmp_path / "out"),
+                    *extra], ParameterError, capsys)
+    assert err == "error: n_avg must be >= 1, got 0\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def _offset_config(tmp_path, wp, offset):
     config = tmp_path / f"offset{offset}.cfg"
     save_working_point(wp, config)

@@ -380,6 +380,42 @@ def _peak_case(window, n_bins, rows, seed):
     return stack, np.array(centers), window
 
 
+#: Windows whose Gaussian vertex lands exactly on an acceptance bound, then one
+#: float past it: ``(center, first bin, magnitudes from that bin on)`` in a
+#: 16-bin row, with a 5-bin window.  Center 8 has the bounds -2 and 2; center
+#: 1's window is clipped at bin 0 (lower bound -1), center 14's at bin 15 (upper
+#: bound 1).  The vertices are exact with numpy's log, exp and OpenBLAS moment
+#: product as the golden digests were pinned; a build that rounds otherwise can
+#: move them an ulp, and the rows are then still compared with the oracle.
+_ON_AND_PAST_BOUNDS = [
+    (8, 6, [1.0, 0.7438930621376549, 0.30622598005804946, 0.06975808901308397,
+            0.008793628879685274]),
+    (8, 6, [1.0, 0.7438930621376583, 0.3062259800580522, 0.06975808901308488,
+            0.008793628879685423]),
+    (8, 6, [0.00879362887968497, 0.06975808901308214, 0.3062259800580442, 0.7438930621376486,
+            1.0]),
+    (8, 6, [0.06277702665912514, 0.21074773581840778, 0.5005531347669083, 0.8411288833576093,
+            1.0]),
+    (1, 0, [1.0, 0.5394075072376193, 0.08465798862252764, 0.0038659201394726462]),
+    (1, 0, [1.0, 0.7438930621376457, 0.30622598005804175, 0.06975808901308134]),
+    (14, 12, [0.024258013454282336, 0.19149519501466328, 0.6615146556493751, 1.0]),
+    (14, 12, [0.06975808901308156, 0.3062259800580425, 0.7438930621376465, 1.0]),
+]
+
+
+def _bound_case():
+    """The rows of :data:`_ON_AND_PAST_BOUNDS`, then a peak with a NaN bin, an
+    all-zero row and peaks on bin 0 and bin 15, as an ``_interpolate`` case."""
+    rows = np.zeros((len(_ON_AND_PAST_BOUNDS) + 4, 16))
+    centers = []
+    for r, (center, first, values) in enumerate(_ON_AND_PAST_BOUNDS):
+        rows[r, first : first + len(values)] = values
+        centers.append(center)
+    rows[-4, 3:8] = [0.2, 0.6, 1.0, math.nan, 0.3]
+    rows[-2, :3], rows[-1, 13:] = [1.0, 0.5, 0.1], [0.1, 0.5, 1.0]
+    return rows, np.array(centers + [5, 7, 0, 15]), 5
+
+
 @st.composite
 def _peak_cases(draw):
     """Stacks of 1-64 rows, windows of 3-25 bins (no wider than a row), centers
@@ -400,6 +436,9 @@ def _peak_cases(draw):
 # 25-bin windows of which only 13 bins lie in the row, the rest zero padding.
 @example(case=_peak_case(25, 64, [("peak", 0), ("peak", 63), ("peak", 1), ("peak", 62)] * 4, 7),
          method=WEIGHTED_AVERAGE, epsilon=0.0)
+# Gaussian vertices on and one float past each acceptance bound, a NaN row, an
+# all-zero row and windows clipped at either end of the spectrum.
+@example(case=_bound_case(), method=GAUSSIAN, epsilon=0.0)
 @settings(max_examples=200, deadline=None)
 def test_peak_stage_matches_a_per_row_loop(case, method, epsilon):
     rows, centers, window = case

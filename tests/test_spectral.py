@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -144,6 +145,20 @@ def _push(state, spectra):
     return average
 
 
+def test_a_one_spectrum_window_leaves_the_spectra_and_never_writes_the_ring():
+    rng = np.random.default_rng(4)
+    state = _window(1, 1024)
+    state.ring[:] = -1.0  # no magnitude: a write would show
+    for t in range(3):
+        spectra = rng.uniform(size=(4, 1024)) * 10.0 ** rng.integers(-300, 300, size=(4, 1))
+        spectra[0, :4] = [0.0, -0.0, 5e-324, math.nan]
+        pushed = spectra.copy()
+        state.push(pushed)
+        assert pushed.tobytes() == spectra.tobytes()
+        assert (state.cycles_seen, state.n_window) == (t + 1, 1)
+    assert (state.ring == -1.0).all()
+
+
 def test_sliding_average_identity_and_constant():
     spectra = np.random.default_rng(0).uniform(size=(4, 1024))
     state = _window(3, 1024)
@@ -274,6 +289,25 @@ def test_subtract_floor_cases():
     stack = x.copy()
     remove_floor(stack, mean, 0.0 * sigma)  # in place
     np.testing.assert_array_equal(stack, 3.0)
+
+
+def test_a_zero_sigma_is_skipped_bit_for_bit(wp, quiet_cal):
+    # At beta 0 the config keeps no sigma and the floor subtracts none; the
+    # three-step form subtracts beta * sigma, all +0.0, which changes no float.
+    assert PipelineConfig(wp, quiet_cal).scaled_sigma is None
+    assert PipelineConfig(wp, quiet_cal, beta=0.5).scaled_sigma is not None
+    edge = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+            1.7976931348623157e308, 1.0, 3.0]
+    rng = np.random.default_rng(5)
+    stack = rng.choice(edge, size=(3, 4, 10))
+    mean = rng.choice(edge, size=(4, 10))
+    sigma = np.abs(rng.choice(edge, size=(4, 10)))
+    skipped, expected = stack.copy(), stack.copy()
+    remove_floor(skipped, mean, None)
+    expected -= mean
+    expected -= 0.0 * sigma
+    np.maximum(expected, 0.0, out=expected)
+    assert skipped.tobytes() == expected.tobytes()
 
 
 def test_subtract_floor_shape_mismatch_and_bad_factors():
