@@ -21,8 +21,9 @@ from itertools import combinations
 import numpy as np
 
 from .errors import FitError, ParameterError
-from .modulation import SPEED_OF_LIGHT, WorkingPoint, decode_fields, ramp_slopes, write_atomic
+from .modulation import SPEED_OF_LIGHT, WorkingPoint, decode_fields, open_atomic, ramp_slopes
 from .simulator import signed_beat
+from .spectral import MAX_WORK_BYTES
 
 OBSERVATION_FIELDS = (
     "f_ramp_rate",
@@ -109,6 +110,12 @@ def blind_map(wp: WorkingPoint, v_range, r_range, resolution) -> BlindMap:
     n_v, n_r = resolution
     if n_v < 1 or n_r < 1:
         raise ParameterError(f"resolution must be positive, got {resolution}")
+    # Per cell: the int64 count and about three float64 temporaries of one ramp's pass.
+    work = 32 * n_v * n_r
+    if work > MAX_WORK_BYTES:
+        raise ParameterError(
+            f"resolution {resolution} needs {work} bytes of blind-map grid, "
+            f"more than MAX_WORK_BYTES ({MAX_WORK_BYTES})")
     v_lo, v_hi = v_range
     r_lo, r_hi = r_range
     if not all(map(math.isfinite, (v_lo, v_hi, r_lo, r_hi))):
@@ -145,14 +152,7 @@ def min_reliable_distance(wp: WorkingPoint, v_max: float) -> float:
 
 def _design_matrix(observations):
     rows = [
-        [
-            math.log10(obs.f_ramp_rate),
-            math.log10(obs.slope_S),
-            math.log10(obs.beat_f_b),
-            math.log10(obs.velocity_v),
-            math.log10(obs.distance_R),
-            1.0,
-        ]
+        [math.log10(getattr(obs, name)) for name in _REGRESSOR_FIELDS] + [1.0]
         for obs in observations
     ]
     target = [
@@ -214,15 +214,8 @@ def predict_sigma_fb(
     A prediction that is not finite and > 0 (a model far outside its fitted
     domain overflows or underflows) raises :class:`ParameterError`.
     """
-    regressors = {
-        "f_ramp_rate": f_ramp_rate,
-        "slope_S": slope_S,
-        "beat_f_b": beat_f_b,
-        "velocity_v": velocity_v,
-        "distance_R": distance_R,
-        "n_avg": n_avg,
-    }
-    for name, value in regressors.items():
+    point = (f_ramp_rate, slope_S, beat_f_b, velocity_v, distance_R, n_avg)
+    for name, value in zip(OBSERVATION_FIELDS, point):
         if not value > 0:
             raise ParameterError(
                 f"{name} must be strictly positive (log domain), got {value}"
@@ -246,23 +239,21 @@ def predict_sigma_fb(
 
 def write_blind_map_csv(bm: BlindMap, path) -> None:
     """Long-format CSV: one (v, R, count) row per grid cell, CRLF line ends."""
-    rows = ["v_mps,distance_m,blind_count"]
-    rows += [
-        f"{v:.12g},{r:.12g},{int(bm.blind_count[i, j])}"
-        for i, r in enumerate(bm.r_axis)
-        for j, v in enumerate(bm.v_axis)
-    ]
-    write_atomic(path, "\r\n".join(rows) + "\r\n")
+    v_axis = [format(v, ".12g") for v in bm.v_axis.tolist()]
+    with open_atomic(path) as fh:
+        fh.write(b"v_mps,distance_m,blind_count\r\n")
+        for r, counts in zip(bm.r_axis.tolist(), bm.blind_count):
+            fh.write("".join(f"{v},{r:.12g},{c}\r\n"
+                             for v, c in zip(v_axis, counts.tolist())).encode())
 
 
 def write_blind_map_grid(bm: BlindMap, path) -> None:
     """Dense whitespace grid (rows = distance, columns = velocity) for plotting."""
-    lines = [
-        "# v_axis_mps: " + " ".join(format(v, ".12g") for v in bm.v_axis),
-        "# r_axis_m: " + " ".join(format(r, ".12g") for r in bm.r_axis),
-    ]
-    lines += [" ".join(str(int(c)) for c in row) for row in bm.blind_count]
-    write_atomic(path, "\n".join(lines) + "\n")
+    with open_atomic(path) as fh:
+        for name, axis in (("v_axis_mps", bm.v_axis), ("r_axis_m", bm.r_axis)):
+            fh.write(f"# {name}: {' '.join(format(x, '.12g') for x in axis)}\n".encode())
+        for counts in bm.blind_count:
+            fh.write((" ".join(map(str, counts.tolist())) + "\n").encode())
 
 
 def read_observations_csv(path):

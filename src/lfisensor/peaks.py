@@ -32,7 +32,6 @@ METHODS = (GAUSSIAN, WEIGHTED_AVERAGE)
 class PeakEstimate:
     """Interpolated beat-frequency magnitude of one ramp spectrum."""
 
-    ramp_index: int
     beat_frequency: float  # Hz >= 0; sign resolved in the solver
     intensity: float
     method: str
@@ -196,8 +195,8 @@ def _interpolate(rows, bin_freqs, centers, window, method, epsilons) -> list:
             accepted.append(-min(center, half) <= v <= min(n_bins - 1 - center, half))
             fitted.append(middle + v * step)
         if all(accepted):
-            return [PeakEstimate(r % 4, f, i, GAUSSIAN, v) for r, (f, i, v) in enumerate(zip(
-                fitted, fit_intensities, validity(rows, fit_intensities, epsilons)))]
+            return [PeakEstimate(f, i, GAUSSIAN, v) for f, i, v in zip(
+                fitted, fit_intensities, validity(rows, fit_intensities, epsilons))]
     # The weighted average, for every row the Gaussian fit does not cover, over
     # each window's bin frequencies (the end bins' past the ends).
     freqs = bin_freqs.take(columns, mode="clip")
@@ -215,8 +214,8 @@ def _interpolate(rows, bin_freqs, centers, window, method, epsilons) -> list:
         used = [GAUSSIAN if a else WEIGHTED_AVERAGE for a in accepted]
     intensities = intensities.tolist()
     # An all-zero row has no peak under either method.
-    return [PeakEstimate(r % 4, f, i, m, v) if peak
-            else PeakEstimate(r % 4, 0.0, 0.0, method if not rows[r].any() else WEIGHTED_AVERAGE,
+    return [PeakEstimate(f, i, m, v) if peak
+            else PeakEstimate(0.0, 0.0, method if not rows[r].any() else WEIGHTED_AVERAGE,
                               valid=False)
             for r, (f, i, m, v, peak) in enumerate(zip(
                 means.tolist(), intensities, used, validity(rows, intensities, epsilons),

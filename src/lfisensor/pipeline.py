@@ -131,35 +131,38 @@ class PipelineConfig:
 class PipelineState:
     """Sliding-average window of one stream worker: the last ``n_avg`` spectra per ramp.
 
-    ``ring`` has shape ``(4, 2 * n_avg, bins)``.  Cycle ``t`` is written to
-    slots ``t % n_avg`` and ``t % n_avg + n_avg``, so the window, oldest
-    first, is always one contiguous slice of slots.  Averaging that slice
-    adds the spectra in the same order as ``np.mean`` over a list of them,
-    so the result is the same to the bit.  ``work`` holds the arrays of
+    ``ring`` has shape ``(4, 2 * n_avg, bins)``, or no slots at ``n_avg`` 1,
+    where every window is one spectrum.  Cycle ``t`` is written to slots
+    ``t % n_avg`` and ``t % n_avg + n_avg``, so the window, oldest first, is
+    always one contiguous slice of slots.  Averaging that slice adds the
+    spectra in the same order as ``np.mean`` over a list of them, so the
+    result is the same to the bit.  ``work`` holds the arrays of
     ``magnitude_spectra``, kept for the next block.
     """
 
+    n_avg: int
     ring: np.ndarray
     cycles_seen: int = 0
     work: list = field(default_factory=list, repr=False, compare=False)
 
     @classmethod
     def for_config(cls, cfg: PipelineConfig) -> "PipelineState":
-        return cls(ring=np.zeros((4, 2 * cfg.n_avg, cfg.fft_bins // 2)))
+        slots = 2 * cfg.n_avg if cfg.n_avg > 1 else 0
+        return cls(cfg.n_avg, np.zeros((4, slots, cfg.fft_bins // 2)))
 
     @property
     def n_window(self) -> int:
         """Spectra per ramp in the current window."""
-        return min(self.cycles_seen, self.ring.shape[1] // 2)
+        return min(self.cycles_seen, self.n_avg)
 
     def push(self, spectra: np.ndarray) -> None:
         """Add one cycle's ``(4, bins)`` spectra, then overwrite them with the window mean.
 
         The sum and the division are ``np.mean``'s.  A window of one spectrum
         leaves ``spectra`` as they are: dividing by 1.0 changes nothing.  At
-        ``n_avg`` 1 every window is one spectrum, so the ring is never written.
+        ``n_avg`` 1 every window is one spectrum, and there is no ring.
         """
-        n_avg = self.ring.shape[1] // 2
+        n_avg = self.n_avg
         slot = self.cycles_seen % n_avg
         self.cycles_seen += 1
         if n_avg == 1:

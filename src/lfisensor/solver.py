@@ -2,9 +2,9 @@
 
 Magnitude spectra hide the beat sign, and in short-range high-velocity
 regimes both signs are plausible for every ramp.  The solver keeps the
-three strongest ramps, enumerates all 2^3 sign assignments, scores each
-by how tightly its three pairwise solutions cluster, and resolves the
-remaining mirror ambiguity by requiring a positive distance.
+three strongest ramps, scores each sign assignment by how tightly its
+three pairwise solutions cluster, and resolves the remaining mirror
+ambiguity by requiring a positive distance.
 """
 
 from __future__ import annotations
@@ -92,9 +92,8 @@ def _invalid_measurement() -> Measurement:
     )
 
 
-#: The 8 sign assignments in itertools.product order.  The last four are
-#: the mirrors of the first four, in reverse order.
-_SIGNS = tuple(itertools.product((1, -1), repeat=3))
+#: The 4 sign assignments that lead with +, in itertools.product order.
+_SIGNS = tuple((1, *rest) for rest in itertools.product((1, -1), repeat=2))
 
 
 def _var3(a: float, b: float, c: float) -> float:
@@ -105,17 +104,14 @@ def _var3(a: float, b: float, c: float) -> float:
 
 
 def _sign_combos(magnitudes, slopes, f_e: float) -> list:
-    """Score all 8 sign assignments of three beat magnitudes.
+    """Score the 4 sign assignments of three beat magnitudes that lead with +.
 
-    Returns ``(signs, mean R, mean v, spread)`` rows in itertools.product
+    Returns ``(signs, mean R, mean v, spread)`` rows in :data:`_SIGNS`
     order.  Each pair is solved as in :func:`pair_solution` and the spread
     is ``sqrt(var(R) / DEFAULT_R_REF**2 + var(v) / DEFAULT_V_REF**2)``.
-    Only the four assignments with a leading + are solved: flipping every
-    sign negates each beat, hence each pairwise (R, v) and both means
-    exactly, and leaves the spread unchanged, so the other four are their
-    mirrors, which product() lists in reverse order.  A mirror mean is
-    ``0.0 - mean`` rather than ``-mean``: a direct solve sums to +0.0, never
-    -0.0, when the pairwise values cancel.
+    Flipping every sign negates each beat, hence each pairwise (R, v) and
+    both means exactly, and leaves the spread unchanged: these rows stand
+    for all eight assignments.
     """
     m0, m1, m2 = magnitudes
     s0, s1, s2 = slopes
@@ -125,53 +121,56 @@ def _sign_combos(magnitudes, slopes, f_e: float) -> list:
     v01, v02, v12 = f_e * d01, f_e * d02, f_e * d12
     r_scale, v_scale = DEFAULT_R_REF**2, DEFAULT_V_REF**2
     rows = []
-    for signs in _SIGNS[:4]:
-        f0, f1, f2 = m0, signs[1] * m1, signs[2] * m2
-        dist = (c * (f0 - f1) / r01, c * (f0 - f2) / r02, c * (f1 - f2) / r12)
+    for signs in _SIGNS:
+        f1, f2 = signs[1] * m1, signs[2] * m2
+        dist = (c * (m0 - f1) / r01, c * (m0 - f2) / r02, c * (f1 - f2) / r12)
         vel = (
-            c * (f1 * s0 - f0 * s1) / v01,
-            c * (f2 * s0 - f0 * s2) / v02,
+            c * (f1 * s0 - m0 * s1) / v01,
+            c * (f2 * s0 - m0 * s2) / v02,
             c * (f2 * s1 - f1 * s2) / v12,
         )
         spread = math.sqrt(_var3(*dist) / r_scale + _var3(*vel) / v_scale)
         rows.append((signs, sum(dist) / 3.0, sum(vel) / 3.0, spread))
-    mirrors = [
-        (signs, 0.0 - mean_r, 0.0 - mean_v, spread)
-        for signs, (_, mean_r, mean_v, spread) in zip(_SIGNS[4:], reversed(rows))
-    ]
-    return rows + mirrors
+    return rows
 
 
 def disambiguate(peaks, wp: WorkingPoint) -> Measurement:
-    """Turn four per-ramp peak estimates into one signed (R, v) measurement.
+    """Turn a cycle's four peak estimates, in ramp order, into one signed (R, v) measurement.
 
-    Steps: (1) keep the three highest-intensity valid peaks; (2) enumerate
-    all 2^3 sign assignments of their magnitudes; (3) solve the three ramp
-    pairs for each assignment; (4) score assignments by normalized solution
-    scatter; (5) between the best score and its mirror (which ties by
-    construction) keep the one with mean R > 0; (6) report the mean of the
+    Steps: (1) keep the three highest-intensity valid peaks; (2) solve the
+    three ramp pairs under each sign assignment of their magnitudes that
+    leads with +; (3) score assignments by normalized solution scatter;
+    (4) turn each least-scatter assignment into its positive-distance form,
+    itself when its mean R > 0 and its mirror (every sign flipped, which
+    ties by construction) when its mean R < 0; (5) report the mean of the
     three pairwise solutions.
 
     Sigmas are left NaN.  Fewer than three valid peaks, or no
     positive-distance solution, yields an invalid measurement.
     """
-    peaks = sorted(peaks, key=lambda p: p.ramp_index)
-    if len(peaks) != 4 or [p.ramp_index for p in peaks] != [0, 1, 2, 3]:
-        raise ParameterError("disambiguate expects one peak estimate per ramp 0..3")
-    valid = [p for p in peaks if p.valid]
+    if len(peaks) != 4:
+        raise ParameterError(f"disambiguate expects one peak estimate per ramp, got {len(peaks)}")
+    valid = [i for i, p in enumerate(peaks) if p.valid]
     if len(valid) < 3:
         return _invalid_measurement()
 
-    ranked = sorted(valid, key=lambda p: (-p.intensity, p.ramp_index))[:3]
-    kept = sorted(ranked, key=lambda p: p.ramp_index)
-    indices = tuple(p.ramp_index for p in kept)
+    # A stable sort: of equal intensities, the lower ramp is kept.
+    indices = tuple(sorted(sorted(valid, key=lambda i: -peaks[i].intensity)[:3]))
     slopes = ramp_slopes(wp)
     kept_slopes = [slopes[i] for i in indices]
-    f_e = wp.emitted_frequency
 
-    combos = _sign_combos([p.beat_frequency for p in kept], kept_slopes, f_e)
+    combos = _sign_combos([peaks[i].beat_frequency for i in indices], kept_slopes,
+                          wp.emitted_frequency)
     best_spread = min(spread for _, _, _, spread in combos)
-    positive = [c for c in combos if c[3] == best_spread and c[1] > 0.0]
+    least = [c for c in combos if c[3] == best_spread]
+    # In itertools.product order over all eight assignments: the rows, then the
+    # mirrors, which product() lists in reverse.  A mirror mean is 0.0 - mean,
+    # not -mean: a direct solve sums to +0.0, never -0.0, when the pairwise
+    # values cancel.
+    positive = [c for c in least if c[1] > 0.0] + [
+        (tuple(-s for s in signs), 0.0 - mean_r, 0.0 - mean_v, spread)
+        for signs, mean_r, mean_v, spread in reversed(least) if mean_r < 0.0
+    ]
     if not positive:
         return _invalid_measurement()
     if len(positive) > 1:

@@ -22,8 +22,9 @@ DEFAULT_ALPHA = 1.0
 DEFAULT_BETA = 0.0
 CALIBRATION_FORMAT_VERSION = 3
 #: The most bytes a setting may ask for in one work array set: the FFT arrays of a
-#: block of ``STREAM_BLOCK`` cycles (:func:`magnitude_spectra`), or the pipeline's
-#: sliding-average ring.  Larger settings are refused before anything is allocated.
+#: block of ``STREAM_BLOCK`` cycles (:func:`magnitude_spectra`), the pipeline's
+#: sliding-average ring, or a blind map's grid.  Larger settings are refused before
+#: anything is allocated.
 MAX_WORK_BYTES = 1 << 30
 #: No-target cycles a calibration needs (its sample sigma takes at least two).
 MIN_CALIBRATION_CYCLES = 16

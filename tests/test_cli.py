@@ -19,6 +19,7 @@ from lfisensor import (Calibration, CalibrationError, FramingError, NoiseModelCo
 from lfisensor.cli import _CSV_HEADER, _build_parser, main
 from lfisensor.modulation import save_working_point
 from lfisensor.simulator import STREAM_BLOCK
+from lfisensor.spectral import MAX_WORK_BYTES
 
 from conftest import make_wp
 from test_analysis import (OBSERVATION_FIELDS, TRUE_COEFFS, _synthetic_observations,
@@ -268,6 +269,20 @@ def test_blindmap_matches_library(config_path, tmp_path, capsys):
         bm.blind_count,
     )
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("resolution", [5793, 100000])
+def test_blindmap_refuses_a_grid_too_large_for_memory(config_path, tmp_path, capsys,
+                                                      resolution):
+    # --resolution 100000 used to end in numpy's "Unable to allocate 74.5 GiB";
+    # 5793 is the least square grid past MAX_WORK_BYTES at 32 bytes a cell.
+    assert main(["blindmap", "--config", str(config_path), "--out", str(tmp_path / "map.csv"),
+                 "--resolution", str(resolution)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: resolution ({resolution}, {resolution}) needs "
+                   f"{32 * resolution**2} bytes of blind-map grid, more than MAX_WORK_BYTES "
+                   f"({MAX_WORK_BYTES})"]
+    assert [p.name for p in tmp_path.iterdir()] == [config_path.name]
 
 
 def test_fitnoise_recovers_generator(tmp_path, capsys):

@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,7 +71,7 @@ def test_find_max_bin_tie_breaks_low():
 
 def test_find_max_bin_all_zero_is_no_peak():
     for method in (GAUSSIAN, WEIGHTED_AVERAGE):
-        assert _estimate(np.zeros(1024), method) == PeakEstimate(0, 0.0, 0.0, method, False)
+        assert _estimate(np.zeros(1024), method) == PeakEstimate(0.0, 0.0, method, False)
 
 
 def test_gaussian_recovers_exact_sampled_gaussian():
@@ -271,17 +270,13 @@ def test_batched_estimate_of_a_row_ignores_its_neighbours(rows, method, epsilon)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         batched = _estimates(stack, FREQS, epsilons, method=method)
-        # Row i of a stack is ramp i % 4; alone, it is row 0.
-        alone = [
-            replace(_estimates(stack[i : i + 1], FREQS, [eps], method=method)[0],
-                    ramp_index=i % 4)
-            for i, eps in enumerate(epsilons)
-        ]
+        alone = [_estimates(stack[i : i + 1], FREQS, [eps], method=method)[0]
+                 for i, eps in enumerate(epsilons)]
     # repr spells every float exactly and lets a NaN equal itself.
     assert [repr(est) for est in batched] == [repr(est) for est in alone]
     for est, row in zip(batched, rows):
         if row[0] == "zero":
-            assert est == PeakEstimate(est.ramp_index, 0.0, 0.0, method, valid=False)
+            assert est == PeakEstimate(0.0, 0.0, method, valid=False)
 
 
 
@@ -326,7 +321,7 @@ def _per_row_peaks(rows, freqs, centers, window, method, epsilons):
     """
     half, n_bins = window // 2, rows.shape[1]
     estimates = []
-    for r, (row, center, epsilon) in enumerate(zip(rows, centers, epsilons)):
+    for row, center, epsilon in zip(rows, centers, epsilons):
         lo, hi = max(0, center - half), min(n_bins, center + half + 1)
         weights, span = np.zeros(window), np.zeros(window)
         weights[lo - center + half : hi - center + half] = row[lo:hi]
@@ -335,17 +330,17 @@ def _per_row_peaks(rows, freqs, centers, window, method, epsilons):
             (vertex,), (intensity,) = peaks._gaussian_fits(weights[None])
             if lo - center <= vertex <= hi - 1 - center:
                 frequency = float(freqs[center] + vertex * (freqs[1] - freqs[0]))
-                estimates.append(PeakEstimate(r % 4, frequency, intensity, GAUSSIAN,
+                estimates.append(PeakEstimate(frequency, intensity, GAUSSIAN,
                                               _median_gate(row, intensity, epsilon)))
                 continue
         total = float(weights.sum())
         if total == 0.0:
             label = method if not row.any() else WEIGHTED_AVERAGE
-            estimates.append(PeakEstimate(r % 4, 0.0, 0.0, label, valid=False))
+            estimates.append(PeakEstimate(0.0, 0.0, label, valid=False))
             continue
         frequency = float(min(max((weights * span).sum() / total, freqs[lo]), freqs[hi - 1]))
         intensity = float(row[center])
-        estimates.append(PeakEstimate(r % 4, frequency, intensity, WEIGHTED_AVERAGE,
+        estimates.append(PeakEstimate(frequency, intensity, WEIGHTED_AVERAGE,
                                       _median_gate(row, intensity, epsilon)))
     return estimates
 

@@ -244,7 +244,7 @@ def test_sigma_attachment_uses_steepest_pair(wp, quiet_cal, monkeypatch):
     )
     intensities = [10.0, 9.0, 8.0, 7.0]  # keeps 0, 1, 2
     peaks = tuple(
-        PeakEstimate(i, abs(beats[i]), intensities[i], "weighted_average", True)
+        PeakEstimate(abs(beats[i]), intensities[i], "weighted_average", True)
         for i in range(4)
     )
     nm = NoiseModelCoefficients(0.0, 0.0, 0.5, 0.0, 0.0, -1.0, 0.0)
@@ -263,7 +263,7 @@ def test_sigma_attachment_ignores_the_third_selected_ramp(wp, quiet_cal):
     beats = [abs(f) for f in true_beats(wp, 0.05, 0.02)]
     beats[2] = 0.0
     peaks = tuple(
-        PeakEstimate(i, beats[i], intensity, "weighted_average", True)
+        PeakEstimate(beats[i], intensity, "weighted_average", True)
         for i, intensity in enumerate([10.0, 9.0, 8.0, 7.0])
     )
     nm = NoiseModelCoefficients(0.0, 0.0, 0.5, 0.0, 0.0, -1.0, 0.0)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lfisensor import (
@@ -31,7 +31,6 @@ def peaks_from_beats(beats, valid=(True, True, True, True), intensities=None):
         intensities = [10.0] * 4
     return [
         PeakEstimate(
-            ramp_index=i,
             beat_frequency=abs(beats[i]),
             intensity=intensities[i],
             method="weighted_average",
@@ -253,12 +252,11 @@ def brute_force_disambiguate(peaks, r_ref=0.05, v_ref=0.1) -> Measurement:
     """
     invalid = Measurement(math.nan, math.nan, math.nan, math.nan, (), (), math.nan,
                           STATUS_INVALID)
-    valid = [p for p in peaks if p.valid]
+    valid = [i for i, p in enumerate(peaks) if p.valid]
     if len(valid) < 3:
         return invalid
-    kept = sorted(sorted(valid, key=lambda p: (-p.intensity, p.ramp_index))[:3],
-                  key=lambda p: p.ramp_index)
-    idx = tuple(p.ramp_index for p in kept)
+    idx = tuple(sorted(sorted(valid, key=lambda i: (-peaks[i].intensity, i))[:3]))
+    kept = [peaks[i] for i in idx]
     rows = []
     for signs in itertools.product((1, -1), repeat=3):
         beats = [sign * p.beat_frequency for sign, p in zip(signs, kept)]
@@ -282,7 +280,7 @@ def brute_force_disambiguate(peaks, r_ref=0.05, v_ref=0.1) -> Measurement:
 
 def _peaks(magnitudes, intensities, invalid_ramp):
     return [
-        PeakEstimate(i, magnitudes[i], intensities[i], "weighted_average", i != invalid_ramp)
+        PeakEstimate(magnitudes[i], intensities[i], "weighted_average", i != invalid_ramp)
         for i in range(4)
     ]
 
@@ -304,11 +302,24 @@ def test_disambiguate_equals_brute_force_on_noisy_targets(r, v, noise, intensiti
     assert disambiguate(peaks, WP) == brute_force_disambiguate(peaks)
 
 
+def _zeroed(r, v, ramp):
+    """The beat magnitudes of a target, with ramp ``ramp``'s exactly 0.0."""
+    return [0.0 if i == ramp else abs(f) for i, f in enumerate(true_beats(WP, r, v).tolist())]
+
+
 @given(
     magnitudes=st.lists(st.floats(0.0, 1e6), min_size=4, max_size=4),
     intensities=st.lists(st.floats(0.5, 20.0), min_size=4, max_size=4),
     invalid_ramp=st.sampled_from([None, 0, 1, 2, 3]),
 )
+# A kept magnitude of 0.0 reads the same under either sign, so two assignments
+# tie exactly on spread, means and blind margin, and product order decides:
+# between two mirror assignments (the answer (-1, 1, -1)), and between two
+# that lead with + (the answer (1, -1, 1)).
+@example(magnitudes=_zeroed(0.01, -0.09, 2), intensities=[10.0, 9.0, 8.0, 7.0],
+         invalid_ramp=0)
+@example(magnitudes=_zeroed(0.04, 0.03, 2), intensities=[10.0, 9.0, 8.0, 7.0],
+         invalid_ramp=None)
 @settings(max_examples=300, deadline=None)
 def test_disambiguate_equals_brute_force_on_arbitrary_magnitudes(magnitudes, intensities,
                                                                  invalid_ramp):
