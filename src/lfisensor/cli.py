@@ -13,8 +13,6 @@ import math
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from . import __version__
 from .analysis import (
     NoiseModelCoefficients,
@@ -29,7 +27,7 @@ from .errors import CalibrationError, LfiError, ParameterError
 from .modulation import open_atomic, read_json_object, write_atomic
 from .pipeline import PipelineConfig, read_config_file, run_stream, synthetic_cycles
 from .simulator import GroundTruth, read_frames, write_frames
-from .spectral import Calibration, calibrate
+from .spectral import Calibration, calibrate, row_medians
 
 _CSV_HEADER = (
     "cycle,t_s,R_m,v_mps,sigma_R_m,sigma_v_mps,status,spread,"
@@ -145,11 +143,10 @@ def cmd_calibrate(args) -> int:
     cal = calibrate(source, wp, settings["fft_bins"], settings["sync_offset_samples"])
     cal.save(args.out)
     _write_manifest(args.out, "calibrate", args.config, provenance, [args.out])
-    for i, (mean, sigma) in enumerate(zip(cal.reference_mean, cal.reference_sigma)):
-        print(
-            f"ramp {i}: median floor {np.median(mean):.6g}, median sigma "
-            f"{np.median(sigma):.6g} ({cal.n_cycles} cycles)"
-        )
+    for i, (mean, sigma) in enumerate(zip(row_medians(cal.reference_mean),
+                                          row_medians(cal.reference_sigma))):
+        print(f"ramp {i}: median floor {mean:.6g}, median sigma {sigma:.6g} "
+              f"({cal.n_cycles} cycles)")
     return 0
 
 

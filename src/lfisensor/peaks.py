@@ -22,6 +22,10 @@ DEFAULT_WINDOW = 25
 DEFAULT_KAPPA = 3.0
 GAUSSIAN_PASSES = 3  # weighted log-parabola fits per Gaussian estimate
 _LARGEST = sys.float_info.max
+_SMALLEST_NORMAL = sys.float_info.min
+#: ``2 * DEFAULT_KAPPA`` with a margin for the rounding of a row's sum
+#: (relative error under ``bins * 2**-53``) and of the products.
+_MEAN_BOUND = 2.0 * DEFAULT_KAPPA * (1.0 + 2.0**-20)
 
 GAUSSIAN = "gaussian"
 WEIGHTED_AVERAGE = "weighted_average"
@@ -67,28 +71,45 @@ def validity(rows, intensities, epsilons) -> list:
     exceeds ``max(epsilons[r], DEFAULT_KAPPA * median)``, the median being
     ``np.median`` of the row's positive bins (NaNs are not positive), or 0 for
     none; a low intensity marks an unreliable (typically blind) ramp.  The
-    median is not computed: with ``b`` from :func:`_least_reaching`, it
-    clears the intensity when more than half the positive bins lie below
-    ``b``, which two counts over the stack tell.  Only a row whose even
-    count puts one of its middle pair on each side of ``b`` sorts its
-    positive bins for the pair's mean.  (``DEFAULT_KAPPA >= 2`` keeps
-    ``b``, and a pair below it, clear of overflow, so that pair's mean stays
-    below ``b`` too.)
+    median is not computed.  At least half of a row's ``P`` positive bins are
+    at least their median, so in a row with no negative bin or NaN, whose bins
+    sum to ``S``, the median is at most ``2 S / P``: an intensity above
+    :data:`_MEAN_BOUND` times ``S / P`` is valid.  The bound is not taken when
+    ``S`` overflows or ``S / P`` is subnormal, where rounding could exceed its
+    margin.  For a gated row it leaves undecided, with ``b`` from
+    :func:`_least_reaching`, the median clears the intensity when more than
+    half the positive bins lie below ``b``, which a count over the stack
+    tells.  Only a row whose even count puts one of its middle pair on each
+    side of ``b`` sorts its positive bins for the pair's mean.
+    (``DEFAULT_KAPPA >= 2`` keeps ``b``, and a pair below it, clear of
+    overflow, so that pair's mean stays below ``b`` too.)
     """
-    # bool(): a numpy epsilon would make a numpy bool.
-    gated = [bool(i > e) and i > 0.0 for i, e in zip(intensities, epsilons)]
-    bounds = [_least_reaching(i) if g else math.inf for i, g in zip(intensities, gated)]
     positive = _row_counts(rows > 0.0)
-    reaching = _row_counts(rows >= np.array(bounds)[:, None])
-    flags = []
-    for r, (gate, n, n_above) in enumerate(zip(gated, positive, reaching)):
+    # einsum: a sum past the largest float is inf, with no overflow warning.
+    sums = np.einsum("ij->i", rows).tolist()
+    lowest = np.minimum.reduce(rows, axis=1).tolist()
+    flags = []  # None: gated, with positive bins, and not cleared by the bound
+    for i, e, n, s, low in zip(intensities, epsilons, positive, sums, lowest):
+        # bool(): a numpy epsilon would make a numpy bool.
+        gate = bool(i > e) and i > 0.0
         if not (gate and n):
             flags.append(gate)
-        elif n - n_above != n // 2 or n % 2:
-            flags.append(n - n_above > n // 2)
+        else:  # low >= 0.0 is False for a NaN too
+            mean = s / n
+            flags.append(True if low >= 0.0 and mean >= _SMALLEST_NORMAL
+                         and i > _MEAN_BOUND * mean else None)
+    if None not in flags:
+        return flags
+    bounds = [_least_reaching(i) if f is None else math.inf for i, f in zip(intensities, flags)]
+    reaching = _row_counts(rows >= np.array(bounds)[:, None])
+    for r, (flag, n, n_above) in enumerate(zip(flags, positive, reaching)):
+        if flag is not None:
+            continue
+        if n - n_above != n // 2 or n % 2:
+            flags[r] = n - n_above > n // 2
         else:  # np.median's mean of the middle pair; Python floats overflow quietly
             low, high = np.sort(rows[r][rows[r] > 0.0])[n // 2 - 1 : n // 2 + 1].tolist()
-            flags.append(intensities[r] > DEFAULT_KAPPA * ((low + high) / 2))
+            flags[r] = intensities[r] > DEFAULT_KAPPA * ((low + high) / 2)
     return flags
 
 

@@ -45,6 +45,7 @@ from .spectral import (
     check_sync_offset,
     magnitude_spectra,
     remove_floor,
+    row_medians,
 )
 
 #: Validity gate in units of the calibrated per-bin sigma; rejects the
@@ -105,6 +106,9 @@ class PipelineConfig:
     #: ``DEFAULT_NOISE_GATE * median(reference_sigma)`` per ramp, before the
     #: ``sqrt(n_window)`` of the averaging.
     noise_gates: tuple = field(init=False, repr=False, compare=False)
+    #: The ramp pair of greatest slope difference within each kept ramp triple,
+    #: the first of :func:`itertools.combinations` order on a tie.
+    steepest_pairs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         wp, cal = self.working_point, self.calibration
@@ -112,6 +116,7 @@ class PipelineConfig:
                        self.alpha, self.beta, self.sync_offset_samples)
         cal.check_compatible(wp, self.fft_bins, self.sync_offset_samples)
 
+        slopes = ramp_slopes(wp)
         derived = {
             "frame_window": np.hamming(wp.samples_per_ramp),
             "bin_frequencies": bin_frequencies(wp, self.fft_bins),
@@ -119,9 +124,12 @@ class PipelineConfig:
             # x - (+-0.0) is x but at x = -0.0, which magnitudes less a nonnegative
             # mean never give, so beta 0 skips the sigma with no bit changed.
             "scaled_sigma": self.beta * cal.reference_sigma if self.beta else None,
-            "noise_gates": tuple(
-                (DEFAULT_NOISE_GATE * np.median(cal.reference_sigma, axis=1)).tolist()
-            ),
+            "noise_gates": tuple(DEFAULT_NOISE_GATE * m for m in row_medians(cal.reference_sigma)),
+            "steepest_pairs": {
+                triple: max(combinations(triple, 2),
+                            key=lambda ij: abs(slopes[ij[0]] - slopes[ij[1]]))
+                for triple in combinations(range(4), 3)
+            },
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -195,10 +203,7 @@ def _attach_sigmas(
     propagated; the third selected ramp plays no part.
     """
     slopes = ramp_slopes(cfg.working_point)
-    i, j = max(
-        combinations(measurement.selected_ramps, 2),
-        key=lambda ij: abs(slopes[ij[0]] - slopes[ij[1]]),
-    )
+    i, j = cfg.steepest_pairs[measurement.selected_ramps]
     try:
         sigma_i, sigma_j = (
             predict_sigma_fb(

@@ -253,9 +253,10 @@ def check_block(block, wp: WorkingPoint, source, first_cycle: int, dtype=None) -
                else f"a block of {block.dtype} in shape {block.shape}")
         raise FramingError(f"{source} has {got}; expected cycles of {n} samples, "
                            "each a real number")
-    inside = np.abs(block) <= _FLOAT32_MAX  # False for NaN and infinities too
-    if not inside.all():
-        first = int(inside.argmin())
+    # A NaN fails both comparisons; the mask is built only to name the sample.
+    if block.size and not (np.minimum.reduce(block, axis=None) >= -_FLOAT32_MAX
+                           and np.maximum.reduce(block, axis=None) <= _FLOAT32_MAX):
+        first = int((np.abs(block) <= _FLOAT32_MAX).argmin())
         cycle, ramp = divmod(first // wp.samples_per_ramp, 4)
         what = ("a non-finite sample" if not np.isfinite(block.flat[first])
                 else "a sample beyond the float32 range")

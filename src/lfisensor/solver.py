@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DegeneratePairError, ParameterError
 from .modulation import SPEED_OF_LIGHT, WorkingPoint, ramp_slopes
@@ -103,22 +104,35 @@ def _var3(a: float, b: float, c: float) -> float:
     return (da * da + db * db + dc * dc) / 3.0
 
 
-def _sign_combos(magnitudes, slopes, f_e: float) -> list:
+@lru_cache(maxsize=4)
+def _triple_tables(wp: WorkingPoint) -> dict:
+    """For each kept ramp triple ``(i, j, k)`` of ``wp``: its signed slopes, then
+    ``2 dS`` and ``f_e dS`` of its pairs ``(i, j)``, ``(i, k)`` and ``(j, k)``,
+    ``dS`` being the pair's slope difference (cached and shared: do not modify)."""
+    slopes, f_e = ramp_slopes(wp), wp.emitted_frequency
+    tables = {}
+    for triple in itertools.combinations(range(4), 3):
+        s0, s1, s2 = (slopes[i] for i in triple)
+        d01, d02, d12 = s0 - s1, s0 - s2, s1 - s2
+        tables[triple] = ((s0, s1, s2), 2.0 * d01, 2.0 * d02, 2.0 * d12,
+                          f_e * d01, f_e * d02, f_e * d12)
+    return tables
+
+
+def _sign_combos(magnitudes, table) -> list:
     """Score the 4 sign assignments of three beat magnitudes that lead with +.
 
-    Returns ``(signs, mean R, mean v, spread)`` rows in :data:`_SIGNS`
-    order.  Each pair is solved as in :func:`pair_solution` and the spread
-    is ``sqrt(var(R) / DEFAULT_R_REF**2 + var(v) / DEFAULT_V_REF**2)``.
+    ``table`` is the kept triple's entry of :func:`_triple_tables`.  Returns
+    ``(signs, mean R, mean v, spread)`` rows in :data:`_SIGNS` order.  Each
+    pair is solved as in :func:`pair_solution` and the spread is
+    ``sqrt(var(R) / DEFAULT_R_REF**2 + var(v) / DEFAULT_V_REF**2)``.
     Flipping every sign negates each beat, hence each pairwise (R, v) and
     both means exactly, and leaves the spread unchanged: these rows stand
     for all eight assignments.
     """
     m0, m1, m2 = magnitudes
-    s0, s1, s2 = slopes
+    (s0, s1, s2), r01, r02, r12, v01, v02, v12 = table
     c = SPEED_OF_LIGHT
-    d01, d02, d12 = s0 - s1, s0 - s2, s1 - s2
-    r01, r02, r12 = 2.0 * d01, 2.0 * d02, 2.0 * d12
-    v01, v02, v12 = f_e * d01, f_e * d02, f_e * d12
     r_scale, v_scale = DEFAULT_R_REF**2, DEFAULT_V_REF**2
     rows = []
     for signs in _SIGNS:
@@ -154,13 +168,16 @@ def disambiguate(peaks, wp: WorkingPoint) -> Measurement:
     if len(valid) < 3:
         return _invalid_measurement()
 
-    # A stable sort: of equal intensities, the lower ramp is kept.
-    indices = tuple(sorted(sorted(valid, key=lambda i: -peaks[i].intensity)[:3]))
-    slopes = ramp_slopes(wp)
-    kept_slopes = [slopes[i] for i in indices]
+    if len(valid) == 4:
+        # Drop the weakest; of equal intensities, the higher ramp goes.
+        valid.remove(min(reversed(valid), key=lambda i: peaks[i].intensity))
+        status = STATUS_OK
+    else:
+        status = STATUS_DEGRADED
+    indices = tuple(valid)
+    table = _triple_tables(wp)[indices]
 
-    combos = _sign_combos([peaks[i].beat_frequency for i in indices], kept_slopes,
-                          wp.emitted_frequency)
+    combos = _sign_combos([peaks[i].beat_frequency for i in indices], table)
     best_spread = min(spread for _, _, _, spread in combos)
     least = [c for c in combos if c[3] == best_spread]
     # In itertools.product order over all eight assignments: the rows, then the
@@ -178,7 +195,7 @@ def disambiguate(peaks, wp: WorkingPoint) -> Measurement:
         # implied beats sit farthest from the blind region.
         def blind_margin(combo):
             _, mean_r, mean_v, _ = combo
-            return min(abs(signed_beat(wp, s, mean_r, mean_v)) for s in kept_slopes)
+            return min(abs(signed_beat(wp, s, mean_r, mean_v)) for s in table[0])
 
         positive.sort(key=blind_margin, reverse=True)
     signs, mean_r, mean_v, spread = positive[0]
@@ -191,5 +208,5 @@ def disambiguate(peaks, wp: WorkingPoint) -> Measurement:
         sign_combo=signs,
         selected_ramps=indices,
         cluster_spread=spread,
-        status=STATUS_OK if len(valid) == 4 else STATUS_DEGRADED,
+        status=status,
     )

@@ -211,6 +211,18 @@ def calibrate(cycles, wp: WorkingPoint, fft_bins: int = DEFAULT_FFT_BINS,
     )
 
 
+def row_medians(a) -> list:
+    """``np.median`` of each row of a 2-D array of finite floats, bit for bit:
+    the middle element, or the mean ``(a + b) / 2`` of the middle pair.
+    (``np.median``'s NaN check imports ``numpy.ma``, which every command
+    would pay for at start-up.)"""
+    ordered = np.sort(a, axis=1)
+    half = ordered.shape[1] // 2
+    if ordered.shape[1] % 2:
+        return ordered[:, half].tolist()
+    return ((ordered[:, half - 1] + ordered[:, half]) / 2.0).tolist()
+
+
 def remove_floor(stack, scaled_mean, scaled_sigma) -> None:
     """Replace ``stack`` by ``max(stack - scaled_mean - scaled_sigma, 0)`` per bin, in that order.
 

@@ -1097,7 +1097,9 @@ def test_jsonl_writes_null_for_invalid_cycles(config_path, tmp_path, capsys):
 
 
 def test_cli_import_loads_no_scipy(config_path, tmp_path):
-    # Importing the CLI, synthesizing and calibrating all run on numpy alone.
+    # Importing the CLI, synthesizing, calibrating and processing all run on
+    # numpy alone, and none of them imports numpy.ma, which np.median's NaN
+    # check would, at a cost every command pays at start-up.
     src = str(Path(lfisensor.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (
@@ -1107,7 +1109,9 @@ def test_cli_import_loads_no_scipy(config_path, tmp_path):
         " '--cycles', '2', '--distance', '0.04', '--noise-sigma', '0.1']) == 0\n"
         "assert lfisensor.cli.main(['calibrate', '--config', cfg, '--out', out + '/cal.json',"
         " '--cycles', '16']) == 0\n"
-        "print([m for m in sys.modules if m.startswith('scipy')])"
+        "assert lfisensor.cli.main(['process', '--config', cfg, '--calibration',"
+        " out + '/cal.json', '--input', out + '/frames', '--out', out + '/run.csv']) == 0\n"
+        "print([m for m in sys.modules if m.startswith('scipy') or m == 'numpy.ma'])"
     )
     result = subprocess.run([sys.executable, "-c", code, str(config_path), str(tmp_path)],
                             env=env, capture_output=True, text=True, check=True)

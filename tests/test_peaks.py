@@ -505,13 +505,18 @@ def _stacks(draw):
 
 def _boundary_intensities(row) -> list:
     """Intensities at ``DEFAULT_KAPPA`` times the median of a row's positive bins and
-    times each of its middle bins, one float either side of each, and infinity."""
+    times each of its middle bins, at the mean bound ``2 DEFAULT_KAPPA S / P`` of its
+    ``P`` positive bins summing to ``S`` and at that bound's rounding margin, one
+    float either side of each, and infinity."""
     positive = np.sort(row[row > 0])
     middle = positive[(positive.size - 1) // 2 : positive.size // 2 + 1].tolist()
     with np.errstate(over="ignore"):
         median = float(np.median(positive)) if positive.size else 0.0
+    # einsum: a sum past the largest float is inf, with no overflow warning.
+    mean = float(np.einsum("i->", positive)) / positive.size if positive.size else 0.0
     intensities = [math.inf]
-    for at in (DEFAULT_KAPPA * median, *(DEFAULT_KAPPA * bin_ for bin_ in middle)):
+    for at in (DEFAULT_KAPPA * median, *(DEFAULT_KAPPA * bin_ for bin_ in middle),
+               2.0 * DEFAULT_KAPPA * mean, peaks._MEAN_BOUND * mean):
         intensities += [math.nextafter(at, -math.inf), at, math.nextafter(at, math.inf)]
     return intensities
 
@@ -526,9 +531,31 @@ def _wide_stack(n_bins, counts, seed):
     return stack
 
 
+def _half_equal_rows(n_bins, seed):
+    """Two rows of ``n_bins`` positive bins, one more than half of them equal, the
+    rest smaller: one of subnormals, whose mean bound is not taken, and one whose
+    mean bound is only ``1 + 2 / n_bins`` times its median."""
+    rng = np.random.default_rng(seed)
+    rows = np.empty((2, n_bins))
+    rows[0] = rng.integers(1, 2**20, n_bins) * math.ulp(0.0)
+    rows[1] = 10.0 ** rng.uniform(-300, -1, n_bins)
+    rows[:, rng.choice(n_bins, n_bins // 2 + 1, replace=False)] = [[2**20 * math.ulp(0.0)], [1.0]]
+    return rows
+
+
 @given(stack=_stacks(), epsilon=st.floats(0.0, 2.0))
 # A count past what two bytes hold.
 @example(stack=_wide_stack(2**16, [2**16], 6), epsilon=0.0)
+@example(stack=_half_equal_rows(2**16, 8), epsilon=0.0)
+# Positive bins summing past the largest float; -0.0 (taken), a negative and a
+# NaN, which the mean bound does not take; a mean bound 1 + 1/5 times the median.
+@example(
+    stack=np.array([[1e308, 1.7e308, 0.0, 1.2e308, 1e307, -0.0],
+                    [-0.0, 3.0, 1.0, -0.0, 2.0, 0.0],
+                    [3.0, -10.0, 2.0, 5.0, 0.0, 1.0],
+                    [math.nan, 1.0, 2.0, 3.0, 0.0, -0.0],
+                    [1.0, 1e-300, 1.0, 2e-300, 0.0, 1.0]]),
+    epsilon=0.0)
 @example(  # odd, even, zero and one positive counts, with both zeros, inf and NaN
     stack=np.array([[3.0, -0.0, 1.0, 2.0, math.nan, 4.0],
                     [1e308, 1.5e308, -5.0, 0.0, math.inf, 1e-300],
@@ -559,6 +586,17 @@ def test_an_even_count_straddling_the_bound_takes_the_middle_pairs_mean(monkeypa
     intensities = [math.nextafter(9.0, 0.0), 9.0, math.nextafter(9.0, math.inf), 100.0]
     assert validity(np.array([row] * 4), intensities, [0.0] * 4) == [False, False, True, True]
     assert sorted_sizes == [4, 4, 4]
+
+
+def test_rows_that_clear_the_mean_bound_are_valid_without_a_count(monkeypatch):
+    # Positive bins 1, 2, 4 and 8 sum to 15, so their median (3) is at most
+    # 2 * 15 / 4: an intensity past kappa * 7.5, with the margin, is valid.
+    # The third row is not gated, and the fourth has no positive bin.
+    monkeypatch.setattr(peaks, "_least_reaching", lambda intensity: pytest.fail("counted"))
+    row = [8.0, 0.0, 2.0, -0.0, 4.0, 0.0, 1.0]
+    stack = np.array([row, row, row, [0.0] * 7])
+    assert validity(stack, [22.6, 1e300, 22.6, 22.6], [0.0, 0.0, 30.0, 0.0]) == [
+        True, True, False, True]
 
 
 def test_lone_bin_is_indistinguishable_from_floor():

@@ -146,6 +146,7 @@ def test_composition_identity(wp, noisy_cal, method):
     mean, sigma = noisy_cal.reference_mean, noisy_cal.reference_sigma
     cleaned = np.maximum(averaged - cfg.alpha * mean - cfg.beta * sigma, 0.0)
     epsilons = pipeline.DEFAULT_NOISE_GATE * np.median(sigma, axis=1)
+    assert cfg.noise_gates == tuple(epsilons.tolist())  # bit for bit
     manual = estimate_peaks(cleaned, bin_frequencies(wp, cfg.fft_bins), epsilons.tolist(),
                             cfg.interp_window, cfg.interp_method)
     assert [repr(p) for p in manual] == [repr(p) for p in record.peaks]
@@ -530,11 +531,17 @@ def test_non_finite_sample_is_refused_and_leaves_the_state(wp, noisy_cal, bad):
             process_cycle(samples, reference, cfg))
 
 
-@pytest.mark.parametrize("scale, sample", [(1e300, None), (1.0, -1e39)], ids=["1e300", "-1e39"])
+_PAST_FLOAT32 = math.nextafter(float(np.finfo(np.float32).max), math.inf)
+
+
+@pytest.mark.parametrize("scale, sample", [(1e300, None), (1.0, -1e39), (1.0, _PAST_FLOAT32),
+                                           (1.0, -_PAST_FLOAT32)],
+                         ids=["1e300", "-1e39", "max+", "-max-"])
 def test_sample_beyond_float32_is_refused_and_leaves_the_state(wp, noisy_cal, scale, sample):
     # A cycle scaled by 1e300 used to overflow in the FFT and still give an ok
     # record at the wrong distance.  float32 is the export dtype, so a sample
-    # past its range is refused like a non-finite one, before the state changes.
+    # past its range, by as little as one float64, is refused like a non-finite
+    # one, before the state changes.
     cfg = _config(wp, noisy_cal, n_avg=4)
     cycles = _stream(wp, 4)
     state = PipelineState.for_config(cfg)
@@ -550,6 +557,16 @@ def test_sample_beyond_float32_is_refused_and_leaves_the_state(wp, noisy_cal, sc
         process_block(block, state, cfg)
     assert state.cycles_seen == 2
     assert np.array_equal(state.ring, ring)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_samples_at_the_float32_limit_give_records(wp, noisy_cal, sign):
+    cfg = _config(wp, noisy_cal, n_avg=4)
+    block = _stream(wp, 2).astype(float)
+    block[1, 3 * wp.samples_per_ramp + 7] = sign * float(np.finfo(np.float32).max)
+    state = PipelineState.for_config(cfg)
+    assert [r.cycle_index for r in process_block(block, state, cfg)] == [0, 1]
+    assert state.cycles_seen == 2
 
 
 @pytest.mark.parametrize("bad_value", [math.nan, math.inf])

@@ -21,6 +21,7 @@ from lfisensor.solver import STATUS_DEGRADED, STATUS_INVALID, STATUS_OK, _var3
 from conftest import C, make_wp, true_beats, true_slopes
 
 WP = make_wp()
+WP_SHALLOW = make_wp(steep_slope=2.5e15, ratio_rt=0.3)
 FE = WP.emitted_frequency
 SLOPES = true_slopes(WP).tolist()
 
@@ -243,13 +244,14 @@ def test_disambiguate_validates_input_shape():
         disambiguate(peaks_from_beats(beats)[:3], WP)
 
 
-def brute_force_disambiguate(peaks, r_ref=0.05, v_ref=0.1) -> Measurement:
+def brute_force_disambiguate(peaks, wp=WP, r_ref=0.05, v_ref=0.1) -> Measurement:
     """Reference solver: all 8 sign assignments, each solved pair by pair.
 
     Uses :func:`pair_solution` and ``np.var``, and the same selection rules
     as :func:`disambiguate`: three strongest valid ramps, least spread,
     positive mean distance, then the widest blind margin.
     """
+    slopes, fe = true_slopes(wp).tolist(), wp.emitted_frequency
     invalid = Measurement(math.nan, math.nan, math.nan, math.nan, (), (), math.nan,
                           STATUS_INVALID)
     valid = [i for i, p in enumerate(peaks) if p.valid]
@@ -260,7 +262,7 @@ def brute_force_disambiguate(peaks, r_ref=0.05, v_ref=0.1) -> Measurement:
     rows = []
     for signs in itertools.product((1, -1), repeat=3):
         beats = [sign * p.beat_frequency for sign, p in zip(signs, kept)]
-        sols = [pair_solution(beats[a], SLOPES[idx[a]], beats[b], SLOPES[idx[b]], FE)
+        sols = [pair_solution(beats[a], slopes[idx[a]], beats[b], slopes[idx[b]], fe)
                 for a, b in ((0, 1), (0, 2), (1, 2))]
         rs, vs = [r for r, _ in sols], [v for _, v in sols]
         spread = math.sqrt(np.var(rs) / r_ref**2 + np.var(vs) / v_ref**2)
@@ -271,7 +273,7 @@ def brute_force_disambiguate(peaks, r_ref=0.05, v_ref=0.1) -> Measurement:
         return invalid
 
     def blind_margin(row):
-        return min(abs((2.0 * row[1] * SLOPES[i] + FE * row[2]) / C) for i in idx)
+        return min(abs((2.0 * row[1] * slopes[i] + fe * row[2]) / C) for i in idx)
 
     signs, mean_r, mean_v, spread = sorted(positive, key=blind_margin, reverse=True)[0]
     status = STATUS_OK if len(valid) == 4 else STATUS_DEGRADED
@@ -320,11 +322,17 @@ def _zeroed(r, v, ramp):
          invalid_ramp=0)
 @example(magnitudes=_zeroed(0.04, 0.03, 2), intensities=[10.0, 9.0, 8.0, 7.0],
          invalid_ramp=None)
+# Four equal intensities: the highest ramp is dropped, and ramps (0, 1, 2) are kept.
+@example(magnitudes=np.abs(true_beats(WP, 0.03, 0.02)).tolist(), intensities=[7.0] * 4,
+         invalid_ramp=None)
 @settings(max_examples=300, deadline=None)
 def test_disambiguate_equals_brute_force_on_arbitrary_magnitudes(magnitudes, intensities,
                                                                  invalid_ramp):
+    # Two working points in one process: the solver's per-working-point
+    # tables must not answer one with the other's slopes.
     peaks = _peaks(magnitudes, intensities, invalid_ramp)
-    assert disambiguate(peaks, WP) == brute_force_disambiguate(peaks)
+    for wp in (WP, WP_SHALLOW):
+        assert disambiguate(peaks, wp) == brute_force_disambiguate(peaks, wp)
 
 
 @pytest.mark.parametrize("invalid_ramp", [None, 0])

@@ -20,7 +20,7 @@ from lfisensor import (
     synthetic_cycles,
 )
 from lfisensor.simulator import STREAM_BLOCK
-from lfisensor.spectral import Calibration, bin_frequencies, remove_floor
+from lfisensor.spectral import Calibration, bin_frequencies, remove_floor, row_medians
 
 from conftest import make_wp
 
@@ -389,3 +389,13 @@ def test_calibration_equality_compares_values():
     assert a != replace(a, n_cycles=17)
     assert a != replace(a, samples_per_ramp=400)
     assert a != "calibration"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 1024, 1025])
+def test_row_medians_are_np_median_bit_for_bit(n):
+    # Odd and even rows, with repeated values, across 600 decades.
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        a = rng.random((4, n)) * 10.0 ** rng.uniform(-300, 300, (4, 1))
+        a[:, : n // 3] = a[:, -1:]
+        assert row_medians(a) == np.median(a, axis=1).tolist()
