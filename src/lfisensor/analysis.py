@@ -105,7 +105,8 @@ class NoiseObservation:
 def blind_map(wp: WorkingPoint, v_range, r_range, resolution) -> BlindMap:
     """Count blind ramps per cell of a (velocity, distance) grid.
 
-    ``resolution`` is the (n_v, n_r) pair of grid points per axis.
+    ``resolution`` is the (n_v, n_r) pair of grid points per axis; distances
+    start at 0 or beyond.
     """
     n_v, n_r = resolution
     if n_v < 1 or n_r < 1:
@@ -120,6 +121,10 @@ def blind_map(wp: WorkingPoint, v_range, r_range, resolution) -> BlindMap:
     r_lo, r_hi = r_range
     if not all(map(math.isfinite, (v_lo, v_hi, r_lo, r_hi))):
         raise ParameterError(f"grid ranges must be finite, got {v_range} and {r_range}")
+    if r_lo < 0:
+        raise ParameterError(
+            f"distance range must start at >= 0 (negative R is the mirrored invalid "
+            f"solution), got {r_range}")
     if not (v_hi > v_lo and r_hi > r_lo):
         raise ParameterError("grid ranges must be nonempty")
     v_axis = np.linspace(v_lo, v_hi, n_v)

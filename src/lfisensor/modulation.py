@@ -152,8 +152,9 @@ def ramp_slopes(wp: WorkingPoint) -> tuple[float, ...]:
 def read_flat_config(path) -> dict:
     """Parse a flat ``key = value`` text file into a string dict.
 
-    Blank lines and ``#`` comments are ignored.  Duplicate keys and a file
-    that is not UTF-8 text are rejected.
+    Blank lines and ``#`` comments are ignored.  A line with no ``=`` or no
+    key before it, duplicate keys and a file that is not UTF-8 text are
+    rejected.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -164,9 +165,9 @@ def read_flat_config(path) -> dict:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not (sep and key):
             raise ParameterError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
         if key in values:
             raise ParameterError(f"{path}:{lineno}: duplicate key {key!r}")
         values[key] = value

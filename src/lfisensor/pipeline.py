@@ -11,7 +11,9 @@ once when :class:`PipelineConfig` is built.  A block of cycles runs one
 FFT, floor subtraction and peak stage over one ``(4 * cycles, bins)``
 stack of its frames, which the sliding average and the floor subtraction
 change in place.  Each record is the one its cycle gets in a block of its
-own, bit for bit.
+own, bit for bit.  The sliding average is a two-stacks window sum: four
+array operations a cycle, whatever ``n_avg``, plus a copy and ``n_avg - 2``
+adds once every ``n_avg`` cycles (:class:`PipelineState`).
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ def check_settings(wp: WorkingPoint, fft_bins: int, interp_window: int, interp_m
         raise ParameterError(f"interp_method must be one of {METHODS}, got {interp_method!r}")
     check_fft_bins(fft_bins, wp.samples_per_ramp)
     bins = fft_bins // 2
-    ring = 4 * 2 * n_avg * bins * 8  # PipelineState.ring, float64
+    ring = 2 * n_avg * 4 * bins * 8  # PipelineState.ring, float64
     if ring > MAX_WORK_BYTES:
         raise ParameterError(
             f"n_avg ({n_avg}) needs {ring} bytes of sliding-average ring at "
@@ -139,13 +141,27 @@ class PipelineConfig:
 class PipelineState:
     """Sliding-average window of one stream worker: the last ``n_avg`` spectra per ramp.
 
-    ``ring`` has shape ``(4, 2 * n_avg, bins)``, or no slots at ``n_avg`` 1,
-    where every window is one spectrum.  Cycle ``t`` is written to slots
-    ``t % n_avg`` and ``t % n_avg + n_avg``, so the window, oldest first, is
-    always one contiguous slice of slots.  Averaging that slice adds the
-    spectra in the same order as ``np.mean`` over a list of them, so the
-    result is the same to the bit.  ``work`` holds the arrays of
-    ``magnitude_spectra``, kept for the next block.
+    The window sum is a two-stacks sliding-window aggregation: it only adds,
+    so no error builds up.  With ``n = n_avg``, cycle ``t`` is spectrum
+    ``j = t % n`` of chunk ``t // n``.  ``ring`` has ``2·n`` slots of
+    ``(4, bins)``, or none at ``n_avg`` 1, where every window is one
+    spectrum; slots come first, so each is one contiguous block.  Slots
+    ``0..n-1`` hold the current chunk's spectra, slot ``n`` their running
+    sum, oldest first, and slot ``n + i`` (``1 <= i < n``) the previous
+    chunk's suffix sum from its spectrum ``i`` on, added newest to oldest.
+    After spectrum ``j``, the window sum is the suffix sum from ``j + 1``
+    plus the running sum, or the running sum alone in the first chunk and at
+    ``j = n - 1``.  A chunk's ``n - 2`` suffix sums are built when it
+    completes, so one cycle in ``n`` pays ``n - 2`` more adds.
+
+    Warm-up windows, one-chunk windows and every window at ``n_avg`` 2 add in
+    ``np.mean``'s order, oldest first, so their mean is ``np.mean``'s to the
+    bit.  Other windows add the same spectra in another order.  For
+    nonnegative spectra both means are within ``n_window·2⁻⁵³`` of the exact
+    mean, relative (the ``(n_window - 1)·2⁻⁵³`` of a sum in any order and the
+    division's rounding; to first order, and plus 2⁻¹⁰⁷⁵ where the mean is
+    subnormal), so they differ by at most twice that.  ``work`` holds the
+    arrays of ``magnitude_spectra``, kept for the next block.
     """
 
     n_avg: int
@@ -156,7 +172,7 @@ class PipelineState:
     @classmethod
     def for_config(cls, cfg: PipelineConfig) -> "PipelineState":
         slots = 2 * cfg.n_avg if cfg.n_avg > 1 else 0
-        return cls(cfg.n_avg, np.zeros((4, slots, cfg.fft_bins // 2)))
+        return cls(cfg.n_avg, np.zeros((slots, 4, cfg.fft_bins // 2)))
 
     @property
     def n_window(self) -> int:
@@ -166,21 +182,32 @@ class PipelineState:
     def push(self, spectra: np.ndarray) -> None:
         """Add one cycle's ``(4, bins)`` spectra, then overwrite them with the window mean.
 
-        The sum and the division are ``np.mean``'s.  A window of one spectrum
-        leaves ``spectra`` as they are: dividing by 1.0 changes nothing.  At
-        ``n_avg`` 1 every window is one spectrum, and there is no ring.
+        The division is ``np.mean``'s.  A window of one spectrum leaves
+        ``spectra`` as they are.  At ``n_avg`` 1 every window is one
+        spectrum, and there is no ring.
         """
-        n_avg = self.n_avg
-        slot = self.cycles_seen % n_avg
+        n = self.n_avg
+        j = self.cycles_seen % n
         self.cycles_seen += 1
-        if n_avg == 1:
+        if n == 1:
             return
-        self.ring[:, slot] = spectra
-        self.ring[:, slot + n_avg] = spectra
+        ring = self.ring
+        ring[j] = spectra
+        current = ring[n]
+        if j == 0:
+            current[...] = spectra
+        else:
+            current += spectra
+        if j == n - 1:  # the chunk is complete: its suffix sums, newest to oldest
+            ring[2 * n - 1] = spectra
+            for i in range(n - 2, 0, -1):
+                np.add(ring[i], ring[n + i + 1], out=ring[n + i])
+        if j == n - 1 or self.cycles_seen <= n:
+            window = current
+        else:
+            window = np.add(ring[n + j + 1], current, out=spectra)
         if self.n_window > 1:
-            start = (self.cycles_seen - self.n_window) % n_avg
-            np.add.reduce(self.ring[:, start : start + self.n_window], axis=1, out=spectra)
-            spectra /= self.n_window
+            np.divide(window, self.n_window, out=spectra)
 
 
 @dataclass

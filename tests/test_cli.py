@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +16,10 @@ from hypothesis import strategies as st
 
 import lfisensor
 from lfisensor import (Calibration, CalibrationError, FramingError, NoiseModelCoefficients,
-                       ParameterError, blind_map, min_reliable_distance, write_frames)
+                       ParameterError, PipelineConfig, blind_map, min_reliable_distance,
+                       write_frames)
 from lfisensor.cli import _CSV_HEADER, _build_parser, main
-from lfisensor.modulation import save_working_point
+from lfisensor.modulation import WORKING_POINT_KEYS, save_working_point
 from lfisensor.simulator import STREAM_BLOCK
 from lfisensor.spectral import MAX_WORK_BYTES
 
@@ -470,6 +472,19 @@ def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
     assert "typo_key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["= 5", " =", "n_avg 4"],
+                         ids=["no-key", "bare-equals", "no-equals"])
+def test_a_config_line_that_is_not_key_equals_value_names_its_file_and_line(config_path, tmp_path,
+                                                                           capsys, line):
+    # "= 5" used to end in "unknown PipelineConfig keys: ['']", naming no file or line.
+    lineno = len(config_path.read_text().splitlines()) + 1
+    config_path.write_text(config_path.read_text() + line + "\n")
+    assert main(["mindist", "--config", str(config_path), "--out", str(tmp_path / "o.json")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {config_path}:{lineno}: expected 'key = value', got {line!r}\n")
+    assert [p.name for p in tmp_path.iterdir()] == [config_path.name]
+
+
 @pytest.mark.parametrize(
     "line, key",
     [("n_avg = four", "n_avg"), ("ratio_rt = half", "ratio_rt")],
@@ -621,19 +636,22 @@ def test_an_option_the_command_would_ignore_is_refused(replay_files, tmp_path, c
         ("blindmap", "--r-min", "nan", "grid ranges must be finite"),
         ("blindmap", "--v-min", "-inf", "grid ranges must be finite"),
         ("blindmap", "--v-max", "nan", "grid ranges must be finite"),
+        ("blindmap", "--r-min", "-1", "distance range must start at >= 0 (negative R is the "
+         "mirrored invalid solution), got (-1.0, 0.05)"),
     ],
     ids=["v-max-nan", "v-max-inf", "r-max-inf", "r-min-nan",
-         "v-min-minus-inf", "v-max-nan-map"],
+         "v-min-minus-inf", "v-max-nan-map", "r-min-negative"],
 )
 def test_non_finite_analysis_setting_exits_nonzero(config_path, tmp_path, capsys, command,
                                                    option, value, needle):
     # A NaN bound used to be ignored, and an infinite one to write NaN,
-    # Infinity or inf into the output or its manifest.
+    # Infinity or inf into the output or its manifest; a negative distance
+    # used to be mapped, though GroundTruth refuses it.
     argv = [command, "--config", str(config_path), "--out", str(tmp_path / "out"),
             f"{option}={value}"]  # "=" keeps "-inf" from reading as an option
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and needle in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
     assert [p.name for p in tmp_path.iterdir()] == [config_path.name]
 
 
@@ -1219,6 +1237,55 @@ def test_fuzzed_noise_model_files_end_in_a_package_error(replay_files, model):
             assert main(argv) == 0
     else:
         _exits_with_an_error(argv)
+
+
+#: The keys of a flat config file: the working point's and the pipeline's.
+_CONFIG_KEYS = [*WORKING_POINT_KEYS.values(),
+                *(f.name for f in fields(PipelineConfig) if f.type in ("int", "float", "str"))]
+#: Any value text: numbers as text, the interpolator names, and any text.
+_CONFIG_VALUE = (st.integers().map(str) | st.floats().map(repr)
+                 | st.sampled_from(["weighted_average", "gaussian"]) | st.text(max_size=12))
+#: A ``key = value`` line with a known or a junk key, or any line at all.
+_CONFIG_LINE = (st.builds("{} = {}".format, st.sampled_from(_CONFIG_KEYS) | st.text(max_size=8),
+                          _CONFIG_VALUE)
+                | st.text(max_size=16))
+
+
+@st.composite
+def _config_texts(draw, valid: list):
+    """The lines of ``valid``, each kept, dropped or replaced, and up to four
+    more lines anywhere: any line, or a copy of a valid one (a duplicate key)."""
+    lines = []
+    for line in valid:
+        action = draw(st.sampled_from(["keep", "keep", "drop", "replace"]))
+        if action != "drop":
+            lines.append(line if action == "keep" else draw(_CONFIG_LINE))
+    for line in draw(st.lists(_CONFIG_LINE | st.sampled_from(valid), max_size=4)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return "\n".join(lines) + "\n"
+
+
+_VALID_CONFIG = [f"{k} = {v}" for k, v in make_wp().to_dict().items()] + ["n_avg = 4"]
+
+
+@given(text=_config_texts(_VALID_CONFIG), command=st.sampled_from(["mindist", "blindmap"]))
+@example(text="\n".join(_VALID_CONFIG) + "\n", command="mindist")
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_config_files_exit_0_or_with_one_error_line(tmp_path_factory, text, command):
+    tmp = tmp_path_factory.mktemp("config")
+    config = tmp / "sensor.cfg"
+    config.write_text(text, encoding="utf-8")
+    argv = [command, "--config", str(config), "--out", str(tmp / "out")]
+    if command == "blindmap":
+        argv += ["--resolution", "3"]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1) and "Traceback" not in err.getvalue()
+    if rc == 1:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
 
 
 def _is_noise_model(model) -> bool:

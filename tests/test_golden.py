@@ -35,8 +35,8 @@ GOLDEN_SHA256 = {
     "frames.f32": "21ea43130d6752a0d2bd5caa5e7396111a22b973d05bdd776a4a63c782bebe37",
     "frames.json": "6142d193b6703d974402daaf54651b7ba466b944d1f0c1564ba5995b8b5a8508",
     "cal.json": "8ffbde8969db3fb04a0b3c59b76ab63caeee43e19d2619c0f2729aab2223bdad",
-    "run.csv": "20541f28d835b228dedf4497ba27e7d08256cb88ba5bb2c651318d4c3a96f7d3",
-    "run.jsonl": "0c06a67616edbd167c788cdc315da1a0169fbf733819d85851acd97bc463212d",
+    "run.csv": "7a4d7f7f440c621eff314097631c37cbe9f2c03e9185a827c3116eec71bdf809",
+    "run.jsonl": "2a9e5376b8a7d5fa15766e4b1b5cd613bfafa3ff597470e864eb6f3cf7c4cec8",
 }
 
 NOISE_MODEL = {

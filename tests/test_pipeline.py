@@ -3,12 +3,14 @@ import itertools
 import math
 import tracemalloc
 from dataclasses import fields, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lfisensor import (
     CalibrationError,
@@ -39,7 +41,7 @@ from lfisensor.simulator import STREAM_BLOCK
 from lfisensor.spectral import Calibration, bin_frequencies
 
 from conftest import make_wp, true_beats, true_slopes
-from test_spectral import _push
+from test_spectral import _push, _window
 
 
 def _config(wp, cal, **overrides):
@@ -280,6 +282,33 @@ def test_sigma_attachment_ignores_the_third_selected_ramp(wp, quiet_cal):
     assert (m.sigma_R, m.sigma_v) == pytest.approx(expected, rel=1e-12)
 
 
+def _two_stacks_mean(pushed, t, n_avg):
+    """Mean of the window that ends at cycle ``t``, ramp by ramp, added in the
+    order :class:`PipelineState` documents: the current chunk's spectra oldest
+    first, then the previous chunk's later ones, added newest to oldest, plus
+    that sum."""
+    start, first = t - t % n_avg, max(0, t + 1 - n_avg)  # current chunk, window
+    rows = []
+    for ramp in range(4):
+        total = pushed[start][ramp]
+        for spectra in pushed[start + 1 : t + 1]:
+            total = total + spectra[ramp]
+        older = [spectra[ramp] for spectra in pushed[first:start]]
+        if older:
+            suffix = older[-1]
+            for row in reversed(older[:-1]):
+                suffix = row + suffix
+            total = suffix + total
+        rows.append(total / (t + 1 - first))
+    return np.stack(rows)
+
+
+def _in_np_mean_order(t, n_avg):
+    """The window ending at cycle ``t`` adds oldest first, as ``np.mean`` does:
+    in warm-up, when it is one chunk, and at ``n_avg`` 1 or 2."""
+    return n_avg <= 2 or t < n_avg or t % n_avg == n_avg - 1
+
+
 @pytest.mark.parametrize("n_avg", [1, 2, 16])
 def test_window_average_equals_mean_of_last_spectra(wp, quiet_cal, n_avg):
     cfg = _config(wp, quiet_cal, n_avg=n_avg)
@@ -290,6 +319,8 @@ def test_window_average_equals_mean_of_last_spectra(wp, quiet_cal, n_avg):
     ]
 
     def expected(t):  # mean of the last n_avg spectra up to cycle t, per ramp
+        if not _in_np_mean_order(t, n_avg):
+            return _two_stacks_mean(pushed, t, n_avg)
         window = pushed[max(0, t + 1 - n_avg) : t + 1]
         return np.stack([np.mean([s[i] for s in window], axis=0) for i in range(4)])
 
@@ -306,6 +337,71 @@ def test_window_average_equals_mean_of_last_spectra(wp, quiet_cal, n_avg):
     for t in range(mid_wrap, len(pushed)):
         assert np.array_equal(_push(snapshot, pushed[t]), expected(t))
     assert snapshot.cycles_seen == state.cycles_seen == len(pushed)
+
+
+_U = Fraction(1, 2**53)
+_HALF_SUBNORMAL = Fraction(1, 2**1075)
+
+
+def _within_bound(mean, exact, n_window):
+    """``mean`` is within ``n_window·2⁻⁵³`` of the exact mean, relative: the
+    ``(n_window - 1)·2⁻⁵³`` of a sum of nonnegative terms in any order, the
+    division's rounding and its second-order term, or half a subnormal step."""
+    return abs(Fraction(mean) - exact) <= n_window * _U * (1 + _U) * exact + _HALF_SUBNORMAL
+
+
+@st.composite
+def _pushes(draw):
+    """``n_avg``, the spectra of a run of cycles (magnitudes from 0 through
+    the subnormals to 1e300) and the cycle before which a copy is taken."""
+    n_avg = draw(st.integers(1, 33))
+    n_cycles = draw(st.integers(1, 3 * n_avg + 2))
+    spectra = draw(arrays(np.float64, (n_cycles, 4, 2), elements=st.floats(0, 1e300)))
+    return n_avg, spectra, draw(st.integers(0, n_cycles - 1))
+
+
+#: At ``n_avg`` 3, cycle 4's window sum is ``x2 + (x3 + x4)``, np.mean's is
+#: ``(x2 + x3) + x4``; found by a random search for the largest difference.
+_REORDERED = (3, np.array([1.0, 1.0, 0.06131998975133801, 0.9636746503425668,
+                           0.05213233052257038])[:, None, None] * np.ones((4, 2)), 1)
+
+
+@given(case=_pushes())
+@example(case=_REORDERED)
+@settings(max_examples=150, deadline=None)
+def test_window_means_follow_the_documented_order_within_the_bound(case):
+    n_avg, pushed, copy_at = case
+    state, averages, exact = _window(n_avg, 2), [], np.zeros((4, 2), dtype=object)
+    for t, spectra in enumerate(pushed):
+        if t == copy_at:
+            snapshot = copy.deepcopy(state)
+        averages.append(_push(state, spectra))
+        n_window = min(t + 1, n_avg)
+        exact += np.vectorize(Fraction)(spectra)
+        if t >= n_avg:
+            exact -= np.vectorize(Fraction)(pushed[t - n_avg])
+        mean = np.mean(pushed[t + 1 - n_window : t + 1], axis=0)
+        assert averages[t].tobytes() == _two_stacks_mean(pushed, t, n_avg).tobytes()
+        if _in_np_mean_order(t, n_avg):
+            assert averages[t].tobytes() == mean.tobytes()
+        for ours, theirs, total in zip(averages[t].flat, mean.flat, exact.flat):
+            assert _within_bound(ours, total / n_window, n_window)
+            assert _within_bound(theirs, total / n_window, n_window)
+    # A copy taken mid-chunk, or before a chunk completes, goes on as the state did.
+    for t in range(copy_at, len(pushed)):
+        assert _push(snapshot, pushed[t]).tobytes() == averages[t].tobytes()
+
+
+def test_two_orders_of_a_window_differ_by_more_than_the_bound_on_each():
+    # Why the bound is against the exact mean: here the two means differ by
+    # 4.2·2⁻⁵³ of np.mean's, while each is within 3·2⁻⁵³ of the exact mean.
+    n_avg, pushed, _ = _REORDERED
+    state = _window(n_avg, 2)
+    ours = [_push(state, spectra) for spectra in pushed][4][0, 0]
+    theirs = np.mean(pushed[2:5, 0, 0])
+    assert abs(ours - theirs) > 3 * 2.0**-53 * theirs
+    exact = sum(map(Fraction, pushed[2:5, 0, 0])) / 3
+    assert _within_bound(ours, exact, 3) and _within_bound(theirs, exact, 3)
 
 
 def test_without_noise_model_sigmas_are_nan(wp, quiet_cal):
