@@ -17,11 +17,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError
+from .spectral import row_medians
 
 DEFAULT_WINDOW = 25
 DEFAULT_KAPPA = 3.0
 GAUSSIAN_PASSES = 3  # weighted log-parabola fits per Gaussian estimate
-_LARGEST = sys.float_info.max
 _SMALLEST_NORMAL = sys.float_info.min
 #: ``2 * DEFAULT_KAPPA`` with a margin for the rounding of a row's sum
 #: (relative error under ``bins * 2**-53``) and of the products.
@@ -42,74 +42,40 @@ class PeakEstimate:
     valid: bool
 
 
-def _least_reaching(intensity: float) -> float:
-    """The least float ``b`` with ``DEFAULT_KAPPA * b >= intensity``, for a positive intensity.
-
-    A rounded product grows with its factor, so ``DEFAULT_KAPPA * v >= intensity``
-    holds exactly when ``v >= b``.  ``intensity / DEFAULT_KAPPA`` (the largest float's,
-    for an infinite intensity) is a float or two from ``b``.
-    """
-    b = (intensity if intensity <= _LARGEST else _LARGEST) / DEFAULT_KAPPA
-    while DEFAULT_KAPPA * b < intensity:
-        b = math.nextafter(b, math.inf)
-    while DEFAULT_KAPPA * (lower := math.nextafter(b, -math.inf)) >= intensity:
-        b = lower
-    return b
-
-
-def _row_counts(mask) -> list:
-    """The true entries of each row of a 2-D bool array, summed as bytes into the
-    narrowest type that holds a row's length (a wider sum costs more)."""
-    return np.add.reduce(mask.view(np.uint8), axis=1,
-                         dtype=np.min_scalar_type(mask.shape[1])).tolist()
-
-
 def validity(rows, intensities, epsilons) -> list:
     """Whether each row's peak counts as a real detection, as a list of bools.
 
     Row ``r`` of a floored ``(rows, bins)`` stack is valid when ``intensities[r]``
     exceeds ``max(epsilons[r], DEFAULT_KAPPA * median)``, the median being
     ``np.median`` of the row's positive bins (NaNs are not positive), or 0 for
-    none; a low intensity marks an unreliable (typically blind) ramp.  The
-    median is not computed.  At least half of a row's ``P`` positive bins are
-    at least their median, so in a row with no negative bin or NaN, whose bins
-    sum to ``S``, the median is at most ``2 S / P``: an intensity above
-    :data:`_MEAN_BOUND` times ``S / P`` is valid.  The bound is not taken when
-    ``S`` overflows or ``S / P`` is subnormal, where rounding could exceed its
-    margin.  For a gated row it leaves undecided, with ``b`` from
-    :func:`_least_reaching`, the median clears the intensity when more than
-    half the positive bins lie below ``b``, which a count over the stack
-    tells.  Only a row whose even count puts one of its middle pair on each
-    side of ``b`` sorts its positive bins for the pair's mean.
-    (``DEFAULT_KAPPA >= 2`` keeps ``b``, and a pair below it, clear of
-    overflow, so that pair's mean stays below ``b`` too.)
+    none; a low intensity marks an unreliable (typically blind) ramp.  A gated
+    row with positive bins is decided in two tiers.  First a mean bound: at
+    least half of a row's ``P`` positive bins are at least their median, so in
+    a row with no negative bin or NaN, whose bins sum to ``S``, the median is
+    at most ``2 S / P``, and an intensity above :data:`_MEAN_BOUND` times
+    ``S / P`` is valid.  The bound is not taken when ``S`` overflows or
+    ``S / P`` is subnormal, where rounding could exceed its margin.  A row the
+    bound leaves open takes the exact median of its positive bins
+    (:func:`~.spectral.row_medians`).
     """
-    positive = _row_counts(rows > 0.0)
+    # Positive bins counted as bytes into the narrowest type that holds a row's
+    # length (a wider sum costs more).
+    positive = np.add.reduce((rows > 0.0).view(np.uint8), axis=1,
+                             dtype=np.min_scalar_type(rows.shape[1])).tolist()
     # einsum: a sum past the largest float is inf, with no overflow warning.
     sums = np.einsum("ij->i", rows).tolist()
     lowest = np.minimum.reduce(rows, axis=1).tolist()
-    flags = []  # None: gated, with positive bins, and not cleared by the bound
-    for i, e, n, s, low in zip(intensities, epsilons, positive, sums, lowest):
+    flags = []
+    for r, (i, e, n, s, low) in enumerate(zip(intensities, epsilons, positive, sums, lowest)):
         # bool(): a numpy epsilon would make a numpy bool.
         gate = bool(i > e) and i > 0.0
         if not (gate and n):
             flags.append(gate)
-        else:  # low >= 0.0 is False for a NaN too
-            mean = s / n
-            flags.append(True if low >= 0.0 and mean >= _SMALLEST_NORMAL
-                         and i > _MEAN_BOUND * mean else None)
-    if None not in flags:
-        return flags
-    bounds = [_least_reaching(i) if f is None else math.inf for i, f in zip(intensities, flags)]
-    reaching = _row_counts(rows >= np.array(bounds)[:, None])
-    for r, (flag, n, n_above) in enumerate(zip(flags, positive, reaching)):
-        if flag is not None:
-            continue
-        if n - n_above != n // 2 or n % 2:
-            flags[r] = n - n_above > n // 2
-        else:  # np.median's mean of the middle pair; Python floats overflow quietly
-            low, high = np.sort(rows[r][rows[r] > 0.0])[n // 2 - 1 : n // 2 + 1].tolist()
-            flags[r] = intensities[r] > DEFAULT_KAPPA * ((low + high) / 2)
+        # low >= 0.0 is False for a NaN too.
+        elif low >= 0.0 and (mean := s / n) >= _SMALLEST_NORMAL and i > _MEAN_BOUND * mean:
+            flags.append(True)
+        else:
+            flags.append(i > DEFAULT_KAPPA * row_medians(rows[r][rows[r] > 0.0][None])[0])
     return flags
 
 

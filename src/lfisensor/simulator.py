@@ -141,6 +141,8 @@ def synthesize_cycle(
         raise ParameterError(f"amplitude must be finite and >= 0, got {amplitude}")
     if not 0 <= noise_sigma < math.inf:
         raise ParameterError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     n = wp.samples_per_ramp
     t = np.arange(n) / wp.sampling_rate
     raw = np.empty((n, 4))

@@ -213,14 +213,17 @@ def calibrate(cycles, wp: WorkingPoint, fft_bins: int = DEFAULT_FFT_BINS,
 
 def row_medians(a) -> list:
     """``np.median`` of each row of a 2-D array of finite floats, bit for bit:
-    the middle element, or the mean ``(a + b) / 2`` of the middle pair.
-    (``np.median``'s NaN check imports ``numpy.ma``, which every command
-    would pay for at start-up.)"""
-    ordered = np.sort(a, axis=1)
-    half = ordered.shape[1] // 2
-    if ordered.shape[1] % 2:
-        return ordered[:, half].tolist()
-    return ((ordered[:, half - 1] + ordered[:, half]) / 2.0).tolist()
+    the middle element, or the mean ``(a + b) / 2`` of the middle pair, in
+    Python floats, where a sum past the largest float is inf with no warning.
+    A partition puts the upper middle element where a sort would, and the
+    lower one is the largest before it.  (``np.median``'s NaN check imports
+    ``numpy.ma``, which every command would pay for at start-up.)"""
+    half = a.shape[1] // 2
+    part = np.partition(a, half, axis=1)
+    if a.shape[1] % 2:
+        return part[:, half].tolist()
+    return [(low + high) / 2 for low, high in zip(part[:, :half].max(axis=1).tolist(),
+                                                   part[:, half].tolist())]
 
 
 def remove_floor(stack, scaled_mean, scaled_sigma) -> None:

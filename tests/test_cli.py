@@ -974,6 +974,21 @@ def test_negative_cycles_exits_nonzero(config_path, tmp_path, capsys, command):
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("command", ["synth", "calibrate", "process"])
+def test_negative_seed_exits_nonzero(config_path, tmp_path, capsys, command):
+    # A negative seed is refused by the synthesis itself, so a library caller
+    # gets the same error; no output or manifest is left behind.
+    argv = [command, "--config", str(config_path), "--out", str(tmp_path / "out"),
+            "--cycles", "2", "--seed", "-1"]
+    if command == "process":
+        argv += ["--calibration", str(_calibrate(config_path, tmp_path))]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    err = _refused(argv, ParameterError, capsys)
+    assert "seed must be >= 0, got -1" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_process_zero_cycles_writes_header_and_manifest(config_path, tmp_path, capsys, fmt):
     # An empty run is a valid file of its format: a header-only CSV, an

@@ -577,22 +577,23 @@ def test_stack_thresholds_are_np_median_of_each_rows_positive_bins(stack, epsilo
 
 
 def test_an_even_count_straddling_the_bound_takes_the_middle_pairs_mean(monkeypatch):
-    # Positive bins 1, 2, 4 and 8: the median is 3, so the bound is 9.  Near 9,
-    # two positive bins lie below intensity / kappa and two above, so the counts
-    # cannot tell, and the row sorts its positive bins for their middle pair.
+    # Positive bins 1, 2, 4 and 8: the median is 3, so the bound is 9.  The NaN
+    # (and the negative bin) keep the mean bound from every row, so each row,
+    # the 100.0 one too, partitions its four positive bins for their middle pair.
     row = [8.0, 0.0, 2.0, math.nan, 4.0, -1.0, 1.0]
-    sorted_sizes, sort = [], np.sort
-    monkeypatch.setattr(np, "sort", lambda a: sorted_sizes.append(a.size) or sort(a))
+    partitioned_sizes, partition = [], np.partition
+    monkeypatch.setattr(np, "partition", lambda a, *args, **kwargs: (
+        partitioned_sizes.append(a.size) or partition(a, *args, **kwargs)))
     intensities = [math.nextafter(9.0, 0.0), 9.0, math.nextafter(9.0, math.inf), 100.0]
     assert validity(np.array([row] * 4), intensities, [0.0] * 4) == [False, False, True, True]
-    assert sorted_sizes == [4, 4, 4]
+    assert partitioned_sizes == [4, 4, 4, 4]
 
 
 def test_rows_that_clear_the_mean_bound_are_valid_without_a_count(monkeypatch):
     # Positive bins 1, 2, 4 and 8 sum to 15, so their median (3) is at most
     # 2 * 15 / 4: an intensity past kappa * 7.5, with the margin, is valid.
     # The third row is not gated, and the fourth has no positive bin.
-    monkeypatch.setattr(peaks, "_least_reaching", lambda intensity: pytest.fail("counted"))
+    monkeypatch.setattr(np, "partition", lambda *args, **kwargs: pytest.fail("partitioned"))
     row = [8.0, 0.0, 2.0, -0.0, 4.0, 0.0, 1.0]
     stack = np.array([row, row, row, [0.0] * 7])
     assert validity(stack, [22.6, 1e300, 22.6, 22.6], [0.0, 0.0, 30.0, 0.0]) == [

@@ -105,6 +105,12 @@ def test_synthesis_refuses_a_non_finite_or_negative_level(name, value):
         synthesize_cycle(make_wp(), GroundTruth(0.03, 0.0), seed=1, cycle_index=0, **levels)
 
 
+def test_synthesis_refuses_a_negative_seed():
+    # numpy's SeedSequence would raise a bare ValueError.
+    with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+        synthesize_cycle(make_wp(), GroundTruth(0.03, 0.0), 1.0, 0.1, seed=-1, cycle_index=0)
+
+
 def test_cycle_bytes_do_not_depend_on_the_other_cycles(monkeypatch):
     # Cycle k of any stream is synthesize_cycle(k) byte for byte, whichever
     # cycles are made with it and in whatever order.  BLAS rounds a product
