@@ -1,10 +1,10 @@
 """Beat-frequency extraction: max-bin pick plus sub-bin interpolation.
 
-Two interpolators are provided over a window of bins around the maximum:
-a Gaussian fit, solved in closed form as a weighted least-squares parabola
-through the log-magnitudes (Guo's algorithm), and an intensity-weighted
-average.  Spectral peaks of windowed tones span several bins and are close
-to Gaussian, so either recovers the beat frequency well below one bin width.
+Two interpolators are provided around the maximum: a Gaussian through the
+three top bins, in closed form as the parabola through their
+log-magnitudes, and an intensity-weighted average over a window of bins.
+Spectral peaks of windowed tones span several bins and are close to
+Gaussian, so either recovers the beat frequency well below one bin width.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .spectral import row_medians
 
 DEFAULT_WINDOW = 25
 DEFAULT_KAPPA = 3.0
-GAUSSIAN_PASSES = 3  # weighted log-parabola fits per Gaussian estimate
 _SMALLEST_NORMAL = sys.float_info.min
 #: ``2 * DEFAULT_KAPPA`` with a margin for the rounding of a row's sum
 #: (relative error under ``bins * 2**-53``) and of the products.
@@ -79,75 +77,36 @@ def validity(rows, intensities, epsilons) -> list:
     return flags
 
 
-@lru_cache(maxsize=16)
-def _window_tables(window: int):
-    """The bin offsets ``x`` in a window, as ints and floats, and their
-    ``(window, 5)`` powers ``x^0 .. x^4`` (cached and shared: do not modify)."""
-    x = np.arange(-(window // 2), window // 2 + 1)
-    return x, x.astype(float), np.vander(x.astype(float), 5, increasing=True)
-
-
 def _gaussian_fits(block: np.ndarray) -> tuple:
-    """Guo's closed-form Gaussian fit to each row of a ``(rows, window)`` block.
+    """The Gaussian through the three middle bins of each row of a ``(rows,
+    window)`` block, in closed form (Gasior and Gonzalez, AIP Conf. Proc. 732,
+    2004).
 
-    A Gaussian is a parabola ``a + b x + c x^2`` in log-magnitude, ``x`` the
-    bin offset from the window's middle.  Each of :data:`GAUSSIAN_PASSES`
-    passes fits it by weighted least squares to the logs of the positive
-    bins (zero-floored bins have none), weighted by ``y^2``, then by the
-    previous fit's ``yhat^2``.  Returns each row's vertex offset ``-b / 2c``
-    and intensity ``exp(a - b^2 / 4c)``, as two lists; the offset is NaN
-    when fewer than three bins are positive or the fit is not concave or
-    finite.
+    A Gaussian is a parabola in log-magnitude.  With ``a`` and ``c`` the logs
+    of the outer bins less the log of the middle one, the parabola's vertex
+    lies ``(a - c) / (2 (a + c))`` bins from the middle, with intensity
+    ``middle * exp((c - a) * vertex / 4)``.  Returns each row's vertex offset
+    and intensity, as two lists; both are NaN unless the three bins are
+    positive, the parabola is concave, the intensity is finite and the vertex
+    lies within one bin of the middle.  The other bins are not read.
     """
-    n_rows = len(block)
-    _, x, powers = _window_tables(block.shape[1])
-    positive = block > 0
-    floored = ~positive
-    peak = block.max(axis=1)
-    # Each pass's weights stacked over its weighted logs: one moment-product operand.
-    moments = np.empty((2 * n_rows, block.shape[1]))
-    weights, weighted_logs = moments[:n_rows], moments[n_rows:]
-    # Wild windows can overflow; a fit that is not finite fails the guard.
-    with np.errstate(all="ignore"):
-        log_y = np.log(np.where(positive, block, 1.0)) - np.log(peak)[:, None]
-        fit = np.where(positive, log_y, -np.inf)
-        for done in range(1, GAUSSIAN_PASSES + 1):
-            # y^2, then yhat^2, each scaled by its row's largest; the first
-            # pass's largest fit is log(peak) - log(peak) = 0, so it is not taken.
-            if done > 1:
-                fit -= fit.max(axis=1, keepdims=True)
-            np.exp(np.multiply(2.0, fit, out=weights), out=weights)
-            np.multiply(weights, log_y, out=weighted_logs)
-            sums = (moments @ powers).tolist()
-            abc = []
-            for (s0, s1, s2, s3, s4), (t0, t1, t2, _, _) in zip(sums, sums[n_rows:]):
-                # Solve [[s0, s1, s2], [s1, s2, s3], [s2, s3, s4]] (a, b, c) = t
-                # by its symmetric adjugate m; a singular system gives NaNs.
-                m00, m01, m02 = s2 * s4 - s3 * s3, s2 * s3 - s1 * s4, s1 * s3 - s2 * s2
-                m11, m12, m22 = s0 * s4 - s2 * s2, s1 * s2 - s0 * s3, s0 * s2 - s1 * s1
-                det = s0 * m00 + s1 * m01 + s2 * m02
-                scale = 1.0 / det if det > 0 else math.nan
-                abc.append(((m00 * t0 + m01 * t1 + m02 * t2) * scale,
-                            (m01 * t0 + m11 * t1 + m12 * t2) * scale,
-                            (m02 * t0 + m12 * t1 + m22 * t2) * scale))
-            if done < GAUSSIAN_PASSES:
-                # a + x (b + c x), elementwise, not a matmul, so that no row's
-                # fit depends on another's; floored bins get -inf.
-                a, b, c = np.array(abc).T[:, :, None]
-                np.multiply(c, x, out=fit)
-                fit += b
-                fit *= x
-                fit += a
-                np.copyto(fit, -np.inf, where=floored)
+    half = block.shape[1] // 2
     vertices, intensities = [], []
-    for (a, b, c), top, n in zip(abc, peak.tolist(), positive.sum(axis=1).tolist()):
-        offset = -b / (2.0 * c) if c < 0 else math.nan
-        try:
-            intensity = top * math.exp(a + 0.5 * b * offset)
-        except OverflowError:  # where np.exp would give inf
-            intensity = math.inf
-        finite = math.isfinite(a + b + c + intensity)
-        vertices.append(offset if n >= 3 and finite else math.nan)
+    for lo, mid, hi in block[:, half - 1 : half + 2].tolist():
+        vertex = intensity = math.nan
+        # Separate logs: a quotient of wild bins can overflow or underflow.
+        if lo > 0.0 and mid > 0.0 and hi > 0.0:
+            log_mid = math.log(mid)
+            a, c = math.log(lo) - log_mid, math.log(hi) - log_mid
+            if a + c < 0.0:
+                vertex = (a - c) / (2.0 * (a + c))
+                try:
+                    intensity = mid * math.exp((c - a) * vertex / 4.0)
+                except OverflowError:  # a far vertex: rejected below
+                    intensity = math.inf
+                if not (abs(vertex) <= 1.0 and math.isfinite(intensity)):
+                    vertex = intensity = math.nan
+        vertices.append(vertex)
         intensities.append(intensity)
     return vertices, intensities
 
@@ -166,7 +125,7 @@ def _interpolate(rows, bin_freqs, centers, window, method, epsilons) -> list:
     center_list = centers.tolist()
     if not center_list:
         return []
-    columns = _window_tables(window)[0] + centers[:, None]
+    columns = np.arange(-half, half + 1) + centers[:, None]
     # Each row's window (the end bins' past the ends).
     weights = rows.take(columns + np.arange(0, rows.size, n_bins)[:, None], mode="clip")
     if min(center_list) < half or max(center_list) > n_bins - 1 - half:
@@ -216,10 +175,11 @@ def estimate_peaks(rows, bin_freqs, epsilons, window, method) -> tuple:
     the stack out, gated by ``epsilons[r]``, and gets the estimate it would
     get alone.  The weighted average is ``sum(X(k) F(k)) / sum(X(k))`` over
     the window, its bins past the spectrum's ends taken as 0, with the
-    center bin as intensity; the Gaussian fit
-    (:func:`_gaussian_fits`) falls back to it when it fails or its vertex
-    leaves the window.  An all-zero row has no peak.  :func:`validity` gates
-    each estimate.
+    center bin as intensity.  The Gaussian (:func:`_gaussian_fits`) reads
+    only the center bin and its two neighbours, so ``window`` is the
+    weighted average's alone; the Gaussian falls back to it when it fails or
+    its vertex leaves the window.  An all-zero row has no peak.
+    :func:`validity` gates each estimate.
     """
     if method not in METHODS:
         raise ParameterError(f"method must be one of {METHODS}, got {method!r}")

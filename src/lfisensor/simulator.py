@@ -141,8 +141,12 @@ def synthesize_cycle(
         raise ParameterError(f"amplitude must be finite and >= 0, got {amplitude}")
     if not 0 <= noise_sigma < math.inf:
         raise ParameterError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+    # Checked before numpy, which refuses a float or negative seed its own way.
+    for name, value in (("seed", seed), ("cycle_index", cycle_index)):
+        if not isinstance(value, (int, np.integer)):
+            raise ParameterError(f"{name} must be an integer, got {value!r}")
+        if value < 0:
+            raise ParameterError(f"{name} must be >= 0, got {value}")
     n = wp.samples_per_ramp
     t = np.arange(n) / wp.sampling_rate
     raw = np.empty((n, 4))

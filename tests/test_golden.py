@@ -9,10 +9,12 @@ update these digests and say why in CHANGES.md.
 
 The same bytes must come out under any OpenBLAS kernel and without numpy's
 AVX-512 dispatch: the weighted average is a fixed-order numpy sum, so the
-processing of this corpus calls no BLAS routine.  What still depends on the
-machine: the Gaussian fit's moment product (BLAS; not in this corpus),
-``np.abs`` of the spectrum below AVX2 dispatch, and the synthesis product
-(BLAS), whose differences the float32 frame export hides.
+processing of this corpus calls no BLAS routine, nor does any other
+processing path.  What still depends on the machine: the Gaussian fit's
+``math.log`` and ``math.exp`` (libm; glibc on x86-64 picks FMA variants of
+both at run time; not in this corpus), ``np.abs`` of the spectrum below AVX2
+dispatch, and the synthesis product (BLAS), whose differences the float32
+frame export hides.
 """
 
 import hashlib

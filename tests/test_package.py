@@ -205,3 +205,26 @@ def test_no_two_parameters_get_the_same_expression_from_every_call_in_the_packag
                 shared |= {f"{fn.name}({', '.join(sorted(pair))})"
                            for pair in set.intersection(*pairs)}
     assert shared == set()
+
+
+#: Modules whose arithmetic makes a record's bytes, and the numpy names whose
+#: result a BLAS kernel rounds.  Synthesis keeps its product: the float32
+#: frame export hides its rounding.
+RECORD_MODULES = ("spectral.py", "peaks.py", "pipeline.py", "solver.py")
+BLAS_NAMES = {"dot", "matmul", "tensordot", "inner", "linalg"}
+
+
+def test_no_matrix_product_on_the_processing_path():
+    # A BLAS kernel picks its own blocking and FMA use per CPU, so a product
+    # on this path would let a record's bytes differ between machines (and
+    # with the height of a stack); fixed-order numpy reductions do not.
+    found = []
+    for name, tree in _modules():
+        if name not in RECORD_MODULES:
+            continue
+        for node in ast.walk(tree):
+            op = getattr(node, "op", None)
+            called = getattr(node, "attr", None) or getattr(node, "id", None)
+            if isinstance(op, ast.MatMult) or called in BLAS_NAMES:
+                found.append(f"{name}:{node.lineno}")
+    assert found == []

@@ -201,6 +201,41 @@ def test_gaussian_fit_is_exact_on_sampled_gaussians(bin_offset, width, amplitude
 
 
 @given(
+    offset=st.floats(-0.5, 0.5),
+    width=st.floats(1.0, 4.0),
+    amplitude=st.floats(1e-3, 1e6),
+    background=st.sampled_from(["zeros", "noise", "second peak"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(offset=0.3, width=2.0, amplitude=1.0, background="noise", seed=1)
+@example(offset=-0.2, width=2.5, amplitude=10.0, background="second peak", seed=2)
+@settings(max_examples=100, deadline=None)
+def test_gaussian_estimate_reads_only_its_three_peak_bins(offset, width, amplitude, background,
+                                                          seed):
+    # A sampled Gaussian through the center bin and its two neighbours comes
+    # back to rounding, and bit for bit as from those three bins alone,
+    # whatever the window's other 22 bins hold.
+    rng = np.random.default_rng(seed)
+    center, k = 500, np.arange(1024)
+    mags = np.zeros(1024)
+    if background == "noise":
+        mags[center - 12 : center + 13] = rng.uniform(0.0, 0.5 * amplitude, 25)
+    elif background == "second peak":
+        at = center + rng.choice([-1, 1]) * rng.uniform(5.0, 10.0)
+        mags += 0.5 * amplitude * np.exp(-((k - at) ** 2) / (2 * width**2))
+    top = amplitude * np.exp(-((k[center - 1 : center + 2] - center - offset) ** 2)
+                             / (2 * width**2))
+    alone = np.zeros(1024)
+    mags[center - 1 : center + 2] = alone[center - 1 : center + 2] = top
+    est = _interpolate(mags, center, GAUSSIAN)
+    assert est.method == GAUSSIAN
+    assert abs(est.beat_frequency - FREQS[center] - offset * BIN_WIDTH) < 1e-9 * BIN_WIDTH
+    assert est.intensity == pytest.approx(amplitude, rel=1e-9)
+    three = _interpolate(alone, center, GAUSSIAN)
+    assert (est.beat_frequency, est.intensity) == (three.beat_frequency, three.intensity)
+
+
+@given(
     exponents=st.lists(st.floats(-300.0, 300.0), min_size=3, max_size=25),
     zeroed=st.lists(st.booleans(), min_size=25, max_size=25),
     center=st.integers(0, 24),
@@ -285,10 +320,11 @@ def test_batched_estimate_of_a_row_ignores_its_neighbours(rows, method, epsilon)
 @settings(max_examples=60, deadline=None)
 def test_estimates_do_not_depend_on_the_height_of_the_stack(cycles, seed, method):
     # A block of cycles is one (4 * cycles, bins) stack: each cycle's four rows
-    # must get the estimates they get as a (4, bins) stack of their own.  The
-    # Gaussian moment sums are one BLAS product over all rows, so this pins,
-    # on the host that runs it, that the product does not round a row
-    # differently with the number of rows around it.
+    # must get the estimates they get as a (4, bins) stack of their own: no
+    # step may round a row differently with the number of rows around it.
+    # The Gaussian is taken per row in Python floats and the weighted average
+    # by fixed-order numpy sums, with no BLAS product, so this holds on any
+    # host.
     rng = np.random.default_rng(seed)
     kinds = rng.choice(["peak", "peak", "peak", "wild", "zero"], size=4 * cycles)
     stack = np.stack([
@@ -379,9 +415,13 @@ def _peak_case(window, n_bins, rows, seed):
 #: float past it: ``(center, first bin, magnitudes from that bin on)`` in a
 #: 16-bin row, with a 5-bin window.  Center 8 has the bounds -2 and 2; center
 #: 1's window is clipped at bin 0 (lower bound -1), center 14's at bin 15 (upper
-#: bound 1).  The vertices are exact with numpy's log, exp and OpenBLAS moment
-#: product as the golden digests were pinned; a build that rounds otherwise can
-#: move them an ulp, and the rows are then still compared with the oracle.
+#: bound 1).  The first eight rows lie on those bounds for a weighted parabola
+#: over the whole window.  The last six put the three-bin Gaussian's vertex
+#: exactly on -1 at center 1 and +1 at center 14, where the clipped bound and
+#: the one-bin limit of :func:`peaks._gaussian_fits` meet, and on -1 at center
+#: 8, the one-bin limit alone, each then one float past, with Python's
+#: ``math.log``.  A libm that rounds otherwise can move them an ulp, and the
+#: rows are then still compared with the oracle.
 _ON_AND_PAST_BOUNDS = [
     (8, 6, [1.0, 0.7438930621376549, 0.30622598005804946, 0.06975808901308397,
             0.008793628879685274]),
@@ -395,6 +435,12 @@ _ON_AND_PAST_BOUNDS = [
     (1, 0, [1.0, 0.7438930621376457, 0.30622598005804175, 0.06975808901308134]),
     (14, 12, [0.024258013454282336, 0.19149519501466328, 0.6615146556493751, 1.0]),
     (14, 12, [0.06975808901308156, 0.3062259800580425, 0.7438930621376465, 1.0]),
+    (1, 0, [1.5, 1.0, 0.2962962962962963]),
+    (1, 0, [1.5, 1.0, 0.29629629629629634]),
+    (14, 13, [0.2962962962962963, 1.0, 1.5]),
+    (14, 13, [0.29629629629629634, 1.0, 1.5]),
+    (8, 7, [1.5, 1.0, 0.2962962962962963]),
+    (8, 7, [1.5, 1.0, 0.29629629629629634]),
 ]
 
 

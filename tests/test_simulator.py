@@ -111,6 +111,35 @@ def test_synthesis_refuses_a_negative_seed():
         synthesize_cycle(make_wp(), GroundTruth(0.03, 0.0), 1.0, 0.1, seed=-1, cycle_index=0)
 
 
+@pytest.mark.parametrize("seed, cycle_index, message", [
+    (1.5, 0, "seed must be an integer, got 1.5"),
+    (math.nan, 0, "seed must be an integer, got nan"),
+    (np.float64(2.0), 0, "seed must be an integer"),
+    (1, -1, "cycle_index must be >= 0, got -1"),
+    (1, np.int64(-3), "cycle_index must be >= 0, got -3"),
+    (1, 0.5, "cycle_index must be an integer, got 0.5"),
+], ids=["float-seed", "nan-seed", "numpy-float-seed", "negative-index", "numpy-negative-index",
+        "float-index"])
+def test_synthesis_refuses_a_seed_or_index_that_is_not_a_non_negative_integer(
+        monkeypatch, seed, cycle_index, message):
+    # numpy would raise its own TypeError or ValueError; no generator is built.
+    def no_generator(*args):
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    with pytest.raises(ParameterError, match=message):
+        synthesize_cycle(make_wp(), GroundTruth(0.03, 0.0), 1.0, 0.1, seed, cycle_index)
+    if cycle_index == 0:
+        with pytest.raises(ParameterError, match=message):
+            list(synthetic_cycles(make_wp(), GroundTruth(0.03, 0.0), 1.0, 0.1, seed, 2))
+
+
+def test_synthesis_takes_numpy_integers():
+    wp, gt = make_wp(), GroundTruth(0.03, 0.0)
+    assert (synthesize_cycle(wp, gt, 1.0, 0.1, np.uint32(7), np.int64(2)).tobytes()
+            == synthesize_cycle(wp, gt, 1.0, 0.1, 7, 2).tobytes())
+
+
 def test_cycle_bytes_do_not_depend_on_the_other_cycles(monkeypatch):
     # Cycle k of any stream is synthesize_cycle(k) byte for byte, whichever
     # cycles are made with it and in whatever order.  BLAS rounds a product
