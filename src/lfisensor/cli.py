@@ -1,8 +1,10 @@
 """Command-line front end: calibration capture, stream processing, analyses.
 
-Every command writes its outputs atomically together with a run manifest
-(config snapshot, input provenance, output paths, tool version) and is
-idempotent given identical inputs and seeds.
+Each ``cmd_*`` writes its outputs atomically and returns its input
+provenance, its output paths and its summary; :func:`main` alone then writes
+the run manifest (config path, input provenance, output paths, tool
+version) and prints the summary.  Every command is idempotent given
+identical inputs and seeds.
 """
 
 from __future__ import annotations
@@ -127,30 +129,26 @@ def _source_from_args(args, wp):
     return source, {"synthetic": synthetic}
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> tuple:
     wp, _ = read_config_file(args.config)
     cycles, provenance = _source_from_args(args, wp)
     write_frames(args.out, cycles, wp)
-    outputs = [f"{args.out}.f32", f"{args.out}.json"]
-    _write_manifest(args.out, "synth", args.config, provenance, outputs)
-    print(f"wrote {args.cycles} cycles ({4 * args.cycles} frames) to {args.out}.f32")
-    return 0
+    return (provenance, [f"{args.out}.f32", f"{args.out}.json"],
+            f"wrote {args.cycles} cycles ({4 * args.cycles} frames) to {args.out}.f32")
 
 
-def cmd_calibrate(args) -> int:
+def cmd_calibrate(args) -> tuple:
     wp, settings = read_config_file(args.config)
     source, provenance = _source_from_args(args, wp)
     cal = calibrate(source, wp, settings["fft_bins"], settings["sync_offset_samples"])
     cal.save(args.out)
-    _write_manifest(args.out, "calibrate", args.config, provenance, [args.out])
-    for i, (mean, sigma) in enumerate(zip(row_medians(cal.reference_mean),
-                                          row_medians(cal.reference_sigma))):
-        print(f"ramp {i}: median floor {mean:.6g}, median sigma {sigma:.6g} "
-              f"({cal.n_cycles} cycles)")
-    return 0
+    return provenance, [args.out], "\n".join(
+        f"ramp {i}: median floor {mean:.6g}, median sigma {sigma:.6g} ({cal.n_cycles} cycles)"
+        for i, (mean, sigma) in enumerate(zip(row_medians(cal.reference_mean),
+                                              row_medians(cal.reference_sigma))))
 
 
-def cmd_process(args) -> int:
+def cmd_process(args) -> tuple:
     cal = Calibration.load(args.calibration)
     noise_model = read_json_object(
         args.noise_model, [f.name for f in fields(NoiseModelCoefficients)],
@@ -171,12 +169,10 @@ def cmd_process(args) -> int:
         for record in run_stream(source, cfg):
             fh.write(f"{format_record(record)}\n".encode())
             n_records += 1
-    _write_manifest(args.out, "process", args.config, provenance, [args.out])
-    print(f"wrote {n_records} records to {args.out}")
-    return 0
+    return provenance, [args.out], f"wrote {n_records} records to {args.out}"
 
 
-def cmd_blindmap(args) -> int:
+def cmd_blindmap(args) -> tuple:
     wp, _ = read_config_file(args.config)
     bm = blind_map(
         wp,
@@ -187,23 +183,14 @@ def cmd_blindmap(args) -> int:
     grid_path = f"{args.out}.grid.txt"
     write_blind_map_csv(bm, args.out)
     write_blind_map_grid(bm, grid_path)
-    _write_manifest(
-        args.out,
-        "blindmap",
-        args.config,
-        {
-            "v_range_mps": [args.v_min, args.v_max],
-            "r_range_m": [args.r_min, args.r_max],
-            "resolution": args.resolution,
-        },
-        [args.out, grid_path],
-    )
+    inputs = {"v_range_mps": [args.v_min, args.v_max], "r_range_m": [args.r_min, args.r_max],
+              "resolution": args.resolution}
     worst = int(bm.blind_count.max())
-    print(f"blind map {args.resolution}x{args.resolution}, worst cell: {worst} blind ramps")
-    return 0
+    return (inputs, [args.out, grid_path],
+            f"blind map {args.resolution}x{args.resolution}, worst cell: {worst} blind ramps")
 
 
-def cmd_mindist(args) -> int:
+def cmd_mindist(args) -> tuple:
     wp, _ = read_config_file(args.config)
     distance = min_reliable_distance(wp, args.v_max)
     write_atomic(
@@ -213,33 +200,16 @@ def cmd_mindist(args) -> int:
             sort_keys=True,
         ),
     )
-    _write_manifest(
-        args.out,
-        "mindist",
-        args.config,
-        {"v_max_mps": args.v_max},
-        [args.out],
-    )
-    print(f"minimum reliable distance: {1e3 * distance:.3f} mm (|v| <= {args.v_max} m/s)")
-    return 0
+    return ({"v_max_mps": args.v_max}, [args.out],
+            f"minimum reliable distance: {1e3 * distance:.3f} mm (|v| <= {args.v_max} m/s)")
 
 
-def cmd_fitnoise(args) -> int:
+def cmd_fitnoise(args) -> tuple:
     observations = read_observations_csv(args.observations)
     coeffs = fit_noise_model(observations)
     write_atomic(args.out, json.dumps(coeffs.to_dict(), sort_keys=True))
-    _write_manifest(
-        args.out,
-        "fitnoise",
-        None,
-        {"observations": str(args.observations), "count": len(observations)},
-        [args.out],
-    )
-    print(
-        "noise model: "
-        + " ".join(f"{k}={v:.6g}" for k, v in coeffs.to_dict().items())
-    )
-    return 0
+    return ({"observations": str(args.observations), "count": len(observations)}, [args.out],
+            "noise model: " + " ".join(f"{k}={v:.6g}" for k, v in coeffs.to_dict().items()))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -305,7 +275,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        inputs, outputs, summary = args.func(args)
+        _write_manifest(args.out, args.command, getattr(args, "config", None), inputs, outputs)
+        print(summary)
+        return 0
     except (LfiError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -132,14 +132,12 @@ def _interpolate(rows, bin_freqs, centers, window, method, epsilons) -> list:
         weights[(columns < 0) | (columns >= n_bins)] = 0.0
     if method == GAUSSIAN:
         vertices, fit_intensities = _gaussian_fits(weights)
-        # Per row, in Python floats: a vertex must stay in the window's bins,
-        # max(center - half, 0) to min(center + half, n_bins - 1), and a failed
-        # fit's NaN does not.
+        # A fit is accepted unless it failed (a NaN vertex).  A finite vertex is
+        # within one bin of a center whose neighbours are positive, so inside
+        # the row: a neighbour past its ends was set to 0 above.
         step = float(bin_freqs[1] - bin_freqs[0])
-        accepted, fitted = [], []
-        for center, middle, v in zip(center_list, bin_freqs.take(centers).tolist(), vertices):
-            accepted.append(-min(center, half) <= v <= min(n_bins - 1 - center, half))
-            fitted.append(middle + v * step)
+        accepted = [not math.isnan(v) for v in vertices]
+        fitted = [f + v * step for f, v in zip(bin_freqs.take(centers).tolist(), vertices)]
         if all(accepted):
             return [PeakEstimate(f, i, GAUSSIAN, v) for f, i, v in zip(
                 fitted, fit_intensities, validity(rows, fit_intensities, epsilons))]
@@ -177,8 +175,8 @@ def estimate_peaks(rows, bin_freqs, epsilons, window, method) -> tuple:
     the window, its bins past the spectrum's ends taken as 0, with the
     center bin as intensity.  The Gaussian (:func:`_gaussian_fits`) reads
     only the center bin and its two neighbours, so ``window`` is the
-    weighted average's alone; the Gaussian falls back to it when it fails or
-    its vertex leaves the window.  An all-zero row has no peak.
+    weighted average's alone; the Gaussian falls back to it when its fit
+    fails.  An all-zero row has no peak.
     :func:`validity` gates each estimate.
     """
     if method not in METHODS:

@@ -132,12 +132,16 @@ def check_fft_bins(fft_bins: int, frame_length: int) -> None:
         )
     if fft_bins & (fft_bins - 1):
         raise ParameterError(f"fft_bins must be a power of two, got {fft_bins}")
+    _check_fft_work(fft_bins, STREAM_BLOCK, f"fft_bins ({fft_bins})")
+
+
+def _check_fft_work(fft_bins: int, cycles: int, what: str) -> None:
+    """Refuse ``what`` if the FFT work arrays of ``cycles`` cycles pass :data:`MAX_WORK_BYTES`."""
     # Per frame: the padded float frame, its complex rfft and the magnitudes.
-    work = 4 * STREAM_BLOCK * (8 * fft_bins + 16 * (fft_bins // 2 + 1) + 8 * (fft_bins // 2))
+    work = 4 * cycles * (8 * fft_bins + 16 * (fft_bins // 2 + 1) + 8 * (fft_bins // 2))
     if work > MAX_WORK_BYTES:
-        raise ParameterError(
-            f"fft_bins ({fft_bins}) needs {work} bytes of FFT work arrays, more than "
-            f"MAX_WORK_BYTES ({MAX_WORK_BYTES})")
+        raise ParameterError(f"{what} needs {work} bytes of FFT work arrays, more than "
+                             f"MAX_WORK_BYTES ({MAX_WORK_BYTES})")
 
 
 def check_sync_offset(offset: int, cycle_length: int) -> None:
@@ -153,18 +157,21 @@ def magnitude_spectra(block, wp: WorkingPoint, window, fft_bins: int, work: list
     Each cycle is rotated left by ``offset`` samples; ramp ``r`` of cycle ``c`` is row
     ``4 c + r`` of the ``(4 * cycles, fft_bins // 2)`` result, bit for bit its own frame's
     transform.  A block that fails :func:`~.simulator.check_block` (cycles counted from
-    ``first_cycle``) raises :class:`FramingError` before ``work``, the caller's list (empty
-    at first) of the padded frames, transform and magnitudes, changes; it grows to the
-    largest block, and the result is a view of it, the caller's to change.
+    ``first_cycle``) raises :class:`FramingError`, and one whose work arrays would pass
+    :data:`MAX_WORK_BYTES` :class:`ParameterError`, before ``work``, the caller's list
+    (empty at first) of the padded frames, transform and magnitudes, changes; it grows to
+    the largest block, and the result is a view of it, the caller's to change.
     """
     block = check_block(block, wp, "input", first_cycle)
     n = len(window)  # samples per ramp
-    if offset:
-        block = np.roll(block, -offset, axis=1)
     rows, bins = 4 * len(block), fft_bins // 2
     if not work or len(work[0]) < rows:  # the pads stay 0
+        _check_fft_work(fft_bins, len(block),
+                        f"a block of {len(block)} cycles at fft_bins {fft_bins}")
         work[:] = (np.zeros((rows, fft_bins)), np.empty((rows, bins + 1), complex),
                    np.empty((rows, bins)))
+    if offset:
+        block = np.roll(block, -offset, axis=1)
     padded, transform, spectra = (array[:rows] for array in work)
     np.multiply(block.reshape(rows, n), window, out=padded[:, :n])
     np.fft.rfft(padded, axis=-1, out=transform)

@@ -524,6 +524,42 @@ def test_malformed_noise_model_exits_nonzero(config_path, tmp_path, capsys, text
     assert err.startswith(f"error: noise model {noise} ") and needle in err
 
 
+def test_every_command_writes_its_manifest(config_path, tmp_path, capsys):
+    # main writes each manifest from what the command returns: the command's
+    # name, the config (none for fitnoise), its input provenance and outputs.
+    cfg, t = str(config_path), str(tmp_path)
+    observations = tmp_path / "observations.csv"
+    write_observations_csv(_synthetic_observations(TRUE_COEFFS, np.random.default_rng(42), n=40),
+                           observations)
+    synthetic = {"cycles": 20, "seed": 0, "noise_sigma": 0.0}
+    runs = [
+        (["synth", "--config", cfg, "--out", f"{t}/frames", "--cycles", "20",
+          "--distance", "0.04"],
+         {"synthetic": {**synthetic, "distance_m": 0.04, "velocity_mps": 0.0, "amplitude": 1.0}},
+         [f"{t}/frames.f32", f"{t}/frames.json"]),
+        (["calibrate", "--config", cfg, "--out", f"{t}/cal.json", "--cycles", "20"],
+         {"synthetic": synthetic}, [f"{t}/cal.json"]),
+        (["process", "--config", cfg, "--out", f"{t}/run.csv", "--calibration", f"{t}/cal.json",
+          "--input", f"{t}/frames"],
+         {"replay": f"{t}/frames", "calibration": f"{t}/cal.json"}, [f"{t}/run.csv"]),
+        (["blindmap", "--config", cfg, "--out", f"{t}/map.csv", "--resolution", "5"],
+         {"v_range_mps": [-0.1, 0.1], "r_range_m": [0.0, 0.05], "resolution": 5},
+         [f"{t}/map.csv", f"{t}/map.csv.grid.txt"]),
+        (["mindist", "--config", cfg, "--out", f"{t}/mindist.json", "--v-max", "0.2"],
+         {"v_max_mps": 0.2}, [f"{t}/mindist.json"]),
+        (["fitnoise", "--observations", str(observations), "--out", f"{t}/noise.json"],
+         {"observations": str(observations), "count": 40}, [f"{t}/noise.json"]),
+    ]
+    for argv, inputs, outputs in runs:
+        assert main(argv) == 0
+        out = argv[argv.index("--out") + 1]
+        assert json.loads(Path(f"{out}.manifest.json").read_text()) == {
+            "tool": "lfisensor", "version": lfisensor.__version__, "command": argv[0],
+            "config": None if argv[0] == "fitnoise" else cfg, "inputs": inputs,
+            "outputs": outputs}
+    capsys.readouterr()
+
+
 def test_stale_temporary_directory_does_not_block_output(config_path, tmp_path, capsys):
     # A leftover directory at the old fixed temporary name must not matter.
     cal = _calibrate(config_path, tmp_path)

@@ -1,7 +1,7 @@
 """Package-wide structure: every top-level name and class member has a caller in
 the package, every parameter default is overridden by one call and taken by
-another, and no two parameters of a function get the same expression from every
-call."""
+another, no two parameters of a function get the same expression from every
+call, and one function writes the run manifest."""
 
 import ast
 import math
@@ -205,6 +205,14 @@ def test_no_two_parameters_get_the_same_expression_from_every_call_in_the_packag
                 shared |= {f"{fn.name}({', '.join(sorted(pair))})"
                            for pair in set.intersection(*pairs)}
     assert shared == set()
+
+
+def test_main_alone_writes_the_run_manifest():
+    # Each command returns what it read and wrote, and main records it: a
+    # manifest field then has one place to go, and no command names itself.
+    writers = [(name, _defined(node)) for name, tree in _modules() for node in tree.body
+               if "_write_manifest" in _referenced(node)]
+    assert writers == [("cli.py", ["main"])]
 
 
 #: Modules whose arithmetic makes a record's bytes, and the numpy names whose

@@ -152,7 +152,7 @@ def test_estimates_stay_inside_window():
 
 
 def test_gaussian_falls_back_on_edge_half_peak():
-    # Max at bin 0 with a one-sided tail: fitted center leaves the window.
+    # Max at bin 0 with a one-sided tail: the bin below it is 0, so the fit fails.
     mags = np.zeros(1024)
     mags[:13] = np.exp(-np.arange(13) / 2.0)
     est = _interpolate(mags, 0, GAUSSIAN)
@@ -411,17 +411,20 @@ def _peak_case(window, n_bins, rows, seed):
     return stack, np.array(centers), window
 
 
-#: Windows whose Gaussian vertex lands exactly on an acceptance bound, then one
-#: float past it: ``(center, first bin, magnitudes from that bin on)`` in a
-#: 16-bin row, with a 5-bin window.  Center 8 has the bounds -2 and 2; center
-#: 1's window is clipped at bin 0 (lower bound -1), center 14's at bin 15 (upper
-#: bound 1).  The first eight rows lie on those bounds for a weighted parabola
-#: over the whole window.  The last six put the three-bin Gaussian's vertex
-#: exactly on -1 at center 1 and +1 at center 14, where the clipped bound and
-#: the one-bin limit of :func:`peaks._gaussian_fits` meet, and on -1 at center
-#: 8, the one-bin limit alone, each then one float past, with Python's
-#: ``math.log``.  A libm that rounds otherwise can move them an ulp, and the
-#: rows are then still compared with the oracle.
+#: Windows whose Gaussian vertex lands exactly on a bound of the window's bins,
+#: then one float past it: ``(center, first bin, magnitudes from that bin on)``
+#: in a 16-bin row, with a 5-bin window.  Center 8 has the bounds -2 and 2;
+#: center 1's window is clipped at bin 0 (lower bound -1), center 14's at bin 15
+#: (upper bound 1).  The package accepts every finite vertex, since a vertex
+#: past one bin is a failed fit and a neighbour past the row's ends is 0; the
+#: oracle :func:`_per_row_peaks` still checks the bounds, so these rows show
+#: that no record depends on them.  The first eight rows lie on those bounds
+#: for a weighted parabola over the whole window.  The last six put the
+#: three-bin Gaussian's vertex exactly on -1 at center 1 and +1 at center 14,
+#: where the clipped bound and the one-bin limit of :func:`peaks._gaussian_fits`
+#: meet, and on -1 at center 8, the one-bin limit alone, each then one float
+#: past, with Python's ``math.log``.  A libm that rounds otherwise can move them
+#: an ulp, and the rows are then still compared with the oracle.
 _ON_AND_PAST_BOUNDS = [
     (8, 6, [1.0, 0.7438930621376549, 0.30622598005804946, 0.06975808901308397,
             0.008793628879685274]),

@@ -35,7 +35,7 @@ from lfisensor import (
     synthetic_cycles,
     write_frames,
 )
-from lfisensor import pipeline
+from lfisensor import pipeline, spectral
 from lfisensor.modulation import read_flat_config
 from lfisensor.peaks import PeakEstimate
 from lfisensor.pipeline import _attach_sigmas, read_config_file
@@ -606,6 +606,26 @@ def test_state_copy_in_mid_stream_owns_its_arrays(wp, noisy_cal):
     assert len(snapshot.work) == len(state.work) == 3
     for mine, theirs in zip(snapshot.work, state.work):
         assert not np.shares_memory(mine, theirs)
+
+
+def test_a_block_past_max_work_bytes_is_refused_and_leaves_the_state(wp, noisy_cal,
+                                                                     monkeypatch):
+    # The config bounds the work arrays of a STREAM_BLOCK block; a library
+    # caller's longer block is refused before they grow, and the caller can go on.
+    cfg = _config(wp, noisy_cal)
+    cycles = _stream(wp, STREAM_BLOCK + 1)
+    state, fresh = PipelineState.for_config(cfg), PipelineState.for_config(cfg)
+    process_block(cycles[:STREAM_BLOCK], state, cfg)
+    work = list(state.work)
+    monkeypatch.setattr(spectral, "MAX_WORK_BYTES", sum(a.nbytes for a in work))
+    for s in (state, fresh):
+        seen = s.cycles_seen
+        with pytest.raises(ParameterError, match=f"a block of {STREAM_BLOCK + 1} cycles"):
+            process_block(cycles, s, cfg)
+        assert s.cycles_seen == seen
+    assert fresh.work == [] and len(state.work) == len(work)
+    assert all(mine is theirs for mine, theirs in zip(state.work, work))
+    assert len(process_block(cycles[:STREAM_BLOCK], state, cfg)) == STREAM_BLOCK
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
