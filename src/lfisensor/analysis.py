@@ -23,7 +23,7 @@ import numpy as np
 from .errors import FitError, ParameterError
 from .modulation import SPEED_OF_LIGHT, WorkingPoint, decode_fields, open_atomic, ramp_slopes
 from .simulator import signed_beat
-from .spectral import MAX_WORK_BYTES
+from .spectral import check_work
 
 OBSERVATION_FIELDS = (
     "f_ramp_rate",
@@ -113,10 +113,7 @@ def blind_map(wp: WorkingPoint, v_range, r_range, resolution) -> BlindMap:
         raise ParameterError(f"resolution must be positive, got {resolution}")
     # Per cell: the int64 count and about three float64 temporaries of one ramp's pass.
     work = 32 * n_v * n_r
-    if work > MAX_WORK_BYTES:
-        raise ParameterError(
-            f"resolution {resolution} needs {work} bytes of blind-map grid, "
-            f"more than MAX_WORK_BYTES ({MAX_WORK_BYTES})")
+    check_work(work, f"resolution {resolution} needs {work} bytes of blind-map grid")
     v_lo, v_hi = v_range
     r_lo, r_hi = r_range
     if not all(map(math.isfinite, (v_lo, v_hi, r_lo, r_hi))):
@@ -155,18 +152,6 @@ def min_reliable_distance(wp: WorkingPoint, v_max: float) -> float:
     )
 
 
-def _design_matrix(observations):
-    rows = [
-        [math.log10(getattr(obs, name)) for name in _REGRESSOR_FIELDS] + [1.0]
-        for obs in observations
-    ]
-    target = [
-        math.log10(math.sqrt(obs.n_avg) * obs.observed_sigma_fb)
-        for obs in observations
-    ]
-    return np.asarray(rows), np.asarray(target)
-
-
 def _collinear_columns(design: np.ndarray):
     """Names of regressor columns expressible from the remaining columns."""
     names = []
@@ -195,7 +180,10 @@ def fit_noise_model(observations) -> NoiseModelCoefficients:
     for name in _REGRESSOR_FIELDS:
         if len({getattr(obs, name) for obs in observations}) < 2:
             raise FitError(f"regressor {name} has fewer than 2 distinct values")
-    design, target = _design_matrix(observations)
+    design = np.asarray([[math.log10(getattr(obs, name)) for name in _REGRESSOR_FIELDS] + [1.0]
+                         for obs in observations])
+    target = np.asarray([math.log10(math.sqrt(obs.n_avg) * obs.observed_sigma_fb)
+                         for obs in observations])
     if np.linalg.matrix_rank(design) < design.shape[1]:
         names = _collinear_columns(design) or list(_REGRESSOR_FIELDS)
         raise FitError(f"design matrix is rank deficient; collinear: {names}")

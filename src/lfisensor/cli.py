@@ -3,8 +3,8 @@
 Each ``cmd_*`` writes its outputs atomically and returns its input
 provenance, its output paths and its summary; :func:`main` alone then writes
 the run manifest (config path, input provenance, output paths, tool
-version) and prints the summary.  Every command is idempotent given
-identical inputs and seeds.
+version) and prints the summary, or removes the outputs if the manifest
+cannot be written.  Every command is idempotent given identical inputs and seeds.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import fields
 
@@ -161,6 +162,8 @@ def cmd_process(args) -> tuple:
         raise CalibrationError(f"calibration {args.calibration} does not fit: {exc}") from None
     source, provenance = _source_from_args(args, wp)
     provenance["calibration"] = str(args.calibration)
+    if args.noise_model:
+        provenance["noise_model"] = str(args.noise_model)
     format_record = _record_json if args.format == "jsonl" else _record_row
     n_records = 0
     with open_atomic(args.out) as fh:
@@ -276,7 +279,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         inputs, outputs, summary = args.func(args)
-        _write_manifest(args.out, args.command, getattr(args, "config", None), inputs, outputs)
+        try:
+            _write_manifest(args.out, args.command, getattr(args, "config", None), inputs, outputs)
+        except OSError as exc:  # a run without its manifest leaves no output
+            for path in outputs:
+                os.remove(path)
+            raise OSError(f"cannot write {args.out}.manifest.json: {exc.strerror}") from None
         print(summary)
         return 0
     except (LfiError, OSError) as exc:

@@ -98,14 +98,12 @@ def _gaussian_fits(block: np.ndarray) -> tuple:
         if lo > 0.0 and mid > 0.0 and hi > 0.0:
             log_mid = math.log(mid)
             a, c = math.log(lo) - log_mid, math.log(hi) - log_mid
-            if a + c < 0.0:
-                vertex = (a - c) / (2.0 * (a + c))
-                try:
-                    intensity = mid * math.exp((c - a) * vertex / 4.0)
-                except OverflowError:  # a far vertex: rejected below
-                    intensity = math.inf
-                if not (abs(vertex) <= 1.0 and math.isfinite(intensity)):
-                    vertex = intensity = math.nan
+            # |offset| <= 1 bounds the exponent by |a - c| / 4 < 364 for finite bins
+            # (an infinite bin fails the test), so exp cannot overflow.
+            if a + c < 0.0 and abs(offset := (a - c) / (2.0 * (a + c))) <= 1.0:
+                peak = mid * math.exp((c - a) * offset / 4.0)
+                if math.isfinite(peak):
+                    vertex, intensity = offset, peak
         vertices.append(vertex)
         intensities.append(intensity)
     return vertices, intensities

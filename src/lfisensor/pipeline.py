@@ -40,11 +40,11 @@ from .spectral import (
     DEFAULT_ALPHA,
     DEFAULT_BETA,
     DEFAULT_FFT_BINS,
-    MAX_WORK_BYTES,
     Calibration,
     bin_frequencies,
     check_fft_bins,
     check_sync_offset,
+    check_work,
     magnitude_spectra,
     remove_floor,
     row_medians,
@@ -66,10 +66,8 @@ def check_settings(wp: WorkingPoint, fft_bins: int, interp_window: int, interp_m
     check_fft_bins(fft_bins, wp.samples_per_ramp)
     bins = fft_bins // 2
     ring = 2 * n_avg * 4 * bins * 8  # PipelineState.ring, float64
-    if ring > MAX_WORK_BYTES:
-        raise ParameterError(
-            f"n_avg ({n_avg}) needs {ring} bytes of sliding-average ring at "
-            f"fft_bins {fft_bins}, more than MAX_WORK_BYTES ({MAX_WORK_BYTES})")
+    check_work(ring, f"n_avg ({n_avg}) needs {ring} bytes of sliding-average ring at "
+                     f"fft_bins {fft_bins}")
     if interp_window < 3 or interp_window % 2 == 0 or interp_window > bins:
         raise ParameterError(
             f"interp_window must be odd, >= 3 and <= fft_bins // 2 ({bins}), got {interp_window}")

@@ -181,7 +181,7 @@ def write_frames(stem, cycles, wp: WorkingPoint) -> None:
     n_cycles = 0
     with open_atomic(raw_path) as fh:
         for block in cycle_blocks(cycles):
-            fh.write(check_block(block, wp, raw_path, n_cycles, dtype="<f4"))
+            fh.write(check_block(block, wp, raw_path, n_cycles).astype("<f4", copy=False))
             n_cycles += len(block)
     sidecar = {
         "format_version": FRAME_FORMAT_VERSION,
@@ -241,8 +241,8 @@ def _read_blocks(raw_path, n_cycles: int, wp: WorkingPoint):
             yield from block
 
 
-def check_block(block, wp: WorkingPoint, source, first_cycle: int, dtype=None) -> np.ndarray:
-    """``block``, cycles in rows, as an array (cast to ``dtype`` if given) once checked.
+def check_block(block, wp: WorkingPoint, source, first_cycle: int) -> np.ndarray:
+    """``block``, cycles in rows, as an array once checked.
 
     Rows that differ in length or are not one cycle, samples that are not real
     numbers (ints and bools are) and a NaN, infinite or finite sample beyond the
@@ -267,4 +267,4 @@ def check_block(block, wp: WorkingPoint, source, first_cycle: int, dtype=None) -
         what = ("a non-finite sample" if not np.isfinite(block.flat[first])
                 else "a sample beyond the float32 range")
         raise FramingError(f"{source} has {what} in cycle {first_cycle + cycle}, ramp {ramp}")
-    return block if dtype is None else block.astype(dtype, copy=False)
+    return block

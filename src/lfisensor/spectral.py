@@ -24,7 +24,7 @@ CALIBRATION_FORMAT_VERSION = 3
 #: The most bytes a setting may ask for in one work array set: the FFT arrays of a
 #: block of ``STREAM_BLOCK`` cycles (:func:`magnitude_spectra`), the pipeline's
 #: sliding-average ring, or a blind map's grid.  Larger settings are refused before
-#: anything is allocated.
+#: anything is allocated, by :func:`check_work` alone.
 MAX_WORK_BYTES = 1 << 30
 #: No-target cycles a calibration needs (its sample sigma takes at least two).
 MIN_CALIBRATION_CYCLES = 16
@@ -139,9 +139,13 @@ def _check_fft_work(fft_bins: int, cycles: int, what: str) -> None:
     """Refuse ``what`` if the FFT work arrays of ``cycles`` cycles pass :data:`MAX_WORK_BYTES`."""
     # Per frame: the padded float frame, its complex rfft and the magnitudes.
     work = 4 * cycles * (8 * fft_bins + 16 * (fft_bins // 2 + 1) + 8 * (fft_bins // 2))
-    if work > MAX_WORK_BYTES:
-        raise ParameterError(f"{what} needs {work} bytes of FFT work arrays, more than "
-                             f"MAX_WORK_BYTES ({MAX_WORK_BYTES})")
+    check_work(work, f"{what} needs {work} bytes of FFT work arrays")
+
+
+def check_work(nbytes: int, what: str) -> None:
+    """Refuse ``what``, a message naming the ``nbytes`` it needs, past :data:`MAX_WORK_BYTES`."""
+    if nbytes > MAX_WORK_BYTES:
+        raise ParameterError(f"{what}, more than MAX_WORK_BYTES ({MAX_WORK_BYTES})")
 
 
 def check_sync_offset(offset: int, cycle_length: int) -> None:

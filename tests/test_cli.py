@@ -549,6 +549,10 @@ def test_every_command_writes_its_manifest(config_path, tmp_path, capsys):
          {"v_max_mps": 0.2}, [f"{t}/mindist.json"]),
         (["fitnoise", "--observations", str(observations), "--out", f"{t}/noise.json"],
          {"observations": str(observations), "count": 40}, [f"{t}/noise.json"]),
+        (["process", "--config", cfg, "--out", f"{t}/run.jsonl", "--calibration", f"{t}/cal.json",
+          "--input", f"{t}/frames", "--noise-model", f"{t}/noise.json", "--format", "jsonl"],
+         {"replay": f"{t}/frames", "calibration": f"{t}/cal.json",
+          "noise_model": f"{t}/noise.json"}, [f"{t}/run.jsonl"]),
     ]
     for argv, inputs, outputs in runs:
         assert main(argv) == 0
@@ -558,6 +562,28 @@ def test_every_command_writes_its_manifest(config_path, tmp_path, capsys):
             "config": None if argv[0] == "fitnoise" else cfg, "inputs": inputs,
             "outputs": outputs}
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["process", "mindist"])
+def test_a_manifest_that_cannot_be_written_leaves_no_output(config_path, tmp_path, capsys,
+                                                            command):
+    # The outputs are in place before main writes the manifest; when that
+    # write fails they are removed, no summary is printed, and the error names
+    # the manifest, not the randomly named temporary file beside it.
+    out = tmp_path / f"bad.{'csv' if command == 'process' else 'json'}"
+    argv = [command, "--config", str(config_path), "--out", str(out)]
+    if command == "process":
+        argv += ["--calibration", str(_calibrate(config_path, tmp_path)), "--cycles", "2",
+                 "--distance", "0.04"]
+    Path(f"{out}.manifest.json").mkdir()
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}.manifest.json: ")
+    assert ".tmp" not in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 def test_stale_temporary_directory_does_not_block_output(config_path, tmp_path, capsys):

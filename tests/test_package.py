@@ -215,6 +215,15 @@ def test_main_alone_writes_the_run_manifest():
     assert writers == [("cli.py", ["main"])]
 
 
+def test_spectral_alone_names_max_work_bytes():
+    # spectral.check_work is the one refusal past the work-memory bound: a
+    # module that compared against the constant itself would word its own.
+    named = [name for name, tree in _modules()
+             if "MAX_WORK_BYTES" in _referenced(tree)
+             | {alias.name for alias in ast.walk(tree) if isinstance(alias, ast.alias)}]
+    assert named == ["spectral.py"]
+
+
 #: Modules whose arithmetic makes a record's bytes, and the numpy names whose
 #: result a BLAS kernel rounds.  Synthesis keeps its product: the float32
 #: frame export hides its rounding.

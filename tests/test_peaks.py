@@ -169,6 +169,22 @@ def test_gaussian_falls_back_on_convex_window():
     assert est == _interpolate(mags, 500, WEIGHTED_AVERAGE, window=11)
 
 
+@pytest.mark.parametrize("bins", [
+    # a + c = -0.001, so the vertex lies about 1e5 bins out, where
+    # exp((c - a) * vertex / 4) would overflow: the vertex bound must reject
+    # the row before the exponential is taken.
+    (math.exp(100), 1.0, math.exp(-100.001)),
+    # A vertex 0.42 bins out whose intensity rounds past the largest float.
+    (1e308, 1.79e308, 1.7e308),
+], ids=["far-vertex", "infinite-intensity"])
+def test_gaussian_rejects_a_far_vertex_and_an_infinite_intensity(bins):
+    row = np.array([[0.0, *bins, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (vertex,), (intensity,) = peaks._gaussian_fits(row)
+    assert math.isnan(vertex) and math.isnan(intensity)
+
+
 def test_gaussian_skips_zero_floored_bins():
     # Zeroed bins inside the window have no logarithm; the remaining bins
     # still lie on the exact log-parabola.
