@@ -68,20 +68,13 @@ class WorkingPoint:
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ParameterError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        if not self.ramp_duration > 0:
-            raise ParameterError(f"ramp_duration must be > 0, got {self.ramp_duration}")
-        if not self.steep_slope > 0:
-            raise ParameterError(f"steep_slope must be > 0, got {self.steep_slope}")
+        for name in ("ramp_duration", "steep_slope", "emitted_frequency", "sampling_rate"):
+            if not getattr(self, name) > 0:
+                raise ParameterError(f"{name} must be > 0, got {getattr(self, name)}")
         if not 0.0 < self.ratio_rt < 1.0:
             raise ParameterError(f"ratio_rt must be in (0, 1), got {self.ratio_rt}")
-        if not self.emitted_frequency > 0:
-            raise ParameterError(
-                f"emitted_frequency must be > 0, got {self.emitted_frequency}"
-            )
         if self.hp_cutoff < 0:
             raise ParameterError(f"hp_cutoff must be >= 0, got {self.hp_cutoff}")
-        if not self.sampling_rate > 0:
-            raise ParameterError(f"sampling_rate must be > 0, got {self.sampling_rate}")
         if self.sampling_rate <= 2.0 * self.hp_cutoff:
             raise ParameterError(
                 f"sampling_rate ({self.sampling_rate} Hz) must exceed twice the "

@@ -34,7 +34,7 @@ from .modulation import (
     read_flat_config,
 )
 from .peaks import DEFAULT_WINDOW, METHODS, WEIGHTED_AVERAGE, estimate_peaks
-from .simulator import cycle_blocks, synthesize_cycle
+from .simulator import check_synthesis, cycle_blocks, synthesize_block
 from .solver import STATUS_INVALID, Measurement, disambiguate, propagate_noise
 from .spectral import (
     DEFAULT_ALPHA,
@@ -306,19 +306,18 @@ def synthetic_cycles(
     seed: int,
     n_cycles: int,
 ):
-    """Seeded synthetic cycle source.
+    """Seeded synthetic cycle source: :func:`~.simulator.synthesize_block` of each
+    block of :func:`~.simulator.cycle_blocks`, made when it is needed.
 
     ``ground_truth`` is either a fixed :class:`GroundTruth` or a callable
-    mapping the cycle index to one (for step/trajectory tests).  Samples
-    are float32, the frame-export dtype, so a replayed export reproduces
-    this source exactly.
+    mapping the cycle index to one (for step/trajectory tests).  Samples are
+    float32, the frame-export dtype, so a replayed export reproduces this
+    source exactly.  The levels, seed and count are checked first.
     """
-    for cycle_index in range(n_cycles):
-        if callable(ground_truth):
-            gt = ground_truth(cycle_index)
-        else:
-            gt = ground_truth
-        yield synthesize_cycle(wp, gt, amplitude, noise_sigma, seed, cycle_index=cycle_index)
+    check_synthesis(amplitude, noise_sigma, seed=seed, n_cycles=n_cycles)
+    for block in cycle_blocks(range(n_cycles)):
+        truths = [ground_truth(k) if callable(ground_truth) else ground_truth for k in block]
+        yield from synthesize_block(wp, truths, amplitude, noise_sigma, seed, block[0])
 
 
 def read_config_file(path):

@@ -120,50 +120,65 @@ def _highpass_matrix(wp: WorkingPoint) -> np.ndarray:
     return m
 
 
-def synthesize_cycle(
-    wp: WorkingPoint,
-    gt: GroundTruth,
-    amplitude: float,
-    noise_sigma: float,
-    seed: int,
-    cycle_index: int,
-) -> np.ndarray:
-    """Synthesize the samples of one cycle: its four ramps, end to end.
-
-    Each ramp is ``amplitude * cos(2 pi |f_signed| t + phi)`` plus white
-    Gaussian noise, then high-pass filtered; the cycle is returned as
-    little-endian float32 (the export dtype).  Each ramp draws its phase
-    and noise from a generator seeded with (seed, cycle_index, ramp
-    index), so cycles and ramps can be generated independently and
-    reproducibly.  Zero amplitude gives a no-target cycle.
-    """
-    if not 0 <= amplitude < math.inf:
-        raise ParameterError(f"amplitude must be finite and >= 0, got {amplitude}")
-    if not 0 <= noise_sigma < math.inf:
-        raise ParameterError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
-    # Checked before numpy, which refuses a float or negative seed its own way.
-    for name, value in (("seed", seed), ("cycle_index", cycle_index)):
+def check_synthesis(amplitude: float, noise_sigma: float, **integers) -> None:
+    """Refuse a level that is not finite and >= 0, or a seed, cycle index or
+    count (``integers``, by name) that is not a non-negative integer."""
+    for name, value in (("amplitude", amplitude), ("noise_sigma", noise_sigma)):
+        if not 0 <= value < math.inf:
+            raise ParameterError(f"{name} must be finite and >= 0, got {value}")
+    for name, value in integers.items():  # numpy would refuse these its own way
         if not isinstance(value, (int, np.integer)):
             raise ParameterError(f"{name} must be an integer, got {value!r}")
         if value < 0:
             raise ParameterError(f"{name} must be >= 0, got {value}")
+
+
+def _words(value) -> list:
+    """The uint32 words numpy's ``SeedSequence`` makes of a non-negative int, low first."""
+    value = int(value)
+    return [value >> shift & 0xFFFFFFFF for shift in range(0, max(value.bit_length(), 1), 32)]
+
+
+def synthesize_block(wp: WorkingPoint, truths, amplitude: float, noise_sigma: float,
+                     seed: int, cycle_index: int) -> np.ndarray:
+    """Synthesize cycles ``cycle_index``, ``cycle_index + 1``, ... at targets
+    ``truths``, one little-endian float32 row each (the export dtype).
+
+    Each ramp is ``amplitude * cos(2 pi |f_signed| t + phi)`` plus white
+    Gaussian noise, from ``default_rng((seed, k, r))`` for ramp r of cycle k,
+    seeded with its uint32 words.  Every ramp of the block is drawn first,
+    then each cycle is high-pass filtered by a fixed-shape product of its own:
+    a product over several cycles would round each by the batch width, and a
+    cycle is the same bytes in any block.  Zero amplitude gives a no-target cycle.
+    """
+    check_synthesis(amplitude, noise_sigma, seed=seed, cycle_index=cycle_index)
     n = wp.samples_per_ramp
     t = np.arange(n) / wp.sampling_rate
-    raw = np.empty((n, 4))
-    for index, slope in enumerate(ramp_slopes(wp)):
-        f = signed_beat(wp, slope, gt.distance_R, gt.velocity_v)
-        if abs(f) >= wp.nyquist:
-            raise AliasingError(
-                f"beat frequency {f:.6g} Hz is at or above Nyquist ({wp.nyquist:.6g} Hz)"
-            )
-        rng = np.random.default_rng((seed, cycle_index, index))
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        raw[:, index] = amplitude * np.cos(2.0 * np.pi * abs(f) * t + phase)
-        if noise_sigma > 0:
-            raw[:, index] += rng.normal(0.0, noise_sigma, n)
-    # One fixed-shape product per cycle: a product over several cycles would
-    # round each cycle differently depending on its neighbours.
-    return (_highpass_matrix(wp) @ raw).T.astype("<f4").ravel()
+    raw = np.empty((len(truths), n, 4))
+    for c, gt in enumerate(truths):
+        words = _words(seed) + _words(cycle_index + c)
+        for index, slope in enumerate(ramp_slopes(wp)):
+            f = signed_beat(wp, slope, gt.distance_R, gt.velocity_v)
+            if abs(f) >= wp.nyquist:
+                raise AliasingError(
+                    f"beat frequency {f:.6g} Hz is at or above Nyquist ({wp.nyquist:.6g} Hz)"
+                )
+            rng = np.random.default_rng(np.array([*words, index], dtype=np.uint32))
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            raw[c, :, index] = amplitude * np.cos(2.0 * np.pi * abs(f) * t + phase)
+            if noise_sigma > 0:
+                raw[c, :, index] += rng.normal(0.0, noise_sigma, n)
+    block = np.empty((len(truths), 4, n), dtype="<f4")
+    operator = _highpass_matrix(wp)
+    for c, cycle in enumerate(raw):
+        block[c] = (operator @ cycle).T
+    return block.reshape(len(truths), 4 * n)
+
+
+def synthesize_cycle(wp: WorkingPoint, gt: GroundTruth, amplitude: float, noise_sigma: float,
+                     seed: int, cycle_index: int) -> np.ndarray:
+    """:func:`synthesize_block` of one cycle: its samples, a float32 row."""
+    return synthesize_block(wp, [gt], amplitude, noise_sigma, seed, cycle_index)[0]
 
 
 def write_frames(stem, cycles, wp: WorkingPoint) -> None:

@@ -75,25 +75,13 @@ class Calibration:
 
     def check_compatible(self, wp: WorkingPoint, fft_bins: int, sync_offset: int) -> None:
         """Refuse a calibration that does not match the active working point and front end."""
-        if self.n_bins != fft_bins:
-            raise CalibrationError(
-                f"calibration FFT size {self.n_bins} != configured {fft_bins}"
-            )
-        if self.sampling_rate != wp.sampling_rate:
-            raise CalibrationError(
-                f"calibration sampling rate {self.sampling_rate} != working point "
-                f"{wp.sampling_rate}"
-            )
-        if self.samples_per_ramp != wp.samples_per_ramp:
-            raise CalibrationError(
-                f"calibration frame length {self.samples_per_ramp} != working point "
-                f"{wp.samples_per_ramp}"
-            )
-        if self.sync_offset_samples != sync_offset:
-            raise CalibrationError(
-                f"calibration sync offset {self.sync_offset_samples} samples != configured "
-                f"{sync_offset}"
-            )
+        for what, mine, unit, other, theirs in (
+                ("FFT size", self.n_bins, "", "configured", fft_bins),
+                ("sampling rate", self.sampling_rate, "", "working point", wp.sampling_rate),
+                ("frame length", self.samples_per_ramp, "", "working point", wp.samples_per_ramp),
+                ("sync offset", self.sync_offset_samples, " samples", "configured", sync_offset)):
+            if mine != theirs:
+                raise CalibrationError(f"calibration {what} {mine}{unit} != {other} {theirs}")
 
     def save(self, path) -> None:
         payload = {

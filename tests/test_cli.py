@@ -1051,6 +1051,27 @@ def test_negative_seed_exits_nonzero(config_path, tmp_path, capsys, command):
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("command, options, message", [
+    ("synth", ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ("calibrate", ["--noise-sigma", "nan"], "noise_sigma must be finite and >= 0, got nan"),
+    ("process", ["--seed", "-5", "--noise-sigma", "-1"],
+     "noise_sigma must be finite and >= 0, got -1.0"),
+], ids=["synth", "calibrate", "process"])
+def test_zero_cycles_still_checks_the_synthesis_options(config_path, tmp_path, capsys, command,
+                                                        options, message):
+    # An empty synthetic run draws no cycle, yet refuses the seed and levels
+    # a longer run would: exit 1, and no output or manifest is left behind.
+    argv = [command, "--config", str(config_path), "--out", str(tmp_path / "out"),
+            "--cycles", "0", *options]
+    if command == "process":
+        argv += ["--calibration", str(_calibrate(config_path, tmp_path))]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    err = _refused(argv, ParameterError, capsys)
+    assert message in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_process_zero_cycles_writes_header_and_manifest(config_path, tmp_path, capsys, fmt):
     # An empty run is a valid file of its format: a header-only CSV, an

@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 #: package refers to, each with the reason it stays.
 UNREFERENCED = {
     "process_cycle": "the per-cycle API for live callers; the benchmark drives it",
+    "synthesize_cycle": "the per-cycle synthesis API, synthesize_block of one cycle",
     "baseline_measurement": "the paper's triangle baseline, compared in the acceptance tests",
     "pair_solution": "the paper's two-ramp equation: the reference the solver's inlined "
     "pair solves are tested against",
@@ -222,6 +223,15 @@ def test_spectral_alone_names_max_work_bytes():
              if "MAX_WORK_BYTES" in _referenced(tree)
              | {alias.name for alias in ast.walk(tree) if isinstance(alias, ast.alias)}]
     assert named == ["spectral.py"]
+
+
+def test_simulator_alone_builds_a_random_generator():
+    # The seeding rule, one generator per ramp from the uint32 words of (seed,
+    # cycle, ramp), has one home: a generator built anywhere else would seed
+    # its own way, and a second call site could drift from the first.
+    calls = [name for name, tree in _modules() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and {"random", "default_rng"} & _referenced(node.func)]
+    assert calls == ["simulator.py"]
 
 
 #: Modules whose arithmetic makes a record's bytes, and the numpy names whose

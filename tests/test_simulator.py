@@ -169,6 +169,74 @@ def test_cycle_bytes_do_not_depend_on_the_other_cycles(monkeypatch):
     assert operands == [(wp.samples_per_ramp, 4)] * (16 + 5 + 16 + 16 + 3)
 
 
+@pytest.mark.parametrize("levels, seed, n_cycles, message", [
+    ({"amplitude": math.nan}, 1, 0, "amplitude must be finite and >= 0, got nan"),
+    ({"noise_sigma": -1.0}, 1, 0, "noise_sigma must be finite and >= 0, got -1.0"),
+    ({}, -1, 0, "seed must be >= 0, got -1"),
+    ({}, 1.5, 0, "seed must be an integer, got 1.5"),
+    ({}, 1, -1, "n_cycles must be >= 0, got -1"),
+    ({}, 1, 2.5, "n_cycles must be an integer, got 2.5"),
+    ({}, 1, None, "n_cycles must be an integer, got None"),
+], ids=["nan-amplitude", "negative-noise", "negative-seed", "float-seed", "negative-count",
+        "float-count", "no-count"])
+def test_synthetic_cycles_checks_its_arguments_before_the_first_block(
+        monkeypatch, levels, seed, n_cycles, message):
+    # A source of zero cycles draws nothing, yet refuses what a longer one
+    # would; no generator is built.
+    def no_generator(*args):
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    levels = {"amplitude": 1.0, "noise_sigma": 0.1, **levels}
+    source = synthetic_cycles(make_wp(), GroundTruth(0.03, 0.0), levels["amplitude"],
+                              levels["noise_sigma"], seed, n_cycles)
+    with pytest.raises(ParameterError, match=message):
+        next(source)
+
+
+def _oracle_cycle(wp, gt, amplitude, noise_sigma, seed, cycle_index):
+    """A cycle as the seeding rule defines it: ``default_rng((seed, k, r))`` for
+    ramp r of cycle k, then one ``(n, 4)`` product, then float32."""
+    n = wp.samples_per_ramp
+    t = np.arange(n) / wp.sampling_rate
+    raw = np.empty((n, 4))
+    for r, slope in enumerate(true_slopes(wp).tolist()):
+        f = abs(signed_beat(wp, slope, gt.distance_R, gt.velocity_v))
+        rng = np.random.default_rng((seed, cycle_index, r))
+        raw[:, r] = amplitude * np.cos(2.0 * np.pi * f * t + rng.uniform(0.0, 2.0 * np.pi))
+        if noise_sigma > 0:
+            raw[:, r] += rng.normal(0.0, noise_sigma, n)
+    return (_highpass_matrix(wp) @ raw).T.astype("<f4").ravel()
+
+
+@pytest.mark.parametrize("seed, cycle_index", [
+    *((seed, 3) for seed in (0, 7, 2**32 - 1, 2**32, 2**40 + 3, 2**64 + 1, np.uint32(7))),
+    *((5, index) for index in (2**32 - 1, 2**32, 2**64 + 1)),
+], ids=["seed-0", "seed-7", "seed-2^32-1", "seed-2^32", "seed-2^40+3", "seed-2^64+1",
+        "seed-uint32", "index-2^32-1", "index-2^32", "index-2^64+1"])
+def test_seed_words_make_the_generator_of_the_seed_tuple(seed, cycle_index):
+    # Each ramp's generator is seeded with the uint32 words numpy makes of
+    # (seed, k, r): a rule that dropped a high word would seed another stream.
+    wp, gt = make_wp(), GroundTruth(0.03, 0.01)
+    assert (synthesize_cycle(wp, gt, 1.0, 0.2, seed, cycle_index).tobytes()
+            == _oracle_cycle(wp, gt, 1.0, 0.2, seed, cycle_index).tobytes())
+
+
+@pytest.mark.parametrize("n_cycles", [1, 5, 16, 17, 33])
+@pytest.mark.parametrize("moving", [False, True], ids=["fixed", "callable"])
+def test_synthetic_cycles_match_the_seeding_rule_in_every_block(n_cycles, moving):
+    # Full and partial last blocks alike hold the cycles the rule defines.
+    wp = make_wp()
+
+    def truth(k):
+        return GroundTruth(0.02 + 0.001 * k, 0.04 * (-1) ** k)
+
+    source = synthetic_cycles(wp, truth if moving else truth(0), 1.0, 0.2, 23, n_cycles)
+    expected = [_oracle_cycle(wp, truth(k if moving else 0), 1.0, 0.2, 23, k)
+                for k in range(n_cycles)]
+    assert [cycle.tobytes() for cycle in source] == [cycle.tobytes() for cycle in expected]
+
+
 def _ramp_samples(wp, ramp, gt, amplitude, noise_sigma, seed):
     """Ramp ``ramp``'s slice of a synthesized cycle."""
     cycle = synthesize_cycle(wp, gt, amplitude, noise_sigma, seed, 0)
