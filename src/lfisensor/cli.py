@@ -100,25 +100,23 @@ _SYNTHESIS_DEFAULTS = {"cycles": None, "seed": 0, "noise_sigma": 0.0, "distance"
                        "velocity": 0.0, "amplitude": 1.0}
 
 
-def _source_from_args(args, wp):
+def _source_from_args(args, wp, skip):
     """Cycle source plus a provenance dict for the manifest.
 
-    ``--input`` replays a frame file.  Otherwise the source is seeded
-    synthesis; commands without the target options (``calibrate``)
-    synthesize no-target cycles.
+    ``--input`` replays a frame file from ``skip`` samples in.  Otherwise the
+    source is seeded synthesis; commands without the target options
+    (``calibrate``) synthesize no-target cycles.
     """
     given = {k: v for k, v in vars(args).items() if k in _SYNTHESIS_DEFAULTS and v is not None}
     if getattr(args, "input", None):
         if given:
             flags = ", ".join("--" + k.replace("_", "-") for k in given)
             raise ParameterError(f"--input replays a frame file, so it takes no {flags}")
-        return read_frames(args.input, wp), {"replay": str(args.input)}
+        return read_frames(args.input, wp, skip), {"replay": str(args.input)}
     s = {**_SYNTHESIS_DEFAULTS, **given}
     if s["cycles"] is None:
         raise ParameterError("either --input or --cycles is required" if "input" in args
                              else "--cycles is required")
-    if s["cycles"] < 0:
-        raise ParameterError(f"--cycles must be >= 0, got {s['cycles']}")
     synthetic = {"cycles": s["cycles"], "seed": s["seed"], "noise_sigma": s["noise_sigma"]}
     if "distance" in args:
         synthetic.update(distance_m=s["distance"], velocity_mps=s["velocity"],
@@ -132,7 +130,7 @@ def _source_from_args(args, wp):
 
 def cmd_synth(args) -> tuple:
     wp, _ = read_config_file(args.config)
-    cycles, provenance = _source_from_args(args, wp)
+    cycles, provenance = _source_from_args(args, wp, 0)  # synth replays nothing
     write_frames(args.out, cycles, wp)
     return (provenance, [f"{args.out}.f32", f"{args.out}.json"],
             f"wrote {args.cycles} cycles ({4 * args.cycles} frames) to {args.out}.f32")
@@ -140,7 +138,7 @@ def cmd_synth(args) -> tuple:
 
 def cmd_calibrate(args) -> tuple:
     wp, settings = read_config_file(args.config)
-    source, provenance = _source_from_args(args, wp)
+    source, provenance = _source_from_args(args, wp, settings["sync_offset_samples"])
     cal = calibrate(source, wp, settings["fft_bins"], settings["sync_offset_samples"])
     cal.save(args.out)
     return provenance, [args.out], "\n".join(
@@ -160,7 +158,7 @@ def cmd_process(args) -> tuple:
         cfg = PipelineConfig(wp, cal, noise_model=noise_model, **settings)
     except CalibrationError as exc:  # a valid file made for another working point
         raise CalibrationError(f"calibration {args.calibration} does not fit: {exc}") from None
-    source, provenance = _source_from_args(args, wp)
+    source, provenance = _source_from_args(args, wp, settings["sync_offset_samples"])
     provenance["calibration"] = str(args.calibration)
     if args.noise_model:
         provenance["noise_model"] = str(args.noise_model)

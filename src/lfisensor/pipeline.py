@@ -253,7 +253,7 @@ def _attach_sigmas(
 
 
 def process_block(block, state: PipelineState, cfg: PipelineConfig) -> list:
-    """Run cycles, the rows of ``block``, through the full chain; one record each.
+    """Run whole cycles, the rows of ``block``, through the full chain; one record each.
 
     The FFT, the floor subtraction and the peak stage each cover all frames at
     once, one magnitude stack that the average and the floor change in place;
@@ -263,7 +263,7 @@ def process_block(block, state: PipelineState, cfg: PipelineConfig) -> list:
     """
     wp = cfg.working_point
     stack = magnitude_spectra(block, wp, cfg.frame_window, cfg.fft_bins, state.work,
-                              state.cycles_seen, cfg.sync_offset_samples)
+                              state.cycles_seen)
     rows, bins = stack.shape
     n_cycles, n_windows = rows // 4, []
     for c in range(0, rows, 4):

@@ -211,16 +211,16 @@ def _frame_paths(stem):
     return stem.with_name(stem.name + ".f32"), stem.with_name(stem.name + ".json")
 
 
-def read_frames(stem, wp: WorkingPoint):
+def read_frames(stem, wp: WorkingPoint, skip: int):
     """Open a :func:`write_frames` export of working point ``wp`` as a cycle iterator.
 
-    The sidecar and the raw file's length are checked now; any defect
-    raises :class:`FramingError` naming the file, and a sidecar of another
-    working point raises :class:`ParameterError`.  The iterator then reads
-    the raw file :data:`STREAM_BLOCK` cycles at a time and yields each cycle
-    as a read-only float32 row.  Each block is checked when it is read: a
-    NaN or infinite sample raises :class:`FramingError` naming its cycle
-    and ramp, before any cycle of that block is yielded.
+    The sidecar and the raw file's length are checked now; any defect raises
+    :class:`FramingError` naming the file, and a sidecar of another working point raises
+    :class:`ParameterError`.  The iterator then skips ``skip`` samples (the sync offset, less
+    than a cycle) and the partial cycle they leave at the end, unread, and yields each whole
+    cycle as a read-only float32 row, reading :data:`STREAM_BLOCK` at a time.  Each block is
+    checked when it is read: a NaN or infinite sample raises :class:`FramingError` naming its
+    cycle and ramp, counted from the first whole cycle, before that block yields a cycle.
     """
     raw_path, sidecar_path = _frame_paths(stem)
     file_wp, n_cycles = read_json_object(sidecar_path, ("working_point", "cycles"),
@@ -233,7 +233,7 @@ def read_frames(stem, wp: WorkingPoint):
         )
     if file_wp != wp:
         raise ParameterError("replay file working point differs from the configured working point")
-    return _read_blocks(raw_path, n_cycles, wp)
+    return _read_blocks(raw_path, n_cycles - (skip > 0), wp, skip)
 
 
 def _decode_sidecar(sidecar):
@@ -243,9 +243,10 @@ def _decode_sidecar(sidecar):
     return WorkingPoint.from_dict(sidecar["working_point"]), n_cycles
 
 
-def _read_blocks(raw_path, n_cycles: int, wp: WorkingPoint):
+def _read_blocks(raw_path, n_cycles: int, wp: WorkingPoint, skip: int):
     n = wp.samples_per_cycle
     with open(raw_path, "rb") as fh:
+        fh.seek(4 * skip)
         for first in range(0, n_cycles, STREAM_BLOCK):
             count = min(STREAM_BLOCK, n_cycles - first)
             block = np.fromfile(fh, dtype="<f4", count=count * n)

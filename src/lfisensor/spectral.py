@@ -39,8 +39,8 @@ class Calibration:
     """Per-bin mean and sigma of the no-target spectra, ramp i in row i.
 
     ``reference_mean`` and ``reference_sigma`` have shape
-    ``(4, n_bins // 2)``; ``n_cycles`` no-target cycles went into them, each
-    rotated left by ``sync_offset_samples`` samples.
+    ``(4, n_bins // 2)``; ``n_cycles`` no-target cycles went into them, read
+    from a stream that starts ``sync_offset_samples`` samples in.
     """
 
     reference_mean: np.ndarray
@@ -143,14 +143,13 @@ def check_sync_offset(offset: int, cycle_length: int) -> None:
 
 
 def magnitude_spectra(block, wp: WorkingPoint, window, fft_bins: int, work: list,
-                      first_cycle: int, offset: int) -> np.ndarray:
-    """Hamming-windowed (``window``), zero-padded FFT magnitudes of a block of cycles.
+                      first_cycle: int) -> np.ndarray:
+    """Hamming-windowed (``window``), zero-padded FFT magnitudes of a block of whole cycles.
 
-    Each cycle is rotated left by ``offset`` samples; ramp ``r`` of cycle ``c`` is row
-    ``4 c + r`` of the ``(4 * cycles, fft_bins // 2)`` result, bit for bit its own frame's
-    transform.  A block that fails :func:`~.simulator.check_block` (cycles counted from
-    ``first_cycle``) raises :class:`FramingError`, and one whose work arrays would pass
-    :data:`MAX_WORK_BYTES` :class:`ParameterError`, before ``work``, the caller's list
+    Ramp ``r`` of cycle ``c`` is row ``4 c + r`` of the ``(4 * cycles, fft_bins // 2)`` result,
+    bit for bit its own frame's transform.  A block that fails :func:`~.simulator.check_block`
+    (cycles counted from ``first_cycle``) raises :class:`FramingError`, and one whose work arrays
+    would pass :data:`MAX_WORK_BYTES` :class:`ParameterError`, before ``work``, the caller's list
     (empty at first) of the padded frames, transform and magnitudes, changes; it grows to
     the largest block, and the result is a view of it, the caller's to change.
     """
@@ -162,8 +161,6 @@ def magnitude_spectra(block, wp: WorkingPoint, window, fft_bins: int, work: list
                         f"a block of {len(block)} cycles at fft_bins {fft_bins}")
         work[:] = (np.zeros((rows, fft_bins)), np.empty((rows, bins + 1), complex),
                    np.empty((rows, bins)))
-    if offset:
-        block = np.roll(block, -offset, axis=1)
     padded, transform, spectra = (array[:rows] for array in work)
     np.multiply(block.reshape(rows, n), window, out=padded[:, :n])
     np.fft.rfft(padded, axis=-1, out=transform)
@@ -179,17 +176,17 @@ def calibrate(cycles, wp: WorkingPoint, fft_bins: int = DEFAULT_FFT_BINS,
               offset: int = 0) -> Calibration:
     """Build per-ramp reference spectra from no-target cycles, any iterable of them.
 
-    One pass, a block (:func:`~.simulator.cycle_blocks`) at a time through the
-    pipeline's :func:`magnitude_spectra`, each cycle rotated left by ``offset`` samples,
-    in constant memory: per bin, the mean is a running sum over the count (``np.mean``
-    of the stack, bit for bit) and the sample sigma is Welford's one-pass update.
+    One pass, a block (:func:`~.simulator.cycle_blocks`) at a time through the pipeline's
+    :func:`magnitude_spectra`, in constant memory: per bin, the mean is a running sum over the
+    count (``np.mean`` of the stack, bit for bit) and the sample sigma is Welford's one-pass
+    update.  ``offset``, the sync offset the cycles' source skipped, is only recorded.
     """
     check_fft_bins(fft_bins, wp.samples_per_ramp)
     check_sync_offset(offset, wp.samples_per_cycle)
     window, work, n_cycles = np.hamming(wp.samples_per_ramp), [], 0
     total, mean, m2 = np.zeros((3, 4, fft_bins // 2))
     for block in cycle_blocks(cycles):
-        spectra = magnitude_spectra(block, wp, window, fft_bins, work, n_cycles, offset)
+        spectra = magnitude_spectra(block, wp, window, fft_bins, work, n_cycles)
         for s in spectra.reshape(len(block), 4, -1):
             n_cycles += 1
             total += s

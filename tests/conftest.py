@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lfisensor import GroundTruth, WorkingPoint, calibrate, synthetic_cycles
+from lfisensor import GroundTruth, WorkingPoint, calibrate, synthetic_cycles, write_frames
 
 #: Speed of light used by independent test oracles (CODATA exact value).
 C = 299792458.0
@@ -54,3 +54,21 @@ def true_slopes(wp) -> np.ndarray:
 def true_beats(wp, distance, velocity) -> np.ndarray:
     """Independent forward model: signed beats of the four ramps."""
     return (2.0 * distance * true_slopes(wp) + wp.emitted_frequency * velocity) / C
+
+
+def write_offset_export(stem, wp, aligned, skip) -> None:
+    """Export the rows of ``aligned`` as a capture whose first whole cycle starts ``skip``
+    samples in: ``skip`` foreign samples, then the aligned samples, cut into as many
+    cycle-long rows as ``aligned`` has.  Replayed ``skip`` samples in, it gives every
+    aligned cycle but the last, whose tail the cut leaves out."""
+    foreign = np.random.default_rng(skip).normal(size=skip)
+    stream = np.concatenate([foreign, np.ravel(aligned)])[: np.size(aligned)]
+    write_frames(stem, stream.reshape(len(aligned), wp.samples_per_cycle), wp)
+
+
+def poke_raw(path, index, value) -> None:
+    """Set sample ``index`` of a raw float32 file to ``value``, which may be one
+    that ``write_frames`` refuses to write."""
+    samples = np.fromfile(path, dtype="<f4")
+    samples[index] = value
+    samples.tofile(path)

@@ -319,7 +319,7 @@ def test_criterion_9_interpolator_sweep(wp):
     for offset in np.linspace(0.0, 1.0, 32, endpoint=False):
         f = (base_bin + offset) * bin_width
         tone = np.cos(2 * np.pi * f * t + 0.7)
-        mags = magnitude_spectra([np.tile(tone, 4)], wp, window, 2048, work, 0, 0)[:1]
+        mags = magnitude_spectra([np.tile(tone, 4)], wp, window, 2048, work, 0)[:1]
         for method in worst:
             est = estimate_peaks(mags, freqs, [0.0], DEFAULT_WINDOW, method)[0]
             worst[method] = max(worst[method], abs(est.beat_frequency - f))

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,15 +15,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lfisensor
-from lfisensor import (Calibration, CalibrationError, FramingError, NoiseModelCoefficients,
-                       ParameterError, PipelineConfig, blind_map, min_reliable_distance,
-                       write_frames)
+from lfisensor import (Calibration, CalibrationError, FramingError, GroundTruth,
+                       NoiseModelCoefficients, ParameterError, PipelineConfig, blind_map,
+                       min_reliable_distance, synthetic_cycles, write_frames)
 from lfisensor.cli import _CSV_HEADER, _build_parser, main
 from lfisensor.modulation import WORKING_POINT_KEYS, save_working_point
 from lfisensor.simulator import STREAM_BLOCK
 from lfisensor.spectral import MAX_WORK_BYTES
 
-from conftest import make_wp
+from conftest import make_wp, write_offset_export
 from test_analysis import (OBSERVATION_FIELDS, TRUE_COEFFS, _synthetic_observations,
                            write_observations_csv)
 
@@ -770,26 +770,75 @@ def _offset_config(tmp_path, wp, offset):
     return config
 
 
-def test_calibrate_honours_the_sync_offset(tmp_path, capsys):
-    # calibrate rotates each cycle as process does: at offset 40 its reference
-    # is that of the rotated cycles at offset 0, bit for bit, and each file
-    # records the offset it was made with.
+def _main_quietly(argv) -> int:
+    with redirect_stdout(io.StringIO()):
+        return main(argv)
+
+
+_SKIPS = given(skip=st.integers(1, make_wp().samples_per_cycle - 1),
+               n_cycles=st.integers(STREAM_BLOCK, 2 * STREAM_BLOCK + 5))
+
+
+@_SKIPS
+@example(skip=40, n_cycles=STREAM_BLOCK)
+@example(skip=1999, n_cycles=STREAM_BLOCK + 1)
+@settings(max_examples=5, deadline=None)
+def test_calibrate_input_at_an_offset_equals_the_aligned_calibration(tmp_path_factory, skip,
+                                                                     n_cycles):
+    # calibrate --input skips the sync offset where the capture starts: its reference
+    # is that of the aligned cycles at offset 0, bit for bit, and each file records
+    # the offset it was made with.
+    tmp, wp = tmp_path_factory.mktemp("offset"), make_wp()
+    aligned = np.random.default_rng(skip).normal(0.0, 0.3, (n_cycles + 1, wp.samples_per_cycle))
+    write_offset_export(tmp / "offset", wp, aligned.astype("<f4"), skip)
+    write_frames(tmp / "aligned", aligned[:n_cycles].astype("<f4"), wp)
+    for name, offset in (("offset", skip), ("aligned", 0)):
+        assert _main_quietly(["calibrate", "--config", str(_offset_config(tmp, wp, offset)),
+                              "--input", str(tmp / name), "--out", str(tmp / f"{name}.cal")]) == 0
+    at_skip, at_0 = (Calibration.load(tmp / f"{name}.cal") for name in ("offset", "aligned"))
+    assert (at_skip.sync_offset_samples, at_0.sync_offset_samples) == (skip, 0)
+    assert at_skip == replace(at_0, sync_offset_samples=skip)
+
+
+@_SKIPS
+@example(skip=1, n_cycles=STREAM_BLOCK + 1)
+@example(skip=777, n_cycles=2 * STREAM_BLOCK + 5)
+@settings(max_examples=5, deadline=None)
+def test_process_input_at_an_offset_writes_the_aligned_records(tmp_path_factory, skip,
+                                                               n_cycles):
+    # process --input at sync offset skip, with a calibration made at that offset,
+    # writes the rows of the aligned cycles at offset 0, byte for byte.
+    tmp, wp = tmp_path_factory.mktemp("offset"), make_wp()
+    aligned = np.stack(list(synthetic_cycles(wp, GroundTruth(0.04, 0.02), 1.0, 0.3, seed=7,
+                                             n_cycles=n_cycles + 1)))
+    write_offset_export(tmp / "offset", wp, aligned, skip)
+    write_frames(tmp / "aligned", aligned[:n_cycles], wp)
+    for name, offset in (("offset", skip), ("aligned", 0)):
+        config, cal = str(_offset_config(tmp, wp, offset)), str(tmp / f"{name}.cal")
+        assert _main_quietly(["calibrate", "--config", config, "--cycles", "16",
+                              "--noise-sigma", "0.3", "--out", cal]) == 0
+        assert _main_quietly(["process", "--config", config, "--calibration", cal, "--input",
+                              str(tmp / name), "--out", str(tmp / f"{name}.csv")]) == 0
+    rows = (tmp / "offset.csv").read_bytes()
+    assert rows == (tmp / "aligned.csv").read_bytes() and rows.count(b"\n") == n_cycles + 1
+
+
+def test_calibrate_input_at_an_offset_needs_a_row_more(tmp_path, capsys):
+    # The final partial cycle is dropped, so 16 rows at offset 40 are 15 cycles.
     wp = make_wp()
-    cycles = np.random.default_rng(6).normal(0.0, 0.3, (20, wp.samples_per_cycle))
-    for offset, rows in ((40, cycles), (0, np.roll(cycles, -40, axis=1))):
-        write_frames(tmp_path / f"frames{offset}", rows.astype("<f4"), wp)
-        assert main(["calibrate", "--config", str(_offset_config(tmp_path, wp, offset)),
-                     "--input", str(tmp_path / f"frames{offset}"),
-                     "--out", str(tmp_path / f"cal{offset}.json")]) == 0
-    at_40, at_0 = (Calibration.load(tmp_path / f"cal{offset}.json") for offset in (40, 0))
-    for name in ("reference_mean", "reference_sigma"):
-        assert np.array_equal(getattr(at_40, name), getattr(at_0, name))
-    assert (at_40.sync_offset_samples, at_0.sync_offset_samples) == (40, 0)
+    write_frames(tmp_path / "frames", np.zeros((16, wp.samples_per_cycle)), wp)
+    capsys.readouterr()
+    assert main(["calibrate", "--config", str(_offset_config(tmp_path, wp, 40)),
+                 "--input", str(tmp_path / "frames"), "--out", str(tmp_path / "cal.json")]) == 1
+    assert capsys.readouterr().err == ("error: calibration needs >= 16 no-target cycles, "
+                                       "got 15\n")
+    assert not (tmp_path / "cal.json").exists()
 
 
 def test_process_refuses_a_calibration_made_at_another_sync_offset(tmp_path, capsys):
-    # References of cycles rotated by 0 and 40 samples differ by up to 52 % in
-    # a bin, so process refuses one made at another offset instead of using it.
+    # A calibration is the reference of ramps framed from the offset it was made at;
+    # frames cut at another offset hold other stretches of the sensor's ramps, so
+    # process refuses the calibration instead of subtracting it.
     wp = make_wp()
     cal = tmp_path / "cal.json"
     assert main(["calibrate", "--config", str(_offset_config(tmp_path, wp, 0)),
@@ -1022,8 +1071,8 @@ def test_non_finite_sample_in_a_later_block_exits_nonzero(config_path, tmp_path,
 
 @pytest.mark.parametrize("command", ["synth", "calibrate", "process"])
 def test_negative_cycles_exits_nonzero(config_path, tmp_path, capsys, command):
-    # A negative count is an out-of-range setting, refused before any file
-    # (output or manifest) is written.
+    # A negative count is an out-of-range setting, refused by the synthesis
+    # itself; no file (output or manifest) is left behind.
     argv = [command, "--config", str(config_path), "--out", str(tmp_path / "out"),
             "--cycles", "-2"]
     if command == "process":
@@ -1032,7 +1081,7 @@ def test_negative_cycles_exits_nonzero(config_path, tmp_path, capsys, command):
     capsys.readouterr()
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "--cycles must be >= 0, got -2" in err
+    assert err.startswith("error: ") and "n_cycles must be >= 0, got -2" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 

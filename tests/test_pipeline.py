@@ -42,7 +42,7 @@ from lfisensor.pipeline import _attach_sigmas, read_config_file
 from lfisensor.simulator import STREAM_BLOCK
 from lfisensor.spectral import MIN_CALIBRATION_CYCLES, Calibration, bin_frequencies
 
-from conftest import C, make_wp, true_beats, true_slopes
+from conftest import C, make_wp, poke_raw, true_beats, true_slopes, write_offset_export
 from test_spectral import _push, _window
 
 
@@ -179,7 +179,7 @@ def test_replay_matches_synthetic_run(wp, quiet_cal, tmp_path):
     direct = list(
         run_stream(synthetic_cycles(wp, gt, 1.0, 0.2, seed=31, n_cycles=4), cfg)
     )
-    replayed = list(run_stream(read_frames(stem, wp), cfg))
+    replayed = list(run_stream(read_frames(stem, wp, 0), cfg))
     assert len(direct) == len(replayed) == 4
     for a, b in zip(direct, replayed):
         assert a.measurement == b.measurement
@@ -195,7 +195,7 @@ def test_replay_across_blocks_matches_synthetic_run(wp, quiet_cal, tmp_path):
     write_frames(stem, synthetic_cycles(wp, gt, 1.0, 0.2, seed=31, n_cycles=n), wp)
     cfg = _config(wp, quiet_cal, n_avg=2)
     direct = list(run_stream(synthetic_cycles(wp, gt, 1.0, 0.2, seed=31, n_cycles=n), cfg))
-    replayed = list(run_stream(read_frames(stem, wp), cfg))
+    replayed = list(run_stream(read_frames(stem, wp, 0), cfg))
     assert len(direct) == len(replayed) == n
     for a, b in zip(direct, replayed):
         assert a.cycle_index == b.cycle_index
@@ -210,7 +210,7 @@ def test_replay_rejects_other_working_point(wp, tmp_path):
     other = make_wp(steep_slope=2e15)
     # Refused when the source is built, before any cycle is drawn.
     with pytest.raises(ParameterError, match="working point"):
-        read_frames(stem, other)
+        read_frames(stem, other, 0)
 
 
 def test_noise_model_fills_sigmas(wp, quiet_cal):
@@ -521,19 +521,6 @@ def test_config_accepts_boundary_settings(wp, quiet_cal):
     _config(wp, _flat_calibration(wp, 2**19), fft_bins=2**19)  # work arrays of 768 MiB
 
 
-def test_sync_offset_roll(wp, quiet_cal):
-    gt = GroundTruth(0.04, 0.01)
-    samples = synthesize_cycle(wp, gt, 1.0, 0.0, seed=21, cycle_index=0)
-    shifted = np.roll(samples, 40)
-    cfg = _config(wp, _at_offset(quiet_cal, 40), sync_offset_samples=40)
-    record = process_cycle(shifted, PipelineState.for_config(cfg), cfg)
-    baseline_cfg = _config(wp, quiet_cal)
-    baseline = process_cycle(
-        samples, PipelineState.for_config(baseline_cfg), baseline_cfg
-    )
-    assert record.measurement == baseline.measurement
-
-
 # ------------------------------------------------------------ block processing
 
 _NOISE_MODEL = NoiseModelCoefficients(0.0, 0.0, 0.5, 0.0, 0.0, -1.0, 0.0)
@@ -561,8 +548,10 @@ def test_blocks_of_any_size_give_the_per_cycle_records(wp, noisy_cal, method, n_
                                                        offset, data):
     # One FFT, floor subtraction and peak stage per block; the records must be
     # those of one process_cycle call per cycle, every float to the bit (repr).
-    # With an offset, the per-cycle reference rolls each cycle on its own.
-    cycles = _stream(wp)
+    # At an offset the cycles are cut from the stream that many samples in, as a
+    # replay at that offset cuts them; the front end itself no longer reads it.
+    count, n = 3 * STREAM_BLOCK + 5, wp.samples_per_cycle
+    cycles = _stream(wp, count + 1).ravel()[offset:][: count * n].reshape(count, n)
     cfg = _config(wp, _at_offset(noisy_cal, offset), interp_method=method, n_avg=n_avg,
                   noise_model=_NOISE_MODEL if noise else None, sync_offset_samples=offset)
     key = (method, n_avg, noise, offset)
@@ -587,8 +576,60 @@ def test_replay_through_run_stream_equals_per_cycle_processing(wp, noisy_cal, tm
     cfg = _config(wp, noisy_cal, n_avg=4, noise_model=_NOISE_MODEL)
     state = PipelineState.for_config(cfg)
     expected = [repr(process_cycle(c, state, cfg)) for c in _stream(wp, n)]
-    replayed = [repr(r) for r in run_stream(read_frames(stem, wp), cfg)]
+    replayed = [repr(r) for r in run_stream(read_frames(stem, wp, 0), cfg)]
     assert replayed == expected
+
+
+@given(skip=st.integers(1, make_wp().samples_per_cycle - 1),
+       n_cycles=st.integers(1, 2 * STREAM_BLOCK + 5))
+@example(skip=1, n_cycles=1)
+@example(skip=40, n_cycles=STREAM_BLOCK)
+@example(skip=777, n_cycles=STREAM_BLOCK + 1)
+@example(skip=1999, n_cycles=2 * STREAM_BLOCK + 5)
+@settings(max_examples=10, deadline=None)
+def test_an_offset_replay_gives_the_records_of_the_aligned_cycles(wp, noisy_cal,
+                                                                  tmp_path_factory, skip,
+                                                                  n_cycles):
+    # A capture that starts skip samples before its first whole cycle, replayed at that
+    # sync offset: the records of the aligned cycles, every float to the bit (repr).
+    aligned = _stream(wp, n_cycles + 1)
+    stem = tmp_path_factory.mktemp("offset") / "frames"
+    write_offset_export(stem, wp, aligned, skip)
+    expected = run_stream(aligned[:n_cycles],
+                          _config(wp, noisy_cal, n_avg=16, noise_model=_NOISE_MODEL))
+    cfg = _config(wp, _at_offset(noisy_cal, skip), n_avg=16, noise_model=_NOISE_MODEL,
+                  sync_offset_samples=skip)
+    replayed = run_stream(read_frames(stem, wp, skip), cfg)
+    assert [repr(r) for r in replayed] == [repr(r) for r in expected]
+
+
+@pytest.mark.parametrize("where", ["head-first", "head-last", "tail-first", "tail-last"])
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_an_offset_replay_never_reads_the_skipped_head_or_the_dropped_tail(wp, noisy_cal,
+                                                                           tmp_path, where,
+                                                                           value):
+    # A bad sample in what the skip leaves out ends no replay: the records are the
+    # clean file's.  write_frames refuses such a sample, so it is set in the raw bytes.
+    skip, n, length = 40, STREAM_BLOCK + 1, wp.samples_per_cycle
+    aligned = _stream(wp, n + 1)
+    index = {"head-first": 0, "head-last": skip - 1, "tail-first": skip + n * length,
+             "tail-last": (n + 1) * length - 1}[where]
+    cfg = _config(wp, _at_offset(noisy_cal, skip), n_avg=4, sync_offset_samples=skip)
+    for name in ("clean", "poked"):
+        write_offset_export(tmp_path / name, wp, aligned, skip)
+    poke_raw(tmp_path / "poked.f32", index, value)
+    clean, poked = ([repr(r) for r in run_stream(read_frames(tmp_path / name, wp, skip), cfg)]
+                    for name in ("clean", "poked"))
+    assert poked == clean and len(clean) == n
+
+
+@pytest.mark.parametrize("n_rows", [0, 1])
+def test_an_offset_replay_of_fewer_than_two_rows_gives_no_records(wp, quiet_cal, tmp_path,
+                                                                  n_rows):
+    stem = tmp_path / "frames"
+    write_frames(stem, np.zeros((n_rows, wp.samples_per_cycle)), wp)
+    cfg = _config(wp, _at_offset(quiet_cal, 40), sync_offset_samples=40)
+    assert list(run_stream(read_frames(stem, wp, 40), cfg)) == []
 
 
 def test_state_copy_in_mid_stream_owns_its_arrays(wp, noisy_cal):

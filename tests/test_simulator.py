@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lfisensor import (
@@ -21,7 +21,7 @@ from lfisensor import (
 from lfisensor import simulator
 from lfisensor.simulator import STREAM_BLOCK, _highpass_matrix
 
-from conftest import C, make_wp, true_beats, true_slopes
+from conftest import C, make_wp, poke_raw, true_beats, true_slopes, write_offset_export
 
 
 def test_zero_target_zero_beats(wp=None):
@@ -398,7 +398,7 @@ def test_frame_export_round_trip(tmp_path):
     cycles = [synthesize_cycle(wp, gt, 1.0, 0.1, seed=5, cycle_index=k) for k in range(3)]
     stem = tmp_path / "frames"
     write_frames(stem, cycles, wp)
-    rows = list(read_frames(stem, wp))
+    rows = list(read_frames(stem, wp, 0))
     assert len(rows) == 3
     for original, restored in zip(cycles, rows):
         assert restored.shape == (wp.samples_per_cycle,)
@@ -467,7 +467,7 @@ def test_read_frames_refuses_a_raw_file_cut_after_it_was_opened(tmp_path):
     wp = make_wp()
     stem = tmp_path / "frames"
     write_frames(stem, np.zeros((STREAM_BLOCK + 1, wp.samples_per_cycle)), wp)
-    rows = read_frames(stem, wp)
+    rows = read_frames(stem, wp, 0)
     raw = tmp_path / "frames.f32"
     raw.write_bytes(raw.read_bytes()[: 4 * wp.samples_per_cycle * STREAM_BLOCK])
     assert len([next(rows) for _ in range(STREAM_BLOCK)]) == STREAM_BLOCK
@@ -487,12 +487,49 @@ def test_read_frames_checks_each_block_when_it_is_reached(tmp_path):
     bad = STREAM_BLOCK + 3
     samples[bad * wp.samples_per_cycle + 2 * wp.samples_per_ramp] = math.nan
     samples.tofile(raw)
-    rows = read_frames(stem, wp)
+    rows = read_frames(stem, wp, 0)
     drawn = 0
     with pytest.raises(FramingError, match=f"non-finite sample in cycle {bad}, ramp 2"):
         for _ in rows:
             drawn += 1
     assert drawn == STREAM_BLOCK
+
+
+@given(skip=st.integers(1, make_wp().samples_per_cycle - 1),
+       n_cycles=st.integers(0, 2 * STREAM_BLOCK + 5))
+@example(skip=1, n_cycles=STREAM_BLOCK)
+@example(skip=40, n_cycles=STREAM_BLOCK + 1)
+@example(skip=1999, n_cycles=2 * STREAM_BLOCK + 5)
+@settings(max_examples=25, deadline=None)
+def test_read_frames_skips_the_sync_offset_and_the_partial_cycle_it_leaves(tmp_path_factory,
+                                                                           skip, n_cycles):
+    # A capture whose first whole cycle starts skip samples in, replayed from there,
+    # gives the aligned cycles byte for byte, and not the partial cycle at its end.
+    wp = make_wp()
+    aligned = np.random.default_rng(n_cycles).normal(size=(n_cycles + 1, wp.samples_per_cycle))
+    aligned = aligned.astype("<f4")
+    stem = tmp_path_factory.mktemp("offset") / "frames"
+    write_offset_export(stem, wp, aligned, skip)
+    rows = [row.tobytes() for row in read_frames(stem, wp, skip)]
+    assert rows == [cycle.tobytes() for cycle in aligned[:n_cycles]]
+
+
+@pytest.mark.parametrize(
+    "index, cycle, ramp",
+    [(40 + 499, 0, 0), (40 + 1999, 0, 3), (40 + 2000 + 1000, 1, 2)],
+    ids=["file-ramp-1", "file-cycle-1", "second-cycle"],
+)
+def test_read_frames_counts_cycles_and_ramps_from_the_first_whole_cycle(tmp_path, index, cycle,
+                                                                        ramp):
+    # At sync offset 40, file sample 539 is in ramp 1 of the file's first row but in
+    # ramp 0 of the replay's cycle 0, and the error names the replay's.
+    wp = make_wp()
+    stem = tmp_path / "frames"
+    write_frames(stem, np.zeros((3, wp.samples_per_cycle)), wp)
+    poke_raw(tmp_path / "frames.f32", index, math.nan)
+    with pytest.raises(FramingError,
+                       match=f"frames.f32 has a non-finite sample in cycle {cycle}, ramp {ramp}"):
+        list(read_frames(stem, wp, 40))
 
 
 @pytest.mark.parametrize(
@@ -508,4 +545,4 @@ def test_frame_file_length_mismatch_rejected(tmp_path, delta):
     raw = raw_path.read_bytes()
     raw_path.write_bytes(raw[:delta] if delta < 0 else raw + bytes(delta))
     with pytest.raises(FramingError, match="frames.f32 has .* bytes, not the 1 cycles its sidecar declares"):
-        read_frames(stem, wp)
+        read_frames(stem, wp, 0)

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -17,12 +17,14 @@ from lfisensor import (
     PipelineState,
     calibrate,
     magnitude_spectra,
+    read_frames,
     synthetic_cycles,
 )
 from lfisensor.simulator import STREAM_BLOCK
-from lfisensor.spectral import Calibration, bin_frequencies, remove_floor, row_medians
+from lfisensor.spectral import (MIN_CALIBRATION_CYCLES, Calibration, bin_frequencies,
+                                remove_floor, row_medians)
 
-from conftest import make_wp
+from conftest import make_wp, write_offset_export
 
 
 def _tone_frame(wp, frequency, phase=0.0, amplitude=1.0):
@@ -32,8 +34,7 @@ def _tone_frame(wp, frequency, phase=0.0, amplitude=1.0):
 
 def _spectrum(wp, frame, fft_bins=2048):
     """Magnitude spectrum of one frame: the first row of a cycle of four copies."""
-    return magnitude_spectra([np.tile(frame, 4)], wp, np.hamming(len(frame)), fft_bins, [], 0,
-                             0)[0]
+    return magnitude_spectra([np.tile(frame, 4)], wp, np.hamming(len(frame)), fft_bins, [], 0)[0]
 
 
 def _direct_windowed_dft(frame, fft_bins, bins, fs):
@@ -53,10 +54,10 @@ def test_spectra_rows_are_the_ramps_of_each_cycle_in_order():
     frames = cycles.reshape(12, wp.samples_per_ramp)
     window, work = np.hamming(wp.samples_per_ramp), []
     oracle = np.abs(np.fft.rfft(frames * window, 2048)[:, :1024])
-    np.testing.assert_array_equal(magnitude_spectra(cycles, wp, window, 2048, work, 0, 0), oracle)
+    np.testing.assert_array_equal(magnitude_spectra(cycles, wp, window, 2048, work, 0), oracle)
     # A smaller block reuses the grown work arrays; their pads are still zero.
     np.testing.assert_array_equal(
-        magnitude_spectra(cycles[1:2], wp, window, 2048, work, 1, 0), oracle[4:8])
+        magnitude_spectra(cycles[1:2], wp, window, 2048, work, 1), oracle[4:8])
     assert len(work[0]) == 12
 
 
@@ -115,16 +116,24 @@ def test_fft_bins_preconditions():
         calibrate(cycles, wp, fft_bins=1000)
 
 
-@pytest.mark.parametrize("offset", [1, 40, 1999])
-def test_calibrate_rotates_each_cycle_by_the_sync_offset(offset):
-    # The reference comes from the front end the pipeline runs: each cycle
-    # rotated left by the offset, as process_block rotates it.
+@given(skip=st.integers(1, make_wp().samples_per_cycle - 1),
+       n_cycles=st.integers(MIN_CALIBRATION_CYCLES, 2 * STREAM_BLOCK + 5))
+@example(skip=1, n_cycles=STREAM_BLOCK)
+@example(skip=40, n_cycles=STREAM_BLOCK + 1)
+@example(skip=1999, n_cycles=2 * STREAM_BLOCK + 5)
+@settings(max_examples=10, deadline=None)
+def test_calibrate_of_an_offset_replay_equals_the_aligned_calibration(tmp_path_factory, skip,
+                                                                      n_cycles):
+    # The reference comes from the whole cycles a replay yields past the sync offset;
+    # the offset is only recorded, so that a pipeline at another one refuses it.
     wp = make_wp()
-    cycles = np.random.default_rng(offset).normal(size=(STREAM_BLOCK + 5, wp.samples_per_cycle))
-    rotated = calibrate(cycles, wp, 2048, offset)
-    assert rotated.sync_offset_samples == offset
-    aligned = calibrate(np.roll(cycles, -offset, axis=1), wp)
-    assert replace(rotated, sync_offset_samples=0) == aligned
+    aligned = np.random.default_rng(skip).normal(size=(n_cycles + 1, wp.samples_per_cycle))
+    aligned = aligned.astype("<f4")
+    stem = tmp_path_factory.mktemp("offset") / "frames"
+    write_offset_export(stem, wp, aligned, skip)
+    replayed = calibrate(read_frames(stem, wp, skip), wp, 2048, skip)
+    assert replayed.sync_offset_samples == skip
+    assert replayed == replace(calibrate(aligned[:n_cycles], wp), sync_offset_samples=skip)
 
 
 @pytest.mark.parametrize("offset", [-1, 2000])
@@ -268,7 +277,7 @@ def test_calibrate_mean_is_the_stack_mean_and_sigma_the_sample_sigma():
     wp = make_wp()
     cycles = np.random.default_rng(8).normal(size=(2 * STREAM_BLOCK + 7, wp.samples_per_cycle))
     window = np.hamming(wp.samples_per_ramp)
-    stack = magnitude_spectra(cycles, wp, window, 2048, [], 0, 0).reshape(len(cycles), 4, 1024)
+    stack = magnitude_spectra(cycles, wp, window, 2048, [], 0).reshape(len(cycles), 4, 1024)
     cal = calibrate(cycles, wp)
     np.testing.assert_array_equal(cal.reference_mean, stack.mean(axis=0))
     np.testing.assert_allclose(cal.reference_sigma, stack.std(axis=0, ddof=1), rtol=1e-13)
