@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -116,24 +116,37 @@ def test_fft_bins_preconditions():
         calibrate(cycles, wp, fft_bins=1000)
 
 
-@given(skip=st.integers(1, make_wp().samples_per_cycle - 1),
-       n_cycles=st.integers(MIN_CALIBRATION_CYCLES, 2 * STREAM_BLOCK + 5))
-@example(skip=1, n_cycles=STREAM_BLOCK)
-@example(skip=40, n_cycles=STREAM_BLOCK + 1)
-@example(skip=1999, n_cycles=2 * STREAM_BLOCK + 5)
-@settings(max_examples=10, deadline=None)
-def test_calibrate_of_an_offset_replay_equals_the_aligned_calibration(tmp_path_factory, skip,
-                                                                      n_cycles):
+def _assert_an_offset_replay_calibrates_as_aligned(stem, skip, n_cycles):
     # The reference comes from the whole cycles a replay yields past the sync offset;
     # the offset is only recorded, so that a pipeline at another one refuses it.
     wp = make_wp()
     aligned = np.random.default_rng(skip).normal(size=(n_cycles + 1, wp.samples_per_cycle))
     aligned = aligned.astype("<f4")
-    stem = tmp_path_factory.mktemp("offset") / "frames"
     write_offset_export(stem, wp, aligned, skip)
     replayed = calibrate(read_frames(stem, wp, skip), wp, 2048, skip)
     assert replayed.sync_offset_samples == skip
     assert replayed == replace(calibrate(aligned[:n_cycles], wp), sync_offset_samples=skip)
+
+
+@pytest.mark.parametrize("offset, n_cycles", [
+    pytest.param(1, STREAM_BLOCK, id="1"),
+    pytest.param(40, STREAM_BLOCK + 1, id="40"),
+    pytest.param(1999, 2 * STREAM_BLOCK + 5, id="1999"),
+])
+def test_calibrate_rotates_each_cycle_by_the_sync_offset(tmp_path, offset, n_cycles):
+    # Each cycle a replay at the offset yields starts that many samples into the
+    # capture's cycle: the rotation the pipeline's front end sees, made once where
+    # the replay starts.  The counts straddle the block the replay is read in.
+    _assert_an_offset_replay_calibrates_as_aligned(tmp_path / "frames", offset, n_cycles)
+
+
+@given(skip=st.integers(1, make_wp().samples_per_cycle - 1),
+       n_cycles=st.integers(MIN_CALIBRATION_CYCLES, 2 * STREAM_BLOCK + 5))
+@settings(max_examples=10, deadline=None)
+def test_calibrate_of_an_offset_replay_equals_the_aligned_calibration(tmp_path_factory, skip,
+                                                                      n_cycles):
+    stem = tmp_path_factory.mktemp("offset") / "frames"
+    _assert_an_offset_replay_calibrates_as_aligned(stem, skip, n_cycles)
 
 
 @pytest.mark.parametrize("offset", [-1, 2000])
