@@ -112,7 +112,8 @@ def _gaussian_fits(block: np.ndarray) -> tuple:
 def _interpolate(rows, bin_freqs, centers, window, method, epsilons) -> list:
     """Each row's peak interpolated around its center bin: the batched core.
 
-    Every step covers all rows at once.  A row's window is gathered with its
+    Every numpy step covers all rows at once, and each row's own arithmetic
+    on what they give is in Python floats.  A row's window is gathered with its
     bins outside the row (a peak near DC or Nyquist) set to 0, so they drop
     out as floored bins do, and both methods see the same zero-padded
     window.  The weighted average sums each window with ``np.add.reduce``
@@ -128,40 +129,44 @@ def _interpolate(rows, bin_freqs, centers, window, method, epsilons) -> list:
     weights = rows.take(columns + np.arange(0, rows.size, n_bins)[:, None], mode="clip")
     if min(center_list) < half or max(center_list) > n_bins - 1 - half:
         weights[(columns < 0) | (columns >= n_bins)] = 0.0
+    fitted = fit_intensities = [None] * len(center_list)  # None: no Gaussian fit covers the row
     if method == GAUSSIAN:
         vertices, fit_intensities = _gaussian_fits(weights)
         # A fit is accepted unless it failed (a NaN vertex).  A finite vertex is
         # within one bin of a center whose neighbours are positive, so inside
         # the row: a neighbour past its ends was set to 0 above.
         step = float(bin_freqs[1] - bin_freqs[0])
-        accepted = [not math.isnan(v) for v in vertices]
-        fitted = [f + v * step for f, v in zip(bin_freqs.take(centers).tolist(), vertices)]
-        if all(accepted):
+        fitted = [None if math.isnan(v) else f + v * step
+                  for f, v in zip(bin_freqs.take(centers).tolist(), vertices)]
+        if None not in fitted:
             return [PeakEstimate(f, i, GAUSSIAN, v) for f, i, v in zip(
                 fitted, fit_intensities, validity(rows, fit_intensities, epsilons))]
     # The weighted average, for every row the Gaussian fit does not cover, over
-    # each window's bin frequencies (the end bins' past the ends).
+    # each window's bin frequencies (the end bins' past the ends): the two sums
+    # in numpy, each row's quotient and clamp in Python floats.
     freqs = bin_freqs.take(columns, mode="clip")
-    totals = np.add.reduce(weights, axis=1)
-    found = totals != 0.0  # a window with no weight has no peak
-    means = np.add.reduce(weights * freqs, axis=1)
-    np.divide(means, totals, out=means, where=found)
-    # Rounding can carry the mean just past an end bin; it stays in the window.
-    means = np.minimum(np.maximum(means, freqs[:, 0]), freqs[:, -1])
-    intensities, used = weights[:, half], [WEIGHTED_AVERAGE] * len(rows)
-    if method == GAUSSIAN:
-        means = np.where(accepted, fitted, means)
-        intensities = np.where(accepted, fit_intensities, intensities)
-        found |= accepted
-        used = [GAUSSIAN if a else WEIGHTED_AVERAGE for a in accepted]
-    intensities = intensities.tolist()
-    # An all-zero row has no peak under either method.
-    return [PeakEstimate(f, i, m, v) if peak
-            else PeakEstimate(0.0, 0.0, method if not rows[r].any() else WEIGHTED_AVERAGE,
-                              valid=False)
-            for r, (f, i, m, v, peak) in enumerate(zip(
-                means.tolist(), intensities, used, validity(rows, intensities, epsilons),
-                found.tolist()))]
+    totals = np.add.reduce(weights, axis=1).tolist()
+    moments = np.add.reduce(weights * freqs, axis=1).tolist()
+    intensities = [c if f is None else i for f, i, c in zip(
+        fitted, fit_intensities, weights[:, half].tolist())]
+    estimates = []
+    for r, (fit, total, moment, low, high, i, v) in enumerate(zip(
+            fitted, totals, moments, freqs[:, 0].tolist(), freqs[:, -1].tolist(), intensities,
+            validity(rows, intensities, epsilons))):
+        if fit is not None:
+            f, used = fit, GAUSSIAN
+        elif total != 0.0:  # a window with no weight has no peak
+            # Rounding can carry the mean just past an end bin; it stays in the
+            # window.  As np.maximum, then np.minimum: a NaN passes, and a tie
+            # takes the end bin.
+            f, used = moment / total, WEIGHTED_AVERAGE
+            f = f if f > low or f != f else low
+            f = f if f < high or f != f else high
+        else:  # an all-zero row has no peak under either method
+            f = i = 0.0
+            used, v = method if not rows[r].any() else WEIGHTED_AVERAGE, False
+        estimates.append(PeakEstimate(f, i, used, v))
+    return estimates
 
 
 def estimate_peaks(rows, bin_freqs, epsilons, window, method) -> tuple:

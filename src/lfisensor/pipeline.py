@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -30,12 +29,11 @@ from .modulation import (
     WORKING_POINT_KEYS,
     WorkingPoint,
     decode_fields,
-    ramp_slopes,
     read_flat_config,
 )
 from .peaks import DEFAULT_WINDOW, METHODS, WEIGHTED_AVERAGE, estimate_peaks
-from .simulator import check_synthesis, cycle_blocks, synthesize_block
-from .solver import STATUS_INVALID, Measurement, disambiguate, propagate_noise
+from .simulator import check_sync_offset, check_synthesis, cycle_blocks, synthesize_block
+from .solver import STATUS_INVALID, Measurement, disambiguate, propagate_noise, triple_tables
 from .spectral import (
     DEFAULT_ALPHA,
     DEFAULT_BETA,
@@ -43,7 +41,6 @@ from .spectral import (
     Calibration,
     bin_frequencies,
     check_fft_bins,
-    check_sync_offset,
     check_work,
     magnitude_spectra,
     remove_floor,
@@ -106,9 +103,6 @@ class PipelineConfig:
     #: ``DEFAULT_NOISE_GATE * median(reference_sigma)`` per ramp, before the
     #: ``sqrt(n_window)`` of the averaging.
     noise_gates: tuple = field(init=False, repr=False, compare=False)
-    #: The ramp pair of greatest slope difference within each kept ramp triple,
-    #: the first of :func:`itertools.combinations` order on a tie.
-    steepest_pairs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         wp, cal = self.working_point, self.calibration
@@ -116,7 +110,6 @@ class PipelineConfig:
                        self.alpha, self.beta, self.sync_offset_samples)
         cal.check_compatible(wp, self.fft_bins, self.sync_offset_samples)
 
-        slopes = ramp_slopes(wp)
         derived = {
             "frame_window": np.hamming(wp.samples_per_ramp),
             "bin_frequencies": bin_frequencies(wp, self.fft_bins),
@@ -125,11 +118,6 @@ class PipelineConfig:
             # mean never give, so beta 0 skips the sigma with no bit changed.
             "scaled_sigma": self.beta * cal.reference_sigma if self.beta else None,
             "noise_gates": tuple(DEFAULT_NOISE_GATE * m for m in row_medians(cal.reference_sigma)),
-            "steepest_pairs": {
-                triple: max(combinations(triple, 2),
-                            key=lambda ij: abs(slopes[ij[0]] - slopes[ij[1]]))
-                for triple in combinations(range(4), 3)
-            },
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -180,9 +168,10 @@ class PipelineState:
     def push(self, spectra: np.ndarray) -> None:
         """Add one cycle's ``(4, bins)`` spectra, then overwrite them with the window mean.
 
-        The division is ``np.mean``'s.  A window of one spectrum leaves
-        ``spectra`` as they are.  At ``n_avg`` 1 every window is one
-        spectrum, and there is no ring.
+        The division is ``np.mean``'s; by a power of two, a cheaper multiply by its
+        exact reciprocal gives the same double for every input, NaNs included.  A window
+        of one spectrum leaves ``spectra`` as they are.  At ``n_avg`` 1 every window
+        is one spectrum, and there is no ring.
         """
         n = self.n_avg
         j = self.cycles_seen % n
@@ -204,8 +193,11 @@ class PipelineState:
             window = current
         else:
             window = np.add(ring[n + j + 1], current, out=spectra)
-        if self.n_window > 1:
-            np.divide(window, self.n_window, out=spectra)
+        n_window = self.n_window
+        if n_window & (n_window - 1):
+            np.divide(window, n_window, out=spectra)
+        elif n_window > 1:
+            np.multiply(window, 1.0 / n_window, out=spectra)
 
 
 @dataclass
@@ -225,27 +217,27 @@ def _attach_sigmas(
     """Fill sigma_R/sigma_v from the noise model at the measured point.
 
     Only the steepest selected ramp pair's beat sigmas are predicted and
-    propagated; the third selected ramp plays no part.
+    propagated (the pair :func:`~.solver.triple_tables` holds for the triple);
+    the third selected ramp plays no part.
     """
-    slopes = ramp_slopes(cfg.working_point)
-    i, j = cfg.steepest_pairs[measurement.selected_ramps]
+    i, j, slope_i, slope_j = triple_tables(cfg.working_point)[measurement.selected_ramps][-1]
     try:
         sigma_i, sigma_j = (
             predict_sigma_fb(
                 cfg.noise_model,
                 f_ramp_rate=cfg.working_point.ramp_rate,
-                slope_S=abs(slopes[idx]),
+                slope_S=abs(slope),
                 beat_f_b=peaks[idx].beat_frequency,
                 velocity_v=abs(measurement.velocity_v),
                 distance_R=measurement.distance_R,
                 n_avg=n_window,
             )
-            for idx in (i, j)
+            for idx, slope in ((i, slope_i), (j, slope_j))
         )
     except ParameterError:
         return measurement
     sigma_r, sigma_v = propagate_noise(
-        sigma_i, sigma_j, slopes[i], slopes[j], cfg.working_point.emitted_frequency
+        sigma_i, sigma_j, slope_i, slope_j, cfg.working_point.emitted_frequency
     )
     m = measurement
     return Measurement(m.distance_R, m.velocity_v, sigma_r, sigma_v, m.sign_combo,

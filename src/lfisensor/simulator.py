@@ -211,6 +211,14 @@ def _frame_paths(stem):
     return stem.with_name(stem.name + ".f32"), stem.with_name(stem.name + ".json")
 
 
+def check_sync_offset(offset: int, cycle_length: int) -> None:
+    """Refuse a sync offset that is not an integer sample of one cycle."""
+    if not isinstance(offset, (int, np.integer)):
+        raise ParameterError(f"sync_offset_samples must be an integer, got {offset!r}")
+    if not 0 <= offset < cycle_length:
+        raise ParameterError(f"sync_offset_samples must be in [0, {cycle_length}), got {offset}")
+
+
 def read_frames(stem, wp: WorkingPoint, skip: int):
     """Open a :func:`write_frames` export of working point ``wp`` as a cycle iterator.
 
@@ -221,7 +229,9 @@ def read_frames(stem, wp: WorkingPoint, skip: int):
     cycle as a read-only float32 row, reading :data:`STREAM_BLOCK` at a time.  Each block is
     checked when it is read: a NaN or infinite sample raises :class:`FramingError` naming its
     cycle and ramp, counted from the first whole cycle, before that block yields a cycle.
+    A ``skip`` that is no integer in ``[0, wp.samples_per_cycle)`` raises ParameterError first.
     """
+    check_sync_offset(skip, wp.samples_per_cycle)
     raw_path, sidecar_path = _frame_paths(stem)
     file_wp, n_cycles = read_json_object(sidecar_path, ("working_point", "cycles"),
                                          _decode_sidecar, FramingError, "frame sidecar",

@@ -105,24 +105,28 @@ def _var3(a: float, b: float, c: float) -> float:
 
 
 @lru_cache(maxsize=4)
-def _triple_tables(wp: WorkingPoint) -> dict:
+def triple_tables(wp: WorkingPoint) -> dict:
     """For each kept ramp triple ``(i, j, k)`` of ``wp``: its signed slopes, then
     ``2 dS`` and ``f_e dS`` of its pairs ``(i, j)``, ``(i, k)`` and ``(j, k)``,
-    ``dS`` being the pair's slope difference (cached and shared: do not modify)."""
+    ``dS`` being the pair's slope difference, and last its steepest pair, the
+    one of greatest ``|dS|`` (the first in that order on a tie), as its two
+    ramps and their signed slopes (cached and shared: do not modify)."""
     slopes, f_e = ramp_slopes(wp), wp.emitted_frequency
     tables = {}
     for triple in itertools.combinations(range(4), 3):
         s0, s1, s2 = (slopes[i] for i in triple)
         d01, d02, d12 = s0 - s1, s0 - s2, s1 - s2
+        (a, b), _ = max(zip(itertools.combinations(triple, 2), (d01, d02, d12)),
+                        key=lambda pair: abs(pair[1]))
         tables[triple] = ((s0, s1, s2), 2.0 * d01, 2.0 * d02, 2.0 * d12,
-                          f_e * d01, f_e * d02, f_e * d12)
+                          f_e * d01, f_e * d02, f_e * d12, (a, b, slopes[a], slopes[b]))
     return tables
 
 
 def _sign_combos(magnitudes, table) -> list:
     """Score the 4 sign assignments of three beat magnitudes that lead with +.
 
-    ``table`` is the kept triple's entry of :func:`_triple_tables`.  Returns
+    ``table`` is the kept triple's entry of :func:`triple_tables`.  Returns
     ``(signs, mean R, mean v, spread)`` rows in :data:`_SIGNS` order.  Each
     pair is solved as in :func:`pair_solution` and the spread is
     ``sqrt(var(R) / DEFAULT_R_REF**2 + var(v) / DEFAULT_V_REF**2)``.
@@ -131,7 +135,7 @@ def _sign_combos(magnitudes, table) -> list:
     for all eight assignments.
     """
     m0, m1, m2 = magnitudes
-    (s0, s1, s2), r01, r02, r12, v01, v02, v12 = table
+    (s0, s1, s2), r01, r02, r12, v01, v02, v12, _ = table
     c = SPEED_OF_LIGHT
     r_scale, v_scale = DEFAULT_R_REF**2, DEFAULT_V_REF**2
     rows = []
@@ -175,7 +179,7 @@ def disambiguate(peaks, wp: WorkingPoint) -> Measurement:
     else:
         status = STATUS_DEGRADED
     indices = tuple(valid)
-    table = _triple_tables(wp)[indices]
+    table = triple_tables(wp)[indices]
 
     combos = _sign_combos([peaks[i].beat_frequency for i in indices], table)
     best_spread = min(spread for _, _, _, spread in combos)

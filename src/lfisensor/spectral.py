@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CalibrationError, ParameterError
 from .modulation import WorkingPoint, decode_fields, read_json_object, write_atomic
-from .simulator import STREAM_BLOCK, check_block, cycle_blocks
+from .simulator import STREAM_BLOCK, check_block, check_sync_offset, cycle_blocks
 
 DEFAULT_FFT_BINS = 2048
 DEFAULT_ALPHA = 1.0
@@ -134,12 +134,6 @@ def check_work(nbytes: int, what: str) -> None:
     """Refuse ``what``, a message naming the ``nbytes`` it needs, past :data:`MAX_WORK_BYTES`."""
     if nbytes > MAX_WORK_BYTES:
         raise ParameterError(f"{what}, more than MAX_WORK_BYTES ({MAX_WORK_BYTES})")
-
-
-def check_sync_offset(offset: int, cycle_length: int) -> None:
-    """Refuse a sync offset that is not a sample of one cycle."""
-    if not 0 <= offset < cycle_length:
-        raise ParameterError(f"sync_offset_samples must be in [0, {cycle_length}), got {offset}")
 
 
 def magnitude_spectra(block, wp: WorkingPoint, window, fft_bins: int, work: list,

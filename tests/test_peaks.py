@@ -516,6 +516,80 @@ def test_peak_stage_matches_a_per_row_loop(case, method, epsilon):
                                                         epsilons))
 
 
+def _vectorized_peaks(rows, freqs, centers, window, method, epsilons):
+    """Oracle: the peak stage with its weighted-average tail as numpy arrays over
+    all rows, the quotient by ``np.divide(..., where=)``, the clamp by
+    ``np.maximum`` then ``np.minimum`` and the Gaussian rows merged by
+    ``np.where``."""
+    n_bins, half = rows.shape[1], window // 2
+    columns = np.arange(-half, half + 1) + centers[:, None]
+    weights = rows.take(columns + np.arange(0, rows.size, n_bins)[:, None], mode="clip")
+    weights[(columns < 0) | (columns >= n_bins)] = 0.0
+    span = freqs.take(columns, mode="clip")
+    totals = np.add.reduce(weights, axis=1)
+    found = totals != 0.0
+    means = np.add.reduce(weights * span, axis=1)
+    np.divide(means, totals, out=means, where=found)
+    means = np.minimum(np.maximum(means, span[:, 0]), span[:, -1])
+    intensities, used = weights[:, half], [WEIGHTED_AVERAGE] * len(rows)
+    if method == GAUSSIAN:
+        vertices, fit_intensities = peaks._gaussian_fits(weights)
+        accepted = [not math.isnan(v) for v in vertices]
+        step = float(freqs[1] - freqs[0])
+        means = np.where(accepted, [f + v * step for f, v in zip(freqs[centers], vertices)],
+                         means)
+        intensities = np.where(accepted, fit_intensities, intensities)
+        found |= accepted
+        used = [GAUSSIAN if a else WEIGHTED_AVERAGE for a in accepted]
+    intensities = intensities.tolist()
+    return [PeakEstimate(f, i, m, v) if peak
+            else PeakEstimate(0.0, 0.0, method if not row.any() else WEIGHTED_AVERAGE, False)
+            for row, f, i, m, v, peak in zip(rows, means.tolist(), intensities, used,
+                                             validity(rows, intensities, epsilons),
+                                             found.tolist())]
+
+
+_WILD_BIN = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7e308]),
+    st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+    st.floats(-300.0, 300.0).map(lambda e: -(10.0**e)),
+    st.floats(0.0, 2.0),
+)
+
+
+@st.composite
+def _wild_stacks(draw):
+    """Stacks of 4 or 64 rows of wild bins (negative, signed zeros, NaN, infinite,
+    subnormal and near the largest float), with a window no wider than a row."""
+    window = draw(st.sampled_from(range(3, 26, 2)))
+    n_bins = draw(st.integers(window, 48))
+    row = st.one_of(st.just([0.0] * n_bins),
+                    st.lists(_WILD_BIN, min_size=n_bins, max_size=n_bins))
+    n_rows = draw(st.sampled_from([4, 64]))
+    return np.array(draw(st.lists(row, min_size=n_rows, max_size=n_rows))), window
+
+
+@given(case=_wild_stacks(), method=st.sampled_from([GAUSSIAN, WEIGHTED_AVERAGE]),
+       epsilon=st.floats(0.0, 2.0))
+# The moments cancel to +0.0 over a negative total: the quotient -0.0 ties the
+# window's first bin, 0.0, and np.maximum returns the bin where max() would not.
+@example(case=(np.array([[-5.0, 2.0, -1.0]] * 4), 3), method=WEIGHTED_AVERAGE, epsilon=0.0)
+@settings(max_examples=200, deadline=None)
+def test_peak_stage_on_wild_rows_matches_the_vectorized_formula(case, method, epsilon):
+    # The per-row tail in Python floats keeps numpy's semantics: a NaN quotient or
+    # bound passes through the clamp, a tie takes the end bin, an infinite
+    # window sum gives what np.divide gives, and each row's method and validity
+    # are those the array formula gives.
+    rows, window = case
+    freqs = np.arange(rows.shape[1]) * BIN_WIDTH
+    epsilons = [epsilon * (r % 3) for r in range(len(rows))]
+    with np.errstate(all="ignore"):  # inf - inf and 0 * inf in both
+        ours = _estimates(rows, freqs, epsilons, window, method)
+        theirs = _vectorized_peaks(rows, freqs, rows.argmax(axis=1), window, method, epsilons)
+    # repr spells every float exactly, -0.0 too, and tells a bool from a numpy bool.
+    assert repr(list(ours)) == repr(theirs)
+
+
 def test_validity_threshold_flags_weak_peaks():
     mags = np.ones(1024)
     mags[300] = 2.0  # only 2x the median floor, below kappa = 3

@@ -406,6 +406,22 @@ def test_two_orders_of_a_window_differ_by_more_than_the_bound_on_each():
     assert _within_bound(ours, exact, 3) and _within_bound(theirs, exact, 3)
 
 
+@pytest.mark.parametrize("n_avg", [2, 3, 4, 8, 16, 17])
+def test_window_means_of_wild_bins_are_the_division_to_the_byte(n_avg):
+    # A window of a power-of-two count is scaled by its exact reciprocal and any
+    # other by a division; both must give the division's bytes for the bins
+    # _pushes never draws: signed zeros, subnormals, sums past the largest float,
+    # infinities and NaNs.
+    rng = np.random.default_rng(n_avg)
+    wild = np.array([0.0, -0.0, 5e-324, 3e-310, -2.5e-308, 1.7e308, -1.6e308, math.inf,
+                     -math.inf, math.nan, 1.0, 3.0, -7.5])
+    pushed = rng.choice(wild, (3 * n_avg + 2, 4, 16))
+    state = _window(n_avg, 16)
+    with np.errstate(all="ignore"):  # inf - inf and overflowing sums, in both
+        for t, spectra in enumerate(pushed):
+            assert _push(state, spectra).tobytes() == _two_stacks_mean(pushed, t, n_avg).tobytes()
+
+
 def test_without_noise_model_sigmas_are_nan(wp, quiet_cal):
     cfg = _config(wp, quiet_cal)
     samples = synthesize_cycle(wp, GroundTruth(0.04, 0.0), 1.0, 0.0, seed=8, cycle_index=0)

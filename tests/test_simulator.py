@@ -533,6 +533,22 @@ def test_read_frames_counts_cycles_and_ramps_from_the_first_whole_cycle(tmp_path
 
 
 @pytest.mark.parametrize(
+    "skip, message",
+    [(-1, r"must be in \[0, 2000\), got -1"), (2.5, "must be an integer, got 2.5"),
+     (2000, r"must be in \[0, 2000\), got 2000")],
+    ids=["negative", "fractional", "one-cycle"],
+)
+def test_read_frames_refuses_a_skip_that_is_not_a_sample_of_one_cycle(tmp_path, skip, message):
+    # The caller's argument is refused at the call, not blamed on the file or
+    # left to the seek at the first draw.
+    wp = make_wp()
+    stem = tmp_path / "frames"
+    write_frames(stem, np.zeros((3, wp.samples_per_cycle)), wp)
+    with pytest.raises(ParameterError, match="sync_offset_samples " + message):
+        read_frames(stem, wp, skip)
+
+
+@pytest.mark.parametrize(
     "delta", [-8, 8, 4 * make_wp().samples_per_cycle],
     ids=["8-bytes-short", "8-bytes-long", "one-cycle-long"],
 )
