@@ -139,40 +139,40 @@ def _words(value) -> list:
     return [value >> shift & 0xFFFFFFFF for shift in range(0, max(value.bit_length(), 1), 32)]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused before the cast
 def synthesize_block(wp: WorkingPoint, truths, amplitude: float, noise_sigma: float,
                      seed: int, cycle_index: int) -> np.ndarray:
     """Synthesize cycles ``cycle_index``, ``cycle_index + 1``, ... at targets
     ``truths``, one little-endian float32 row each (the export dtype).
 
-    Each ramp is ``amplitude * cos(2 pi |f_signed| t + phi)`` plus white
-    Gaussian noise, from ``default_rng((seed, k, r))`` for ramp r of cycle k,
-    seeded with its uint32 words.  Every ramp of the block is drawn first,
-    then each cycle is high-pass filtered by a fixed-shape product of its own:
-    a product over several cycles would round each by the batch width, and a
-    cycle is the same bytes in any block.  Zero amplitude gives a no-target cycle.
+    Ramp r is ``amplitude * cos(2 pi |f_signed| t + phi_r)`` plus white Gaussian
+    noise; cycle k draws its four phases, then its ``(4, n)`` noise (row r for ramp
+    r) from ``default_rng((seed, k))``, seeded with its uint32 words.  The block is
+    drawn first, then each cycle filtered by a fixed-shape product of its own: one
+    over several cycles would round by the batch width.  Zero amplitude gives a
+    no-target cycle; levels that take a sample past float32 raise ParameterError.
     """
     check_synthesis(amplitude, noise_sigma, seed=seed, cycle_index=cycle_index)
     n = wp.samples_per_ramp
     t = np.arange(n) / wp.sampling_rate
-    raw = np.empty((len(truths), n, 4))
+    operator, raw = _highpass_matrix(wp), np.empty((len(truths), n, 4))
     for c, gt in enumerate(truths):
-        words = _words(seed) + _words(cycle_index + c)
-        for index, slope in enumerate(ramp_slopes(wp)):
-            f = signed_beat(wp, slope, gt.distance_R, gt.velocity_v)
-            if abs(f) >= wp.nyquist:
-                raise AliasingError(
-                    f"beat frequency {f:.6g} Hz is at or above Nyquist ({wp.nyquist:.6g} Hz)"
-                )
-            rng = np.random.default_rng(np.array([*words, index], dtype=np.uint32))
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            raw[c, :, index] = amplitude * np.cos(2.0 * np.pi * abs(f) * t + phase)
-            if noise_sigma > 0:
-                raw[c, :, index] += rng.normal(0.0, noise_sigma, n)
-    block = np.empty((len(truths), 4, n), dtype="<f4")
-    operator = _highpass_matrix(wp)
-    for c, cycle in enumerate(raw):
-        block[c] = (operator @ cycle).T
-    return block.reshape(len(truths), 4 * n)
+        beats = [signed_beat(wp, slope, gt.distance_R, gt.velocity_v) for slope in ramp_slopes(wp)]
+        if abs(f := max(beats, key=abs)) >= wp.nyquist:
+            raise AliasingError(f"beat frequency {f:.6g} Hz is at or above Nyquist "
+                                f"({wp.nyquist:.6g} Hz)")
+        rng = np.random.default_rng(np.array(_words(seed) + _words(cycle_index + c), np.uint32))
+        phases = rng.uniform(0.0, 2.0 * np.pi, 4)[:, None]
+        ramps = amplitude * np.cos(2.0 * np.pi * np.abs(beats)[:, None] * t + phases)
+        if noise_sigma > 0:
+            ramps += rng.normal(0.0, noise_sigma, (4, n))
+        raw[c] = ramps.T
+    block = np.stack([operator @ cycle for cycle in raw]).transpose(0, 2, 1)
+    if not (within := np.abs(block) <= _FLOAT32_MAX).all():  # False at a NaN
+        cycle, ramp = divmod(int(within.argmin()) // n, 4)
+        raise ParameterError(f"amplitude {amplitude} and noise_sigma {noise_sigma} put cycle "
+                             f"{cycle_index + cycle}, ramp {ramp} beyond the float32 range")
+    return block.astype("<f4").reshape(len(truths), 4 * n)
 
 
 def synthesize_cycle(wp: WorkingPoint, gt: GroundTruth, amplitude: float, noise_sigma: float,

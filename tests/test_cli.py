@@ -1212,6 +1212,29 @@ def test_non_finite_synthesis_input_exits_nonzero(
     assert [p.name for p in tmp_path.iterdir()] == [config_path.name]
 
 
+@pytest.mark.parametrize("command, levels, message", [
+    ("synth", ["--amplitude", "1e39", "--distance", "0.04"],
+     "amplitude 1e+39 and noise_sigma 0.0"),
+    ("calibrate", ["--noise-sigma", "1e200"], "amplitude 0.0 and noise_sigma 1e+200"),
+    ("process", ["--amplitude", "1e39", "--noise-sigma", "0.3"],
+     "amplitude 1e+39 and noise_sigma 0.3"),
+], ids=["synth", "calibrate", "process"])
+def test_synthesis_levels_beyond_the_float32_export_exit_nonzero(
+    config_path, tmp_path, capsys, command, levels, message
+):
+    # Cast to float32, these samples were infinite: numpy warned, and the export
+    # or the front end then blamed its own input for them.
+    extra = {"synth": ["--cycles", "2"], "calibrate": ["--cycles", "16"],
+             "process": ["--calibration", str(_calibrate(config_path, tmp_path)),
+                         "--cycles", "2", "--distance", "0.04"]}[command]
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    err = _refused([command, "--config", str(config_path), "--out", str(tmp_path / "out"),
+                    *extra, *levels], ParameterError, capsys)
+    assert err == f"error: {message} put cycle 0, ramp 0 beyond the float32 range\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize(
     "command, suffixes, first, second",
     [

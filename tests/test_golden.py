@@ -34,11 +34,11 @@ from lfisensor.modulation import save_working_point
 from conftest import make_wp
 
 GOLDEN_SHA256 = {
-    "frames.f32": "21ea43130d6752a0d2bd5caa5e7396111a22b973d05bdd776a4a63c782bebe37",
+    "frames.f32": "cf25e5ddc42487837a2caad3c5ee9d3556ad4977f296ef7729a7c46e4f36cb73",
     "frames.json": "6142d193b6703d974402daaf54651b7ba466b944d1f0c1564ba5995b8b5a8508",
-    "cal.json": "8ffbde8969db3fb04a0b3c59b76ab63caeee43e19d2619c0f2729aab2223bdad",
-    "run.csv": "7a4d7f7f440c621eff314097631c37cbe9f2c03e9185a827c3116eec71bdf809",
-    "run.jsonl": "2a9e5376b8a7d5fa15766e4b1b5cd613bfafa3ff597470e864eb6f3cf7c4cec8",
+    "cal.json": "6c0ec1ab51f313c87b04347e25593467b0556afae42353f072ee75c87eb75427",
+    "run.csv": "cd9f1a2dea3e6979cdcbc07a1b883dfd23718f9dc85fe17116dc027868e3185c",
+    "run.jsonl": "57e8861bf906d8e003fe5f8a7ea65cd1dc5cf4842834b0e133c10f39fc7a411e",
 }
 
 NOISE_MODEL = {

@@ -226,9 +226,9 @@ def test_spectral_alone_names_max_work_bytes():
 
 
 def test_simulator_alone_builds_a_random_generator():
-    # The seeding rule, one generator per ramp from the uint32 words of (seed,
-    # cycle, ramp), has one home: a generator built anywhere else would seed
-    # its own way, and a second call site could drift from the first.
+    # The seeding rule, one generator per cycle from the uint32 words of (seed,
+    # cycle), has one home: a generator built anywhere else would seed its own
+    # way, and a second call site could drift from the first.
     calls = [name for name, tree in _modules() for node in ast.walk(tree)
              if isinstance(node, ast.Call) and {"random", "default_rng"} & _referenced(node.func)]
     assert calls == ["simulator.py"]

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -195,17 +196,19 @@ def test_synthetic_cycles_checks_its_arguments_before_the_first_block(
 
 
 def _oracle_cycle(wp, gt, amplitude, noise_sigma, seed, cycle_index):
-    """A cycle as the seeding rule defines it: ``default_rng((seed, k, r))`` for
-    ramp r of cycle k, then one ``(n, 4)`` product, then float32."""
+    """A cycle as the seeding rule defines it: one ``default_rng((seed, k))`` for
+    cycle k draws the four phases, then the ``(4, n)`` noise, row r for ramp r;
+    then one ``(n, 4)`` product, then float32."""
     n = wp.samples_per_ramp
     t = np.arange(n) / wp.sampling_rate
+    rng = np.random.default_rng((seed, cycle_index))
+    phases = rng.uniform(0.0, 2.0 * np.pi, 4)
     raw = np.empty((n, 4))
     for r, slope in enumerate(true_slopes(wp).tolist()):
         f = abs(signed_beat(wp, slope, gt.distance_R, gt.velocity_v))
-        rng = np.random.default_rng((seed, cycle_index, r))
-        raw[:, r] = amplitude * np.cos(2.0 * np.pi * f * t + rng.uniform(0.0, 2.0 * np.pi))
-        if noise_sigma > 0:
-            raw[:, r] += rng.normal(0.0, noise_sigma, n)
+        raw[:, r] = amplitude * np.cos(2.0 * np.pi * f * t + phases[r])
+    if noise_sigma > 0:
+        raw += rng.normal(0.0, noise_sigma, (4, n)).T
     return (_highpass_matrix(wp) @ raw).T.astype("<f4").ravel()
 
 
@@ -215,8 +218,8 @@ def _oracle_cycle(wp, gt, amplitude, noise_sigma, seed, cycle_index):
 ], ids=["seed-0", "seed-7", "seed-2^32-1", "seed-2^32", "seed-2^40+3", "seed-2^64+1",
         "seed-uint32", "index-2^32-1", "index-2^32", "index-2^64+1"])
 def test_seed_words_make_the_generator_of_the_seed_tuple(seed, cycle_index):
-    # Each ramp's generator is seeded with the uint32 words numpy makes of
-    # (seed, k, r): a rule that dropped a high word would seed another stream.
+    # Each cycle's generator is seeded with the uint32 words numpy makes of
+    # (seed, k): a rule that dropped a high word would seed another stream.
     wp, gt = make_wp(), GroundTruth(0.03, 0.01)
     assert (synthesize_cycle(wp, gt, 1.0, 0.2, seed, cycle_index).tobytes()
             == _oracle_cycle(wp, gt, 1.0, 0.2, seed, cycle_index).tobytes())
@@ -235,6 +238,52 @@ def test_synthetic_cycles_match_the_seeding_rule_in_every_block(n_cycles, moving
     expected = [_oracle_cycle(wp, truth(k if moving else 0), 1.0, 0.2, 23, k)
                 for k in range(n_cycles)]
     assert [cycle.tobytes() for cycle in source] == [cycle.tobytes() for cycle in expected]
+
+
+@pytest.mark.parametrize("n_cycles", [0, 1, 16, 17, 33])
+def test_synthetic_cycles_build_one_generator_per_cycle(monkeypatch, n_cycles):
+    # Seeding a generator is most of a cycle's cost beyond the product and the
+    # draws; cycle k's is seeded with the words of (seed, k) and no other is built.
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def counted(seed):
+        seeds.append(np.asarray(seed).tolist())
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    list(synthetic_cycles(make_wp(), GroundTruth(0.03, 0.01), 1.0, 0.2, 23, n_cycles))
+    assert seeds == [[23, k] for k in range(n_cycles)]
+
+
+@pytest.mark.parametrize("amplitude, noise_sigma", [(1e39, 0.0), (0.0, 1e200), (1e308, 1e308)],
+                         ids=["amplitude", "noise", "float64-overflow"])
+def test_synthesis_refuses_levels_beyond_the_float32_export(amplitude, noise_sigma):
+    # Cast to float32, such samples would be infinite, with only numpy's warning.
+    wp = make_wp()
+    with pytest.raises(ParameterError, match=re.escape(
+            f"amplitude {amplitude} and noise_sigma {noise_sigma} put cycle 5, ramp 0 "
+            "beyond the float32 range")):
+        simulator.synthesize_block(wp, [GroundTruth(0.03, 0.01)] * 3, amplitude, noise_sigma,
+                                   seed=1, cycle_index=5)
+
+
+def test_synthesis_names_the_first_cycle_and_ramp_beyond_float32():
+    # The noise passes the float32 range on a few samples only (first in cycle 2,
+    # ramp 1): the first is found in the float64 cycles the rule defines.
+    wp, gt, sigma = make_wp(), GroundTruth(0.03, 0.01), 8e37
+    first = None
+    for k in range(8):
+        rng = np.random.default_rng((1, k))
+        rng.uniform(0.0, 2.0 * np.pi, 4)
+        raw = rng.normal(0.0, sigma, (4, wp.samples_per_ramp)).T
+        beyond = (np.abs(_highpass_matrix(wp) @ raw) > np.finfo(np.float32).max).any(axis=0)
+        if beyond.any():
+            first = k, int(beyond.argmax())
+            break
+    assert first is not None
+    with pytest.raises(ParameterError, match=rf"put cycle {first[0]}, ramp {first[1]} beyond"):
+        simulator.synthesize_block(wp, [gt] * 8, 0.0, sigma, seed=1, cycle_index=0)
 
 
 def _ramp_samples(wp, ramp, gt, amplitude, noise_sigma, seed):
