@@ -175,17 +175,12 @@ def cmd_process(args) -> tuple:
 
 def cmd_blindmap(args) -> tuple:
     wp, _ = read_config_file(args.config)
-    bm = blind_map(
-        wp,
-        (args.v_min, args.v_max),
-        (args.r_min, args.r_max),
-        (args.resolution, args.resolution),
-    )
+    v_range, r_range = (args.v_min, args.v_max), (args.r_min, args.r_max)
+    bm = blind_map(wp, v_range, r_range, (args.resolution, args.resolution))
     grid_path = f"{args.out}.grid.txt"
     write_blind_map_csv(bm, args.out)
     write_blind_map_grid(bm, grid_path)
-    inputs = {"v_range_mps": [args.v_min, args.v_max], "r_range_m": [args.r_min, args.r_max],
-              "resolution": args.resolution}
+    inputs = {"v_range_mps": v_range, "r_range_m": r_range, "resolution": args.resolution}
     worst = int(bm.blind_count.max())
     return (inputs, [args.out, grid_path],
             f"blind map {args.resolution}x{args.resolution}, worst cell: {worst} blind ramps")
@@ -194,14 +189,10 @@ def cmd_blindmap(args) -> tuple:
 def cmd_mindist(args) -> tuple:
     wp, _ = read_config_file(args.config)
     distance = min_reliable_distance(wp, args.v_max)
-    write_atomic(
-        args.out,
-        json.dumps(
-            {"min_reliable_distance_m": _json_number(distance), "v_max_mps": args.v_max},
-            sort_keys=True,
-        ),
-    )
-    return ({"v_max_mps": args.v_max}, [args.out],
+    inputs = {"v_max_mps": args.v_max}
+    result = {"min_reliable_distance_m": _json_number(distance), **inputs}
+    write_atomic(args.out, json.dumps(result, sort_keys=True))
+    return (inputs, [args.out],
             f"minimum reliable distance: {1e3 * distance:.3f} mm (|v| <= {args.v_max} m/s)")
 
 

@@ -89,10 +89,10 @@ def highpass(samples, wp: WorkingPoint) -> np.ndarray:
     The designed filter has its -3 dB point at ``wp.hp_cutoff``; applied
     forward-backward the effective response is the squared magnitude,
     about -25 dB at half the cutoff and -0.5 dB at twice the cutoff.
-    A zero cutoff bypasses the filter.
+    A zero cutoff bypasses the filter, and so does a signal of no samples.
     """
     x = np.asarray(samples, dtype=float)
-    if wp.hp_cutoff == 0.0:
+    if wp.hp_cutoff == 0.0 or not x.size:
         return x.copy()
     # The biquad b = b0 [1, -2, 1], a = [1, a1, a2]: the bilinear transform
     # of the analog Butterworth prototype, prewarped to the cutoff.
@@ -113,7 +113,7 @@ def _highpass_matrix(wp: WorkingPoint) -> np.ndarray:
     """Time-major ``M``: ``M @ x == highpass(x.T, wp).T`` for ramps in columns.
 
     Column ``i`` is the filter's response to a unit impulse at sample ``i``;
-    ``(n, n) @ (n, 4)`` runs several times faster than ``(4, n) @ (n, n)``.
+    synthesis filters ramps in columns, ``(n, n) @ (n, 4 * STREAM_BLOCK)``.
     """
     m = np.ascontiguousarray(highpass(np.eye(wp.samples_per_ramp), wp).T)
     m.flags.writeable = False
@@ -147,32 +147,39 @@ def synthesize_block(wp: WorkingPoint, truths, amplitude: float, noise_sigma: fl
 
     Ramp r is ``amplitude * cos(2 pi |f_signed| t + phi_r)`` plus white Gaussian
     noise; cycle k draws its four phases, then its ``(4, n)`` noise (row r for ramp
-    r) from ``default_rng((seed, k))``, seeded with its uint32 words.  The block is
-    drawn first, then each cycle filtered by a fixed-shape product of its own: one
-    over several cycles would round by the batch width.  Zero amplitude gives a
-    no-target cycle; levels that take a sample past float32 raise ParameterError.
+    r) from ``default_rng((seed, k))``, seeded with its uint32 words.  Each aligned
+    group of :data:`STREAM_BLOCK` cycles is filtered by one C-contiguous ``(n, n) @
+    (n, 4 * STREAM_BLOCK)`` product, cycle k in columns ``4 * (k % STREAM_BLOCK)`` on
+    and zeros in the others: a product's float64 bits depend on its width, so a fixed
+    width and column make cycle k's bytes depend on k alone, not on its block.  Zero
+    amplitude gives a no-target cycle; levels past float32 raise ParameterError.
     """
     check_synthesis(amplitude, noise_sigma, seed=seed, cycle_index=cycle_index)
-    n = wp.samples_per_ramp
+    n, count = wp.samples_per_ramp, len(truths)
+    targets = np.array([(gt.distance_R, gt.velocity_v) for gt in truths]).reshape(count, 2)
+    beats = signed_beat(wp, np.array(ramp_slopes(wp)), targets[:, :1], targets[:, 1:])
+    if (over := np.abs(beats).max(axis=1, initial=0.0) >= wp.nyquist).any():
+        raise AliasingError(f"beat frequency {max(beats[over.argmax()], key=abs):.6g} Hz is at "
+                            f"or above Nyquist ({wp.nyquist:.6g} Hz)")
+    rngs = [np.random.default_rng(np.array(_words(seed) + _words(k), np.uint32))
+            for k in range(cycle_index, cycle_index + count)]
+    phases = np.array([rng.uniform(0.0, 2.0 * np.pi, 4) for rng in rngs]).reshape(count, 4, 1)
+    # Slot s holds cycle cycle_index - first + s; the slots fill whole groups.
+    first = cycle_index % STREAM_BLOCK if count else 0
+    slots = np.zeros((-(-(first + count) // STREAM_BLOCK) * STREAM_BLOCK, 4, n))
+    cycles = slots[first : first + count]
     t = np.arange(n) / wp.sampling_rate
-    operator, raw = _highpass_matrix(wp), np.empty((len(truths), n, 4))
-    for c, gt in enumerate(truths):
-        beats = [signed_beat(wp, slope, gt.distance_R, gt.velocity_v) for slope in ramp_slopes(wp)]
-        if abs(f := max(beats, key=abs)) >= wp.nyquist:
-            raise AliasingError(f"beat frequency {f:.6g} Hz is at or above Nyquist "
-                                f"({wp.nyquist:.6g} Hz)")
-        rng = np.random.default_rng(np.array(_words(seed) + _words(cycle_index + c), np.uint32))
-        phases = rng.uniform(0.0, 2.0 * np.pi, 4)[:, None]
-        ramps = amplitude * np.cos(2.0 * np.pi * np.abs(beats)[:, None] * t + phases)
-        if noise_sigma > 0:
-            ramps += rng.normal(0.0, noise_sigma, (4, n))
-        raw[c] = ramps.T
-    block = np.stack([operator @ cycle for cycle in raw]).transpose(0, 2, 1)
-    if not (within := np.abs(block) <= _FLOAT32_MAX).all():  # False at a NaN
+    cycles[...] = amplitude * np.cos(2.0 * np.pi * np.abs(beats)[..., None] * t + phases)
+    if noise_sigma > 0:
+        for cycle, rng in zip(cycles, rngs):
+            cycle += rng.normal(0.0, noise_sigma, (4, n))
+    for group in slots.reshape(-1, 4 * STREAM_BLOCK, n):
+        group[...] = (_highpass_matrix(wp) @ np.ascontiguousarray(group.T)).T
+    if not (within := np.abs(cycles) <= _FLOAT32_MAX).all():  # False at a NaN
         cycle, ramp = divmod(int(within.argmin()) // n, 4)
         raise ParameterError(f"amplitude {amplitude} and noise_sigma {noise_sigma} put cycle "
                              f"{cycle_index + cycle}, ramp {ramp} beyond the float32 range")
-    return block.astype("<f4").reshape(len(truths), 4 * n)
+    return cycles.astype("<f4").reshape(count, 4 * n)
 
 
 def synthesize_cycle(wp: WorkingPoint, gt: GroundTruth, amplitude: float, noise_sigma: float,

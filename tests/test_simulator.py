@@ -144,8 +144,8 @@ def test_synthesis_takes_numpy_integers():
 def test_cycle_bytes_do_not_depend_on_the_other_cycles(monkeypatch):
     # Cycle k of any stream is synthesize_cycle(k) byte for byte, whichever
     # cycles are made with it and in whatever order.  BLAS rounds a product
-    # over several cycles differently in float64, but the float32 output
-    # rarely shows it, so the shape of every product is checked as well.
+    # by its width in float64, but the float32 output rarely shows it, so the
+    # shape of every product is checked as well: one width for every group.
     wp = make_wp()
     operands = []
 
@@ -167,7 +167,45 @@ def test_cycle_bytes_do_not_depend_on_the_other_cycles(monkeypatch):
         for k in order:
             cycle = synthesize_cycle(wp, truth(k), 1.0, 0.2, seed=19, cycle_index=k)
             assert cycle.tobytes() == stream[k].tobytes()
-    assert operands == [(wp.samples_per_ramp, 4)] * (16 + 5 + 16 + 16 + 3)
+    assert operands == [(wp.samples_per_ramp, 4 * STREAM_BLOCK)] * (1 + 1 + 16 + 16 + 3)
+
+
+@given(cycle_index=st.integers(0, 3 * STREAM_BLOCK - 1),
+       count=st.integers(0, 2 * STREAM_BLOCK + 1))
+@settings(max_examples=12, deadline=None)
+@example(cycle_index=STREAM_BLOCK - 1, count=2 * STREAM_BLOCK + 1)
+def test_block_rows_are_their_cycles_from_any_start(cycle_index, count):
+    # Unaligned starts, blocks across a group boundary and blocks longer than a
+    # group fill the same columns of the same-width products as a cycle alone.
+    wp = make_wp()
+
+    def truth(k):
+        return GroundTruth(0.02 + 0.0005 * k, 0.03 * (-1) ** k)
+
+    block = simulator.synthesize_block(wp, [truth(cycle_index + c) for c in range(count)],
+                                       1.0, 0.2, 29, cycle_index)
+    assert block.shape == (count, wp.samples_per_cycle) and block.dtype == "<f4"
+    for c, row in enumerate(block):
+        k = cycle_index + c
+        assert row.tobytes() == synthesize_cycle(wp, truth(k), 1.0, 0.2, 29, k).tobytes()
+
+
+@pytest.mark.parametrize("levels, seed, cycle_index, message", [
+    ({}, 1, 0, None),
+    ({"amplitude": math.inf}, 1, 0, "amplitude must be finite and >= 0, got inf"),
+    ({"noise_sigma": -0.5}, 1, 0, "noise_sigma must be finite and >= 0, got -0.5"),
+    ({}, -2, 0, "seed must be >= 0, got -2"),
+    ({}, 1, 3.0, "cycle_index must be an integer, got 3.0"),
+], ids=["empty", "infinite-amplitude", "negative-noise", "negative-seed", "float-index"])
+def test_empty_block_is_an_empty_export_once_checked(levels, seed, cycle_index, message):
+    wp, levels = make_wp(), {"amplitude": 1.0, "noise_sigma": 0.3, **levels}
+    if message is not None:
+        with pytest.raises(ParameterError, match=message):
+            simulator.synthesize_block(wp, [], **levels, seed=seed, cycle_index=cycle_index)
+        return
+    for index in (0, 5, STREAM_BLOCK):
+        block = simulator.synthesize_block(wp, [], **levels, seed=seed, cycle_index=index)
+        assert block.shape == (0, wp.samples_per_cycle) and block.dtype == "<f4"
 
 
 @pytest.mark.parametrize("levels, seed, n_cycles, message", [
@@ -351,6 +389,13 @@ def test_highpass_zero_in_zero_out():
     wp = make_wp()
     out = highpass(np.zeros(1000), wp)
     np.testing.assert_array_equal(out, 0.0)
+
+
+@pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 7)])
+@pytest.mark.parametrize("cutoff", [0.0, 50e3], ids=["bypass", "filtered"])
+def test_highpass_of_no_samples_is_empty(shape, cutoff):
+    out = highpass(np.zeros(shape), make_wp(hp_cutoff=cutoff))
+    assert out.shape == shape and out.dtype == float
 
 
 def test_highpass_passes_tone_well_above_cutoff():
