@@ -33,7 +33,7 @@ from .modulation import (
 )
 from .peaks import DEFAULT_WINDOW, METHODS, WEIGHTED_AVERAGE, estimate_peaks
 from .simulator import check_sync_offset, check_synthesis, cycle_blocks, synthesize_block
-from .solver import STATUS_INVALID, Measurement, disambiguate, propagate_noise, triple_tables
+from .solver import STATUS_INVALID, Measurement, disambiguate, triple_tables
 from .spectral import (
     DEFAULT_ALPHA,
     DEFAULT_BETA,
@@ -216,30 +216,23 @@ def _attach_sigmas(
 ) -> Measurement:
     """Fill sigma_R/sigma_v from the noise model at the measured point.
 
-    Only the steepest selected ramp pair's beat sigmas are predicted and
-    propagated (the pair :func:`~.solver.triple_tables` holds for the triple);
-    the third selected ramp plays no part.
+    Each selected ramp's beat sigma is predicted and put through the weights of
+    the reported R and v on the selected beats (:func:`~.solver.triple_tables`):
+    ``sigma_R = sqrt(sum((w_R,k sigma_k)**2))``, and the same for v.  A selected
+    ramp the model cannot predict leaves both sigmas NaN.
     """
-    i, j, slope_i, slope_j = triple_tables(cfg.working_point)[measurement.selected_ramps][-1]
+    wp, m = cfg.working_point, measurement
+    table = triple_tables(wp)[m.selected_ramps]
     try:
-        sigma_i, sigma_j = (
-            predict_sigma_fb(
-                cfg.noise_model,
-                f_ramp_rate=cfg.working_point.ramp_rate,
-                slope_S=abs(slope),
-                beat_f_b=peaks[idx].beat_frequency,
-                velocity_v=abs(measurement.velocity_v),
-                distance_R=measurement.distance_R,
-                n_avg=n_window,
-            )
-            for idx, slope in ((i, slope_i), (j, slope_j))
-        )
+        s0, s1, s2 = [predict_sigma_fb(cfg.noise_model, f_ramp_rate=wp.ramp_rate,
+                                       slope_S=abs(slope), beat_f_b=peaks[i].beat_frequency,
+                                       velocity_v=abs(m.velocity_v), distance_R=m.distance_R,
+                                       n_avg=n_window)
+                      for i, slope in zip(m.selected_ramps, table[0])]
     except ParameterError:
-        return measurement
-    sigma_r, sigma_v = propagate_noise(
-        sigma_i, sigma_j, slope_i, slope_j, cfg.working_point.emitted_frequency
-    )
-    m = measurement
+        return m
+    (r0, r1, r2), (v0, v1, v2) = table[-1]
+    sigma_r, sigma_v = math.hypot(r0 * s0, r1 * s1, r2 * s2), math.hypot(v0 * s0, v1 * s1, v2 * s2)
     return Measurement(m.distance_R, m.velocity_v, sigma_r, sigma_v, m.sign_combo,
                        m.selected_ramps, m.cluster_spread, m.status)
 

@@ -108,18 +108,21 @@ def _var3(a: float, b: float, c: float) -> float:
 def triple_tables(wp: WorkingPoint) -> dict:
     """For each kept ramp triple ``(i, j, k)`` of ``wp``: its signed slopes, then
     ``2 dS`` and ``f_e dS`` of its pairs ``(i, j)``, ``(i, k)`` and ``(j, k)``,
-    ``dS`` being the pair's slope difference, and last its steepest pair, the
-    one of greatest ``|dS|`` (the first in that order on a tie), as its two
-    ramps and their signed slopes (cached and shared: do not modify)."""
-    slopes, f_e = ramp_slopes(wp), wp.emitted_frequency
+    ``dS`` being the pair's slope difference, and last ``(w_R, w_v)``, the weights of
+    the reported R and v on the triple's three signed beats: as means of the three
+    pairwise solutions, both are linear in the beats (cached and shared: do not modify)."""
+    slopes, f_e, c = ramp_slopes(wp), wp.emitted_frequency, SPEED_OF_LIGHT
     tables = {}
     for triple in itertools.combinations(range(4), 3):
-        s0, s1, s2 = (slopes[i] for i in triple)
-        d01, d02, d12 = s0 - s1, s0 - s2, s1 - s2
-        (a, b), _ = max(zip(itertools.combinations(triple, 2), (d01, d02, d12)),
-                        key=lambda pair: abs(pair[1]))
-        tables[triple] = ((s0, s1, s2), 2.0 * d01, 2.0 * d02, 2.0 * d12,
-                          f_e * d01, f_e * d02, f_e * d12, (a, b, slopes[a], slopes[b]))
+        s = [slopes[i] for i in triple]
+        d01, d02, d12 = s[0] - s[1], s[0] - s[2], s[1] - s[2]
+        w_r, w_v = [0.0] * 3, [0.0] * 3
+        for (a, b), d in zip(itertools.combinations(range(3), 2), (d01, d02, d12)):
+            k_r, k_v = c / (6.0 * d), c / (3.0 * f_e * d)
+            w_r[a], w_r[b] = w_r[a] + k_r, w_r[b] - k_r
+            w_v[a], w_v[b] = w_v[a] - k_v * s[b], w_v[b] + k_v * s[a]
+        tables[triple] = (tuple(s), 2.0 * d01, 2.0 * d02, 2.0 * d12,
+                          f_e * d01, f_e * d02, f_e * d12, (tuple(w_r), tuple(w_v)))
     return tables
 
 

@@ -51,8 +51,9 @@ class Calibration:
     sync_offset_samples: int
 
     def __post_init__(self):
-        if self.n_cycles < 1:
-            raise CalibrationError(f"cycles must be >= 1, got {self.n_cycles}")
+        if self.n_cycles < MIN_CALIBRATION_CYCLES:  # fewer than calibrate() writes
+            raise CalibrationError(f"cycles must be >= {MIN_CALIBRATION_CYCLES}, "
+                                   f"got {self.n_cycles}")
         check_sync_offset(self.sync_offset_samples, 4 * self.samples_per_ramp)
         for name in ("reference_mean", "reference_sigma"):
             rows = getattr(self, name)

@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from lfisensor import GroundTruth, WorkingPoint, calibrate, synthetic_cycles, write_frames
+from lfisensor import (GroundTruth, WorkingPoint, calibrate, pair_solution, synthetic_cycles,
+                       write_frames)
 
 #: Speed of light used by independent test oracles (CODATA exact value).
 C = 299792458.0
@@ -54,6 +57,20 @@ def true_slopes(wp) -> np.ndarray:
 def true_beats(wp, distance, velocity) -> np.ndarray:
     """Independent forward model: signed beats of the four ramps."""
     return (2.0 * distance * true_slopes(wp) + wp.emitted_frequency * velocity) / C
+
+
+def estimate_weights(wp, triple) -> list:
+    """Independent oracle: ``(w_R, w_v)`` of each ramp of ``triple``, the weights of
+    the solver's reported (R, v), the mean of the triple's three pairwise
+    :func:`pair_solution` results, on the ramps' signed beats.  ``pair_solution`` is
+    linear in the beats, so a weight is that mean at a unit beat on its ramp alone."""
+    slopes, weights = true_slopes(wp).tolist(), []
+    for k in triple:
+        solutions = [pair_solution(float(a == k), slopes[a], float(b == k), slopes[b],
+                                   wp.emitted_frequency)
+                     for a, b in itertools.combinations(triple, 2)]
+        weights.append(tuple(sum(column) / 3.0 for column in zip(*solutions)))
+    return weights
 
 
 def write_offset_export(stem, wp, aligned, skip) -> None:

@@ -21,7 +21,7 @@ from lfisensor import (Calibration, CalibrationError, FramingError, GroundTruth,
 from lfisensor.cli import _CSV_HEADER, _build_parser, main
 from lfisensor.modulation import WORKING_POINT_KEYS, save_working_point
 from lfisensor.simulator import STREAM_BLOCK
-from lfisensor.spectral import MAX_WORK_BYTES
+from lfisensor.spectral import MAX_WORK_BYTES, MIN_CALIBRATION_CYCLES
 
 from conftest import make_wp, write_offset_export
 from test_analysis import (OBSERVATION_FIELDS, TRUE_COEFFS, _synthetic_observations,
@@ -946,6 +946,8 @@ def _set_bin(key, ramp, value):
         # Counts would otherwise be truncated or read from a bool without a word.
         (lambda payload: {**payload, "cycles": 16.9}, "cycles: cannot read 16.9 as int"),
         (lambda payload: {**payload, "cycles": True}, "cycles: cannot read True as int"),
+        # calibrate() never writes fewer cycles than it needs.
+        (lambda payload: {**payload, "cycles": 15}, "cycles must be >= 16, got 15"),
         (lambda payload: {**payload, "samples_per_ramp": 500.9},
          "samples_per_ramp: cannot read 500.9 as int"),
         (lambda payload: {**payload, "sampling_rate_hz": "2e6"},
@@ -960,7 +962,8 @@ def _set_bin(key, ramp, value):
          "sync_offset_samples must be in [0, 2000), got 2000"),
     ],
     ids=["not-json", "not-an-object", "missing-key", "null-cycles", "version-1", "ragged", "nan",
-         "inf", "negative", "fractional-cycles", "bool-cycles", "fractional-samples", "string-rate",
+         "inf", "negative", "fractional-cycles", "bool-cycles", "too-few-cycles",
+         "fractional-samples", "string-rate",
          "extra-key", "string-bin", "bool-bin", "huge-bin",
          "offset-past-the-cycle"],
 )
@@ -1468,14 +1471,15 @@ def _is_noise_model(model) -> bool:
 
 
 def _is_calibration(payload, valid) -> bool:
-    """Every calibration key and no other, the version an int 3, a count >= 1,
-    and the rest equal to ``valid`` (a rate may be an int)."""
+    """Every calibration key and no other, the version an int 3, a count of at least
+    the cycles ``calibrate`` needs, and the rest equal to ``valid`` (a rate may be an
+    int)."""
     def same(key):
         kinds = (int, float) if key == "sampling_rate_hz" else (type(valid[key]),)
         return type(payload[key]) in kinds and payload[key] == valid[key]
 
     return (isinstance(payload, dict) and set(payload) == set(valid)
-            and type(payload["cycles"]) is int and payload["cycles"] >= 1
+            and type(payload["cycles"]) is int and payload["cycles"] >= MIN_CALIBRATION_CYCLES
             and all(same(key) for key in valid if key != "cycles"))
 
 

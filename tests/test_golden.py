@@ -37,8 +37,8 @@ GOLDEN_SHA256 = {
     "frames.f32": "cf25e5ddc42487837a2caad3c5ee9d3556ad4977f296ef7729a7c46e4f36cb73",
     "frames.json": "6142d193b6703d974402daaf54651b7ba466b944d1f0c1564ba5995b8b5a8508",
     "cal.json": "6c0ec1ab51f313c87b04347e25593467b0556afae42353f072ee75c87eb75427",
-    "run.csv": "cd9f1a2dea3e6979cdcbc07a1b883dfd23718f9dc85fe17116dc027868e3185c",
-    "run.jsonl": "57e8861bf906d8e003fe5f8a7ea65cd1dc5cf4842834b0e133c10f39fc7a411e",
+    "run.csv": "040fa77950f4f436a4c942cbda7f1a3364266db5a1e6b8b183b587aee60a0b03",
+    "run.jsonl": "ef690fffa52067c041d8ec57e67fd63a9f15d9d75044e79df17ca8606b540669",
 }
 
 NOISE_MODEL = {

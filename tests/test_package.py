@@ -21,6 +21,8 @@ UNREFERENCED = {
     "pair_solution": "the paper's two-ramp equation: the reference the solver's inlined "
     "pair solves are tested against",
     "save_working_point": "writes the flat config file that read_config_file reads",
+    "propagate_noise": "the paper's two-ramp noise law, checked by criterion 6; a record's "
+    "sigmas weigh all three selected ramps",
 }
 
 #: Parameters with a default (``function.parameter``) that no call in the

@@ -27,7 +27,6 @@ from lfisensor import (
     estimate_peaks,
     process_block,
     process_cycle,
-    propagate_noise,
     read_frames,
     run_stream,
     signed_beat,
@@ -42,7 +41,8 @@ from lfisensor.pipeline import _attach_sigmas, read_config_file
 from lfisensor.simulator import STREAM_BLOCK
 from lfisensor.spectral import MIN_CALIBRATION_CYCLES, Calibration, bin_frequencies
 
-from conftest import C, make_wp, poke_raw, true_beats, true_slopes, write_offset_export
+from conftest import (C, estimate_weights, make_wp, poke_raw, true_beats, true_slopes,
+                      write_offset_export)
 from test_spectral import _push, _window
 
 
@@ -213,6 +213,14 @@ def test_replay_rejects_other_working_point(wp, tmp_path):
         read_frames(stem, other, 0)
 
 
+def _propagated(wp, triple, sigmas):
+    """Oracle: ``sqrt(sum((w sigma)**2))`` of R and of v over the ramps of ``triple``,
+    with :func:`conftest.estimate_weights`."""
+    weights = estimate_weights(wp, triple)
+    return tuple(math.sqrt(sum((w[q] * sigma) ** 2 for w, sigma in zip(weights, sigmas)))
+                 for q in (0, 1))
+
+
 def test_noise_model_fills_sigmas(wp, quiet_cal):
     nm = NoiseModelCoefficients(a1=0.0, a2=0.0, a3=0.5, a4=0.0, a5=0.0, b=-1.0,
                                 fit_residual=0.0)
@@ -223,25 +231,14 @@ def test_noise_model_fills_sigmas(wp, quiet_cal):
     assert m.status == "ok"
     assert math.isfinite(m.sigma_R) and m.sigma_R > 0
     assert math.isfinite(m.sigma_v) and m.sigma_v > 0
-    # Oracle: steepest selected pair fed through the propagation law.
-    slopes = true_slopes(wp).tolist()
-    sel = m.selected_ramps
-    import itertools
-
-    i, j = max(
-        itertools.combinations(sel, 2),
-        key=lambda ij: abs(slopes[ij[0]] - slopes[ij[1]]),
-    )
-
-    def sigma(idx):
-        return 10 ** (0.5 * math.log10(record.peaks[idx].beat_frequency) - 1.0)
-
-    expected = propagate_noise(sigma(i), sigma(j), slopes[i], slopes[j],
-                               wp.emitted_frequency)
+    # Oracle: every selected ramp's model sigma through the estimate's own weights.
+    sigmas = [10 ** (0.5 * math.log10(record.peaks[i].beat_frequency) - 1.0)
+              for i in m.selected_ramps]
+    expected = _propagated(wp, m.selected_ramps, sigmas)
     assert (m.sigma_R, m.sigma_v) == pytest.approx(expected, rel=1e-12)
 
 
-def test_sigma_attachment_uses_steepest_pair(wp, quiet_cal, monkeypatch):
+def test_sigma_attachment_weighs_every_selected_ramp(wp, quiet_cal, monkeypatch):
     beats = true_beats(wp, 0.05, 0.02)
     sigma_by_beat = dict(zip(np.abs(beats).tolist(), (40.0, 60.0, 20.0, 30.0)))
     monkeypatch.setattr(
@@ -254,17 +251,18 @@ def test_sigma_attachment_uses_steepest_pair(wp, quiet_cal, monkeypatch):
     )
     nm = NoiseModelCoefficients(0.0, 0.0, 0.5, 0.0, 0.0, -1.0, 0.0)
     cfg = _config(wp, quiet_cal, noise_model=nm)
-    m = _attach_sigmas(disambiguate(peaks, wp), peaks, cfg, n_window=1)
+    measurement = disambiguate(peaks, wp)
+    m = _attach_sigmas(measurement, peaks, cfg, n_window=1)
     assert m.selected_ramps == (0, 1, 2)
-    # steepest selected pair is (0, 1): |S - (-S)| = 2S
-    slopes = true_slopes(wp).tolist()
-    expected = propagate_noise(40.0, 60.0, slopes[0], slopes[1], wp.emitted_frequency)
-    assert (m.sigma_R, m.sigma_v) == expected
+    # Ramp 2, outside the steepest pair (0, 1), weighs in as well.
+    expected = _propagated(wp, (0, 1, 2), (40.0, 60.0, 20.0))
+    assert (m.sigma_R, m.sigma_v) == pytest.approx(expected, rel=1e-12)
+    assert repr(replace(m, sigma_R=math.nan, sigma_v=math.nan)) == repr(measurement)
 
 
-def test_sigma_attachment_ignores_the_third_selected_ramp(wp, quiet_cal):
-    # Ramp 2 is selected but outside the steepest pair (0, 1); its beat at
-    # 0 Hz is outside the noise model's log domain and must not matter.
+def test_a_selected_ramp_outside_the_model_domain_leaves_the_sigmas_nan(wp, quiet_cal):
+    # Ramp 2 is selected, so its beat at 0 Hz, outside the noise model's log
+    # domain, leaves both sigmas NaN and the rest of the measurement as it is.
     beats = [abs(f) for f in true_beats(wp, 0.05, 0.02)]
     beats[2] = 0.0
     peaks = tuple(
@@ -275,13 +273,40 @@ def test_sigma_attachment_ignores_the_third_selected_ramp(wp, quiet_cal):
     cfg = _config(wp, quiet_cal, noise_model=nm)
     measurement = disambiguate(peaks, wp)
     assert measurement.selected_ramps == (0, 1, 2)
-    m = _attach_sigmas(measurement, peaks, cfg, n_window=1)
-    slopes = true_slopes(wp).tolist()
-    expected = propagate_noise(
-        10 ** (0.5 * math.log10(beats[0]) - 1.0), 10 ** (0.5 * math.log10(beats[1]) - 1.0),
-        slopes[0], slopes[1], wp.emitted_frequency,
-    )
-    assert (m.sigma_R, m.sigma_v) == pytest.approx(expected, rel=1e-12)
+    assert repr(_attach_sigmas(measurement, peaks, cfg, n_window=1)) == repr(measurement)
+    assert math.isnan(measurement.sigma_R) and math.isnan(measurement.sigma_v)
+
+
+def test_record_sigmas_match_the_scatter_of_the_records(wp, noisy_cal, monkeypatch):
+    """Each ramp's empirical beat std, put through the pipeline's sigma attachment,
+    gives every record a sigma; their RMS matches the records' empirical std of R
+    and of v, at four targets with every ramp clear of the cutoff.
+
+    Tolerance from the sample size: each side is a sample std over the N records,
+    of relative standard error ``1 / sqrt(2 (N - 1))`` for normal scatter.  Taken
+    as independent (they share the records, which only narrows their ratio), the
+    ratio's relative standard error is at most ``1 / sqrt(N - 1)``; 4 of those are
+    allowed.  Propagating the steepest selected pair alone reads 0.72-0.81 here.
+    """
+    cfg, by_beat = _config(wp, noisy_cal), {}
+    monkeypatch.setattr(pipeline, "predict_sigma_fb",
+                        lambda coeffs, **kw: by_beat[kw["beat_f_b"]])
+    for k, (r, v) in enumerate([(0.03, 0.02), (0.05, -0.04), (0.07, 0.06), (0.04, -0.08)]):
+        records = list(run_stream(synthetic_cycles(wp, GroundTruth(r, v), 1.0, 0.3,
+                                                   seed=500 + k, n_cycles=600), cfg))
+        signs = np.sign(true_beats(wp, r, v))
+        assert all(x.measurement.status == "ok" and x.measurement.sign_combo
+                   == tuple(signs[list(x.measurement.selected_ramps)]) for x in records)
+        stds = np.std([[p.beat_frequency for p in x.peaks] for x in records], axis=0).tolist()
+        sigmas = []
+        for x in records:
+            by_beat = {p.beat_frequency: std for p, std in zip(x.peaks, stds)}
+            m = _attach_sigmas(x.measurement, x.peaks, cfg, n_window=1)
+            sigmas.append((m.sigma_R, m.sigma_v))
+        rms = np.sqrt(np.mean(np.square(sigmas), axis=0))
+        scatter = np.std([(x.measurement.distance_R, x.measurement.velocity_v)
+                          for x in records], axis=0)
+        assert rms / scatter == pytest.approx([1.0, 1.0], abs=4.0 / math.sqrt(len(records) - 1))
 
 
 def _two_stacks_mean(pushed, t, n_avg):
@@ -533,6 +558,8 @@ def test_config_accepts_boundary_settings(wp, quiet_cal):
             sync_offset_samples=last)
     _config(wp, quiet_cal, interp_window=1023)
     _config(wp, _flat_calibration(wp, 512), fft_bins=512)
+    frame_512 = make_wp(ramp_duration=0.256e-3)  # an FFT no longer than the frame
+    _config(frame_512, _flat_calibration(frame_512, 512), fft_bins=512)
     _config(wp, quiet_cal, n_avg=16384)  # a ring of MAX_WORK_BYTES
     _config(wp, _flat_calibration(wp, 2**19), fft_bins=2**19)  # work arrays of 768 MiB
 

@@ -383,6 +383,13 @@ def test_aliasing_rejected():
     gt = GroundTruth(0.2, 0.0)  # steep beat ~1.3 MHz > 1 MHz Nyquist
     with pytest.raises(AliasingError, match="Nyquist"):
         synthesize_cycle(wp, gt, 1.0, 0.0, seed=0, cycle_index=0)
+    # A steep beat of exactly 1 MHz is at Nyquist, so refused; one ulp nearer is not.
+    at_nyquist = 0.149896229
+    assert signed_beat(wp, wp.steep_slope, at_nyquist, 0.0) == wp.nyquist
+    with pytest.raises(AliasingError, match="at or above Nyquist"):
+        synthesize_cycle(wp, GroundTruth(at_nyquist, 0.0), 1.0, 0.0, seed=0, cycle_index=0)
+    synthesize_cycle(wp, GroundTruth(math.nextafter(at_nyquist, 0.0), 0.0), 1.0, 0.0, seed=0,
+                     cycle_index=0)
 
 
 def test_highpass_zero_in_zero_out():
@@ -531,6 +538,9 @@ def test_write_frames_refuses_samples_beyond_float32(tmp_path, value):
     wp = make_wp()
     cycles = np.zeros((4, wp.samples_per_cycle))
     cycles[2, 3 * wp.samples_per_ramp + 7] = value
+    # Samples of exactly the float32 limit, before it, are in range: not the one named.
+    limit = float(np.finfo(np.float32).max)
+    cycles[1, 5], cycles[2, 6] = -limit, limit
     with pytest.raises(FramingError,
                        match="frames.f32 has a sample beyond the float32 range in cycle 2, ramp 3"):
         write_frames(tmp_path / "frames", cycles, wp)

@@ -16,9 +16,9 @@ from lfisensor import (
     propagate_noise,
 )
 from lfisensor.peaks import PeakEstimate
-from lfisensor.solver import STATUS_DEGRADED, STATUS_INVALID, STATUS_OK, _var3
+from lfisensor.solver import STATUS_DEGRADED, STATUS_INVALID, STATUS_OK, _var3, triple_tables
 
-from conftest import C, make_wp, true_beats, true_slopes
+from conftest import C, estimate_weights, make_wp, true_beats, true_slopes
 
 WP = make_wp()
 WP_SHALLOW = make_wp(steep_slope=2.5e15, ratio_rt=0.3)
@@ -95,6 +95,24 @@ def test_propagate_noise_zero_and_homogeneity():
     r2, v2 = propagate_noise(60.0, 140.0, SLOPES[0], SLOPES[1], FE)
     assert r2 == pytest.approx(2 * r1, rel=1e-12)
     assert v2 == pytest.approx(2 * v1, rel=1e-12)
+
+
+@pytest.mark.parametrize("sigmas", [(-1.0, 0.0), (0.0, -1.0), (-1.0, -1.0)],
+                         ids=["first", "second", "both"])
+def test_propagate_noise_refuses_a_negative_sigma(sigmas):
+    with pytest.raises(ParameterError, match="sigmas must be >= 0"):
+        propagate_noise(*sigmas, SLOPES[0], SLOPES[1], FE)
+
+
+@pytest.mark.parametrize("wp", [WP, WP_SHALLOW], ids=["reference", "shallow"])
+def test_triple_tables_hold_the_weights_of_the_reported_estimate(wp):
+    # Oracle: the mean of pair_solution at unit beats; the signed slopes lead the row.
+    for triple, row in triple_tables(wp).items():
+        assert row[0] == tuple(true_slopes(wp)[list(triple)].tolist())
+        w_r, w_v = row[-1]
+        expected = estimate_weights(wp, triple)
+        assert w_r == pytest.approx([w for w, _ in expected], rel=1e-12)
+        assert w_v == pytest.approx([w for _, w in expected], rel=1e-12)
 
 
 def test_propagate_noise_matches_monte_carlo():
