@@ -256,13 +256,16 @@ def read_observations_csv(path):
     except UnicodeDecodeError as exc:
         raise ParameterError(f"observation CSV {path} is not UTF-8 text: {exc}") from None
     reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != list(OBSERVATION_FIELDS):
+    try:
+        rows = [(reader.line_num, row) for row in reader]
+    except csv.Error as exc:  # such as a field past csv.field_size_limit()
+        raise ParameterError(f"observation CSV {path} line {reader.line_num}: {exc}") from None
+    if not rows or [h.strip() for h in rows[0][1]] != list(OBSERVATION_FIELDS):
         raise ParameterError(
             f"observation CSV must start with header {','.join(OBSERVATION_FIELDS)}"
         )
     observations = []
-    for row in reader:
+    for line, row in rows[1:]:
         if not row:
             continue
         try:
@@ -271,5 +274,5 @@ def read_observations_csv(path):
             values = decode_fields(NoiseObservation, dict(zip(OBSERVATION_FIELDS, row)), text=True)
             observations.append(NoiseObservation(**values))
         except ParameterError as exc:
-            raise ParameterError(f"{path} line {reader.line_num}: {exc}") from None
+            raise ParameterError(f"{path} line {line}: {exc}") from None
     return observations

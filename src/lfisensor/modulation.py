@@ -223,7 +223,7 @@ def read_json_object(path, keys, decode, error, what: str, version: int | None =
     of ``decode``, raises ``error`` naming ``what`` and ``path``."""
     try:
         values = json.loads(Path(path).read_text())
-    except ValueError as exc:  # not JSON, or not UTF-8 text
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8 text, or nested too deep
         raise error(f"{what} {path} is not JSON: {exc}") from None
     try:
         if not isinstance(values, dict):

@@ -217,7 +217,8 @@ def _attach_sigmas(
     """Fill sigma_R/sigma_v from the noise model at the measured point.
 
     Each selected ramp's beat sigma is predicted and put through the weights of
-    the reported R and v on the selected beats (:func:`~.solver.triple_tables`):
+    the reported R and v, the least-squares line through the selected beats, on
+    those beats (:func:`~.solver.triple_tables`):
     ``sigma_R = sqrt(sum((w_R,k sigma_k)**2))``, and the same for v.  A selected
     ramp the model cannot predict leaves both sigmas NaN.
     """

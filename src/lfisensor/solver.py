@@ -2,9 +2,12 @@
 
 Magnitude spectra hide the beat sign, and in short-range high-velocity
 regimes both signs are plausible for every ramp.  The solver keeps the
-three strongest ramps, scores each sign assignment by how tightly its
-three pairwise solutions cluster, and resolves the remaining mirror
-ambiguity by requiring a positive distance.
+three strongest ramps and, under each sign assignment, fits the
+least-squares line through the kept beats, beat against ramp slope: its
+slope is ``2R/c`` and its intercept ``f_e v / c``.  Assignments are scored
+by their spread ``K |n . f|``, the scatter of the three pairwise solutions,
+with ``n`` the unit normal to the triple's design columns; a positive
+distance resolves the remaining mirror ambiguity.
 """
 
 from __future__ import annotations
@@ -81,48 +84,44 @@ def baseline_measurement(f_up: float, f_down: float, wp: WorkingPoint):
 
 
 def _invalid_measurement() -> Measurement:
-    return Measurement(
-        distance_R=math.nan,
-        velocity_v=math.nan,
-        sigma_R=math.nan,
-        sigma_v=math.nan,
-        sign_combo=(),
-        selected_ramps=(),
-        cluster_spread=math.nan,
-        status=STATUS_INVALID,
-    )
+    return Measurement(math.nan, math.nan, math.nan, math.nan, (), (), math.nan, STATUS_INVALID)
 
 
 #: The 4 sign assignments that lead with +, in itertools.product order.
 _SIGNS = tuple((1, *rest) for rest in itertools.product((1, -1), repeat=2))
 
 
-def _var3(a: float, b: float, c: float) -> float:
-    """``np.var`` of three floats, bit for bit (``d * d``, not ``d**2``)."""
-    mean = (a + b + c) / 3.0
-    da, db, dc = a - mean, b - mean, c - mean
-    return (da * da + db * db + dc * dc) / 3.0
-
-
 @lru_cache(maxsize=4)
 def triple_tables(wp: WorkingPoint) -> dict:
-    """For each kept ramp triple ``(i, j, k)`` of ``wp``: its signed slopes, then
-    ``2 dS`` and ``f_e dS`` of its pairs ``(i, j)``, ``(i, k)`` and ``(j, k)``,
-    ``dS`` being the pair's slope difference, and last ``(w_R, w_v)``, the weights of
-    the reported R and v on the triple's three signed beats: as means of the three
-    pairwise solutions, both are linear in the beats (cached and shared: do not modify)."""
+    """For each kept ramp triple ``(i, j, k)`` of ``wp``: its signed slopes, the unit
+    normal ``n`` to its design columns ``(1, 1, 1)`` and ``(s_0, s_1, s_2)``, the
+    constant ``K`` and ``(w_R, w_v)``, the weights of the reported R and v on the
+    triple's three signed beats (cached and shared: do not modify).
+
+    R and v are the least-squares line through the kept beats, beat against slope:
+    with ``S = sum((s_k - s_mean)**2)``, ``w_R,k = c (s_k - s_mean) / (2 S)`` and
+    ``w_v,k = (c / f_e) (1/3 - s_mean (s_k - s_mean) / S)``.  The spread, the
+    scatter ``sqrt(var(R) / DEFAULT_R_REF**2 + var(v) / DEFAULT_V_REF**2)`` of the
+    three pairwise solutions, is zero on beats in the design's span and linear off
+    it, so it is ``K |n . f|``, ``K`` being that scatter at ``f = n``.
+    """
     slopes, f_e, c = ramp_slopes(wp), wp.emitted_frequency, SPEED_OF_LIGHT
     tables = {}
     for triple in itertools.combinations(range(4), 3):
         s = [slopes[i] for i in triple]
-        d01, d02, d12 = s[0] - s[1], s[0] - s[2], s[1] - s[2]
-        w_r, w_v = [0.0] * 3, [0.0] * 3
-        for (a, b), d in zip(itertools.combinations(range(3), 2), (d01, d02, d12)):
-            k_r, k_v = c / (6.0 * d), c / (3.0 * f_e * d)
-            w_r[a], w_r[b] = w_r[a] + k_r, w_r[b] - k_r
-            w_v[a], w_v[b] = w_v[a] - k_v * s[b], w_v[b] + k_v * s[a]
-        tables[triple] = (tuple(s), 2.0 * d01, 2.0 * d02, 2.0 * d12,
-                          f_e * d01, f_e * d02, f_e * d12, (tuple(w_r), tuple(w_v)))
+        mean = sum(s) / 3.0
+        dev = [x - mean for x in s]
+        scale = sum(d * d for d in dev)
+        w_r = tuple(c * d / (2.0 * scale) for d in dev)
+        w_v = tuple(c / f_e * (1.0 / 3.0 - mean * d / scale) for d in dev)
+        normal = (s[1] - s[2], s[2] - s[0], s[0] - s[1])
+        normal = tuple(x / math.hypot(*normal) for x in normal)
+        solutions = [pair_solution(normal[a], s[a], normal[b], s[b], f_e)
+                     for a, b in itertools.combinations(range(3), 2)]
+        r_mean, v_mean = (sum(column) / 3.0 for column in zip(*solutions))
+        k = math.hypot(*[(r - r_mean) / DEFAULT_R_REF for r, _ in solutions],
+                       *[(v - v_mean) / DEFAULT_V_REF for _, v in solutions]) / math.sqrt(3.0)
+        tables[triple] = (tuple(s), normal, k, (w_r, w_v))
     return tables
 
 
@@ -130,41 +129,34 @@ def _sign_combos(magnitudes, table) -> list:
     """Score the 4 sign assignments of three beat magnitudes that lead with +.
 
     ``table`` is the kept triple's entry of :func:`triple_tables`.  Returns
-    ``(signs, mean R, mean v, spread)`` rows in :data:`_SIGNS` order.  Each
-    pair is solved as in :func:`pair_solution` and the spread is
-    ``sqrt(var(R) / DEFAULT_R_REF**2 + var(v) / DEFAULT_V_REF**2)``.
-    Flipping every sign negates each beat, hence each pairwise (R, v) and
-    both means exactly, and leaves the spread unchanged: these rows stand
-    for all eight assignments.
+    ``(signs, R, v, spread)`` rows in :data:`_SIGNS` order: R and v of the
+    least-squares line through the signed beats ``f``, and the spread ``K |n . f|``.
+    The weights of R and of ``n . f`` sum to zero, so both are taken on the beat
+    differences ``f_k - f_0``: three equal beats give R = 0 exactly.  Flipping every
+    sign negates ``f``, hence R and v exactly, and leaves the spread unchanged:
+    these rows stand for all eight assignments.
     """
     m0, m1, m2 = magnitudes
-    (s0, s1, s2), r01, r02, r12, v01, v02, v12, _ = table
-    c = SPEED_OF_LIGHT
-    r_scale, v_scale = DEFAULT_R_REF**2, DEFAULT_V_REF**2
+    _, (_, n1, n2), k, ((_, r1, r2), (v0, v1, v2)) = table
     rows = []
     for signs in _SIGNS:
         f1, f2 = signs[1] * m1, signs[2] * m2
-        dist = (c * (m0 - f1) / r01, c * (m0 - f2) / r02, c * (f1 - f2) / r12)
-        vel = (
-            c * (f1 * s0 - m0 * s1) / v01,
-            c * (f2 * s0 - m0 * s2) / v02,
-            c * (f2 * s1 - f1 * s2) / v12,
-        )
-        spread = math.sqrt(_var3(*dist) / r_scale + _var3(*vel) / v_scale)
-        rows.append((signs, sum(dist) / 3.0, sum(vel) / 3.0, spread))
+        d1, d2 = f1 - m0, f2 - m0
+        rows.append((signs, r1 * d1 + r2 * d2, v0 * m0 + v1 * f1 + v2 * f2,
+                     k * abs(n1 * d1 + n2 * d2)))
     return rows
 
 
 def disambiguate(peaks, wp: WorkingPoint) -> Measurement:
     """Turn a cycle's four peak estimates, in ramp order, into one signed (R, v) measurement.
 
-    Steps: (1) keep the three highest-intensity valid peaks; (2) solve the
-    three ramp pairs under each sign assignment of their magnitudes that
-    leads with +; (3) score assignments by normalized solution scatter;
-    (4) turn each least-scatter assignment into its positive-distance form,
-    itself when its mean R > 0 and its mirror (every sign flipped, which
-    ties by construction) when its mean R < 0; (5) report the mean of the
-    three pairwise solutions.
+    Steps: (1) keep the three highest-intensity valid peaks; (2) take each
+    sign assignment of their magnitudes that leads with +; (3) score it by its
+    spread ``K |n . f|``, the scatter of the three pairwise solutions; (4) turn
+    each least-spread assignment into its positive-distance form, itself when
+    its R > 0 and its mirror (every sign flipped, which ties by construction)
+    when its R < 0; (5) report R and v of the least-squares line through the
+    kept beats (:func:`triple_tables`).
 
     Sigmas are left NaN.  Fewer than three valid peaks, or no
     positive-distance solution, yields an invalid measurement.
@@ -188,32 +180,15 @@ def disambiguate(peaks, wp: WorkingPoint) -> Measurement:
     best_spread = min(spread for _, _, _, spread in combos)
     least = [c for c in combos if c[3] == best_spread]
     # In itertools.product order over all eight assignments: the rows, then the
-    # mirrors, which product() lists in reverse.  A mirror mean is 0.0 - mean,
-    # not -mean: a direct solve sums to +0.0, never -0.0, when the pairwise
-    # values cancel.
+    # mirrors, which product() lists in reverse.  A mirror estimate is 0.0 - x,
+    # not -x: a direct solve sums to +0.0, never -0.0, when its terms cancel.
     positive = [c for c in least if c[1] > 0.0] + [
-        (tuple(-s for s in signs), 0.0 - mean_r, 0.0 - mean_v, spread)
-        for signs, mean_r, mean_v, spread in reversed(least) if mean_r < 0.0
+        (tuple(-s for s in signs), 0.0 - r, 0.0 - v, spread)
+        for signs, r, v, spread in reversed(least) if r < 0.0
     ]
     if not positive:
         return _invalid_measurement()
-    if len(positive) > 1:
-        # Measure-zero tie between non-mirrored combos: prefer the one whose
-        # implied beats sit farthest from the blind region.
-        def blind_margin(combo):
-            _, mean_r, mean_v, _ = combo
-            return min(abs(signed_beat(wp, s, mean_r, mean_v)) for s in table[0])
-
-        positive.sort(key=blind_margin, reverse=True)
-    signs, mean_r, mean_v, spread = positive[0]
-
-    return Measurement(
-        distance_R=mean_r,
-        velocity_v=mean_v,
-        sigma_R=math.nan,
-        sigma_v=math.nan,
-        sign_combo=signs,
-        selected_ramps=indices,
-        cluster_spread=spread,
-        status=status,
-    )
+    # Of a measure-zero tie, the first whose implied beats sit farthest from the blind region.
+    signs, distance, velocity, spread = max(positive, key=lambda row: min(
+        abs(signed_beat(wp, s, row[1], row[2])) for s in table[0]))
+    return Measurement(distance, velocity, math.nan, math.nan, signs, indices, spread, status)

@@ -1,10 +1,7 @@
-import itertools
-
 import numpy as np
 import pytest
 
-from lfisensor import (GroundTruth, WorkingPoint, calibrate, pair_solution, synthetic_cycles,
-                       write_frames)
+from lfisensor import GroundTruth, WorkingPoint, calibrate, synthetic_cycles, write_frames
 
 #: Speed of light used by independent test oracles (CODATA exact value).
 C = 299792458.0
@@ -61,16 +58,12 @@ def true_beats(wp, distance, velocity) -> np.ndarray:
 
 def estimate_weights(wp, triple) -> list:
     """Independent oracle: ``(w_R, w_v)`` of each ramp of ``triple``, the weights of
-    the solver's reported (R, v), the mean of the triple's three pairwise
-    :func:`pair_solution` results, on the ramps' signed beats.  ``pair_solution`` is
-    linear in the beats, so a weight is that mean at a unit beat on its ramp alone."""
-    slopes, weights = true_slopes(wp).tolist(), []
-    for k in triple:
-        solutions = [pair_solution(float(a == k), slopes[a], float(b == k), slopes[b],
-                                   wp.emitted_frequency)
-                     for a, b in itertools.combinations(triple, 2)]
-        weights.append(tuple(sum(column) / 3.0 for column in zip(*solutions)))
-    return weights
+    the solver's reported (R, v), the least-squares line through the ramps' signed
+    beats, on those beats: the columns of the pseudo-inverse of the 3x2 design
+    ``[2 s_k / c, f_e / c]`` of ``f_k = (2 R s_k + f_e v) / c``."""
+    slopes = true_slopes(wp)[list(triple)]
+    design = np.column_stack([2.0 * slopes / C, np.full(3, wp.emitted_frequency / C)])
+    return [tuple(column) for column in np.linalg.pinv(design).T.tolist()]
 
 
 def write_offset_export(stem, wp, aligned, skip) -> None:

@@ -9,6 +9,7 @@ enumeration, Monte-Carlo, closed forms).
 import itertools
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -100,6 +101,19 @@ def test_criterion_1_round_trip_exactness(roundtrip_batch):
     _report(1, f"1000 noise-free round trips within 0.5% (ran in {elapsed:.1f} s)")
 
 
+def _exact_scatter(beats, slopes, f_e, r_ref=0.05, v_ref=0.1):
+    """The spread's definition in exact rational arithmetic on the given floats: the
+    squared normalized scatter ``var(R) / r_ref**2 + var(v) / v_ref**2`` of the three
+    pairwise solutions, and their squared normalized norm."""
+    c, f_e, r_ref, v_ref = (Fraction(x) for x in (C, f_e, r_ref, v_ref))
+    f, s = [Fraction(x) for x in beats], [Fraction(x) for x in slopes]
+    pairs = ((0, 1), (0, 2), (1, 2))
+    rs = [c * (f[a] - f[b]) / (2 * (s[a] - s[b])) / r_ref for a, b in pairs]
+    vs = [c * (f[b] * s[a] - f[a] * s[b]) / (f_e * (s[a] - s[b])) / v_ref for a, b in pairs]
+    scatter = sum((x - sum(xs) / 3) ** 2 for xs in (rs, vs) for x in xs) / 3
+    return scatter, sum(x * x for x in rs + vs)
+
+
 def test_criterion_2_sign_disambiguation(roundtrip_batch, wp):
     cases, _ = roundtrip_batch
     slopes = true_slopes(wp).tolist()
@@ -127,7 +141,13 @@ def test_criterion_2_sign_disambiguation(roundtrip_batch, wp):
                 rs.append(C * (f1 - f2) / (2 * delta))
                 vs.append(C * (f2 * sel_slopes[a] - f1 * sel_slopes[b]) / (f_e * delta))
             spreads[signs] = math.sqrt(np.var(rs) / 0.05**2 + np.var(vs) / 0.1**2)
-        assert m.cluster_spread <= min(spreads.values()) * (1 + 1e-12)
+        assert spreads[m.sign_combo] == min(spreads.values())
+        # The reported spread against the same definition in exact arithmetic, within
+        # 2^8 eps of the norm of the normalized pairwise solutions: the solver's
+        # spread terms are each at most 6x one of them, and carry at most 16 roundings.
+        exact_sq, norm_sq = _exact_scatter(np.multiply(m.sign_combo, mags), sel_slopes, f_e)
+        bound = 2.0**8 * np.finfo(float).eps * math.sqrt(norm_sq)
+        assert abs(m.cluster_spread - math.sqrt(exact_sq)) <= bound
     assert correct / total >= 0.999
     _report(2, f"sign combo correct in {correct}/{total} non-degenerate cases")
 

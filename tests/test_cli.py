@@ -511,8 +511,10 @@ def test_malformed_config_value_exits_nonzero(tmp_path, capsys, line, key):
         (json.dumps({**TRUE_COEFFS.to_dict(), "a2": "-0.6"}), "a2: cannot read '-0.6'"),
         (json.dumps({**TRUE_COEFFS.to_dict(), "b": 10**400}), "b: cannot read"),
         (json.dumps({**TRUE_COEFFS.to_dict(), "comment": "fit"}), "unknown keys ['comment']"),
+        ("[" * 5000 + "]" * 5000, "is not JSON"),
     ],
-    ids=["missing-a2", "not-json", "not-an-object", "bool-a1", "string-a2", "huge-b", "extra-key"],
+    ids=["missing-a2", "not-json", "not-an-object", "bool-a1", "string-a2", "huge-b", "extra-key",
+         "deeply-nested"],
 )
 def test_malformed_noise_model_exits_nonzero(config_path, tmp_path, capsys, text, needle):
     cal = _calibrate(config_path, tmp_path)
@@ -960,12 +962,14 @@ def _set_bin(key, ramp, value):
         (_set_bin("reference_mean", 0, 10**400), "int too large to convert to float"),
         (lambda payload: {**payload, "sync_offset_samples": 2000},
          "sync_offset_samples must be in [0, 2000), got 2000"),
+        # json.loads raises RecursionError, not ValueError, on arrays nested this deep.
+        (lambda payload: "[" * 5000 + "]" * 5000, "is not JSON"),
     ],
     ids=["not-json", "not-an-object", "missing-key", "null-cycles", "version-1", "ragged", "nan",
          "inf", "negative", "fractional-cycles", "bool-cycles", "too-few-cycles",
          "fractional-samples", "string-rate",
          "extra-key", "string-bin", "bool-bin", "huge-bin",
-         "offset-past-the-cycle"],
+         "offset-past-the-cycle", "deeply-nested"],
 )
 def test_malformed_calibration_exits_nonzero(config_path, tmp_path, capsys, edit, needle):
     _refuse_calibration(config_path, tmp_path, capsys, edit, needle)
@@ -1002,9 +1006,11 @@ def _set_wp(sidecar, key, value):
         (lambda sidecar: _set_wp(sidecar, "hp_cutoff_hz", False), "hp_cutoff_hz"),
         (lambda sidecar: _set_wp(sidecar, "ramp_duration_s", math.inf), "must be finite"),
         (lambda sidecar: {**sidecar, "comment": "replayed"}, "unknown keys ['comment']"),
+        (lambda sidecar: "[" * 5000 + "]" * 5000, "is not JSON"),
     ],
     ids=["not-json", "no-working-point", "not-an-object", "many-cycles", "version-1",
-         "bool-version", "string-rate", "bool-cutoff", "infinite-ramp", "extra-key"],
+         "bool-version", "string-rate", "bool-cutoff", "infinite-ramp", "extra-key",
+         "deeply-nested"],
 )
 def test_frame_sidecar_not_json_exits_nonzero(config_path, tmp_path, capsys, edit, needle):
     cal = _calibrate(config_path, tmp_path)
@@ -1577,6 +1583,8 @@ def observation_dir(tmp_path_factory):
 @example(case=_observation_csv(14, 3, cells=[(5, 2, "inf")]))
 @example(case=_observation_csv(14, 3, cells=[(0, 4, "1e400")]))
 @example(case=_observation_csv(14, 3, cells=[(7, 5, "1e-320"), (7, 6, "1e-320")]))
+# A field past the csv module's 131,072-character limit, which csv.reader refuses.
+@example(case=_observation_csv(14, 3, cells=[(4, 2, "1" * 131_073)]))
 @settings(max_examples=200, deadline=None)
 def test_fuzzed_observation_csvs_end_in_a_package_error(observation_dir, case):
     # Every CSV either fits or ends in one error line, never in a traceback.

@@ -37,8 +37,8 @@ GOLDEN_SHA256 = {
     "frames.f32": "cf25e5ddc42487837a2caad3c5ee9d3556ad4977f296ef7729a7c46e4f36cb73",
     "frames.json": "6142d193b6703d974402daaf54651b7ba466b944d1f0c1564ba5995b8b5a8508",
     "cal.json": "6c0ec1ab51f313c87b04347e25593467b0556afae42353f072ee75c87eb75427",
-    "run.csv": "040fa77950f4f436a4c942cbda7f1a3364266db5a1e6b8b183b587aee60a0b03",
-    "run.jsonl": "ef690fffa52067c041d8ec57e67fd63a9f15d9d75044e79df17ca8606b540669",
+    "run.csv": "57e4820de1b486e1d2058fa4a50bb8201bcc8dc58893d6c4948a4cea333e8d1a",
+    "run.jsonl": "5fef55a4453cb8b64d30356f02b76cec7b3d4197af7c2843b0d856e29a905240",
 }
 
 NOISE_MODEL = {

@@ -18,8 +18,6 @@ UNREFERENCED = {
     "process_cycle": "the per-cycle API for live callers; the benchmark drives it",
     "synthesize_cycle": "the per-cycle synthesis API, synthesize_block of one cycle",
     "baseline_measurement": "the paper's triangle baseline, compared in the acceptance tests",
-    "pair_solution": "the paper's two-ramp equation: the reference the solver's inlined "
-    "pair solves are tested against",
     "save_working_point": "writes the flat config file that read_config_file reads",
     "propagate_noise": "the paper's two-ramp noise law, checked by criterion 6; a record's "
     "sigmas weigh all three selected ramps",

@@ -16,7 +16,7 @@ from lfisensor import (
     propagate_noise,
 )
 from lfisensor.peaks import PeakEstimate
-from lfisensor.solver import STATUS_DEGRADED, STATUS_INVALID, STATUS_OK, _var3, triple_tables
+from lfisensor.solver import STATUS_DEGRADED, STATUS_INVALID, STATUS_OK, triple_tables
 
 from conftest import C, estimate_weights, make_wp, true_beats, true_slopes
 
@@ -24,6 +24,19 @@ WP = make_wp()
 WP_SHALLOW = make_wp(steep_slope=2.5e15, ratio_rt=0.3)
 FE = WP.emitted_frequency
 SLOPES = true_slopes(WP).tolist()
+
+#: Rounding bounds of the least-squares oracle against the solver, relative to the
+#: scale of each value: ``|w|_1 |f|_inf`` for R and v (``w`` the pseudo-inverse row), and
+#: the norm of the normalized pairwise solutions for the spread.  The solver's weights,
+#: unit normal and K carry at most 12 roundings each and every term of its sums at most
+#: 4 more, on beat differences bounded by ``2 |f|_inf``: under 2^5 eps of the scale
+#: (its spread terms are each at most 6x a normalized pairwise solution at these two
+#: working points: 2^8 eps).  ``np.linalg.lstsq`` is backward stable, with a forward error
+#: under kappa^2 eps of the scale, kappa <= 12 being the design's condition number:
+#: 2^8 eps.  np.var's spread is within 2^4 eps of its scale.  Below 2^-537 a square
+#: underflows, so values that small drop out of np.var outright: 2^-530 absolute.
+REL = 2.0**9 * np.finfo(float).eps
+TINY = 2.0**-530
 
 
 def peaks_from_beats(beats, valid=(True, True, True, True), intensities=None):
@@ -41,21 +54,24 @@ def peaks_from_beats(beats, valid=(True, True, True, True), intensities=None):
     ]
 
 
-def brute_force_spreads(magnitudes, slopes, r_ref=0.05, v_ref=0.1):
+def pairwise_scatter(beats, slopes, fe=FE, r_ref=0.05, v_ref=0.1):
+    """The spread's definition, spelled out independently: the normalized scatter
+    ``sqrt(var(R) / r_ref**2 + var(v) / v_ref**2)`` of the three pairwise solutions of
+    three signed beats, and the norm of those normalized solutions, the scale of the
+    scatter's rounding error."""
+    rs, vs = [], []
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        delta = slopes[i] - slopes[j]
+        rs.append(C * (beats[i] - beats[j]) / (2 * delta))
+        vs.append(C * (beats[j] * slopes[i] - beats[i] * slopes[j]) / (fe * delta))
+    spread = math.sqrt(np.var(rs) / r_ref**2 + np.var(vs) / v_ref**2)
+    return spread, math.hypot(*(r / r_ref for r in rs), *(v / v_ref for v in vs))
+
+
+def brute_force_spreads(magnitudes, slopes):
     """Independent enumeration of all 8 sign assignments and their scatter."""
-    out = {}
-    for signs in itertools.product((1, -1), repeat=3):
-        rs, vs = [], []
-        for (i, j) in ((0, 1), (0, 2), (1, 2)):
-            f1, f2 = signs[i] * magnitudes[i], signs[j] * magnitudes[j]
-            rs.append(C * (f1 - f2) / (2 * (slopes[i] - slopes[j])))
-            vs.append(C * (f2 * slopes[i] - f1 * slopes[j]) / (FE * (slopes[i] - slopes[j])))
-        out[signs] = (
-            math.sqrt(np.var(rs) / r_ref**2 + np.var(vs) / v_ref**2),
-            np.mean(rs),
-            np.mean(vs),
-        )
-    return out
+    return {signs: pairwise_scatter(np.multiply(signs, magnitudes).tolist(), slopes)[0]
+            for signs in itertools.product((1, -1), repeat=3)}
 
 
 def test_pair_solution_zero_case():
@@ -106,13 +122,57 @@ def test_propagate_noise_refuses_a_negative_sigma(sigmas):
 
 @pytest.mark.parametrize("wp", [WP, WP_SHALLOW], ids=["reference", "shallow"])
 def test_triple_tables_hold_the_weights_of_the_reported_estimate(wp):
-    # Oracle: the mean of pair_solution at unit beats; the signed slopes lead the row.
-    for triple, row in triple_tables(wp).items():
-        assert row[0] == tuple(true_slopes(wp)[list(triple)].tolist())
-        w_r, w_v = row[-1]
+    # Oracles: the design's pseudo-inverse for the weights (8 eps apart at most, the
+    # design's condition number being at most 12), and pairwise_scatter for the spread
+    # K |n . f| at random signed beats, within the oracle's bound.
+    rng = np.random.default_rng(3)
+    for triple, (slopes, normal, k, (w_r, w_v)) in triple_tables(wp).items():
+        assert slopes == tuple(true_slopes(wp)[list(triple)].tolist())
         expected = estimate_weights(wp, triple)
         assert w_r == pytest.approx([w for w, _ in expected], rel=1e-12)
         assert w_v == pytest.approx([w for _, w in expected], rel=1e-12)
+        for beats in (rng.normal(size=(200, 3)) * 1e5).tolist():
+            spread, scale = pairwise_scatter(beats, slopes, wp.emitted_frequency)
+            assert abs(k * abs(sum(n * f for n, f in zip(normal, beats))) - spread) <= REL * scale
+
+
+def pairwise_mean_weights(wp, triple) -> list:
+    """``(w_R, w_v)`` of each ramp of ``triple`` for the mean of the triple's three
+    pairwise :func:`pair_solution` results, which is linear in the signed beats: a
+    weight is that mean at a unit beat on its ramp alone."""
+    slopes, weights = true_slopes(wp).tolist(), []
+    for k in triple:
+        solutions = [pair_solution(float(a == k), slopes[a], float(b == k), slopes[b],
+                                   wp.emitted_frequency)
+                     for a, b in itertools.combinations(triple, 2)]
+        weights.append(tuple(sum(column) / 3.0 for column in zip(*solutions)))
+    return weights
+
+
+@pytest.mark.parametrize("dropped", [3, 1], ids=["both-steep", "one-steep"])
+def test_least_squares_is_the_quieter_estimator(dropped):
+    # Equal Gaussian noise sigma on every ramp's beat.  Against the pairwise mean's std,
+    # sigma sqrt(sum w_mean**2), the reported R and v read sqrt(sum w_ls**2 / sum
+    # w_mean**2): 0.67 in R and 0.62 in v for the triple with both steep ramps, 0.84 and
+    # 0.69 for the other.  The pairwise mean reads 1.0.  A sample std of n normal draws
+    # has a relative standard error of 1 / sqrt(2 (n - 1)), 1.1 % at n = 4,000, and the
+    # tolerance is 5 of them.
+    n, sigma = 4000, 50.0
+    triple = tuple(i for i in range(4) if i != dropped)
+    intensities = [5.0 if i == dropped else 10.0 for i in range(4)]
+    least_squares, mean = estimate_weights(WP, triple), pairwise_mean_weights(WP, triple)
+    rng = np.random.default_rng(17 + dropped)
+    for r, v in ((0.03, 0.02), (0.06, -0.05)):
+        beats = true_beats(WP, r, v)
+        estimates = []
+        for noise in rng.normal(0.0, sigma, size=(n, 4)):
+            m = disambiguate(peaks_from_beats(beats + noise, intensities=intensities), WP)
+            assert m.sign_combo == tuple(int(np.sign(beats[i])) for i in triple)
+            estimates.append((m.distance_R, m.velocity_v))
+        for q, values in enumerate(zip(*estimates)):
+            ls_sq, mean_sq = (sum(w[q] ** 2 for w in ws) for ws in (least_squares, mean))
+            assert np.std(values) / (sigma * math.sqrt(mean_sq)) == pytest.approx(
+                math.sqrt(ls_sq / mean_sq), rel=5.0 / math.sqrt(2.0 * (n - 1)))
 
 
 def test_propagate_noise_matches_monte_carlo():
@@ -183,9 +243,10 @@ def test_disambiguate_spread_is_brute_force_minimum():
     m = disambiguate(peaks_from_beats(beats, intensities=intensities), WP)
     assert m.selected_ramps == (0, 1, 2)
     spreads = brute_force_spreads([abs(beats[i]) for i in (0, 1, 2)], SLOPES[:3])
-    best = min(s for s, _, _ in spreads.values())
+    best = min(spreads.values())
+    assert spreads[m.sign_combo] == best
     assert m.cluster_spread == pytest.approx(best, abs=1e-15)
-    others = sorted(s for s, _, _ in spreads.values())
+    others = sorted(spreads.values())
     assert others[2] > best * 1e3 or others[2] > 1e-6  # strict minimum
 
 
@@ -262,40 +323,70 @@ def test_disambiguate_validates_input_shape():
         disambiguate(peaks_from_beats(beats)[:3], WP)
 
 
-def brute_force_disambiguate(peaks, wp=WP, r_ref=0.05, v_ref=0.1) -> Measurement:
-    """Reference solver: all 8 sign assignments, each solved pair by pair.
+INVALID = ((), (), STATUS_INVALID)
 
-    Uses :func:`pair_solution` and ``np.var``, and the same selection rules
-    as :func:`disambiguate`: three strongest valid ramps, least spread,
-    positive mean distance, then the widest blind margin.
+
+def least_squares_oracle(peaks, wp=WP):
+    """Reference solver: every sign assignment fitted with ``np.linalg.lstsq``.
+
+    Returns the decisions ``(signs, ramps, status)`` :func:`disambiguate` may take, and
+    ``(R, v, spread, bound_R, bound_v, bound_spread)`` of each of the 8 assignments.
+    The rules are the solver's: the three strongest valid ramps, the least
+    :func:`pairwise_scatter`, positive R, then the widest blind margin, first in
+    ``itertools.product`` order.  Assignments whose beats are the same (a kept
+    magnitude of 0.0) are one assignment, the first in that order.  A decision is
+    certain when the least spread and the sign of its R stand clear of the bounds;
+    assignments within rounding of the least spread, or of R = 0, are each a possible
+    decision, and so is ``invalid`` where some R may be 0.  Three equal beats have
+    R = 0 exactly, which the solver's beat differences keep.
     """
-    slopes, fe = true_slopes(wp).tolist(), wp.emitted_frequency
-    invalid = Measurement(math.nan, math.nan, math.nan, math.nan, (), (), math.nan,
-                          STATUS_INVALID)
     valid = [i for i, p in enumerate(peaks) if p.valid]
     if len(valid) < 3:
-        return invalid
+        return [INVALID], {}
     idx = tuple(sorted(sorted(valid, key=lambda i: (-peaks[i].intensity, i))[:3]))
-    kept = [peaks[i] for i in idx]
-    rows = []
+    status = STATUS_OK if len(valid) == 4 else STATUS_DEGRADED
+    slopes, fe = true_slopes(wp)[list(idx)], wp.emitted_frequency
+    design = np.column_stack([2.0 * slopes / C, np.full(3, fe / C)])
+    weight_norms = np.abs(np.linalg.pinv(design)).sum(axis=1)
+    rows, distinct = {}, {}
     for signs in itertools.product((1, -1), repeat=3):
-        beats = [sign * p.beat_frequency for sign, p in zip(signs, kept)]
-        sols = [pair_solution(beats[a], slopes[idx[a]], beats[b], slopes[idx[b]], fe)
-                for a, b in ((0, 1), (0, 2), (1, 2))]
-        rs, vs = [r for r, _ in sols], [v for _, v in sols]
-        spread = math.sqrt(np.var(rs) / r_ref**2 + np.var(vs) / v_ref**2)
-        rows.append((signs, sum(rs) / 3.0, sum(vs) / 3.0, spread))
-    best = min(row[3] for row in rows)
-    positive = [row for row in rows if row[3] == best and row[1] > 0.0]
-    if not positive:
-        return invalid
+        beats = [sign * peaks[i].beat_frequency for sign, i in zip(signs, idx)]
+        (r, v), *_ = np.linalg.lstsq(design, np.array(beats), rcond=None)
+        spread, scale = pairwise_scatter(beats, slopes.tolist(), fe)
+        bound_r, bound_v = (REL * norm * max(map(abs, beats)) + TINY for norm in weight_norms)
+        rows[signs] = (float(r), float(v), spread, bound_r, bound_v, REL * scale + TINY)
+        distinct.setdefault(tuple(beats), (signs, len(set(beats)) == 1))
+    top = min(rows[signs][2] + rows[signs][5] for signs, _ in distinct.values())
+    least = [(signs, flat, rows[signs]) for signs, flat in distinct.values()
+             if rows[signs][2] - rows[signs][5] <= top]
 
     def blind_margin(row):
-        return min(abs((2.0 * row[1] * slopes[i] + fe * row[2]) / C) for i in idx)
+        r, v = row[2][:2]
+        return min(abs((2.0 * r * s + fe * v) / C) for s in slopes)
 
-    signs, mean_r, mean_v, spread = sorted(positive, key=blind_margin, reverse=True)[0]
-    status = STATUS_OK if len(valid) == 4 else STATUS_DEGRADED
-    return Measurement(mean_r, mean_v, math.nan, math.nan, signs, idx, spread, status)
+    positive = [row for row in least if not row[1] and row[2][0] > -row[2][3]]
+    choices = [(signs, idx, status) for signs, _, _ in
+               sorted(positive, key=blind_margin, reverse=True)]
+    if not positive or any(flat or abs(row[0]) <= row[3] for _, flat, row in least):
+        choices.append(INVALID)
+    return choices, rows
+
+
+def assert_matches_oracle(m, peaks, wp=WP, certain=False):
+    """``m`` is a decision the oracle allows, its only one when ``certain``, and its
+    numbers are within the oracle's bounds of that assignment's fit."""
+    choices, rows = least_squares_oracle(peaks, wp)
+    assert (m.sign_combo, m.selected_ramps, m.status) in choices
+    if certain:
+        assert len(choices) == 1
+    assert math.isnan(m.sigma_R) and math.isnan(m.sigma_v)
+    if m.status == STATUS_INVALID:
+        assert math.isnan(m.distance_R) and math.isnan(m.velocity_v)
+        return
+    r, v, spread, bound_r, bound_v, bound_spread = rows[m.sign_combo]
+    assert abs(m.distance_R - r) <= bound_r
+    assert abs(m.velocity_v - v) <= bound_v
+    assert abs(m.cluster_spread - spread) <= bound_spread
 
 
 def _peaks(magnitudes, intensities, invalid_ramp):
@@ -319,7 +410,7 @@ def test_disambiguate_equals_brute_force_on_noisy_targets(r, v, noise, intensiti
     # chosen assignment a mirror one, with a leading minus sign.
     magnitudes = [abs(f) * (1.0 + e) for f, e in zip(true_beats(WP, r, v), noise)]
     peaks = _peaks(magnitudes, intensities, invalid_ramp)
-    assert disambiguate(peaks, WP) == brute_force_disambiguate(peaks)
+    assert_matches_oracle(disambiguate(peaks, WP), peaks, certain=True)
 
 
 def _zeroed(r, v, ramp):
@@ -333,7 +424,7 @@ def _zeroed(r, v, ramp):
     invalid_ramp=st.sampled_from([None, 0, 1, 2, 3]),
 )
 # A kept magnitude of 0.0 reads the same under either sign, so two assignments
-# tie exactly on spread, means and blind margin, and product order decides:
+# tie exactly on spread, R, v and blind margin, and product order decides:
 # between two mirror assignments (the answer (-1, 1, -1)), and between two
 # that lead with + (the answer (1, -1, 1)).
 @example(magnitudes=_zeroed(0.01, -0.09, 2), intensities=[10.0, 9.0, 8.0, 7.0],
@@ -350,7 +441,7 @@ def test_disambiguate_equals_brute_force_on_arbitrary_magnitudes(magnitudes, int
     # tables must not answer one with the other's slopes.
     peaks = _peaks(magnitudes, intensities, invalid_ramp)
     for wp in (WP, WP_SHALLOW):
-        assert disambiguate(peaks, wp) == brute_force_disambiguate(peaks, wp)
+        assert_matches_oracle(disambiguate(peaks, wp), peaks, wp)
 
 
 @pytest.mark.parametrize("invalid_ramp", [None, 0])
@@ -363,30 +454,22 @@ def test_disambiguate_mirror_choice_equals_brute_force(invalid_ramp):
                    [10.0, 9.0, 8.0, 7.0], invalid_ramp)
     m = disambiguate(peaks, WP)
     assert m.sign_combo[0] == -1
-    assert m == brute_force_disambiguate(peaks)
+    assert_matches_oracle(m, peaks, certain=True)
 
 
 def test_mirror_choice_with_cancelling_velocities_keeps_positive_zero():
-    # Ramp 0 dropped and magnitudes a power of two times |slope|: every
-    # pairwise velocity of the (-, +, -) assignment, a mirror one, is exactly
-    # zero.  A direct solve sums them to +0.0, and so must disambiguate, or
-    # the exported record reads -0.0.
+    # Ramp 0 dropped and magnitudes a power of two times |slope|: the (-, +, -)
+    # assignment, a mirror one, is a pure-distance line, and the velocity weights of
+    # triple (1, 2, 3) are exactly 1 : 4 : 2, so its + row's velocity cancels to +0.0.
+    # A direct solve of the mirror cancels to +0.0 as well, and so must
+    # disambiguate, or the exported record reads -0.0.
     magnitudes = [abs(s) * 2.0**-20 for s in SLOPES]
     peaks = _peaks(magnitudes, [10.0, 9.0, 8.0, 7.0], invalid_ramp=0)
     m = disambiguate(peaks, WP)
-    expected = brute_force_disambiguate(peaks)
     assert m.sign_combo == (-1, 1, -1)
     assert m.velocity_v == 0.0
-    assert math.copysign(1.0, m.velocity_v) == math.copysign(1.0, expected.velocity_v) == 1.0
-    assert m == expected
-
-
-def test_spread_variance_is_np_var_bit_for_bit():
-    # np.var squares with d * d; a d**2 spelling differs in about 1 case in 1,500.
-    rng = np.random.default_rng(8)
-    triples = rng.normal(size=(20_000, 3)) * 10.0 ** rng.uniform(-4, 4, size=(20_000, 1))
-    for a, b, c in triples.tolist():
-        assert _var3(a, b, c) == np.var([a, b, c])
+    assert math.copysign(1.0, m.velocity_v) == 1.0
+    assert_matches_oracle(m, peaks, certain=True)
 
 
 def test_measurement_is_plain_value():
