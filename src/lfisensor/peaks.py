@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,6 +25,8 @@ _SMALLEST_NORMAL = sys.float_info.min
 #: ``2 * DEFAULT_KAPPA`` with a margin for the rounding of a row's sum
 #: (relative error under ``bins * 2**-53``) and of the products.
 _MEAN_BOUND = 2.0 * DEFAULT_KAPPA * (1.0 + 2.0**-20)
+#: The narrowest type that holds a row's length, per length (a wider count costs more).
+_count_dtype = lru_cache(maxsize=16)(np.min_scalar_type)
 
 GAUSSIAN = "gaussian"
 WEIGHTED_AVERAGE = "weighted_average"
@@ -38,6 +41,13 @@ class PeakEstimate:
     intensity: float
     method: str
     valid: bool
+
+
+@lru_cache(maxsize=16)
+def _gather_offsets(n_rows: int, n_bins: int, window: int) -> tuple:
+    """A window's bin offsets and the rows' first flat indices, a column (shared: do not modify)."""
+    return (np.arange(-(window // 2), window // 2 + 1),
+            np.arange(0, n_rows * n_bins, n_bins)[:, None])
 
 
 def validity(rows, intensities, epsilons) -> list:
@@ -56,10 +66,9 @@ def validity(rows, intensities, epsilons) -> list:
     bound leaves open takes the exact median of its positive bins
     (:func:`~.spectral.row_medians`).
     """
-    # Positive bins counted as bytes into the narrowest type that holds a row's
-    # length (a wider sum costs more).
+    # Positive bins counted as bytes.
     positive = np.add.reduce((rows > 0.0).view(np.uint8), axis=1,
-                             dtype=np.min_scalar_type(rows.shape[1])).tolist()
+                             dtype=_count_dtype(rows.shape[1])).tolist()
     # einsum: a sum past the largest float is inf, with no overflow warning.
     sums = np.einsum("ij->i", rows).tolist()
     lowest = np.minimum.reduce(rows, axis=1).tolist()
@@ -124,9 +133,10 @@ def _interpolate(rows, bin_freqs, centers, window, method, epsilons) -> list:
     center_list = centers.tolist()
     if not center_list:
         return []
-    columns = np.arange(-half, half + 1) + centers[:, None]
+    offsets, starts = _gather_offsets(len(center_list), n_bins, window)
+    columns = offsets + centers[:, None]
     # Each row's window (the end bins' past the ends).
-    weights = rows.take(columns + np.arange(0, rows.size, n_bins)[:, None], mode="clip")
+    weights = rows.take(columns + starts, mode="clip")
     if min(center_list) < half or max(center_list) > n_bins - 1 - half:
         weights[(columns < 0) | (columns >= n_bins)] = 0.0
     fitted = fit_intensities = [None] * len(center_list)  # None: no Gaussian fit covers the row

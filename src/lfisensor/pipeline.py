@@ -5,15 +5,15 @@ only state.  Records are immutable once emitted.  A cycle source is any
 iterable of cycles: seeded synthetic cycles (:func:`synthetic_cycles`) or
 the replay of an exported frame file (:func:`~.simulator.read_frames`).
 
-Everything that depends only on the configuration and the calibration
-(window, bin grid, scaled reference spectra, noise gates) is computed
-once when :class:`PipelineConfig` is built.  A block of cycles runs one
-FFT, floor subtraction and peak stage over one ``(4 * cycles, bins)``
-stack of its frames, which the sliding average and the floor subtraction
-change in place.  Each record is the one its cycle gets in a block of its
-own, bit for bit.  The sliding average is a two-stacks window sum: four
-array operations a cycle, whatever ``n_avg``, plus a copy and ``n_avg - 2``
-adds once every ``n_avg`` cycles (:class:`PipelineState`).
+Everything that depends only on the configuration and the calibration (window, bin
+grid, scaled reference spectra, noise gates and their steady-state values, each ramp's
+noise-model base) is computed once, when :class:`PipelineConfig` is built, and none of it
+grows with ``n_avg``.  A block of cycles runs one FFT, floor subtraction and peak stage over
+one ``(4 * cycles, bins)`` stack of its frames, which the sliding average and the floor
+subtraction change in place.  Each record is the one its cycle gets in a block of its own,
+bit for bit.  The sliding average is a two-stacks window sum: four array operations a
+cycle, whatever ``n_avg``, plus a copy and ``n_avg - 2`` adds once every ``n_avg`` cycles
+(:class:`PipelineState`).
 """
 
 from __future__ import annotations
@@ -23,12 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import NoiseModelCoefficients, predict_sigma_fb
+from .analysis import NoiseModelCoefficients, sigma_fb_base, sigma_fb_tail
 from .errors import ParameterError
 from .modulation import (
     WORKING_POINT_KEYS,
     WorkingPoint,
     decode_fields,
+    ramp_slopes,
     read_flat_config,
 )
 from .peaks import DEFAULT_WINDOW, METHODS, WEIGHTED_AVERAGE, estimate_peaks
@@ -101,8 +102,11 @@ class PipelineConfig:
     scaled_mean: np.ndarray = field(init=False, repr=False, compare=False)
     scaled_sigma: np.ndarray | None = field(init=False, repr=False, compare=False)
     #: ``DEFAULT_NOISE_GATE * median(reference_sigma)`` per ramp, before the
-    #: ``sqrt(n_window)`` of the averaging.
+    #: ``sqrt(n_window)`` of the averaging, and after it at ``n_window == n_avg``.
     noise_gates: tuple = field(init=False, repr=False, compare=False)
+    steady_gates: tuple = field(init=False, repr=False, compare=False)
+    #: Each ramp's :func:`~.analysis.sigma_fb_base`; None without a noise model.
+    sigma_bases: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         wp, cal = self.working_point, self.calibration
@@ -110,6 +114,7 @@ class PipelineConfig:
                        self.alpha, self.beta, self.sync_offset_samples)
         cal.check_compatible(wp, self.fft_bins, self.sync_offset_samples)
 
+        gates = tuple(DEFAULT_NOISE_GATE * m for m in row_medians(cal.reference_sigma))
         derived = {
             "frame_window": np.hamming(wp.samples_per_ramp),
             "bin_frequencies": bin_frequencies(wp, self.fft_bins),
@@ -117,7 +122,10 @@ class PipelineConfig:
             # x - (+-0.0) is x but at x = -0.0, which magnitudes less a nonnegative
             # mean never give, so beta 0 skips the sigma with no bit changed.
             "scaled_sigma": self.beta * cal.reference_sigma if self.beta else None,
-            "noise_gates": tuple(DEFAULT_NOISE_GATE * m for m in row_medians(cal.reference_sigma)),
+            "noise_gates": gates,
+            "steady_gates": tuple(gate / math.sqrt(self.n_avg) for gate in gates),
+            "sigma_bases": None if self.noise_model is None else tuple(
+                sigma_fb_base(self.noise_model, wp.ramp_rate, abs(s)) for s in ramp_slopes(wp)),
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -196,7 +204,7 @@ class PipelineState:
         n_window = self.n_window
         if n_window & (n_window - 1):
             np.divide(window, n_window, out=spectra)
-        elif n_window > 1:
+        else:  # a window of one, the stream's first cycle, multiplies by 1.0
             np.multiply(window, 1.0 / n_window, out=spectra)
 
 
@@ -216,23 +224,21 @@ def _attach_sigmas(
 ) -> Measurement:
     """Fill sigma_R/sigma_v from the noise model at the measured point.
 
-    Each selected ramp's beat sigma is predicted and put through the weights of
-    the reported R and v, the least-squares line through the selected beats, on
-    those beats (:func:`~.solver.triple_tables`):
+    Each selected ramp's beat sigma, ``predict_sigma_fb``'s to the bit (the config's
+    base of the ramp, then the tail, with the logs of |v| and R taken once), is put
+    through the weights of the reported R and v, the least-squares line through the
+    selected beats, on those beats (:func:`~.solver.triple_tables`):
     ``sigma_R = sqrt(sum((w_R,k sigma_k)**2))``, and the same for v.  A selected
     ramp the model cannot predict leaves both sigmas NaN.
     """
-    wp, m = cfg.working_point, measurement
-    table = triple_tables(wp)[m.selected_ramps]
-    try:
-        s0, s1, s2 = [predict_sigma_fb(cfg.noise_model, f_ramp_rate=wp.ramp_rate,
-                                       slope_S=abs(slope), beat_f_b=peaks[i].beat_frequency,
-                                       velocity_v=abs(m.velocity_v), distance_R=m.distance_R,
-                                       n_avg=n_window)
-                      for i, slope in zip(m.selected_ramps, table[0])]
-    except ParameterError:
+    m, nm, bases = measurement, cfg.noise_model, cfg.sigma_bases
+    try:  # ParameterError is a ValueError
+        log_v, log_r = math.log10(abs(m.velocity_v)), math.log10(m.distance_R)
+        s0, s1, s2 = [sigma_fb_tail(nm, bases[i], peaks[i].beat_frequency, log_v, log_r,
+                                    n_window) for i in m.selected_ramps]
+    except ValueError:
         return m
-    (r0, r1, r2), (v0, v1, v2) = table[-1]
+    (r0, r1, r2), (v0, v1, v2) = triple_tables(cfg.working_point)[m.selected_ramps][-1]
     sigma_r, sigma_v = math.hypot(r0 * s0, r1 * s1, r2 * s2), math.hypot(v0 * s0, v1 * s1, v2 * s2)
     return Measurement(m.distance_R, m.velocity_v, sigma_r, sigma_v, m.sign_combo,
                        m.selected_ramps, m.cluster_spread, m.status)
@@ -256,7 +262,8 @@ def process_block(block, state: PipelineState, cfg: PipelineConfig) -> list:
         state.push(stack[c : c + 4])
         n_windows.append(state.n_window)
     remove_floor(stack.reshape(n_cycles, 4, bins), cfg.scaled_mean, cfg.scaled_sigma)
-    epsilons = [gate / math.sqrt(n) for n in n_windows for gate in cfg.noise_gates]
+    epsilons = [e for n in n_windows for e in (cfg.steady_gates if n == cfg.n_avg else
+                                               [gate / math.sqrt(n) for gate in cfg.noise_gates])]
     peaks = estimate_peaks(stack, cfg.bin_frequencies, epsilons, cfg.interp_window,
                            cfg.interp_method)
     records = []

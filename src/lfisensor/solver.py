@@ -188,7 +188,7 @@ def disambiguate(peaks, wp: WorkingPoint) -> Measurement:
     ]
     if not positive:
         return _invalid_measurement()
-    # Of a measure-zero tie, the first whose implied beats sit farthest from the blind region.
-    signs, distance, velocity, spread = max(positive, key=lambda row: min(
-        abs(signed_beat(wp, s, row[1], row[2])) for s in table[0]))
+    # One row as it is; of a measure-zero tie, the first whose beats sit farthest from blind.
+    signs, distance, velocity, spread = positive[0] if len(positive) == 1 else max(
+        positive, key=lambda row: min(abs(signed_beat(wp, s, row[1], row[2])) for s in table[0]))
     return Measurement(distance, velocity, math.nan, math.nan, signs, indices, spread, status)

@@ -320,6 +320,28 @@ def test_fit_predict_round_trip():
         assert predicted == pytest.approx(obs.observed_sigma_fb, rel=1e-9)
 
 
+@settings(max_examples=200, deadline=None)
+@given(coeffs=st.tuples(*[st.floats(-4.0, 4.0)] * 6),
+       point=st.tuples(*[st.floats(1e-3, 1e16)] * 5), n_avg=st.integers(1, 64))
+def test_predict_is_the_model_summed_left_to_right_bit_for_bit(coeffs, point, n_avg):
+    # The pipeline adds the same base and tail, so this pins the bits of every
+    # record's sigma as well; past the float range the prediction is refused.
+    a1, a2, a3, a4, a5, b = coeffs
+    rate, slope, beat, velocity, distance = point
+    exponent = (a1 * math.log10(rate) + a2 * math.log10(slope) + a3 * math.log10(beat)
+                + a4 * math.log10(velocity) + a5 * math.log10(distance) + b)
+    try:
+        expected = 10.0**exponent / math.sqrt(n_avg)
+    except OverflowError:
+        expected = math.inf
+    model = NoiseModelCoefficients(*coeffs, fit_residual=0.0)
+    if 0.0 < expected < math.inf:
+        assert predict_sigma_fb(model, *point, n_avg) == expected
+    else:
+        with pytest.raises(ParameterError, match="noise model predicts sigma_fb"):
+            predict_sigma_fb(model, *point, n_avg)
+
+
 def test_predict_rejects_nonpositive():
     with pytest.raises(ParameterError, match="beat_f_b"):
         predict_sigma_fb(TRUE_COEFFS, 1e3, 1e14, 0.0, 0.1, 0.05, 1)

@@ -21,6 +21,8 @@ UNREFERENCED = {
     "save_working_point": "writes the flat config file that read_config_file reads",
     "propagate_noise": "the paper's two-ramp noise law, checked by criterion 6; a record's "
     "sigmas weigh all three selected ramps",
+    "predict_sigma_fb": "the one-point noise-model prediction; the pipeline adds the same "
+    "base and tail, the base once per configuration",
 }
 
 #: Parameters with a default (``function.parameter``) that no call in the

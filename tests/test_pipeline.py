@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+import pickle
 import sys
 import tracemalloc
 from dataclasses import fields, replace
@@ -18,6 +19,7 @@ from lfisensor import (
     FramingError,
     GroundTruth,
     LfiError,
+    Measurement,
     NoiseModelCoefficients,
     ParameterError,
     PipelineConfig,
@@ -25,6 +27,7 @@ from lfisensor import (
     calibrate,
     disambiguate,
     estimate_peaks,
+    predict_sigma_fb,
     process_block,
     process_cycle,
     read_frames,
@@ -36,9 +39,10 @@ from lfisensor import (
 )
 from lfisensor import pipeline, spectral
 from lfisensor.modulation import read_flat_config
-from lfisensor.peaks import PeakEstimate
-from lfisensor.pipeline import _attach_sigmas, read_config_file
+from lfisensor.peaks import WEIGHTED_AVERAGE, PeakEstimate
+from lfisensor.pipeline import _attach_sigmas, check_settings, read_config_file
 from lfisensor.simulator import STREAM_BLOCK
+from lfisensor.solver import triple_tables
 from lfisensor.spectral import MIN_CALIBRATION_CYCLES, Calibration, bin_frequencies
 
 from conftest import (C, estimate_weights, make_wp, poke_raw, true_beats, true_slopes,
@@ -242,7 +246,7 @@ def test_sigma_attachment_weighs_every_selected_ramp(wp, quiet_cal, monkeypatch)
     beats = true_beats(wp, 0.05, 0.02)
     sigma_by_beat = dict(zip(np.abs(beats).tolist(), (40.0, 60.0, 20.0, 30.0)))
     monkeypatch.setattr(
-        pipeline, "predict_sigma_fb", lambda coeffs, **kw: sigma_by_beat[kw["beat_f_b"]]
+        pipeline, "sigma_fb_tail", lambda coeffs, base, beat, *logs: sigma_by_beat[beat]
     )
     intensities = [10.0, 9.0, 8.0, 7.0]  # keeps 0, 1, 2
     peaks = tuple(
@@ -289,8 +293,10 @@ def test_record_sigmas_match_the_scatter_of_the_records(wp, noisy_cal, monkeypat
     allowed.  Propagating the steepest selected pair alone reads 0.72-0.81 here.
     """
     cfg, by_beat = _config(wp, noisy_cal), {}
-    monkeypatch.setattr(pipeline, "predict_sigma_fb",
-                        lambda coeffs, **kw: by_beat[kw["beat_f_b"]])
+    # Any model: the patched tail below stands in for every ramp's prediction.
+    modelled = replace(cfg, noise_model=NoiseModelCoefficients(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+    monkeypatch.setattr(pipeline, "sigma_fb_tail",
+                        lambda coeffs, base, beat, *logs: by_beat[beat])
     for k, (r, v) in enumerate([(0.03, 0.02), (0.05, -0.04), (0.07, 0.06), (0.04, -0.08)]):
         records = list(run_stream(synthetic_cycles(wp, GroundTruth(r, v), 1.0, 0.3,
                                                    seed=500 + k, n_cycles=600), cfg))
@@ -301,12 +307,74 @@ def test_record_sigmas_match_the_scatter_of_the_records(wp, noisy_cal, monkeypat
         sigmas = []
         for x in records:
             by_beat = {p.beat_frequency: std for p, std in zip(x.peaks, stds)}
-            m = _attach_sigmas(x.measurement, x.peaks, cfg, n_window=1)
+            m = _attach_sigmas(x.measurement, x.peaks, modelled, n_window=1)
             sigmas.append((m.sigma_R, m.sigma_v))
         rms = np.sqrt(np.mean(np.square(sigmas), axis=0))
         scatter = np.std([(x.measurement.distance_R, x.measurement.velocity_v)
                           for x in records], axis=0)
         assert rms / scatter == pytest.approx([1.0, 1.0], abs=4.0 / math.sqrt(len(records) - 1))
+
+
+def _reference_sigmas(cfg, m, peaks, n_window):
+    """Oracle: the public ``predict_sigma_fb`` of each selected ramp through the weights
+    of ``triple_tables``, with ``math.hypot``; both NaN when one prediction fails."""
+    wp = cfg.working_point
+    slopes, _, _, (w_r, w_v) = triple_tables(wp)[m.selected_ramps]
+    try:
+        sigmas = [predict_sigma_fb(cfg.noise_model, wp.ramp_rate, abs(s),
+                                   peaks[i].beat_frequency, abs(m.velocity_v), m.distance_R,
+                                   n_window)
+                  for i, s in zip(m.selected_ramps, slopes)]
+    except ParameterError:
+        return math.nan, math.nan
+    return tuple(math.hypot(*[w * s for w, s in zip(weights, sigmas)]) for weights in (w_r, w_v))
+
+
+_SMALL = st.floats(-4.0, 4.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=st.tuples(*[_SMALL] * 6),
+       # One coefficient in three is anywhere in the float range: (index, value), none
+       # at an index past 5.
+       wild=st.tuples(st.integers(0, 17), st.floats(allow_nan=False, allow_infinity=False)),
+       triple=st.sampled_from(list(itertools.combinations(range(4), 3))),
+       distance=st.floats(1e-4, 1.0),
+       velocity=st.floats(-1.0, 1.0),
+       zeroed=st.sampled_from([None] * 4 + [0, 1, 2, 3]),
+       n_avg=st.integers(1, 32), n_window=st.integers(1, 32))
+@example(coeffs=(0.0,) * 6, wild=(5, 400.0), triple=(0, 1, 2), distance=0.05, velocity=0.02,
+         zeroed=None, n_avg=16, n_window=16).via("overflow")
+@example(coeffs=(0.0,) * 6, wild=(5, -400.0), triple=(0, 1, 2), distance=0.05, velocity=0.02,
+         zeroed=None, n_avg=16, n_window=16).via("underflow")
+@example(coeffs=(0.0,) * 6, wild=(0, 1.5e308), triple=(0, 1, 3), distance=0.05, velocity=0.02,
+         zeroed=None, n_avg=4, n_window=2).via("overflowing exponent sum")
+@example(coeffs=(0.3, -0.6, 0.2, 0.4, 0.5, -3.2), wild=(6, 0.0), triple=(1, 2, 3),
+         distance=0.05, velocity=0.0, zeroed=None, n_avg=16, n_window=16).via("|v| = 0")
+@example(coeffs=(0.3, -0.6, 0.2, 0.4, 0.5, -3.2), wild=(6, 0.0), triple=(0, 2, 3),
+         distance=0.05, velocity=0.02, zeroed=2, n_avg=16, n_window=3).via(
+             "a selected beat of 0 Hz")
+def test_record_sigmas_are_the_public_prediction_bit_for_bit(
+        wp, quiet_cal, coeffs, wild, triple, distance, velocity, zeroed, n_avg, n_window):
+    # Each sigma equals the public prediction's, NaN for NaN, at coefficients up to
+    # the float limit, in and out of the model's log domain, warm-up windows included.
+    coeffs = list(coeffs)
+    if wild[0] < 6:
+        coeffs[wild[0]] = wild[1]
+    cfg = _config(wp, quiet_cal, n_avg=n_avg, noise_model=NoiseModelCoefficients(*coeffs, 0.0))
+    n_window = min(n_window, n_avg)
+    beats = np.abs(true_beats(wp, distance, velocity)).tolist()
+    if zeroed is not None:
+        beats[zeroed] = 0.0
+    peaks = tuple(PeakEstimate(f, 1.0, WEIGHTED_AVERAGE, True) for f in beats)
+    measurement = Measurement(distance, velocity, math.nan, math.nan, (1, 1, 1), triple, 0.0,
+                              "ok")
+    m = _attach_sigmas(measurement, peaks, cfg, n_window)
+    expected = _reference_sigmas(cfg, measurement, peaks, n_window)
+    event("NaN sigmas" if math.isnan(expected[0]) else "finite sigmas")
+    for got, want in zip((m.sigma_R, m.sigma_v), expected):
+        assert got == want or (math.isnan(got) and math.isnan(want))
+    assert repr(replace(m, sigma_R=math.nan, sigma_v=math.nan)) == repr(measurement)
 
 
 def _two_stacks_mean(pushed, t, n_avg):
@@ -562,6 +630,39 @@ def test_config_accepts_boundary_settings(wp, quiet_cal):
     _config(frame_512, _flat_calibration(frame_512, 512), fft_bins=512)
     _config(wp, quiet_cal, n_avg=16384)  # a ring of MAX_WORK_BYTES
     _config(wp, _flat_calibration(wp, 2**19), fft_bins=2**19)  # work arrays of 768 MiB
+
+
+def _largest_n_avg(wp, fft_bins, window):
+    """The largest ``n_avg`` that :func:`check_settings` accepts, by bisection."""
+    accepted, refused = 1, 2**62
+    while refused - accepted > 1:
+        mid = (accepted + refused) // 2
+        try:
+            check_settings(wp, fft_bins, window, WEIGHTED_AVERAGE, mid, 1.0, 1.0, 0)
+            accepted = mid
+        except ParameterError:
+            refused = mid
+    return accepted
+
+
+@pytest.mark.parametrize(
+    "noise_model", [None, NoiseModelCoefficients(0.35, -0.6, 0.22, 0.4, 0.55, -3.2, 0.0)],
+    ids=["plain", "noise-model"])
+def test_config_tables_do_not_grow_with_n_avg(noise_model):
+    # The largest ring a tiny frame allows is over four million spectra long; the
+    # config built for it holds nothing indexed by the window count, so each of its
+    # attributes but n_avg pickles to the size it has at n_avg 1 (only the ring, in
+    # PipelineState, grows).
+    tiny = make_wp(ramp_duration=4e-6)  # 8 samples a frame
+    n_max = _largest_n_avg(tiny, 8, 3)
+    assert n_max > 4_000_000
+    sizes = []
+    for n_avg in (1, n_max):
+        cfg = _config(tiny, _flat_calibration(tiny, 8), fft_bins=8, interp_window=3,
+                      n_avg=n_avg, noise_model=noise_model)
+        sizes.append({name: len(pickle.dumps(value))
+                      for name, value in vars(cfg).items() if name != "n_avg"})
+    assert sizes[0] == sizes[1]
 
 
 # ------------------------------------------------------------ block processing
