@@ -154,14 +154,12 @@ class PipelineState:
     nonnegative spectra both means are within ``n_window·2⁻⁵³`` of the exact
     mean, relative (the ``(n_window - 1)·2⁻⁵³`` of a sum in any order and the
     division's rounding; to first order, and plus 2⁻¹⁰⁷⁵ where the mean is
-    subnormal), so they differ by at most twice that.  ``work`` holds the
-    arrays of ``magnitude_spectra``, kept for the next block.
+    subnormal), so they differ by at most twice that.
     """
 
     n_avg: int
     ring: np.ndarray
     cycles_seen: int = 0
-    work: list = field(default_factory=list, repr=False, compare=False)
 
     @classmethod
     def for_config(cls, cfg: PipelineConfig) -> "PipelineState":
@@ -254,8 +252,7 @@ def process_block(block, state: PipelineState, cfg: PipelineConfig) -> list:
     float32 range, raises :class:`FramingError` before ``state`` changes.
     """
     wp = cfg.working_point
-    stack = magnitude_spectra(block, wp, cfg.frame_window, cfg.fft_bins, state.work,
-                              state.cycles_seen)
+    stack = magnitude_spectra(block, wp, cfg.frame_window, cfg.fft_bins, state.cycles_seen)
     rows, bins = stack.shape
     n_cycles, n_windows = rows // 4, []
     for c in range(0, rows, 4):

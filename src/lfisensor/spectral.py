@@ -126,7 +126,8 @@ def check_fft_bins(fft_bins: int, frame_length: int) -> None:
 
 def _check_fft_work(fft_bins: int, cycles: int, what: str) -> None:
     """Refuse ``what`` if the FFT work arrays of ``cycles`` cycles pass :data:`MAX_WORK_BYTES`."""
-    # Per frame: the padded float frame, its complex rfft and the magnitudes.
+    # Per frame, each block allocates anew: the windowed float frame (at most fft_bins
+    # samples), its complex rfft and the magnitudes, which it returns.
     work = 4 * cycles * (8 * fft_bins + 16 * (fft_bins // 2 + 1) + 8 * (fft_bins // 2))
     check_work(work, f"{what} needs {work} bytes of FFT work arrays")
 
@@ -137,29 +138,20 @@ def check_work(nbytes: int, what: str) -> None:
         raise ParameterError(f"{what}, more than MAX_WORK_BYTES ({MAX_WORK_BYTES})")
 
 
-def magnitude_spectra(block, wp: WorkingPoint, window, fft_bins: int, work: list,
+def magnitude_spectra(block, wp: WorkingPoint, window, fft_bins: int,
                       first_cycle: int) -> np.ndarray:
     """Hamming-windowed (``window``), zero-padded FFT magnitudes of a block of whole cycles.
 
-    Ramp ``r`` of cycle ``c`` is row ``4 c + r`` of the ``(4 * cycles, fft_bins // 2)`` result,
-    bit for bit its own frame's transform.  A block that fails :func:`~.simulator.check_block`
-    (cycles counted from ``first_cycle``) raises :class:`FramingError`, and one whose work arrays
-    would pass :data:`MAX_WORK_BYTES` :class:`ParameterError`, before ``work``, the caller's list
-    (empty at first) of the padded frames, transform and magnitudes, changes; it grows to
-    the largest block, and the result is a view of it, the caller's to change.
+    Ramp ``r`` of cycle ``c`` is row ``4 c + r`` of the new ``(4 * cycles, fft_bins // 2)``
+    result, the caller's to change, bit for bit its own frame's transform.  A block that
+    fails :func:`~.simulator.check_block` (cycles counted from ``first_cycle``) raises
+    :class:`FramingError`, and one whose FFT work arrays would pass :data:`MAX_WORK_BYTES`
+    :class:`ParameterError`, before any of them is allocated.
     """
     block = check_block(block, wp, "input", first_cycle)
-    n = len(window)  # samples per ramp
-    rows, bins = 4 * len(block), fft_bins // 2
-    if not work or len(work[0]) < rows:  # the pads stay 0
-        _check_fft_work(fft_bins, len(block),
-                        f"a block of {len(block)} cycles at fft_bins {fft_bins}")
-        work[:] = (np.zeros((rows, fft_bins)), np.empty((rows, bins + 1), complex),
-                   np.empty((rows, bins)))
-    padded, transform, spectra = (array[:rows] for array in work)
-    np.multiply(block.reshape(rows, n), window, out=padded[:, :n])
-    np.fft.rfft(padded, axis=-1, out=transform)
-    return np.abs(transform[:, :bins], out=spectra)
+    _check_fft_work(fft_bins, len(block), f"a block of {len(block)} cycles at fft_bins {fft_bins}")
+    frames = block.reshape(4 * len(block), len(window)) * window
+    return np.abs(np.fft.rfft(frames, fft_bins, axis=-1)[:, : fft_bins // 2])
 
 
 def bin_frequencies(wp: WorkingPoint, fft_bins: int) -> np.ndarray:
@@ -178,10 +170,10 @@ def calibrate(cycles, wp: WorkingPoint, fft_bins: int = DEFAULT_FFT_BINS,
     """
     check_fft_bins(fft_bins, wp.samples_per_ramp)
     check_sync_offset(offset, wp.samples_per_cycle)
-    window, work, n_cycles = np.hamming(wp.samples_per_ramp), [], 0
+    window, n_cycles = np.hamming(wp.samples_per_ramp), 0
     total, mean, m2 = np.zeros((3, 4, fft_bins // 2))
     for block in cycle_blocks(cycles):
-        spectra = magnitude_spectra(block, wp, window, fft_bins, work, n_cycles)
+        spectra = magnitude_spectra(block, wp, window, fft_bins, n_cycles)
         for s in spectra.reshape(len(block), 4, -1):
             n_cycles += 1
             total += s

@@ -334,12 +334,12 @@ def test_criterion_9_interpolator_sweep(wp):
     bin_width = wp.sampling_rate / 2048
     t = np.arange(wp.samples_per_ramp) / wp.sampling_rate
     base_bin = 150
-    window, freqs, work = np.hamming(wp.samples_per_ramp), bin_frequencies(wp, 2048), []
+    window, freqs = np.hamming(wp.samples_per_ramp), bin_frequencies(wp, 2048)
     worst = {GAUSSIAN: 0.0, WEIGHTED_AVERAGE: 0.0}
     for offset in np.linspace(0.0, 1.0, 32, endpoint=False):
         f = (base_bin + offset) * bin_width
         tone = np.cos(2 * np.pi * f * t + 0.7)
-        mags = magnitude_spectra([np.tile(tone, 4)], wp, window, 2048, work, 0)[:1]
+        mags = magnitude_spectra([np.tile(tone, 4)], wp, window, 2048, 0)[:1]
         for method in worst:
             est = estimate_peaks(mags, freqs, [0.0], DEFAULT_WINDOW, method)[0]
             worst[method] = max(worst[method], abs(est.beat_frequency - f))

@@ -63,6 +63,21 @@ def test_blind_map_matches_brute_force_cell_for_cell():
     assert np.all(np.diff(bm.v_axis) > 0) and np.all(np.diff(bm.r_axis) > 0)
 
 
+@pytest.mark.parametrize("resolution", [(0, 3), (3, 0), (-1, -1)])
+def test_blind_map_refuses_a_resolution_below_one(resolution):
+    with pytest.raises(ParameterError, match="resolution must be positive"):
+        blind_map(WP, (-0.1, 0.1), (0.0, 0.05), resolution)
+
+
+@pytest.mark.parametrize("v_range, r_range", [((0.1, 0.1), (0.0, 0.05)),
+                                              ((0.1, -0.1), (0.0, 0.05)),
+                                              ((-0.1, 0.1), (0.05, 0.05))],
+                         ids=["v-empty", "v-reversed", "r-empty"])
+def test_blind_map_refuses_an_empty_grid_range(v_range, r_range):
+    with pytest.raises(ParameterError, match="grid ranges must be nonempty"):
+        blind_map(WP, v_range, r_range, (3, 3))
+
+
 def test_min_reliable_distance_zero_cutoff():
     wp = make_wp(hp_cutoff=0.0)
     assert min_reliable_distance(wp, v_max=0.1) == 0.0
@@ -340,6 +355,18 @@ def test_predict_is_the_model_summed_left_to_right_bit_for_bit(coeffs, point, n_
     else:
         with pytest.raises(ParameterError, match="noise model predicts sigma_fb"):
             predict_sigma_fb(model, *point, n_avg)
+
+
+@pytest.mark.parametrize("name, value", [("a1", math.nan), ("a4", math.inf), ("b", -math.inf)])
+def test_noise_model_refuses_a_coefficient_that_is_not_finite(name, value):
+    with pytest.raises(ParameterError, match="noise-model coefficients must be finite"):
+        replace(TRUE_COEFFS, **{name: value})
+
+
+@pytest.mark.parametrize("residual", [-1e-12, math.nan])
+def test_noise_model_refuses_a_fit_residual_that_is_not_nonnegative(residual):
+    with pytest.raises(ParameterError, match="fit_residual must be >= 0"):
+        replace(TRUE_COEFFS, fit_residual=residual)
 
 
 def test_predict_rejects_nonpositive():

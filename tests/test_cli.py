@@ -692,6 +692,27 @@ def test_an_option_the_command_would_ignore_is_refused(replay_files, tmp_path, c
 
 
 @pytest.mark.parametrize(
+    "argv, needle",
+    [(["synth", "--config", "CFG"], "error: --cycles is required"),
+     (["calibrate", "--config", "CFG"], "error: either --input or --cycles is required"),
+     (["process", "--config", "CFG", "--calibration", "CAL"],
+      "error: either --input or --cycles is required")],
+    ids=["synth", "calibrate", "process"],
+)
+def test_a_command_given_no_cycle_source_is_refused(replay_files, tmp_path, capsys, argv,
+                                                    needle):
+    # synth has no --input, so it names --cycles alone; the commands that replay
+    # name both.  Either way it exits 1 and writes no file.
+    _, config, cal, _, _ = replay_files
+    argv = [str({"CFG": config, "CAL": cal}.get(arg, arg)) for arg in argv]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(needle) and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "command, option, value, needle",
     [
         ("mindist", "--v-max", "nan", "v_max must be finite and > 0, got nan"),

@@ -54,7 +54,7 @@ def _median_gate(row, intensity, epsilon) -> bool:
 def _tone_spectrum(frequency, phase=0.0):
     t = np.arange(WP.samples_per_ramp) / WP.sampling_rate
     frame = np.cos(2 * np.pi * frequency * t + phase)
-    return magnitude_spectra([np.tile(frame, 4)], WP, np.hamming(frame.size), 2048, [], 0)[0]
+    return magnitude_spectra([np.tile(frame, 4)], WP, np.hamming(frame.size), 2048, 0)[0]
 
 
 def test_find_max_bin_basic():
@@ -768,16 +768,16 @@ def test_weighted_average_not_much_worse_than_gaussian():
     # var_wa <= 1.5 * var_gauss.
     rng = np.random.default_rng(17)
     t = np.arange(WP.samples_per_ramp) / WP.sampling_rate
-    window, work = np.hamming(WP.samples_per_ramp), []
+    window = np.hamming(WP.samples_per_ramp)
     noise = rng.normal(0.0, 0.3, (64, WP.samples_per_ramp))
-    ref_mean = magnitude_spectra(noise.reshape(16, -1), WP, window, 2048, work, 0).mean(axis=0)
+    ref_mean = magnitude_spectra(noise.reshape(16, -1), WP, window, 2048, 0).mean(axis=0)
     errors = {GAUSSIAN: [], WEIGHTED_AVERAGE: []}
     for _ in range(150):
         f = (120 + rng.uniform()) * BIN_WIDTH
         frame = np.cos(2 * np.pi * f * t + rng.uniform(0, 2 * np.pi))
         frame = frame + rng.normal(0.0, 0.3, frame.size)
         # max(X - alpha mean_ref - beta sigma_ref, 0) at the defaults alpha 1, beta 0.
-        spectrum = magnitude_spectra([np.tile(frame, 4)], WP, window, 2048, work, 0)[0]
+        spectrum = magnitude_spectra([np.tile(frame, 4)], WP, window, 2048, 0)[0]
         mags = np.maximum(spectrum - ref_mean, 0.0)
         for method in errors:
             est = _estimate(mags, method)

@@ -15,6 +15,7 @@ from lfisensor import (
     pair_solution,
     propagate_noise,
 )
+from lfisensor import solver
 from lfisensor.peaks import PeakEstimate
 from lfisensor.solver import STATUS_DEGRADED, STATUS_INVALID, STATUS_OK, triple_tables
 
@@ -103,6 +104,16 @@ def test_pair_solution_negation_mirrors():
 def test_pair_solution_degenerate_slopes():
     with pytest.raises(DegeneratePairError):
         pair_solution(1e5, SLOPES[0], 2e5, SLOPES[0], FE)
+
+
+def test_pair_solution_refuses_a_zero_emitted_frequency():
+    with pytest.raises(ParameterError, match="emitted frequency must be nonzero"):
+        pair_solution(1e5, SLOPES[0], 2e5, SLOPES[1], 0.0)
+
+
+def test_propagate_noise_degenerate_slopes():
+    with pytest.raises(DegeneratePairError, match="ramp slopes must differ"):
+        propagate_noise(30.0, 70.0, SLOPES[0], SLOPES[0], FE)
 
 
 def test_propagate_noise_zero_and_homogeneity():
@@ -470,6 +481,20 @@ def test_mirror_choice_with_cancelling_velocities_keeps_positive_zero():
     assert m.velocity_v == 0.0
     assert math.copysign(1.0, m.velocity_v) == 1.0
     assert_matches_oracle(m, peaks, certain=True)
+
+
+def test_a_tie_on_spread_goes_to_the_widest_blind_margin(monkeypatch):
+    # Real beats tie on spread only on a set of measure zero, so _sign_combos gives
+    # two least-spread rows of positive R: one with ramp 0's beat at 0 Hz (blind),
+    # one at v = 0, clear of blind on every ramp.  Either order, the clear one wins.
+    blind = ((1, 1, -1), 0.01, -2.0 * 0.01 * SLOPES[0] / FE, 0.5)
+    clear = ((1, -1, 1), 0.05, 0.0, 0.5)
+    peaks = peaks_from_beats(true_beats(WP, 0.05, 0.0))
+    for rows in ([blind, clear], [clear, blind]):
+        monkeypatch.setattr(solver, "_sign_combos", lambda magnitudes, table: rows)
+        m = disambiguate(peaks, WP)
+        assert (m.sign_combo, m.distance_R, m.velocity_v) == clear[:3]
+        assert m.selected_ramps == (0, 1, 2) and m.status == STATUS_OK
 
 
 def test_measurement_is_plain_value():

@@ -34,7 +34,7 @@ def _tone_frame(wp, frequency, phase=0.0, amplitude=1.0):
 
 def _spectrum(wp, frame, fft_bins=2048):
     """Magnitude spectrum of one frame: the first row of a cycle of four copies."""
-    return magnitude_spectra([np.tile(frame, 4)], wp, np.hamming(len(frame)), fft_bins, [], 0)[0]
+    return magnitude_spectra([np.tile(frame, 4)], wp, np.hamming(len(frame)), fft_bins, 0)[0]
 
 
 def _direct_windowed_dft(frame, fft_bins, bins, fs):
@@ -52,13 +52,22 @@ def test_spectra_rows_are_the_ramps_of_each_cycle_in_order():
     wp = make_wp()
     cycles = np.random.default_rng(5).normal(size=(3, wp.samples_per_cycle))
     frames = cycles.reshape(12, wp.samples_per_ramp)
-    window, work = np.hamming(wp.samples_per_ramp), []
+    window = np.hamming(wp.samples_per_ramp)
     oracle = np.abs(np.fft.rfft(frames * window, 2048)[:, :1024])
-    np.testing.assert_array_equal(magnitude_spectra(cycles, wp, window, 2048, work, 0), oracle)
-    # A smaller block reuses the grown work arrays; their pads are still zero.
-    np.testing.assert_array_equal(
-        magnitude_spectra(cycles[1:2], wp, window, 2048, work, 1), oracle[4:8])
-    assert len(work[0]) == 12
+    np.testing.assert_array_equal(magnitude_spectra(cycles, wp, window, 2048, 0), oracle)
+    np.testing.assert_array_equal(magnitude_spectra(cycles[1:2], wp, window, 2048, 1), oracle[4:8])
+
+
+def test_a_returned_stack_survives_the_next_call():
+    # Each call returns a new stack, which the caller may keep or change in place.
+    wp = make_wp()
+    cycles = np.random.default_rng(6).normal(size=(2, wp.samples_per_cycle))
+    window = np.hamming(wp.samples_per_ramp)
+    first = magnitude_spectra(cycles[:1], wp, window, 2048, 0)
+    kept = first.copy()
+    second = magnitude_spectra(cycles[1:], wp, window, 2048, 1)
+    np.testing.assert_array_equal(first, kept)
+    assert not np.shares_memory(first, second)
 
 
 def test_calibrate_refuses_a_cycle_of_the_wrong_length():
@@ -290,7 +299,7 @@ def test_calibrate_mean_is_the_stack_mean_and_sigma_the_sample_sigma():
     wp = make_wp()
     cycles = np.random.default_rng(8).normal(size=(2 * STREAM_BLOCK + 7, wp.samples_per_cycle))
     window = np.hamming(wp.samples_per_ramp)
-    stack = magnitude_spectra(cycles, wp, window, 2048, [], 0).reshape(len(cycles), 4, 1024)
+    stack = magnitude_spectra(cycles, wp, window, 2048, 0).reshape(len(cycles), 4, 1024)
     cal = calibrate(cycles, wp)
     np.testing.assert_array_equal(cal.reference_mean, stack.mean(axis=0))
     np.testing.assert_allclose(cal.reference_sigma, stack.std(axis=0, ddof=1), rtol=1e-13)
@@ -395,6 +404,13 @@ def test_calibration_compatibility_checks(tmp_path):
         cal.check_compatible(other, 2048, 0)
     with pytest.raises(CalibrationError, match="sync offset 0 samples != configured 40"):
         cal.check_compatible(wp, 2048, 40)
+
+
+def test_calibration_refuses_mean_and_sigma_of_different_shapes():
+    wp = make_wp()
+    with pytest.raises(CalibrationError, match="mean and sigma must have the same shape"):
+        Calibration(np.zeros((4, 1024)), np.zeros((4, 512)), MIN_CALIBRATION_CYCLES,
+                    wp.sampling_rate, wp.samples_per_ramp, 0)
 
 
 def test_calibration_equality_compares_values():
