@@ -17,6 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError
+from .simulator import check_integer
 from .spectral import row_medians
 
 DEFAULT_WINDOW = 25
@@ -139,44 +140,36 @@ def _interpolate(rows, bin_freqs, centers, window, method, epsilons) -> list:
     weights = rows.take(columns + starts, mode="clip")
     if min(center_list) < half or max(center_list) > n_bins - 1 - half:
         weights[(columns < 0) | (columns >= n_bins)] = 0.0
-    fitted = fit_intensities = [None] * len(center_list)  # None: no Gaussian fit covers the row
+    found = [None] * len(center_list)  # each row's (frequency, intensity, method)
     if method == GAUSSIAN:
-        vertices, fit_intensities = _gaussian_fits(weights)
+        vertices, intensities = _gaussian_fits(weights)
         # A fit is accepted unless it failed (a NaN vertex).  A finite vertex is
         # within one bin of a center whose neighbours are positive, so inside
         # the row: a neighbour past its ends was set to 0 above.
         step = float(bin_freqs[1] - bin_freqs[0])
-        fitted = [None if math.isnan(v) else f + v * step
-                  for f, v in zip(bin_freqs.take(centers).tolist(), vertices)]
-        if None not in fitted:
-            return [PeakEstimate(f, i, GAUSSIAN, v) for f, i, v in zip(
-                fitted, fit_intensities, validity(rows, fit_intensities, epsilons))]
-    # The weighted average, for every row the Gaussian fit does not cover, over
-    # each window's bin frequencies (the end bins' past the ends): the two sums
-    # in numpy, each row's quotient and clamp in Python floats.
-    freqs = bin_freqs.take(columns, mode="clip")
-    totals = np.add.reduce(weights, axis=1).tolist()
-    moments = np.add.reduce(weights * freqs, axis=1).tolist()
-    intensities = [c if f is None else i for f, i, c in zip(
-        fitted, fit_intensities, weights[:, half].tolist())]
-    estimates = []
-    for r, (fit, total, moment, low, high, i, v) in enumerate(zip(
-            fitted, totals, moments, freqs[:, 0].tolist(), freqs[:, -1].tolist(), intensities,
-            validity(rows, intensities, epsilons))):
-        if fit is not None:
-            f, used = fit, GAUSSIAN
-        elif total != 0.0:  # a window with no weight has no peak
-            # Rounding can carry the mean just past an end bin; it stays in the
-            # window.  As np.maximum, then np.minimum: a NaN passes, and a tie
-            # takes the end bin.
-            f, used = moment / total, WEIGHTED_AVERAGE
-            f = f if f > low or f != f else low
-            f = f if f < high or f != f else high
-        else:  # an all-zero row has no peak under either method
-            f = i = 0.0
-            used, v = method if not rows[r].any() else WEIGHTED_AVERAGE, False
-        estimates.append(PeakEstimate(f, i, used, v))
-    return estimates
+        found = [None if math.isnan(v) else (f + v * step, i, GAUSSIAN)
+                 for f, v, i in zip(bin_freqs.take(centers).tolist(), vertices, intensities)]
+    if None in found:
+        # The weighted average, for every row the Gaussian fit does not cover, over
+        # each window's bin frequencies (the end bins' past the ends): the two sums
+        # in numpy, each row's quotient and clamp in Python floats.
+        freqs = bin_freqs.take(columns, mode="clip")
+        totals = np.add.reduce(weights, axis=1).tolist()
+        moments = np.add.reduce(weights * freqs, axis=1).tolist()
+        for r, (fit, total, moment, low, high, center) in enumerate(zip(
+                found, totals, moments, freqs[:, 0].tolist(), freqs[:, -1].tolist(),
+                weights[:, half].tolist())):
+            if fit is None and total != 0.0:  # a window with no weight has no peak
+                # Rounding can carry the mean just past an end bin; it stays in the
+                # window.  As np.maximum, then np.minimum: a NaN passes, and a tie
+                # takes the end bin.
+                f = moment / total
+                f = f if f > low or f != f else low
+                found[r] = (f if f < high or f != f else high, center, WEIGHTED_AVERAGE)
+            elif fit is None:  # an all-zero row has no peak under either method; no gate passes 0
+                found[r] = (0.0, 0.0, method if not rows[r].any() else WEIGHTED_AVERAGE)
+    flags = validity(rows, [i for _, i, _ in found], epsilons)
+    return [PeakEstimate(f, i, m, v) for (f, i, m), v in zip(found, flags)]
 
 
 def estimate_peaks(rows, bin_freqs, epsilons, window, method) -> tuple:
@@ -194,6 +187,7 @@ def estimate_peaks(rows, bin_freqs, epsilons, window, method) -> tuple:
     """
     if method not in METHODS:
         raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
+    check_integer("window", window)
     if window < 3 or window % 2 == 0 or window > rows.shape[1]:
         raise ParameterError(
             f"window must be odd, >= 3 and <= the {rows.shape[1]} bins of a row, got {window}")

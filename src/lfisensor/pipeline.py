@@ -6,14 +6,14 @@ iterable of cycles: seeded synthetic cycles (:func:`synthetic_cycles`) or
 the replay of an exported frame file (:func:`~.simulator.read_frames`).
 
 Everything that depends only on the configuration and the calibration (window, bin
-grid, scaled reference spectra, noise gates and their steady-state values, each ramp's
-noise-model base) is computed once, when :class:`PipelineConfig` is built, and none of it
-grows with ``n_avg``.  A block of cycles runs one FFT, floor subtraction and peak stage over
-one ``(4 * cycles, bins)`` stack of its frames, which the sliding average and the floor
-subtraction change in place.  Each record is the one its cycle gets in a block of its own,
-bit for bit.  The sliding average is a two-stacks window sum: four array operations a
-cycle, whatever ``n_avg``, plus a copy and ``n_avg - 2`` adds once every ``n_avg`` cycles
-(:class:`PipelineState`).
+grid, scaled reference spectra, noise gates, each ramp's noise-model base) is computed
+once, when :class:`PipelineConfig` is built, and none of it grows with ``n_avg``; a cycle
+divides each gate by the root of its window's count.  A block of cycles runs one
+FFT, floor subtraction and peak stage over one ``(4 * cycles, bins)`` stack of its frames,
+which the sliding average and the floor subtraction change in place.  Each record is the one
+its cycle gets in a block of its own, bit for bit.  The sliding average is a two-stacks
+window sum: four array operations a cycle, whatever ``n_avg``, plus a copy and ``n_avg - 2``
+adds once every ``n_avg`` cycles (:class:`PipelineState`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from .modulation import (
     read_flat_config,
 )
 from .peaks import DEFAULT_WINDOW, METHODS, WEIGHTED_AVERAGE, estimate_peaks
-from .simulator import check_sync_offset, check_synthesis, cycle_blocks, synthesize_block
+from .simulator import (check_integer, check_sync_offset, check_synthesis, cycle_blocks,
+                        synthesize_block)
 from .solver import STATUS_INVALID, Measurement, disambiguate, triple_tables
 from .spectral import (
     DEFAULT_ALPHA,
@@ -57,6 +58,7 @@ def check_settings(wp: WorkingPoint, fft_bins: int, interp_window: int, interp_m
                    n_avg: int, alpha: float, beta: float, sync_offset_samples: int) -> None:
     """Refuse pipeline settings (the :class:`PipelineConfig` keys of a config file)
     that no calibration could make valid at the working point ``wp``."""
+    check_integer("n_avg", n_avg)
     if n_avg < 1:
         raise ParameterError(f"n_avg must be >= 1, got {n_avg}")
     if interp_method not in METHODS:
@@ -66,12 +68,13 @@ def check_settings(wp: WorkingPoint, fft_bins: int, interp_window: int, interp_m
     ring = 2 * n_avg * 4 * bins * 8  # PipelineState.ring, float64
     check_work(ring, f"n_avg ({n_avg}) needs {ring} bytes of sliding-average ring at "
                      f"fft_bins {fft_bins}")
+    check_integer("interp_window", interp_window)
     if interp_window < 3 or interp_window % 2 == 0 or interp_window > bins:
         raise ParameterError(
             f"interp_window must be odd, >= 3 and <= fft_bins // 2 ({bins}), got {interp_window}")
-    for name, value in (("alpha", alpha), ("beta", beta)):
-        if not 0 <= value < math.inf:
-            raise ParameterError(f"{name} must be finite and >= 0, got {value}")
+    for name, v in (("alpha", alpha), ("beta", beta)):
+        if not (isinstance(v, (int, float, np.integer, np.floating)) and 0 <= v < math.inf):
+            raise ParameterError(f"{name} must be finite and >= 0, got {v!r}")
     check_sync_offset(sync_offset_samples, wp.samples_per_cycle)
 
 
@@ -101,10 +104,8 @@ class PipelineConfig:
     #: the latter is None at ``beta`` 0.
     scaled_mean: np.ndarray = field(init=False, repr=False, compare=False)
     scaled_sigma: np.ndarray | None = field(init=False, repr=False, compare=False)
-    #: ``DEFAULT_NOISE_GATE * median(reference_sigma)`` per ramp, before the
-    #: ``sqrt(n_window)`` of the averaging, and after it at ``n_window == n_avg``.
+    #: ``DEFAULT_NOISE_GATE * median(reference_sigma)`` per ramp, before ``/ sqrt(n_window)``.
     noise_gates: tuple = field(init=False, repr=False, compare=False)
-    steady_gates: tuple = field(init=False, repr=False, compare=False)
     #: Each ramp's :func:`~.analysis.sigma_fb_base`; None without a noise model.
     sigma_bases: tuple | None = field(init=False, repr=False, compare=False)
 
@@ -112,6 +113,8 @@ class PipelineConfig:
         wp, cal = self.working_point, self.calibration
         check_settings(wp, self.fft_bins, self.interp_window, self.interp_method, self.n_avg,
                        self.alpha, self.beta, self.sync_offset_samples)
+        if not isinstance(self.noise_model, (NoiseModelCoefficients, type(None))):
+            raise ParameterError("noise_model must be NoiseModelCoefficients or None")
         cal.check_compatible(wp, self.fft_bins, self.sync_offset_samples)
 
         gates = tuple(DEFAULT_NOISE_GATE * m for m in row_medians(cal.reference_sigma))
@@ -123,7 +126,6 @@ class PipelineConfig:
             # mean never give, so beta 0 skips the sigma with no bit changed.
             "scaled_sigma": self.beta * cal.reference_sigma if self.beta else None,
             "noise_gates": gates,
-            "steady_gates": tuple(gate / math.sqrt(self.n_avg) for gate in gates),
             "sigma_bases": None if self.noise_model is None else tuple(
                 sigma_fb_base(self.noise_model, wp.ramp_rate, abs(s)) for s in ramp_slopes(wp)),
         }
@@ -166,24 +168,20 @@ class PipelineState:
         slots = 2 * cfg.n_avg if cfg.n_avg > 1 else 0
         return cls(cfg.n_avg, np.zeros((slots, 4, cfg.fft_bins // 2)))
 
-    @property
-    def n_window(self) -> int:
-        """Spectra per ramp in the current window."""
-        return min(self.cycles_seen, self.n_avg)
-
-    def push(self, spectra: np.ndarray) -> None:
+    def push(self, spectra: np.ndarray) -> int:
         """Add one cycle's ``(4, bins)`` spectra, then overwrite them with the window mean.
 
-        The division is ``np.mean``'s; by a power of two, a cheaper multiply by its
-        exact reciprocal gives the same double for every input, NaNs included.  A window
-        of one spectrum leaves ``spectra`` as they are.  At ``n_avg`` 1 every window
-        is one spectrum, and there is no ring.
+        Returns the window's count of spectra.  The division is ``np.mean``'s; by a power
+        of two, a cheaper multiply by its exact reciprocal gives the same double for every
+        input, NaNs included.  A window of one spectrum leaves ``spectra`` as they are.  At
+        ``n_avg`` 1 every window is one spectrum, and there is no ring.
         """
         n = self.n_avg
         j = self.cycles_seen % n
         self.cycles_seen += 1
+        n_window = min(self.cycles_seen, n)
         if n == 1:
-            return
+            return n_window
         ring = self.ring
         ring[j] = spectra
         current = ring[n]
@@ -199,11 +197,11 @@ class PipelineState:
             window = current
         else:
             window = np.add(ring[n + j + 1], current, out=spectra)
-        n_window = self.n_window
         if n_window & (n_window - 1):
             np.divide(window, n_window, out=spectra)
         else:  # a window of one, the stream's first cycle, multiplies by 1.0
             np.multiply(window, 1.0 / n_window, out=spectra)
+        return n_window
 
 
 @dataclass
@@ -249,28 +247,26 @@ def process_block(block, state: PipelineState, cfg: PipelineConfig) -> list:
     once, one magnitude stack that the average and the floor change in place;
     the average and the solver go cycle by cycle, so a record is the one its
     cycle gets alone, bit for bit.  A NaN or infinite sample, or one beyond the
-    float32 range, raises :class:`FramingError` before ``state`` changes.
+    float32 range, raises :class:`FramingError` before ``state`` changes, and a state
+    built for another configuration raises :class:`ParameterError`.
     """
+    if state.n_avg != cfg.n_avg or state.ring.shape[2] != cfg.fft_bins // 2:
+        raise ParameterError("the state was built for another configuration")
     wp = cfg.working_point
     stack = magnitude_spectra(block, wp, cfg.frame_window, cfg.fft_bins, state.cycles_seen)
-    rows, bins = stack.shape
-    n_cycles, n_windows = rows // 4, []
-    for c in range(0, rows, 4):
-        state.push(stack[c : c + 4])
-        n_windows.append(state.n_window)
-    remove_floor(stack.reshape(n_cycles, 4, bins), cfg.scaled_mean, cfg.scaled_sigma)
-    epsilons = [e for n in n_windows for e in (cfg.steady_gates if n == cfg.n_avg else
-                                               [gate / math.sqrt(n) for gate in cfg.noise_gates])]
+    n_windows = [state.push(stack[c : c + 4]) for c in range(0, len(stack), 4)]
+    remove_floor(stack.reshape(-1, 4, stack.shape[1]), cfg.scaled_mean, cfg.scaled_sigma)
+    epsilons = [gate / math.sqrt(n) for n in n_windows for gate in cfg.noise_gates]
     peaks = estimate_peaks(stack, cfg.bin_frequencies, epsilons, cfg.interp_window,
                            cfg.interp_method)
     records = []
     for c, n_window in enumerate(n_windows):
-        index, cycle_peaks = state.cycles_seen - n_cycles + c, peaks[4 * c : 4 * c + 4]
+        index, cycle_peaks = state.cycles_seen - len(n_windows) + c, peaks[4 * c : 4 * c + 4]
         measurement = disambiguate(cycle_peaks, wp)
         if cfg.noise_model is not None and measurement.status != STATUS_INVALID:
             measurement = _attach_sigmas(measurement, cycle_peaks, cfg, n_window)
         records.append(CycleRecord(index, index * wp.cycle_duration, cycle_peaks, measurement,
-                                   warmup=index + 1 < cfg.n_avg))
+                                   warmup=n_window < cfg.n_avg))
     return records
 
 

@@ -127,8 +127,7 @@ def check_synthesis(amplitude: float, noise_sigma: float, **integers) -> None:
         if not 0 <= value < math.inf:
             raise ParameterError(f"{name} must be finite and >= 0, got {value}")
     for name, value in integers.items():  # numpy would refuse these its own way
-        if not isinstance(value, (int, np.integer)):
-            raise ParameterError(f"{name} must be an integer, got {value!r}")
+        check_integer(name, value)
         if value < 0:
             raise ParameterError(f"{name} must be >= 0, got {value}")
 
@@ -218,10 +217,15 @@ def _frame_paths(stem):
     return stem.with_name(stem.name + ".f32"), stem.with_name(stem.name + ".json")
 
 
+def check_integer(name: str, value) -> None:
+    """Refuse the setting ``name`` unless it is an ``int`` or a numpy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
 def check_sync_offset(offset: int, cycle_length: int) -> None:
     """Refuse a sync offset that is not an integer sample of one cycle."""
-    if not isinstance(offset, (int, np.integer)):
-        raise ParameterError(f"sync_offset_samples must be an integer, got {offset!r}")
+    check_integer("sync_offset_samples", offset)
     if not 0 <= offset < cycle_length:
         raise ParameterError(f"sync_offset_samples must be in [0, {cycle_length}), got {offset}")
 

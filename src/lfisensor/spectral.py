@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CalibrationError, ParameterError
 from .modulation import WorkingPoint, decode_fields, read_json_object, write_atomic
-from .simulator import STREAM_BLOCK, check_block, check_sync_offset, cycle_blocks
+from .simulator import STREAM_BLOCK, check_block, check_integer, check_sync_offset, cycle_blocks
 
 DEFAULT_FFT_BINS = 2048
 DEFAULT_ALPHA = 1.0
@@ -113,8 +113,9 @@ class Calibration:
 
 
 def check_fft_bins(fft_bins: int, frame_length: int) -> None:
-    """Refuse an FFT size that is not a power of two, is shorter than a frame, or
+    """Refuse an FFT size that is not an integer power of two, is shorter than a frame, or
     needs more than :data:`MAX_WORK_BYTES` of FFT work arrays for a block."""
+    check_integer("fft_bins", fft_bins)
     if fft_bins < frame_length:
         raise ParameterError(
             f"fft_bins ({fft_bins}) must be >= frame length ({frame_length})"

@@ -39,7 +39,7 @@ from lfisensor import (
 )
 from lfisensor import pipeline, spectral
 from lfisensor.modulation import read_flat_config
-from lfisensor.peaks import WEIGHTED_AVERAGE, PeakEstimate
+from lfisensor.peaks import WEIGHTED_AVERAGE, PeakEstimate, _gather_offsets
 from lfisensor.pipeline import _attach_sigmas, check_settings, read_config_file
 from lfisensor.simulator import STREAM_BLOCK
 from lfisensor.solver import triple_tables
@@ -606,6 +606,17 @@ def _flat_calibration(wp, fft_bins):
         ({"alpha": math.inf}, "alpha"),
         ({"beta": math.inf}, "beta"),
         ({"n_avg": 16385}, "n_avg"),  # a ring of 1 GiB and 64 kB, past MAX_WORK_BYTES
+        # Settings of the wrong type: a float integer, a bool (which passes as an
+        # int), and values with no arithmetic.
+        ({"interp_window": 25.0}, "interp_window"),
+        ({"interp_window": np.float64(25)}, "interp_window"),
+        ({"n_avg": 2.0}, "n_avg"),
+        ({"n_avg": True}, "n_avg"),
+        ({"fft_bins": 2048.0}, "fft_bins"),
+        ({"sync_offset_samples": True}, "sync_offset"),
+        ({"alpha": "1"}, "alpha"),
+        ({"beta": None}, "beta"),
+        ({"noise_model": "x"}, "noise_model"),
     ],
 )
 def test_config_rejects_bad_settings_at_construction(wp, quiet_cal, overrides, name):
@@ -663,6 +674,24 @@ def test_config_tables_do_not_grow_with_n_avg(noise_model):
         sizes.append({name: len(pickle.dumps(value))
                       for name, value in vars(cfg).items() if name != "n_avg"})
     assert sizes[0] == sizes[1]
+
+
+def test_a_float_window_is_refused_and_poisons_no_later_stream(wp, noisy_cal):
+    # A float window, run, would key peaks._gather_offsets' cache with float offsets
+    # under a key equal to the int window's, and every later window-25 stream would fail.
+    _gather_offsets.cache_clear()
+    cycles = _stream(wp, 2)
+    with pytest.raises(ParameterError, match="interp_window must be an integer"):
+        cfg = _config(wp, noisy_cal, interp_window=25.0)
+        process_block(cycles, PipelineState.for_config(cfg), cfg)
+    with pytest.raises(ParameterError, match="window must be an integer"):
+        estimate_peaks(np.ones((4, 1024)), bin_frequencies(wp, 2048), [0.0] * 4, 25.0,
+                       WEIGHTED_AVERAGE)
+    for integer in (int, np.int64):
+        cfg = _config(wp, noisy_cal, interp_window=integer(25), n_avg=integer(2),
+                      fft_bins=integer(2048))
+        assert len(process_block(cycles, PipelineState.for_config(cfg), cfg)) == 2
+    assert _gather_offsets(4, 1024, 25)[0].dtype.kind == "i"
 
 
 # ------------------------------------------------------------ block processing
@@ -883,6 +912,48 @@ def test_run_stream_yields_the_blocks_before_a_non_finite_one(wp, noisy_cal, bad
     assert records == expected
     assert state.cycles_seen == STREAM_BLOCK
     assert np.array_equal(state.ring, reference.ring)
+
+
+@pytest.mark.parametrize("built, run", [({"n_avg": 16}, {"n_avg": 4}),
+                                        ({"n_avg": 4}, {"n_avg": 4, "fft_bins": 1024})],
+                         ids=["n_avg", "fft_bins"])
+def test_a_state_of_another_configuration_is_refused_before_it_changes(wp, noisy_cal, built,
+                                                                       run):
+    def config(settings):
+        fft_bins = settings.get("fft_bins", 2048)
+        cal = noisy_cal if fft_bins == 2048 else _flat_calibration(wp, fft_bins)
+        return _config(wp, cal, **settings)
+
+    cycles = _stream(wp, 3)
+    state = PipelineState.for_config(config(built))
+    process_block(cycles[:2], state, config(built))
+    snapshot = copy.deepcopy(state)
+    with pytest.raises(ParameterError, match="another configuration"):
+        process_block(cycles[2:], state, config(run))
+    assert state.cycles_seen == snapshot.cycles_seen == 2
+    assert state.ring.tobytes() == snapshot.ring.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, STREAM_BLOCK])
+def test_each_cycle_is_gated_by_the_root_of_its_window_count(wp, noisy_cal, monkeypatch,
+                                                              block):
+    # The gates process_block passes to the peak stage, cycle by cycle: the warm-up
+    # windows hold fewer than n_avg spectra, so their gates are higher.
+    n_avg, gates = 5, []
+
+    def spy(rows, bin_freqs, epsilons, window, method):
+        gates.extend(epsilons)
+        return estimate_peaks(rows, bin_freqs, epsilons, window, method)
+
+    monkeypatch.setattr(pipeline, "estimate_peaks", spy)
+    cfg = _config(wp, noisy_cal, n_avg=n_avg)
+    cycles, state, warmups = _stream(wp, STREAM_BLOCK + 3), PipelineState.for_config(cfg), []
+    for k in range(0, len(cycles), block):
+        warmups += [r.warmup for r in process_block(cycles[k : k + block], state, cfg)]
+    medians = np.median(noisy_cal.reference_sigma, axis=1).tolist()
+    assert gates == [pipeline.DEFAULT_NOISE_GATE * m / math.sqrt(min(k + 1, n_avg))
+                     for k in range(len(cycles)) for m in medians]
+    assert warmups == [k + 1 < n_avg for k in range(len(cycles))]
 
 
 def test_block_of_cycles_of_other_lengths_is_refused(wp, quiet_cal):

@@ -185,9 +185,9 @@ def test_a_one_spectrum_window_leaves_the_spectra_and_never_writes_the_ring():
         spectra = rng.uniform(size=(4, 1024)) * 10.0 ** rng.integers(-300, 300, size=(4, 1))
         spectra[0, :4] = [0.0, -0.0, 5e-324, math.nan]
         pushed = spectra.copy()
-        state.push(pushed)
+        n_window = state.push(pushed)
         assert pushed.tobytes() == spectra.tobytes()
-        assert (state.cycles_seen, state.n_window) == (t + 1, 1)
+        assert (state.cycles_seen, n_window) == (t + 1, 1)
     assert state.ring.nbytes == 0
 
 
