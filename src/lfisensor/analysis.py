@@ -20,10 +20,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import FitError, ParameterError
+from .errors import FitError, ParameterError, check_integer, check_work
 from .modulation import SPEED_OF_LIGHT, WorkingPoint, decode_fields, open_atomic, ramp_slopes
 from .simulator import signed_beat
-from .spectral import check_work
 
 OBSERVATION_FIELDS = (
     "f_ramp_rate",
@@ -105,10 +104,12 @@ class NoiseObservation:
 def blind_map(wp: WorkingPoint, v_range, r_range, resolution) -> BlindMap:
     """Count blind ramps per cell of a (velocity, distance) grid.
 
-    ``resolution`` is the (n_v, n_r) pair of grid points per axis; distances
-    start at 0 or beyond.
+    ``resolution`` is the (n_v, n_r) pair of grid points per axis, two integers;
+    distances start at 0 or beyond.
     """
     n_v, n_r = resolution
+    for name, n in (("n_v", n_v), ("n_r", n_r)):
+        check_integer(f"resolution's {name}", n)
     if n_v < 1 or n_r < 1:
         raise ParameterError(f"resolution must be positive, got {resolution}")
     # Per cell: the int64 count and about three float64 temporaries of one ramp's pass.

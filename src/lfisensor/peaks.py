@@ -16,8 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ParameterError
-from .simulator import check_integer
+from .errors import ParameterError, check_integer
 from .spectral import row_medians
 
 DEFAULT_WINDOW = 25
@@ -42,6 +41,16 @@ class PeakEstimate:
     intensity: float
     method: str
     valid: bool
+
+
+def check_interpolation(window: int, method: str, bins: int) -> None:
+    """Refuse a ``method`` not in :data:`METHODS`, or a ``window`` not odd, >= 3 and <= ``bins``."""
+    if method not in METHODS:
+        raise ParameterError(f"interp_method must be one of {METHODS}, got {method!r}")
+    check_integer("interp_window", window)
+    if window < 3 or window % 2 == 0 or window > bins:
+        raise ParameterError(f"interp_window must be odd, >= 3 and <= the {bins} bins of a row "
+                             f"(fft_bins // 2), got {window}")
 
 
 @lru_cache(maxsize=16)
@@ -182,14 +191,9 @@ def estimate_peaks(rows, bin_freqs, epsilons, window, method) -> tuple:
     center bin as intensity.  The Gaussian (:func:`_gaussian_fits`) reads
     only the center bin and its two neighbours, so ``window`` is the
     weighted average's alone; the Gaussian falls back to it when its fit
-    fails.  An all-zero row has no peak.
-    :func:`validity` gates each estimate.
+    fails.  An all-zero row has no peak.  :func:`check_interpolation` refuses
+    a bad ``window`` or ``method``, and :func:`validity` gates each estimate.
     """
-    if method not in METHODS:
-        raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
-    check_integer("window", window)
-    if window < 3 or window % 2 == 0 or window > rows.shape[1]:
-        raise ParameterError(
-            f"window must be odd, >= 3 and <= the {rows.shape[1]} bins of a row, got {window}")
+    check_interpolation(window, method, rows.shape[1])
     # The strongest bin of each row; ties break toward the lower frequency.
     return tuple(_interpolate(rows, bin_freqs, rows.argmax(axis=1), window, method, epsilons))

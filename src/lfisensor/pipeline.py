@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import NoiseModelCoefficients, sigma_fb_base, sigma_fb_tail
-from .errors import ParameterError
+from .errors import ParameterError, check_integer, check_levels, check_sync_offset, check_work
 from .modulation import (
     WORKING_POINT_KEYS,
     WorkingPoint,
@@ -32,9 +32,8 @@ from .modulation import (
     ramp_slopes,
     read_flat_config,
 )
-from .peaks import DEFAULT_WINDOW, METHODS, WEIGHTED_AVERAGE, estimate_peaks
-from .simulator import (check_integer, check_sync_offset, check_synthesis, cycle_blocks,
-                        synthesize_block)
+from .peaks import DEFAULT_WINDOW, WEIGHTED_AVERAGE, check_interpolation, estimate_peaks
+from .simulator import check_synthesis, cycle_blocks, synthesize_block
 from .solver import STATUS_INVALID, Measurement, disambiguate, triple_tables
 from .spectral import (
     DEFAULT_ALPHA,
@@ -43,7 +42,6 @@ from .spectral import (
     Calibration,
     bin_frequencies,
     check_fft_bins,
-    check_work,
     magnitude_spectra,
     remove_floor,
     row_medians,
@@ -58,23 +56,13 @@ def check_settings(wp: WorkingPoint, fft_bins: int, interp_window: int, interp_m
                    n_avg: int, alpha: float, beta: float, sync_offset_samples: int) -> None:
     """Refuse pipeline settings (the :class:`PipelineConfig` keys of a config file)
     that no calibration could make valid at the working point ``wp``."""
-    check_integer("n_avg", n_avg)
-    if n_avg < 1:
-        raise ParameterError(f"n_avg must be >= 1, got {n_avg}")
-    if interp_method not in METHODS:
-        raise ParameterError(f"interp_method must be one of {METHODS}, got {interp_method!r}")
+    check_integer("n_avg", n_avg, least=1)
     check_fft_bins(fft_bins, wp.samples_per_ramp)
-    bins = fft_bins // 2
-    ring = 2 * n_avg * 4 * bins * 8  # PipelineState.ring, float64
+    ring = 2 * n_avg * 4 * (fft_bins // 2) * 8  # PipelineState.ring, float64
     check_work(ring, f"n_avg ({n_avg}) needs {ring} bytes of sliding-average ring at "
                      f"fft_bins {fft_bins}")
-    check_integer("interp_window", interp_window)
-    if interp_window < 3 or interp_window % 2 == 0 or interp_window > bins:
-        raise ParameterError(
-            f"interp_window must be odd, >= 3 and <= fft_bins // 2 ({bins}), got {interp_window}")
-    for name, v in (("alpha", alpha), ("beta", beta)):
-        if not (isinstance(v, (int, float, np.integer, np.floating)) and 0 <= v < math.inf):
-            raise ParameterError(f"{name} must be finite and >= 0, got {v!r}")
+    check_interpolation(interp_window, interp_method, fft_bins // 2)
+    check_levels(alpha=alpha, beta=beta)
     check_sync_offset(sync_offset_samples, wp.samples_per_cycle)
 
 
@@ -111,10 +99,12 @@ class PipelineConfig:
 
     def __post_init__(self):
         wp, cal = self.working_point, self.calibration
+        for name, kinds in (("working_point", (WorkingPoint,)), ("calibration", (Calibration,)),
+                            ("noise_model", (NoiseModelCoefficients, type(None)))):
+            if not isinstance(getattr(self, name), kinds):
+                raise ParameterError(f"{name} must be {' or '.join(k.__name__ for k in kinds)}")
         check_settings(wp, self.fft_bins, self.interp_window, self.interp_method, self.n_avg,
                        self.alpha, self.beta, self.sync_offset_samples)
-        if not isinstance(self.noise_model, (NoiseModelCoefficients, type(None))):
-            raise ParameterError("noise_model must be NoiseModelCoefficients or None")
         cal.check_compatible(wp, self.fft_bins, self.sync_offset_samples)
 
         gates = tuple(DEFAULT_NOISE_GATE * m for m in row_medians(cal.reference_sigma))

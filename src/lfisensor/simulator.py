@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AliasingError, FramingError, ParameterError
+from .errors import (AliasingError, FramingError, ParameterError, check_integer, check_levels,
+                     check_sync_offset)
 from .modulation import (SPEED_OF_LIGHT, WorkingPoint, open_atomic, ramp_slopes,
                          read_json_object, write_atomic)
 
@@ -121,15 +122,11 @@ def _highpass_matrix(wp: WorkingPoint) -> np.ndarray:
 
 
 def check_synthesis(amplitude: float, noise_sigma: float, **integers) -> None:
-    """Refuse a level that is not finite and >= 0, or a seed, cycle index or
+    """Refuse a level that is not a number, finite and >= 0, or a seed, cycle index or
     count (``integers``, by name) that is not a non-negative integer."""
-    for name, value in (("amplitude", amplitude), ("noise_sigma", noise_sigma)):
-        if not 0 <= value < math.inf:
-            raise ParameterError(f"{name} must be finite and >= 0, got {value}")
+    check_levels(amplitude=amplitude, noise_sigma=noise_sigma)
     for name, value in integers.items():  # numpy would refuse these its own way
-        check_integer(name, value)
-        if value < 0:
-            raise ParameterError(f"{name} must be >= 0, got {value}")
+        check_integer(name, value, least=0)
 
 
 def _words(value) -> list:
@@ -215,19 +212,6 @@ def write_frames(stem, cycles, wp: WorkingPoint) -> None:
 def _frame_paths(stem):
     stem = Path(stem)
     return stem.with_name(stem.name + ".f32"), stem.with_name(stem.name + ".json")
-
-
-def check_integer(name: str, value) -> None:
-    """Refuse the setting ``name`` unless it is an ``int`` or a numpy integer, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
-
-
-def check_sync_offset(offset: int, cycle_length: int) -> None:
-    """Refuse a sync offset that is not an integer sample of one cycle."""
-    check_integer("sync_offset_samples", offset)
-    if not 0 <= offset < cycle_length:
-        raise ParameterError(f"sync_offset_samples must be in [0, {cycle_length}), got {offset}")
 
 
 def read_frames(stem, wp: WorkingPoint, skip: int):

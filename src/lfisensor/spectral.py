@@ -13,19 +13,15 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import CalibrationError, ParameterError
+from .errors import (CalibrationError, ParameterError, check_integer, check_sync_offset,
+                     check_work)
 from .modulation import WorkingPoint, decode_fields, read_json_object, write_atomic
-from .simulator import STREAM_BLOCK, check_block, check_integer, check_sync_offset, cycle_blocks
+from .simulator import STREAM_BLOCK, check_block, cycle_blocks
 
 DEFAULT_FFT_BINS = 2048
 DEFAULT_ALPHA = 1.0
 DEFAULT_BETA = 0.0
 CALIBRATION_FORMAT_VERSION = 3
-#: The most bytes a setting may ask for in one work array set: the FFT arrays of a
-#: block of ``STREAM_BLOCK`` cycles (:func:`magnitude_spectra`), the pipeline's
-#: sliding-average ring, or a blind map's grid.  Larger settings are refused before
-#: anything is allocated, by :func:`check_work` alone.
-MAX_WORK_BYTES = 1 << 30
 #: No-target cycles a calibration needs (its sample sigma takes at least two).
 MIN_CALIBRATION_CYCLES = 16
 #: The calibration file's key of each scalar field of :class:`Calibration`.
@@ -131,12 +127,6 @@ def _check_fft_work(fft_bins: int, cycles: int, what: str) -> None:
     # samples), its complex rfft and the magnitudes, which it returns.
     work = 4 * cycles * (8 * fft_bins + 16 * (fft_bins // 2 + 1) + 8 * (fft_bins // 2))
     check_work(work, f"{what} needs {work} bytes of FFT work arrays")
-
-
-def check_work(nbytes: int, what: str) -> None:
-    """Refuse ``what``, a message naming the ``nbytes`` it needs, past :data:`MAX_WORK_BYTES`."""
-    if nbytes > MAX_WORK_BYTES:
-        raise ParameterError(f"{what}, more than MAX_WORK_BYTES ({MAX_WORK_BYTES})")
 
 
 def magnitude_spectra(block, wp: WorkingPoint, window, fft_bins: int,

@@ -69,6 +69,14 @@ def test_blind_map_refuses_a_resolution_below_one(resolution):
         blind_map(WP, (-0.1, 0.1), (0.0, 0.05), resolution)
 
 
+@pytest.mark.parametrize("resolution, name", [((2.5, 3), "n_v"), ((True, 3), "n_v"),
+                                              ((3, np.float64(4)), "n_r")])
+def test_blind_map_refuses_a_resolution_that_is_not_two_integers(resolution, name):
+    # Each used to end in a raw TypeError from numpy.
+    with pytest.raises(ParameterError, match=f"resolution's {name} must be an integer"):
+        blind_map(WP, (-0.1, 0.1), (0.0, 0.05), resolution)
+
+
 @pytest.mark.parametrize("v_range, r_range", [((0.1, 0.1), (0.0, 0.05)),
                                               ((0.1, -0.1), (0.0, 0.05)),
                                               ((-0.1, 0.1), (0.05, 0.05))],

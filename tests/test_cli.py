@@ -21,7 +21,8 @@ from lfisensor import (Calibration, CalibrationError, FramingError, GroundTruth,
 from lfisensor.cli import _CSV_HEADER, _build_parser, main
 from lfisensor.modulation import WORKING_POINT_KEYS, save_working_point
 from lfisensor.simulator import STREAM_BLOCK
-from lfisensor.spectral import MAX_WORK_BYTES, MIN_CALIBRATION_CYCLES
+from lfisensor.errors import MAX_WORK_BYTES
+from lfisensor.spectral import MIN_CALIBRATION_CYCLES
 
 from conftest import make_wp, write_offset_export
 from test_analysis import (OBSERVATION_FIELDS, TRUE_COEFFS, _synthetic_observations,
@@ -744,7 +745,7 @@ def test_non_finite_analysis_setting_exits_nonzero(config_path, tmp_path, capsys
     "command, line, needle",
     [("process", "alpha = inf", "alpha must be finite and >= 0, got inf"),
      ("process", "interp_window = 2049",
-      "interp_window must be odd, >= 3 and <= fft_bins // 2 (1024)"),
+      "interp_window must be odd, >= 3 and <= the 1024 bins of a row (fft_bins // 2)"),
      ("process", "n_avg = 1000000000000000",
       "n_avg (1000000000000000) needs 65536000000000000000 bytes of sliding-average ring"),
      ("calibrate", "fft_bins = 4611686018427387904",

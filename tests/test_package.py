@@ -218,13 +218,13 @@ def test_main_alone_writes_the_run_manifest():
     assert writers == [("cli.py", ["main"])]
 
 
-def test_spectral_alone_names_max_work_bytes():
-    # spectral.check_work is the one refusal past the work-memory bound: a
+def test_errors_alone_names_max_work_bytes():
+    # errors.check_work is the one refusal past the work-memory bound: a
     # module that compared against the constant itself would word its own.
     named = [name for name, tree in _modules()
              if "MAX_WORK_BYTES" in _referenced(tree)
              | {alias.name for alias in ast.walk(tree) if isinstance(alias, ast.alias)}]
-    assert named == ["spectral.py"]
+    assert named == ["errors.py"]
 
 
 def test_simulator_alone_builds_a_random_generator():

@@ -752,6 +752,12 @@ def test_window_preconditions():
         _estimate(mags, window=4)
     with pytest.raises(ParameterError, match="the 1024 bins of a row"):
         _estimate(mags, window=1025)
+    # A window as wide as an odd row is accepted, and one 2 bins wider refused.
+    row = np.array([[0.0, 1.0, 2.0, 8.0, 2.0, 1.0, 0.0]])
+    (peak,) = estimate_peaks(row, FREQS[:7], [0.0], 7, WEIGHTED_AVERAGE)
+    assert peak.beat_frequency == pytest.approx(FREQS[3]) and peak.intensity == 8.0
+    with pytest.raises(ParameterError, match="the 7 bins of a row"):
+        estimate_peaks(row, FREQS[:7], [0.0], 9, WEIGHTED_AVERAGE)
     with pytest.raises(ParameterError, match="method"):
         _estimate(mags, method="parabolic")
 

@@ -37,7 +37,7 @@ from lfisensor import (
     synthetic_cycles,
     write_frames,
 )
-from lfisensor import pipeline, spectral
+from lfisensor import errors, pipeline, spectral
 from lfisensor.modulation import read_flat_config
 from lfisensor.peaks import WEIGHTED_AVERAGE, PeakEstimate, _gather_offsets
 from lfisensor.pipeline import _attach_sigmas, check_settings, read_config_file
@@ -617,11 +617,22 @@ def _flat_calibration(wp, fft_bins):
         ({"alpha": "1"}, "alpha"),
         ({"beta": None}, "beta"),
         ({"noise_model": "x"}, "noise_model"),
+        ({"alpha": True}, "alpha"),
     ],
 )
 def test_config_rejects_bad_settings_at_construction(wp, quiet_cal, overrides, name):
     with pytest.raises(ParameterError, match=name):
         _config(wp, quiet_cal, **overrides)
+
+
+def test_config_refuses_a_working_point_or_calibration_of_another_type(wp, quiet_cal):
+    # Each used to end in a raw AttributeError from the first attribute read.
+    with pytest.raises(ParameterError, match="^calibration must be Calibration$"):
+        _config(wp, "cal")
+    with pytest.raises(ParameterError, match="^working_point must be WorkingPoint$"):
+        _config("wp", None)
+    with pytest.raises(ParameterError, match="^working_point must be WorkingPoint$"):
+        _config(quiet_cal, wp)
 
 
 # Not a power of two; < 500 samples; FFT work arrays of 1.5 GiB for a block.
@@ -828,7 +839,7 @@ def test_a_block_past_max_work_bytes_is_refused_and_leaves_the_state(wp, noisy_c
     state, fresh = PipelineState.for_config(cfg), PipelineState.for_config(cfg)
     process_block(cycles[:STREAM_BLOCK], state, cfg)
     # _check_fft_work's count of a STREAM_BLOCK block at 2048 bins, frames counted padded.
-    monkeypatch.setattr(spectral, "MAX_WORK_BYTES", 4 * STREAM_BLOCK * (20 * 2048 + 16))
+    monkeypatch.setattr(errors, "MAX_WORK_BYTES", 4 * STREAM_BLOCK * (20 * 2048 + 16))
     for s in (state, fresh):
         seen = s.cycles_seen
         with pytest.raises(ParameterError, match=f"a block of {STREAM_BLOCK + 1} cycles"):

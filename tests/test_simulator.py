@@ -98,12 +98,16 @@ def test_non_finite_target_rejected(value):
             GroundTruth(r, v)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, "a", True],
+                         ids=["nan", "inf", "negative", "string", "bool"])
 @pytest.mark.parametrize("name", ["amplitude", "noise_sigma"])
 def test_synthesis_refuses_a_non_finite_or_negative_level(name, value):
+    # A string used to raise a raw TypeError from the comparison, and a bool passed as 1.
     levels = {"amplitude": 1.0, "noise_sigma": 0.1, name: value}
     with pytest.raises(ParameterError, match=f"{name} must be finite and >= 0"):
         synthesize_cycle(make_wp(), GroundTruth(0.03, 0.0), seed=1, cycle_index=0, **levels)
+    with pytest.raises(ParameterError, match=f"{name} must be finite and >= 0"):
+        next(synthetic_cycles(make_wp(), GroundTruth(0.03, 0.0), seed=1, n_cycles=1, **levels))
 
 
 def test_synthesis_refuses_a_negative_seed():
