@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import FitError, ParameterError, check_integer, check_work
+from .errors import FitError, ParameterError, check_integer, check_work, is_real
 from .modulation import SPEED_OF_LIGHT, WorkingPoint, decode_fields, open_atomic, ramp_slopes
 from .simulator import signed_beat
 
@@ -104,9 +104,11 @@ class NoiseObservation:
 def blind_map(wp: WorkingPoint, v_range, r_range, resolution) -> BlindMap:
     """Count blind ramps per cell of a (velocity, distance) grid.
 
-    ``resolution`` is the (n_v, n_r) pair of grid points per axis, two integers;
-    distances start at 0 or beyond.
+    ``resolution`` is the (n_v, n_r) pair of grid points per axis, two integers; each
+    range is a tuple or list of two finite real numbers, and distances start at 0 or beyond.
     """
+    if not (isinstance(resolution, (tuple, list)) and len(resolution) == 2):
+        raise ParameterError(f"resolution must be a pair, got {resolution!r}")
     n_v, n_r = resolution
     for name, n in (("n_v", n_v), ("n_r", n_r)):
         check_integer(f"resolution's {name}", n)
@@ -115,10 +117,11 @@ def blind_map(wp: WorkingPoint, v_range, r_range, resolution) -> BlindMap:
     # Per cell: the int64 count and about three float64 temporaries of one ramp's pass.
     work = 32 * n_v * n_r
     check_work(work, f"resolution {resolution} needs {work} bytes of blind-map grid")
-    v_lo, v_hi = v_range
-    r_lo, r_hi = r_range
-    if not all(map(math.isfinite, (v_lo, v_hi, r_lo, r_hi))):
-        raise ParameterError(f"grid ranges must be finite, got {v_range} and {r_range}")
+    for name, pair in (("v_range", v_range), ("r_range", r_range)):
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                and all(is_real(b) and math.isfinite(b) for b in pair)):
+            raise ParameterError(f"grid ranges must be finite pairs of reals: {name} is {pair!r}")
+    (v_lo, v_hi), (r_lo, r_hi) = v_range, r_range
     if r_lo < 0:
         raise ParameterError(
             f"distance range must start at >= 0 (negative R is the mirrored invalid "
@@ -143,8 +146,8 @@ def min_reliable_distance(wp: WorkingPoint, v_max: float) -> float:
     largest, over the six ramp pairs, of the smaller of the two distances
     where these turn to equalities.
     """
-    if not 0 < v_max < math.inf:
-        raise ParameterError(f"v_max must be finite and > 0, got {v_max}")
+    if not (is_real(v_max) and 0 < v_max < math.inf):
+        raise ParameterError(f"v_max must be finite and > 0, got {v_max!r}")
     ch = SPEED_OF_LIGHT * wp.hp_cutoff
     reach = wp.emitted_frequency * v_max + ch
     return max(

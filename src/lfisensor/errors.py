@@ -45,11 +45,16 @@ def check_integer(name: str, value, least=None) -> None:
         raise ParameterError(f"{name} must be >= {least}, got {value}")
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is a Python or numpy real number, not a bool."""
+    return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+
+
 def check_levels(**levels) -> None:
-    """Refuse each level, by name, unless it is a real number, not a bool, finite and >= 0."""
+    """Refuse each level, by name, unless it is a real number (:func:`is_real`), finite and
+    >= 0."""
     for name, value in levels.items():
-        if isinstance(value, bool) or not (isinstance(value, (int, float, np.integer, np.floating))
-                                           and 0 <= value < np.inf):
+        if not (is_real(value) and 0 <= value < np.inf):
             raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
 
 

@@ -1,8 +1,11 @@
 """Four-ramp modulation pattern: working-point parameters and per-ramp slopes.
 
 A modulation cycle is two triangles of different steepness, giving four
-linear ramps with pairwise distinct slopes (+S, -S, +rt*S, -rt*S).  All
-types here are immutable values and all functions are pure.
+linear ramps with pairwise distinct slopes (+S, -S, +rt*S, -rt*S).  The
+working point is an immutable value, and ``ramp_slopes`` and ``decode_fields``
+are pure.  The module also holds the package's file I/O: the flat config and
+JSON readers (``read_flat_config``, ``read_json_object``), the atomic writers
+(``open_atomic``, ``write_atomic``) and ``save_working_point``.
 """
 
 from __future__ import annotations

@@ -10,23 +10,14 @@ Gaussian, so either recovers the beat frequency well below one bin width.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ParameterError, check_integer
-from .spectral import row_medians
 
 DEFAULT_WINDOW = 25
-DEFAULT_KAPPA = 3.0
-_SMALLEST_NORMAL = sys.float_info.min
-#: ``2 * DEFAULT_KAPPA`` with a margin for the rounding of a row's sum
-#: (relative error under ``bins * 2**-53``) and of the products.
-_MEAN_BOUND = 2.0 * DEFAULT_KAPPA * (1.0 + 2.0**-20)
-#: The narrowest type that holds a row's length, per length (a wider count costs more).
-_count_dtype = lru_cache(maxsize=16)(np.min_scalar_type)
 
 GAUSSIAN = "gaussian"
 WEIGHTED_AVERAGE = "weighted_average"
@@ -58,42 +49,6 @@ def _gather_offsets(n_rows: int, n_bins: int, window: int) -> tuple:
     """A window's bin offsets and the rows' first flat indices, a column (shared: do not modify)."""
     return (np.arange(-(window // 2), window // 2 + 1),
             np.arange(0, n_rows * n_bins, n_bins)[:, None])
-
-
-def validity(rows, intensities, epsilons) -> list:
-    """Whether each row's peak counts as a real detection, as a list of bools.
-
-    Row ``r`` of a floored ``(rows, bins)`` stack is valid when ``intensities[r]``
-    exceeds ``max(epsilons[r], DEFAULT_KAPPA * median)``, the median being
-    ``np.median`` of the row's positive bins (NaNs are not positive), or 0 for
-    none; a low intensity marks an unreliable (typically blind) ramp.  A gated
-    row with positive bins is decided in two tiers.  First a mean bound: at
-    least half of a row's ``P`` positive bins are at least their median, so in
-    a row with no negative bin or NaN, whose bins sum to ``S``, the median is
-    at most ``2 S / P``, and an intensity above :data:`_MEAN_BOUND` times
-    ``S / P`` is valid.  The bound is not taken when ``S`` overflows or
-    ``S / P`` is subnormal, where rounding could exceed its margin.  A row the
-    bound leaves open takes the exact median of its positive bins
-    (:func:`~.spectral.row_medians`).
-    """
-    # Positive bins counted as bytes.
-    positive = np.add.reduce((rows > 0.0).view(np.uint8), axis=1,
-                             dtype=_count_dtype(rows.shape[1])).tolist()
-    # einsum: a sum past the largest float is inf, with no overflow warning.
-    sums = np.einsum("ij->i", rows).tolist()
-    lowest = np.minimum.reduce(rows, axis=1).tolist()
-    flags = []
-    for r, (i, e, n, s, low) in enumerate(zip(intensities, epsilons, positive, sums, lowest)):
-        # bool(): a numpy epsilon would make a numpy bool.
-        gate = bool(i > e) and i > 0.0
-        if not (gate and n):
-            flags.append(gate)
-        # low >= 0.0 is False for a NaN too.
-        elif low >= 0.0 and (mean := s / n) >= _SMALLEST_NORMAL and i > _MEAN_BOUND * mean:
-            flags.append(True)
-        else:
-            flags.append(i > DEFAULT_KAPPA * row_medians(rows[r][rows[r] > 0.0][None])[0])
-    return flags
 
 
 def _gaussian_fits(block: np.ndarray) -> tuple:
@@ -177,8 +132,9 @@ def _interpolate(rows, bin_freqs, centers, window, method, epsilons) -> list:
                 found[r] = (f if f < high or f != f else high, center, WEIGHTED_AVERAGE)
             elif fit is None:  # an all-zero row has no peak under either method; no gate passes 0
                 found[r] = (0.0, 0.0, method if not rows[r].any() else WEIGHTED_AVERAGE)
-    flags = validity(rows, [i for _, i, _ in found], epsilons)
-    return [PeakEstimate(f, i, m, v) for (f, i, m), v in zip(found, flags)]
+    # Valid past the gate and 0; bool(): a numpy epsilon would make a numpy bool.
+    return [PeakEstimate(f, i, m, bool(i > e) and i > 0.0)
+            for (f, i, m), e in zip(found, epsilons)]
 
 
 def estimate_peaks(rows, bin_freqs, epsilons, window, method) -> tuple:
@@ -192,7 +148,9 @@ def estimate_peaks(rows, bin_freqs, epsilons, window, method) -> tuple:
     only the center bin and its two neighbours, so ``window`` is the
     weighted average's alone; the Gaussian falls back to it when its fit
     fails.  An all-zero row has no peak.  :func:`check_interpolation` refuses
-    a bad ``window`` or ``method``, and :func:`validity` gates each estimate.
+    a bad ``window`` or ``method``.  An estimate is valid, a real detection, when its
+    intensity exceeds both ``epsilons[r]`` and 0; a low intensity marks an unreliable
+    (typically blind) ramp.
     """
     check_interpolation(window, method, rows.shape[1])
     # The strongest bin of each row; ties break toward the lower frequency.

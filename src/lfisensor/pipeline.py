@@ -8,12 +8,13 @@ the replay of an exported frame file (:func:`~.simulator.read_frames`).
 Everything that depends only on the configuration and the calibration (window, bin
 grid, scaled reference spectra, noise gates, each ramp's noise-model base) is computed
 once, when :class:`PipelineConfig` is built, and none of it grows with ``n_avg``; a cycle
-divides each gate by the root of its window's count.  A block of cycles runs one
-FFT, floor subtraction and peak stage over one ``(4 * cycles, bins)`` stack of its frames,
-which the sliding average and the floor subtraction change in place.  Each record is the one
-its cycle gets in a block of its own, bit for bit.  The sliding average is a two-stacks
-window sum: four array operations a cycle, whatever ``n_avg``, plus a copy and ``n_avg - 2``
-adds once every ``n_avg`` cycles (:class:`PipelineState`).
+divides each gate by the root of its window's count and scales it by its noise level.
+A block of cycles runs one FFT, floor subtraction and peak stage over one ``(4 * cycles,
+bins)`` stack of its frames, which the sliding average and the floor subtraction change in
+place.  Each record is the one its cycle gets in a block of its own, bit for bit.  The
+sliding average is a two-stacks window sum: four array operations a cycle, whatever
+``n_avg``, plus a copy and ``n_avg - 2`` adds once every ``n_avg`` cycles
+(:class:`PipelineState`).
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ from .spectral import (
 #: Validity gate in units of the calibrated per-bin sigma; rejects the
 #: residual maxima of pure-noise spectra after subtraction.
 DEFAULT_NOISE_GATE = 6.0
+#: A Rayleigh magnitude's median, and Pearson's ``skewness * sd / 6``, over its mean.
+_RAYLEIGH_MEDIAN = math.sqrt(4.0 * math.log(2.0) / math.pi)
+_RAYLEIGH_SKEW = (math.pi - 3.0) / (3.0 * (4.0 - math.pi))
 
 
 def check_settings(wp: WorkingPoint, fft_bins: int, interp_window: int, interp_method: str,
@@ -94,6 +98,10 @@ class PipelineConfig:
     scaled_sigma: np.ndarray | None = field(init=False, repr=False, compare=False)
     #: ``DEFAULT_NOISE_GATE * median(reference_sigma)`` per ramp, before ``/ sqrt(n_window)``.
     noise_gates: tuple = field(init=False, repr=False, compare=False)
+    #: The median of ``scaled_mean + scaled_sigma`` per ramp: the floor at a gate.
+    floor_levels: tuple = field(init=False, repr=False, compare=False)
+    #: ``1 / reference_mean`` of every 4th bin, 0 where the mean is (about) 0, ``(4, bins // 4)``.
+    inverse_mean: np.ndarray = field(init=False, repr=False, compare=False)
     #: Each ramp's :func:`~.analysis.sigma_fb_base`; None without a noise model.
     sigma_bases: tuple | None = field(init=False, repr=False, compare=False)
 
@@ -108,6 +116,7 @@ class PipelineConfig:
         cal.check_compatible(wp, self.fft_bins, self.sync_offset_samples)
 
         gates = tuple(DEFAULT_NOISE_GATE * m for m in row_medians(cal.reference_sigma))
+        means, floor = cal.reference_mean[:, ::4], self.alpha * cal.reference_mean
         derived = {
             "frame_window": np.hamming(wp.samples_per_ramp),
             "bin_frequencies": bin_frequencies(wp, self.fft_bins),
@@ -116,6 +125,9 @@ class PipelineConfig:
             # mean never give, so beta 0 skips the sigma with no bit changed.
             "scaled_sigma": self.beta * cal.reference_sigma if self.beta else None,
             "noise_gates": gates,
+            "floor_levels": tuple(row_medians(floor + self.beta * cal.reference_sigma)),
+            # A mean below any that float32 samples give counts as 0: x / mean stays finite.
+            "inverse_mean": np.divide(1.0, means, out=np.zeros_like(means), where=means > 1e-200),
             "sigma_bases": None if self.noise_model is None else tuple(
                 sigma_fb_base(self.noise_model, wp.ramp_rate, abs(s)) for s in ramp_slopes(wp)),
         }
@@ -230,23 +242,40 @@ def _attach_sigmas(
                        m.selected_ramps, m.cluster_spread, m.status)
 
 
+def _noise_levels(stack, inverse_mean, n_windows) -> list:
+    """Each cycle's noise level ``g``, 1 on no-target noise as strong as the calibration's:
+    the median of ``x / reference_mean`` over every 4th bin of its four averaged rows (the 4x
+    zero padding leaves neighbours nearly redundant) over its null value ``c0(n)`` for a
+    window of ``n`` spectra.  ``c0(1)`` is a Rayleigh bin's median over its mean,
+    ``sqrt(4 ln 2 / pi)`` = 0.9394; a mean of ``n`` bins is nearly normal, and Pearson's
+    ``skewness * sd / 6`` puts ``c0(n)`` at ``1 - (pi - 3) / (3 (4 - pi) n)``, ``1 - 0.055/n``.
+    """
+    ratios = stack.reshape(-1, 4, stack.shape[1])[:, :, ::4] * inverse_mean
+    return [m / (_RAYLEIGH_MEDIAN if n == 1 else 1.0 - _RAYLEIGH_SKEW / n) for m, n in
+            zip(row_medians(ratios.reshape(len(n_windows), inverse_mean.size)), n_windows)]
+
+
 def process_block(block, state: PipelineState, cfg: PipelineConfig) -> list:
     """Run whole cycles, the rows of ``block``, through the full chain; one record each.
 
     The FFT, the floor subtraction and the peak stage each cover all frames at
     once, one magnitude stack that the average and the floor change in place;
     the average and the solver go cycle by cycle, so a record is the one its
-    cycle gets alone, bit for bit.  A NaN or infinite sample, or one beyond the
-    float32 range, raises :class:`FramingError` before ``state`` changes, and a state
-    built for another configuration raises :class:`ParameterError`.
+    cycle gets alone, bit for bit.  A peak is valid past ``g (gate / sqrt(n_window) + F) -
+    F``, the gate that a floor ``F`` and gate scaled by the cycle's level ``g``
+    (:func:`_noise_levels`) would set; the floor is not scaled.  A NaN or infinite sample,
+    or one beyond the float32 range, raises :class:`FramingError` before ``state``
+    changes, and a state built for another configuration raises :class:`ParameterError`.
     """
     if state.n_avg != cfg.n_avg or state.ring.shape[2] != cfg.fft_bins // 2:
         raise ParameterError("the state was built for another configuration")
     wp = cfg.working_point
     stack = magnitude_spectra(block, wp, cfg.frame_window, cfg.fft_bins, state.cycles_seen)
     n_windows = [state.push(stack[c : c + 4]) for c in range(0, len(stack), 4)]
+    levels = _noise_levels(stack, cfg.inverse_mean, n_windows)
     remove_floor(stack.reshape(-1, 4, stack.shape[1]), cfg.scaled_mean, cfg.scaled_sigma)
-    epsilons = [gate / math.sqrt(n) for n in n_windows for gate in cfg.noise_gates]
+    epsilons = [g * (gate / math.sqrt(n) + floor) - floor for n, g in zip(n_windows, levels)
+                for gate, floor in zip(cfg.noise_gates, cfg.floor_levels)]
     peaks = estimate_peaks(stack, cfg.bin_frequencies, epsilons, cfg.interp_window,
                            cfg.interp_method)
     records = []

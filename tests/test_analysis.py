@@ -70,11 +70,33 @@ def test_blind_map_refuses_a_resolution_below_one(resolution):
 
 
 @pytest.mark.parametrize("resolution, name", [((2.5, 3), "n_v"), ((True, 3), "n_v"),
-                                              ((3, np.float64(4)), "n_r")])
+                                              ((3, np.float64(4)), "n_r"),
+                                              (5, "pair"), ((3, 3, 3), "pair")])
 def test_blind_map_refuses_a_resolution_that_is_not_two_integers(resolution, name):
-    # Each used to end in a raw TypeError from numpy.
-    with pytest.raises(ParameterError, match=f"resolution's {name} must be an integer"):
+    # Each used to end in a raw TypeError from numpy, or a ValueError from the unpacking.
+    match = ("resolution must be a pair" if name == "pair"
+             else f"resolution's {name} must be an integer")
+    with pytest.raises(ParameterError, match=match):
         blind_map(WP, (-0.1, 0.1), (0.0, 0.05), resolution)
+
+
+@pytest.mark.parametrize("v_range, r_range, name", [
+    (("a", 0.1), (0.0, 0.05), "v_range"), ((-0.1, True), (0.0, 0.05), "v_range"),
+    ((-0.1, 0.1), (0.0, "0.05"), "r_range"), ((-0.1, 0.1), 0.05, "r_range"),
+    ((-0.1, 0.0, 0.1), (0.0, 0.05), "v_range"), ("ab", (0.0, 0.05), "v_range")],
+    ids=["v-string", "v-bool", "r-string", "r-scalar", "v-three", "v-text"])
+def test_blind_map_refuses_a_range_that_is_not_two_real_numbers(v_range, r_range, name):
+    # Each used to end in a raw TypeError or ValueError, or, for a bool, in a grid.
+    with pytest.raises(ParameterError,
+                       match=f"grid ranges must be finite pairs of reals: {name} is"):
+        blind_map(WP, v_range, r_range, (3, 3))
+
+
+@pytest.mark.parametrize("v_max", ["1", True, np.True_, None, math.nan, math.inf, 0.0, -0.1])
+def test_min_reliable_distance_refuses_a_v_max_that_is_not_a_positive_number(v_max):
+    # A string or None used to end in a raw TypeError, and True was taken as 1.0.
+    with pytest.raises(ParameterError, match="v_max must be finite and > 0"):
+        min_reliable_distance(WP, v_max)
 
 
 @pytest.mark.parametrize("v_range, r_range", [((0.1, 0.1), (0.0, 0.05)),

@@ -37,8 +37,8 @@ GOLDEN_SHA256 = {
     "frames.f32": "cf25e5ddc42487837a2caad3c5ee9d3556ad4977f296ef7729a7c46e4f36cb73",
     "frames.json": "6142d193b6703d974402daaf54651b7ba466b944d1f0c1564ba5995b8b5a8508",
     "cal.json": "6c0ec1ab51f313c87b04347e25593467b0556afae42353f072ee75c87eb75427",
-    "run.csv": "57e4820de1b486e1d2058fa4a50bb8201bcc8dc58893d6c4948a4cea333e8d1a",
-    "run.jsonl": "5fef55a4453cb8b64d30356f02b76cec7b3d4197af7c2843b0d856e29a905240",
+    "run.csv": "d093c048e0b7b004fe2ca3452338ff7a493a1ea42300bba83d6d210a7cddd156",
+    "run.jsonl": "f9a3ac4c953a8a412a6b79d13903d9e646c78dd2eed4fa770913d26830763240",
 }
 
 NOISE_MODEL = {

@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 from lfisensor import ParameterError, magnitude_spectra
 from lfisensor import peaks
 from lfisensor.peaks import (
-    DEFAULT_KAPPA,
     DEFAULT_WINDOW,
     GAUSSIAN,
     WEIGHTED_AVERAGE,
     PeakEstimate,
     estimate_peaks,
-    validity,
 )
 from lfisensor.simulator import STREAM_BLOCK
 from lfisensor.spectral import bin_frequencies
@@ -42,13 +40,9 @@ def _interpolate(mags, center, method, window=DEFAULT_WINDOW, epsilon=0.0):
     return peaks._interpolate(stack, FREQS, np.array([center]), window, method, [epsilon])[0]
 
 
-def _median_gate(row, intensity, epsilon) -> bool:
-    """Oracle of :func:`validity` for one row: ``intensity > max(epsilon, DEFAULT_KAPPA *
-    np.median(positive bins))``, with a median of 0 for no positive bin."""
-    positive = row[row > 0]
-    with np.errstate(over="ignore"):  # two middle bins near 1e308 sum to inf
-        median = float(np.median(positive)) if positive.size else 0.0
-    return bool(intensity > max(epsilon, DEFAULT_KAPPA * median))
+def _gate(intensity, epsilon) -> bool:
+    """Oracle of a peak's validity: ``intensity > max(epsilon, 0)``."""
+    return bool(intensity > max(epsilon, 0.0))
 
 
 def _tone_spectrum(frequency, phase=0.0):
@@ -383,7 +377,7 @@ def _per_row_peaks(rows, freqs, centers, window, method, epsilons):
             if lo - center <= vertex <= hi - 1 - center:
                 frequency = float(freqs[center] + vertex * (freqs[1] - freqs[0]))
                 estimates.append(PeakEstimate(frequency, intensity, GAUSSIAN,
-                                              _median_gate(row, intensity, epsilon)))
+                                              _gate(intensity, epsilon)))
                 continue
         total = float(weights.sum())
         if total == 0.0:
@@ -393,7 +387,7 @@ def _per_row_peaks(rows, freqs, centers, window, method, epsilons):
         frequency = float(min(max((weights * span).sum() / total, freqs[lo]), freqs[hi - 1]))
         intensity = float(row[center])
         estimates.append(PeakEstimate(frequency, intensity, WEIGHTED_AVERAGE,
-                                      _median_gate(row, intensity, epsilon)))
+                                      _gate(intensity, epsilon)))
     return estimates
 
 
@@ -541,12 +535,11 @@ def _vectorized_peaks(rows, freqs, centers, window, method, epsilons):
         intensities = np.where(accepted, fit_intensities, intensities)
         found |= accepted
         used = [GAUSSIAN if a else WEIGHTED_AVERAGE for a in accepted]
-    intensities = intensities.tolist()
+    valid = ((intensities > np.asarray(epsilons)) & (intensities > 0.0)).tolist()
     return [PeakEstimate(f, i, m, v) if peak
             else PeakEstimate(0.0, 0.0, method if not row.any() else WEIGHTED_AVERAGE, False)
-            for row, f, i, m, v, peak in zip(rows, means.tolist(), intensities, used,
-                                             validity(rows, intensities, epsilons),
-                                             found.tolist())]
+            for row, f, i, m, v, peak in zip(rows, means.tolist(), intensities.tolist(), used,
+                                             valid, found.tolist())]
 
 
 _WILD_BIN = st.one_of(
@@ -591,11 +584,15 @@ def test_peak_stage_on_wild_rows_matches_the_vectorized_formula(case, method, ep
 
 
 def test_validity_threshold_flags_weak_peaks():
+    # Validity is the gate alone: a peak only twice its row's floor reads valid past
+    # its gate, and a peak of 50 not at a gate of 50.
     mags = np.ones(1024)
-    mags[300] = 2.0  # only 2x the median floor, below kappa = 3
-    assert not _estimate(mags).valid
+    mags[300] = 2.0
+    assert _estimate(mags, epsilon=1.5).valid
+    assert not _estimate(mags, epsilon=2.0).valid
     mags[300] = 50.0
-    assert _estimate(mags).valid
+    assert _estimate(mags, epsilon=math.nextafter(50.0, 0.0)).valid
+    assert not _estimate(mags, epsilon=50.0).valid
 
 
 def test_validity_absolute_gate():
@@ -607,143 +604,6 @@ def test_validity_absolute_gate():
     # The gate is strict: an intensity equal to epsilon is not valid.
     assert _estimate(mags, epsilon=math.nextafter(5.0, 0.0)).valid
     assert not _estimate(mags, epsilon=5.0).valid
-
-
-def test_validity_threshold_floor_is_np_median_of_nonzero_bins():
-    # The flag turns on one float past kappa times np.median of the nonzero bins.
-    rng = np.random.default_rng(5)
-    for n_nonzero in [*range(1, 12), 400, 401, 1024]:  # odd and even counts
-        mags = np.zeros(1024)
-        where = rng.choice(1024, n_nonzero, replace=False)
-        mags[where] = rng.random(n_nonzero) * 10.0 ** rng.uniform(-3, 3)
-        before = mags.copy()
-        at = 3.0 * float(np.median(mags[mags > 0]))
-        intensities = [math.nextafter(at, 0.0), at, math.nextafter(at, math.inf)]
-        assert validity(np.array([mags] * 3), intensities, [0.0] * 3) == [False, False, True]
-        np.testing.assert_array_equal(mags, before)  # the spectrum is not reordered
-    # No nonzero bin: epsilon alone is the floor.
-    assert validity(np.zeros((2, 1024)), [0.5, math.nextafter(0.5, 1.0)], [0.5] * 2) == [
-        False, True]
-
-_BIN = st.one_of(
-    st.sampled_from([0.0, -0.0, math.inf, math.nan]),
-    st.floats(-300.0, 300.0).map(lambda e: 10.0**e),  # 600 decades
-    st.floats(-300.0, 300.0).map(lambda e: -(10.0**e)),
-)
-
-
-@st.composite
-def _stacks(draw):
-    """1-6 rows of one length; some all zero, the rest any mix of bins."""
-    n_bins = draw(st.integers(1, 40))
-    row = st.one_of(
-        st.just([0.0] * n_bins), st.lists(_BIN, min_size=n_bins, max_size=n_bins)
-    )
-    return np.array(draw(st.lists(row, min_size=1, max_size=6)))
-
-
-def _boundary_intensities(row) -> list:
-    """Intensities at ``DEFAULT_KAPPA`` times the median of a row's positive bins and
-    times each of its middle bins, at the mean bound ``2 DEFAULT_KAPPA S / P`` of its
-    ``P`` positive bins summing to ``S`` and at that bound's rounding margin, one
-    float either side of each, and infinity."""
-    positive = np.sort(row[row > 0])
-    middle = positive[(positive.size - 1) // 2 : positive.size // 2 + 1].tolist()
-    with np.errstate(over="ignore"):
-        median = float(np.median(positive)) if positive.size else 0.0
-    # einsum: a sum past the largest float is inf, with no overflow warning.
-    mean = float(np.einsum("i->", positive)) / positive.size if positive.size else 0.0
-    intensities = [math.inf]
-    for at in (DEFAULT_KAPPA * median, *(DEFAULT_KAPPA * bin_ for bin_ in middle),
-               2.0 * DEFAULT_KAPPA * mean, peaks._MEAN_BOUND * mean):
-        intensities += [math.nextafter(at, -math.inf), at, math.nextafter(at, math.inf)]
-    return intensities
-
-
-def _wide_stack(n_bins, counts, seed):
-    """Rows of ``n_bins`` bins with ``counts`` positive bins each, the rest zeros,
-    negatives and NaNs."""
-    rng = np.random.default_rng(seed)
-    stack = rng.choice([0.0, -1.0, math.nan], (len(counts), n_bins))
-    for row, count in zip(stack, counts):
-        row[rng.choice(n_bins, count, replace=False)] = 10.0 ** rng.uniform(-3, 3, count)
-    return stack
-
-
-def _half_equal_rows(n_bins, seed):
-    """Two rows of ``n_bins`` positive bins, one more than half of them equal, the
-    rest smaller: one of subnormals, whose mean bound is not taken, and one whose
-    mean bound is only ``1 + 2 / n_bins`` times its median."""
-    rng = np.random.default_rng(seed)
-    rows = np.empty((2, n_bins))
-    rows[0] = rng.integers(1, 2**20, n_bins) * math.ulp(0.0)
-    rows[1] = 10.0 ** rng.uniform(-300, -1, n_bins)
-    rows[:, rng.choice(n_bins, n_bins // 2 + 1, replace=False)] = [[2**20 * math.ulp(0.0)], [1.0]]
-    return rows
-
-
-@given(stack=_stacks(), epsilon=st.floats(0.0, 2.0))
-# A count past what two bytes hold.
-@example(stack=_wide_stack(2**16, [2**16], 6), epsilon=0.0)
-@example(stack=_half_equal_rows(2**16, 8), epsilon=0.0)
-# Positive bins summing past the largest float; -0.0 (taken), a negative and a
-# NaN, which the mean bound does not take; a mean bound 1 + 1/5 times the median.
-@example(
-    stack=np.array([[1e308, 1.7e308, 0.0, 1.2e308, 1e307, -0.0],
-                    [-0.0, 3.0, 1.0, -0.0, 2.0, 0.0],
-                    [3.0, -10.0, 2.0, 5.0, 0.0, 1.0],
-                    [math.nan, 1.0, 2.0, 3.0, 0.0, -0.0],
-                    [1.0, 1e-300, 1.0, 2e-300, 0.0, 1.0]]),
-    epsilon=0.0)
-@example(  # odd, even, zero and one positive counts, with both zeros, inf and NaN
-    stack=np.array([[3.0, -0.0, 1.0, 2.0, math.nan, 4.0],
-                    [1e308, 1.5e308, -5.0, 0.0, math.inf, 1e-300],
-                    [0.0] * 6,
-                    [-0.0, 7.0, -1e-300, math.nan, 0.0, 0.0],
-                    [5.0, 1.0, 2.0, -1.0, 0.0, math.inf]]),
-    epsilon=0.0)
-@settings(max_examples=300, deadline=None)
-def test_stack_thresholds_are_np_median_of_each_rows_positive_bins(stack, epsilon):
-    # Each row against intensities on and next to its gate, in one stack.
-    cases = [(r, i) for r, row in enumerate(stack) for i in _boundary_intensities(row)]
-    rows = stack[[r for r, _ in cases]]
-    epsilons = [epsilon * (r + 1) for r, _ in cases]
-    before = rows.tobytes()
-    flags = validity(rows, [i for _, i in cases], epsilons)
-    assert rows.tobytes() == before
-    assert flags == [_median_gate(stack[r], i, eps) for (r, i), eps in zip(cases, epsilons)]
-    assert all(type(flag) is bool for flag in flags)
-
-
-def test_an_even_count_straddling_the_bound_takes_the_middle_pairs_mean(monkeypatch):
-    # Positive bins 1, 2, 4 and 8: the median is 3, so the bound is 9.  The NaN
-    # (and the negative bin) keep the mean bound from every row, so each row,
-    # the 100.0 one too, partitions its four positive bins for their middle pair.
-    row = [8.0, 0.0, 2.0, math.nan, 4.0, -1.0, 1.0]
-    partitioned_sizes, partition = [], np.partition
-    monkeypatch.setattr(np, "partition", lambda a, *args, **kwargs: (
-        partitioned_sizes.append(a.size) or partition(a, *args, **kwargs)))
-    intensities = [math.nextafter(9.0, 0.0), 9.0, math.nextafter(9.0, math.inf), 100.0]
-    assert validity(np.array([row] * 4), intensities, [0.0] * 4) == [False, False, True, True]
-    assert partitioned_sizes == [4, 4, 4, 4]
-
-
-def test_rows_that_clear_the_mean_bound_are_valid_without_a_count(monkeypatch):
-    # Positive bins 1, 2, 4 and 8 sum to 15, so their median (3) is at most
-    # 2 * 15 / 4: an intensity past kappa * 7.5, with the margin, is valid.
-    # The third row is not gated, and the fourth has no positive bin.
-    monkeypatch.setattr(np, "partition", lambda *args, **kwargs: pytest.fail("partitioned"))
-    row = [8.0, 0.0, 2.0, -0.0, 4.0, 0.0, 1.0]
-    stack = np.array([row, row, row, [0.0] * 7])
-    assert validity(stack, [22.6, 1e300, 22.6, 22.6], [0.0, 0.0, 30.0, 0.0]) == [
-        True, True, False, True]
-
-
-def test_lone_bin_is_indistinguishable_from_floor():
-    # A single surviving bin cannot exceed kappa times its own median.
-    mags = np.zeros(1024)
-    mags[123] = 7.0
-    assert not _estimate(mags).valid
 
 
 def test_window_preconditions():
