@@ -12,8 +12,8 @@ divides each gate by the root of its window's count and scales it by its noise l
 A block of cycles runs one FFT, floor subtraction and peak stage over one ``(4 * cycles,
 bins)`` stack of its frames, which the sliding average and the floor subtraction change in
 place.  Each record is the one its cycle gets in a block of its own, bit for bit.  The
-sliding average is a two-stacks window sum: four array operations a cycle, whatever
-``n_avg``, plus a copy and ``n_avg - 2`` adds once every ``n_avg`` cycles
+sliding average is a two-stacks window sum in ``n_avg + 1`` slots: four array operations a
+cycle, whatever ``n_avg``, plus ``n_avg - 2`` in-place adds once every ``n_avg`` cycles
 (:class:`PipelineState`).
 """
 
@@ -62,12 +62,17 @@ def check_settings(wp: WorkingPoint, fft_bins: int, interp_window: int, interp_m
     that no calibration could make valid at the working point ``wp``."""
     check_integer("n_avg", n_avg, least=1)
     check_fft_bins(fft_bins, wp.samples_per_ramp)
-    ring = 2 * n_avg * 4 * (fft_bins // 2) * 8  # PipelineState.ring, float64
+    ring = 8 * math.prod(_ring_shape(n_avg, fft_bins))  # PipelineState.ring, float64
     check_work(ring, f"n_avg ({n_avg}) needs {ring} bytes of sliding-average ring at "
                      f"fft_bins {fft_bins}")
     check_interpolation(interp_window, interp_method, fft_bins // 2)
     check_levels(alpha=alpha, beta=beta)
     check_sync_offset(sync_offset_samples, wp.samples_per_cycle)
+
+
+def _ring_shape(n_avg: int, fft_bins: int) -> tuple:
+    """:attr:`PipelineState.ring`'s shape: ``n_avg + 1`` slots of ``(4, bins)``, none at 1."""
+    return (n_avg + 1 if n_avg > 1 else 0, 4, fft_bins // 2)
 
 
 @dataclass(frozen=True)
@@ -141,16 +146,17 @@ class PipelineState:
 
     The window sum is a two-stacks sliding-window aggregation: it only adds,
     so no error builds up.  With ``n = n_avg``, cycle ``t`` is spectrum
-    ``j = t % n`` of chunk ``t // n``.  ``ring`` has ``2·n`` slots of
+    ``j = t % n`` of chunk ``t // n``.  ``ring`` has ``n + 1`` slots of
     ``(4, bins)``, or none at ``n_avg`` 1, where every window is one
-    spectrum; slots come first, so each is one contiguous block.  Slots
-    ``0..n-1`` hold the current chunk's spectra, slot ``n`` their running
-    sum, oldest first, and slot ``n + i`` (``1 <= i < n``) the previous
-    chunk's suffix sum from its spectrum ``i`` on, added newest to oldest.
-    After spectrum ``j``, the window sum is the suffix sum from ``j + 1``
-    plus the running sum, or the running sum alone in the first chunk and at
-    ``j = n - 1``.  A chunk's ``n - 2`` suffix sums are built when it
-    completes, so one cycle in ``n`` pays ``n - 2`` more adds.
+    spectrum; slots come first, so each is one contiguous block.  Slot ``j``
+    takes spectrum ``j`` of the current chunk and slot ``n`` their running
+    sum, oldest first.  When a chunk completes, slots ``n - 2`` down to 1 each
+    add the next slot in place, so slot ``i`` holds the chunk's suffix sum from
+    spectrum ``i`` on, added newest to oldest: ``n - 2`` adds in one cycle of
+    ``n``.  After spectrum ``j`` of the next chunk, the window sum is slot
+    ``j + 1``, which no other cycle reads, plus the running sum, added in place
+    there; in the first chunk and at ``j = n - 1`` it is the running sum
+    alone.  No slot is read before the stream writes it.
 
     Warm-up windows, one-chunk windows and every window at ``n_avg`` 2 add in
     ``np.mean``'s order, oldest first, so their mean is ``np.mean``'s to the
@@ -167,8 +173,7 @@ class PipelineState:
 
     @classmethod
     def for_config(cls, cfg: PipelineConfig) -> "PipelineState":
-        slots = 2 * cfg.n_avg if cfg.n_avg > 1 else 0
-        return cls(cfg.n_avg, np.zeros((slots, 4, cfg.fft_bins // 2)))
+        return cls(cfg.n_avg, np.zeros(_ring_shape(cfg.n_avg, cfg.fft_bins)))
 
     def push(self, spectra: np.ndarray) -> int:
         """Add one cycle's ``(4, bins)`` spectra, then overwrite them with the window mean.
@@ -178,27 +183,25 @@ class PipelineState:
         input, NaNs included.  A window of one spectrum leaves ``spectra`` as they are.  At
         ``n_avg`` 1 every window is one spectrum, and there is no ring.
         """
-        n = self.n_avg
-        j = self.cycles_seen % n
-        self.cycles_seen += 1
-        n_window = min(self.cycles_seen, n)
+        n, t = self.n_avg, self.cycles_seen
+        j = t % n
+        self.cycles_seen = t + 1
+        n_window = min(t + 1, n)
         if n == 1:
             return n_window
         ring = self.ring
         ring[j] = spectra
-        current = ring[n]
+        window = ring[n]
         if j == 0:
-            current[...] = spectra
+            window[...] = spectra
         else:
-            current += spectra
+            window += spectra
         if j == n - 1:  # the chunk is complete: its suffix sums, newest to oldest
-            ring[2 * n - 1] = spectra
             for i in range(n - 2, 0, -1):
-                np.add(ring[i], ring[n + i + 1], out=ring[n + i])
-        if j == n - 1 or self.cycles_seen <= n:
-            window = current
-        else:
-            window = np.add(ring[n + j + 1], current, out=spectra)
+                ring[i] += ring[i + 1]
+        elif t >= n:  # the previous chunk's suffix sum from j + 1 plus the running sum
+            window = ring[j + 1]
+            window += ring[n]
         if n_window & (n_window - 1):
             np.divide(window, n_window, out=spectra)
         else:  # a window of one, the stream's first cycle, multiplies by 1.0
@@ -264,11 +267,18 @@ def process_block(block, state: PipelineState, cfg: PipelineConfig) -> list:
     cycle gets alone, bit for bit.  A peak is valid past ``g (gate / sqrt(n_window) + F) -
     F``, the gate that a floor ``F`` and gate scaled by the cycle's level ``g``
     (:func:`_noise_levels`) would set; the floor is not scaled.  A NaN or infinite sample,
-    or one beyond the float32 range, raises :class:`FramingError` before ``state``
-    changes, and a state built for another configuration raises :class:`ParameterError`.
+    or one beyond the float32 range, raises :class:`FramingError`, and a state unlike
+    ``PipelineState.for_config(cfg)``'s :class:`ParameterError`, before ``state`` changes.
     """
-    if state.n_avg != cfg.n_avg or state.ring.shape[2] != cfg.fft_bins // 2:
-        raise ParameterError("the state was built for another configuration")
+    seen, ring = state.cycles_seen, state.ring
+    if type(state.n_avg) is not int or type(seen) is not int or seen < 0:  # ints >= 0 pass
+        check_integer("the state's n_avg", state.n_avg)
+        check_integer("the state's cycles_seen", seen, least=0)
+    shape = _ring_shape(cfg.n_avg, cfg.fft_bins)
+    if (state.n_avg != cfg.n_avg or type(ring) is not np.ndarray or ring.shape != shape
+            or ring.dtype.char != "d"):  # float64, in either byte order
+        raise ParameterError(f"the state was built for another configuration, not for n_avg "
+                             f"{cfg.n_avg} and a float64 ring of shape {shape}")
     wp = cfg.working_point
     stack = magnitude_spectra(block, wp, cfg.frame_window, cfg.fft_bins, state.cycles_seen)
     n_windows = [state.push(stack[c : c + 4]) for c in range(0, len(stack), 4)]

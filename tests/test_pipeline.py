@@ -501,6 +501,18 @@ def test_window_average_equals_mean_of_last_spectra(wp, quiet_cal, n_avg):
     assert snapshot.cycles_seen == state.cycles_seen == len(pushed)
 
 
+@pytest.mark.parametrize("n_avg", [2, 3, 16])
+def test_no_slot_is_read_before_the_stream_writes_it(n_avg):
+    # The averages never depend on for_config's zeros: a ring that starts full of NaN
+    # gives the same bytes, in warm-up and after it.
+    rng = np.random.default_rng(n_avg)
+    fresh, poisoned = _window(n_avg, 8), _window(n_avg, 8)
+    poisoned.ring[...] = math.nan
+    for _ in range(3 * n_avg + 1):
+        spectra = rng.random((4, 8))
+        assert _push(poisoned, spectra).tobytes() == _push(fresh, spectra).tobytes()
+
+
 _U = Fraction(1, 2**53)
 _HALF_SUBNORMAL = Fraction(1, 2**1075)
 
@@ -672,7 +684,7 @@ def _flat_calibration(wp, fft_bins):
         ({"interp_window": 2049}, "interp_window"),
         ({"alpha": math.inf}, "alpha"),
         ({"beta": math.inf}, "beta"),
-        ({"n_avg": 16385}, "n_avg"),  # a ring of 1 GiB and 64 kB, past MAX_WORK_BYTES
+        ({"n_avg": 32768}, "n_avg"),  # a ring of 1 GiB and 32 kB, past MAX_WORK_BYTES
         # Settings of the wrong type: a float integer, a bool (which passes as an
         # int), and values with no arithmetic.
         ({"interp_window": 25.0}, "interp_window"),
@@ -717,8 +729,23 @@ def test_config_accepts_boundary_settings(wp, quiet_cal):
     _config(wp, _flat_calibration(wp, 512), fft_bins=512)
     frame_512 = make_wp(ramp_duration=0.256e-3)  # an FFT no longer than the frame
     _config(frame_512, _flat_calibration(frame_512, 512), fft_bins=512)
-    _config(wp, quiet_cal, n_avg=16384)  # a ring of MAX_WORK_BYTES
+    _config(wp, quiet_cal, n_avg=32767)  # a ring of MAX_WORK_BYTES
     _config(wp, _flat_calibration(wp, 2**19), fft_bins=2**19)  # work arrays of 768 MiB
+
+
+@pytest.mark.parametrize("n_avg", [2, 3, 16, 17])
+def test_the_ring_bound_counts_the_ring_for_config_allocates(wp, quiet_cal, monkeypatch,
+                                                              n_avg):
+    # A limit of exactly the ring's bytes admits n_avg, and one byte less refuses it.
+    # The FFT work count, larger than these rings, is taken out of the way.
+    nbytes = PipelineState.for_config(_config(wp, quiet_cal, n_avg=n_avg)).ring.nbytes
+    monkeypatch.setattr(spectral, "check_work", lambda *args: None)
+    monkeypatch.setattr(errors, "MAX_WORK_BYTES", nbytes)
+    _config(wp, quiet_cal, n_avg=n_avg)
+    monkeypatch.setattr(errors, "MAX_WORK_BYTES", nbytes - 1)
+    with pytest.raises(ParameterError, match=rf"^n_avg \({n_avg}\) needs {nbytes} bytes of "
+                                             "sliding-average ring"):
+        _config(wp, quiet_cal, n_avg=n_avg)
 
 
 def _largest_n_avg(wp, fft_bins, window):
@@ -1010,6 +1037,33 @@ def test_a_state_of_another_configuration_is_refused_before_it_changes(wp, noisy
         process_block(cycles[2:], state, config(run))
     assert state.cycles_seen == snapshot.cycles_seen == 2
     assert state.ring.tobytes() == snapshot.ring.tobytes()
+
+
+_RING = "another configuration, not for n_avg 4 and a float64 ring of shape \\(5, 4, 1024\\)"
+
+
+@pytest.mark.parametrize(
+    "n_avg, ring, cycles_seen, message",
+    [(4, np.zeros((3, 4, 1024)), 0, _RING),  # used to raise IndexError
+     (4, np.zeros((8, 4, 1024)), 8, _RING),  # 2·n_avg slots: would average the wrong ones
+     (4, np.zeros((8, 3, 1024)), 0, _RING),  # used to end in numpy's broadcast ValueError
+     (4, np.zeros((5, 4, 1024), dtype=int), 0, _RING),  # used to raise UFuncTypeError
+     (4, np.zeros((5, 4, 1024), dtype=np.float32), 0, _RING),  # ran at float32 precision
+     (4, [[[0.0] * 1024] * 4] * 5, 0, _RING),
+     (4, np.zeros((5, 4, 1024)), -3, "cycles_seen must be >= 0, got -3"),  # "math domain error"
+     (4, np.zeros((5, 4, 1024)), 2.0, "cycles_seen must be an integer, got 2.0"),
+     (4, np.zeros((5, 4, 1024)), True, "cycles_seen must be an integer, got True"),
+     (4.0, np.zeros((5, 4, 1024)), 0, "n_avg must be an integer, got 4.0")],  # IndexError
+    ids=["3-slots", "2n-slots", "3-ramps", "int", "float32", "list", "negative-cycles",
+         "float-cycles", "bool-cycles", "float-n_avg"])
+def test_a_state_that_for_config_would_not_build_is_refused_before_it_changes(
+        wp, noisy_cal, n_avg, ring, cycles_seen, message):
+    cfg = _config(wp, noisy_cal, n_avg=4)
+    state, before = PipelineState(n_avg, ring, cycles_seen), copy.deepcopy(ring)
+    with pytest.raises(ParameterError, match=message):
+        process_block(_stream(wp, 2), state, cfg)
+    assert state.cycles_seen is cycles_seen
+    assert np.array_equal(state.ring, before)
 
 
 @pytest.mark.parametrize("block", [1, STREAM_BLOCK])
