@@ -12,7 +12,7 @@ divides each gate by the root of its window's count and scales it by its noise l
 A block of cycles runs one FFT, floor subtraction and peak stage over one ``(4 * cycles,
 bins)`` stack of its frames, which the sliding average and the floor subtraction change in
 place.  Each record is the one its cycle gets in a block of its own, bit for bit.  The
-sliding average is a two-stacks window sum in ``n_avg + 1`` slots: four array operations a
+sliding average is a two-stacks window sum in ``n_avg`` slots: four array operations a
 cycle, whatever ``n_avg``, plus ``n_avg - 2`` in-place adds once every ``n_avg`` cycles
 (:class:`PipelineState`).
 """
@@ -71,8 +71,8 @@ def check_settings(wp: WorkingPoint, fft_bins: int, interp_window: int, interp_m
 
 
 def _ring_shape(n_avg: int, fft_bins: int) -> tuple:
-    """:attr:`PipelineState.ring`'s shape: ``n_avg + 1`` slots of ``(4, bins)``, none at 1."""
-    return (n_avg + 1 if n_avg > 1 else 0, 4, fft_bins // 2)
+    """:attr:`PipelineState.ring`'s shape: ``n_avg`` slots of ``(4, bins)``, none at 1."""
+    return (n_avg if n_avg > 1 else 0, 4, fft_bins // 2)
 
 
 @dataclass(frozen=True)
@@ -145,18 +145,18 @@ class PipelineState:
     """Sliding-average window of one stream worker: the last ``n_avg`` spectra per ramp.
 
     The window sum is a two-stacks sliding-window aggregation: it only adds,
-    so no error builds up.  With ``n = n_avg``, cycle ``t`` is spectrum
-    ``j = t % n`` of chunk ``t // n``.  ``ring`` has ``n + 1`` slots of
-    ``(4, bins)``, or none at ``n_avg`` 1, where every window is one
-    spectrum; slots come first, so each is one contiguous block.  Slot ``j``
-    takes spectrum ``j`` of the current chunk and slot ``n`` their running
-    sum, oldest first.  When a chunk completes, slots ``n - 2`` down to 1 each
-    add the next slot in place, so slot ``i`` holds the chunk's suffix sum from
-    spectrum ``i`` on, added newest to oldest: ``n - 2`` adds in one cycle of
-    ``n``.  After spectrum ``j`` of the next chunk, the window sum is slot
-    ``j + 1``, which no other cycle reads, plus the running sum, added in place
-    there; in the first chunk and at ``j = n - 1`` it is the running sum
-    alone.  No slot is read before the stream writes it.
+    so no error builds up.  ``ring`` has ``n = n_avg`` slots of ``(4, bins)``,
+    or none at ``n_avg`` 1, where every window is one spectrum; slots come
+    first, so each is one contiguous block, and the ring's length is the
+    state's ``n_avg``.  Cycle ``t`` is spectrum ``j = t % n`` of chunk ``t // n``.
+    Slot 0 holds the current chunk's running sum, oldest first, and slot
+    ``j > 0`` takes spectrum ``j``.  When a chunk completes, slots ``n - 2``
+    down to 1 each add the next slot in place, so slot ``i`` holds the chunk's
+    suffix sum from spectrum ``i`` on, added newest to oldest: ``n - 2`` adds
+    in one cycle of ``n``.  After spectrum ``j`` of the next chunk, the window
+    sum is slot ``j + 1``, which no other cycle reads, plus the running sum,
+    added in place there; in the first chunk and at ``j = n - 1`` it is the
+    running sum alone.  No slot is read before the stream writes it.
 
     Warm-up windows, one-chunk windows and every window at ``n_avg`` 2 add in
     ``np.mean``'s order, oldest first, so their mean is ``np.mean``'s to the
@@ -167,13 +167,12 @@ class PipelineState:
     subnormal), so they differ by at most twice that.
     """
 
-    n_avg: int
     ring: np.ndarray
     cycles_seen: int = 0
 
     @classmethod
     def for_config(cls, cfg: PipelineConfig) -> "PipelineState":
-        return cls(cfg.n_avg, np.zeros(_ring_shape(cfg.n_avg, cfg.fft_bins)))
+        return cls(np.zeros(_ring_shape(cfg.n_avg, cfg.fft_bins)))
 
     def push(self, spectra: np.ndarray) -> int:
         """Add one cycle's ``(4, bins)`` spectra, then overwrite them with the window mean.
@@ -183,7 +182,7 @@ class PipelineState:
         input, NaNs included.  A window of one spectrum leaves ``spectra`` as they are.  At
         ``n_avg`` 1 every window is one spectrum, and there is no ring.
         """
-        n, t = self.n_avg, self.cycles_seen
+        n, t = len(self.ring) or 1, self.cycles_seen
         j = t % n
         self.cycles_seen = t + 1
         n_window = min(t + 1, n)
@@ -191,17 +190,15 @@ class PipelineState:
             return n_window
         ring = self.ring
         ring[j] = spectra
-        window = ring[n]
-        if j == 0:
-            window[...] = spectra
-        else:
+        window = ring[0]
+        if j:
             window += spectra
         if j == n - 1:  # the chunk is complete: its suffix sums, newest to oldest
             for i in range(n - 2, 0, -1):
                 ring[i] += ring[i + 1]
         elif t >= n:  # the previous chunk's suffix sum from j + 1 plus the running sum
             window = ring[j + 1]
-            window += ring[n]
+            window += ring[0]
         if n_window & (n_window - 1):
             np.divide(window, n_window, out=spectra)
         else:  # a window of one, the stream's first cycle, multiplies by 1.0
@@ -271,16 +268,15 @@ def process_block(block, state: PipelineState, cfg: PipelineConfig) -> list:
     ``PipelineState.for_config(cfg)``'s :class:`ParameterError`, before ``state`` changes.
     """
     seen, ring = state.cycles_seen, state.ring
-    if type(state.n_avg) is not int or type(seen) is not int or seen < 0:  # ints >= 0 pass
-        check_integer("the state's n_avg", state.n_avg)
+    if type(seen) is not int or seen < 0:  # ints >= 0 pass
         check_integer("the state's cycles_seen", seen, least=0)
     shape = _ring_shape(cfg.n_avg, cfg.fft_bins)
-    if (state.n_avg != cfg.n_avg or type(ring) is not np.ndarray or ring.shape != shape
-            or ring.dtype.char != "d"):  # float64, in either byte order
+    if (type(ring) is not np.ndarray or ring.shape != shape
+            or ring.dtype.char != "d" or not ring.flags.writeable):  # "d": float64, either order
         raise ParameterError(f"the state was built for another configuration, not for n_avg "
-                             f"{cfg.n_avg} and a float64 ring of shape {shape}")
+                             f"{cfg.n_avg} and a writeable float64 ring of shape {shape}")
     wp = cfg.working_point
-    stack = magnitude_spectra(block, wp, cfg.frame_window, cfg.fft_bins, state.cycles_seen)
+    stack = magnitude_spectra(block, wp, cfg.frame_window, cfg.fft_bins, seen)
     n_windows = [state.push(stack[c : c + 4]) for c in range(0, len(stack), 4)]
     levels = _noise_levels(stack, cfg.inverse_mean, n_windows)
     remove_floor(stack.reshape(-1, 4, stack.shape[1]), cfg.scaled_mean, cfg.scaled_sigma)
@@ -290,7 +286,7 @@ def process_block(block, state: PipelineState, cfg: PipelineConfig) -> list:
                            cfg.interp_method)
     records = []
     for c, n_window in enumerate(n_windows):
-        index, cycle_peaks = state.cycles_seen - len(n_windows) + c, peaks[4 * c : 4 * c + 4]
+        index, cycle_peaks = seen + c, peaks[4 * c : 4 * c + 4]
         measurement = disambiguate(cycle_peaks, wp)
         if cfg.noise_model is not None and measurement.status != STATUS_INVALID:
             measurement = _attach_sigmas(measurement, cycle_peaks, cfg, n_window)

@@ -747,7 +747,7 @@ def test_non_finite_analysis_setting_exits_nonzero(config_path, tmp_path, capsys
      ("process", "interp_window = 2049",
       "interp_window must be odd, >= 3 and <= the 1024 bins of a row (fft_bins // 2)"),
      ("process", "n_avg = 1000000000000000",
-      "n_avg (1000000000000000) needs 32768000000000032768 bytes of sliding-average ring"),
+      "n_avg (1000000000000000) needs 32768000000000000000 bytes of sliding-average ring"),
      ("calibrate", "fft_bins = 4611686018427387904",
       "fft_bins (4611686018427387904) needs 5902958103587056518144 bytes of FFT work")],
     ids=["alpha-inf", "interp_window-2049", "n_avg-1e15", "calibrate-fft_bins-2**62"],

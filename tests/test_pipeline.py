@@ -684,7 +684,7 @@ def _flat_calibration(wp, fft_bins):
         ({"interp_window": 2049}, "interp_window"),
         ({"alpha": math.inf}, "alpha"),
         ({"beta": math.inf}, "beta"),
-        ({"n_avg": 32768}, "n_avg"),  # a ring of 1 GiB and 32 kB, past MAX_WORK_BYTES
+        ({"n_avg": 32769}, "n_avg"),  # a ring of 1 GiB and 32 kB, past MAX_WORK_BYTES
         # Settings of the wrong type: a float integer, a bool (which passes as an
         # int), and values with no arithmetic.
         ({"interp_window": 25.0}, "interp_window"),
@@ -729,7 +729,7 @@ def test_config_accepts_boundary_settings(wp, quiet_cal):
     _config(wp, _flat_calibration(wp, 512), fft_bins=512)
     frame_512 = make_wp(ramp_duration=0.256e-3)  # an FFT no longer than the frame
     _config(frame_512, _flat_calibration(frame_512, 512), fft_bins=512)
-    _config(wp, quiet_cal, n_avg=32767)  # a ring of MAX_WORK_BYTES
+    _config(wp, quiet_cal, n_avg=32768)  # a ring of MAX_WORK_BYTES
     _config(wp, _flat_calibration(wp, 2**19), fft_bins=2**19)  # work arrays of 768 MiB
 
 
@@ -738,7 +738,9 @@ def test_the_ring_bound_counts_the_ring_for_config_allocates(wp, quiet_cal, monk
                                                               n_avg):
     # A limit of exactly the ring's bytes admits n_avg, and one byte less refuses it.
     # The FFT work count, larger than these rings, is taken out of the way.
-    nbytes = PipelineState.for_config(_config(wp, quiet_cal, n_avg=n_avg)).ring.nbytes
+    cfg = _config(wp, quiet_cal, n_avg=n_avg)
+    nbytes = PipelineState.for_config(cfg).ring.nbytes
+    assert nbytes == 8 * n_avg * 4 * (cfg.fft_bins // 2)  # n_avg float64 slots of (4, bins)
     monkeypatch.setattr(spectral, "check_work", lambda *args: None)
     monkeypatch.setattr(errors, "MAX_WORK_BYTES", nbytes)
     _config(wp, quiet_cal, n_avg=n_avg)
@@ -1039,27 +1041,34 @@ def test_a_state_of_another_configuration_is_refused_before_it_changes(wp, noisy
     assert state.ring.tobytes() == snapshot.ring.tobytes()
 
 
-_RING = "another configuration, not for n_avg 4 and a float64 ring of shape \\(5, 4, 1024\\)"
+_RING = ("another configuration, not for n_avg 4 and a writeable float64 ring of shape "
+         "\\(4, 4, 1024\\)")
+
+
+def _read_only(ring):
+    ring.flags.writeable = False
+    return ring
 
 
 @pytest.mark.parametrize(
-    "n_avg, ring, cycles_seen, message",
-    [(4, np.zeros((3, 4, 1024)), 0, _RING),  # used to raise IndexError
-     (4, np.zeros((8, 4, 1024)), 8, _RING),  # 2·n_avg slots: would average the wrong ones
-     (4, np.zeros((8, 3, 1024)), 0, _RING),  # used to end in numpy's broadcast ValueError
-     (4, np.zeros((5, 4, 1024), dtype=int), 0, _RING),  # used to raise UFuncTypeError
-     (4, np.zeros((5, 4, 1024), dtype=np.float32), 0, _RING),  # ran at float32 precision
-     (4, [[[0.0] * 1024] * 4] * 5, 0, _RING),
-     (4, np.zeros((5, 4, 1024)), -3, "cycles_seen must be >= 0, got -3"),  # "math domain error"
-     (4, np.zeros((5, 4, 1024)), 2.0, "cycles_seen must be an integer, got 2.0"),
-     (4, np.zeros((5, 4, 1024)), True, "cycles_seen must be an integer, got True"),
-     (4.0, np.zeros((5, 4, 1024)), 0, "n_avg must be an integer, got 4.0")],  # IndexError
-    ids=["3-slots", "2n-slots", "3-ramps", "int", "float32", "list", "negative-cycles",
-         "float-cycles", "bool-cycles", "float-n_avg"])
+    "ring, cycles_seen, message",
+    [(np.zeros((3, 4, 1024)), 0, _RING),  # used to raise IndexError
+     (np.zeros((8, 4, 1024)), 8, _RING),  # 2·n_avg slots: would average the wrong ones
+     (np.zeros((5, 4, 1024)), 5, _RING),  # n_avg + 1 slots: would average the wrong ones
+     (np.zeros((8, 3, 1024)), 0, _RING),  # used to end in numpy's broadcast ValueError
+     (np.zeros((4, 4, 1024), dtype=int), 0, _RING),  # used to raise UFuncTypeError
+     (np.zeros((4, 4, 1024), dtype=np.float32), 0, _RING),  # ran at float32 precision
+     ([[[0.0] * 1024] * 4] * 4, 0, _RING),
+     (_read_only(np.zeros((4, 4, 1024))), 0, _RING),  # numpy's ValueError, cycle counted
+     (np.zeros((4, 4, 1024)), -3, "cycles_seen must be >= 0, got -3"),  # "math domain error"
+     (np.zeros((4, 4, 1024)), 2.0, "cycles_seen must be an integer, got 2.0"),
+     (np.zeros((4, 4, 1024)), True, "cycles_seen must be an integer, got True")],
+    ids=["3-slots", "2n-slots", "n+1-slots", "3-ramps", "int", "float32", "list", "read-only",
+         "negative-cycles", "float-cycles", "bool-cycles"])
 def test_a_state_that_for_config_would_not_build_is_refused_before_it_changes(
-        wp, noisy_cal, n_avg, ring, cycles_seen, message):
+        wp, noisy_cal, ring, cycles_seen, message):
     cfg = _config(wp, noisy_cal, n_avg=4)
-    state, before = PipelineState(n_avg, ring, cycles_seen), copy.deepcopy(ring)
+    state, before = PipelineState(ring, cycles_seen), copy.deepcopy(ring)
     with pytest.raises(ParameterError, match=message):
         process_block(_stream(wp, 2), state, cfg)
     assert state.cycles_seen is cycles_seen
@@ -1224,7 +1233,7 @@ def test_fuzzed_sample_arrays_end_in_records_or_a_package_error(wp, noisy_cal, d
     try:
         records = process_block(cycles, state, cfg)
     except LfiError:
-        assert (state.n_avg, state.cycles_seen) == (before.n_avg, before.cycles_seen)
+        assert state.cycles_seen == before.cycles_seen
         assert np.array_equal(state.ring, before.ring)
     else:
         assert [r.cycle_index for r in records] == list(range(2, state.cycles_seen))
