@@ -100,7 +100,7 @@ def _interpolate(rows, bin_freqs, centers, window, method, epsilons) -> list:
         return []
     offsets, starts = _gather_offsets(len(center_list), n_bins, window)
     columns = offsets + centers[:, None]
-    # Each row's window (the end bins' past the ends).
+    # Each row's window (the end bins' past the ends); only one reaching past an end has any.
     weights = rows.take(columns + starts, mode="clip")
     if min(center_list) < half or max(center_list) > n_bins - 1 - half:
         weights[(columns < 0) | (columns >= n_bins)] = 0.0

@@ -13,8 +13,8 @@ A block of cycles runs one FFT, floor subtraction and peak stage over one ``(4 *
 bins)`` stack of its frames, which the sliding average and the floor subtraction change in
 place.  Each record is the one its cycle gets in a block of its own, bit for bit.  The
 sliding average is a two-stacks window sum in ``n_avg`` slots: four array operations a
-cycle, whatever ``n_avg``, plus ``n_avg - 2`` in-place adds once every ``n_avg`` cycles
-(:class:`PipelineState`).
+cycle, whatever ``n_avg``, plus a chunk's ``n_avg - 2`` in-place adds, half on its last
+cycle and half on the next chunk's first (:class:`PipelineState`).
 """
 
 from __future__ import annotations
@@ -150,13 +150,15 @@ class PipelineState:
     first, so each is one contiguous block, and the ring's length is the
     state's ``n_avg``.  Cycle ``t`` is spectrum ``j = t % n`` of chunk ``t // n``.
     Slot 0 holds the current chunk's running sum, oldest first, and slot
-    ``j > 0`` takes spectrum ``j``.  When a chunk completes, slots ``n - 2``
-    down to 1 each add the next slot in place, so slot ``i`` holds the chunk's
-    suffix sum from spectrum ``i`` on, added newest to oldest: ``n - 2`` adds
-    in one cycle of ``n``.  After spectrum ``j`` of the next chunk, the window
-    sum is slot ``j + 1``, which no other cycle reads, plus the running sum,
-    added in place there; in the first chunk and at ``j = n - 1`` it is the
-    running sum alone.  No slot is read before the stream writes it.
+    ``j > 0`` takes spectrum ``j``.  Slots ``n - 2`` down to 1 then each add the
+    next slot in place, so slot ``i`` holds the chunk's suffix sum from spectrum
+    ``i`` on, added newest to oldest: slots ``n - 2`` to ``n // 2`` on the chunk's
+    last cycle, the rest on the next chunk's first, so both make as many array
+    operations, or the last, with the warmer slots, one more.  After spectrum ``j``
+    of the next chunk, the window sum is slot ``j + 1``, which no other cycle
+    reads, plus the running sum, added in place there; in the first chunk and at
+    ``j = n - 1`` it is the running sum alone.  No slot is read before the stream
+    writes it.
 
     Warm-up windows, one-chunk windows and every window at ``n_avg`` 2 add in
     ``np.mean``'s order, oldest first, so their mean is ``np.mean``'s to the
@@ -193,8 +195,11 @@ class PipelineState:
         window = ring[0]
         if j:
             window += spectra
-        if j == n - 1:  # the chunk is complete: its suffix sums, newest to oldest
-            for i in range(n - 2, 0, -1):
+        elif t >= n:  # the rest of the previous chunk's suffix sums, down to slot 1
+            for i in range(n // 2 - 1, 0, -1):
+                ring[i] += ring[i + 1]
+        if j == n - 1:  # the chunk is complete: its suffix sums from slot n - 2 to n // 2
+            for i in range(n - 2, n // 2 - 1, -1):
                 ring[i] += ring[i + 1]
         elif t >= n:  # the previous chunk's suffix sum from j + 1 plus the running sum
             window = ring[j + 1]

@@ -166,7 +166,7 @@ def synthesize_block(wp: WorkingPoint, truths, amplitude: float, noise_sigma: fl
     cycles = slots[first : first + count]
     t = np.arange(n) / wp.sampling_rate
     cycles[...] = amplitude * np.cos(2.0 * np.pi * np.abs(beats)[..., None] * t + phases)
-    if noise_sigma > 0:
+    if noise_sigma > 0:  # sigma 0 would add zeros: the phases are drawn first
         for cycle, rng in zip(cycles, rngs):
             cycle += rng.normal(0.0, noise_sigma, (4, n))
     for group in slots.reshape(-1, 4 * STREAM_BLOCK, n):

@@ -513,6 +513,42 @@ def test_no_slot_is_read_before_the_stream_writes_it(n_avg):
         assert _push(poisoned, spectra).tobytes() == _push(fresh, spectra).tobytes()
 
 
+class _CountingRing(np.ndarray):
+    """A ring that logs each in-place add into one of its slots: ``(slot, other)``,
+    ``other`` the slot added, or None for a cycle's spectra."""
+
+    def __iadd__(self, other):
+        ring, size = self.base, self.base[0].nbytes
+        slot = (self.ctypes.data - ring.ctypes.data) // size
+        theirs = (other.ctypes.data - ring.ctypes.data) // size if isinstance(
+            other, _CountingRing) else None
+        ring.adds.append((slot, theirs))
+        return super().__iadd__(other)
+
+
+@pytest.mark.parametrize("n_avg", [3, 4, 16, 17])
+def test_no_cycle_builds_more_than_half_of_a_chunks_suffix_sums(n_avg):
+    # A chunk's n_avg - 2 suffix sums (slot i adds slot i + 1, newest to oldest) are
+    # split between its last cycle and the next chunk's first, so that no cycle pays
+    # for all of them: ceil((n_avg - 2) / 2) on the last, whose slots are warmer, and
+    # the rest on the first.
+    rng, state = np.random.default_rng(n_avg), _window(n_avg, 8)
+    state.ring = _CountingRing(state.ring.shape)
+    state.ring[...], state.ring.adds = 0.0, []
+    suffix_adds = []
+    for _ in range(4 * n_avg + 1):
+        state.ring.adds.clear()
+        _push(state, rng.random((4, 8)))
+        suffix_adds.append([i for i, other in state.ring.adds if other == i + 1])
+    half = -(-(n_avg - 2) // 2)
+    assert max(map(len, suffix_adds)) == half
+    assert not any(suffix_adds[: n_avg - 1])
+    for last in range(n_avg - 1, 4 * n_avg, n_avg):  # each chunk's last cycle
+        assert len(suffix_adds[last]) == half
+        assert suffix_adds[last] + suffix_adds[last + 1] == list(range(n_avg - 2, 0, -1))
+        assert not any(suffix_adds[last + 2 : last + n_avg])
+
+
 _U = Fraction(1, 2**53)
 _HALF_SUBNORMAL = Fraction(1, 2**1075)
 
@@ -540,8 +576,19 @@ _REORDERED = (3, np.array([1.0, 1.0, 0.06131998975133801, 0.9636746503425668,
                            0.05213233052257038])[:, None, None] * np.ones((4, 2)), 1)
 
 
+def _copied_mid_chain(n_avg):
+    """A run of ``3·n_avg + 2`` cycles and a copy taken after the second chunk's last
+    cycle, which builds only the suffix sums from slot ``n_avg // 2`` on."""
+    rng = np.random.default_rng(n_avg)
+    scales = 10.0 ** rng.uniform(-3, 3, (3 * n_avg + 2, 4, 1))
+    return n_avg, rng.random((3 * n_avg + 2, 4, 2)) * scales, 2 * n_avg
+
+
 @given(case=_pushes())
 @example(case=_REORDERED)
+@example(case=_copied_mid_chain(3))
+@example(case=_copied_mid_chain(4))
+@example(case=_copied_mid_chain(16))
 @settings(max_examples=150, deadline=None)
 def test_window_means_follow_the_documented_order_within_the_bound(case):
     n_avg, pushed, copy_at = case
@@ -564,6 +611,23 @@ def test_window_means_follow_the_documented_order_within_the_bound(case):
     # A copy taken mid-chunk, or before a chunk completes, goes on as the state did.
     for t in range(copy_at, len(pushed)):
         assert _push(snapshot, pushed[t]).tobytes() == averages[t].tobytes()
+
+
+@pytest.mark.parametrize("n_avg", [3, 4, 16])
+def test_a_state_pickled_mid_chain_goes_on_bit_for_bit(n_avg):
+    # Between a chunk's last cycle and the next chunk's first, slots 1 to
+    # n_avg // 2 - 1 still hold their spectra; the pickle carries them as they are.
+    n_avg, pushed, copy_at = _copied_mid_chain(n_avg)
+    state = _window(n_avg, 2)
+    for spectra in pushed[:copy_at]:
+        _push(state, spectra)
+    for i in range(1, n_avg // 2):
+        assert state.ring[i].tobytes() == pushed[copy_at - n_avg + i].tobytes()
+    restored = pickle.loads(pickle.dumps(state))
+    assert restored.cycles_seen == copy_at
+    for t in range(copy_at, len(pushed)):
+        expected = _two_stacks_mean(pushed, t, n_avg).tobytes()
+        assert _push(restored, pushed[t]).tobytes() == _push(state, pushed[t]).tobytes() == expected
 
 
 def test_two_orders_of_a_window_differ_by_more_than_the_bound_on_each():
