@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import combinations
 
 import numpy as np
@@ -23,19 +23,6 @@ import numpy as np
 from .errors import FitError, ParameterError, check_integer, check_work, is_real
 from .modulation import SPEED_OF_LIGHT, WorkingPoint, decode_fields, open_atomic, ramp_slopes
 from .simulator import signed_beat
-
-OBSERVATION_FIELDS = (
-    "f_ramp_rate",
-    "slope_S",
-    "beat_f_b",
-    "velocity_v",
-    "distance_R",
-    "n_avg",
-    "observed_sigma_fb",
-)
-
-_REGRESSOR_FIELDS = OBSERVATION_FIELDS[:5]
-
 
 @dataclass
 class BlindMap:
@@ -101,6 +88,11 @@ class NoiseObservation:
             )
 
 
+#: The observation CSV's columns, the fields of :class:`NoiseObservation` in order.
+OBSERVATION_FIELDS = tuple(f.name for f in fields(NoiseObservation))
+_REGRESSOR_FIELDS = OBSERVATION_FIELDS[:5]
+
+
 def blind_map(wp: WorkingPoint, v_range, r_range, resolution) -> BlindMap:
     """Count blind ramps per cell of a (velocity, distance) grid.
 
@@ -156,25 +148,12 @@ def min_reliable_distance(wp: WorkingPoint, v_max: float) -> float:
     )
 
 
-def _collinear_columns(design: np.ndarray):
-    """Names of regressor columns expressible from the remaining columns."""
-    names = []
-    for j, name in enumerate(_REGRESSOR_FIELDS):
-        column = design[:, j]
-        others = np.delete(design, j, axis=1)
-        fitted = others @ np.linalg.lstsq(others, column, rcond=None)[0]
-        scale = np.linalg.norm(column - column.mean()) or 1.0
-        if np.linalg.norm(column - fitted) < 1e-8 * scale:
-            names.append(name)
-    return names
-
-
 def fit_noise_model(observations) -> NoiseModelCoefficients:
     """Ordinary least squares for the log-log noise model.
 
     Requires at least 12 observations with at least two distinct values
     per regressor; a rank-deficient design raises a fit error naming the
-    collinear regressors.
+    collinear regressors, each one a null vector of the design weighs.
     """
     observations = list(observations)
     if len(observations) < 12:
@@ -188,8 +167,10 @@ def fit_noise_model(observations) -> NoiseModelCoefficients:
                          for obs in observations])
     target = np.asarray([math.log10(math.sqrt(obs.n_avg) * obs.observed_sigma_fb)
                          for obs in observations])
-    if np.linalg.matrix_rank(design) < design.shape[1]:
-        names = _collinear_columns(design) or list(_REGRESSOR_FIELDS)
+    if (rank := np.linalg.matrix_rank(design)) < design.shape[1]:
+        # Column j is a combination of the others exactly when a null vector is nonzero at j.
+        weights = np.abs(np.linalg.svd(design, full_matrices=False)[2][rank:]).max(axis=0)
+        names = [name for name, weight in zip(_REGRESSOR_FIELDS, weights) if weight > 1e-8]
         raise FitError(f"design matrix is rank deficient; collinear: {names}")
     coeffs, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
     residual = float(np.sqrt(np.mean((design @ coeffs - target) ** 2)))

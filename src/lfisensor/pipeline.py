@@ -273,8 +273,7 @@ def process_block(block, state: PipelineState, cfg: PipelineConfig) -> list:
     ``PipelineState.for_config(cfg)``'s :class:`ParameterError`, before ``state`` changes.
     """
     seen, ring = state.cycles_seen, state.ring
-    if type(seen) is not int or seen < 0:  # ints >= 0 pass
-        check_integer("the state's cycles_seen", seen, least=0)
+    check_integer("the state's cycles_seen", seen, least=0)
     shape = _ring_shape(cfg.n_avg, cfg.fft_bins)
     if (type(ring) is not np.ndarray or ring.shape != shape
             or ring.dtype.char != "d" or not ring.flags.writeable):  # "d": float64, either order

@@ -129,12 +129,6 @@ def check_synthesis(amplitude: float, noise_sigma: float, **integers) -> None:
         check_integer(name, value, least=0)
 
 
-def _words(value) -> list:
-    """The uint32 words numpy's ``SeedSequence`` makes of a non-negative int, low first."""
-    value = int(value)
-    return [value >> shift & 0xFFFFFFFF for shift in range(0, max(value.bit_length(), 1), 32)]
-
-
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused before the cast
 def synthesize_block(wp: WorkingPoint, truths, amplitude: float, noise_sigma: float,
                      seed: int, cycle_index: int) -> np.ndarray:
@@ -143,7 +137,7 @@ def synthesize_block(wp: WorkingPoint, truths, amplitude: float, noise_sigma: fl
 
     Ramp r is ``amplitude * cos(2 pi |f_signed| t + phi_r)`` plus white Gaussian
     noise; cycle k draws its four phases, then its ``(4, n)`` noise (row r for ramp
-    r) from ``default_rng((seed, k))``, seeded with its uint32 words.  Each aligned
+    r) from ``default_rng((seed, k))``, one generator per cycle.  Each aligned
     group of :data:`STREAM_BLOCK` cycles is filtered by one C-contiguous ``(n, n) @
     (n, 4 * STREAM_BLOCK)`` product, cycle k in columns ``4 * (k % STREAM_BLOCK)`` on
     and zeros in the others: a product's float64 bits depend on its width, so a fixed
@@ -157,8 +151,7 @@ def synthesize_block(wp: WorkingPoint, truths, amplitude: float, noise_sigma: fl
     if (over := np.abs(beats).max(axis=1, initial=0.0) >= wp.nyquist).any():
         raise AliasingError(f"beat frequency {max(beats[over.argmax()], key=abs):.6g} Hz is at "
                             f"or above Nyquist ({wp.nyquist:.6g} Hz)")
-    rngs = [np.random.default_rng(np.array(_words(seed) + _words(k), np.uint32))
-            for k in range(cycle_index, cycle_index + count)]
+    rngs = [np.random.default_rng((seed, k)) for k in range(cycle_index, cycle_index + count)]
     phases = np.array([rng.uniform(0.0, 2.0 * np.pi, 4) for rng in rngs]).reshape(count, 4, 1)
     # Slot s holds cycle cycle_index - first + s; the slots fill whole groups.
     first = cycle_index % STREAM_BLOCK if count else 0

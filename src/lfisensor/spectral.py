@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import (CalibrationError, ParameterError, check_integer, check_sync_offset,
-                     check_work)
+                     check_work, is_real)
 from .modulation import WorkingPoint, decode_fields, read_json_object, write_atomic
 from .simulator import STREAM_BLOCK, check_block, cycle_blocks
 
@@ -47,12 +47,19 @@ class Calibration:
     sync_offset_samples: int
 
     def __post_init__(self):
+        for name in ("n_cycles", "samples_per_ramp"):
+            check_integer(name, getattr(self, name))
+        if not is_real(self.sampling_rate):
+            raise CalibrationError(f"sampling_rate must be real, got {self.sampling_rate!r}")
         if self.n_cycles < MIN_CALIBRATION_CYCLES:  # fewer than calibrate() writes
             raise CalibrationError(f"cycles must be >= {MIN_CALIBRATION_CYCLES}, "
                                    f"got {self.n_cycles}")
         check_sync_offset(self.sync_offset_samples, 4 * self.samples_per_ramp)
         for name in ("reference_mean", "reference_sigma"):
             rows = getattr(self, name)
+            if not (isinstance(rows, np.ndarray) and rows.dtype.kind == "f"):
+                raise CalibrationError(f"{name} must be a real float ndarray, got "
+                                       f"{getattr(rows, 'dtype', type(rows).__name__)}")
             if rows.ndim != 2 or len(rows) != 4:
                 raise CalibrationError(f"{name} must be 4 rows, got shape {rows.shape}")
             if not np.all(np.isfinite(rows) & (rows >= 0)):

@@ -1,6 +1,7 @@
 import csv
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -330,6 +331,30 @@ def test_fit_names_collinear_regressor():
         )
     with pytest.raises(FitError, match="f_ramp_rate|slope_S"):
         fit_noise_model(observations)
+
+
+def test_fit_names_exactly_the_collinear_regressors():
+    # Two independent couplings, slope proportional to ramp rate and distance ten
+    # times velocity: the error names both pairs, and not the free beat frequency.
+    rng = np.random.default_rng(6)
+    observations = []
+    for _ in range(20):
+        f_ramp, velocity = 10 ** rng.uniform(2.5, 4.5), 10 ** rng.uniform(-3, -1)
+        observations.append(NoiseObservation(f_ramp, 2.5e11 * f_ramp, 10 ** rng.uniform(4, 6),
+                                             velocity, 10 * velocity, 1.0,
+                                             10 ** rng.uniform(1, 3)))
+    with pytest.raises(FitError) as info:
+        fit_noise_model(observations)
+    assert str(info.value).endswith(
+        "collinear: ['f_ramp_rate', 'slope_S', 'velocity_v', 'distance_R']")
+
+
+def test_observation_csv_header_is_the_documented_literal():
+    # The tests that build a CSV take its header from OBSERVATION_FIELDS, so only a
+    # literal shows a reordered NoiseObservation changing the file format.
+    header = "f_ramp_rate,slope_S,beat_f_b,velocity_v,distance_R,n_avg,observed_sigma_fb"
+    assert ",".join(OBSERVATION_FIELDS) == header
+    assert f"`{header}`" in (Path(__file__).parents[1] / "README.md").read_text()
 
 
 def test_nonpositive_regressor_rejected():

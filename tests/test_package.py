@@ -228,8 +228,8 @@ def test_errors_alone_names_max_work_bytes():
 
 
 def test_simulator_alone_builds_a_random_generator():
-    # The seeding rule, one generator per cycle from the uint32 words of (seed,
-    # cycle), has one home: a generator built anywhere else would seed its own
+    # The seeding rule, one generator per cycle, default_rng((seed, cycle)),
+    # has one home: a generator built anywhere else would seed its own
     # way, and a second call site could drift from the first.
     calls = [name for name, tree in _modules() for node in ast.walk(tree)
              if isinstance(node, ast.Call) and {"random", "default_rng"} & _referenced(node.func)]

@@ -413,6 +413,28 @@ def test_calibration_refuses_mean_and_sigma_of_different_shapes():
                     wp.sampling_rate, wp.samples_per_ramp, 0)
 
 
+@pytest.mark.parametrize("field, value, error, needle", [
+    ("reference_mean", list, CalibrationError,
+     "reference_mean must be a real float ndarray, got list"),
+    ("reference_mean", complex, CalibrationError, "must be a real float ndarray, got complex128"),
+    ("reference_sigma", object, CalibrationError, "must be a real float ndarray, got object"),
+    ("n_cycles", 16.5, ParameterError, "n_cycles must be an integer, got 16.5"),
+    ("n_cycles", "16", ParameterError, "n_cycles must be an integer, got '16'"),
+    ("samples_per_ramp", 500.0, ParameterError, "samples_per_ramp must be an integer, got 500.0"),
+    ("sampling_rate", "x", CalibrationError, "sampling_rate must be real, got 'x'"),
+], ids=["list", "complex", "object", "cycles-16.5", "cycles-text", "samples-float", "rate-text"])
+def test_calibration_refuses_a_malformed_field_when_built(field, value, error, needle):
+    # A list reference used to end in AttributeError, a complex one in numpy's
+    # UFuncTypeError on the first cycle, and 16.5 cycles in a file that load refuses.
+    wp = make_wp()
+    cal = calibrate([np.zeros(wp.samples_per_cycle) for _ in range(16)], wp)
+    if isinstance(value, type):  # list or a dtype: the field's own array made into one
+        array = getattr(cal, field)
+        value = array.tolist() if value is list else array.astype(value)
+    with pytest.raises(error, match=needle):
+        replace(cal, **{field: value})
+
+
 def test_calibration_equality_compares_values():
     wp = make_wp()
     zeros = [np.zeros(wp.samples_per_cycle) for _ in range(16)]
