@@ -120,7 +120,7 @@ class PipelineConfig:
                        self.alpha, self.beta, self.sync_offset_samples)
         cal.check_compatible(wp, self.fft_bins, self.sync_offset_samples)
 
-        gates = tuple(DEFAULT_NOISE_GATE * m for m in row_medians(cal.reference_sigma))
+        gates = tuple(DEFAULT_NOISE_GATE * m for m in row_medians(cal.reference_sigma.copy()))
         means, floor = cal.reference_mean[:, ::4], self.alpha * cal.reference_mean
         derived = {
             "frame_window": np.hamming(wp.samples_per_ramp),
@@ -263,13 +263,13 @@ def _noise_levels(stack, inverse_mean, n_windows) -> list:
 def process_block(block, state: PipelineState, cfg: PipelineConfig) -> list:
     """Run whole cycles, the rows of ``block``, through the full chain; one record each.
 
-    The FFT, the floor subtraction and the peak stage each cover all frames at
-    once, one magnitude stack that the average and the floor change in place;
-    the average and the solver go cycle by cycle, so a record is the one its
-    cycle gets alone, bit for bit.  A peak is valid past ``g (gate / sqrt(n_window) + F) -
-    F``, the gate that a floor ``F`` and gate scaled by the cycle's level ``g``
-    (:func:`_noise_levels`) would set; the floor is not scaled.  A NaN or infinite sample,
-    or one beyond the float32 range, raises :class:`FramingError`, and a state unlike
+    The FFT, the floor subtraction and the peak stage each cover all frames at once, one
+    magnitude stack that the average and the floor change in place; the average and the solver
+    go cycle by cycle, so a record is the one its cycle gets alone, bit for bit.  A peak is valid
+    past ``g (gate / sqrt(n_window) + F) - F``, the gate that a floor ``F`` and gate scaled by
+    the cycle's level ``g`` (:func:`_noise_levels`) would set; the floor is not scaled.  A NaN,
+    infinite or beyond-float32 sample raises :class:`FramingError` (:func:`~.simulator.check_block`,
+    one sum of squares for a block in range), and a state unlike
     ``PipelineState.for_config(cfg)``'s :class:`ParameterError`, before ``state`` changes.
     """
     seen, ring = state.cycles_seen, state.ring

@@ -29,8 +29,10 @@ FRAME_FORMAT_VERSION = 2
 #: ``spectral.calibrate`` and ``pipeline.run_stream`` (README: "Block hot path").
 STREAM_BLOCK = 16
 
-#: Largest magnitude of a float32 sample, the export dtype.
+#: Largest magnitude of a float32 sample, the export dtype, and its square, bounding sums of
+#: squares cast to Python floats (comparing a float32 sum to it would overflow a cast).
 _FLOAT32_MAX = np.finfo(np.float32).max
+_FLOAT32_MAX_SQUARED = float(_FLOAT32_MAX) ** 2
 
 
 @dataclass(frozen=True)
@@ -141,8 +143,8 @@ def synthesize_block(wp: WorkingPoint, truths, amplitude: float, noise_sigma: fl
     group of :data:`STREAM_BLOCK` cycles is filtered by one C-contiguous ``(n, n) @
     (n, 4 * STREAM_BLOCK)`` product, cycle k in columns ``4 * (k % STREAM_BLOCK)`` on
     and zeros in the others: a product's float64 bits depend on its width, so a fixed
-    width and column make cycle k's bytes depend on k alone, not on its block.  Zero
-    amplitude gives a no-target cycle; levels past float32 raise ParameterError.
+    width and column make cycle k's bytes depend on k alone, not on its block.  Zero amplitude
+    gives a no-target cycle; levels past float32 (:func:`check_block`'s rule) raise ParameterError.
     """
     check_synthesis(amplitude, noise_sigma, seed=seed, cycle_index=cycle_index)
     n, count = wp.samples_per_ramp, len(truths)
@@ -164,8 +166,8 @@ def synthesize_block(wp: WorkingPoint, truths, amplitude: float, noise_sigma: fl
             cycle += rng.normal(0.0, noise_sigma, (4, n))
     for group in slots.reshape(-1, 4 * STREAM_BLOCK, n):
         group[...] = (_highpass_matrix(wp) @ np.ascontiguousarray(group.T)).T
-    if not (within := np.abs(cycles) <= _FLOAT32_MAX).all():  # False at a NaN
-        cycle, ramp = divmod(int(within.argmin()) // n, 4)
+    if (first := _first_beyond_float32(cycles)) is not None:
+        cycle, ramp = divmod(first // n, 4)
         raise ParameterError(f"amplitude {amplitude} and noise_sigma {noise_sigma} put cycle "
                              f"{cycle_index + cycle}, ramp {ramp} beyond the float32 range")
     return cycles.astype("<f4").reshape(count, 4 * n)
@@ -258,10 +260,11 @@ def _read_blocks(raw_path, n_cycles: int, wp: WorkingPoint, skip: int):
 def check_block(block, wp: WorkingPoint, source, first_cycle: int) -> np.ndarray:
     """``block``, cycles in rows, as an array once checked.
 
-    Rows that differ in length or are not one cycle, samples that are not real
-    numbers (ints and bools are) and a NaN, infinite or finite sample beyond the
-    float32 range, the export dtype, raise :class:`FramingError` naming
-    ``source``; for a sample, also its cycle (counted from ``first_cycle``) and ramp.
+    Rows that differ in length or are not one cycle, samples that are not real numbers (ints
+    and bools are) and a NaN, infinite or finite sample beyond the float32 range, the export
+    dtype, raise :class:`FramingError` naming ``source``; for a sample, also its cycle (counted
+    from ``first_cycle``) and ramp.  A float block in range costs one reduction, a sum of
+    squares (:func:`_first_beyond_float32`, the rule synthesis shares).
     """
     n = wp.samples_per_cycle
     try:
@@ -273,12 +276,17 @@ def check_block(block, wp: WorkingPoint, source, first_cycle: int) -> np.ndarray
                else f"a block of {block.dtype} in shape {block.shape}")
         raise FramingError(f"{source} has {got}; expected cycles of {n} samples, "
                            "each a real number")
-    # A NaN fails both comparisons; the mask is built only to name the sample.
-    if block.size and not (np.minimum.reduce(block, axis=None) >= -_FLOAT32_MAX
-                           and np.maximum.reduce(block, axis=None) <= _FLOAT32_MAX):
-        first = int((np.abs(block) <= _FLOAT32_MAX).argmin())
+    if (first := _first_beyond_float32(block)) is not None:
         cycle, ramp = divmod(first // wp.samples_per_ramp, 4)
         what = ("a non-finite sample" if not np.isfinite(block.flat[first])
                 else "a sample beyond the float32 range")
         raise FramingError(f"{source} has {what} in cycle {first_cycle + cycle}, ramp {ramp}")
     return block
+
+
+def _first_beyond_float32(a: np.ndarray) -> int | None:
+    """Flat index of ``a``'s first NaN, infinite or beyond-float32 sample, or None.  A float sum
+    of squares within ``FLOAT32_MAX**2`` proves none in one pass; past it the mask decides."""
+    if a.dtype.kind != "f" or float(np.vdot(a, a)) <= _FLOAT32_MAX_SQUARED:
+        return None
+    return None if (within := np.abs(a) <= _FLOAT32_MAX).all() else int(within.argmin())

@@ -22,7 +22,7 @@ from lfisensor.cli import _CSV_HEADER, _build_parser, main
 from lfisensor.modulation import WORKING_POINT_KEYS, save_working_point
 from lfisensor.simulator import STREAM_BLOCK
 from lfisensor.errors import MAX_WORK_BYTES
-from lfisensor.spectral import MIN_CALIBRATION_CYCLES
+from lfisensor.spectral import MIN_CALIBRATION_CYCLES, calibrate
 
 from conftest import make_wp, write_offset_export
 from test_analysis import (OBSERVATION_FIELDS, TRUE_COEFFS, _synthetic_observations,
@@ -148,6 +148,18 @@ def test_calibrate_rerun_identical(config_path, tmp_path, capsys):
     b = _calibrate(config_path, tmp_path, noise="0.3")
     assert b.read_bytes() == first
     capsys.readouterr()
+
+
+def test_calibrate_summarises_each_ramps_medians(config_path, tmp_path, capsys):
+    # The summary's row medians partition the calibration's rows in place: it comes
+    # after the save, so the file holds the rows as calibrated.
+    cal = Calibration.load(_calibrate(config_path, tmp_path, noise="0.3"))
+    assert cal == calibrate(synthetic_cycles(make_wp(), GroundTruth(0.0, 0.0), 0.0, 0.3, 11, 20),
+                            make_wp())
+    assert capsys.readouterr().out.splitlines() == [
+        f"ramp {i}: median floor {mean:.6g}, median sigma {sigma:.6g} (20 cycles)"
+        for i, (mean, sigma) in enumerate(zip(np.median(cal.reference_mean, axis=1),
+                                              np.median(cal.reference_sigma, axis=1)))]
 
 
 def test_mindist_zero_cutoff(tmp_path, capsys):

@@ -1057,6 +1057,33 @@ def test_sample_beyond_float32_is_refused_and_leaves_the_state(wp, noisy_cal, sc
     assert np.array_equal(state.ring, ring)
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_a_sum_of_squares_past_the_bound_refuses_no_block_alone(wp, noisy_cal, tmp_path, dtype):
+    # The check's one reduction, a sum of squares, passes FLOAT32_MAX**2 here with every
+    # sample in range: all samples at +-FLOAT32_MAX in float32, whose own sum overflows, or
+    # two at 0.9 FLOAT32_MAX in float64.  The mask decides, and accepts the cycle.
+    limit = np.finfo(np.float32).max
+    if dtype == "float32":
+        cycle = np.where(_stream(wp, 1)[0] < 0, -limit, limit)
+    else:
+        cycle = _stream(wp, 1)[0].astype(float)
+        cycle[[7, 3 * wp.samples_per_ramp + 7]] = 0.9 * float(limit)
+    assert cycle.dtype == dtype and not float(np.vdot(cycle, cycle)) <= float(limit) ** 2
+    cfg = _config(wp, noisy_cal)
+    assert process_cycle(cycle, PipelineState.for_config(cfg), cfg).cycle_index == 0
+    write_frames(tmp_path / "frames", [cycle], wp)
+    assert [row.tobytes() for row in read_frames(tmp_path / "frames", wp, 0)] == [
+        cycle.astype("<f4").tobytes()]
+
+
+def test_a_config_leaves_the_calibration_it_reads_unchanged(wp):
+    # The gates' row medians partition their argument in place: the config passes a copy.
+    cal = calibrate(synthetic_cycles(wp, GroundTruth(0.0, 0.0), 0.0, 0.3, 17, 16), wp)
+    before = copy.deepcopy(cal)
+    _config(wp, cal, beta=1.0)
+    assert cal == before
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_samples_at_the_float32_limit_give_records(wp, noisy_cal, sign):
     cfg = _config(wp, noisy_cal, n_avg=4)

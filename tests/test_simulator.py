@@ -310,6 +310,17 @@ def test_synthesis_refuses_levels_beyond_the_float32_export(amplitude, noise_sig
                                    seed=1, cycle_index=5)
 
 
+def test_synthesis_accepts_cycles_whose_sum_of_squares_passes_the_bound():
+    # Every float64 sample is within the float32 range, but their sum of squares is far
+    # past FLOAT32_MAX**2, the bound of the check's one reduction: the mask decides.
+    wp, limit = make_wp(), float(np.finfo(np.float32).max)
+    cycles = simulator.synthesize_block(wp, [GroundTruth(0.03, 0.01)] * 2, 0.5 * limit, 0.0,
+                                        seed=1, cycle_index=0)
+    samples = cycles.astype(float)
+    assert np.isfinite(cycles).all() and np.abs(samples).max() > 0.4 * limit
+    assert (samples**2).sum(axis=1).min() > 100 * limit**2
+
+
 def test_synthesis_names_the_first_cycle_and_ramp_beyond_float32():
     # The noise passes the float32 range on a few samples only (first in cycle 2,
     # ramp 1): the first is found in the float64 cycles the rule defines.
