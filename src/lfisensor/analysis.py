@@ -46,11 +46,11 @@ class NoiseModelCoefficients:
     fit_residual: float
 
     def __post_init__(self):
-        values = (self.a1, self.a2, self.a3, self.a4, self.a5, self.b)
-        if not all(math.isfinite(v) for v in values):
-            raise ParameterError("noise-model coefficients must be finite")
-        if not self.fit_residual >= 0:
-            raise ParameterError("fit_residual must be >= 0")
+        for name in ("a1", "a2", "a3", "a4", "a5", "b"):
+            if not (is_real(v := getattr(self, name)) and math.isfinite(v)):
+                raise ParameterError(f"noise-model coefficients must be finite: {name} is {v!r}")
+        if not (is_real(self.fit_residual) and self.fit_residual >= 0):
+            raise ParameterError(f"fit_residual must be >= 0, got {self.fit_residual!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -178,28 +178,6 @@ def fit_noise_model(observations) -> NoiseModelCoefficients:
     return NoiseModelCoefficients(*coeffs.tolist(), fit_residual=residual)
 
 
-def sigma_fb_base(coeffs: NoiseModelCoefficients, f_ramp_rate: float, slope_S: float) -> float:
-    """The ramp's part of :func:`predict_sigma_fb`'s exponent,
-    ``a1 log10(f_ramp_rate) + a2 log10(slope_S)``, the same for every cycle."""
-    return coeffs.a1 * math.log10(f_ramp_rate) + coeffs.a2 * math.log10(slope_S)
-
-
-def sigma_fb_tail(coeffs: NoiseModelCoefficients, base: float, beat_f_b: float, log_v: float,
-                  log_r: float, n_avg: float) -> float:
-    """:func:`predict_sigma_fb`'s tail, added to ``base`` in its order, so its bits are
-    the same; a beat <= 0 raises ``ValueError`` and a sigma not finite and > 0
-    :class:`ParameterError`."""
-    exponent = (base + coeffs.a3 * math.log10(beat_f_b) + coeffs.a4 * log_v
-                + coeffs.a5 * log_r + coeffs.b)
-    try:
-        sigma = 10.0**exponent / math.sqrt(n_avg)
-    except OverflowError:
-        sigma = math.inf
-    if not 0.0 < sigma < math.inf:
-        raise ParameterError(f"noise model predicts sigma_fb = {sigma} at this point")
-    return sigma
-
-
 def predict_sigma_fb(
     coeffs: NoiseModelCoefficients,
     f_ramp_rate: float,
@@ -209,18 +187,27 @@ def predict_sigma_fb(
     distance_R: float,
     n_avg: float,
 ) -> float:
-    """Beat-frequency noise predicted by the model at an operating point: the exponent's
-    per-ramp base (:func:`sigma_fb_base`) plus its tail (:func:`sigma_fb_tail`).
+    """Beat-frequency noise predicted by the model at an operating point, the package's
+    one evaluation of it: ``10**exponent / sqrt(n_avg)``, the exponent summed left to right.
 
-    A prediction that is not finite and > 0 (a model far outside its fitted
-    domain overflows or underflows) raises :class:`ParameterError`.
+    A point outside the log domain raises :class:`ParameterError` naming its field, and
+    so does a prediction that is not finite and > 0 (a model far outside its fitted
+    domain overflows or underflows).
     """
     point = (f_ramp_rate, slope_S, beat_f_b, velocity_v, distance_R, n_avg)
     for name, value in zip(OBSERVATION_FIELDS, point):
         if not value > 0:
             raise ParameterError(f"{name} must be strictly positive (log domain), got {value}")
-    return sigma_fb_tail(coeffs, sigma_fb_base(coeffs, f_ramp_rate, slope_S), beat_f_b,
-                         math.log10(velocity_v), math.log10(distance_R), n_avg)
+    exponent = (coeffs.a1 * math.log10(f_ramp_rate) + coeffs.a2 * math.log10(slope_S)
+                + coeffs.a3 * math.log10(beat_f_b) + coeffs.a4 * math.log10(velocity_v)
+                + coeffs.a5 * math.log10(distance_R) + coeffs.b)
+    try:
+        sigma = 10.0**exponent / math.sqrt(n_avg)
+    except OverflowError:
+        sigma = math.inf
+    if not 0.0 < sigma < math.inf:
+        raise ParameterError(f"noise model predicts sigma_fb = {sigma} at this point")
+    return sigma
 
 
 def write_blind_map_csv(bm: BlindMap, path) -> None:

@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
-from .errors import ParameterError
+from .errors import ParameterError, is_real
 
 #: Speed of light in vacuum, m/s (exact by the SI definition of the metre).
 SPEED_OF_LIGHT = 299792458.0
@@ -69,8 +69,8 @@ class WorkingPoint:
 
     def __post_init__(self):
         for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ParameterError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+            if not (is_real(value := getattr(self, f.name)) and math.isfinite(value)):
+                raise ParameterError(f"{f.name} must be finite, got {value!r}")
         for name in ("ramp_duration", "steep_slope", "emitted_frequency", "sampling_rate"):
             if not getattr(self, name) > 0:
                 raise ParameterError(f"{name} must be > 0, got {getattr(self, name)}")

@@ -150,8 +150,12 @@ def estimate_peaks(rows, bin_freqs, epsilons, window, method) -> tuple:
     fails.  An all-zero row has no peak.  :func:`check_interpolation` refuses
     a bad ``window`` or ``method``.  An estimate is valid, a real detection, when its
     intensity exceeds both ``epsilons[r]`` and 0; a low intensity marks an unreliable
-    (typically blind) ramp.
+    (typically blind) ramp.  A stack that is not 2-D, or not one gate per row, raises
+    :class:`ParameterError` before any work.
     """
+    if rows.ndim != 2 or len(epsilons) != len(rows):
+        raise ParameterError(f"estimate_peaks needs a (rows, bins) stack and one gate per row, "
+                             f"got shape {rows.shape} and {len(epsilons)} gates")
     check_interpolation(window, method, rows.shape[1])
     # The strongest bin of each row; ties break toward the lower frequency.
     return tuple(_interpolate(rows, bin_freqs, rows.argmax(axis=1), window, method, epsilons))

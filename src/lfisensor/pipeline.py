@@ -6,9 +6,9 @@ iterable of cycles: seeded synthetic cycles (:func:`synthetic_cycles`) or
 the replay of an exported frame file (:func:`~.simulator.read_frames`).
 
 Everything that depends only on the configuration and the calibration (window, bin
-grid, scaled reference spectra, noise gates, each ramp's noise-model base) is computed
-once, when :class:`PipelineConfig` is built, and none of it grows with ``n_avg``; a cycle
-divides each gate by the root of its window's count and scales it by its noise level.
+grid, scaled reference spectra, noise gates) is computed once, when :class:`PipelineConfig`
+is built, and none of it grows with ``n_avg``; a cycle divides each gate by the root of
+its window's count and scales it by its noise level.
 A block of cycles runs one FFT, floor subtraction and peak stage over one ``(4 * cycles,
 bins)`` stack of its frames, which the sliding average and the floor subtraction change in
 place.  Each record is the one its cycle gets in a block of its own, bit for bit.  The
@@ -24,15 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import NoiseModelCoefficients, sigma_fb_base, sigma_fb_tail
+from .analysis import NoiseModelCoefficients, predict_sigma_fb
 from .errors import ParameterError, check_integer, check_levels, check_sync_offset, check_work
-from .modulation import (
-    WORKING_POINT_KEYS,
-    WorkingPoint,
-    decode_fields,
-    ramp_slopes,
-    read_flat_config,
-)
+from .modulation import WORKING_POINT_KEYS, WorkingPoint, decode_fields, read_flat_config
 from .peaks import DEFAULT_WINDOW, WEIGHTED_AVERAGE, check_interpolation, estimate_peaks
 from .simulator import check_synthesis, cycle_blocks, synthesize_block
 from .solver import STATUS_INVALID, Measurement, disambiguate, triple_tables
@@ -107,8 +101,6 @@ class PipelineConfig:
     floor_levels: tuple = field(init=False, repr=False, compare=False)
     #: ``1 / reference_mean`` of every 4th bin, 0 where the mean is (about) 0, ``(4, bins // 4)``.
     inverse_mean: np.ndarray = field(init=False, repr=False, compare=False)
-    #: Each ramp's :func:`~.analysis.sigma_fb_base`; None without a noise model.
-    sigma_bases: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         wp, cal = self.working_point, self.calibration
@@ -133,8 +125,6 @@ class PipelineConfig:
             "floor_levels": tuple(row_medians(floor + self.beta * cal.reference_sigma)),
             # A mean below any that float32 samples give counts as 0: x / mean stays finite.
             "inverse_mean": np.divide(1.0, means, out=np.zeros_like(means), where=means > 1e-200),
-            "sigma_bases": None if self.noise_model is None else tuple(
-                sigma_fb_base(self.noise_model, wp.ramp_rate, abs(s)) for s in ramp_slopes(wp)),
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -227,21 +217,22 @@ def _attach_sigmas(
 ) -> Measurement:
     """Fill sigma_R/sigma_v from the noise model at the measured point.
 
-    Each selected ramp's beat sigma, ``predict_sigma_fb``'s to the bit (the config's
-    base of the ramp, then the tail, with the logs of |v| and R taken once), is put
-    through the weights of the reported R and v, the least-squares line through the
-    selected beats, on those beats (:func:`~.solver.triple_tables`):
-    ``sigma_R = sqrt(sum((w_R,k sigma_k)**2))``, and the same for v.  A selected
-    ramp the model cannot predict leaves both sigmas NaN.
+    Each selected ramp's beat sigma, one :func:`~.analysis.predict_sigma_fb` call at its
+    ramp rate, |slope| and beat, the measured |v| and R and ``n_window``, is put through the
+    weights of the reported R and v, the least-squares line through the selected beats, on
+    those beats (one :func:`~.solver.triple_tables` lookup gives the signed slopes and the
+    weights): ``sigma_R = sqrt(sum((w_R,k sigma_k)**2))``, and the same for v.  Nothing of
+    the model is cached per configuration.  A selected ramp the model cannot predict
+    (:class:`ParameterError`) leaves both sigmas NaN.
     """
-    m, nm, bases = measurement, cfg.noise_model, cfg.sigma_bases
-    try:  # ParameterError is a ValueError
-        log_v, log_r = math.log10(abs(m.velocity_v)), math.log10(m.distance_R)
-        s0, s1, s2 = [sigma_fb_tail(nm, bases[i], peaks[i].beat_frequency, log_v, log_r,
-                                    n_window) for i in m.selected_ramps]
-    except ValueError:
+    m, nm, wp = measurement, cfg.noise_model, cfg.working_point
+    slopes, _, _, ((r0, r1, r2), (v0, v1, v2)) = triple_tables(wp)[m.selected_ramps]
+    try:
+        s0, s1, s2 = [predict_sigma_fb(nm, wp.ramp_rate, abs(s), peaks[i].beat_frequency,
+                                       abs(m.velocity_v), m.distance_R, n_window)
+                      for i, s in zip(m.selected_ramps, slopes)]
+    except ParameterError:
         return m
-    (r0, r1, r2), (v0, v1, v2) = triple_tables(cfg.working_point)[m.selected_ramps][-1]
     sigma_r, sigma_v = math.hypot(r0 * s0, r1 * s1, r2 * s2), math.hypot(v0 * s0, v1 * s1, v2 * s2)
     return Measurement(m.distance_R, m.velocity_v, sigma_r, sigma_v, m.sign_combo,
                        m.selected_ramps, m.cluster_spread, m.status)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (AliasingError, FramingError, ParameterError, check_integer, check_levels,
-                     check_sync_offset)
+                     check_sync_offset, is_real)
 from .modulation import (SPEED_OF_LIGHT, WorkingPoint, open_atomic, ramp_slopes,
                          read_json_object, write_atomic)
 
@@ -43,10 +43,9 @@ class GroundTruth:
     velocity_v: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.distance_R) and math.isfinite(self.velocity_v)):
-            raise ParameterError(
-                f"distance_R and velocity_v must be finite, got {self.distance_R, self.velocity_v}"
-            )
+        for name in ("distance_R", "velocity_v"):
+            if not (is_real(v := getattr(self, name)) and math.isfinite(v)):
+                raise ParameterError(f"distance_R and velocity_v must be finite: {name} is {v!r}")
         if self.distance_R < 0:
             raise ParameterError(
                 f"distance_R must be >= 0 (negative R is the mirrored invalid "

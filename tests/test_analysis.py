@@ -394,8 +394,8 @@ def test_fit_predict_round_trip():
 @given(coeffs=st.tuples(*[st.floats(-4.0, 4.0)] * 6),
        point=st.tuples(*[st.floats(1e-3, 1e16)] * 5), n_avg=st.integers(1, 64))
 def test_predict_is_the_model_summed_left_to_right_bit_for_bit(coeffs, point, n_avg):
-    # The pipeline adds the same base and tail, so this pins the bits of every
-    # record's sigma as well; past the float range the prediction is refused.
+    # The pipeline calls this function, so this pins the bits of every record's
+    # sigma as well; past the float range the prediction is refused.
     a1, a2, a3, a4, a5, b = coeffs
     rate, slope, beat, velocity, distance = point
     exponent = (a1 * math.log10(rate) + a2 * math.log10(slope) + a3 * math.log10(beat)

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfisensor import ParameterError, WorkingPoint, ramp_slopes
+from lfisensor import (GroundTruth, NoiseModelCoefficients, ParameterError, WorkingPoint,
+                       ramp_slopes)
 from lfisensor.modulation import open_atomic, save_working_point, write_atomic
 from lfisensor.pipeline import read_config_file
 
@@ -149,6 +152,27 @@ def test_config_refuses_a_working_point_that_is_not_finite(tmp_path, line, needl
     path.write_text("\n".join([*lines, line]) + "\n")
     with pytest.raises(ParameterError, match=needle):
         read_config_file(path)
+
+
+_MODEL = NoiseModelCoefficients(0.35, -0.6, 0.22, 0.4, 0.55, -3.2, 0.0)
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [(lambda: WorkingPoint("a", 1e14, 0.5, 2e6), "ramp_duration"),
+     (lambda: replace(make_wp(), hp_cutoff=False), "hp_cutoff"),
+     (lambda: GroundTruth("a", 0.0), "distance_R"),
+     (lambda: GroundTruth(0.05, True), "velocity_v"),
+     (lambda: replace(_MODEL, a1="a"), "a1"),
+     (lambda: replace(_MODEL, b=None), "b"),
+     (lambda: replace(_MODEL, fit_residual=True), "fit_residual")],
+    ids=["wp-string", "wp-bool", "truth-string", "truth-bool", "model-string", "model-none",
+         "model-bool-residual"],
+)
+def test_value_types_refuse_a_field_that_is_not_a_real_number(build, name):
+    # Each once ended in a raw TypeError, or (a bool) was taken for 0 or 1.
+    with pytest.raises(ParameterError, match=name):
+        build()
 
 
 def test_open_atomic_keeps_the_old_file_when_the_block_fails(tmp_path):

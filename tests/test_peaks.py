@@ -622,6 +622,24 @@ def test_window_preconditions():
         _estimate(mags, method="parabolic")
 
 
+def test_a_gate_count_unlike_the_row_count_is_refused():
+    # Four rows and one gate: the zip of rows and gates once returned one estimate.
+    stack = np.tile(np.array([0.0, 1.0, 2.0, 8.0, 2.0, 1.0, 0.0]), (4, 1))
+    with pytest.raises(ParameterError, match=r"shape \(4, 7\) and 1 gates"):
+        estimate_peaks(stack, FREQS[:7], [0.0], 3, WEIGHTED_AVERAGE)
+    with pytest.raises(ParameterError, match=r"shape \(4, 7\) and 5 gates"):
+        estimate_peaks(stack, FREQS[:7], [0.0] * 5, 3, WEIGHTED_AVERAGE)
+    assert len(estimate_peaks(stack, FREQS[:7], [0.0] * 4, 3, WEIGHTED_AVERAGE)) == 4
+
+
+def test_a_stack_that_is_not_two_dimensional_is_refused():
+    # A 1-D spectrum once ended in a raw IndexError.
+    row = np.array([0.0, 1.0, 2.0, 8.0, 2.0, 1.0, 0.0])
+    for stack in (row, row[None, None]):
+        with pytest.raises(ParameterError, match=r"a \(rows, bins\) stack"):
+            estimate_peaks(stack, FREQS[:7], [0.0], 3, WEIGHTED_AVERAGE)
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="least squares is the efficient estimator for Gaussian-noise tones; "

@@ -313,7 +313,7 @@ def test_sigma_attachment_weighs_every_selected_ramp(wp, quiet_cal, monkeypatch)
     beats = true_beats(wp, 0.05, 0.02)
     sigma_by_beat = dict(zip(np.abs(beats).tolist(), (40.0, 60.0, 20.0, 30.0)))
     monkeypatch.setattr(
-        pipeline, "sigma_fb_tail", lambda coeffs, base, beat, *logs: sigma_by_beat[beat]
+        pipeline, "predict_sigma_fb", lambda coeffs, rate, slope, beat, *rest: sigma_by_beat[beat]
     )
     intensities = [10.0, 9.0, 8.0, 7.0]  # keeps 0, 1, 2
     peaks = tuple(
@@ -360,10 +360,10 @@ def test_record_sigmas_match_the_scatter_of_the_records(wp, noisy_cal, monkeypat
     allowed.  Propagating the steepest selected pair alone reads 0.72-0.81 here.
     """
     cfg, by_beat = _config(wp, noisy_cal), {}
-    # Any model: the patched tail below stands in for every ramp's prediction.
+    # Any model: the patched prediction below stands in for every ramp's.
     modelled = replace(cfg, noise_model=NoiseModelCoefficients(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
-    monkeypatch.setattr(pipeline, "sigma_fb_tail",
-                        lambda coeffs, base, beat, *logs: by_beat[beat])
+    monkeypatch.setattr(pipeline, "predict_sigma_fb",
+                        lambda coeffs, rate, slope, beat, *rest: by_beat[beat])
     for k, (r, v) in enumerate([(0.03, 0.02), (0.05, -0.04), (0.07, 0.06), (0.04, -0.08)]):
         records = list(run_stream(synthetic_cycles(wp, GroundTruth(r, v), 1.0, 0.3,
                                                    seed=500 + k, n_cycles=600), cfg))
