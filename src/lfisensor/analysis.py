@@ -194,10 +194,11 @@ def predict_sigma_fb(
     so does a prediction that is not finite and > 0 (a model far outside its fitted
     domain overflows or underflows).
     """
-    point = (f_ramp_rate, slope_S, beat_f_b, velocity_v, distance_R, n_avg)
-    for name, value in zip(OBSERVATION_FIELDS, point):
-        if not value > 0:
-            raise ParameterError(f"{name} must be strictly positive (log domain), got {value}")
+    if not (f_ramp_rate > 0 and slope_S > 0 and beat_f_b > 0 and velocity_v > 0
+            and distance_R > 0 and n_avg > 0):  # NaN fails too; only then name the field
+        point = (f_ramp_rate, slope_S, beat_f_b, velocity_v, distance_R, n_avg)
+        name, value = next((n, v) for n, v in zip(OBSERVATION_FIELDS, point) if not v > 0)
+        raise ParameterError(f"{name} must be strictly positive (log domain), got {value}")
     exponent = (coeffs.a1 * math.log10(f_ramp_rate) + coeffs.a2 * math.log10(slope_S)
                 + coeffs.a3 * math.log10(beat_f_b) + coeffs.a4 * math.log10(velocity_v)
                 + coeffs.a5 * math.log10(distance_R) + coeffs.b)

@@ -24,7 +24,7 @@ WEIGHTED_AVERAGE = "weighted_average"
 METHODS = (GAUSSIAN, WEIGHTED_AVERAGE)
 
 
-@dataclass
+@dataclass(slots=True)
 class PeakEstimate:
     """Interpolated beat-frequency magnitude of one ramp spectrum."""
 

@@ -30,7 +30,7 @@ STATUS_INVALID = "invalid"
 DEFAULT_R_REF = 0.05
 DEFAULT_V_REF = 0.1
 
-@dataclass
+@dataclass(slots=True)
 class Measurement:
     """Disambiguated distance/velocity result with solver diagnostics."""
 

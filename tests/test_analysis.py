@@ -429,6 +429,29 @@ def test_predict_rejects_nonpositive():
         predict_sigma_fb(TRUE_COEFFS, 1e3, 1e14, 0.0, 0.1, 0.05, 1)
 
 
+_VALID_POINT = (1e3, 1e14, 1e5, 0.1, 0.05, 1)
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, -1.0, -math.inf, math.nan],
+                         ids=["zero", "negative-zero", "negative", "-inf", "nan"])
+@pytest.mark.parametrize("index", range(6), ids=OBSERVATION_FIELDS[:6])
+def test_predict_names_the_field_outside_the_log_domain(index, value):
+    point = list(_VALID_POINT)
+    point[index] = value
+    message = f"{OBSERVATION_FIELDS[index]} must be strictly positive (log domain), got {value}"
+    with pytest.raises(ParameterError) as refused:
+        predict_sigma_fb(TRUE_COEFFS, *point)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("first, second", [(0, 5), (1, 2), (2, 4), (3, 4), (4, 5)])
+def test_predict_names_the_first_bad_field_in_column_order(first, second):
+    point = list(_VALID_POINT)
+    point[first], point[second] = math.nan, -1.0
+    with pytest.raises(ParameterError, match=rf"^{OBSERVATION_FIELDS[first]} must be "):
+        predict_sigma_fb(TRUE_COEFFS, *point)
+
+
 @pytest.mark.parametrize("a1", [200.0, -200.0], ids=["overflow", "underflow"])
 def test_predict_refuses_a_sigma_that_is_not_finite_and_positive(a1):
     # At the reference ramp rate (4 kHz) the exponent is about +-720:

@@ -1164,6 +1164,23 @@ def test_zero_cycles_still_checks_the_synthesis_options(config_path, tmp_path, c
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
+def test_synthetic_process_refuses_its_levels_before_it_opens_the_output(
+        config_path, tmp_path, capsys, monkeypatch):
+    # synthetic_cycles checks its levels at the call, so the refusal comes
+    # before process opens its output, as a bad --input file's does.
+    cal = _calibrate(config_path, tmp_path)
+
+    def no_output(path):
+        raise AssertionError(f"{path} was opened")
+
+    monkeypatch.setattr(lfisensor.cli, "open_atomic", no_output)
+    capsys.readouterr()
+    err = _refused(["process", "--config", str(config_path), "--calibration", str(cal),
+                    "--out", str(tmp_path / "run.csv"), "--cycles", "2", "--distance", "0.05",
+                    "--noise-sigma", "-1"], ParameterError, capsys)
+    assert "noise_sigma must be finite and >= 0, got -1.0" in err
+
+
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_process_zero_cycles_writes_header_and_manifest(config_path, tmp_path, capsys, fmt):
     # An empty run is a valid file of its format: a header-only CSV, an

@@ -1449,3 +1449,38 @@ def test_the_invalid_ramps_are_the_predicted_blind_ramps(
     record = _blind_property_record(wp, blind_property_cals, target, sigma, method, seed)
     assert [not p.valid for p in record.peaks] == blind
     assert record.measurement.status == {0: "ok", 1: "degraded"}.get(sum(blind), "invalid")
+
+
+# ------------------------------------------------------------ record types
+
+@pytest.mark.parametrize("noise_model", [None, _NOISE_MODEL], ids=["no-model", "model"])
+def test_records_of_every_status_copy_pickle_and_replace(wp, noisy_cal, noise_model):
+    # PeakEstimate, Measurement and CycleRecord are slotted dataclasses: a deep copy
+    # and a pickle round trip give the same record, NaN sigmas included, and
+    # dataclasses.replace still works on each.
+    cfg = _config(wp, noisy_cal, n_avg=2, noise_model=noise_model)
+    records = [record for target in ((0.05, 0.02), (0.03, -0.081), (0.0, 0.0))
+               for record in run_stream(synthetic_cycles(wp, GroundTruth(*target), 1.0, 0.3,
+                                                         seed=5, n_cycles=3), cfg)]
+    assert [r.measurement.status for r in records] == ["ok"] * 3 + ["degraded"] * 3 + [
+        "invalid"] * 3
+    assert [r.warmup for r in records] == [True, False, False] * 3
+    sigmas = [math.isnan(r.measurement.sigma_R) for r in records]
+    assert sigmas == ([True] * 9 if noise_model is None else [False] * 6 + [True] * 3)
+    for record in records:
+        for twin in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert repr(twin) == repr(record) and twin is not record
+        for obj in (record, record.measurement, *record.peaks):
+            assert repr(replace(obj)) == repr(obj) and replace(obj) is not obj
+
+
+def test_records_refuse_an_undeclared_attribute(wp, quiet_cal):
+    # Slotted records have no __dict__: a misspelt field is an error, not a new attribute.
+    cfg = _config(wp, quiet_cal)
+    record = process_cycle(synthesize_cycle(wp, GroundTruth(0.04, 0.03), 1.0, 0.0, 2, 0),
+                           PipelineState.for_config(cfg), cfg)
+    for obj, name in ((record, "warm_up"), (record.measurement, "sigma_r"),
+                      (record.peaks[0], "beat")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0.0)
+        assert not hasattr(obj, "__dict__")

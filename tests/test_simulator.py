@@ -225,16 +225,15 @@ def test_empty_block_is_an_empty_export_once_checked(levels, seed, cycle_index, 
 def test_synthetic_cycles_checks_its_arguments_before_the_first_block(
         monkeypatch, levels, seed, n_cycles, message):
     # A source of zero cycles draws nothing, yet refuses what a longer one
-    # would; no generator is built.
+    # would, at the call, as read_frames refuses a bad file; no generator is built.
     def no_generator(*args):
         raise AssertionError("a generator was built")
 
     monkeypatch.setattr(np.random, "default_rng", no_generator)
     levels = {"amplitude": 1.0, "noise_sigma": 0.1, **levels}
-    source = synthetic_cycles(make_wp(), GroundTruth(0.03, 0.0), levels["amplitude"],
-                              levels["noise_sigma"], seed, n_cycles)
     with pytest.raises(ParameterError, match=message):
-        next(source)
+        synthetic_cycles(make_wp(), GroundTruth(0.03, 0.0), levels["amplitude"],
+                         levels["noise_sigma"], seed, n_cycles)
 
 
 def _oracle_cycle(wp, gt, amplitude, noise_sigma, seed, cycle_index):
